@@ -233,7 +233,7 @@ class CompactingReplica(LogReplica):
             # Any in-flight prepare of ours covered instances the
             # snapshot superseded; restart from the new frontier.
             self.phase = "follower"
-            self._open.clear()
+            self._abandon_open()
 
     # --- prepare handling with a floor ---------------------------------
 

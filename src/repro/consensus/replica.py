@@ -183,6 +183,9 @@ class LogReplica(Process):
         self._prepare_from = 0
         self._promises: dict[int, tuple[tuple[int, tuple[Ballot, Any]], ...]] = {}
         self._open: dict[int, _OpenSlot] = {}
+        # Ids of the commands the open slots carry (kept in step with
+        # ``_open`` by _open_slot/_maybe_close/_abandon_open).
+        self._in_flight: set[Hashable] = set()
         self._next_instance = 0
         self._max_round_seen = -1
 
@@ -281,7 +284,7 @@ class LogReplica(Process):
         self.ballot = None
         self._prepare_from = 0
         self._promises = {}
-        self._open = {}
+        self._abandon_open()
         self._next_instance = 0
         self._max_round_seen = -1
         self.pending = OrderedDict()
@@ -314,7 +317,7 @@ class LogReplica(Process):
         self._spread_decisions()
         if self.leader_of() != self.pid:
             self.phase = PHASE_FOLLOWER
-            self._open.clear()
+            self._abandon_open()
             self._forward_pending()
             return
         if self.phase == PHASE_FOLLOWER:
@@ -412,7 +415,7 @@ class LogReplica(Process):
                 if current is None or ballot > current[0]:
                     merged[instance] = (ballot, value)
         self.phase = PHASE_LEADING
-        self._open = {}
+        self._abandon_open()
         top = max(merged) if merged else self._prepare_from - 1
         for instance in range(self._prepare_from, top + 1):
             reported = merged.get(instance)
@@ -431,18 +434,24 @@ class LogReplica(Process):
         # until committed — if leadership is lost mid-flight they are
         # simply re-forwarded/re-proposed later, deduplicated by id here
         # and at apply time.
-        batch: list[tuple[Hashable, Any]] = []
-        for command_id, command in list(self.pending.items()):
-            if len(self._open) >= self.config.max_batch:
-                break
-            if command_id in self.committed_ids or self._is_in_flight(command_id):
-                continue
-            batch.append((command_id, command))
-            if len(batch) >= self.config.batch_size:
+        if len(self._open) < self.config.max_batch:
+            committed, in_flight = self.committed_ids, self._in_flight
+            # A snapshot of the candidates only: a slot that closes at
+            # once (n = 1) pops its commands from ``pending``.
+            candidates = [(command_id, command)
+                          for command_id, command in self.pending.items()
+                          if command_id not in committed
+                          and command_id not in in_flight]
+            batch: list[tuple[Hashable, Any]] = []
+            for item in candidates:
+                if len(self._open) >= self.config.max_batch:
+                    break
+                batch.append(item)
+                if len(batch) >= self.config.batch_size:
+                    self._open_batch(batch)
+                    batch = []
+            if batch and len(self._open) < self.config.max_batch:
                 self._open_batch(batch)
-                batch = []
-        if batch and len(self._open) < self.config.max_batch:
-            self._open_batch(batch)
         # (Re)transmit every open slot to peers that have not accepted.
         for instance, slot in self._open.items():
             for peer in range(self.n):
@@ -458,18 +467,17 @@ class LogReplica(Process):
         self._open_slot(self._next_instance, value)
         self._next_instance += 1
 
-    def _is_in_flight(self, command_id: Hashable) -> bool:
-        return any(
-            known_id == command_id
-            for slot in self._open.values()
-            for known_id, _ in entry_commands(slot.value)
-        )
+    def _abandon_open(self) -> None:
+        self._open.clear()
+        self._in_flight.clear()
 
     def _open_slot(self, instance: int, value: Any) -> None:
         assert self.ballot is not None
         # Self-accept; with persistence the leader's own vote counts
         # toward the quorum only once the accepted pair is durable.
         self.accepted[instance] = (self.ballot, value)
+        self._in_flight.update(
+            command_id for command_id, _ in entry_commands(value))
         if self.persist:
             slot = _OpenSlot(value, set())
             self._open[instance] = slot
@@ -493,6 +501,8 @@ class LogReplica(Process):
         if slot is None or len(slot.acks) < self.majority:
             return
         del self._open[instance]
+        self._in_flight.difference_update(
+            command_id for command_id, _ in entry_commands(slot.value))
         self._learn(instance, slot.value)
         if self.persist:
             self.storage.sync()  # liveness only; nothing waits on it
@@ -666,7 +676,7 @@ class LogReplica(Process):
             # Someone promised higher: fall back; commands in open slots
             # that fail to commit re-enter via client re-forwarding.
             self.phase = PHASE_FOLLOWER
-            self._open.clear()
+            self._abandon_open()
 
     def _observe_round(self, ballot: Ballot) -> None:
         self._max_round_seen = max(self._max_round_seen, ballot.round)

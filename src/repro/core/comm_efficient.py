@@ -46,7 +46,13 @@ __all__ = ["CommEfficientOmega"]
 
 
 class CommEfficientOmega(SourceOmega):
-    """Omega where eventually only the leader sends messages."""
+    """Omega where eventually only the leader sends messages.
+
+    A process that does not trust itself also holds no heartbeat timer:
+    its η tick stops (:meth:`~repro.core.omega.OmegaProtocol._silence`)
+    and resumes on the same grid when it promotes itself, so a follower's
+    steady state is one watch deadline moved per received ``Alive``.
+    """
 
     def _sends_heartbeat(self) -> bool:
         return self.leader() == self.pid

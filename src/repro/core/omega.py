@@ -8,7 +8,9 @@ eventually all correct processes trust the same correct process forever.
 needs: the configuration, the adaptive timeout table, and an exact
 *output history* — every change of the trusted leader is recorded with
 its simulated timestamp, so the checker can compute stabilization times
-without sampling error.
+without sampling error — and, for the algorithms where only a
+self-trusting process sends, the η heartbeat cycle that exists only
+while the process trusts itself (:meth:`OmegaProtocol._silence`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from repro.sim.network import Network
 from repro.sim.process import Process
 
 __all__ = ["OmegaProtocol"]
+
+# Timer key of the periodic η tick.
+_HEARTBEAT = "heartbeat"
 
 
 class OmegaProtocol(Process):
@@ -42,6 +47,8 @@ class OmegaProtocol(Process):
         self.timeouts = AdaptiveTimeouts(self.config)
         self._leader: int = pid
         self.history: list[tuple[float, int]] = []
+        # Next η grid point of a heartbeat cycle stopped by _silence().
+        self._beat_due: float | None = None
 
     # ------------------------------------------------------------------
     # Omega interface
@@ -78,6 +85,30 @@ class OmegaProtocol(Process):
         self.history.append((now, leader))
         hub.leader_change(now, self.pid, leader)
         hub.span_begin(now, self.pid, "epoch", leader)
+        if leader == self.pid and self._beat_due is not None:
+            # Promoted while silent: resume the η cycle on the grid it
+            # left.  Stepping by ``+= eta`` reproduces the floats of the
+            # periodic re-arm, so every beat leaves when it always did.
+            due, eta = self._beat_due, self.config.eta
+            while due < now:
+                due += eta
+            self._beat_due = None
+            self.set_periodic(_HEARTBEAT, eta, first=due)
+
+    def _silence(self) -> None:
+        """Stop the heartbeat cycle of a process that does not trust itself.
+
+        For algorithms where only a self-trusting process beats: call
+        from the η tick that finds ``leader() != pid``.  A silent
+        process then holds no timer besides its watch; :meth:`_output`
+        restarts the cycle when it promotes the process.
+        """
+        self._beat_due = self.now + self.config.eta
+        self.cancel_timer(_HEARTBEAT)
+
+    def on_crash(self) -> None:
+        """A crash loses the silenced cycle along with every armed timer."""
+        self._beat_due = None
 
     def on_start(self) -> None:
         """Record the initial output; subclasses call ``super().on_start()``."""

@@ -64,13 +64,12 @@ from typing import Hashable
 
 from repro.core.adaptive import AdaptiveController
 from repro.core.messages import Beat
-from repro.core.omega import OmegaProtocol
+from repro.core.omega import _HEARTBEAT, OmegaProtocol
 
 from repro.sim.messages import Message
 
 __all__ = ["PacketEfficientOmega"]
 
-_HEARTBEAT = "heartbeat"
 _WATCH = "watch"
 
 # Adaptive mode: η-ticks of unchallenged leadership per extra lease
@@ -102,8 +101,11 @@ class PacketEfficientOmega(OmegaProtocol):
     def _beat(self) -> None:
         if self.leader() != self.pid:
             # Not a candidate: stay silent (communication efficiency).
+            # Only the η tick gets here — the direct calls follow a
+            # self-promotion — so the cycle can stop until the next one.
             self._tenure = 0
             self._skip = 0
+            self._silence()
             return
         if self.adaptive is None:
             self.broadcast(Beat(self.pid))

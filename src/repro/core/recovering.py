@@ -40,11 +40,10 @@ from __future__ import annotations
 from repro.core.comm_efficient import CommEfficientOmega
 from repro.core.config import AdaptiveTimeouts
 from repro.core.messages import Accusation
+from repro.core.omega import _HEARTBEAT
 from repro.sim.storage import StableStorage, StorageError
 
 __all__ = ["RecoveringOmega"]
-
-_HEARTBEAT = "heartbeat"
 
 _K_COUNTER = "counter"
 _K_PHASE = "phase"

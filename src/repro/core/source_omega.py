@@ -49,13 +49,12 @@ from typing import Hashable
 
 from repro.core.adaptive import AdaptiveController
 from repro.core.messages import Accusation, Alive, BatchedAlive
-from repro.core.omega import OmegaProtocol
+from repro.core.omega import _HEARTBEAT, OmegaProtocol
 
 from repro.sim.messages import Message
 
 __all__ = ["SourceOmega"]
 
-_HEARTBEAT = "heartbeat"
 _WATCH = "watch"
 
 
@@ -99,8 +98,6 @@ class SourceOmega(OmegaProtocol):
         return True
 
     def _heartbeat(self) -> None:
-        if not self._sends_heartbeat():
-            return
         if self.adaptive is None:
             self.broadcast(Alive(self.pid, self.counter, self.phase))
             return
@@ -137,7 +134,10 @@ class SourceOmega(OmegaProtocol):
 
     def on_timer(self, key: Hashable) -> None:
         if key == _HEARTBEAT:
-            self._heartbeat()
+            if self._sends_heartbeat():
+                self._heartbeat()
+            else:
+                self._silence()
             return
         if key == _WATCH:
             self._leader_timed_out()
@@ -154,18 +154,26 @@ class SourceOmega(OmegaProtocol):
             self.adaptive.observe_heartbeat(peer, self.now)
             self._lease[peer] = (message.lease
                                  if isinstance(message, BatchedAlive) else 1)
-        self.counters[peer] = max(self.counters.get(peer, 0), message.counter)
-        self.phases[peer] = max(self.phases.get(peer, 0), message.phase)
-        if self.priority(peer) <= self.priority(self.leader()):
-            # ``peer`` is at least as good as the current leader (note the
-            # non-strict comparison: when peer *is* the leader this simply
-            # refreshes the watch timer, the pseudocode's "reset timer_p").
+        counter = self.counters.get(peer)
+        if counter is None or message.counter > counter:
+            counter = self.counters[peer] = message.counter
+        phase = self.phases.get(peer)
+        if phase is None or message.phase > phase:
+            self.phases[peer] = message.phase
+        if peer == self._leader:
+            # Steady state, the pseudocode's "reset timer_p": the beat is
+            # from the leader we already trust, so only the watch moves —
+            # unless its counter just rose past ours.
+            self._watch(peer)
+            if (self.counter, self.pid) < (counter, peer):
+                self._adopt(self.pid)
+            return
+        if (counter, peer) <= self.priority(self._leader):
             self._adopt(peer)
-        if self.priority(self.pid) < self.priority(self.leader()):
-            # Our own priority outranks the leader's (e.g. its counter just
-            # rose): reclaim leadership locally.
-            self._output(self.pid)
-            self.cancel_timer(_WATCH)
+        if self.priority(self.pid) < self.priority(self._leader):
+            # Our own priority outranks the leader's: reclaim leadership
+            # locally.
+            self._adopt(self.pid)
 
     def _on_accusation(self, message: Accusation) -> None:
         if message.target != self.pid:
@@ -186,11 +194,13 @@ class SourceOmega(OmegaProtocol):
     # ------------------------------------------------------------------
 
     def _adopt(self, peer: int) -> None:
-        if peer == self.pid:
-            self._output(peer)
-            self.cancel_timer(_WATCH)
-            return
         self._output(peer)
+        if peer == self.pid:
+            self.cancel_timer(_WATCH)
+        else:
+            self._watch(peer)
+
+    def _watch(self, peer: int) -> None:
         base = self.timeouts.get(peer)
         if self.adaptive is None:
             self.set_timer(_WATCH, base)

@@ -52,6 +52,8 @@ __all__ = [
     "MAX_FRAME",
     "encode_frame",
     "decode_frame",
+    "encode_value",
+    "decode_value",
     "register_message",
     "registered_kinds",
 ]
@@ -125,38 +127,40 @@ _register_module(_consensus_messages)
 # Value encoding
 # ----------------------------------------------------------------------
 
-def _encode_value(value: Any) -> Any:
+def encode_value(value: Any) -> Any:
+    """``value`` as JSON-ready data, tuples/ballots/batches tagged."""
     if isinstance(value, Ballot):
         return {"$b": [value.round, value.proposer]}
     if isinstance(value, Batch):
         # Multi-command log slots (replicated log, batch_size > 1).
-        return {"$B": [_encode_value(item) for item in value.entries]}
+        return {"$B": [encode_value(item) for item in value.entries]}
     if isinstance(value, tuple):
-        return {"$t": [_encode_value(item) for item in value]}
+        return {"$t": [encode_value(item) for item in value]}
     if isinstance(value, list):
-        return [_encode_value(item) for item in value]
+        return [encode_value(item) for item in value]
     if isinstance(value, dict):
-        return {"$d": [[_encode_value(k), _encode_value(v)]
+        return {"$d": [[encode_value(k), encode_value(v)]
                        for k, v in value.items()]}
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     raise CodecError(f"no wire encoding for {type(value).__name__!r}")
 
 
-def _decode_value(value: Any) -> Any:
+def decode_value(value: Any) -> Any:
+    """Inverse of :func:`encode_value`."""
     if isinstance(value, dict):
         if "$b" in value:
             return Ballot(*value["$b"])
         if "$B" in value:
-            return Batch(tuple(_decode_value(item) for item in value["$B"]))
+            return Batch(tuple(decode_value(item) for item in value["$B"]))
         if "$t" in value:
-            return tuple(_decode_value(item) for item in value["$t"])
+            return tuple(decode_value(item) for item in value["$t"])
         if "$d" in value:
-            return {_decode_value(k): _decode_value(v)
+            return {decode_value(k): decode_value(v)
                     for k, v in value["$d"]}
         raise CodecError(f"unknown value tag in {sorted(value)!r}")
     if isinstance(value, list):
-        return [_decode_value(item) for item in value]
+        return [decode_value(item) for item in value]
     return value
 
 
@@ -176,7 +180,7 @@ def encode_frame(message: Message, incarnation: int,
         "k": message.kind,
         "i": incarnation,
         "t": sent_at,
-        "f": {spec.name: _encode_value(getattr(message, spec.name))
+        "f": {spec.name: encode_value(getattr(message, spec.name))
               for spec in fields(message)},
     }, separators=(",", ":")).encode()
     if len(body) > MAX_FRAME:
@@ -219,7 +223,7 @@ def decode_frame(data: bytes) -> tuple[Message, int, float]:
                          f"known: {registered_kinds()}",
                          reason="unknown_kind")
     try:
-        message = cls(**{name: _decode_value(value)
+        message = cls(**{name: decode_value(value)
                          for name, value in raw_fields.items()})
     except TypeError as error:
         raise CodecError(f"fields do not fit {kind}: {error}") from None

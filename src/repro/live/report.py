@@ -30,6 +30,7 @@ from collections import Counter
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.checker import OmegaRunReport
+from repro.live.codec import decode_value, encode_value
 from repro.obs.observer import ObserverHub
 from repro.obs.report import RunRecorder, RunReport
 from repro.obs.verdict import Verdict
@@ -57,7 +58,11 @@ def recorder_to_json(recorder: RunRecorder) -> dict[str, Any]:
         "packet_bytes_delivered": recorder.packet_bytes_delivered,
         "leader_timeline": [list(entry)
                             for entry in recorder.leader_timeline],
-        "decides": [list(entry) for entry in recorder.decides],
+        # Decided values go through the wire codec's value tags: a log
+        # decide is ``(instance, entry)`` and a batched entry is a
+        # ``Batch`` dataclass, which plain JSON cannot carry.
+        "decides": [[time, pid, encode_value(value)]
+                    for time, pid, value in recorder.decides],
         "crashes": [list(entry) for entry in recorder.crashes],
         "recovers": [list(entry) for entry in recorder.recovers],
         "pauses": [list(entry) for entry in recorder.pauses],
@@ -80,7 +85,8 @@ def recorder_from_json(document: Mapping[str, Any]) -> RunRecorder:
     recorder.packet_bytes_delivered = document.get("packet_bytes_delivered", 0)
     recorder.leader_timeline = [tuple(entry) for entry
                                 in document.get("leader_timeline", [])]
-    recorder.decides = [tuple(entry) for entry in document.get("decides", [])]
+    recorder.decides = [(time, pid, decode_value(value)) for time, pid, value
+                        in document.get("decides", [])]
     recorder.crashes = [tuple(entry) for entry in document.get("crashes", [])]
     recorder.recovers = [tuple(entry)
                          for entry in document.get("recovers", [])]

@@ -45,7 +45,13 @@ the crash-stop model.
 
 Timers are named by an arbitrary hashable key; setting a timer that
 already exists resets it (the usual "reset timer_p" of the pseudocode in
-this literature).
+this literature).  Resetting a one-shot to a *later* time — what a
+watchdog does on every heartbeat — is O(1) and touches no scheduler:
+the process only records the new deadline, and the one event already
+queued re-arms itself at that deadline when it fires.  ``on_timer``
+still runs at exactly the last deadline set; what is unspecified is the
+order among events of *different* processes due at that same instant
+(docs/TRANSPORT.md, "Process timers").
 
 A process does not touch the simulator directly: everything it needs
 from its substrate goes through the two duck-typed surfaces of
@@ -66,19 +72,39 @@ and the sim-versus-live guarantee table.
 from __future__ import annotations
 
 from functools import partial
-from typing import Hashable
+from typing import Callable, Hashable
 
 from repro.sim.engine import Simulation
-from repro.sim.events import EventHandle
 from repro.sim.messages import Message
 from repro.sim.network import Network
 from repro.sim.storage import StableStorage
+from repro.transport import TimerHandle
 
 __all__ = ["Process", "ProcessError"]
 
 
 class ProcessError(RuntimeError):
     """Raised on process lifecycle misuse (recovering an up process...)."""
+
+
+class _Timer:
+    """One armed timer key: the queued clock event and where it is headed.
+
+    For a one-shot (``period`` is None) ``due`` is when the queued event
+    fires and ``deadline`` (>= ``due``) when ``on_timer`` is to run; the
+    two differ while a later reset is pending.  The process tracks
+    ``due`` itself because the :class:`~repro.transport.TimerHandle`
+    protocol carries no time.  Periodic keys use neither.
+    """
+
+    __slots__ = ("handle", "action", "due", "deadline", "period")
+
+    def __init__(self, handle: TimerHandle, action: Callable[[], None],
+                 due: float, period: float | None) -> None:
+        self.handle = handle
+        self.action = action
+        self.due = self.deadline = due
+        self.period = period
 
 
 class Process:
@@ -99,8 +125,7 @@ class Process:
         self._started = False
         self._paused = False
         self._storage: StableStorage | None = None
-        self._timers: dict[Hashable, EventHandle] = {}
-        self._periods: dict[Hashable, float] = {}
+        self._timers: dict[Hashable, _Timer] = {}
         self._held_messages: list[Message] = []
         self._missed_timers: list[Hashable] = []
         network.register(self)
@@ -172,10 +197,9 @@ class Process:
             return
         self._crashed = True
         self._paused = False
-        for handle in self._timers.values():
-            handle.cancel()
+        for timer in self._timers.values():
+            timer.handle.cancel()
         self._timers.clear()
-        self._periods.clear()
         self._held_messages.clear()
         self._missed_timers.clear()
         if self._storage is not None:
@@ -267,28 +291,48 @@ class Process:
     # ------------------------------------------------------------------
 
     def set_timer(self, key: Hashable, delay: float) -> None:
-        """Arm (or reset) the one-shot timer ``key`` to fire after ``delay``."""
+        """Arm (or reset) the one-shot timer ``key`` to fire after ``delay``.
+
+        Resetting an armed one-shot to the same or a later time only
+        records the new deadline (see :meth:`_fire`); an earlier time, a
+        periodic key or an unarmed key schedules a clock event.
+        """
         if self._crashed:
             return
+        deadline = self.sim.now + delay
+        timer = self._timers.get(key)
+        if (timer is not None and timer.period is None
+                and deadline >= timer.due):
+            timer.deadline = deadline
+            return
         self.cancel_timer(key)
-        self._timers[key] = self.sim.call_after(delay, partial(self._fire, key))
+        action = partial(self._fire, key)
+        self._timers[key] = _Timer(self.sim.call_after(delay, action),
+                                   action, deadline, None)
 
-    def set_periodic(self, key: Hashable, period: float) -> None:
-        """Arm the timer ``key`` to fire every ``period`` units until cancelled."""
+    def set_periodic(self, key: Hashable, period: float,
+                     first: float | None = None) -> None:
+        """Arm the timer ``key`` to fire every ``period`` units until cancelled.
+
+        The first fire is one ``period`` from now, or at the absolute
+        time ``first`` when given — which lets a cycle that was
+        cancelled resume on the grid it left.
+        """
         if period <= 0:
             raise ValueError("period must be positive")
         if self._crashed:
             return
-        self.cancel_timer(key)  # also clears any previous period for the key
-        self._periods[key] = period
-        self._timers[key] = self.sim.call_after(period, partial(self._fire, key))
+        self.cancel_timer(key)
+        action = partial(self._fire, key)
+        handle = (self.sim.call_after(period, action) if first is None
+                  else self.sim.call_at(first, action))
+        self._timers[key] = _Timer(handle, action, 0.0, period)
 
     def cancel_timer(self, key: Hashable) -> None:
         """Disarm timer ``key`` (and stop its periodic cycle).  Idempotent."""
-        handle = self._timers.pop(key, None)
-        if handle is not None:
-            handle.cancel()
-        self._periods.pop(key, None)
+        timer = self._timers.pop(key, None)
+        if timer is not None:
+            timer.handle.cancel()
 
     def has_timer(self, key: Hashable) -> bool:
         """Whether timer ``key`` is currently armed."""
@@ -297,16 +341,24 @@ class Process:
     def _fire(self, key: Hashable) -> None:
         if self._crashed:  # crash raced the event; stay silent
             return
-        self._timers.pop(key, None)
-        period = self._periods.get(key)
-        if period is not None:
+        timer = self._timers[key]
+        period = timer.period
+        if period is None:
+            deadline = timer.deadline
+            if deadline > self.sim.now:
+                # Reset to a later time while queued: follow the deadline.
+                timer.due = deadline
+                timer.handle = self.sim.call_at(deadline, timer.action)
+                return
+            del self._timers[key]
+            if self._paused:  # expiring under a pause: fires at resume
+                self._missed_timers.append(key)
+                return
+        else:
             # Re-arm before dispatch so on_timer may cancel to stop the cycle.
-            self._timers[key] = self.sim.call_after(period, partial(self._fire, key))
+            timer.handle = self.sim.call_after(period, timer.action)
             if self._paused:  # frozen: the cycle survives, the tick is lost
                 return
-        elif self._paused:  # one-shot expiring under a pause fires at resume
-            self._missed_timers.append(key)
-            return
         self.on_timer(key)
 
     # ------------------------------------------------------------------

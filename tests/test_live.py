@@ -106,6 +106,24 @@ class TestCodec:
         assert register_message(Prepare) is Prepare
 
 
+class TestNodeReportRoundTrip:
+    def test_batched_log_decide_survives_the_report_file(self) -> None:
+        """A ``Batch`` decide used to kill ``json.dump`` at node flush."""
+        from repro.consensus.replica import NOOP, Batch
+        from repro.live.report import recorder_from_json, recorder_to_json
+        from repro.obs.report import RunRecorder
+
+        batch = Batch(((("c0", 0), ("set", "k0", 0)),
+                       (("c1", 0), ("set", "k1", 1))))
+        recorder = RunRecorder()
+        recorder.on_decide(1.5, 0, (0, batch))
+        recorder.on_decide(1.75, 0, (1, (("c0", 1), ("set", "k2", 2))))
+        recorder.on_decide(2.0, 1, (2, NOOP))
+        recorder.on_decide(2.25, 2, "value-2")  # single-decree consensus
+        on_disk = json.loads(json.dumps(recorder_to_json(recorder)))
+        assert recorder_from_json(on_disk).decides == recorder.decides
+
+
 @pytest.mark.live
 class TestLiveCluster:
     def test_cluster_elects_and_decides(self, tmp_path) -> None:
@@ -123,6 +141,21 @@ class TestLiveCluster:
         assert decisions.pop() in {f"value-{pid}" for pid in range(3)}
         assert validate_report(outcome.document) == []
         assert outcome.document["params"]["backend"] == "live-udp"
+
+    def test_batched_log_run_writes_node_reports(self, tmp_path) -> None:
+        from repro.live.cluster import LiveCluster, LiveClusterSpec
+        from repro.obs.report import validate_report
+
+        spec = LiveClusterSpec(n=3, horizon=4.0, log=True, batch_size=4,
+                               workload=16, workload_clients=4,
+                               workload_start=1.5, workload_period=0.02)
+        outcome = LiveCluster(spec, tmp_path / "run").run()
+        assert outcome.verdict.ok, outcome.verdict.violations
+        assert validate_report(outcome.document) == []
+        # Commands arrive faster than the tick, so slots carry batches.
+        assert any(isinstance(decide["value"][1], dict)
+                   and len(decide["value"][1]["entries"]) > 1
+                   for decide in outcome.document["decides"])
 
     def test_spec_validation(self) -> None:
         from repro.live.cluster import LiveClusterSpec

@@ -182,3 +182,130 @@ class TestTimers:
         p.cancel_timer(("watch", 1))
         sim.run_until(5.0)
         assert p.timer_fires == [(2.0, ("watch", 2))]
+
+
+class TestLazyDeadlines:
+    """Resetting a one-shot to a later time records a deadline only.
+
+    The queued clock event is left alone and re-arms itself at the
+    recorded deadline when it fires; ``on_timer`` still runs exactly at
+    the last deadline set, under every lifecycle transition.
+    """
+
+    def test_reset_later_fires_once_at_the_latest_deadline(
+            self, sim: Simulation, network: Network) -> None:
+        p = Recorder(0, sim, network)
+        p.start()
+        p.set_timer("x", 1.0)
+        scheduled = sim.profile()["heap_pushes"]
+        for now in (0.25, 0.5, 0.75):
+            sim.run_until(now)
+            p.set_timer("x", 1.0)
+        assert sim.profile()["heap_pushes"] == scheduled  # O(1) resets
+        assert p.has_timer("x")
+        sim.run_until(1.5)  # the queued event passed t=1.0: not a fire
+        assert p.timer_fires == [] and p.has_timer("x")
+        sim.run_until(5.0)
+        assert p.timer_fires == [(1.75, "x")]
+        assert not p.has_timer("x")
+        assert sim.profile()["heap_pushes"] == scheduled + 1  # one re-arm
+
+    def test_later_reset_then_shorter_one_takes_the_last_deadline(
+            self, sim: Simulation, network: Network) -> None:
+        p = Recorder(0, sim, network)
+        p.start()
+        p.set_timer("x", 1.0)
+        p.set_timer("x", 4.0)
+        p.set_timer("x", 2.0)  # still past the queued event at t=1.0
+        sim.run_until(5.0)
+        assert p.timer_fires == [(2.0, "x")]
+
+    def test_reset_earlier_fires_at_the_earlier_deadline(
+            self, sim: Simulation, network: Network) -> None:
+        p = Recorder(0, sim, network)
+        p.start()
+        p.set_timer("x", 3.0)
+        p.set_timer("x", 5.0)
+        sim.run_until(0.5)
+        p.set_timer("x", 1.0)
+        sim.run_until(10.0)
+        assert p.timer_fires == [(1.5, "x")]
+
+    def test_cancel_after_lazy_reset_never_fires(
+            self, sim: Simulation, network: Network) -> None:
+        p = Recorder(0, sim, network)
+        p.start()
+        p.set_timer("x", 1.0)
+        sim.run_until(0.5)
+        p.set_timer("x", 1.0)
+        p.cancel_timer("x")
+        assert not p.has_timer("x")
+        sim.run_until(5.0)
+        assert p.timer_fires == []
+        p.set_timer("x", 1.0)  # and the key is reusable afterwards
+        sim.run_until(10.0)
+        assert p.timer_fires == [(6.0, "x")]
+
+    def test_pause_across_a_moved_deadline_fires_at_resume(
+            self, sim: Simulation, network: Network) -> None:
+        p = Recorder(0, sim, network)
+        p.start()
+        p.set_timer("x", 1.0)
+        sim.run_until(0.5)
+        p.set_timer("x", 1.5)  # deadline t=2.0, queued event at t=1.0
+        p.pause()              # the re-arm at t=1.0 happens while frozen
+        sim.run_until(3.0)
+        assert p.timer_fires == [] and not p.has_timer("x")
+        p.resume()
+        assert p.timer_fires == [(3.0, "x")]
+
+    def test_pause_ending_before_a_moved_deadline_changes_nothing(
+            self, sim: Simulation, network: Network) -> None:
+        p = Recorder(0, sim, network)
+        p.start()
+        p.set_timer("x", 1.0)
+        sim.run_until(0.5)
+        p.set_timer("x", 1.5)
+        p.pause()
+        sim.run_until(1.25)
+        p.resume()
+        assert p.timer_fires == [] and p.has_timer("x")
+        sim.run_until(5.0)
+        assert p.timer_fires == [(2.0, "x")]
+
+    def test_crash_and_recover_leave_no_stale_deadline(
+            self, sim: Simulation, network: Network) -> None:
+        p = Recorder(0, sim, network)
+        p.start()
+        p.set_timer("x", 1.0)
+        sim.run_until(0.5)
+        p.set_timer("x", 2.0)  # lazily recorded deadline t=2.5
+        p.crash()
+        p.recover()
+        assert not p.has_timer("x")
+        sim.run_until(1.75)
+        p.set_timer("x", 0.5)  # earlier than the pre-crash deadline
+        sim.run_until(10.0)
+        assert p.timer_fires == [(2.25, "x")]
+
+    def test_periodic_keys_always_reschedule(
+            self, sim: Simulation, network: Network) -> None:
+        p = Recorder(0, sim, network)
+        p.start()
+        p.set_periodic("tick", 1.0)
+        sim.run_until(0.5)
+        p.set_periodic("tick", 1.0)  # restarts the cycle from now
+        sim.run_until(3.0)
+        assert [t for t, _ in p.timer_fires] == [1.5, 2.5]
+        p.set_timer("tick", 4.0)  # a one-shot replaces the cycle
+        sim.run_until(20.0)
+        assert [t for t, _ in p.timer_fires] == [1.5, 2.5, 7.0]
+
+    def test_periodic_first_fire_resumes_a_grid(
+            self, sim: Simulation, network: Network) -> None:
+        p = Recorder(0, sim, network)
+        p.start()
+        sim.run_until(0.7)
+        p.set_periodic("tick", 0.5, first=1.0)
+        sim.run_until(2.2)
+        assert [t for t, _ in p.timer_fires] == [1.0, 1.5, 2.0]
