@@ -58,6 +58,7 @@ from repro.consensus.messages import (
     Promise,
     Propose,
 )
+from repro.consensus.retransmit import RetransmitGate
 from repro.sim.engine import Simulation
 from repro.sim.messages import Message
 from repro.sim.network import Network
@@ -159,10 +160,10 @@ class LogReplica(Process):
             self.attach_storage(StableStorage(
                 pid, sim, hub=network.hub,
                 sync_latency=self.config.sync_latency))
-        # Bounded retransmission backoff toward silent peers — active
-        # only with persistence (crash-recovery stacks).
-        self._retry_at: dict[int, float] = {}
-        self._retry_interval: dict[int, float] = {}
+        # Bounded retransmission backoff toward silent peers — consulted
+        # only with persistence (crash-recovery stacks); its counters,
+        # like the load counters below, survive recovery.
+        self._gate = RetransmitGate(self.config)
 
         # Acceptor state: one promise covering all instances, plus the
         # per-instance accepted (ballot, value) map.
@@ -244,11 +245,15 @@ class LogReplica(Process):
         return out
 
     def load_stats(self) -> dict[str, Any]:
-        """Lifetime load counters: sheds, queue high-water, batch sizes."""
+        """Lifetime load counters: sheds, queue high-water, batch sizes,
+        and the driver sends the ``persist=True`` backoff gate admitted
+        and suppressed (both 0 without it: nothing is ever gated)."""
         return {
             "shed": self.shed_count,
             "max_queue_depth": self.max_queue_depth,
             "batch_sizes": dict(sorted(self.batch_histogram.items())),
+            "retransmits_sent": self._gate.sent,
+            "retransmits_gated": self._gate.gated,
         }
 
     # ------------------------------------------------------------------
@@ -288,8 +293,7 @@ class LogReplica(Process):
         self._next_instance = 0
         self._max_round_seen = -1
         self.pending = OrderedDict()
-        self._retry_at = {}
-        self._retry_interval = {}
+        self._gate.forget()
         if self.persist:
             storage = self.storage
             self.promised = storage.get(_K_PROMISED, BOTTOM_BALLOT)
@@ -314,6 +318,8 @@ class LogReplica(Process):
     # ------------------------------------------------------------------
 
     def _drive(self) -> None:
+        if self.persist:
+            self._gate.begin_pass()
         self._spread_decisions()
         if self.leader_of() != self.pid:
             self.phase = PHASE_FOLLOWER
@@ -379,21 +385,10 @@ class LogReplica(Process):
                     peer, Prepare(self.pid, self.ballot, self._prepare_from))
 
     def _retransmit(self, peer: int, message: Message) -> None:
-        """Send, with bounded exponential backoff toward silent peers.
-
-        Crash-stop runs (``persist=False``) send unconditionally; with
-        persistence the interval toward a peer that never answers grows
-        from one tick up to ``config.backoff_cap``, resetting on any
-        message from it (see the single-decree twin for the rationale).
-        """
-        if self.persist:
-            if self.now < self._retry_at.get(peer, 0.0):
-                return
-            interval = self._retry_interval.get(peer, self.config.tick)
-            self._retry_at[peer] = self.now + interval
-            self._retry_interval[peer] = min(2 * interval,
-                                             self.config.backoff_cap)
-        self.send(peer, message)
+        """Send — unconditionally in crash-stop runs, through the
+        per-pass backoff gate with persistence."""
+        if not self.persist or self._gate.admits(peer, self.now):
+            self.send(peer, message)
 
     def _accepted_report(self, from_instance: int
                          ) -> tuple[tuple[int, tuple[Ballot, Any]], ...]:
@@ -566,10 +561,10 @@ class LogReplica(Process):
     # ------------------------------------------------------------------
 
     def on_message(self, message: Message) -> None:
-        if self._retry_interval:
-            # Any sign of life resets that peer's retransmission backoff.
-            self._retry_at.pop(message.sender, None)
-            self._retry_interval.pop(message.sender, None)
+        if self.persist:
+            # A delivery is a driver pass of its own (a Promise may pump
+            # proposals), and a sign of life from the sender.
+            self._gate.begin_pass(heard=message.sender)
         if isinstance(message, Prepare):
             self._on_prepare(message)
         elif isinstance(message, Promise):

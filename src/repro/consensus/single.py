@@ -61,6 +61,7 @@ from repro.consensus.messages import (
     Promise,
     Propose,
 )
+from repro.consensus.retransmit import RetransmitGate
 from repro.sim.engine import Simulation
 from repro.sim.messages import Message
 from repro.sim.network import Network
@@ -126,11 +127,10 @@ class SingleDecreeConsensus(Process):
             self.attach_storage(StableStorage(
                 pid, sim, hub=network.hub,
                 sync_latency=self.config.sync_latency))
-        # Bounded retransmission backoff toward silent peers — active
+        # Bounded retransmission backoff toward silent peers — consulted
         # only with persistence (crash-recovery stacks), where a peer
         # may be down for a long stretch and come back later.
-        self._retry_at: dict[int, float] = {}
-        self._retry_interval: dict[int, float] = {}
+        self._gate = RetransmitGate(self.config)
 
         # Acceptor state.
         self.promised: Ballot = BOTTOM_BALLOT
@@ -181,8 +181,7 @@ class SingleDecreeConsensus(Process):
         self.decision = None
         self.decision_time = None
         self._decide_acks = set()
-        self._retry_at = {}
-        self._retry_interval = {}
+        self._gate.forget()
         if self.persist:
             self.promised = self.storage.get(_K_PROMISED, BOTTOM_BALLOT)
             self.accepted = self.storage.get(_K_ACCEPTED)
@@ -203,6 +202,8 @@ class SingleDecreeConsensus(Process):
     # ------------------------------------------------------------------
 
     def _drive(self) -> None:
+        if self.persist:
+            self._gate.begin_pass()
         if self.decision is not None:
             self._spread_decision()
             return
@@ -286,22 +287,11 @@ class SingleDecreeConsensus(Process):
                 self._retransmit(peer, Decide(self.pid, _INSTANCE, self.decision))
 
     def _retransmit(self, peer: int, message: Message) -> None:
-        """Send, with bounded exponential backoff toward silent peers.
-
-        Crash-stop runs (``persist=False``) send unconditionally — the
-        classic once-per-tick retransmission, and zero extra cost.  With
-        persistence a peer may be down for minutes; backing off from one
-        tick up to ``config.backoff_cap`` keeps the traffic toward it
-        logarithmic until it speaks again (which resets the backoff).
-        """
-        if self.persist:
-            if self.now < self._retry_at.get(peer, 0.0):
-                return
-            interval = self._retry_interval.get(peer, self.config.tick)
-            self._retry_at[peer] = self.now + interval
-            self._retry_interval[peer] = min(2 * interval,
-                                             self.config.backoff_cap)
-        self.send(peer, message)
+        """Send — unconditionally in crash-stop runs (the classic
+        once-per-tick retransmission), through the per-pass backoff gate
+        with persistence."""
+        if not self.persist or self._gate.admits(peer, self.now):
+            self.send(peer, message)
 
     def _peers(self) -> range:
         return range(self.n)
@@ -311,10 +301,10 @@ class SingleDecreeConsensus(Process):
     # ------------------------------------------------------------------
 
     def on_message(self, message: Message) -> None:
-        if self._retry_interval:
-            # Any sign of life resets that peer's retransmission backoff.
-            self._retry_at.pop(message.sender, None)
-            self._retry_interval.pop(message.sender, None)
+        if self.persist:
+            # A delivery is a driver pass of its own (a Promise or an
+            # Accepted may pump), and a sign of life from the sender.
+            self._gate.begin_pass(heard=message.sender)
         if isinstance(message, Prepare):
             self._on_prepare(message)
         elif isinstance(message, Promise):

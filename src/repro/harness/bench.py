@@ -41,6 +41,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core import OmegaConfig, analyze_omega_run, measure_qos
@@ -235,6 +236,8 @@ def default_suite(
                 params={"mode": "sharded", "seed": seed, "groups": 4,
                         "clients": 200, "keys": 64, "rate": 20.0,
                         "duration": 20.0, "horizon": 60.0}))
+            cases.append(_persist_open_case(seed, duration=60.0, crash_at=30.0,
+                                            recover_at=40.0, horizon=100.0))
         else:
             cases.append(BenchCase(
                 case_id="e19/open/n=5",
@@ -266,6 +269,9 @@ def default_suite(
                 params={"mode": "compaction", "seed": seed, "groups": 2,
                         "keep_tail": 16, "clients": 200, "keys": 64,
                         "rate": 15.0, "duration": 45.0, "horizon": 100.0}))
+            cases.append(_persist_open_case(seed, duration=200.0,
+                                            crash_at=100.0, recover_at=115.0,
+                                            horizon=260.0))
 
     if "e18" in experiments and not quick:
         # Large-n CE census: the paper's n-1-links claim at the next
@@ -278,6 +284,18 @@ def default_suite(
                 params={"n": n, "seed": seed}))
 
     return cases
+
+
+def _persist_open_case(seed: int, **shape: float) -> BenchCase:
+    """The persisted commit path: storage syncs, write-ahead rules and
+    the retransmission backoff gate under open-loop load, through one
+    crash and recovery of the trusted leader (the arrivals continue)."""
+    return BenchCase(
+        case_id="e19/persist-open/n=5",
+        experiment="e19",
+        params={"mode": "persist-open", "seed": seed, "persist": True,
+                "omega": "crash-recovery", "clients": 1000, "keys": 256,
+                "rate": 3.0, **shape})
 
 
 # ----------------------------------------------------------------------
@@ -606,9 +624,20 @@ def _run_e18(n: int, seed: int) -> tuple[Verdict, dict, Any]:
 
 # E19 (docs/LOAD.md): client-fleet load against the replicated log.
 
-def _run_e19_load(mode: str, seed: int,
+_COMMIT_P50_TICKS = 4
+"""Persisted rows fail above this commit p50, in driver ticks: a commit
+is a few link delays plus one sync, and waits at most for the next tick
+at the forwarder and at the leader — more means messages sit gated."""
+
+
+def _run_e19_load(mode: str, seed: int, crash_at: float | None = None,
+                  recover_at: float | None = None,
                   **spec_kwargs: Any) -> tuple[Verdict, dict, Any]:
-    """One fleet row: run a LoadSpec, judge per group, require drain."""
+    """One fleet row: run a LoadSpec, judge per group, require drain.
+
+    With ``crash_at`` the leader (as pid 0's Omega sees it at that
+    instant) is crashed, and recovers at ``recover_at``.
+    """
     from repro.load import LoadSpec  # local: keep bench importable early
 
     spec = LoadSpec(
@@ -617,9 +646,24 @@ def _run_e19_load(mode: str, seed: int,
         compacting=(mode == "compaction"),
         **spec_kwargs)
     run = spec.build()
+    system = run.system
+    if crash_at is not None:
+        def crash_leader() -> None:
+            pid = system.node(0).omega.leader()
+            system.crash(pid)
+            system.sim.call_at(recover_at, partial(system.recover, pid))
+
+        system.sim.call_at(crash_at, crash_leader)
     outcome = run.run()
     details = outcome.to_json()
     verdict = outcome.verdict
+    if spec.persist:
+        limit = _COMMIT_P50_TICKS * spec.consensus_config().tick
+        p50 = outcome.latency_p50_s
+        if p50 is None or p50 > limit:
+            verdict = verdict.merge(Verdict.failed(
+                f"commit p50 {p50} s exceeds {_COMMIT_P50_TICKS} ticks "
+                f"({limit} s)"))
     if outcome.done:
         verdict = verdict.merge(Verdict.passed(
             committed=outcome.committed,
@@ -684,7 +728,7 @@ def _run_e19_batching(seed: int,
 def _run_e19(mode: str, **params: Any) -> tuple[Verdict, dict, Any]:
     if mode == "batching":
         return _run_e19_batching(**params)
-    if mode in ("open", "closed", "sharded", "compaction"):
+    if mode in ("open", "closed", "sharded", "compaction", "persist-open"):
         return _run_e19_load(mode, **params)
     raise ValueError(f"unknown e19 mode {mode!r}")
 

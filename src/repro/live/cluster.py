@@ -614,6 +614,9 @@ class LiveCluster:
                 "committed": len(applied),
                 "throughput_cps": (len(applied) / wall if wall else None),
                 "latency_s": latency_block(latencies),
+                **{key: sum(report.get("log", {}).get("load", {}).get(key, 0)
+                            for report in node_reports)
+                   for key in ("retransmits_sent", "retransmits_gated")},
             }
         return LiveRunOutcome(node_reports=node_reports, omega=omega,
                               verdict=verdict, document=document,

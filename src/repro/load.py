@@ -399,6 +399,9 @@ class LoadOutcome:
     consensus-checker verdict and commit count per group; ``verdict`` is
     their merge.  ``queue`` aggregates replica-side backpressure
     counters (sheds, queue high-water, batch-size histogram).
+    ``retransmits_sent`` / ``retransmits_gated`` sum what the replicas'
+    retransmission backoff gates admitted and suppressed; ``None``
+    unless the run persisted — crash-stop stacks send ungated.
     """
 
     issued: int
@@ -414,10 +417,12 @@ class LoadOutcome:
     per_group: tuple[dict[str, Any], ...]
     verdict: Verdict
     queue: dict[str, Any]
+    retransmits_sent: int | None = None
+    retransmits_gated: int | None = None
 
     def to_json(self) -> dict[str, Any]:
         """A plain-JSON rendering (used by E19 bench rows)."""
-        return {
+        document = {
             "issued": self.issued,
             "committed": self.committed,
             "retries": self.retries,
@@ -433,6 +438,10 @@ class LoadOutcome:
             "per_group": [dict(row) for row in self.per_group],
             "queue": dict(self.queue),
         }
+        if self.retransmits_sent is not None:
+            document["retransmits_sent"] = self.retransmits_sent
+            document["retransmits_gated"] = self.retransmits_gated
+        return document
 
 
 class LoadRun:
@@ -489,6 +498,7 @@ class LoadRun:
         shed_total = fleet.shed
         max_depth = 0
         histogram: dict[int, int] = {}
+        sent = gated = 0
         for group in self.system.groups:
             for pid in group.pids:
                 stats = group.nodes[pid].agreement.load_stats()
@@ -496,6 +506,8 @@ class LoadRun:
                 max_depth = max(max_depth, stats["max_queue_depth"])
                 for size, count in stats["batch_sizes"].items():
                     histogram[size] = histogram.get(size, 0) + count
+                sent += stats["retransmits_sent"]
+                gated += stats["retransmits_gated"]
 
         latencies = fleet.latencies()
         duration = min(self.system.sim.now - spec.start, spec.duration)
@@ -521,4 +533,6 @@ class LoadRun:
                 "batch_sizes": {str(size): histogram[size]
                                 for size in sorted(histogram)},
             },
+            retransmits_sent=sent if spec.persist else None,
+            retransmits_gated=gated if spec.persist else None,
         )

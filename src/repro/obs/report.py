@@ -46,7 +46,9 @@ Layout (``repro-report/v1``)
     Optional, additive (absent unless the run drove client load):
     replica-side backpressure counters — commands ``shed`` at bounded
     leader queues, the queue high-water mark, and the slot batch-size
-    histogram.
+    histogram; ``persist=True`` runs add ``retransmits_sent`` /
+    ``retransmits_gated``, the driver sends the retransmission backoff
+    gate admitted and suppressed.
 ``meta``
     Wall-clock and timestamp — the only nondeterministic block,
     omitted when unavailable.
@@ -82,6 +84,9 @@ __all__ = [
 
 REPORT_SCHEMA = "repro-report/v1"
 """Version tag of the report document layout; bump on breaking changes."""
+
+#: ``workload`` keys a ``persist=True`` run adds (docs/LOAD.md).
+_RETRANSMIT_KEYS = ("retransmits_sent", "retransmits_gated")
 
 #: Protocol phase each message kind belongs to, for the per-phase budget.
 #: Kinds outside the table land in "other" (forward-compatible: new
@@ -503,8 +508,11 @@ def bench_case_report(case: Any, wall_s: float | None = None) -> RunReport:
     networks = [("cluster", network) for network in cluster.networks]
     # E19 load rows carry replica-side backpressure counters (batching
     # rows nest the measured side under "batched").
-    workload = (details.get("queue")
-                or (details.get("batched") or {}).get("queue"))
+    measured = details if "queue" in details else details.get("batched") or {}
+    workload = measured.get("queue")
+    if workload and "retransmits_sent" in measured:
+        workload = {**workload,
+                    **{key: measured[key] for key in _RETRANSMIT_KEYS}}
     return RunReport("bench", case.case_id, dict(case.params), verdict,
                      cluster.sim, networks, wall_s=wall_s,
                      workload=workload)
@@ -575,8 +583,14 @@ def validate_report(document: dict[str, Any]) -> list[str]:
                             f"got {type(document[key]).__name__}")
     if problems:
         return problems
-    if "workload" in document and not isinstance(document["workload"], dict):
+    workload = document.get("workload", {})
+    if not isinstance(workload, dict):
         problems.append("workload must be dict when present")
+    else:
+        for key in _RETRANSMIT_KEYS:
+            count = workload.get(key, 0)
+            if not isinstance(count, int) or count < 0:
+                problems.append(f"workload.{key} must be a non-negative int")
     if document["kind"] not in ("scenario", "bench", "soak"):
         problems.append(f"kind {document['kind']!r} not one of "
                         "scenario/bench/soak")
@@ -716,6 +730,9 @@ def render_report_text(document: dict[str, Any]) -> str:
         lines.append(f"  workload: shed={workload.get('shed', 0)}  "
                      f"max_queue_depth={workload.get('max_queue_depth', 0)}"
                      + (f"  batch sizes: {histogram}" if histogram else ""))
+        if "retransmits_sent" in workload:
+            lines.append(f"  retransmits: sent={workload['retransmits_sent']}"
+                         f"  gated={workload.get('retransmits_gated', 0)}")
 
     timeline = document["leader_timeline"]
     if timeline:

@@ -187,12 +187,13 @@ class TestE19LoadRows:
     def test_quick_suite_shape(self) -> None:
         ids = {c.case_id for c in
                bench.default_suite(seed=7, experiments=("e19",), quick=True)}
-        assert ids == {"e19/batching/n=5", "e19/sharded/groups=4/n=5"}
+        assert ids == {"e19/batching/n=5", "e19/sharded/groups=4/n=5",
+                       "e19/persist-open/n=5"}
         default_ids = {c.case_id for c in
                        bench.default_suite(seed=7, experiments=("e19",))}
         assert {"e19/open/n=5", "e19/closed/n=5", "e19/batching/n=5",
-                "e19/sharded/groups=4/n=5",
-                "e19/compaction/n=5"} == default_ids
+                "e19/sharded/groups=4/n=5", "e19/compaction/n=5",
+                "e19/persist-open/n=5"} == default_ids
 
     def test_rows_pass_and_carry_percentiles(self,
                                              results: list[dict]) -> None:
@@ -210,6 +211,20 @@ class TestE19LoadRows:
         assert details["speedup"] > 1.0
         assert details["batched"]["throughput_cps"] \
             > details["control"]["throughput_cps"]
+
+    def test_persisted_row_commits_within_four_ticks(
+            self, results: list[dict]) -> None:
+        # The persisted commit path through a leader crash + recovery:
+        # every command commits, and the gated sends are counted.
+        row = next(r for r in results
+                   if r["case_id"] == "e19/persist-open/n=5")
+        details = row["result"]
+        assert row["ok"] and details["done"], row["verdict"]
+        assert details["latency_s"]["p50"] <= 4 * 0.5
+        assert details["retransmits_sent"] > details["retransmits_gated"]
+        unpersisted = [r for r in results if r is not row]
+        assert all("retransmits_sent" not in r["result"]
+                   for r in unpersisted)
 
     def test_latency_drift_rows_in_compare(self, results: list[dict]) -> None:
         report = bench.build_report(results, seed=7, jobs=1, suite="load",

@@ -157,6 +157,24 @@ class TestLiveCluster:
                    and len(decide["value"][1]["entries"]) > 1
                    for decide in outcome.document["decides"])
 
+    def test_persisted_log_keeps_up_with_10_cps(self, tmp_path) -> None:
+        # The retransmission gate decides once per driver pass; a gate
+        # re-derived from the clock (which moves between two sends of
+        # one pass here) admitted one message per peer per tick, and
+        # this run committed about 38 of its 150 commands.
+        from repro.live.cluster import LiveCluster, LiveClusterSpec
+        from repro.obs.report import validate_report
+
+        spec = LiveClusterSpec(n=3, log=True, persist=True, tick=0.25,
+                               workload=150, workload_period=0.1,
+                               horizon=20)
+        outcome = LiveCluster(spec, tmp_path / "run").run()
+        assert outcome.verdict.ok, outcome.verdict.violations
+        workload = outcome.document["workload"]
+        assert workload["committed"] == workload["submitted"] == 150
+        assert workload["retransmits_sent"] > workload["retransmits_gated"]
+        assert validate_report(outcome.document) == []
+
     def test_spec_validation(self) -> None:
         from repro.live.cluster import LiveClusterSpec
 

@@ -126,6 +126,23 @@ class TestBenchAndSoakReports:
         # The bench runner's details ride along as verdict evidence.
         assert "final_leader" in document["verdict"]["evidence"]
 
+    def test_persisted_load_report_carries_the_retransmit_counters(
+            self) -> None:
+        case = next(c for c in bench.default_suite(
+            seed=7, experiments=("e19",), quick=True)
+            if c.case_id == "e19/persist-open/n=5")
+        document = bench_case_report(case).to_json()
+        assert validate_report(document) == []
+        workload = document["workload"]
+        assert workload["retransmits_sent"] > 0
+        assert workload["retransmits_gated"] >= 0
+        assert "max_queue_depth" in workload
+        assert "retransmits: sent=" in render_report_text(document)
+        broken = json.loads(json.dumps(document))
+        broken["workload"]["retransmits_gated"] = -1
+        assert validate_report(broken) == [
+            "workload.retransmits_gated must be a non-negative int"]
+
     def test_soak_case_report(self) -> None:
         case = sample_soak_case(3, 0)
         document = soak_case_report(case).to_json()
