@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from _common import emit
 
-from repro.consensus import ConsensusSystem, LogWorkload, check_log
+from repro.consensus import ConsensusSystem, WorkloadSpec, check_log
 from repro.core import OmegaConfig, analyze_omega_run, make_factory
 from repro.harness import render_table
 from repro.sim import Cluster, LinkTimings
@@ -43,7 +43,7 @@ def omega_partition_case() -> list[object]:
 def log_partition_case() -> list[object]:
     system = ConsensusSystem.build_replicated_log(
         5, lambda: multi_source_links(5, (0, 1), TIMINGS), seed=3)
-    workload = LogWorkload(system, count=25, period=0.5, start=4.0)
+    workload = WorkloadSpec(count=25, period=0.5, start=4.0).build(system)
     for network in (system.agreement_network, system.fd_network):
         network.add_partition(10.0, 60.0, [{0, 1}, {2, 3}, {4}])
     system.start_all()

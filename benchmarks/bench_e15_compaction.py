@@ -20,7 +20,7 @@ from _common import emit
 from repro.consensus import (
     ConsensusSystem,
     JournalMachine,
-    LogWorkload,
+    WorkloadSpec,
     check_compacting_log,
 )
 from repro.harness import render_table
@@ -37,7 +37,8 @@ def run_case(keep_tail: int, seed: int = 9):  # noqa: ANN201
     system = ConsensusSystem.build_compacting_log(
         N, lambda: multi_source_links(N, (1, 2), TIMINGS),
         machine_factory=JournalMachine, keep_tail=keep_tail, seed=seed)
-    workload = LogWorkload(system, count=COMMANDS, period=0.4, start=4.0)
+    workload = WorkloadSpec(
+        count=COMMANDS, period=0.4, start=4.0).build(system)
     for network in (system.agreement_network, system.fd_network):
         network.add_partition(10.0, 70.0, [{0, 1, 2, 3}, {4}])
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from _common import emit
 
-from repro.consensus import ConsensusSystem, LogWorkload, check_log
+from repro.consensus import ConsensusSystem, WorkloadSpec, check_log
 from repro.harness import render_table
 from repro.sim import LinkTimings
 from repro.sim.topology import multi_source_links
@@ -27,7 +27,8 @@ TIMINGS = LinkTimings(gst=5.0)
 def run_log(crash_leader: bool, seed: int = 2):  # noqa: ANN201
     system = ConsensusSystem.build_replicated_log(
         N, lambda: multi_source_links(N, (1, 2), TIMINGS), seed=seed)
-    workload = LogWorkload(system, count=COMMANDS, period=1.0, start=6.0)
+    workload = WorkloadSpec(
+        count=COMMANDS, period=1.0, start=6.0).build(system)
     system.start_all()
     if crash_leader:
         system.run_until(100.0)

@@ -28,7 +28,10 @@ from repro.consensus.messages import (
     Ballot,
     Decide,
     DecideAck,
+    DecideAcks,
+    Decides,
     Forward,
+    Forwards,
     Nack,
     Prepare,
     Promise,
@@ -72,7 +75,10 @@ __all__ = [
     "Ballot",
     "Decide",
     "DecideAck",
+    "DecideAcks",
+    "Decides",
     "Forward",
+    "Forwards",
     "Nack",
     "Prepare",
     "Promise",

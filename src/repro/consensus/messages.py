@@ -30,6 +30,9 @@ __all__ = [
     "Decide",
     "DecideAck",
     "Forward",
+    "Forwards",
+    "Decides",
+    "DecideAcks",
 ]
 
 
@@ -112,12 +115,22 @@ class Decide(Message):
     instance: int
     value: Any
 
+    @property
+    def entries(self) -> tuple[tuple[int, Any], ...]:
+        """The one-entry case of :attr:`Decides.entries`."""
+        return ((self.instance, self.value),)
+
 
 @dataclass(frozen=True, slots=True)
 class DecideAck(Message):
     """Acknowledgement of a :class:`Decide`."""
 
     instance: int
+
+    @property
+    def instances(self) -> tuple[int, ...]:
+        """The one-entry case of :attr:`DecideAcks.instances`."""
+        return (self.instance,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,3 +142,36 @@ class Forward(Message):
 
     command_id: int
     command: Any
+
+    @property
+    def commands(self) -> tuple[tuple[Any, Any], ...]:
+        """The one-entry case of :attr:`Forwards.commands`."""
+        return ((self.command_id, self.command),)
+
+
+# The replicated log's driver sends each peer at most one message of a
+# kind per pass.  A pass with a single entry sends the plain class above
+# (low-rate schedules stay bit-identical, as with ``Batch`` slots); more
+# entries travel in the plural form, which handlers read through the
+# same ``commands`` / ``entries`` / ``instances`` attribute.
+
+
+@dataclass(frozen=True, slots=True)
+class Forwards(Message):
+    """A sender's pending ``(command_id, command)`` pairs in one message."""
+
+    commands: tuple[tuple[Any, Any], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class Decides(Message):
+    """Decided ``(instance, value)`` pairs one pass has for one peer."""
+
+    entries: tuple[tuple[int, Any], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class DecideAcks(Message):
+    """Acknowledgement of every instance of one :class:`Decides`."""
+
+    instances: tuple[int, ...]

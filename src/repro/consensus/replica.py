@@ -20,8 +20,16 @@ leader proposed (ballots propose a unique value per instance) and hence
 the decided one.
 
 Client commands enter through :meth:`LogReplica.submit` on any node;
-non-leaders forward pending commands to their Omega leader every tick
-(at-least-once, deduplicated by command id at propose and apply time).
+non-leaders forward their whole pending queue to their Omega leader
+every tick (at-least-once, deduplicated by command id at propose and
+apply time).
+
+The tick-paced driver sends **at most one message of a kind to a peer
+per pass**: the pending queue travels as one ``Forwards``, the pass's
+decisions for a peer as one ``Decides``, answered by one ``DecideAcks``
+— typed fair-lossy links promise delivery per message *type*, not per
+command.  A pass with a single entry sends the plain ``Forward`` /
+``Decide`` / ``DecideAck``, so low-rate schedules are unchanged.
 
 Safety is ballot-based exactly as in the single-decree protocol and
 does not depend on Omega; the property tests replay random schedules
@@ -52,7 +60,10 @@ from repro.consensus.messages import (
     Ballot,
     Decide,
     DecideAck,
+    DecideAcks,
+    Decides,
     Forward,
+    Forwards,
     Nack,
     Prepare,
     Promise,
@@ -68,6 +79,11 @@ from repro.sim.storage import StableStorage
 __all__ = ["Batch", "LogReplica", "NOOP", "entry_commands"]
 
 _TICK = "tick"
+
+# Most commands one forward message carries; a longer pending queue is
+# split.  256 load-generator commands encode to under a quarter of
+# ``repro.live.codec.MAX_FRAME``.
+FORWARD_SPLIT = 256
 
 # Stable-storage keys (persist=True only).  Per-instance state uses
 # tuple keys so one flat store holds the whole log.
@@ -337,8 +353,13 @@ class LogReplica(Process):
         leader = self.leader_of()
         if leader == self.pid or not self.pending:
             return
-        for command_id, command in self.pending.items():
-            self.send(leader, Forward(self.pid, command_id, command))
+        # Everything pending, every pass: typed fairness then covers
+        # every command.  Split only to bound the frame size.
+        commands = tuple(self.pending.items())
+        for start in range(0, len(commands), FORWARD_SPLIT):
+            chunk = commands[start:start + FORWARD_SPLIT]
+            self.send(leader, Forwards(self.pid, chunk) if len(chunk) > 1
+                      else Forward(self.pid, *chunk[0]))
 
     # --- leadership acquisition ----------------------------------------
 
@@ -525,13 +546,18 @@ class LogReplica(Process):
         budget = min(self.config.max_batch, len(outstanding))
         start = self._spread_cursor % len(outstanding)
         self._spread_cursor += budget
-        for offset in range(budget):
-            instance = outstanding[(start + offset) % len(outstanding)]
-            acks = self._decide_acks[instance]
-            for peer in range(self.n):
-                if peer != self.pid and peer not in acks:
-                    self._retransmit(
-                        peer, Decide(self.pid, instance, self.log[instance]))
+        chosen = [outstanding[(start + offset) % len(outstanding)]
+                  for offset in range(budget)]
+        for peer in range(self.n):
+            if peer == self.pid:
+                continue
+            entries = tuple((instance, self.log[instance])
+                            for instance in chosen
+                            if peer not in self._decide_acks[instance])
+            if entries:
+                self._retransmit(
+                    peer, Decides(self.pid, entries) if len(entries) > 1
+                    else Decide(self.pid, *entries[0]))
 
     def _learn(self, instance: int, value: Any) -> None:
         known = self.log.get(instance)
@@ -575,14 +601,16 @@ class LogReplica(Process):
             self._on_accepted(message)
         elif isinstance(message, Nack):
             self._on_nack(message)
-        elif isinstance(message, Decide):
+        elif isinstance(message, (Decide, Decides)):
             self._on_decide(message)
-        elif isinstance(message, DecideAck):
-            acks = self._decide_acks.get(message.instance)
-            if acks is not None:
-                acks.add(message.sender)
-        elif isinstance(message, Forward):
-            self.submit(message.command_id, message.command)
+        elif isinstance(message, (DecideAck, DecideAcks)):
+            for instance in message.instances:
+                acks = self._decide_acks.get(instance)
+                if acks is not None:
+                    acks.add(message.sender)
+        elif isinstance(message, (Forward, Forwards)):
+            for command_id, command in message.commands:
+                self.submit(command_id, command)
 
     # --- acceptor --------------------------------------------------------
 
@@ -617,7 +645,8 @@ class LogReplica(Process):
                                            message.instance, self.promised))
 
     def _reply_durably(self, peer: int, reply: Message) -> None:
-        """Send a reply the proposer counts toward a quorum.
+        """Send a reply the peer will act on for good: a quorum vote,
+        or a decide ack that ends retransmission.
 
         With persistence the reply waits until the state it reports
         (already in the write buffer) commits to stable storage —
@@ -678,20 +707,16 @@ class LogReplica(Process):
 
     # --- learner ----------------------------------------------------------
 
-    def _on_decide(self, message: Decide) -> None:
-        self._learn(message.instance, message.value)
-        if not self.persist:
-            self.send(message.sender, DecideAck(self.pid, message.instance))
-            return
-        # Ack only once the entry is durable: an acked Decide is never
-        # retransmitted, so an ack for an entry that then evaporated in
-        # a crash would leave the recovered log with a permanent hole.
-        ack = DecideAck(self.pid, message.instance)
-        sender = message.sender
-        incarnation = self.incarnation
-
-        def deliver() -> None:
-            if self.incarnation == incarnation:
-                self.send(sender, ack)
-
-        self.storage.sync(on_durable=deliver)
+    def _on_decide(self, message: Decide | Decides) -> None:
+        entries = message.entries
+        for instance, value in entries:
+            self._learn(instance, value)
+        instances = tuple(instance for instance, _ in entries)
+        # With persistence the ack waits for the one sync that covers
+        # every entry: an acked decide is never retransmitted, so an ack
+        # for an entry that then evaporated in a crash would leave the
+        # recovered log with a permanent hole.
+        self._reply_durably(
+            message.sender,
+            DecideAcks(self.pid, instances) if len(instances) > 1
+            else DecideAck(self.pid, *instances))

@@ -61,7 +61,8 @@ __all__ = [
 _LENGTH = struct.Struct(">I")
 
 #: Upper bound on one frame's body, defensively small: the largest
-#: legitimate message here is a Promise carrying a handful of ballots.
+#: legitimate message here is a full ``Forwards`` of load-generator
+#: commands (256 of them, ≈15 KiB).
 MAX_FRAME = 64 * 1024
 
 
@@ -185,7 +186,7 @@ def encode_frame(message: Message, incarnation: int,
     }, separators=(",", ":")).encode()
     if len(body) > MAX_FRAME:
         raise CodecError(f"frame body of {len(body)} bytes exceeds "
-                         f"MAX_FRAME={MAX_FRAME}")
+                         f"MAX_FRAME={MAX_FRAME}", reason="oversized_frame")
     return _LENGTH.pack(len(body)) + body
 
 

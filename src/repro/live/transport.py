@@ -430,7 +430,14 @@ class LiveTransport:
             for callback in self.hub.drop_cbs:
                 callback(now, src, dst, message.kind, "link")
             return
-        frame = encode_frame(message, incarnation, now)
+        try:
+            frame = encode_frame(message, incarnation, now)
+        except CodecError as error:
+            if error.reason != "oversized_frame":
+                raise  # an unencodable field is a bug, not a link event
+            for callback in self.hub.drop_cbs:
+                callback(now, src, dst, message.kind, error.reason)
+            return
         copies = 2 if duplicate and self._rng.random() < duplicate else 1
         for _ in range(copies):
             delay = base_delay + self._sample_jitter(jitter, dist)

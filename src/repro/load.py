@@ -38,6 +38,7 @@ byte-identical outcome at any ``--jobs`` level (experiment E19).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Any, Hashable
 
@@ -383,10 +384,12 @@ class ClientFleet:
         """Whether every issued command has committed."""
         return not self.outstanding
 
-    def latencies(self) -> list[float]:
-        """Per-command submit→commit latencies, sorted ascending."""
-        return sorted(self.commit_times[cid] - self.submit_times[cid]
-                      for cid in self.commit_times)
+    def latencies(self) -> array:
+        """Per-command submit→commit latencies, sorted ascending, as a
+        packed ``array('d')`` (callers keep one of these per run)."""
+        return array("d", sorted(
+            self.commit_times[cid] - self.submit_times[cid]
+            for cid in self.commit_times))
 
 
 @dataclass(frozen=True)

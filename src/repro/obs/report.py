@@ -107,7 +107,10 @@ PHASE_OF_KIND = {
     "Accepted": "ballot.propose",
     "Decide": "decide",
     "DecideAck": "decide",
+    "Decides": "decide",
+    "DecideAcks": "decide",
     "Forward": "forward",
+    "Forwards": "forward",
     "SnapshotOffer": "snapshot",
     "SnapshotAck": "snapshot",
 }

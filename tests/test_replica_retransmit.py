@@ -2,9 +2,10 @@
 
 With ``persist=True`` the driver's sends pass a per-peer backoff gate.
 The gate decides **once per driver pass**: a due peer gets everything the
-pass has for it, a backing-off peer gets nothing, and toward a peer that
-never answers the number of passes that send anything stays logarithmic
-up to ``backoff_cap``.  All on simulated time.
+pass has for it (its decisions as one message), a backing-off peer gets
+nothing, and toward a peer that never answers the number of passes that
+send anything stays logarithmic up to ``backoff_cap``.  All on simulated
+time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.consensus.config import ConsensusConfig
 from repro.consensus.messages import (
     Accepted,
     Ballot,
-    Decide,
+    Decides,
     Prepare,
     Propose,
 )
@@ -151,12 +152,13 @@ class TestLogReplicaPass:
         for peer in (1, 2):
             proposes = [m.instance for _, dst, m in sent
                         if dst == peer and isinstance(m, Propose)]
-            decides = [m.instance for _, dst, m in sent
-                       if dst == peer and isinstance(m, Decide)]
+            decides = [[instance for instance, _ in m.entries]
+                       for _, dst, m in sent
+                       if dst == peer and isinstance(m, Decides)]
             assert proposes == list(range(12, 17))
-            assert decides == list(range(CONFIG.max_batch))
+            assert decides == [list(range(CONFIG.max_batch))]
         stats = leader.load_stats()
-        assert stats["retransmits_sent"] == len(sent) == 2 * 13
+        assert stats["retransmits_sent"] == len(sent) == 2 * (5 + 1)
         assert stats["retransmits_gated"] == 0
 
     def test_next_pass_sends_only_to_the_peer_that_answered(self) -> None:
@@ -168,7 +170,8 @@ class TestLogReplicaPass:
         leader.deliver(Accepted(1, leader.ballot, 2))
         leader._drive()
         assert sent and {dst for _, dst, _ in sent} == {1}
-        assert leader.load_stats()["retransmits_gated"] == 5
+        # Toward peer 2: three Proposes and the one Decides.
+        assert leader.load_stats()["retransmits_gated"] == 4
 
     def test_a_sync_that_commits_at_once_continues_the_pass(self) -> None:
         # With a synchronous store (the live FileStorage) the round's
@@ -182,7 +185,7 @@ class TestLogReplicaPass:
         leader._drive()
         for peer in (1, 2):
             kinds = [type(m) for _, dst, m in sent if dst == peer]
-            assert kinds == [Decide, Decide, Prepare]
+            assert kinds == [Decides, Prepare]
 
     def test_unpersisted_replica_never_consults_the_gate(self) -> None:
         sim = Simulation()
@@ -270,15 +273,13 @@ class TestSingleDecreeThroughTheSharedGate:
 class TestUnpersistedScheduleUnchanged:
     def test_e19_rows_match_the_committed_baseline_byte_for_byte(
             self) -> None:
-        # persist=False never consults the gate, so the rows committed
-        # before the gate was rewritten must reproduce exactly.
+        # Every e19 row, the persisted one included: the baseline was
+        # regenerated when the driver began coalescing its messages.
         baseline = json.loads(
             (Path(__file__).resolve().parent.parent
              / "BENCH_2026-09-28.json").read_text())
-        cases = [case for case in
-                 bench.default_suite(seed=7, experiments=("e19",))
-                 if not case.params.get("persist")]
-        assert len(cases) == 5
+        cases = bench.default_suite(seed=7, experiments=("e19",))
+        assert len(cases) == 6
         report = bench.build_report(bench.run_suite(cases), seed=7, jobs=1,
                                     suite="load")
         diff = bench.compare_reports(baseline, report)

@@ -271,6 +271,41 @@ class TestCodecRobustness:
 
         asyncio.run(main())
 
+    def test_oversized_outgoing_message_drops_with_reason(self) -> None:
+        # The send side of the same rule: a body over MAX_FRAME is a
+        # drop the observers see, not a CodecError in the sender's loop.
+        from repro.consensus.messages import Forwards
+        from repro.core.messages import Heartbeat
+        from repro.live.codec import MAX_FRAME, CodecError
+
+        async def main() -> None:
+            backend = LiveBackend(2)
+            await backend.transport.open()
+            try:
+                Recorder(0, backend.clock, backend.transport).start()
+                b = Recorder(1, backend.clock, backend.transport)
+                b.start()
+                bulky = Forwards(0, ((("c", 0), "x" * (MAX_FRAME + 1)),))
+                backend.transport.send(0, 1, bulky)
+                recorder = recorder_of(backend)
+                assert dict(recorder.dropped_by_reason) == {
+                    "oversized_frame": 1}
+                assert backend.transport.frames_sent == 0
+                # An unencodable field is a bug and stays loud.
+                with pytest.raises(CodecError, match="no wire encoding"):
+                    backend.transport.send(
+                        0, 1, Forwards(0, ((("c", 1), b"raw"),)))
+                backend.transport.send(0, 1, Heartbeat(sender=0))
+                deadline = asyncio.get_running_loop().time() + 2.0
+                while (not b.received
+                       and asyncio.get_running_loop().time() < deadline):
+                    await asyncio.sleep(0.02)
+                assert b.received == [Heartbeat(sender=0)]
+            finally:
+                backend.transport.close()
+
+        asyncio.run(main())
+
 
 class TestIncarnations:
     def test_crash_restart_keeps_incarnation_semantics(self,
