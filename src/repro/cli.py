@@ -288,6 +288,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 def cmd_soak(args: argparse.Namespace) -> int:
     from repro.harness.soak import (
         campaign_digest,
+        outcome_digest,
         recovery_control_case,
         soak,
     )
@@ -308,7 +309,8 @@ def cmd_soak(args: argparse.Namespace) -> int:
     for result in results:
         mark = {"ok": "ok  ", "fail": "FAIL",
                 "model-violation": "OOM "}[result.status]
-        print(f"{mark} {result.case.describe()} -- {result.detail}")
+        print(f"{mark} {result.case.describe()} -- {result.detail} "
+              f"outcome={result.outcome}")
         if result.status == "fail":
             failures.append(result)
     digest = campaign_digest([result.case for result in results])
@@ -317,6 +319,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
     print(f"\n{len(results) - len(failures)}/{len(results)} {mode} ok "
           f"(seed={args.seed})")
     print(f"campaign digest: {digest}")
+    print(f"outcome digest: {outcome_digest(results)}")
     if args.recovery:
         # Control pair: the same crash+recover schedule violates
         # agreement without stable storage and holds with it.

@@ -27,7 +27,11 @@ Every campaign is reconstructible from ``(soak seed, case index)``
 alone — :func:`sample_soak_case` derives a private RNG stream from the
 pair, so ``python -m repro soak --seed 7 --case 12`` replays case 12 of
 campaign seed 7 exactly, and two runs of the same campaign produce
-byte-identical digests (:func:`campaign_digest`).
+byte-identical digests: :func:`campaign_digest` over the sampled *plans*,
+:func:`outcome_digest` over what the protocols *did* with them (each
+result's ``outcome`` hashes protocol-clock observables only — leaders,
+message censuses, decisions, storage syncs — so a changed schedule names
+the case that moved).
 
 ``python -m repro soak --recovery`` switches to the *crash-recovery*
 campaign (:func:`sample_recovery_case`): every case runs the
@@ -71,6 +75,7 @@ __all__ = [
     "SoakCase",
     "SoakResult",
     "campaign_digest",
+    "outcome_digest",
     "recovery_control_case",
     "run_soak_case",
     "sample_degraded_case",
@@ -159,6 +164,7 @@ class SoakResult:
     case: SoakCase
     status: str                # "ok" | "fail" | "model-violation"
     detail: str
+    outcome: str = ""          # 16-hex digest of the run's observables
 
     @property
     def ok(self) -> bool:
@@ -304,15 +310,43 @@ def run_soak_case(case: SoakCase) -> SoakResult:
     """
     violations = model_violations(case.fault_plan(), case.envelope())
     if violations:
-        return SoakResult(case, "model-violation", "; ".join(violations))
+        return _result(case, "model-violation", "; ".join(violations))
     try:
-        ok, detail = _execute(case)
+        ok, detail, observed = _execute(case)
     except Exception as exc:  # soak keeps going; the case line is the repro
-        return SoakResult(case, "fail", f"raised {exc!r}")
-    return SoakResult(case, "ok" if ok else "fail", detail)
+        return _result(case, "fail", f"raised {exc!r}")
+    return _result(case, "ok" if ok else "fail", detail, observed)
 
 
-def _execute(case: SoakCase) -> tuple[bool, str]:
+def _result(case: SoakCase, status: str, detail: str,
+            observed: tuple = ()) -> SoakResult:
+    """Seal a result: ``outcome`` hashes the status and the observables."""
+    payload = repr((status, *observed)).encode()
+    return SoakResult(case, status, detail,
+                      hashlib.sha256(payload).hexdigest()[:16])
+
+
+def _census(network) -> tuple:  # noqa: ANN001 - any observed Network
+    return tuple(sorted(network.metrics.sent_by_kind.items()))
+
+
+def _storage_counts(process) -> tuple[int, int, int]:  # noqa: ANN001
+    storage = process._storage
+    if storage is None:
+        return (0, 0, 0)
+    return (storage.syncs_ok, storage.syncs_failed, storage.batches_lost)
+
+
+def _consensus_observables(system: ConsensusSystem, per_process) -> tuple:  # noqa: ANN001
+    """Both networks' send censuses, then one row per process."""
+    return (_census(system.fd_network), _census(system.agreement_network),
+            tuple((pid, *per_process(system.node(pid).agreement),
+                   system.node(pid).agreement.promised,
+                   _storage_counts(system.node(pid).agreement))
+                  for pid in system.pids))
+
+
+def _execute(case: SoakCase) -> tuple[bool, str, tuple]:
     timings = LinkTimings(gst=case.gst, fair_loss=case.fair_loss)
     if case.kind == "omega":
         return _execute_omega(case, timings)
@@ -321,7 +355,8 @@ def _execute(case: SoakCase) -> tuple[bool, str]:
     return _execute_log(case, timings)
 
 
-def _execute_omega(case: SoakCase, timings: LinkTimings) -> tuple[bool, str]:
+def _execute_omega(case: SoakCase,
+                   timings: LinkTimings) -> tuple[bool, str, tuple]:
     scenario = OmegaScenario(
         algorithm=case.algorithm, n=case.n, system=case.system,
         source=case.source, targets=case.targets,
@@ -330,33 +365,33 @@ def _execute_omega(case: SoakCase, timings: LinkTimings) -> tuple[bool, str]:
         timings=timings, config=OmegaConfig(adaptive_qos=case.adaptive))
     outcome = scenario.run()
     report = outcome.report
+    observed = (report.final_leader, report.stabilization_time,
+                report.total_changes, _census(outcome.cluster.network),
+                tuple(sorted(outcome.comm.links)))
     if not report.verdict():
-        return False, f"omega violated: outputs={report.final_outputs}"
+        return (False, f"omega violated: outputs={report.final_outputs}",
+                observed)
     # A pid that recovered and stayed up is eventually-up — a legitimate
     # leader; only pids still down at the end may not be trusted.
     if report.final_leader in case.fault_plan().down_pids():
-        return False, f"down leader {report.final_leader} trusted"
+        return False, f"down leader {report.final_leader} trusted", observed
     detail = (f"leader={report.final_leader} "
               f"stab={report.stabilization_time:.1f}s")
     if case.recovery:
         detail += " " + _storage_detail(
             outcome.cluster.process(pid) for pid in outcome.cluster.pids)
-    return True, detail
+    return True, detail, observed
 
 
 def _storage_detail(processes) -> str:  # noqa: ANN001 - any Process iterable
     """Aggregate stable-storage traffic across an ensemble, one token."""
-    syncs = lost = 0
-    for process in processes:
-        storage = getattr(process, "_storage", None)
-        if storage is not None:
-            syncs += storage.syncs_ok + storage.syncs_failed
-            lost += storage.batches_lost
-    return f"storage[syncs={syncs} lost_batches={lost}]"
+    counts = [_storage_counts(process) for process in processes]
+    return (f"storage[syncs={sum(ok + failed for ok, failed, _ in counts)} "
+            f"lost_batches={sum(lost for _, _, lost in counts)}]")
 
 
 def _execute_single_decree(case: SoakCase,
-                           timings: LinkTimings) -> tuple[bool, str]:
+                           timings: LinkTimings) -> tuple[bool, str, tuple]:
     system = ConsensusSystem.build_single_decree(
         case.n,
         lambda: multi_source_links(case.n, (case.source,), timings),
@@ -366,20 +401,23 @@ def _execute_single_decree(case: SoakCase,
     system.start_all()
     system.run_until(case.horizon)
     report = check_single_decree(system)
+    observed = _consensus_observables(
+        system, lambda process: (process.decision, process.decision_time))
     if report.verdict():
         detail = (f"decided {next(iter(report.decided.values()))!r} "
                   f"by {report.latest_decision:.1f}s")
         if case.recovery:
             detail += " " + _storage_detail(
                 node.agreement for node in system.nodes.values())
-        return True, detail
+        return True, detail, observed
     if not (report.agreement and report.validity):
-        return False, "safety violated"
+        return False, "safety violated", observed
     return False, (f"liveness: decided={sorted(report.decided)} "
-                   f"correct={report.correct}")
+                   f"correct={report.correct}"), observed
 
 
-def _execute_log(case: SoakCase, timings: LinkTimings) -> tuple[bool, str]:
+def _execute_log(case: SoakCase,
+                 timings: LinkTimings) -> tuple[bool, str, tuple]:
     system = ConsensusSystem.build_replicated_log(
         case.n,
         lambda: multi_source_links(case.n, (case.source,), timings),
@@ -389,15 +427,18 @@ def _execute_log(case: SoakCase, timings: LinkTimings) -> tuple[bool, str]:
     system.start_all()
     system.run_until(case.horizon)
     report = check_log(system, workload.submitted)
+    observed = _consensus_observables(system, lambda replica: (
+        replica.commit_index,
+        hashlib.sha256(repr(replica.committed_prefix()).encode()).hexdigest()))
     if not report.verdict():
-        return False, f"safety violated: {report.divergences}"
+        return False, f"safety violated: {report.divergences}", observed
     if not workload.done():
-        return False, "liveness: commands missing"
+        return False, "liveness: commands missing", observed
     detail = f"committed {report.max_committed} entries"
     if case.recovery:
         detail += " " + _storage_detail(
             node.agreement for node in system.nodes.values())
-    return True, detail
+    return True, detail, observed
 
 
 def recovery_control_case(persist: bool = False) -> tuple[bool, str]:
@@ -458,7 +499,9 @@ class Describable(Protocol):
 
 
 def campaign_digest(cases: Sequence[Describable]) -> str:
-    """Short stable hash over the campaign's repro lines.
+    """Short stable hash over the campaign's repro lines — the *plan*
+    digest: it hashes what the sampler drew, not what the protocols did
+    with it (that is :func:`outcome_digest`).
 
     Two soak runs with the same ``(seed, case count)`` must print the
     same digest; a mismatch means determinism broke somewhere.  Duck-
@@ -467,6 +510,18 @@ def campaign_digest(cases: Sequence[Describable]) -> str:
     so sim and live campaigns share one digest convention.
     """
     payload = "\n".join(case.describe() for case in cases)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def outcome_digest(results: Sequence[SoakResult]) -> str:
+    """Short stable hash over the per-case ``outcome`` digests, in order.
+
+    The behavioural half of the contract: it moves when any case's
+    status, leaders, message census, decisions, commit indexes, promises
+    or storage syncs move — on the same plans (:func:`campaign_digest`).
+    """
+    payload = "\n".join(f"#{result.case.index} {result.outcome}"
+                        for result in results)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

@@ -550,7 +550,7 @@ def soak_case_report(case: Any, wall_s: float | None = None) -> RunReport:
     return RunReport("soak", result.case.describe(), {
         "index": case.index, "kind": case.kind,
         "algorithm": case.algorithm, "system": case.system,
-        "n": case.n, "seed": case.seed,
+        "n": case.n, "seed": case.seed, "outcome": result.outcome,
     }, verdict, sim, networks, wall_s=wall_s)
 
 

@@ -9,7 +9,7 @@ import pytest
 from repro.cli import main
 from repro.harness import bench
 from repro.harness.scenarios import OmegaScenario
-from repro.harness.soak import sample_soak_case
+from repro.harness.soak import run_soak_case, sample_soak_case
 from repro.obs.report import (
     REPORT_SCHEMA,
     RunRecorder,
@@ -149,6 +149,8 @@ class TestBenchAndSoakReports:
         assert validate_report(document) == []
         assert document["kind"] == "soak"
         assert document["params"]["index"] == 0
+        # Observed or not, the run's outcome digest is the same.
+        assert document["params"]["outcome"] == run_soak_case(case).outcome
         assert document["verdict"]["ok"] is True
         assert "meta" not in document  # no wall time given
 

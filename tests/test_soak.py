@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.cli import main
+from repro.consensus.replica import LogReplica
 from repro.harness.soak import (
     campaign_digest,
+    outcome_digest,
     run_soak_case,
     sample_soak_case,
     soak,
@@ -114,3 +119,64 @@ class TestExecution:
         # cases and terminates promptly.
         results = soak(minutes=1e-9, soak_seed=0)
         assert results == []
+
+
+class TestOutcomeDigest:
+    """The behavioural half of the contract (ROADMAP item 2): the plan
+    digest cannot notice a protocol change, the outcome digest must."""
+
+    LOG_CASES = (1, 4)  # the first two log-kind cases of recovery seed 7
+
+    def _campaign(self):  # noqa: ANN202
+        return soak(cases=5, soak_seed=7, only=self.LOG_CASES, recovery=True)
+
+    def test_every_status_carries_a_sixteen_hex_outcome(self) -> None:
+        results = soak(cases=3, soak_seed=7)
+        base = results[0].case
+        out_of_model = run_soak_case(dataclasses.replace(
+            base, kind="omega", algorithm="comm-efficient",
+            system="source-lossy", n=5, source=2, targets=(), f=2,
+            plan="crash(t=20.0,pid=2)"))
+        assert out_of_model.status == "model-violation"
+        for result in (*results, out_of_model):
+            assert len(result.outcome) == 16
+            int(result.outcome, 16)
+        assert len({result.outcome for result in results}) == 3
+
+    def test_same_campaign_same_outcomes(self) -> None:
+        first, second = self._campaign(), self._campaign()
+        assert [r.case.kind for r in first] == ["log", "log"]
+        assert [r.outcome for r in first] == [r.outcome for r in second]
+        assert outcome_digest(first) == outcome_digest(second)
+
+    def test_spread_budget_of_one_flips_outcomes_not_plans(
+            self, monkeypatch) -> None:  # noqa: ANN001
+        before = self._campaign()
+        original = LogReplica._spread_decisions
+
+        def budget_of_one(replica: LogReplica) -> None:
+            config = replica.config
+            replica.config = dataclasses.replace(config, max_batch=1)
+            try:
+                original(replica)
+            finally:
+                replica.config = config
+
+        monkeypatch.setattr(LogReplica, "_spread_decisions", budget_of_one)
+        after = self._campaign()
+        assert all(result.status == "ok" for result in before + after)
+        assert outcome_digest(after) != outcome_digest(before)
+        assert campaign_digest([r.case for r in after]) \
+            == campaign_digest([r.case for r in before])
+
+    def test_cli_prints_both_digests_and_per_case_outcomes(
+            self, capsys) -> None:  # noqa: ANN001
+        assert main(["soak", "--cases", "2", "--seed", "7"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        results = soak(cases=2, soak_seed=7)
+        for line, result in zip(lines, results):
+            assert line.endswith(f" outcome={result.outcome}")
+        digests = [line for line in lines if "digest: " in line]
+        assert digests == [
+            f"campaign digest: {campaign_digest([r.case for r in results])}",
+            f"outcome digest: {outcome_digest(results)}"]
