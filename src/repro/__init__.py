@@ -53,11 +53,9 @@ observer protocol and report schema.
 
 Deprecation policy: superseded entry points (currently the
 ``Network(trace=..., metrics=...)`` keyword arguments, replaced by
-``Network(observers=...)``, and the ``LogWorkload`` constructor,
-replaced by ``WorkloadSpec.build``) keep working for one release but
-emit a ``DeprecationWarning`` once per call site; the test suite
-escalates these warnings to errors so no in-repo code regresses onto
-them.
+``Network(observers=...)``) keep working for one release but emit a
+``DeprecationWarning`` once per call site; the test suite escalates
+these warnings to errors so no in-repo code regresses onto them.
 """
 
 __version__ = "1.3.0"
@@ -67,7 +65,6 @@ from repro.consensus import (  # noqa: E402  (re-exports after docstring)
     ConsensusConfig,
     ConsensusSystem,
     LogReplica,
-    LogWorkload,
     ShardedLog,
     SingleDecreeConsensus,
     WorkloadOutcome,
@@ -132,7 +129,6 @@ __all__ = [
     "ConsensusConfig",
     "ConsensusSystem",
     "LogReplica",
-    "LogWorkload",
     "ShardedLog",
     "SingleDecreeConsensus",
     "WorkloadOutcome",

@@ -1,8 +1,10 @@
 """Consensus on top of Omega (result R5 of DESIGN.md).
 
-Single-decree, ballot-based consensus and a multi-decree replicated log,
-both safe under asynchrony/loss/crash and live once the paired Omega
-module stabilizes with a majority of correct processes.  Assembled with
+Single-decree, ballot-based consensus and a multi-decree replicated log
+— two drivers over the one ballot protocol of
+:mod:`repro.consensus.paxos` — both safe under asynchrony/loss/crash and
+live once the paired Omega module stabilizes with a majority of correct
+processes.  Assembled with
 :class:`ConsensusSystem` (or, sharded over many groups, with
 :class:`ShardedLog`), exercised by :class:`WorkloadSpec` workloads,
 judged by :func:`check_single_decree` / :func:`check_log`.
@@ -53,7 +55,6 @@ from repro.consensus.statemachine import (
     StateMachine,
 )
 from repro.consensus.workload import (
-    LogWorkload,
     WorkloadDriver,
     WorkloadOutcome,
     WorkloadSpec,
@@ -98,7 +99,6 @@ __all__ = [
     "KeyValueStore",
     "ReplicatedStateMachine",
     "StateMachine",
-    "LogWorkload",
     "WorkloadDriver",
     "WorkloadOutcome",
     "WorkloadSpec",

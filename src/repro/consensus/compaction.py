@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
 from repro.consensus.messages import Prepare
-from repro.consensus.replica import NOOP, LogReplica, entry_commands
+from repro.consensus.replica import LogReplica, entry_commands
 from repro.consensus.statemachine import StateMachine
 from repro.sim.engine import Simulation
 from repro.sim.messages import Message
@@ -102,6 +102,9 @@ class CompactingReplica(LogReplica):
         with one per tick).
     """
 
+    HANDLERS = {**LogReplica.HANDLERS, SnapshotOffer: "_on_snapshot_offer",
+                SnapshotAck: "_on_snapshot_ack"}
+
     def __init__(self, pid: int, sim: Simulation, network: Network, n: int,
                  leader_of: Callable[[], int],
                  machine_factory: Callable[[], StateMachine],
@@ -149,8 +152,8 @@ class CompactingReplica(LogReplica):
     # Compaction
     # ------------------------------------------------------------------
 
-    def _drive(self) -> None:
-        super()._drive()
+    def _pass(self) -> None:
+        super()._pass()
         self._maybe_compact()
         self._offer_snapshots()
 
@@ -191,14 +194,9 @@ class CompactingReplica(LogReplica):
     # Messages
     # ------------------------------------------------------------------
 
-    def on_message(self, message: Message) -> None:
-        if isinstance(message, SnapshotOffer):
-            self._on_snapshot_offer(message)
-        elif isinstance(message, SnapshotAck):
-            if message.through >= self.compact_floor - 1:
-                self._snapshot_debtors.discard(message.sender)
-        else:
-            super().on_message(message)
+    def _on_snapshot_ack(self, message: SnapshotAck) -> None:
+        if message.through >= self.compact_floor - 1:
+            self._snapshot_debtors.discard(message.sender)
 
     def _on_snapshot_offer(self, message: SnapshotOffer) -> None:
         if message.through > self.commit_index:
@@ -229,11 +227,9 @@ class CompactingReplica(LogReplica):
         while self.commit_index + 1 in self.log:
             self.commit_index += 1
         self._apply_committed()
-        if self.phase != "follower":
-            # Any in-flight prepare of ours covered instances the
-            # snapshot superseded; restart from the new frontier.
-            self.phase = "follower"
-            self._abandon_open()
+        # Any in-flight prepare of ours covered instances the snapshot
+        # superseded; restart from the new frontier.
+        self._step_down("snapshot")
 
     # --- prepare handling with a floor ---------------------------------
 

@@ -8,8 +8,9 @@ by its sender until the corresponding acknowledgement arrives; handlers
 are idempotent, and the class-level fairness type guarantees that a
 message retransmitted forever on a fair-lossy link is delivered.
 
-Single-decree messages carry the ``instance`` they belong to so that the
-same acceptor code serves the repeated-consensus replica.
+Single-decree messages carry the ``instance`` they belong to: the same
+acceptor code (:class:`repro.consensus.paxos.Acceptor`) serves the
+repeated-consensus replica.
 """
 
 from __future__ import annotations

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Sequence
 
+from repro.consensus.compaction import CompactingReplica
 from repro.consensus.config import ConsensusConfig
+from repro.consensus.replica import LogReplica
 from repro.consensus.single import SingleDecreeConsensus
 from repro.core.omega import OmegaProtocol
 from repro.core.registry import make_factory
@@ -35,6 +37,9 @@ from repro.sim.trace import TraceLog
 __all__ = ["ConsensusNode", "ConsensusSystem"]
 
 LinkMapFactory = Callable[[], Mapping[tuple[int, int], LinkPolicy]]
+# (pid, sim, agreement network, the node's Omega output) -> agreement process
+AgreementFactory = Callable[[int, Simulation, Network, Callable[[], int]],
+                            Process]
 
 
 class ConsensusNode:
@@ -118,21 +123,13 @@ class ConsensusSystem:
         """
         if len(proposals) != n:
             raise ValueError("need exactly one proposal per process")
-        sim = Simulation(seed=seed)
-        fd_network = cls._network(sim, links_factory, trace, metrics_window)
-        ag_network = cls._network(sim, links_factory, trace, metrics_window)
-
-        omega_factory = make_factory(omega_name, omega_config, n=n, f=f)
-        nodes: dict[int, ConsensusNode] = {}
-        for pid in range(n):
-            omega = omega_factory(pid, sim, fd_network)
-            agreement = SingleDecreeConsensus(
-                pid, sim, ag_network, n, proposals[pid],
-                leader_of=omega.leader, config=consensus_config,
-                persist=persist,
-            )
-            nodes[pid] = ConsensusNode(pid, omega, agreement)
-        return cls(sim, fd_network, ag_network, nodes)
+        return cls._build(
+            Simulation(seed=seed), n, links_factory,
+            make_factory(omega_name, omega_config, n=n, f=f),
+            lambda pid, sim, network, leader_of: SingleDecreeConsensus(
+                pid, sim, network, n, proposals[pid], leader_of=leader_of,
+                config=consensus_config, persist=persist),
+            trace, metrics_window)
 
     @classmethod
     def build_replicated_log(
@@ -153,21 +150,13 @@ class ConsensusSystem:
         ``persist`` puts each replica's acceptor state and log on stable
         storage so nodes survive crash+recover.
         """
-        from repro.consensus.replica import LogReplica  # local: avoid cycle
-
-        sim = Simulation(seed=seed)
-        fd_network = cls._network(sim, links_factory, trace, metrics_window)
-        ag_network = cls._network(sim, links_factory, trace, metrics_window)
-
-        omega_factory = make_factory(omega_name, omega_config, n=n, f=f)
-        nodes: dict[int, ConsensusNode] = {}
-        for pid in range(n):
-            omega = omega_factory(pid, sim, fd_network)
-            replica = LogReplica(pid, sim, ag_network, n,
-                                 leader_of=omega.leader, config=consensus_config,
-                                 persist=persist)
-            nodes[pid] = ConsensusNode(pid, omega, replica)
-        return cls(sim, fd_network, ag_network, nodes)
+        return cls._build(
+            Simulation(seed=seed), n, links_factory,
+            make_factory(omega_name, omega_config, n=n, f=f),
+            lambda pid, sim, network, leader_of: LogReplica(
+                pid, sim, network, n, leader_of=leader_of,
+                config=consensus_config, persist=persist),
+            trace, metrics_window)
 
     @classmethod
     def build_compacting_log(
@@ -185,21 +174,30 @@ class ConsensusSystem:
         metrics_window: float = 1.0,
     ) -> "ConsensusSystem":
         """Assemble a replicated log with compaction and state machines."""
-        from repro.consensus.compaction import CompactingReplica  # no cycle
+        return cls._build(
+            Simulation(seed=seed), n, links_factory,
+            make_factory(omega_name, omega_config, n=n, f=f),
+            lambda pid, sim, network, leader_of: CompactingReplica(
+                pid, sim, network, n, leader_of=leader_of,
+                machine_factory=machine_factory, keep_tail=keep_tail,
+                config=consensus_config),
+            trace, metrics_window)
 
-        sim = Simulation(seed=seed)
+    @classmethod
+    def _build(cls, sim: Simulation, n: int, links_factory: LinkMapFactory,
+               omega_factory: Callable[[int, Simulation, Network],
+                                       OmegaProtocol],
+               make_agreement: AgreementFactory, trace: bool,
+               metrics_window: float) -> "ConsensusSystem":
+        """One Omega + agreement stack on ``sim``: a failure-detector
+        network, an agreement network, and ``n`` nodes pairing the two."""
         fd_network = cls._network(sim, links_factory, trace, metrics_window)
         ag_network = cls._network(sim, links_factory, trace, metrics_window)
-
-        omega_factory = make_factory(omega_name, omega_config, n=n, f=f)
         nodes: dict[int, ConsensusNode] = {}
         for pid in range(n):
             omega = omega_factory(pid, sim, fd_network)
-            replica = CompactingReplica(
-                pid, sim, ag_network, n, leader_of=omega.leader,
-                machine_factory=machine_factory, keep_tail=keep_tail,
-                config=consensus_config)
-            nodes[pid] = ConsensusNode(pid, omega, replica)
+            nodes[pid] = ConsensusNode(
+                pid, omega, make_agreement(pid, sim, ag_network, omega.leader))
         return cls(sim, fd_network, ag_network, nodes)
 
     @staticmethod

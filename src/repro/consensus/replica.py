@@ -31,20 +31,20 @@ decisions for a peer as one ``Decides``, answered by one ``DecideAcks``
 command.  A pass with a single entry sends the plain ``Forward`` /
 ``Decide`` / ``DecideAck``, so low-rate schedules are unchanged.
 
-Safety is ballot-based exactly as in the single-decree protocol and
+Safety is the ballot protocol of :mod:`repro.consensus.paxos` — one
+acceptor and one ballot owner, shared with the single-decree class — and
 does not depend on Omega; the property tests replay random schedules
 with duelling leaders, crashes and loss, asserting that committed
-prefixes never diverge.
+prefixes never diverge.  This module is what is a *log* about it: slots
+and the proposal pump, forwarding, decision spreading, the commit
+piggyback, the learner.
 
 With ``persist=True`` the replica survives the crash-recovery model
-(docs/RECOVERY.md) by the same discipline as
-:class:`~repro.consensus.single.SingleDecreeConsensus`: the promise,
-every accepted ``(instance, ballot, value)``, the ballot round and the
-learned log entries live on stable storage; replies that peers count
-toward quorums — ``Promise``, ``Accepted``, and ``DecideAck`` — wait
-for the corresponding write to commit, as do a fresh ballot's prepares
-and the leader's own implicit votes.  A recovered replica rejoins as a
-follower with its acceptor state and committed prefix intact.
+(docs/RECOVERY.md): besides the shell's acceptor state and ballot round,
+the learned log entries live on stable storage, and a ``DecideAck``
+waits for its entries' write like every quorum vote does.  A recovered
+replica rejoins as a follower with its acceptor state and committed
+prefix intact.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from typing import Any, Callable, Hashable
 
 from repro.consensus.config import ConsensusConfig
 from repro.consensus.messages import (
-    BOTTOM_BALLOT,
     Accepted,
     Ballot,
     Decide,
@@ -64,33 +63,21 @@ from repro.consensus.messages import (
     Decides,
     Forward,
     Forwards,
-    Nack,
-    Prepare,
-    Promise,
     Propose,
 )
-from repro.consensus.retransmit import RetransmitGate
+from repro.consensus.paxos import PaxosProcess
 from repro.sim.engine import Simulation
-from repro.sim.messages import Message
 from repro.sim.network import Network
-from repro.sim.process import Process
 from repro.sim.storage import StableStorage
 
 __all__ = ["Batch", "LogReplica", "NOOP", "entry_commands"]
-
-_TICK = "tick"
 
 # Most commands one forward message carries; a longer pending queue is
 # split.  256 load-generator commands encode to under a quarter of
 # ``repro.live.codec.MAX_FRAME``.
 FORWARD_SPLIT = 256
 
-# Stable-storage keys (persist=True only).  Per-instance state uses
-# tuple keys so one flat store holds the whole log.
-_K_PROMISED = "promised"
-_K_ROUND = "round"
-_K_ACC = "acc"  # (("acc", instance) -> (ballot, value))
-_K_LOG = "log"  # (("log", instance) -> decided value)
+_K_LOG = "log"  # stable storage: (("log", instance) -> decided value)
 
 NOOP = None
 """Filler value proposed for recovered-but-empty slots."""
@@ -140,7 +127,7 @@ class _OpenSlot:
         self.acks = acks
 
 
-class LogReplica(Process):
+class LogReplica(PaxosProcess):
     """One replica of the Omega-driven replicated log.
 
     Parameters
@@ -160,32 +147,30 @@ class LogReplica(Process):
         by default — crash-stop runs never touch storage.
     """
 
+    IDLE, PREPARING = PHASE_FOLLOWER, PHASE_PREPARING
+    HANDLERS = {**PaxosProcess.HANDLERS, Accepted: "_on_accepted",
+                Decide: "_on_decide", Decides: "_on_decide",
+                DecideAck: "_on_decide_ack", DecideAcks: "_on_decide_ack",
+                Forward: "_on_forward", Forwards: "_on_forward"}
+
     def __init__(self, pid: int, sim: Simulation, network: Network, n: int,
                  leader_of: Callable[[], int],
                  config: ConsensusConfig | None = None,
                  persist: bool = False) -> None:
-        super().__init__(pid, sim, network)
-        if n < 2:
-            raise ValueError("n must be at least 2")
-        self.n = n
-        self.majority = n // 2 + 1
-        self.leader_of = leader_of
-        self.config = config if config is not None else ConsensusConfig()
-        self.persist = persist
-        if persist:
-            self.attach_storage(StableStorage(
-                pid, sim, hub=network.hub,
-                sync_latency=self.config.sync_latency))
-        # Bounded retransmission backoff toward silent peers — consulted
-        # only with persistence (crash-recovery stacks); its counters,
-        # like the load counters below, survive recovery.
-        self._gate = RetransmitGate(self.config)
+        super().__init__(pid, sim, network, n, leader_of, config, persist)
+        # Load counters (observability; like the gate's, they survive
+        # recovery — they describe the machine's whole lifetime).
+        self.shed_count = 0
+        self.max_queue_depth = 0
+        self.batch_histogram: dict[int, int] = {}
 
-        # Acceptor state: one promise covering all instances, plus the
-        # per-instance accepted (ballot, value) map.
-        self.promised: Ballot = BOTTOM_BALLOT
-        self.accepted: dict[int, tuple[Ballot, Any]] = {}
+    @property
+    def accepted(self) -> dict[int, tuple[Ballot, Any]]:
+        """The acceptor's per-instance accepted ``(ballot, value)`` map."""
+        return self.acceptor.accepted
 
+    def _reset(self) -> None:
+        super()._reset()
         # Learner state.
         self.log: dict[int, Any] = {}
         self.commit_index = -1  # highest i with 0..i all decided
@@ -193,27 +178,23 @@ class LogReplica(Process):
         self.decision_times: dict[int, float] = {}
         self._decide_acks: dict[int, set[int]] = {}
         self._spread_cursor = 0
-
-        # Leader state.
-        self.phase = PHASE_FOLLOWER
-        self.ballot: Ballot | None = None
-        self._prepare_from = 0
-        self._promises: dict[int, tuple[tuple[int, tuple[Ballot, Any]], ...]] = {}
+        # Leader state; ``_in_flight`` holds the ids of the commands the
+        # open slots carry (kept in step with ``_open`` by
+        # _open_slot/_maybe_close/_abandon_open).
         self._open: dict[int, _OpenSlot] = {}
-        # Ids of the commands the open slots carry (kept in step with
-        # ``_open`` by _open_slot/_maybe_close/_abandon_open).
         self._in_flight: set[Hashable] = set()
         self._next_instance = 0
-        self._max_round_seen = -1
-
         # Client command intake (insertion ordered).
         self.pending: "OrderedDict[Hashable, Any]" = OrderedDict()
 
-        # Load counters (observability; survive recovery — they describe
-        # the machine's whole lifetime, not one incarnation).
-        self.shed_count = 0
-        self.max_queue_depth = 0
-        self.batch_histogram: dict[int, int] = {}
+    def _restore(self, storage: StableStorage) -> None:
+        for key in storage.durable_keys():
+            if isinstance(key, tuple) and key[0] == _K_LOG:
+                value = self.log[key[1]] = storage.get(key)
+                self.committed_ids.update(
+                    command_id for command_id, _ in entry_commands(value))
+        while self.commit_index + 1 in self.log:
+            self.commit_index += 1
 
     # ------------------------------------------------------------------
     # Public API
@@ -273,81 +254,26 @@ class LogReplica(Process):
         }
 
     # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def on_start(self) -> None:
-        self.set_periodic(_TICK, self.config.tick)
-        self._drive()
-
-    def on_timer(self, key: Hashable) -> None:
-        if key == _TICK:
-            self._drive()
-
-    def on_recover(self) -> None:
-        """Come back as a fresh incarnation, rejoining as a follower.
-
-        Volatile state dies with the old incarnation.  With persistence
-        the promise, the ballot round, the accepted map and the learned
-        log come back from stable storage and the commit index is
-        recomputed; without it the replica restarts from scratch
-        (deliberate amnesia — the crash-recovery control case).
-        """
-        self.promised = BOTTOM_BALLOT
-        self.accepted = {}
-        self.log = {}
-        self.commit_index = -1
-        self.committed_ids = set()
-        self.decision_times = {}
-        self._decide_acks = {}
-        self._spread_cursor = 0
-        self.phase = PHASE_FOLLOWER
-        self.ballot = None
-        self._prepare_from = 0
-        self._promises = {}
-        self._abandon_open()
-        self._next_instance = 0
-        self._max_round_seen = -1
-        self.pending = OrderedDict()
-        self._gate.forget()
-        if self.persist:
-            storage = self.storage
-            self.promised = storage.get(_K_PROMISED, BOTTOM_BALLOT)
-            self._max_round_seen = storage.get(_K_ROUND, -1)
-            for key in storage.durable_keys():
-                if not isinstance(key, tuple):
-                    continue
-                if key[0] == _K_ACC:
-                    self.accepted[key[1]] = storage.get(key)
-                elif key[0] == _K_LOG:
-                    value = storage.get(key)
-                    self.log[key[1]] = value
-                    for command_id, _ in entry_commands(value):
-                        self.committed_ids.add(command_id)
-            while self.commit_index + 1 in self.log:
-                self.commit_index += 1
-        self.set_periodic(_TICK, self.config.tick)
-        self._drive()
-
-    # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
 
-    def _drive(self) -> None:
-        if self.persist:
-            self._gate.begin_pass()
+    def _pass(self) -> None:
         self._spread_decisions()
         if self.leader_of() != self.pid:
-            self.phase = PHASE_FOLLOWER
-            self._abandon_open()
+            self._step_down("abandoned")
             self._forward_pending()
-            return
-        if self.phase == PHASE_FOLLOWER:
-            self._start_prepare()
+        elif self.phase == PHASE_FOLLOWER:
+            self._start_ballot(self.commit_index + 1)
         elif self.phase == PHASE_PREPARING:
             self._send_prepares()
         else:
             self._pump_proposals()
+
+    def _step_down(self, why: str) -> None:
+        # Commands in open slots that fail to commit re-enter via client
+        # re-forwarding.
+        self.phase = PHASE_FOLLOWER
+        self._abandon_open()
 
     def _forward_pending(self) -> None:
         leader = self.leader_of()
@@ -363,77 +289,14 @@ class LogReplica(Process):
 
     # --- leadership acquisition ----------------------------------------
 
-    def _start_prepare(self) -> None:
-        self._max_round_seen += 1
-        self.ballot = Ballot(self._max_round_seen, self.pid)
-        self.phase = PHASE_PREPARING
-        self._prepare_from = self.commit_index + 1
-        # Self-promise.  With persistence the write-ahead rule applies:
-        # the round and the promise must be durable before any prepare
-        # escapes (a recovered leader must never reuse a round), and the
-        # leader's own report joins the quorum only once durable.
-        self.promised = max(self.promised, self.ballot)
-        self._promises = {}
-        if self.persist:
-            ballot = self.ballot
-            report = self._accepted_report(self._prepare_from)
-            storage = self.storage
-            storage.put(_K_PROMISED, self.promised)
-            storage.put(_K_ROUND, self._max_round_seen)
-            incarnation = self.incarnation
-
-            def launch() -> None:
-                if (self.incarnation != incarnation or self.ballot != ballot
-                        or self.phase != PHASE_PREPARING):
-                    return
-                self._promises[self.pid] = report
-                self._send_prepares()
-                self._maybe_assume_leadership()
-
-            storage.sync(on_durable=launch)
-        else:
-            self._promises[self.pid] = self._accepted_report(self._prepare_from)
-            self._send_prepares()
-            self._maybe_assume_leadership()
-
-    def _send_prepares(self) -> None:
-        assert self.ballot is not None
-        if self.persist and self.pid not in self._promises:
-            return  # the round's write-ahead sync is still in flight
-        for peer in range(self.n):
-            if peer != self.pid and peer not in self._promises:
-                self._retransmit(
-                    peer, Prepare(self.pid, self.ballot, self._prepare_from))
-
-    def _retransmit(self, peer: int, message: Message) -> None:
-        """Send — unconditionally in crash-stop runs, through the
-        per-pass backoff gate with persistence."""
-        if not self.persist or self._gate.admits(peer, self.now):
-            self.send(peer, message)
-
-    def _accepted_report(self, from_instance: int
-                         ) -> tuple[tuple[int, tuple[Ballot, Any]], ...]:
-        return tuple(sorted(
-            (instance, slot) for instance, slot in self.accepted.items()
-            if instance >= from_instance
-        ))
-
-    def _maybe_assume_leadership(self) -> None:
-        if self.phase != PHASE_PREPARING or len(self._promises) < self.majority:
-            return
-        assert self.ballot is not None
-        # Merge: per instance, the reported accepted value of the highest
+    def _on_prepared(self, merged: dict[int, tuple[Ballot, Any]]) -> None:
+        # Per instance, the reported accepted value of the highest
         # ballot must be re-proposed; unreported gaps get noops.
-        merged: dict[int, tuple[Ballot, Any]] = {}
-        for report in self._promises.values():
-            for instance, (ballot, value) in report:
-                current = merged.get(instance)
-                if current is None or ballot > current[0]:
-                    merged[instance] = (ballot, value)
+        prepare_from = self.owner.prepare_from
         self.phase = PHASE_LEADING
         self._abandon_open()
-        top = max(merged) if merged else self._prepare_from - 1
-        for instance in range(self._prepare_from, top + 1):
+        top = max(merged) if merged else prepare_from - 1
+        for instance in range(prepare_from, top + 1):
             reported = merged.get(instance)
             value = reported[1] if reported is not None else NOOP
             self._open_slot(instance, value)
@@ -443,7 +306,6 @@ class LogReplica(Process):
     # --- steady-state leading -------------------------------------------
 
     def _pump_proposals(self) -> None:
-        assert self.ballot is not None
         # Open new slots for pending commands, up to the pipeline budget
         # (``max_batch`` concurrent instances), packing up to
         # ``batch_size`` commands per slot.  Commands stay in ``pending``
@@ -469,12 +331,10 @@ class LogReplica(Process):
             if batch and len(self._open) < self.config.max_batch:
                 self._open_batch(batch)
         # (Re)transmit every open slot to peers that have not accepted.
+        ballot = self.owner.ballot
         for instance, slot in self._open.items():
-            for peer in range(self.n):
-                if peer != self.pid and peer not in slot.acks:
-                    self._retransmit(
-                        peer, Propose(self.pid, self.ballot, instance,
-                                      slot.value, self.commit_index))
+            self._retransmit_to(slot.acks, Propose(
+                self.pid, ballot, instance, slot.value, self.commit_index))
 
     def _open_batch(self, batch: list[tuple[Hashable, Any]]) -> None:
         value: Any = batch[0] if len(batch) == 1 else Batch(tuple(batch))
@@ -488,29 +348,20 @@ class LogReplica(Process):
         self._in_flight.clear()
 
     def _open_slot(self, instance: int, value: Any) -> None:
-        assert self.ballot is not None
-        # Self-accept; with persistence the leader's own vote counts
-        # toward the quorum only once the accepted pair is durable.
-        self.accepted[instance] = (self.ballot, value)
+        slot = self._open[instance] = _OpenSlot(value, set())
         self._in_flight.update(
             command_id for command_id, _ in entry_commands(value))
-        if self.persist:
-            slot = _OpenSlot(value, set())
-            self._open[instance] = slot
-            self.storage.put((_K_ACC, instance), self.accepted[instance])
-            incarnation = self.incarnation
 
-            def count_self_accept() -> None:
-                if (self.incarnation != incarnation
-                        or self._open.get(instance) is not slot):
-                    return
+        def count_self_accept() -> None:
+            if self._open.get(instance) is slot:
                 slot.acks.add(self.pid)
                 self._maybe_close(instance)
 
-            self.storage.sync(on_durable=count_self_accept)
-        else:
-            self._open[instance] = _OpenSlot(value, {self.pid})
-            self._maybe_close(instance)
+        # Self-accept; with persistence the leader's own vote counts
+        # toward the quorum only once the accepted pair is durable.
+        self._when_durable(
+            self.acceptor.vote(self.owner.ballot, instance, value),
+            count_self_accept)
 
     def _maybe_close(self, instance: int) -> None:
         slot = self._open.get(instance)
@@ -583,140 +434,52 @@ class LogReplica(Process):
             self.commit_index += 1
 
     # ------------------------------------------------------------------
-    # Message handling
+    # Message handling (the acceptor and ballot handlers are the shell's)
     # ------------------------------------------------------------------
 
-    def on_message(self, message: Message) -> None:
-        if self.persist:
-            # A delivery is a driver pass of its own (a Promise may pump
-            # proposals), and a sign of life from the sender.
-            self._gate.begin_pass(heard=message.sender)
-        if isinstance(message, Prepare):
-            self._on_prepare(message)
-        elif isinstance(message, Promise):
-            self._on_promise(message)
-        elif isinstance(message, Propose):
-            self._on_propose(message)
-        elif isinstance(message, Accepted):
-            self._on_accepted(message)
-        elif isinstance(message, Nack):
-            self._on_nack(message)
-        elif isinstance(message, (Decide, Decides)):
-            self._on_decide(message)
-        elif isinstance(message, (DecideAck, DecideAcks)):
-            for instance in message.instances:
-                acks = self._decide_acks.get(instance)
-                if acks is not None:
-                    acks.add(message.sender)
-        elif isinstance(message, (Forward, Forwards)):
-            for command_id, command in message.commands:
-                self.submit(command_id, command)
+    def _on_forward(self, message: Forward | Forwards) -> None:
+        for command_id, command in message.commands:
+            self.submit(command_id, command)
 
-    # --- acceptor --------------------------------------------------------
-
-    def _on_prepare(self, message: Prepare) -> None:
-        self._observe_round(message.ballot)
-        if message.ballot >= self.promised:
-            self.promised = message.ballot
-            reply = Promise(
-                self.pid, message.ballot, message.from_instance,
-                self._accepted_report(message.from_instance))
-            if self.persist:
-                self.storage.put(_K_PROMISED, self.promised)
-            self._reply_durably(message.sender, reply)
-        else:
-            self.send(message.sender,
-                      Nack(self.pid, message.ballot, -1, self.promised))
-
-    def _on_propose(self, message: Propose) -> None:
-        self._observe_round(message.ballot)
-        if message.ballot >= self.promised:
-            self.promised = message.ballot
-            self.accepted[message.instance] = (message.ballot, message.value)
-            reply = Accepted(self.pid, message.ballot, message.instance)
-            if self.persist:
-                self.storage.put(_K_PROMISED, self.promised)
-                self.storage.put((_K_ACC, message.instance),
-                                 self.accepted[message.instance])
-            self._reply_durably(message.sender, reply)
-            self._apply_commit_hint(message)
-        else:
-            self.send(message.sender, Nack(self.pid, message.ballot,
-                                           message.instance, self.promised))
-
-    def _reply_durably(self, peer: int, reply: Message) -> None:
-        """Send a reply the peer will act on for good: a quorum vote,
-        or a decide ack that ends retransmission.
-
-        With persistence the reply waits until the state it reports
-        (already in the write buffer) commits to stable storage —
-        quorum intersection must survive our crashes.  Nacks promise
-        nothing and are sent directly, never through here.
-        """
-        if not self.persist:
-            self.send(peer, reply)
-            return
-        incarnation = self.incarnation
-
-        def deliver() -> None:
-            if self.incarnation == incarnation:
-                self.send(peer, reply)
-
-        self.storage.sync(on_durable=deliver)
-
-    def _apply_commit_hint(self, message: Propose) -> None:
+    def _after_accept(self, message: Propose) -> None:
         # Safe piggyback (see module docstring): an instance at or below
         # the leader's commit index whose accepted ballot *is* the
         # message's ballot holds exactly the leader's (decided) value.
+        accepted = self.acceptor.accepted
         for instance in range(self.commit_index + 1,
                               message.commit_through + 1):
-            slot = self.accepted.get(instance)
+            slot = accepted.get(instance)
             if slot is not None and slot[0] == message.ballot \
                     and instance not in self.log:
                 self._learn(instance, slot[1])
         if self.persist and self.storage.dirty:
             self.storage.sync()  # flush piggyback-learned entries
 
-    # --- leader ----------------------------------------------------------
-
-    def _on_promise(self, message: Promise) -> None:
-        if (self.phase != PHASE_PREPARING or message.ballot != self.ballot
-                or message.from_instance != self._prepare_from):
-            return
-        self._promises[message.sender] = message.accepted
-        self._maybe_assume_leadership()
-
     def _on_accepted(self, message: Accepted) -> None:
-        if self.phase != PHASE_LEADING or message.ballot != self.ballot:
+        if self.phase != PHASE_LEADING \
+                or message.ballot != self.owner.ballot:
             return
         slot = self._open.get(message.instance)
         if slot is not None:
             slot.acks.add(message.sender)
             self._maybe_close(message.instance)
 
-    def _on_nack(self, message: Nack) -> None:
-        self._observe_round(message.promised)
-        if message.ballot == self.ballot and self.phase != PHASE_FOLLOWER:
-            # Someone promised higher: fall back; commands in open slots
-            # that fail to commit re-enter via client re-forwarding.
-            self.phase = PHASE_FOLLOWER
-            self._abandon_open()
-
-    def _observe_round(self, ballot: Ballot) -> None:
-        self._max_round_seen = max(self._max_round_seen, ballot.round)
-
-    # --- learner ----------------------------------------------------------
-
     def _on_decide(self, message: Decide | Decides) -> None:
         entries = message.entries
         for instance, value in entries:
             self._learn(instance, value)
         instances = tuple(instance for instance, _ in entries)
+        ack = (DecideAcks(self.pid, instances) if len(instances) > 1
+               else DecideAck(self.pid, *instances))
         # With persistence the ack waits for the one sync that covers
-        # every entry: an acked decide is never retransmitted, so an ack
-        # for an entry that then evaporated in a crash would leave the
-        # recovered log with a permanent hole.
-        self._reply_durably(
-            message.sender,
-            DecideAcks(self.pid, instances) if len(instances) > 1
-            else DecideAck(self.pid, *instances))
+        # every entry (``_learn`` buffered them): an acked decide is
+        # never retransmitted, so an ack for an entry that then
+        # evaporated in a crash would leave the recovered log with a
+        # permanent hole.
+        self._when_durable((), lambda: self.send(message.sender, ack))
+
+    def _on_decide_ack(self, message: DecideAck | DecideAcks) -> None:
+        for instance in message.instances:
+            acks = self._decide_acks.get(instance)
+            if acks is not None:
+                acks.add(message.sender)

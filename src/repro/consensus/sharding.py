@@ -38,8 +38,10 @@ import zlib
 from functools import partial
 from typing import Any, Callable, Hashable
 
+from repro.consensus.compaction import CompactingReplica
 from repro.consensus.config import ConsensusConfig
 from repro.consensus.node import ConsensusNode, ConsensusSystem, LinkMapFactory
+from repro.consensus.replica import LogReplica
 from repro.core.config import OmegaConfig
 from repro.core.registry import make_factory
 from repro.sim.engine import Simulation
@@ -93,56 +95,47 @@ class ShardedLog:
         :class:`~repro.consensus.compaction.CompactingReplica` replicas
         (compaction under sustained load); otherwise plain
         :class:`~repro.consensus.replica.LogReplica`.  ``persist`` puts
-        plain replicas' state on stable storage (ignored for compacting
-        groups, which are crash-stop today).
+        plain replicas' state on stable storage; compacting groups are
+        crash-stop, so the combination raises :class:`ValueError`.
         """
-        from repro.consensus.compaction import CompactingReplica  # no cycle
-        from repro.consensus.replica import LogReplica  # local: avoid cycle
-
         if groups < 1:
             raise ValueError("groups must be at least 1")
+        if machine_factory is not None and persist:
+            raise ValueError(
+                "machine_factory with persist=True is unsupported: "
+                "compacting replicas are crash-stop (no durable snapshots)")
         sim = Simulation(seed=seed)
         omega_factory = make_factory(omega_name, omega_config, n=n, f=f)
 
-        shared_fd: Network | None = None
-        shared_omegas: dict[int, Any] = {}
-        if shared_omega:
-            shared_fd = ConsensusSystem._network(
-                sim, links_factory, trace=False,
-                metrics_window=metrics_window)
-            shared_omegas = {
-                pid: omega_factory(pid, sim, shared_fd) for pid in range(n)}
+        def make_replica(pid: int, sim: Simulation, network: Network,
+                         leader_of: Callable[[], int]) -> LogReplica:
+            if machine_factory is not None:
+                return CompactingReplica(
+                    pid, sim, network, n, leader_of=leader_of,
+                    machine_factory=machine_factory, keep_tail=keep_tail,
+                    config=consensus_config)
+            return LogReplica(pid, sim, network, n, leader_of=leader_of,
+                              config=consensus_config, persist=persist)
 
+        if not shared_omega:
+            return cls(sim, tuple(
+                ConsensusSystem._build(sim, n, links_factory, omega_factory,
+                                       make_replica, False, metrics_window)
+                for _ in range(groups)), shared_omega)
+        # One failure-detector network and one Omega per machine, shared
+        # by every group's nodes.
+        fd_network = ConsensusSystem._network(
+            sim, links_factory, trace=False, metrics_window=metrics_window)
+        omegas = [omega_factory(pid, sim, fd_network) for pid in range(n)]
         built: list[ConsensusSystem] = []
         for _ in range(groups):
-            if shared_omega:
-                fd_network = shared_fd
-                omegas = shared_omegas
-            else:
-                fd_network = ConsensusSystem._network(
-                    sim, links_factory, trace=False,
-                    metrics_window=metrics_window)
-                omegas = {pid: omega_factory(pid, sim, fd_network)
-                          for pid in range(n)}
             ag_network = ConsensusSystem._network(
                 sim, links_factory, trace=False,
                 metrics_window=metrics_window)
-            nodes: dict[int, ConsensusNode] = {}
-            for pid in range(n):
-                if machine_factory is not None:
-                    replica: Any = CompactingReplica(
-                        pid, sim, ag_network, n,
-                        leader_of=omegas[pid].leader,
-                        machine_factory=machine_factory,
-                        keep_tail=keep_tail, config=consensus_config)
-                else:
-                    replica = LogReplica(
-                        pid, sim, ag_network, n,
-                        leader_of=omegas[pid].leader,
-                        config=consensus_config, persist=persist)
-                nodes[pid] = ConsensusNode(pid, omegas[pid], replica)
-            assert fd_network is not None
-            built.append(ConsensusSystem(sim, fd_network, ag_network, nodes))
+            built.append(ConsensusSystem(sim, fd_network, ag_network, {
+                pid: ConsensusNode(pid, omega, make_replica(
+                    pid, sim, ag_network, omega.leader))
+                for pid, omega in enumerate(omegas)}))
         return cls(sim, tuple(built), shared_omega)
 
     # ------------------------------------------------------------------

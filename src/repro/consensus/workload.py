@@ -20,22 +20,18 @@ leader) and survives leader crashes.
 For population-scale load (client fleets, Zipf skew, open/closed loops,
 sharded logs) see :mod:`repro.load`, which builds on the same submit/
 retry discipline.
-
-:class:`LogWorkload` — the old constructor that scheduled timers as an
-``__init__`` side effect — remains as a deprecation shim.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
 from repro.consensus.node import ConsensusSystem
 from repro.consensus.replica import LogReplica, entry_commands
 
-__all__ = ["WorkloadSpec", "WorkloadDriver", "WorkloadOutcome", "LogWorkload"]
+__all__ = ["WorkloadSpec", "WorkloadDriver", "WorkloadOutcome"]
 
 
 def _require_finite_positive(name: str, value: float) -> None:
@@ -270,29 +266,3 @@ class WorkloadDriver:
                     self.shed += 1
         self.system.sim.call_after(self.retry_period, self._retry)
 
-
-class LogWorkload(WorkloadDriver):
-    """Deprecated constructor-style workload (timers scheduled eagerly).
-
-    .. deprecated:: 1.3
-        Build workloads from a spec instead::
-
-            driver = WorkloadSpec(count=30, period=0.5).build(system)
-
-        ``LogWorkload(system, count, period, ...)`` validates, attaches
-        and schedules in one constructor call, which made workloads
-        impossible to describe without side effects.  The shim keeps the
-        old signature working (it emits a :class:`DeprecationWarning`
-        and delegates to :class:`WorkloadSpec`).
-    """
-
-    def __init__(self, system: ConsensusSystem, count: int, period: float,
-                 start: float = 0.0, retry_period: float = 5.0) -> None:
-        warnings.warn(
-            "LogWorkload(system, ...) is deprecated; use "
-            "WorkloadSpec(count=..., period=..., ...).build(system)",
-            DeprecationWarning, stacklevel=2)
-        spec = WorkloadSpec(count=count, period=period, start=start,
-                            retry_period=retry_period)
-        super().__init__(spec, system)
-        self._attach()

@@ -164,7 +164,7 @@ class SoakResult:
     case: SoakCase
     status: str                # "ok" | "fail" | "model-violation"
     detail: str
-    outcome: str = ""          # 16-hex digest of the run's observables
+    outcome: str               # 16-hex digest of the run's observables
 
     @property
     def ok(self) -> bool:
@@ -321,9 +321,12 @@ def run_soak_case(case: SoakCase) -> SoakResult:
 def _result(case: SoakCase, status: str, detail: str,
             observed: tuple = ()) -> SoakResult:
     """Seal a result: ``outcome`` hashes the status and the observables."""
-    payload = repr((status, *observed)).encode()
     return SoakResult(case, status, detail,
-                      hashlib.sha256(payload).hexdigest()[:16])
+                      _digest(repr((status, *observed))))
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _census(network) -> tuple:  # noqa: ANN001 - any observed Network
@@ -339,11 +342,13 @@ def _storage_counts(process) -> tuple[int, int, int]:  # noqa: ANN001
 
 def _consensus_observables(system: ConsensusSystem, per_process) -> tuple:  # noqa: ANN001
     """Both networks' send censuses, then one row per process."""
+    rows = []
+    for pid in system.pids:
+        process = system.node(pid).agreement
+        rows.append((pid, *per_process(process), process.promised,
+                     _storage_counts(process)))
     return (_census(system.fd_network), _census(system.agreement_network),
-            tuple((pid, *per_process(system.node(pid).agreement),
-                   system.node(pid).agreement.promised,
-                   _storage_counts(system.node(pid).agreement))
-                  for pid in system.pids))
+            tuple(rows))
 
 
 def _execute(case: SoakCase) -> tuple[bool, str, tuple]:
@@ -509,8 +514,7 @@ def campaign_digest(cases: Sequence[Describable]) -> str:
     :class:`SoakCase` and :class:`repro.live.chaos.LiveSoakCase` alike —
     so sim and live campaigns share one digest convention.
     """
-    payload = "\n".join(case.describe() for case in cases)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return _digest("\n".join(case.describe() for case in cases))
 
 
 def outcome_digest(results: Sequence[SoakResult]) -> str:
@@ -520,9 +524,8 @@ def outcome_digest(results: Sequence[SoakResult]) -> str:
     status, leaders, message census, decisions, commit indexes, promises
     or storage syncs move — on the same plans (:func:`campaign_digest`).
     """
-    payload = "\n".join(f"#{result.case.index} {result.outcome}"
-                        for result in results)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return _digest("\n".join(f"#{result.case.index} {result.outcome}"
+                             for result in results))
 
 
 def soak(cases: int | None = None, minutes: float | None = None,

@@ -139,7 +139,8 @@ class LoadSpec:
     :class:`~repro.consensus.config.ConsensusConfig` — ``window`` is the
     pipelining depth (``max_batch``).  ``compacting=True`` runs
     compacting replicas (journal machines, ``keep_tail`` retained
-    entries) so snapshots happen under sustained write load.
+    entries) so snapshots happen under sustained write load; they are
+    crash-stop, so combining it with ``persist=True`` is rejected.
 
     Fleet shape
     -----------
@@ -206,6 +207,9 @@ class LoadSpec:
         _require(self.queue_limit is None or self.queue_limit >= 1,
                  f"queue_limit must be None or at least 1, "
                  f"got {self.queue_limit!r}")
+        _require(not (self.compacting and self.persist),
+                 "compacting=True with persist=True is unsupported: "
+                 "compacting replicas are crash-stop (no durable snapshots)")
 
     def consensus_config(self) -> ConsensusConfig:
         """The replica-side knobs this spec implies."""

@@ -55,9 +55,9 @@ class TestSingleDecreeDuels:
         for process in processes:
             process.start()
         old = Ballot(proposer.ballot.round - 1, 0)
-        before = dict(proposer._promises)
+        before = dict(proposer.owner.promises)
         proposer.deliver(Promise(1, old, 0, ()))
-        assert proposer._promises == before
+        assert proposer.owner.promises == before
 
     def test_stale_accept_ack_ignored(self) -> None:
         leaders = {0: 0}
@@ -134,7 +134,7 @@ class TestReplicaDuels:
         acceptor.start()
         acceptor.deliver(Propose(1, Ballot(1, 1), 0, (0, "a"), -1))
         acceptor.deliver(Prepare(2, Ballot(2, 2), from_instance=5))
-        assert acceptor._accepted_report(5) == ()
+        assert acceptor.acceptor.report(5) == ()
 
     def test_competing_replica_leaders_stay_prefix_consistent(self) -> None:
         leaders = {0: 0, 1: 1}

@@ -103,6 +103,13 @@ class TestLoadSpecValidation:
         with pytest.raises(ValueError, match="queue_limit"):
             LoadSpec(queue_limit=0)
 
+    def test_compacting_with_persist_is_rejected_by_name(self) -> None:
+        # Compacting replicas are crash-stop: a silently unpersisted run
+        # would still report retransmit counters as if it had persisted.
+        with pytest.raises(ValueError, match="compacting=True with "
+                                             "persist=True is unsupported"):
+            LoadSpec(compacting=True, persist=True)
+
 
 SMALL_OPEN = dict(n=5, clients=50, keys=32, rate=8.0, start=3.0,
                   duration=12.0, horizon=60.0, seed=4)
@@ -217,6 +224,14 @@ class TestShardedLoad:
                            duration=12.0, horizon=60.0, seed=5).run()
         assert outcome.done
         assert outcome.verdict.ok
+
+    def test_machine_factory_with_persist_is_rejected_by_name(self) -> None:
+        from repro.consensus import JournalMachine
+
+        with pytest.raises(ValueError, match="machine_factory with "
+                                             "persist=True is unsupported"):
+            ShardedLog.build(3, 2, lambda: source_links(3, 1, FAST),
+                             machine_factory=JournalMachine, persist=True)
 
 
 class TestBatchedSlotsProperty:

@@ -56,10 +56,13 @@ class TestLoadSurface:
             assert name in repro.__all__
             assert hasattr(repro, name)
 
-    def test_deprecated_shim_still_exported(self) -> None:
-        # LogWorkload stays importable for one release (shim policy).
-        assert "LogWorkload" in repro.__all__
-        assert hasattr(repro, "LogWorkload")
+    def test_deprecated_shim_is_gone(self) -> None:
+        # LogWorkload was kept for one release (shim policy), then cut.
+        import repro.consensus
+
+        for module in (repro, repro.consensus, repro.consensus.workload):
+            assert "LogWorkload" not in module.__all__
+            assert not hasattr(module, "LogWorkload")
 
     def test_spec_types_are_frozen(self) -> None:
         import dataclasses

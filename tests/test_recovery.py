@@ -268,6 +268,67 @@ class TestPersistedConsensus:
         ok, detail = recovery_control_case(persist=True)
         assert ok
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect (docs/RECOVERY.md, 'Known gap'; the fix moves the "
+        "pinned recovery schedules): on_recover restores the ballot "
+        "round from the process's OWN last round only, so a recovered "
+        "owner may start a ballot below the promise it restored, count "
+        "its implicit promise and vote for it, and undercut the quorum "
+        "it promised"))
+    def test_recovered_owner_stays_above_the_promise_it_restored(
+            self) -> None:
+        # Hand-delivered, legal schedule (asynchrony + one bounce + a
+        # transiently wrong Omega): p2 prepares ballot (0, 2) with
+        # {p2, p0} and proposes v2; p0 bounces, trusts itself, and runs
+        # ballot (0, 0) — below its durable promise — with the fresh p1.
+        from repro.consensus import ConsensusConfig, SingleDecreeConsensus
+        from repro.consensus.messages import (Accepted, Prepare, Promise,
+                                              Propose)
+
+        sim = Simulation()
+        network = Network(sim)
+        leaders = {0: 99, 1: 99, 2: 2}
+        outbox: list = []
+        processes = [
+            SingleDecreeConsensus(
+                pid, sim, network, 3, f"v{pid}",
+                leader_of=lambda pid=pid: leaders[pid],
+                config=ConsensusConfig(sync_latency=0.0), persist=True)
+            for pid in range(3)]
+        for process in processes:
+            process.send = (lambda dst, message, src=process.pid:
+                            outbox.append((src, dst, message)))
+
+        def take(kind: type, src: int, dst: int):  # noqa: ANN202
+            found = next(entry for entry in outbox
+                         if isinstance(entry[2], kind)
+                         and entry[:2] == (src, dst))
+            outbox.remove(found)
+            return found[2]
+
+        p0, p1, p2 = processes
+        p2.start()
+        p0.start()
+        p0.deliver(take(Prepare, 2, 0))
+        p2.deliver(take(Promise, 0, 2))
+        sim.run_until(0.6)  # p2's next tick proposes to p1 as well
+        delayed = take(Propose, 2, 1)
+        p0.crash()
+        leaders[0] = 0
+        p0.recover()
+        p1.start()
+        p1.deliver(take(Prepare, 0, 1))
+        p0.deliver(take(Promise, 1, 0))
+        p1.deliver(take(Propose, 0, 1))
+        p0.deliver(take(Accepted, 1, 0))
+        p1.deliver(delayed)
+        answers = [entry for entry in outbox if entry[:2] == (1, 2)]
+        if answers and isinstance(answers[-1][2], Accepted):
+            p2.deliver(answers[-1][2])
+        decisions = {process.decision for process in processes
+                     if process.decision is not None}
+        assert len(decisions) <= 1, f"agreement violated: {decisions}"
+
 
 # ----------------------------------------------------------------------
 # Recovery soak campaign

@@ -131,7 +131,7 @@ def leading_replica(open_slots: int, unacked: int,
     replicas = [LogReplica(pid, sim, network, 3, leader_of=lambda: 0,
                            config=config, persist=True) for pid in range(3)]
     leader = replicas[0]
-    leader.ballot = Ballot(0, 0)
+    leader.owner.ballot = Ballot(0, 0)
     leader.phase = PHASE_LEADING
     for instance in range(unacked):
         leader.log[instance] = (("d", instance), "x")

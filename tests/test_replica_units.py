@@ -35,7 +35,7 @@ class TestAcceptor:
         acceptor.deliver(Propose(1, ballot, 5, (8, "y"), -1))
         acceptor.deliver(Prepare(2, Ballot(2, 2), 4))
         # The promise to 2 must include instance 5 but not instance 3.
-        report = acceptor._accepted_report(4)
+        report = acceptor.acceptor.report(4)
         instances = [instance for instance, _ in report]
         assert instances == [5]
 

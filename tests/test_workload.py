@@ -8,7 +8,6 @@ import pytest
 
 from repro.consensus import (
     ConsensusSystem,
-    LogWorkload,
     WorkloadOutcome,
     WorkloadSpec,
 )
@@ -118,19 +117,3 @@ class TestCompletion:
         document = outcome.to_json()
         assert set(document["latency_s"]) == {"p50", "p95", "p99"}
 
-
-class TestDeprecationShim:
-    def test_logworkload_warns_and_works(self) -> None:
-        system = build()
-        with pytest.warns(DeprecationWarning, match="WorkloadSpec"):
-            workload = LogWorkload(system, count=4, period=0.5, start=3.0)
-        system.start_all()
-        system.run_until(60.0)
-        assert workload.done()
-        assert workload.submitted == {f"cmd-{i}" for i in range(4)}
-
-    def test_logworkload_validates_like_spec(self) -> None:
-        system = build()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="period"):
-                LogWorkload(system, count=1, period=math.nan)
