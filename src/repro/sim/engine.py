@@ -20,30 +20,34 @@ appear nowhere in this module.
 
 Hot path: the two-tier calendar queue
 -------------------------------------
-The scheduler keeps two structures instead of one binary heap:
+The scheduler keeps two structures instead of one binary heap, and one
+rule decides between them — **the heap is for what can be cancelled**:
 
-* **Time buckets** for fire-and-forget events (``post_at``/``post_after``/
-  ``post_batch`` — message deliveries, probe ticks).  A bucket is a plain
-  list covering one fixed-width span of simulated time, keyed by
-  ``int(time * (1 / bucket_width))``.  Appending is O(1) amortized with
-  no heap discipline; when the run loop reaches a bucket it sorts the
-  list once (C-level tuple sort over ``(time, seq, event)``) and then
-  drains it by walking an index — the per-event cost drops from
-  O(log n) heap pushes/pops to an append and an index increment.
-* **An overflow heap** for everything that cannot live in a bucket:
-  cancellable events (``call_at``/``call_after`` return an
-  :class:`EventHandle`; tombstones and compaction stay heap-only) and
-  late posts whose time falls inside the span the run loop has already
-  opened (``time < _drained_until``).  The heap is ordered by the same
-  ``(time, seq, event)`` tuples as before.
+* **The calendar** holds every fire-and-forget event (``post_at``/
+  ``post_after``/``post_batch`` — message deliveries, probe ticks) as a
+  bare ``(time, seq, action)`` tuple: no handle exists that could
+  observe a :class:`ScheduledEvent`.  A bucket is a plain list covering
+  one fixed-width span of simulated time, keyed by
+  ``int(time * (1 / bucket_width))``; appending is O(1).  When the run
+  loop reaches a bucket it sorts the list once and drains it by walking
+  an index — that list is the **open window**.  A post whose time falls
+  inside the span already opened (``time < _drained_until``: most
+  deliveries, with 1–50 ms link delays and a 62.5 ms bucket) is merged
+  into the window past the read index — ``bisect.insort`` for one post,
+  one tail sort for a batch — which is exact because a new entry's
+  ``(time, seq)`` sorts after every executed one.
+* **The heap** holds the cancellable events (``call_at``/``call_after``
+  return an :class:`EventHandle`) as ``(time, seq, ScheduledEvent)``, so
+  tombstones and compaction stay heap-only.  Its only other tenants are
+  posts at or beyond 2**60 s, whose bucket index is not representable.
 
 The run loop merges the two tiers with a two-pointer walk: the next event
-is whichever of (current bucket entry, live heap top) has the smaller
+is whichever of (current window entry, live heap top) has the smaller
 ``(time, seq)``.  Because seq is unique, this reproduces exactly the total
 order a single heap would produce — the calendar queue is a throughput
 optimization, not a semantic change, and the differential property test
-(``tests/test_scheduler_differential.py``) holds it to that against
-:class:`ReferenceSimulation`.
+(``tests/test_scheduler_differential.py``) holds it to that against the
+heap-only kernel beside it, ``tests/reference_kernel.py``.
 
 Why the bucket width must be a power of two: the mapping
 ``int(time * inv_width)`` and the window boundary ``(index + 1) * width``
@@ -54,7 +58,7 @@ point, so the mapping is monotone and ``time < (index + 1) * width``
 holds for every time in bucket ``index`` — no epsilon, no edge cases.
 
 Cancellation tombstones events in O(1) and the engine drops tombstones
-when they surface; a compaction sweep rebuilds the overflow heap when
+when they surface; a compaction sweep rebuilds the heap when
 tombstones outnumber live events (threshold configurable via
 ``compact_threshold``), so a workload that constantly resets timers
 cannot grow the heap without bound.
@@ -70,19 +74,23 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import insort
 from typing import Callable, Iterable, Iterator
 
 from repro.sim.events import EventHandle, ScheduledEvent
 from repro.sim.rng import RngFabric
 
-__all__ = ["Simulation", "ReferenceSimulation", "SimulationError"]
+__all__ = ["Simulation", "SimulationError"]
 
 _INF = float("inf")
 
-# Times at or beyond this are routed straight to the overflow heap: the
-# bucket index of e.g. float("inf") is not representable, and a bucket
-# dict spanning 2**60 seconds of calendar would never be reached anyway.
+# Posts at or beyond this are routed to the heap: the bucket index of
+# e.g. float("inf") is not representable, and a bucket dict spanning
+# 2**60 seconds of calendar would never be reached anyway.
 _FAR_HORIZON = 2.0 ** 60
+
+# A calendar entry carries the bare action, no ScheduledEvent.
+_Entry = tuple[float, int, Callable[[], None]]
 
 
 class SimulationError(RuntimeError):
@@ -100,16 +108,17 @@ class Simulation:
         calls execute identical event interleavings.
     compact_threshold:
         Minimum number of tombstones before a cancellation can trigger a
-        compaction sweep of the overflow heap (the sweep additionally
-        requires tombstones to be at least half the heap).  Lower values
+        compaction sweep of the heap (the sweep additionally requires
+        tombstones to be at least half the heap).  Lower values
         bound heap memory tighter at the price of more frequent O(heap)
         sweeps; the default keeps the amortized cost of a cancel at
         O(log n).
     bucket_width:
         Span of simulated seconds covered by one calendar bucket.  Must
         be a positive power of two (see the module docstring for why);
-        the default of 1/16 s keeps a heartbeat-scale workload (η ≈ 0.5 s,
-        δ ≈ 0.05 s) at a handful of events per bucket per process.
+        the default of 1/16 s sits just above the usual link delay bound
+        (δ ≈ 0.05 s), so a heartbeat's fan-out lands in the window that
+        is already open and is merged into it rather than bucketed.
     """
 
     def __init__(self, seed: int = 0, *, compact_threshold: int = 64,
@@ -126,22 +135,22 @@ class Simulation:
         self._compact_threshold = compact_threshold
         self._bucket_width = bucket_width
         self._inv_width = 1.0 / bucket_width  # exact: width is 2**-k
-        # Tier 1: calendar buckets of (time, seq, event) tuples, keyed by
+        # Tier 1: calendar buckets of (time, seq, action) tuples, keyed by
         # int(time * inv_width).  Only fire-and-forget events live here.
-        self._buckets: dict[int, list[tuple[float, int, ScheduledEvent]]] = {}
+        self._buckets: dict[int, list[_Entry]] = {}
         # Min-heap of bucket keys, pushed once per bucket creation, so
         # finding the next window is O(log buckets) instead of O(buckets).
         self._bucket_order: list[int] = []
         # The open window: the sorted entries of the bucket currently
         # being drained, and the index of the next entry to run.
-        self._entries: list[tuple[float, int, ScheduledEvent]] = []
+        self._entries: list[_Entry] = []
         self._entry_idx = 0
-        # End of the last opened window.  Fire-and-forget posts with
-        # time < _drained_until must go to the heap: their bucket's
-        # sorted snapshot has already been taken.
+        # End of the last opened window: every window entry lies below
+        # it, every bucket entry at or above, and a post below it is
+        # merged into _entries past _entry_idx.
         self._drained_until = 0.0
-        # Tier 2: the overflow heap.  Entries are (time, seq, event);
-        # seq is unique so tuple comparison never reaches the event.
+        # Tier 2: the heap of cancellable events, as (time, seq, event).
+        # seq is unique, so no tuple comparison reaches the third field.
         self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._tombstones = 0
         self._cancels = 0
@@ -175,11 +184,10 @@ class Simulation:
         """Kernel profiling counters, all integers and fully deterministic.
 
         * ``events_executed`` — live events whose actions ran;
-        * ``heap_pushes`` — events ever scheduled (the insertion counter,
-          so this costs the hot path nothing extra; bucket appends count
-          the same as heap pushes);
-        * ``heap_pops`` — extractions of live events (from either tier)
-          plus tombstone discards;
+        * ``heap_pushes`` — events ever scheduled, either tier (the
+          insertion counter; most never touch the heap, but committed
+          bench rows record the name);
+        * ``heap_pops`` — events run plus tombstones discarded;
         * ``tombstone_pops`` — cancelled events discarded at pop time;
         * ``compactions`` — tombstone sweeps that rebuilt the heap;
         * ``pending`` — live events still queued.
@@ -207,7 +215,7 @@ class Simulation:
         at exactly ``now`` is allowed and runs after currently queued
         events for ``now``.  Returns a handle whose ``cancel()`` is O(1).
 
-        Cancellable events always live on the overflow heap — tombstone
+        Cancellable events always live on the heap — tombstone
         accounting and compaction never have to look inside buckets.
         """
         if time < self._now:
@@ -231,9 +239,10 @@ class Simulation:
 
         Fire-and-forget fast path for events that are never cancelled
         (message deliveries, probe re-arms).  Identical ordering semantics
-        to :meth:`call_at`; it skips the :class:`EventHandle` allocation
-        and, in the common case, the heap entirely — the event is
-        appended to its calendar bucket in O(1).
+        to :meth:`call_at`, without the handle, the event object or the
+        heap: the action is appended to its calendar bucket in O(1) or,
+        when its time falls inside the window already open, inserted
+        into that window's sorted list.
         """
         now = self._now
         if time < now:
@@ -242,20 +251,22 @@ class Simulation:
             )
         seq = self._seq
         self._seq = seq + 1
-        entry = (time, seq, ScheduledEvent(time, seq, action))
-        if time < self._drained_until or time >= _FAR_HORIZON:
-            # The event's bucket span is already open (or being drained):
-            # its sorted snapshot was taken, so late arrivals merge
-            # through the heap instead.
-            heapq.heappush(self._heap, entry)
-            return
-        index = int(time * self._inv_width)
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            self._buckets[index] = [entry]
-            heapq.heappush(self._bucket_order, index)
+        if time < self._drained_until:
+            # The bucket span is already open and its sorted snapshot
+            # taken: merge into that.  Every entry before _entry_idx has
+            # run, hence sorts before this one.
+            insort(self._entries, (time, seq, action), self._entry_idx)
+        elif time >= _FAR_HORIZON:
+            heapq.heappush(self._heap,
+                           (time, seq, ScheduledEvent(time, seq, action)))
         else:
-            bucket.append(entry)
+            index = int(time * self._inv_width)
+            bucket = self._buckets.get(index)
+            if bucket is None:
+                self._buckets[index] = [(time, seq, action)]
+                heapq.heappush(self._bucket_order, index)
+            else:
+                bucket.append((time, seq, action))
 
     def post_after(self, delay: float, action: Callable[[], None]) -> None:
         """Handle-free :meth:`call_after`; see :meth:`post_at`."""
@@ -271,15 +282,16 @@ class Simulation:
         One kernel call for a whole fan-out (a broadcast's n−1 delivery
         events): seq numbers are assigned in iteration order, so the
         result is indistinguishable from calling :meth:`post_at` once per
-        pair — just without n−1 rounds of attribute traffic and bounds
-        checks.
+        pair — just without n−1 rounds of attribute traffic, and with
+        the items that fall inside the open window merged into it by one
+        sort instead of one insertion each.
         """
         now = self._now
         drained_until = self._drained_until
         inv_width = self._inv_width
         buckets = self._buckets
-        heap = self._heap
         heappush = heapq.heappush
+        late: list[_Entry] = []
         seq = self._seq
         try:
             for time, action in items:
@@ -287,20 +299,29 @@ class Simulation:
                     raise SimulationError(
                         f"cannot schedule at t={time} before now={now}"
                     )
-                entry = (time, seq, ScheduledEvent(time, seq, action))
-                seq += 1
-                if time < drained_until or time >= _FAR_HORIZON:
-                    heappush(heap, entry)
-                    continue
-                index = int(time * inv_width)
-                bucket = buckets.get(index)
-                if bucket is None:
-                    buckets[index] = [entry]
-                    heappush(self._bucket_order, index)
+                if time < drained_until:
+                    late.append((time, seq, action))
+                elif time >= _FAR_HORIZON:
+                    heappush(self._heap,
+                             (time, seq, ScheduledEvent(time, seq, action)))
                 else:
-                    bucket.append(entry)
+                    index = int(time * inv_width)
+                    bucket = buckets.get(index)
+                    if bucket is None:
+                        buckets[index] = [(time, seq, action)]
+                        heappush(self._bucket_order, index)
+                    else:
+                        bucket.append((time, seq, action))
+                seq += 1
         finally:
             self._seq = seq
+            if late:
+                # In place: a running _run holds this list and its index.
+                entries = self._entries
+                idx = self._entry_idx
+                tail = entries[idx:] + late
+                tail.sort()
+                entries[idx:] = tail
 
     def add_probe(self, period: float, probe: Callable[[float], None]) -> None:
         """Run ``probe(now)`` every ``period`` simulated seconds, forever.
@@ -353,31 +374,24 @@ class Simulation:
             if idx < len(entries):
                 # Two-pointer merge of the open window with the heap.
                 entry = entries[idx]
-                if head is not None and head < entry:
-                    if head[0] > deadline:
-                        break
-                    heappop(heap)
-                    entry = head
-                else:
+                if head is None or entry < head:
                     if entry[0] > deadline:
                         break
                     idx += 1
                     self._entry_idx = idx
-                event = entry[2]
-                self._now = entry[0]
-                self._executed += 1
-                executed += 1
-                event.fired = True
-                event.action()
-                continue
-
-            # The open window's bucket is spent; release its storage.
-            if entries:
+                    self._now = entry[0]
+                    self._executed += 1
+                    executed += 1
+                    entry[2]()
+                    continue
+            elif entries:
+                # The open window's bucket is spent; release its storage.
                 entries = self._entries = []
                 idx = self._entry_idx = 0
 
-            # Heap events inside the already-opened span run before any
-            # new window (late posts and timers landed here).
+            # A heap event inside the already-opened span (every window
+            # entry is, so this covers the merge above) runs before any
+            # new window; a late post it makes refills the window.
             if head is not None and head[0] < self._drained_until:
                 if head[0] > deadline:
                     break
@@ -523,211 +537,3 @@ class Simulation:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulation(now={self._now:.3f}, pending={self.pending()})"
-
-
-class ReferenceSimulation:
-    """The pre-calendar-queue scheduler: one binary heap, nothing else.
-
-    Retained as the differential-testing oracle: it is the simplest
-    correct implementation of the kernel's ordering contract, and
-    ``tests/test_scheduler_differential.py`` runs randomized workloads
-    through both schedulers and asserts identical event orderings.  The
-    public API matches :class:`Simulation` (including :meth:`post_batch`
-    and :meth:`run_batch`, which degrade to their unbatched forms here).
-    Do not use it outside tests — it is the slow path by construction.
-    """
-
-    def __init__(self, seed: int = 0, *, compact_threshold: int = 64) -> None:
-        if compact_threshold < 1:
-            raise SimulationError(
-                f"compact_threshold must be >= 1, got {compact_threshold}")
-        self._now = 0.0
-        self._seq = 0
-        self._compact_threshold = compact_threshold
-        self._heap: list[tuple[float, int, ScheduledEvent]] = []
-        self._tombstones = 0
-        self._cancels = 0
-        self._executed = 0
-        self._tombstone_pops = 0
-        self._compactions = 0
-        self._rng = RngFabric(seed)
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def rng(self) -> RngFabric:
-        return self._rng
-
-    @property
-    def events_executed(self) -> int:
-        return self._executed
-
-    def profile(self) -> dict[str, int]:
-        """Same counters as :meth:`Simulation.profile`."""
-        return {
-            "events_executed": self._executed,
-            "heap_pushes": self._seq,
-            "heap_pops": self._executed + self._tombstone_pops,
-            "tombstone_pops": self._tombstone_pops,
-            "compactions": self._compactions,
-            "pending": self.pending(),
-        }
-
-    def call_at(self, time: float, action: Callable[[], None]) -> EventHandle:
-        """Heap-scheduled :meth:`Simulation.call_at`; returns a handle."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}")
-        seq = self._seq
-        self._seq = seq + 1
-        event = ScheduledEvent(time, seq, action)
-        heapq.heappush(self._heap, (time, seq, event))
-        return EventHandle(event, self)
-
-    def call_after(self, delay: float, action: Callable[[], None]) -> EventHandle:
-        """Relative form of :meth:`call_at`."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.call_at(self._now + delay, action)
-
-    def post_at(self, time: float, action: Callable[[], None]) -> None:
-        """Handle-free :meth:`call_at`; still one heap push here."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}")
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._heap, (time, seq, ScheduledEvent(time, seq, action)))
-
-    def post_after(self, delay: float, action: Callable[[], None]) -> None:
-        """Relative form of :meth:`post_at`."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self.post_at(self._now + delay, action)
-
-    def post_batch(
-        self, items: Iterable[tuple[float, Callable[[], None]]],
-    ) -> None:
-        """Unbatched reference semantics: one :meth:`post_at` per pair."""
-        for time, action in items:
-            self.post_at(time, action)
-
-    def add_probe(self, period: float, probe: Callable[[float], None]) -> None:
-        """Run ``probe(now)`` every ``period`` seconds, forever."""
-        if period <= 0:
-            raise SimulationError(f"probe period must be positive, got {period}")
-
-        def fire() -> None:
-            probe(self._now)
-            self.post_after(period, fire)
-
-        self.post_after(period, fire)
-
-    def step(self) -> bool:
-        """Run the single next live event; False if none queued."""
-        heap = self._heap
-        while heap:
-            time, _seq, event = heapq.heappop(heap)
-            if event.cancelled:
-                self._tombstones -= 1
-                self._tombstone_pops += 1
-                continue
-            self._now = time
-            self._executed += 1
-            event.fired = True
-            event.action()
-            return True
-        return False
-
-    def run_until(self, deadline: float) -> None:
-        """Run events with ``time <= deadline``; leave ``now == deadline``."""
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            time, _seq, event = heap[0]
-            if event.cancelled:
-                pop(heap)
-                self._tombstones -= 1
-                self._tombstone_pops += 1
-                continue
-            if time > deadline:
-                break
-            pop(heap)
-            self._now = time
-            self._executed += 1
-            event.fired = True
-            event.action()
-        if deadline > self._now:
-            self._now = deadline
-
-    def run_for(self, duration: float) -> None:
-        """Run for ``duration`` simulated seconds from now."""
-        self.run_until(self._now + duration)
-
-    def run_batch(self, deadline: float = _INF) -> int:
-        """Window-drain with :class:`Simulation`'s default bucket width."""
-        # Reference semantics for Simulation.run_batch: same window
-        # selection, plain heap execution, clock left on the last event.
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._tombstones -= 1
-            self._tombstone_pops += 1
-        if not heap or heap[0][0] > deadline:
-            return 0
-        width = 0.0625
-        window_end = (int(heap[0][0] / width) + 1) * width
-        cap = min(deadline, math.nextafter(window_end, 0.0))
-        executed = 0
-        while heap:
-            time, _seq, event = heap[0]
-            if event.cancelled:
-                heapq.heappop(heap)
-                self._tombstones -= 1
-                self._tombstone_pops += 1
-                continue
-            if time > cap:
-                break
-            heapq.heappop(heap)
-            self._now = time
-            self._executed += 1
-            executed += 1
-            event.fired = True
-            event.action()
-        return executed
-
-    def drain(self, max_events: int = 1_000_000) -> int:
-        """Run until empty; raise after ``max_events`` as a loop guard."""
-        count = 0
-        while self.step():
-            count += 1
-            if count >= max_events:
-                raise SimulationError("drain() exceeded max_events; "
-                                      "did you drain a self-perpetuating schedule?")
-        return count
-
-    def pending(self) -> int:
-        """Number of queued live events."""
-        return self._seq - self._executed - self._cancels
-
-    def pending_times(self) -> Iterable[float]:
-        """Times of queued live events, unsorted."""
-        return (entry[0] for entry in self._heap if not entry[2].cancelled)
-
-    def _note_cancelled(self) -> None:
-        self._cancels += 1
-        self._tombstones += 1
-        tombstones = self._tombstones
-        heap = self._heap
-        if (tombstones >= self._compact_threshold
-                and tombstones * 2 >= len(heap)):
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
-            heapq.heapify(heap)
-            self._tombstones = 0
-            self._compactions += 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ReferenceSimulation(now={self._now:.3f}, "
-                f"pending={self.pending()})")

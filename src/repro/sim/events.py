@@ -14,11 +14,12 @@ compaction sweep (see :meth:`repro.sim.engine.Simulation` internals).
 Nothing is ever removed from the middle of the heap, which keeps every
 heap operation O(log n).
 
-Under the calendar-queue scheduler, only cancellable events (those with
-an :class:`EventHandle`, from ``call_at``/``call_after``) live on the
-overflow heap; fire-and-forget events go to the calendar buckets and
-are never tombstoned — which is what keeps tombstone accounting and
-compaction heap-only and cheap.
+Under the calendar-queue scheduler a :class:`ScheduledEvent` exists only
+where a handle can observe it: cancellable events (``call_at``/
+``call_after``) live on the heap, one object each.  Fire-and-forget
+posts are bare ``(time, seq, action)`` tuples in the calendar and are
+never tombstoned — which keeps tombstone accounting and compaction
+heap-only and cheap.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ class ScheduledEvent:
         self.action = action
         self.cancelled = False
         self.fired = False
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""

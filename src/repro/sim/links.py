@@ -91,7 +91,8 @@ def _uniform_delay(rng: random.Random, lo: float, hi: float) -> float:
         raise ValueError(f"delay bounds reversed: [{lo}, {hi}]")
     if hi == lo:
         return lo
-    return rng.uniform(lo, hi)
+    # Random.uniform's own expression, minus its frame (once per copy).
+    return lo + (hi - lo) * rng.random()
 
 
 class TimelyLink(LinkPolicy):

@@ -68,6 +68,8 @@ class MetricsCollector(Observer):
         self._window_senders: dict[int, set[int]] = defaultdict(set)
         self._window_links: dict[int, set[tuple[int, int]]] = defaultdict(set)
         self._window_messages: Counter[int] = Counter()
+        # A fan-out names the same links every time: (src, dsts) -> links.
+        self._batch_links: dict[tuple, tuple[tuple[int, int], ...]] = {}
 
     # ------------------------------------------------------------------
     # Feed (called by the network's observer hub)
@@ -89,7 +91,9 @@ class MetricsCollector(Observer):
 
         Batch-aware form of :meth:`on_send`: the aggregates end up
         identical, but the per-sender/per-kind/per-window counters are
-        bumped once by ``len(dsts)`` instead of ``len(dsts)`` times.
+        bumped once by ``len(dsts)`` instead of ``len(dsts)`` times, and
+        the per-link ones are fed the fan-out's cached link tuple in one
+        C-level ``update`` each.
         """
         count = len(dsts)
         self.sent_by_sender[src] += count
@@ -97,11 +101,12 @@ class MetricsCollector(Observer):
         index = int(time // self.window)
         self._window_senders[index].add(src)
         self._window_messages[index] += count
-        sent_by_link = self.sent_by_link
-        window_links = self._window_links[index]
-        for dst in dsts:
-            sent_by_link[(src, dst)] += 1
-            window_links.add((src, dst))
+        links = self._batch_links.get((src, dsts))
+        if links is None:
+            links = self._batch_links[(src, dsts)] = tuple(
+                (src, dst) for dst in dsts)
+        self.sent_by_link.update(links)
+        self._window_links[index].update(links)
 
     def on_deliver(self, time: float, src: int, dst: int, kind: str,
                    sent_at: float = 0.0) -> None:

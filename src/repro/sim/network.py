@@ -40,6 +40,9 @@ re-deriving anything per call:
   instead of n−1 independent ``send()``s.  Observer and ordering
   semantics are bit-for-bit those of the send loop it replaces — see
   :meth:`Network.broadcast`.
+* What remains per copy — the delay draw at send time, ``_deliver`` at
+  delivery time — reads fields, not properties, and under
+  ``link_rng="src"`` a sender's stream is looked up once, not per link.
 * Observer dispatch iterates the hub's precomputed per-event callback
   tuples — an empty tuple (no observer overrides that hook) costs one
   truthiness check, exactly like the old lazy-trace guard.
@@ -169,6 +172,8 @@ class Network:
         self._pid_tuple: tuple[int, ...] = ()
         self._stride = 0
         self._route_table: list[tuple[LinkPolicy, random.Random] | None] | None = None
+        # link_rng="src": each sender's stream, looked up once per sender.
+        self._src_streams: dict[int, random.Random] = {}
 
     # ------------------------------------------------------------------
     # Observer accessors
@@ -279,7 +284,11 @@ class Network:
     def _link_stream(self, src: int, dst: int) -> random.Random:
         if self.link_rng == "pair":
             return self.sim.rng.stream("link", src, dst)
-        return self.sim.rng.stream("linksrc", src)
+        stream = self._src_streams.get(src)
+        if stream is None:
+            stream = self._src_streams[src] = self.sim.rng.stream(
+                "linksrc", src)
+        return stream
 
     def perturb_link(self, src: int, dst: int, window: DegradedWindow) -> None:
         """Overlay a :class:`DegradedWindow` on the ``src -> dst`` policy.
@@ -507,8 +516,9 @@ class Network:
 
     def _deliver(self, src: int, dst: int, message: Message, sent_at: float,
                  sent_incarnation: int = 0) -> None:
+        # Once per copy: read fields, not the now/crashed/started properties.
         receiver = self._processes[dst]
-        now = self.sim.now
+        now = self.sim._now
         hub = self.hub
         if (self._any_recovered
                 and self._processes[src].incarnation != sent_incarnation):
@@ -517,10 +527,10 @@ class Network:
             for callback in hub.drop_cbs:
                 callback(now, src, dst, message.kind, "stale_incarnation")
             return
-        if receiver.crashed or not receiver.started:
+        if receiver._crashed or not receiver._started:
             # Crash-stop processes receive nothing; a not-yet-started
             # process has no open endpoint either (staggered boots).
-            reason = "dst_crashed" if receiver.crashed else "dst_not_started"
+            reason = "dst_crashed" if receiver._crashed else "dst_not_started"
             for callback in hub.drop_cbs:
                 callback(now, src, dst, message.kind, reason)
             return

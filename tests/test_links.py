@@ -274,3 +274,21 @@ class TestDeterminismAcrossPolicies:
         for factory in (TimelyLink, EventuallyTimelyLink, FairLossyLink,
                         LossyAsyncLink):
             assert plans(factory) == plans(factory)
+
+    @pytest.mark.parametrize("link,lo,hi,loss_draws", [
+        (TimelyLink(delta=0.05, min_delay=0.001), 0.001, 0.05, 0),
+        (EventuallyTimelyLink(gst=0.0, delta=0.3, min_delay=0.01),
+         0.01, 0.3, 0),
+        (FairLossyLink(loss=0.0, delay_max=1.0, min_delay=0.001),
+         0.001, 1.0, 1),
+    ])
+    def test_delays_are_rng_uniform_bit_for_bit(
+            self, link, lo: float, hi: float, loss_draws: int) -> None:
+        # The delay draw is written out in links.py rather than calling
+        # Random.uniform; every committed schedule depends on the two
+        # agreeing to the last bit.
+        rng, twin = random.Random(2024), random.Random(2024)
+        for i in range(500):
+            for _ in range(loss_draws):
+                twin.random()
+            assert link.plan(MSG, now=float(i), rng=rng) == twin.uniform(lo, hi)
