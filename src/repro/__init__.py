@@ -51,11 +51,12 @@ observer protocol and report schema.
     :class:`LoadOutcome` pipeline behind ``python -m repro load``
     (docs/LOAD.md spells out the model and the E19 schema).
 
-Deprecation policy: superseded entry points (currently the
-``Network(trace=..., metrics=...)`` keyword arguments, replaced by
-``Network(observers=...)``) keep working for one release but emit a
-``DeprecationWarning`` once per call site; the test suite escalates
-these warnings to errors so no in-repo code regresses onto them.
+Deprecation policy: a superseded entry point keeps working for one
+release but emits a ``DeprecationWarning`` once per call site, then is
+deleted (none is pending; the last, ``Network(trace=..., metrics=...)``,
+is gone — observers attach through ``Network(observers=...)``).  The
+test suite escalates these warnings to errors so no in-repo code
+regresses onto a shim.
 """
 
 __version__ = "1.3.0"

@@ -114,8 +114,8 @@ class ConsensusSystem:
     ) -> "ConsensusSystem":
         """Assemble a single-decree ensemble.
 
-        ``links_factory`` is called twice (fresh stateful policies per
-        network).  ``proposals[pid]`` is each node's initial value.
+        ``links_factory`` is called twice (a map's policy objects carry
+        per-link state, so each network gets its own map).  ``proposals[pid]`` is each node's initial value.
         ``f`` is only needed by the ``"f-source"`` Omega.  ``persist``
         puts the agreement layer's state on stable storage so nodes
         survive crash+recover (pair it with the ``"crash-recovery"``

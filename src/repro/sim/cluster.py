@@ -74,8 +74,8 @@ class Cluster:
             return a :class:`Process` registered on that network (the
             base class constructor registers automatically).
         links:
-            Link map from :mod:`repro.sim.topology`; defaults to fresh
-            timely links for every pair.
+            Link map from :mod:`repro.sim.topology`; defaults to one
+            timely law for every pair.
         seed:
             Root seed of the run.
         trace:

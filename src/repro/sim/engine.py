@@ -39,7 +39,11 @@ rule decides between them — **the heap is for what can be cancelled**:
 * **The heap** holds the cancellable events (``call_at``/``call_after``
   return an :class:`EventHandle`) as ``(time, seq, ScheduledEvent)``, so
   tombstones and compaction stay heap-only.  Its only other tenants are
-  posts at or beyond 2**60 s, whose bucket index is not representable.
+  posts at or beyond 2**60 s, whose bucket index is not representable
+  (``inf``) or whose span has no width in floats (at 2**61,
+  ``(index + 1) * width == index * width``) — so a heap head out there
+  never opens a window: once the calendar is empty it runs straight
+  from the heap.
 
 The run loop merges the two tiers with a two-pointer walk: the next event
 is whichever of (current window entry, live heap top) has the smaller
@@ -391,8 +395,12 @@ class Simulation:
 
             # A heap event inside the already-opened span (every window
             # entry is, so this covers the merge above) runs before any
-            # new window; a late post it makes refills the window.
-            if head is not None and head[0] < self._drained_until:
+            # new window; a late post it makes refills the window.  So
+            # does one at the far horizon once no bucket is left: every
+            # calendar entry lies below it, and it has no window to open.
+            if head is not None and (
+                    head[0] < self._drained_until
+                    or (head[0] >= _FAR_HORIZON and not buckets)):
                 if head[0] > deadline:
                     break
                 heappop(heap)
@@ -460,6 +468,9 @@ class Simulation:
         start = self._next_time()
         if start is None or start > deadline:
             return 0
+        if start >= _FAR_HORIZON:
+            # No representable span out there: the batch is that instant.
+            return self._run(min(deadline, start), None)
         window_end = (int(start * self._inv_width) + 1) * self._bucket_width
         # Events at exactly window_end belong to the next window; walk
         # the inclusive deadline one ulp down to exclude them.

@@ -27,9 +27,13 @@ The four models
     May lose an arbitrary number of messages (possibly all, with
     ``loss=1.0``); delivered messages take a finite but unbounded delay.
 
-Policies are stateful (fairness counters), so every ordered process pair
-gets its own policy instance — topology builders therefore deal in
-*factories* (see :mod:`repro.sim.topology`).
+A policy object is a link *law*, not a link: one instance serves every
+link that obeys it.  The network names the link being crossed with an
+opaque ``link`` token, and the only per-link state there is — the
+fair-lossy drop streaks — is keyed by it, so the topology builders hand
+out one instance per law per map (see :mod:`repro.sim.topology`).  A
+direct caller that leaves ``link`` at ``None`` gets "this object serves
+one link".
 
 On top of the four base models, :class:`PerturbedLink` wraps any policy
 with time-bounded :class:`DegradedWindow` adversities — extra loss,
@@ -43,7 +47,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
 
 from repro.sim.messages import Message
 
@@ -60,23 +64,42 @@ __all__ = [
 
 
 class LinkPolicy(ABC):
-    """Decides the fate of each message crossing one unidirectional link."""
+    """Decides the fate of each message crossing a unidirectional link.
+
+    One instance may serve many links: ``link`` is an opaque hashable
+    token naming the link being crossed (the network passes one int per
+    ordered pair), and any per-link state must be keyed by it.
+    """
 
     @abstractmethod
-    def plan(self, message: Message, now: float, rng: random.Random) -> float | None:
+    def plan(self, message: Message, now: float, rng: random.Random,
+             link: Hashable = None) -> float | None:
         """Return the delivery delay for ``message``, or None to drop it."""
 
-    def plan_all(self, message: Message, now: float,
-                 rng: random.Random) -> list[float]:
+    def plan_all(self, message: Message, now: float, rng: random.Random,
+                 link: Hashable = None) -> list[float]:
         """Delivery delays for every copy of ``message`` (empty = dropped).
 
         The base models deliver at most one copy, so the default defers
         to :meth:`plan`.  Wrappers that can duplicate messages (see
-        :class:`PerturbedLink`) override this; the network always plans
-        through ``plan_all``.
+        :class:`PerturbedLink`) override this; a single ``send`` always
+        plans through ``plan_all``.
         """
-        delay = self.plan(message, now, rng)
+        delay = self.plan(message, now, rng, link)
         return [] if delay is None else [delay]
+
+    def plan_many(self, message: Message, now: float,
+                  rngs: Sequence[random.Random],
+                  links: Sequence[Hashable]) -> list[float | None]:
+        """One :meth:`plan` per ``(rng, link)``, in order, as one call.
+
+        This is how the network plans a whole fan-out over links that
+        share this policy.  Overrides exist only to hoist what is
+        constant per fan-out out of the loop: they must make the same
+        draws from the same streams in the same order as this default.
+        """
+        return [self.plan(message, now, rng, link)
+                for rng, link in zip(rngs, links)]
 
     @abstractmethod
     def describe(self) -> str:
@@ -93,6 +116,17 @@ def _uniform_delay(rng: random.Random, lo: float, hi: float) -> float:
         return lo
     # Random.uniform's own expression, minus its frame (once per copy).
     return lo + (hi - lo) * rng.random()
+
+
+def _uniform_delays(rngs: Sequence[random.Random], lo: float,
+                    hi: float) -> list[float | None]:
+    """``[_uniform_delay(rng, lo, hi) for rng in rngs]``, bounds checked once."""
+    if hi < lo:
+        raise ValueError(f"delay bounds reversed: [{lo}, {hi}]")
+    if hi == lo:
+        return [lo] * len(rngs)
+    span = hi - lo
+    return [lo + span * rng.random() for rng in rngs]
 
 
 class TimelyLink(LinkPolicy):
@@ -114,8 +148,14 @@ class TimelyLink(LinkPolicy):
         self.delta = delta
         self.min_delay = min_delay
 
-    def plan(self, message: Message, now: float, rng: random.Random) -> float | None:
+    def plan(self, message: Message, now: float, rng: random.Random,
+             link: Hashable = None) -> float | None:
         return _uniform_delay(rng, self.min_delay, self.delta)
+
+    def plan_many(self, message: Message, now: float,
+                  rngs: Sequence[random.Random],
+                  links: Sequence[Hashable]) -> list[float | None]:
+        return _uniform_delays(rngs, self.min_delay, self.delta)
 
     def describe(self) -> str:
         return f"timely(delta={self.delta})"
@@ -159,12 +199,20 @@ class EventuallyTimelyLink(LinkPolicy):
         self.pre_gst_loss = pre_gst_loss
         self.pre_gst_delay_max = max(pre_gst_delay_max, delta)
 
-    def plan(self, message: Message, now: float, rng: random.Random) -> float | None:
+    def plan(self, message: Message, now: float, rng: random.Random,
+             link: Hashable = None) -> float | None:
         if now >= self.gst:
             return _uniform_delay(rng, self.min_delay, self.delta)
         if rng.random() < self.pre_gst_loss:
             return None
         return _uniform_delay(rng, self.min_delay, self.pre_gst_delay_max)
+
+    def plan_many(self, message: Message, now: float,
+                  rngs: Sequence[random.Random],
+                  links: Sequence[Hashable]) -> list[float | None]:
+        if now >= self.gst:
+            return _uniform_delays(rngs, self.min_delay, self.delta)
+        return super().plan_many(message, now, rngs, links)
 
     def describe(self) -> str:
         return f"eventually-timely(gst={self.gst}, delta={self.delta})"
@@ -231,11 +279,15 @@ class FairLossyLink(LinkPolicy):
         self.delay_growth_rate = delay_growth_rate
         self.outage_period = outage_period
         self.outage_growth = outage_growth
-        self._drops_in_a_row: dict[Hashable, int] = {}
+        # Current drop streak per ``(link, fairness_key)``; a delivery
+        # deletes the entry, so the table holds only streaks in progress.
+        self._drops_in_a_row: dict[tuple[Hashable, Hashable], int] = {}
         # Outage schedule cursor: cycle k is a pass window of length
         # ``outage_period`` followed by an outage of length
         # ``k * outage_growth``.  ``plan`` is called with nondecreasing
-        # ``now``, so a simple advancing cursor suffices.
+        # ``now``, so a simple advancing cursor suffices — and the hold
+        # is a function of ``now`` alone, so every link served by this
+        # instance shares the one cursor.
         self._cycle = 0
         self._pass_start = 0.0
 
@@ -254,17 +306,43 @@ class FairLossyLink(LinkPolicy):
             self._cycle += 1
             self._pass_start = outage_end
 
-    def plan(self, message: Message, now: float, rng: random.Random) -> float | None:
-        key = message.fairness_key()
-        streak = self._drops_in_a_row.get(key, 0)
+    def plan(self, message: Message, now: float, rng: random.Random,
+             link: Hashable = None) -> float | None:
+        key = (link, message.fairness_key())
+        streaks = self._drops_in_a_row
+        streak = streaks.get(key, 0)
         must_deliver = streak >= self.max_consecutive_drops
         if not must_deliver and rng.random() < self.loss:
-            self._drops_in_a_row[key] = streak + 1
+            streaks[key] = streak + 1
             return None
-        self._drops_in_a_row[key] = 0
+        if streak:
+            del streaks[key]
         ceiling = self.delay_max + self.delay_growth_rate * now
         return self._outage_hold(now) + _uniform_delay(rng, self.min_delay,
                                                        ceiling)
+
+    def plan_many(self, message: Message, now: float,
+                  rngs: Sequence[random.Random],
+                  links: Sequence[Hashable]) -> list[float | None]:
+        fairness_key = message.fairness_key()
+        streaks = self._drops_in_a_row
+        limit = self.max_consecutive_drops
+        loss = self.loss
+        lo = self.min_delay
+        ceiling = self.delay_max + self.delay_growth_rate * now
+        hold = self._outage_hold(now)
+        delays: list[float | None] = []
+        for rng, link in zip(rngs, links):
+            key = (link, fairness_key)
+            streak = streaks.get(key, 0)
+            if streak < limit and rng.random() < loss:
+                streaks[key] = streak + 1
+                delays.append(None)
+                continue
+            if streak:
+                del streaks[key]
+            delays.append(hold + _uniform_delay(rng, lo, ceiling))
+        return delays
 
     def describe(self) -> str:
         return (f"fair-lossy(loss={self.loss}, "
@@ -286,7 +364,8 @@ class LossyAsyncLink(LinkPolicy):
         self.delay_max = delay_max
         self.min_delay = min_delay
 
-    def plan(self, message: Message, now: float, rng: random.Random) -> float | None:
+    def plan(self, message: Message, now: float, rng: random.Random,
+             link: Hashable = None) -> float | None:
         if rng.random() < self.loss:
             return None
         return _uniform_delay(rng, self.min_delay, self.delay_max)
@@ -371,6 +450,8 @@ class DegradedWindow:
 class PerturbedLink(LinkPolicy):
     """A link policy wrapping another with scheduled degraded windows.
 
+    The wrapper is per link (its windows are); the inner policy may be
+    a shared law, so the ``link`` token is passed through to it.
     Outside every window the wrapper is transparent: it consumes exactly
     the same randomness as the inner policy alone, so a run perturbed by
     windows that never activate is bit-for-bit the unperturbed run.
@@ -388,19 +469,20 @@ class PerturbedLink(LinkPolicy):
         """Attach one more degraded window to this link."""
         self.windows.append(window)
 
-    def plan(self, message: Message, now: float, rng: random.Random) -> float | None:
-        copies = self.plan_all(message, now, rng)
+    def plan(self, message: Message, now: float, rng: random.Random,
+             link: Hashable = None) -> float | None:
+        copies = self.plan_all(message, now, rng, link)
         return copies[0] if copies else None
 
-    def plan_all(self, message: Message, now: float,
-                 rng: random.Random) -> list[float]:
+    def plan_all(self, message: Message, now: float, rng: random.Random,
+                 link: Hashable = None) -> list[float]:
         active = [w for w in self.windows if w.active(now)]
         for window in active:
             if window.flapped_down(now):
                 return []
             if window.loss and rng.random() < window.loss:
                 return []
-        copies = self.inner.plan_all(message, now, rng)
+        copies = self.inner.plan_all(message, now, rng, link)
         if not copies:
             return []
         for window in active:

@@ -1,9 +1,10 @@
-"""The simulated network: one link policy per ordered process pair.
+"""The simulated network: one link law per ordered process pair.
 
 :class:`Network` glues together the kernel, the link models and the
 observability layer.  A protocol process never touches links directly —
-it calls ``send``/``broadcast`` and the network consults the (stateful)
-policy of the ordered pair, schedules the delivery event, and dispatches
+it calls ``send``/``broadcast`` and the network consults the policy of
+the ordered pair (an object shared by every pair under the same law,
+told which link it is serving), schedules the delivery event, and dispatches
 the event to its :class:`~repro.obs.ObserverHub`.  The hub is **the**
 single dispatch point of the repository: metrics, traces, timeliness
 inspection and run recording are all just observers attached to it
@@ -28,18 +29,24 @@ re-deriving anything per call:
   (``stride`` = highest pid + 1), not per-pair dicts: the route table
   caches each ordered link's ``(policy, rng_stream)`` pair in one slot,
   so the per-message lookup is an integer multiply and a list index
-  instead of a tuple hash.  The arrays are (re)built lazily on first
-  use after a registration; :meth:`set_link`/:meth:`perturb_link` clear
-  just the affected slot, so fault injection still takes effect
-  immediately.
-* ``broadcast`` has a **batched fast path**: one pass computes all n−1
-  delivery times (partition membership is resolved once per broadcast,
-  wire size is computed once per message, and links that keep the
-  default one-copy ``plan_all`` are called through ``plan`` directly)
-  and bulk-posts them through a single ``post_batch()`` kernel call
-  instead of n−1 independent ``send()``s.  Observer and ordering
-  semantics are bit-for-bit those of the send loop it replaces — see
-  :meth:`Network.broadcast`.
+  instead of a tuple hash.  Policies are shared per law, so under
+  ``link_rng="src"`` the n² slots point at a handful of interned tuples.
+  The arrays are (re)built lazily on first use after a registration;
+  :meth:`set_link`/:meth:`perturb_link` clear just the affected slot,
+  so fault injection still takes effect immediately.
+* ``broadcast`` is **one pass per fan-out**: partition membership is
+  resolved once, wire size is computed once per message, and all
+  delivery events are bulk-posted through a single ``post_batch()``
+  kernel call instead of n−1 independent ``send()``s.  Each sender
+  keeps a lazily built fan-out record (destinations, link tokens, rng
+  streams, and the one policy its out-links share, if they do); when
+  they do and nothing needs a per-copy callback before the plan — no
+  active partition, no per-copy send/packet observer — the whole
+  fan-out is planned by **one** ``policy.plan_many`` call.  Every other
+  broadcast plans copy by copy (links that keep the default one-copy
+  ``plan_all`` are called through ``plan`` directly).  Observer and
+  ordering semantics are bit-for-bit those of the send loop both
+  replace — see :meth:`Network.broadcast`.
 * What remains per copy — the delay draw at send time, ``_deliver`` at
   delivery time — reads fields, not properties, and under
   ``link_rng="src"`` a sender's stream is looked up once, not per link.
@@ -51,9 +58,8 @@ re-deriving anything per call:
 from __future__ import annotations
 
 import random
-import warnings
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from repro.obs.observer import Observer, ObserverHub, attach_captured
 from repro.sim.engine import Simulation
@@ -73,10 +79,21 @@ class NetworkError(RuntimeError):
     """Raised on network misuse (unknown process, sending while crashed...)."""
 
 
-def _deprecated(message: str) -> None:
-    # stacklevel 3: _deprecated -> __init__ -> caller.  The standard
-    # warnings machinery dedups per call site, so callers see it once.
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
+#: Link token of the ordered pair: ``src << _LINK_SHIFT | dst``.  Unlike
+#: the flat table index it survives a late ``register`` (which changes
+#: the stride), so a shared policy's per-link state stays with its link.
+_LINK_SHIFT = 32
+
+
+class _Fanout(NamedTuple):
+    """What ``broadcast`` needs to know about one sender, computed once."""
+
+    dsts: tuple[int, ...]
+    links: tuple[int, ...]
+    rngs: tuple[random.Random, ...]
+    #: The one-copy policy every out-link shares, or None if they differ
+    #: (or the shared one can duplicate).
+    policy: LinkPolicy | None
 
 
 class Network:
@@ -101,12 +118,9 @@ class Network:
         historical behaviour of ``Network(sim)``; pass an explicit
         empty tuple for a truly bare network.
     default_link:
-        Factory used for any ordered pair without an explicit
-        :meth:`set_link`; defaults to fresh :class:`TimelyLink` per pair.
-    trace, metrics:
-        Deprecated; attach :class:`~repro.sim.trace.TraceLog` /
-        :class:`~repro.sim.metrics.MetricsCollector` instances through
-        ``observers`` instead.
+        Factory of the law for every ordered pair without an explicit
+        :meth:`set_link`, called once on first need; defaults to one
+        shared :class:`TimelyLink`.
     mtu:
         Packet size used to convert modeled wire bytes into packet
         counts (see :mod:`repro.sim.packets`).  Only consulted when a
@@ -127,8 +141,6 @@ class Network:
     def __init__(
         self,
         sim: Simulation,
-        trace: TraceLog | None = None,
-        metrics: MetricsCollector | None = None,
         default_link: Callable[[], LinkPolicy] = TimelyLink,
         observers: Iterable[Observer] | None = None,
         mtu: int = DEFAULT_MTU,
@@ -136,18 +148,8 @@ class Network:
     ) -> None:
         self.sim = sim
         self.hub = ObserverHub()
-        if trace is not None:
-            _deprecated("Network(trace=...) is deprecated; pass the TraceLog "
-                        "via Network(observers=(...,)) instead")
-            self.hub.attach(trace)
-        if metrics is not None:
-            _deprecated("Network(metrics=...) is deprecated; pass the "
-                        "MetricsCollector via Network(observers=(...,)) "
-                        "instead")
-            self.hub.attach(metrics)
         if observers is None:
-            if metrics is None:
-                self.hub.attach(MetricsCollector())
+            self.hub.attach(MetricsCollector())
         else:
             for observer in observers:
                 self.hub.attach(observer)
@@ -160,6 +162,7 @@ class Network:
         self.mtu = mtu
         self.link_rng = link_rng
         self._default_link = default_link
+        self._default_policy: LinkPolicy | None = None
         self._processes: dict[int, "Process"] = {}
         self._links: dict[tuple[int, int], LinkPolicy] = {}
         self._partitions: list[tuple[float, float, tuple[frozenset[int], ...]]] = []
@@ -172,8 +175,15 @@ class Network:
         self._pid_tuple: tuple[int, ...] = ()
         self._stride = 0
         self._route_table: list[tuple[LinkPolicy, random.Random] | None] | None = None
-        # link_rng="src": each sender's stream, looked up once per sender.
+        # link_rng="src": each sender's stream, looked up once per sender,
+        # and its routes interned — a sender's out-links under one law
+        # are one ``(policy, stream)`` tuple, not n−1 equal ones.
         self._src_streams: dict[int, random.Random] = {}
+        self._src_routes: dict[tuple[LinkPolicy, random.Random],
+                               tuple[LinkPolicy, random.Random]] = {}
+        # Per-sender fan-out records, built on a sender's first broadcast;
+        # dropped with the route they were derived from.
+        self._fanouts: dict[int, _Fanout] = {}
 
     # ------------------------------------------------------------------
     # Observer accessors
@@ -225,6 +235,7 @@ class Network:
         self._processes[pid] = process
         self._pid_tuple = tuple(sorted(self._processes))
         self._route_table = None  # stride may change; rebuild lazily
+        self._fanouts.clear()
 
     def process(self, pid: int) -> "Process":
         """The registered process with this pid."""
@@ -246,10 +257,16 @@ class Network:
         self._clear_route(src, dst)
 
     def link(self, src: int, dst: int) -> LinkPolicy:
-        """The policy for ``src -> dst`` (instantiating the default lazily)."""
+        """The policy for ``src -> dst`` (instantiating the default lazily).
+
+        The object may serve other pairs too: to change one pair,
+        :meth:`set_link` a new policy rather than mutating this one.
+        """
         policy = self._links.get((src, dst))
         if policy is None:
-            policy = self._default_link()
+            policy = self._default_policy
+            if policy is None:
+                policy = self._default_policy = self._default_link()
             self._links[(src, dst)] = policy
         return policy
 
@@ -262,6 +279,7 @@ class Network:
         return table
 
     def _clear_route(self, src: int, dst: int) -> None:
+        self._fanouts.pop(src, None)
         table = self._route_table
         if table is not None and src < self._stride and dst < self._stride:
             table[src * self._stride + dst] = None
@@ -277,18 +295,37 @@ class Network:
         index = src * self._stride + dst
         route = table[index]
         if route is None:
-            route = (self.link(src, dst), self._link_stream(src, dst))
-            table[index] = route
+            route = table[index] = self._new_route(src, dst)
         return route
 
-    def _link_stream(self, src: int, dst: int) -> random.Random:
+    def _new_route(self, src: int, dst: int) -> tuple[LinkPolicy, random.Random]:
+        policy = self.link(src, dst)
         if self.link_rng == "pair":
-            return self.sim.rng.stream("link", src, dst)
+            return (policy, self.sim.rng.stream("link", src, dst))
         stream = self._src_streams.get(src)
         if stream is None:
             stream = self._src_streams[src] = self.sim.rng.stream(
                 "linksrc", src)
-        return stream
+        route = (policy, stream)
+        return self._src_routes.setdefault(route, route)
+
+    def _fanout(self, src: int) -> _Fanout:
+        """The sender's fan-out record, (re)built if a route changed."""
+        fanout = self._fanouts.get(src)
+        if fanout is None:
+            dsts = tuple(dst for dst in self._pid_tuple if dst != src)
+            routes = [self._route(src, dst) for dst in dsts]
+            policies = {policy for policy, _ in routes}
+            shared = None
+            if len(policies) == 1:
+                (policy,) = policies
+                if type(policy).plan_all is LinkPolicy.plan_all:
+                    shared = policy
+            base = src << _LINK_SHIFT
+            fanout = self._fanouts[src] = _Fanout(
+                dsts, tuple(base | dst for dst in dsts),
+                tuple(rng for _, rng in routes), shared)
+        return fanout
 
     def perturb_link(self, src: int, dst: int, window: DegradedWindow) -> None:
         """Overlay a :class:`DegradedWindow` on the ``src -> dst`` policy.
@@ -398,7 +435,7 @@ class Network:
             return
 
         policy, rng = self._route(src, dst)
-        delays = policy.plan_all(message, now, rng)
+        delays = policy.plan_all(message, now, rng, src << _LINK_SHIFT | dst)
         if not delays:
             for callback in hub.drop_cbs:
                 callback(now, src, dst, kind, "link")
@@ -421,8 +458,13 @@ class Network:
         event ordering — but executed as one pass: partition membership
         is resolved once, wire size is computed once, and all delivery
         events are scheduled through a single
-        :meth:`~repro.sim.engine.Simulation.post_batch` call.  The only
-        observable difference is opt-in: observers overriding
+        :meth:`~repro.sim.engine.Simulation.post_batch` call.  When the
+        sender's out-links share one policy and nothing must be called
+        per copy ahead of its plan (no active partition, no per-copy
+        send or packet observer), the delays come from one
+        :meth:`~repro.sim.links.LinkPolicy.plan_many` call; otherwise
+        from one ``plan`` per copy.  The only observable difference is
+        opt-in: observers overriding
         :meth:`~repro.obs.Observer.on_send_batch` get one batched call
         instead of n−1 ``on_send`` calls.
         """
@@ -440,11 +482,10 @@ class Network:
         now = self.sim.now
         kind = message.kind
         hub = self.hub
-        batch_cbs = hub.send_batch_cbs
-        if batch_cbs:
-            dsts = tuple(dst for dst in self._pid_tuple if dst != src)
-            for callback in batch_cbs:
-                callback(now, src, dsts, kind)
+        fanout = self._fanout(src)
+        dsts = fanout.dsts
+        for callback in hub.send_batch_cbs:
+            callback(now, src, dsts, kind)
         send_cbs = hub.send_only_cbs
         packet_cbs = hub.packet_send_cbs
         if packet_cbs:
@@ -452,49 +493,56 @@ class Network:
             packets = packet_count(size, self.mtu)
         drop_cbs = hub.drop_cbs
         # Resolve the partition picture once for the whole fan-out:
-        # src's group in each active partition (None = src is outside
-        # every group, severed from everyone).
-        src_groups: list[frozenset[int]] | None = None
-        if self._partitions:
-            src_groups = []
-            for start, end, groups in self._partitions:
-                if start <= now < end:
-                    for group in groups:
-                        if src in group:
-                            src_groups.append(group)
-                            break
-                    else:
-                        src_groups.append(frozenset())
-        table = self._route_table_now()
-        stride = self._stride
-        base = src * stride
-        default_plan_all = LinkPolicy.plan_all
+        # src's group in each active partition (an empty group = src is
+        # outside every group, severed from everyone).
+        src_groups: list[frozenset[int]] = []
+        for start, end, groups in self._partitions:
+            if start <= now < end:
+                for group in groups:
+                    if src in group:
+                        src_groups.append(group)
+                        break
+                else:
+                    src_groups.append(frozenset())
         deliver = self._deliver
         incarnation = sender.incarnation
         items: list[tuple[float, partial]] = []
         append = items.append
-        for dst in self._pid_tuple:
-            if dst == src:
-                continue
+        shared = fanout.policy
+        if shared is not None and not (send_cbs or packet_cbs or src_groups):
+            # Nothing to call per copy before its plan: one call plans
+            # the fan-out (same draws, same streams, same order).
+            delays = shared.plan_many(message, now, fanout.rngs, fanout.links)
+            for dst, delay in zip(dsts, delays):
+                if delay is None:
+                    for callback in drop_cbs:
+                        callback(now, src, dst, kind, "link")
+                else:
+                    append((now + delay,
+                            partial(deliver, src, dst, message, now,
+                                    incarnation)))
+            if items:
+                self.sim.post_batch(items)
+            return
+        # _fanout() filled every slot of this sender's table row.
+        table = self._route_table
+        base = src * self._stride
+        default_plan_all = LinkPolicy.plan_all
+        for dst, link in zip(dsts, fanout.links):
             if send_cbs:
                 for callback in send_cbs:
                     callback(now, src, dst, kind)
             if packet_cbs:
                 for callback in packet_cbs:
                     callback(now, src, dst, kind, size, packets)
-            if src_groups is not None and any(
-                    dst not in group for group in src_groups):
+            if src_groups and any(dst not in group for group in src_groups):
                 for callback in drop_cbs:
                     callback(now, src, dst, kind, "partition")
                 continue
-            route = table[base + dst]
-            if route is None:
-                route = (self.link(src, dst), self._link_stream(src, dst))
-                table[base + dst] = route
-            policy, rng = route
+            policy, rng = table[base + dst]
             if type(policy).plan_all is default_plan_all:
                 # One-copy link: skip plan_all's list round trip.
-                delay = policy.plan(message, now, rng)
+                delay = policy.plan(message, now, rng, link)
                 if delay is None:
                     for callback in drop_cbs:
                         callback(now, src, dst, kind, "link")
@@ -502,7 +550,7 @@ class Network:
                 append((now + delay,
                         partial(deliver, src, dst, message, now, incarnation)))
             else:
-                delays = policy.plan_all(message, now, rng)
+                delays = policy.plan_all(message, now, rng, link)
                 if not delays:
                     for callback in drop_cbs:
                         callback(now, src, dst, kind, "link")

@@ -1,8 +1,13 @@
 """Builders for the paper's system topologies.
 
 Each builder returns a *link map*: ``{(src, dst): LinkPolicy}`` for every
-ordered pair of distinct pids, with a fresh (stateful) policy instance
-per pair.  The maps realize the systems of DESIGN.md §1:
+ordered pair of distinct pids.  A policy object is a link *law* that
+serves any number of links (:mod:`repro.sim.links`), so a map holds
+**one instance per law** — ``source_links(256, 0)`` is 65 280 pairs
+pointing at two objects — and two maps share nothing.  To give one pair
+a law of its own, ``set_link`` a new policy on the network; mutating the
+object a map (or ``network.link(a, b)``) hands back changes every link
+that shares it.  The maps realize the systems of DESIGN.md §1:
 
 ``all_timely_links``
     Every link timely from time zero — the friendliest world, used by
@@ -35,7 +40,7 @@ they are unknown to the protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.sim.links import (
     EventuallyTimelyLink,
@@ -143,16 +148,23 @@ def ordered_pairs(pids: Iterable[int]) -> list[tuple[int, int]]:
     return [(i, j) for i in pid_list for j in pid_list if i != j]
 
 
+def _two_law_map(n: int, is_timely: Callable[[int, int], bool],
+                 timely: LinkPolicy, other: LinkPolicy) -> LinkMap:
+    """``timely`` on the pairs ``is_timely(src, dst)`` picks, ``other`` elsewhere."""
+    return {(src, dst): timely if is_timely(src, dst) else other
+            for src, dst in ordered_pairs(range(n))}
+
+
 def all_timely_links(n: int, timings: LinkTimings = LinkTimings()) -> LinkMap:
     """Every link timely from the start."""
-    return {pair: timings.timely() for pair in ordered_pairs(range(n))}
+    return dict.fromkeys(ordered_pairs(range(n)), timings.timely())
 
 
 def all_eventually_timely_links(
     n: int, timings: LinkTimings = LinkTimings()
 ) -> LinkMap:
     """Every link ◇timely (common GST)."""
-    return {pair: timings.eventually_timely() for pair in ordered_pairs(range(n))}
+    return dict.fromkeys(ordered_pairs(range(n)), timings.eventually_timely())
 
 
 def source_links(
@@ -160,13 +172,8 @@ def source_links(
 ) -> LinkMap:
     """◇timely output links from ``source``; fair-lossy everywhere else."""
     _check_member(n, source, "source")
-    links: LinkMap = {}
-    for src, dst in ordered_pairs(range(n)):
-        if src == source:
-            links[(src, dst)] = timings.eventually_timely()
-        else:
-            links[(src, dst)] = timings.fair_lossy()
-    return links
+    return _two_law_map(n, lambda src, dst: src == source,
+                        timings.eventually_timely(), timings.fair_lossy())
 
 
 def f_source_links(
@@ -188,13 +195,9 @@ def f_source_links(
         raise ValueError("source cannot be its own target")
     for target in target_set:
         _check_member(n, target, "target")
-    links: LinkMap = {}
-    for src, dst in ordered_pairs(range(n)):
-        if src == source and dst in target_set:
-            links[(src, dst)] = timings.eventually_timely()
-        else:
-            links[(src, dst)] = timings.fair_lossy()
-    return links
+    return _two_law_map(
+        n, lambda src, dst: src == source and dst in target_set,
+        timings.eventually_timely(), timings.fair_lossy())
 
 
 def multi_source_links(
@@ -211,13 +214,8 @@ def multi_source_links(
         raise ValueError("need at least one source")
     for source in source_set:
         _check_member(n, source, "source")
-    links: LinkMap = {}
-    for src, dst in ordered_pairs(range(n)):
-        if src in source_set:
-            links[(src, dst)] = timings.eventually_timely()
-        else:
-            links[(src, dst)] = timings.fair_lossy()
-    return links
+    return _two_law_map(n, lambda src, dst: src in source_set,
+                        timings.eventually_timely(), timings.fair_lossy())
 
 
 def relay_tree_links(
@@ -249,13 +247,8 @@ def relay_tree_links(
     timely_pairs = {(source, hub_a), (source, hub_b)}
     timely_pairs |= {(hub_a, leaf) for leaf in served_by_a}
     timely_pairs |= {(hub_b, leaf) for leaf in served_by_b}
-    links: LinkMap = {}
-    for src, dst in ordered_pairs(range(n)):
-        if (src, dst) in timely_pairs:
-            links[(src, dst)] = timings.eventually_timely()
-        else:
-            links[(src, dst)] = timings.fair_lossy()
-    return links
+    return _two_law_map(n, lambda src, dst: (src, dst) in timely_pairs,
+                        timings.eventually_timely(), timings.fair_lossy())
 
 
 def source_links_lossy_elsewhere(
@@ -268,13 +261,8 @@ def source_links_lossy_elsewhere(
     algorithm behaviours rely on fair-lossy feedback paths.
     """
     _check_member(n, source, "source")
-    links: LinkMap = {}
-    for src, dst in ordered_pairs(range(n)):
-        if src == source:
-            links[(src, dst)] = timings.eventually_timely()
-        else:
-            links[(src, dst)] = timings.lossy_async()
-    return links
+    return _two_law_map(n, lambda src, dst: src == source,
+                        timings.eventually_timely(), timings.lossy_async())
 
 
 def apply_links(network: Network, links: Mapping[tuple[int, int], LinkPolicy]) -> None:

@@ -22,6 +22,11 @@ class Probe(Message):
     payload: int = 0
 
 
+@dataclass(frozen=True)
+class Ping(Message):
+    """A second fairness type beside :class:`Probe`."""
+
+
 class Recorder(Process):
     """A process that records everything it receives and every timer."""
 

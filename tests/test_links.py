@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import Probe
+from conftest import Ping, Probe
 
 from repro.sim.links import (
     DeadLink,
@@ -161,16 +163,37 @@ class TestFairLossyEdgeCases:
         assert fates == [i % 4 == 3 for i in range(400)]
 
     def test_streaks_are_per_link_instance(self, rng: random.Random) -> None:
-        # Fairness state must live on the (link, fairness_key) pair, not
-        # on the class: exhausting one link's streak must not force a
-        # delivery on a sibling link.
+        # Fairness state lives on the (link, fairness_key) pair, not on
+        # the class and not on the instance: exhausting one link's
+        # streak must not force a delivery on a sibling link — whether
+        # the sibling is another instance or another token on this one.
         first = FairLossyLink(loss=1.0, max_consecutive_drops=2)
         second = FairLossyLink(loss=1.0, max_consecutive_drops=2)
         assert first.plan(MSG, 0.0, rng) is None
         assert first.plan(MSG, 0.0, rng) is None
         assert second.plan(MSG, 0.0, rng) is None, \
             "fresh link starts its own streak"
+        assert first.plan(MSG, 0.0, rng, link=7) is None, \
+            "another token on the same instance starts its own streak"
         assert first.plan(MSG, 0.0, rng) is not None
+        assert first.plan(MSG, 0.0, rng, link=7) is None
+        assert first.plan(MSG, 0.0, rng, link=7) is not None
+
+    def test_a_delivery_deletes_the_streak(self, rng: random.Random) -> None:
+        link = FairLossyLink(loss=1.0, max_consecutive_drops=1)
+        assert link.plan(MSG, 0.0, rng, link=3) is None
+        assert link._drops_in_a_row == {(3, MSG.fairness_key()): 1}
+        assert link.plan(MSG, 0.0, rng, link=3) is not None
+        assert link._drops_in_a_row == {}
+
+    def test_perturbed_wrapper_passes_the_token_through(
+            self, rng: random.Random) -> None:
+        law = FairLossyLink(loss=1.0, max_consecutive_drops=1)
+        wrapped = PerturbedLink(law)
+        assert law.plan(MSG, 0.0, rng, link=5) is None
+        # The wrapper continues link 5's streak on the shared law.
+        assert wrapped.plan_all(MSG, 0.0, rng, 5) != []
+        assert wrapped.plan(MSG, 0.0, rng, 9) is None
 
 
 class TestDeadLinkEdgeCases:
@@ -292,3 +315,95 @@ class TestDeterminismAcrossPolicies:
             for _ in range(loss_draws):
                 twin.random()
             assert link.plan(MSG, now=float(i), rng=rng) == twin.uniform(lo, hi)
+
+
+#: Every law at its parameter corners.  The schedules below run over
+#: ``now`` in [0, 12], so ``gst=6.0`` is crossed mid-run and the outage
+#: adversary (pass 1.0, outages 0.5, 1.0, 1.5, ...) over several boundaries.
+LAWS = {
+    "timely": lambda: TimelyLink(delta=0.05, min_delay=0.001),
+    "timely/point": lambda: TimelyLink(delta=0.05, min_delay=0.05),
+    "eventually/pre-gst": lambda: EventuallyTimelyLink(gst=100.0),
+    "eventually/post-gst": lambda: EventuallyTimelyLink(gst=0.0),
+    "eventually/across-gst": lambda: EventuallyTimelyLink(
+        gst=6.0, pre_gst_loss=0.5),
+    "eventually/point": lambda: EventuallyTimelyLink(
+        gst=6.0, delta=0.05, min_delay=0.05, pre_gst_delay_max=0.05),
+    "fair": lambda: FairLossyLink(loss=0.5, max_consecutive_drops=2),
+    "fair/loss=0": lambda: FairLossyLink(loss=0.0),
+    "fair/loss=1": lambda: FairLossyLink(loss=1.0, max_consecutive_drops=3),
+    "fair/k=0": lambda: FairLossyLink(loss=1.0, max_consecutive_drops=0),
+    "fair/point": lambda: FairLossyLink(loss=0.3, delay_max=0.01,
+                                        min_delay=0.01),
+    "fair/lag": lambda: FairLossyLink(loss=0.3, delay_growth_rate=0.7),
+    "fair/gap": lambda: FairLossyLink(loss=0.3, max_consecutive_drops=1,
+                                      outage_period=1.0, outage_growth=0.5),
+    "lossy-async": lambda: LossyAsyncLink(loss=0.5),
+    "dead": DeadLink,
+    "perturbed": lambda: PerturbedLink(
+        FairLossyLink(loss=0.4, max_consecutive_drops=1),
+        [DegradedWindow(start=2.0, end=8.0, loss=0.3, extra_delay=0.2,
+                        duplicate=0.5)]),
+}
+
+
+def _streaks(policy) -> dict:  # noqa: ANN001
+    inner = getattr(policy, "inner", policy)
+    return dict(getattr(inner, "_drops_in_a_row", {}))
+
+
+class TestPlanManyIsPlanPerCopy:
+    """``plan_many`` must be indistinguishable from one ``plan`` per copy:
+    same delays to the last bit, same draws from the same streams in the
+    same order, same streak table afterwards."""
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("one_stream", [True, False],
+                             ids=["shared-stream", "stream-per-link"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32), k=st.integers(0, 6),
+           steps=st.lists(st.tuples(st.floats(0.0, 2.5), st.booleans()),
+                          min_size=1, max_size=12))
+    def test_bit_equal_plans_draws_and_streaks(
+            self, law: str, one_stream: bool, seed: int, k: int,
+            steps: list) -> None:
+        links = tuple(range(100, 100 + k))
+
+        def run(batched: bool):  # noqa: ANN202
+            policy = LAWS[law]()
+            streams = [random.Random(seed + (0 if one_stream else index))
+                       for index in range(k)]
+            rngs = tuple(streams[:1] * k if one_stream else streams)
+            plans, now = [], 0.0
+            for gap, ping in steps:
+                now += gap
+                message = Ping(0) if ping else MSG
+                if batched:
+                    plans.append(policy.plan_many(message, now, rngs, links))
+                else:
+                    plans.append([policy.plan(message, now, rng, link)
+                                  for rng, link in zip(rngs, links)])
+            return (plans, _streaks(policy),
+                    [stream.getstate() for stream in streams])
+
+        assert run(batched=True) == run(batched=False)
+
+    def test_every_override_is_covered(self) -> None:
+        from repro.sim import links as links_mod
+        from repro.sim.links import LinkPolicy
+
+        overriding = {
+            cls for cls in vars(links_mod).values()
+            if isinstance(cls, type) and issubclass(cls, LinkPolicy)
+            and "plan_many" in vars(cls) and cls is not LinkPolicy}
+        covered = {type(factory()) for factory in LAWS.values()}
+        assert overriding and overriding <= covered
+
+    def test_streak_table_never_stores_a_zero(self) -> None:
+        rng = random.Random(3)
+        link = FairLossyLink(loss=0.5, max_consecutive_drops=2)
+        links = tuple(range(8))
+        for step in range(200):
+            link.plan_many(MSG, float(step), (rng,) * 8, links)
+            link.plan(Ping(0), float(step), rng, step % 8)
+            assert all(link._drops_in_a_row.values())

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
-from conftest import Probe, Recorder, make_pair
+from conftest import Ping, Probe, Recorder, make_pair
 
 from repro.obs import Observer
 from repro.sim.engine import Simulation
 from repro.sim.links import DeadLink, DegradedWindow, FairLossyLink, TimelyLink
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network, NetworkError
+from repro.sim.topology import LinkTimings, apply_links, multi_source_links
 from repro.sim.trace import DeliverRecord, DropRecord, SendRecord, TraceLog
 
 
@@ -212,3 +215,115 @@ class TestBroadcastEqualsSendLoop:
                      if message.sender == 0)
         assert copies > batched["sent_by_link"][(0, 2)]  # the duplicator
         assert bool(batched["packets"]) == packets
+
+
+class _WireLog(Observer):
+    """Deliveries and drops, verbatim — and no per-copy send hook, so a
+    network carrying only this and a ``MetricsCollector`` may plan a
+    fan-out in one call."""
+
+    def __init__(self) -> None:
+        self.deliveries: list[tuple] = []
+        self.drops: list[tuple] = []
+
+    def on_deliver(self, time, src, dst, kind, sent_at) -> None:  # noqa: ANN001
+        self.deliveries.append((time, src, dst))
+
+    def on_drop(self, *args) -> None:
+        self.drops.append(args)
+
+
+class TestSharedMapEqualsPerPairMap:
+    """A link map shares one policy object per law; the wire must not be
+    able to tell it from a map with a fresh instance per ordered pair."""
+
+    TIMINGS = LinkTimings(gst=2.0, fair_loss=0.7, fair_max_consecutive=3,
+                          fair_outage_period=1.0, fair_outage_growth=0.25)
+
+    @classmethod
+    def _run(cls, per_pair: bool, link_rng: str, traced: bool) -> dict:
+        links = multi_source_links(6, (0, 1), cls.TIMINGS)
+        if per_pair:
+            links = {pair: copy.deepcopy(policy)
+                     for pair, policy in links.items()}
+        sim = Simulation(seed=31)
+        metrics = MetricsCollector(window=0.5)
+        wire = _WireLog()
+        network = Network(
+            sim, link_rng=link_rng,
+            observers=(metrics, wire) + ((TraceLog(enabled=True),)
+                                         if traced else ()))
+        apply_links(network, links)
+        procs = [Recorder(pid, sim, network) for pid in range(6)]
+        for proc in procs:
+            proc.start()
+
+        def everyone_broadcasts(payload: int) -> None:
+            for proc in procs:
+                if not proc.crashed:
+                    network.broadcast(proc.pid, Probe(proc.pid, payload))
+                    network.broadcast(proc.pid, Ping(proc.pid))
+            network.send(3, 4, Probe(3, payload))   # unicast shares the streaks
+
+        network.add_partition(3.0, 4.0, [{0, 2, 4}, {1, 3}])     # 5: nowhere
+        for round_ in range(10):                # across GST, into the partition
+            everyone_broadcasts(round_)
+            sim.run_for(0.35)
+        sim.run_until(5.0)
+        # Sender 2 has broadcast: its fan-out record exists and must go.
+        network.perturb_link(2, 3, DegradedWindow(5.0, 50.0, duplicate=1.0,
+                                                  duplicate_lag=0.02))
+        network.set_link(4, 5, DeadLink())
+        for round_ in range(10, 16):
+            everyone_broadcasts(round_)
+            sim.run_for(0.35)
+        procs.append(Recorder(6, sim, network))  # late: the stride grows
+        procs[6].start()
+        procs[1].crash()
+        with pytest.raises(NetworkError, match="crashed process 1"):
+            network.broadcast(1, Probe(1, 99))
+        for round_ in range(16, 24):
+            everyone_broadcasts(round_)
+            sim.run_for(0.35)
+        sim.run_until(40.0)
+        return {
+            "deliveries": wire.deliveries,
+            "drops": wire.drops,
+            "received": [proc.received for proc in procs],
+            "sent_by_link": dict(metrics.sent_by_link),
+            "sent_by_sender": dict(metrics.sent_by_sender),
+            "sent_by_kind": dict(metrics.sent_by_kind),
+            "delivered_by_kind": dict(metrics.delivered_by_kind),
+            "dropped_by_reason": dict(metrics.dropped_by_reason),
+            "timeline": [(w.start, w.senders, w.links, w.messages)
+                         for w in metrics.timeline(40.0)],
+            "events": sim.events_executed,
+        }
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("link_rng", ["pair", "src"])
+    def test_same_wire(self, monkeypatch, link_rng: str, traced: bool) -> None:
+        fan_outs = []
+        plan_many = FairLossyLink.plan_many
+        monkeypatch.setattr(
+            FairLossyLink, "plan_many",
+            lambda self, message, now, rngs, links: (
+                fan_outs.append(len(links)),
+                plan_many(self, message, now, rngs, links))[1])
+        per_pair = self._run(True, link_rng, traced)
+        assert not fan_outs     # distinct objects per pair: copy by copy
+        shared = self._run(False, link_rng, traced)
+        assert shared == per_pair
+        # A per-copy observer (the trace) forces the per-copy loop; without
+        # one, fair-lossy senders plan whole fan-outs — until pid 6 joins
+        # on a default timely link and their out-links stop sharing a law.
+        assert set(fan_outs) == (set() if traced else {5})
+        assert set(shared["dropped_by_reason"]) == {
+            "link", "partition", "dst_crashed", "src_crashed"}
+        # The mid-run duplicator took effect on sender 2's very next fan-out.
+        from_two = [message.payload for _, message in shared["received"][3]
+                    if isinstance(message, Probe) and message.sender == 2]
+        twice = {payload for payload in from_two if from_two.count(payload) == 2}
+        assert twice and min(twice) >= 10
+        assert not any((src, dst) == (4, 5) and time >= 6.5
+                       for time, src, dst in shared["deliveries"])

@@ -126,21 +126,15 @@ class TestNetworkObserverWiring:
         assert len(cluster.trace) == 0
         assert cluster.metrics.total_sent > 0
 
-    def test_trace_kwarg_is_deprecated_but_attaches(self) -> None:
-        sim = Simulation(seed=1)
-        log = TraceLog(enabled=True)
-        with pytest.warns(DeprecationWarning, match="Network.trace=."):
-            network = Network(sim, trace=log)
-        assert network.trace is log
-
-    def test_metrics_kwarg_is_deprecated_but_attaches(self) -> None:
-        sim = Simulation(seed=1)
-        collector = MetricsCollector(window=2.0)
-        with pytest.warns(DeprecationWarning, match="Network.metrics=."):
-            network = Network(sim, metrics=collector)
-        assert network.metrics is collector
-        # The shim replaces the default collector, it does not stack one.
-        assert network.hub.of_type(MetricsCollector) == [collector]
+    @pytest.mark.parametrize("kwarg, observer", [
+        ("trace", TraceLog(enabled=True)),
+        ("metrics", MetricsCollector(window=2.0)),
+    ], ids=["trace", "metrics"])
+    def test_pre_observer_kwargs_are_gone(self, kwarg: str,
+                                          observer: object) -> None:
+        # The PR 4 shims: observers go through ``observers=`` only.
+        with pytest.raises(TypeError, match=kwarg):
+            Network(Simulation(seed=1), **{kwarg: observer})
 
 
 class TestCapture:

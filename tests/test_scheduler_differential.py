@@ -381,3 +381,74 @@ def test_post_batch_error_keeps_the_items_before_it(width: float) -> None:
         sim.run_until(4 * w)
         assert log == ["late", "resident", "bucketed"]
         assert sim.pending() == 0
+
+
+# ----------------------------------------------------------------------
+# The far horizon: a heap head at or beyond 2**60 s has no window to open
+# ----------------------------------------------------------------------
+
+FAR_TIMES = (2.0 ** 60, 2.0 ** 61, float("inf"))
+
+
+def _far_run(sim, far: float, via: str, driver: str) -> list:
+    log: list = []
+
+    def note(label: str):
+        return lambda: log.append((sim.now, label))
+
+    def schedule(time: float, label: str) -> None:
+        if via == "post_at":
+            sim.post_at(time, note(label))
+        elif via == "post_batch":
+            sim.post_batch([(time, note(label))])
+        else:
+            sim.call_at(time, note(label))
+
+    def from_the_far_side() -> None:
+        log.append((sim.now, "far-first"))
+        schedule(sim.now, "far-child")      # now is `far`: far again
+
+    sim.post_at(0.3, note("near-post"))
+    sim.call_at(0.7, note("near-timer"))
+    schedule(far, "far-tie")                # same instant, lower seq
+    sim.call_at(far, note("far-cancelled")).cancel()
+    schedule(far, "far-second")
+    sim.post_at(far, from_the_far_side)
+    if driver == "drain":
+        log.append(sim.drain(max_events=100))
+    elif driver == "run_until":
+        sim.run_until(2.0 ** 59)
+        log.append(_queue_state(sim))
+        sim.run_until(float("inf"))
+    else:
+        while sim.step():
+            log.append(_queue_state(sim))
+    log.append(_queue_state(sim))
+    return log
+
+
+@pytest.mark.parametrize("driver", ["drain", "run_until", "step"])
+@pytest.mark.parametrize("via", ["post_at", "post_batch", "call_at"])
+@pytest.mark.parametrize("far", FAR_TIMES)
+def test_far_horizon_events_run_from_the_heap(far: float, via: str,
+                                              driver: str) -> None:
+    # At 2**61 a window has no width in floats and at inf no index: the
+    # kernel used to spin forever / raise OverflowError opening one.
+    fast, ref = (_far_run(sim, far, via, driver) for sim in _pair(0, 0.0625))
+    assert fast == ref
+    labels = [entry[1] for entry in fast
+              if isinstance(entry, tuple) and isinstance(entry[1], str)]
+    assert labels == ["near-post", "near-timer", "far-tie", "far-second",
+                      "far-first", "far-child"]
+    assert fast[-1][2] == 0     # nothing pending
+
+
+@pytest.mark.parametrize("far", FAR_TIMES)
+def test_run_batch_at_the_far_horizon_is_that_instant(far: float) -> None:
+    sim = Simulation()
+    fired: list = []
+    sim.post_at(0.01, lambda: fired.append("near"))
+    sim.post_at(far, lambda: fired.append("far-a"))
+    sim.call_at(far, lambda: fired.append("far-b"))
+    assert [sim.run_batch(), sim.run_batch(), sim.run_batch()] == [1, 2, 0]
+    assert fired == ["near", "far-a", "far-b"] and sim.now == far

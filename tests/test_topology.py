@@ -21,6 +21,7 @@ from repro.sim.topology import (
     f_source_links,
     multi_source_links,
     ordered_pairs,
+    relay_tree_links,
     source_links,
     source_links_lossy_elsewhere,
 )
@@ -73,10 +74,25 @@ class TestBuilders:
             else:
                 assert isinstance(policy, LossyAsyncLink)
 
-    def test_policies_are_fresh_instances(self) -> None:
-        links = source_links(4, 0)
-        policies = list(links.values())
-        assert len(set(map(id, policies))) == len(policies)
+    @pytest.mark.parametrize("build, laws", [
+        (lambda: all_timely_links(5), 1),
+        (lambda: all_eventually_timely_links(5), 1),
+        (lambda: source_links(5, 0), 2),
+        (lambda: f_source_links(5, 0, [1, 3]), 2),
+        (lambda: multi_source_links(5, [0, 1]), 2),
+        (lambda: relay_tree_links(5, 0), 2),
+        (lambda: source_links_lossy_elsewhere(5, 0), 2),
+    ], ids=["all-timely", "all-et", "source", "f-source", "multi-source",
+            "relay-tree", "lossy-elsewhere"])
+    def test_one_policy_object_per_law_per_map(self, build, laws: int) -> None:
+        # A policy is a law, shared by every pair that obeys it; per-link
+        # state is keyed by the network's link token, not by the object.
+        first, second = build(), build()
+        assert len({id(policy) for policy in first.values()}) == laws
+        assert len({type(policy) for policy in first.values()}) == laws
+        # ... and two maps (two networks, two runs) share nothing.
+        assert not ({id(policy) for policy in first.values()}
+                    & {id(policy) for policy in second.values()})
 
 
 class TestValidation:
