@@ -10,96 +10,29 @@ processes.  Assembled with
 judged by :func:`check_single_decree` / :func:`check_log`.
 """
 
-from repro.consensus.checker import (
-    LogReport,
-    SingleDecreeReport,
-    check_log,
-    check_single_decree,
-)
-from repro.consensus.compaction import (
-    CompactingLogReport,
-    CompactingReplica,
-    SnapshotAck,
-    SnapshotOffer,
-    check_compacting_log,
-)
-from repro.consensus.config import ConsensusConfig
-from repro.consensus.messages import (
-    BOTTOM_BALLOT,
-    Accepted,
-    Ballot,
-    Decide,
-    DecideAck,
-    DecideAcks,
-    Decides,
-    Forward,
-    Forwards,
-    Nack,
-    Prepare,
-    Promise,
-    Propose,
-)
-from repro.consensus.node import ConsensusNode, ConsensusSystem
-from repro.consensus.replica import NOOP, Batch, LogReplica, entry_commands
-from repro.consensus.sharding import ShardedLog
-from repro.consensus.rotating import (
-    RotatingLeaderOracle,
-    build_rotating_single_decree,
-)
-from repro.consensus.single import SingleDecreeConsensus
-from repro.consensus.statemachine import (
-    CounterMachine,
-    JournalMachine,
-    KeyValueStore,
-    ReplicatedStateMachine,
-    StateMachine,
-)
-from repro.consensus.workload import (
-    WorkloadDriver,
-    WorkloadOutcome,
-    WorkloadSpec,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "LogReport",
-    "SingleDecreeReport",
-    "check_log",
-    "check_single_decree",
-    "CompactingLogReport",
-    "CompactingReplica",
-    "SnapshotAck",
-    "SnapshotOffer",
-    "check_compacting_log",
-    "ConsensusConfig",
-    "BOTTOM_BALLOT",
-    "Accepted",
-    "Ballot",
-    "Decide",
-    "DecideAck",
-    "DecideAcks",
-    "Decides",
-    "Forward",
-    "Forwards",
-    "Nack",
-    "Prepare",
-    "Promise",
-    "Propose",
-    "ConsensusNode",
-    "ConsensusSystem",
-    "NOOP",
-    "Batch",
-    "LogReplica",
-    "ShardedLog",
-    "entry_commands",
-    "RotatingLeaderOracle",
-    "build_rotating_single_decree",
-    "SingleDecreeConsensus",
-    "CounterMachine",
-    "JournalMachine",
-    "KeyValueStore",
-    "ReplicatedStateMachine",
-    "StateMachine",
-    "WorkloadDriver",
-    "WorkloadOutcome",
-    "WorkloadSpec",
-]
+_EXPORTS = {
+    "repro.consensus.checker": (
+        "LogReport", "SingleDecreeReport", "check_log", "check_single_decree"),
+    "repro.consensus.compaction": (
+        "CompactingLogReport", "CompactingReplica", "SnapshotAck",
+        "SnapshotOffer", "check_compacting_log"),
+    "repro.consensus.config": ("ConsensusConfig",),
+    "repro.consensus.messages": (
+        "BOTTOM_BALLOT", "Accepted", "Ballot", "Decide", "DecideAck",
+        "DecideAcks", "Decides", "Forward", "Forwards", "Nack", "Prepare",
+        "Promise", "Propose"),
+    "repro.consensus.node": ("ConsensusNode", "ConsensusSystem"),
+    "repro.consensus.replica": ("NOOP", "Batch", "LogReplica", "entry_commands"),
+    "repro.consensus.sharding": ("ShardedLog",),
+    "repro.consensus.rotating": (
+        "RotatingLeaderOracle", "build_rotating_single_decree"),
+    "repro.consensus.single": ("SingleDecreeConsensus",),
+    "repro.consensus.statemachine": (
+        "CounterMachine", "JournalMachine", "KeyValueStore",
+        "ReplicatedStateMachine", "StateMachine"),
+    "repro.consensus.workload": (
+        "WorkloadDriver", "WorkloadOutcome", "WorkloadSpec"),
+}
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

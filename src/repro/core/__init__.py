@@ -25,70 +25,28 @@ Plus the run checker (:func:`analyze_omega_run`,
 verdicts the experiments report.
 """
 
-from repro.core.adaptive import (
-    AdaptiveController,
-    BackoffPolicy,
-    LinkQualityEstimator,
-)
-from repro.core.all_timely import AllTimelyOmega
-from repro.core.checker import (
-    CommunicationReport,
-    OmegaRunReport,
-    analyze_omega_run,
-    communication_report,
-)
-from repro.core.comm_efficient import CommEfficientOmega
-from repro.core.config import AdaptiveTimeouts, OmegaConfig
-from repro.core.f_source import FSourceOmega
-from repro.core.messages import (
-    Accusation,
-    Alive,
-    BatchedAlive,
-    Beat,
-    FsAlive,
-    Heartbeat,
-    Suspect,
-)
-from repro.core.omega import OmegaProtocol
-from repro.core.packet_efficient import PacketEfficientOmega
-from repro.core.registry import OMEGA_ALGORITHMS, algorithm_class, make_factory
-from repro.core.qos import OmegaQoS, measure_qos, output_at
-from repro.core.recovering import RecoveringOmega
-from repro.core.relay import Relay, SeenTracker, make_relayed, origins_between
-from repro.core.source_omega import SourceOmega
+from repro import _lazy_exports
 
-__all__ = [
-    "AdaptiveController",
-    "BackoffPolicy",
-    "LinkQualityEstimator",
-    "AllTimelyOmega",
-    "CommunicationReport",
-    "OmegaRunReport",
-    "analyze_omega_run",
-    "communication_report",
-    "CommEfficientOmega",
-    "AdaptiveTimeouts",
-    "OmegaConfig",
-    "FSourceOmega",
-    "Accusation",
-    "Alive",
-    "BatchedAlive",
-    "Beat",
-    "FsAlive",
-    "Heartbeat",
-    "Suspect",
-    "OmegaProtocol",
-    "PacketEfficientOmega",
-    "OMEGA_ALGORITHMS",
-    "algorithm_class",
-    "make_factory",
-    "OmegaQoS",
-    "measure_qos",
-    "output_at",
-    "RecoveringOmega",
-    "Relay",
-    "SeenTracker",
-    "make_relayed",
-    "origins_between",
-    "SourceOmega",
-]
+_EXPORTS = {
+    "repro.core.adaptive": (
+        "AdaptiveController", "BackoffPolicy", "LinkQualityEstimator"),
+    "repro.core.all_timely": ("AllTimelyOmega",),
+    "repro.core.checker": (
+        "CommunicationReport", "OmegaRunReport", "analyze_omega_run",
+        "communication_report"),
+    "repro.core.comm_efficient": ("CommEfficientOmega",),
+    "repro.core.config": ("AdaptiveTimeouts", "OmegaConfig"),
+    "repro.core.f_source": ("FSourceOmega",),
+    "repro.core.messages": (
+        "Accusation", "Alive", "BatchedAlive", "Beat", "FsAlive",
+        "Heartbeat", "Suspect"),
+    "repro.core.omega": ("OmegaProtocol",),
+    "repro.core.packet_efficient": ("PacketEfficientOmega",),
+    "repro.core.registry": ("OMEGA_ALGORITHMS", "algorithm_class", "make_factory"),
+    "repro.core.qos": ("OmegaQoS", "measure_qos", "output_at"),
+    "repro.core.recovering": ("RecoveringOmega",),
+    "repro.core.relay": (
+        "Relay", "SeenTracker", "make_relayed", "origins_between"),
+    "repro.core.source_omega": ("SourceOmega",),
+}
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

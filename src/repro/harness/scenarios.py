@@ -39,9 +39,9 @@ from repro.core.checker import (
 from repro.core.config import OmegaConfig
 from repro.core.registry import make_factory
 from repro.sim.cluster import Cluster
-from repro.sim.links import LinkPolicy
 from repro.sim.nemesis import FaultPlan
 from repro.sim.topology import (
+    LinkMap,
     LinkTimings,
     all_eventually_timely_links,
     all_timely_links,
@@ -145,8 +145,9 @@ class OmegaScenario:
             return len(self.targets)
         return 1
 
-    def link_map(self) -> dict[tuple[int, int], LinkPolicy]:
-        """Fresh link policies realizing the scenario's system."""
+    def link_map(self) -> LinkMap:
+        """Fresh link policies realizing the scenario's system: one law
+        per link class, plus the pairs that differ from the base law."""
         if self.system == "all-timely":
             return all_timely_links(self.n, self.timings)
         if self.system == "all-et":

@@ -56,40 +56,18 @@ See ``docs/TRANSPORT.md`` for the transport contract and the
 quickstart.
 """
 
-from repro.live.chaos import (
-    LiveSoakCase,
-    LiveSoakResult,
-    live_soak,
-    run_live_case,
-    sample_live_case,
-)
-from repro.live.cluster import ControlError, LiveCluster, LiveClusterSpec
-from repro.live.codec import decode_frame, encode_frame, registered_kinds
-from repro.live.crossval import cross_validate
-from repro.live.report import analyze_live_run, merged_live_report
-from repro.live.runtime import Backoff, Deadline, LiveClock
-from repro.live.storage import FileStorage
-from repro.live.transport import LinkWindow, LiveTransport
+from repro import _lazy_exports
 
-__all__ = [
-    "Backoff",
-    "ControlError",
-    "Deadline",
-    "FileStorage",
-    "LiveClock",
-    "LiveCluster",
-    "LiveClusterSpec",
-    "LiveSoakCase",
-    "LiveSoakResult",
-    "LiveTransport",
-    "LinkWindow",
-    "analyze_live_run",
-    "cross_validate",
-    "decode_frame",
-    "encode_frame",
-    "live_soak",
-    "merged_live_report",
-    "registered_kinds",
-    "run_live_case",
-    "sample_live_case",
-]
+_EXPORTS = {
+    "repro.live.chaos": (
+        "LiveSoakCase", "LiveSoakResult", "live_soak", "run_live_case",
+        "sample_live_case"),
+    "repro.live.cluster": ("ControlError", "LiveCluster", "LiveClusterSpec"),
+    "repro.live.codec": ("decode_frame", "encode_frame", "registered_kinds"),
+    "repro.live.crossval": ("cross_validate",),
+    "repro.live.report": ("analyze_live_run", "merged_live_report"),
+    "repro.live.runtime": ("Backoff", "Deadline", "LiveClock"),
+    "repro.live.storage": ("FileStorage",),
+    "repro.live.transport": ("LinkWindow", "LiveTransport"),
+}
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

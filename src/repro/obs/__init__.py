@@ -15,47 +15,21 @@ This package is the one instrumentation surface of the repository (see
 
 Import discipline: submodules here depend only on the standard library
 and each other (report builders import the sim/harness stack lazily,
-inside functions), so ``repro.sim.network`` can import this package
-without creating a cycle.
+inside functions), so ``repro.sim.network`` can import
+:mod:`repro.obs.observer` without creating a cycle.
 """
 
-from repro.obs.observer import Capture, Observer, ObserverHub, capture
-from repro.obs.report import (
-    PHASE_OF_KIND,
-    REPORT_SCHEMA,
-    RunRecorder,
-    RunReport,
-    bench_case_report,
-    render_report_text,
-    scenario_report,
-    soak_case_report,
-    validate_report,
-)
-from repro.obs.timeliness import (
-    LinkStats,
-    TimelinessInspector,
-    classification_matches,
-    expected_link_classes,
-)
-from repro.obs.verdict import Verdict
+from repro import _lazy_exports
 
-__all__ = [
-    "Observer",
-    "ObserverHub",
-    "Capture",
-    "capture",
-    "Verdict",
-    "LinkStats",
-    "TimelinessInspector",
-    "expected_link_classes",
-    "classification_matches",
-    "REPORT_SCHEMA",
-    "PHASE_OF_KIND",
-    "RunRecorder",
-    "RunReport",
-    "scenario_report",
-    "bench_case_report",
-    "soak_case_report",
-    "validate_report",
-    "render_report_text",
-]
+_EXPORTS = {
+    "repro.obs.observer": ("Observer", "ObserverHub", "Capture", "capture"),
+    "repro.obs.verdict": ("Verdict",),
+    "repro.obs.timeliness": (
+        "LinkStats", "TimelinessInspector", "expected_link_classes",
+        "classification_matches"),
+    "repro.obs.report": (
+        "REPORT_SCHEMA", "PHASE_OF_KIND", "RunRecorder", "RunReport",
+        "scenario_report", "bench_case_report", "soak_case_report",
+        "validate_report", "render_report_text"),
+}
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

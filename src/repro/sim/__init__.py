@@ -6,135 +6,36 @@ injection, tracing and message accounting.  The paper's algorithms (in
 :mod:`repro.core` and :mod:`repro.consensus`) run unmodified on top of it.
 """
 
-from repro.sim.cluster import Cluster
-from repro.sim.engine import Simulation, SimulationError
-from repro.sim.faults import CrashEvent, CrashPlan, random_crash_plan
-from repro.sim.links import (
-    DeadLink,
-    DegradedWindow,
-    EventuallyTimelyLink,
-    FairLossyLink,
-    LinkPolicy,
-    LossyAsyncLink,
-    PerturbedLink,
-    TimelyLink,
-)
-from repro.sim.nemesis import (
-    CrashFault,
-    DegradeFault,
-    DuplicateFault,
-    FaultEvent,
-    FaultPlan,
-    FaultPlanError,
-    FlapFault,
-    ModelEnvelope,
-    Nemesis,
-    PartitionFault,
-    PauseFault,
-    ProcessClasses,
-    RecoverFault,
-    model_violations,
-    parse_event,
-    process_classes,
-    sample_degraded_plan,
-    sample_plan,
-    sample_recovery_plan,
-)
-from repro.sim.messages import Message
-from repro.sim.metrics import MetricsCollector, WindowStats
-from repro.sim.network import Network, NetworkError
-from repro.sim.packets import DEFAULT_MTU, packet_count, wire_size
-from repro.sim.process import Process, ProcessError
-from repro.sim.rng import RngFabric
-from repro.sim.storage import StableStorage, StorageError
-from repro.sim.topology import (
-    LinkTimings,
-    all_eventually_timely_links,
-    all_timely_links,
-    apply_links,
-    f_source_links,
-    multi_source_links,
-    ordered_pairs,
-    relay_tree_links,
-    source_links,
-    source_links_lossy_elsewhere,
-)
-from repro.sim.trace import (
-    CrashRecord,
-    DeliverRecord,
-    DropRecord,
-    SendRecord,
-    TraceLog,
-)
-from repro.sim.traceview import (
-    render_message_flow,
-    render_process_timeline,
-    summarize_trace,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Cluster",
-    "Simulation",
-    "SimulationError",
-    "CrashEvent",
-    "CrashPlan",
-    "random_crash_plan",
-    "CrashFault",
-    "DegradeFault",
-    "DuplicateFault",
-    "FaultEvent",
-    "FaultPlan",
-    "FaultPlanError",
-    "FlapFault",
-    "ModelEnvelope",
-    "Nemesis",
-    "PartitionFault",
-    "PauseFault",
-    "ProcessClasses",
-    "RecoverFault",
-    "model_violations",
-    "parse_event",
-    "process_classes",
-    "sample_degraded_plan",
-    "sample_plan",
-    "sample_recovery_plan",
-    "DegradedWindow",
-    "PerturbedLink",
-    "DeadLink",
-    "EventuallyTimelyLink",
-    "FairLossyLink",
-    "LinkPolicy",
-    "LossyAsyncLink",
-    "TimelyLink",
-    "Message",
-    "MetricsCollector",
-    "WindowStats",
-    "Network",
-    "NetworkError",
-    "DEFAULT_MTU",
-    "packet_count",
-    "wire_size",
-    "Process",
-    "ProcessError",
-    "RngFabric",
-    "StableStorage",
-    "StorageError",
-    "LinkTimings",
-    "all_eventually_timely_links",
-    "all_timely_links",
-    "apply_links",
-    "f_source_links",
-    "multi_source_links",
-    "ordered_pairs",
-    "relay_tree_links",
-    "source_links",
-    "source_links_lossy_elsewhere",
-    "CrashRecord",
-    "DeliverRecord",
-    "DropRecord",
-    "SendRecord",
-    "TraceLog",
-    "render_message_flow",
-    "render_process_timeline",
-    "summarize_trace",
-]
+_EXPORTS = {
+    "repro.sim.cluster": ("Cluster",),
+    "repro.sim.engine": ("Simulation", "SimulationError"),
+    "repro.sim.faults": ("CrashEvent", "CrashPlan", "random_crash_plan"),
+    "repro.sim.nemesis": (
+        "CrashFault", "DegradeFault", "DuplicateFault", "FaultEvent",
+        "FaultPlan", "FaultPlanError", "FlapFault", "ModelEnvelope",
+        "Nemesis", "PartitionFault", "PauseFault", "ProcessClasses",
+        "RecoverFault", "model_violations", "parse_event", "process_classes",
+        "sample_degraded_plan", "sample_plan", "sample_recovery_plan"),
+    "repro.sim.links": (
+        "DegradedWindow", "PerturbedLink", "DeadLink", "EventuallyTimelyLink",
+        "FairLossyLink", "LinkPolicy", "LossyAsyncLink", "TimelyLink"),
+    "repro.sim.messages": ("Message",),
+    "repro.sim.metrics": ("MetricsCollector", "WindowStats"),
+    "repro.sim.network": ("Network", "NetworkError"),
+    "repro.sim.packets": ("DEFAULT_MTU", "packet_count", "wire_size"),
+    "repro.sim.process": ("Process", "ProcessError"),
+    "repro.sim.rng": ("RngFabric",),
+    "repro.sim.storage": ("StableStorage", "StorageError"),
+    "repro.sim.topology": (
+        "LinkTimings", "all_eventually_timely_links", "all_timely_links",
+        "apply_links", "f_source_links", "multi_source_links",
+        "ordered_pairs", "relay_tree_links", "source_links",
+        "source_links_lossy_elsewhere"),
+    "repro.sim.trace": (
+        "CrashRecord", "DeliverRecord", "DropRecord", "SendRecord", "TraceLog"),
+    "repro.sim.traceview": (
+        "render_message_flow", "render_process_timeline", "summarize_trace"),
+}
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -25,15 +25,20 @@ Hot path
 (every heartbeat of every process crosses them), so they avoid
 re-deriving anything per call:
 
-* Per-pair state lives in **flat arrays indexed by ``src * stride + dst``**
-  (``stride`` = highest pid + 1), not per-pair dicts: the route table
-  caches each ordered link's ``(policy, rng_stream)`` pair in one slot,
-  so the per-message lookup is an integer multiply and a list index
-  instead of a tuple hash.  Policies are shared per law, so under
-  ``link_rng="src"`` the n² slots point at a handful of interned tuples.
-  The arrays are (re)built lazily on first use after a registration;
-  :meth:`set_link`/:meth:`perturb_link` clear just the affected slot,
-  so fault injection still takes effect immediately.
+* Nothing is stored per pair unless the pair differs: an installed
+  :class:`~repro.sim.topology.LinkMap` is kept as its base law (every
+  pair inside ``range(n)``) plus its overrides, and ``_links`` holds
+  only the pairs someone set — a map's overrides, :meth:`set_link`,
+  :meth:`perturb_link`.  What each message needs lives in **flat
+  arrays indexed by ``src * stride + dst``** (``stride`` = highest pid
+  + 1): the route table caches each ordered link's ``(policy,
+  rng_stream)`` pair in one slot, so the per-message lookup is an
+  integer multiply and a list index instead of a tuple hash.  Policies
+  are shared per law, so under ``link_rng="src"`` the n² slots point at
+  a handful of interned tuples.  The arrays are (re)built lazily on
+  first use after a registration or a new map; :meth:`set_link` /
+  :meth:`perturb_link` clear just the affected slot, so fault injection
+  still takes effect immediately.
 * ``broadcast`` is **one pass per fan-out**: partition membership is
   resolved once, wire size is computed once per message, and all
   delivery events are bulk-posted through a single ``post_batch()``
@@ -71,6 +76,7 @@ from repro.sim.trace import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.process import Process
+    from repro.sim.topology import LinkMap
 
 __all__ = ["Network", "NetworkError"]
 
@@ -118,9 +124,9 @@ class Network:
         historical behaviour of ``Network(sim)``; pass an explicit
         empty tuple for a truly bare network.
     default_link:
-        Factory of the law for every ordered pair without an explicit
-        :meth:`set_link`, called once on first need; defaults to one
-        shared :class:`TimelyLink`.
+        Factory of the law for every ordered pair that neither an
+        installed map nor :meth:`set_link` covers, called once on first
+        need; defaults to one shared :class:`TimelyLink`.
     mtu:
         Packet size used to convert modeled wire bytes into packet
         counts (see :mod:`repro.sim.packets`).  Only consulted when a
@@ -164,6 +170,10 @@ class Network:
         self._default_link = default_link
         self._default_policy: LinkPolicy | None = None
         self._processes: dict[int, "Process"] = {}
+        # The installed map's base law and the pids it covers; _links
+        # holds only the pairs someone set (see the module docstring).
+        self._base_pids = range(0)
+        self._base_law: LinkPolicy | None = None
         self._links: dict[tuple[int, int], LinkPolicy] = {}
         self._partitions: list[tuple[float, float, tuple[frozenset[int], ...]]] = []
         # Whether any process ever recovered: gates the per-delivery
@@ -256,18 +266,52 @@ class Network:
         self._links[(src, dst)] = policy
         self._clear_route(src, dst)
 
-    def link(self, src: int, dst: int) -> LinkPolicy:
-        """The policy for ``src -> dst`` (instantiating the default lazily).
+    def set_link_map(self, links: "LinkMap") -> None:
+        """Install a :class:`~repro.sim.topology.LinkMap` without writing
+        it out pair by pair.
 
-        The object may serve other pairs too: to change one pair,
-        :meth:`set_link` a new policy rather than mutating this one.
+        The map's base law covers every ordered pair of distinct pids in
+        ``range(links.n)`` and its overrides go in as explicit links;
+        every covered pair loses what it had (an explicit
+        :meth:`set_link`, a :meth:`perturb_link` overlay, an earlier
+        map), exactly as one ``set_link`` per pair of the map would
+        leave it.  Cached routes and fan-out records are dropped.
+        """
+        covered = range(links.n)
+        kept = {(src, dst): policy for (src, dst), policy in self._links.items()
+                if src not in covered or dst not in covered}
+        wider = self._base_pids
+        if len(wider) > len(covered):
+            # An earlier, wider map: the pairs this one leaves alone
+            # keep its base law, now written out.
+            for src in wider:
+                for dst in wider:
+                    if src != dst and (src not in covered or dst not in covered):
+                        kept.setdefault((src, dst), self._base_law)
+        self._links = kept
+        self._base_pids, self._base_law = covered, links.default
+        self._route_table = None
+        self._fanouts.clear()
+        for (src, dst), policy in links.overrides.items():
+            self.set_link(src, dst, policy)
+
+    def link(self, src: int, dst: int) -> LinkPolicy:
+        """The policy for ``src -> dst``: the pair's own (a map override,
+        :meth:`set_link`, :meth:`perturb_link`), else the installed map's
+        base law, else the network default (instantiated lazily).
+
+        Nothing is stored by asking.  The object may serve other pairs
+        too: to change one pair, :meth:`set_link` a new policy rather
+        than mutating this one.
         """
         policy = self._links.get((src, dst))
         if policy is None:
+            base = self._base_pids
+            if src != dst and src in base and dst in base:
+                return self._base_law
             policy = self._default_policy
             if policy is None:
                 policy = self._default_policy = self._default_link()
-            self._links[(src, dst)] = policy
         return policy
 
     def _route_table_now(self) -> list[tuple[LinkPolicy, random.Random] | None]:

@@ -1,13 +1,17 @@
 """Builders for the paper's system topologies.
 
-Each builder returns a *link map*: ``{(src, dst): LinkPolicy}`` for every
-ordered pair of distinct pids.  A policy object is a link *law* that
-serves any number of links (:mod:`repro.sim.links`), so a map holds
-**one instance per law** — ``source_links(256, 0)`` is 65 280 pairs
-pointing at two objects — and two maps share nothing.  To give one pair
-a law of its own, ``set_link`` a new policy on the network; mutating the
-object a map (or ``network.link(a, b)``) hands back changes every link
-that shares it.  The maps realize the systems of DESIGN.md §1:
+Each builder returns a :class:`LinkMap`: a read-only mapping
+``(src, dst) -> LinkPolicy`` over every ordered pair of distinct pids in
+``range(n)``, stored the way the model describes a system — one base
+law plus the pairs that differ.  ``source_links(256, 0)`` indexes,
+iterates and ``len``s as 65 280 pairs but holds 255 overrides, and
+``all_timely_links`` holds none; ``dict(m)`` writes the pairs out.  A
+policy object is a link *law* that serves any number of links
+(:mod:`repro.sim.links`), so a map holds **one instance per law**, and
+two maps share nothing.  To give one pair a law of its own, ``set_link``
+a new policy on the network; mutating the object a map (or
+``network.link(a, b)``) hands back changes every link that shares it.
+The maps realize the systems of DESIGN.md §1:
 
 ``all_timely_links``
     Every link timely from time zero — the friendliest world, used by
@@ -40,7 +44,8 @@ they are unknown to the protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.sim.links import (
     EventuallyTimelyLink,
@@ -52,6 +57,7 @@ from repro.sim.links import (
 from repro.sim.network import Network
 
 __all__ = [
+    "LinkMap",
     "LinkTimings",
     "all_timely_links",
     "all_eventually_timely_links",
@@ -64,7 +70,44 @@ __all__ = [
     "ordered_pairs",
 ]
 
-LinkMap = dict[tuple[int, int], LinkPolicy]
+
+class LinkMap(Mapping[tuple[int, int], LinkPolicy]):
+    """Read-only link map: ``default`` on every ordered pair of distinct
+    pids in ``range(n)``, except the pairs ``overrides`` names.
+
+    Built in O(overrides); as a mapping it is the per-pair dict written
+    out (same keys in :func:`ordered_pairs` order, the same law objects,
+    ``len`` n(n−1)), and ``dict(m)`` materializes it.
+    :func:`apply_links` installs it without writing the pairs out.
+    """
+
+    __slots__ = ("n", "default", "overrides", "_pids")
+
+    def __init__(self, n: int, default: LinkPolicy,
+                 overrides: Mapping[tuple[int, int], LinkPolicy]) -> None:
+        self.n = n
+        self.default = default
+        self.overrides = MappingProxyType(dict(overrides))
+        self._pids = range(n)
+        for src, dst in self.overrides:
+            if src == dst or src not in self._pids or dst not in self._pids:
+                raise ValueError(f"override {(src, dst)} is not a link of "
+                                 f"0..{n - 1}")
+
+    def __getitem__(self, pair: tuple[int, int]) -> LinkPolicy:
+        policy = self.overrides.get(pair)
+        if policy is None:
+            src, dst = pair
+            if src == dst or src not in self._pids or dst not in self._pids:
+                raise KeyError(pair)
+            policy = self.default
+        return policy
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(ordered_pairs(self._pids))
+
+    def __len__(self) -> int:
+        return self.n * (self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -148,23 +191,27 @@ def ordered_pairs(pids: Iterable[int]) -> list[tuple[int, int]]:
     return [(i, j) for i in pid_list for j in pid_list if i != j]
 
 
-def _two_law_map(n: int, is_timely: Callable[[int, int], bool],
+def _two_law_map(n: int, pairs: Iterable[tuple[int, int]],
                  timely: LinkPolicy, other: LinkPolicy) -> LinkMap:
-    """``timely`` on the pairs ``is_timely(src, dst)`` picks, ``other`` elsewhere."""
-    return {(src, dst): timely if is_timely(src, dst) else other
-            for src, dst in ordered_pairs(range(n))}
+    """``timely`` on ``pairs``, ``other`` on every other pair of ``range(n)``."""
+    return LinkMap(n, other, dict.fromkeys(pairs, timely))
+
+
+def _out_links(n: int, sources: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Every output link of every pid in ``sources``."""
+    return ((src, dst) for src in sources for dst in range(n) if dst != src)
 
 
 def all_timely_links(n: int, timings: LinkTimings = LinkTimings()) -> LinkMap:
     """Every link timely from the start."""
-    return dict.fromkeys(ordered_pairs(range(n)), timings.timely())
+    return LinkMap(n, timings.timely(), {})
 
 
 def all_eventually_timely_links(
     n: int, timings: LinkTimings = LinkTimings()
 ) -> LinkMap:
     """Every link ◇timely (common GST)."""
-    return dict.fromkeys(ordered_pairs(range(n)), timings.eventually_timely())
+    return LinkMap(n, timings.eventually_timely(), {})
 
 
 def source_links(
@@ -172,7 +219,7 @@ def source_links(
 ) -> LinkMap:
     """◇timely output links from ``source``; fair-lossy everywhere else."""
     _check_member(n, source, "source")
-    return _two_law_map(n, lambda src, dst: src == source,
+    return _two_law_map(n, _out_links(n, (source,)),
                         timings.eventually_timely(), timings.fair_lossy())
 
 
@@ -195,9 +242,8 @@ def f_source_links(
         raise ValueError("source cannot be its own target")
     for target in target_set:
         _check_member(n, target, "target")
-    return _two_law_map(
-        n, lambda src, dst: src == source and dst in target_set,
-        timings.eventually_timely(), timings.fair_lossy())
+    return _two_law_map(n, ((source, target) for target in sorted(target_set)),
+                        timings.eventually_timely(), timings.fair_lossy())
 
 
 def multi_source_links(
@@ -214,7 +260,7 @@ def multi_source_links(
         raise ValueError("need at least one source")
     for source in source_set:
         _check_member(n, source, "source")
-    return _two_law_map(n, lambda src, dst: src in source_set,
+    return _two_law_map(n, _out_links(n, sorted(source_set)),
                         timings.eventually_timely(), timings.fair_lossy())
 
 
@@ -247,7 +293,7 @@ def relay_tree_links(
     timely_pairs = {(source, hub_a), (source, hub_b)}
     timely_pairs |= {(hub_a, leaf) for leaf in served_by_a}
     timely_pairs |= {(hub_b, leaf) for leaf in served_by_b}
-    return _two_law_map(n, lambda src, dst: (src, dst) in timely_pairs,
+    return _two_law_map(n, sorted(timely_pairs),
                         timings.eventually_timely(), timings.fair_lossy())
 
 
@@ -261,12 +307,22 @@ def source_links_lossy_elsewhere(
     algorithm behaviours rely on fair-lossy feedback paths.
     """
     _check_member(n, source, "source")
-    return _two_law_map(n, lambda src, dst: src == source,
+    return _two_law_map(n, _out_links(n, (source,)),
                         timings.eventually_timely(), timings.lossy_async())
 
 
 def apply_links(network: Network, links: Mapping[tuple[int, int], LinkPolicy]) -> None:
-    """Install a link map on a network."""
+    """Install a link map on a network.
+
+    Every pair the map covers loses what it had (an explicit
+    ``set_link``, a ``perturb_link`` overlay, an earlier map).  A
+    :class:`LinkMap` goes in whole through
+    :meth:`~repro.sim.network.Network.set_link_map`; any other mapping
+    pair by pair.
+    """
+    if isinstance(links, LinkMap):
+        network.set_link_map(links)
+        return
     for (src, dst), policy in links.items():
         network.set_link(src, dst, policy)
 

@@ -46,6 +46,27 @@ def test_build_allocates_per_process_not_per_pair() -> None:
     assert _tracked_objects_built(2 * 24) < 3 * _tracked_objects_built(24)
 
 
+def test_build_sets_links_per_process_not_per_pair(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    # The map is one law plus the source's n−1 out-links: installing it
+    # writes the overrides, never the n² pairs the base law covers.
+    calls = [0]
+    set_link = Network.set_link
+
+    def counting(self, *args) -> None:  # noqa: ANN001
+        calls[0] += 1
+        set_link(self, *args)
+
+    monkeypatch.setattr(Network, "set_link", counting)
+
+    def set_links_built(n: int) -> int:
+        calls[0] = 0
+        _census(n)
+        return calls[0]
+
+    assert set_links_built(2 * 24) < 3 * set_links_built(24)
+
+
 def test_census_run_shares_laws_and_plans_fan_outs_once(
         monkeypatch: pytest.MonkeyPatch) -> None:
     tail = {"broadcasts": 0, "plan_many": 0, "plan": 0}
@@ -67,8 +88,11 @@ def test_census_run_shares_laws_and_plans_fan_outs_once(
     cluster.start_all()
     cluster.run_until(HORIZON)
 
+    network = cluster.network
     policies = {id(policy): policy
-                for policy in cluster.network._links.values()}
+                for policy in (network.link(src, dst)
+                               for src in range(N) for dst in range(N)
+                               if src != dst)}
     assert len(policies) <= 2
     (fair,) = [policy for policy in policies.values()
                if isinstance(policy, FairLossyLink)]

@@ -10,10 +10,23 @@ from conftest import Ping, Probe, Recorder, make_pair
 
 from repro.obs import Observer
 from repro.sim.engine import Simulation
-from repro.sim.links import DeadLink, DegradedWindow, FairLossyLink, TimelyLink
+from repro.sim.links import (
+    DeadLink,
+    DegradedWindow,
+    FairLossyLink,
+    PerturbedLink,
+    TimelyLink,
+)
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network, NetworkError
-from repro.sim.topology import LinkTimings, apply_links, multi_source_links
+from repro.sim.topology import (
+    LinkMap,
+    LinkTimings,
+    all_timely_links,
+    apply_links,
+    multi_source_links,
+    source_links,
+)
 from repro.sim.trace import DeliverRecord, DropRecord, SendRecord, TraceLog
 
 
@@ -118,6 +131,114 @@ class TestTraceAndMetrics:
         a.send(1, message)
         sim.run_until(1.0)
         assert b.received[0][1] is message
+
+
+DEAD = DeadLink()
+
+
+class TestApplyLinkMap:
+    """``apply_links`` installs a :class:`LinkMap` whole — base law plus
+    overrides — and must leave every pair exactly as the per-pair loop
+    over ``dict(map)`` leaves it."""
+
+    N = 5
+
+    @classmethod
+    def _network(cls, pids: int) -> Network:
+        sim = Simulation(seed=3)
+        network = Network(sim, observers=(MetricsCollector(),))
+        for pid in range(pids):
+            Recorder(pid, sim, network).start()
+        return network
+
+    @staticmethod
+    def _describe(network: Network, pids: int) -> list:
+        """Every pair's policy: the object itself, or for a network's own
+        objects (its default, perturbation wrappers) what they are."""
+        def label(policy):  # noqa: ANN001, ANN202
+            if isinstance(policy, PerturbedLink):
+                return ("perturbed", label(policy.inner),
+                        len(policy.windows))
+            if policy is network._default_policy:
+                return "default"
+            return policy
+        return [label(network.link(src, dst))
+                for src in range(pids) for dst in range(pids) if src != dst]
+
+    @classmethod
+    def _replay(cls, whole: bool, first: LinkMap, second: LinkMap) -> Network:
+        network = cls._network(cls.N + 1)   # pid N: outside the first map
+        install = apply_links if whole else (
+            lambda net, links: apply_links(net, dict(links)))
+        window = DegradedWindow(0.0, 9.0, loss=0.5)
+        network.set_link(2, 3, DEAD)
+        network.perturb_link(0, 1, window)
+        network.perturb_link(0, cls.N, window)
+        install(network, first)
+        network.set_link(4, 3, DEAD)
+        network.perturb_link(1, 2, window)
+        network.perturb_link(1, 2, window)
+        install(network, second)
+        network.set_link(3, 4, DEAD)
+        return network
+
+    @pytest.mark.parametrize("second", [
+        lambda n: source_links(n, 1),
+        lambda n: source_links(n - 2, 1),   # narrower: first map's rest stays
+        lambda n: all_timely_links(n + 1),  # wider: covers pid N too
+    ], ids=["same-size", "narrower", "wider"])
+    def test_replaces_what_every_covered_pair_had(self, second) -> None:
+        first, second = source_links(self.N, 0), second(self.N)
+        whole = self._replay(True, first, second)
+        per_pair = self._replay(False, first, second)
+        pids = self.N + 1
+        assert (self._describe(whole, pids)
+                == self._describe(per_pair, pids))
+        # Replaced, not merged: what was set on a pair before a map that
+        # covers it is gone ...
+        assert whole.link(4, 3) is second.get((4, 3), DEAD)
+        assert isinstance(whole.link(1, 2), PerturbedLink) == (
+            (1, 2) not in second)
+        assert whole.link(0, 1) is second[(0, 1)]
+        # ... a narrower map leaves the wider one's pairs alone ...
+        assert whole.link(3, 2) is second.get((3, 2), first[(3, 2)])
+        # ... and what no map covers survives them all.
+        assert isinstance(whole.link(0, self.N), PerturbedLink) == (
+            (0, self.N) not in second)
+
+    def test_pairs_outside_the_map_keep_the_network_default(self) -> None:
+        network = self._network(self.N)
+        links = source_links(3, 0)
+        apply_links(network, links)
+        assert network.link(0, 1) is links[(0, 1)]
+        assert network.link(1, 2) is links.default
+        default = network.link(0, 3)
+        assert isinstance(default, TimelyLink)
+        assert network.link(3, 0) is default is network.link(4, 2)
+
+    def test_a_broadcast_after_reapplying_plans_with_the_new_laws(self) -> None:
+        network = self._network(self.N)
+        apply_links(network, all_timely_links(self.N))
+        network.broadcast(0, Probe(0))          # builds 0's fan-out record
+        network.sim.run_until(1.0)
+        apply_links(network, LinkMap(self.N, DEAD, {}))
+        network.broadcast(0, Probe(0, 1))
+        network.sim.run_until(2.0)
+        metrics = network.metrics
+        assert metrics.delivered_by_kind["Probe"] == self.N - 1
+        assert metrics.dropped_by_reason["link"] == self.N - 1
+
+    def test_stores_only_the_pairs_that_differ(self) -> None:
+        network = self._network(self.N)
+        apply_links(network, source_links(self.N, 2))
+        assert sorted(network._links) == [(2, dst) for dst in range(self.N)
+                                          if dst != 2]
+        for src in range(self.N + 2):
+            for dst in range(self.N + 2):
+                network.link(src, dst)
+        network.broadcast(0, Probe(0))
+        network.send(3, 1, Probe(3))
+        assert len(network._links) == self.N - 1
 
 
 class _PacketLog(Observer):

@@ -8,12 +8,14 @@ from conftest import Recorder
 
 from repro.sim.cluster import Cluster
 from repro.sim.links import (
+    DeadLink,
     EventuallyTimelyLink,
     FairLossyLink,
     LossyAsyncLink,
     TimelyLink,
 )
 from repro.sim.topology import (
+    LinkMap,
     LinkTimings,
     all_eventually_timely_links,
     all_timely_links,
@@ -93,6 +95,87 @@ class TestBuilders:
         # ... and two maps (two networks, two runs) share nothing.
         assert not ({id(policy) for policy in first.values()}
                     & {id(policy) for policy in second.values()})
+
+
+def _relay_pairs(n: int, source: int) -> set[tuple[int, int]]:
+    """The relay tree's ◇timely pairs, from its docstring's rule."""
+    others = [pid for pid in range(n) if pid != source]
+    hub_a, hub_b, leaves = others[0], others[1], others[2:]
+    half = (len(leaves) + 1) // 2
+    return ({(source, hub_a), (source, hub_b), (hub_a, hub_b), (hub_b, hub_a)}
+            | {(hub_a, leaf) for leaf in leaves[:half]}
+            | {(hub_b, leaf) for leaf in leaves[half:]})
+
+
+def _map_cases():
+    """(id, build, is_override) over n ∈ {2, 3, 5, 17} and each builder's
+    parameter corners; ``is_override(src, dst)`` is the builder's law
+    predicate — true where the pair does not follow the base law."""
+    never = lambda src, dst: False  # noqa: E731
+    for n in (2, 3, 5, 17):
+        last = n - 1
+        yield f"all-timely/{n}", lambda n=n: all_timely_links(n), never
+        yield (f"all-et/{n}", lambda n=n: all_eventually_timely_links(n),
+               never)
+        for s in sorted({0, last}):
+            yield (f"source/{n}/{s}", lambda n=n, s=s: source_links(n, s),
+                   lambda src, dst, s=s: src == s)
+            yield (f"lossy-elsewhere/{n}/{s}",
+                   lambda n=n, s=s: source_links_lossy_elsewhere(n, s),
+                   lambda src, dst, s=s: src == s)
+            if n >= 4:
+                yield (f"relay-tree/{n}/{s}",
+                       lambda n=n, s=s: relay_tree_links(n, s),
+                       lambda src, dst, p=_relay_pairs(n, s): (src, dst) in p)
+        for targets in ([], [last], list(range(1, n))):
+            yield (f"f-source/{n}/{targets}",
+                   lambda n=n, t=targets: f_source_links(n, 0, t),
+                   lambda src, dst, t=targets: src == 0 and dst in t)
+        for sources in ([0], [last, 0], list(range(n))):
+            yield (f"multi-source/{n}/{sources}",
+                   lambda n=n, s=sources: multi_source_links(n, s),
+                   lambda src, dst, s=sources: src in s)
+
+
+MAP_CASES = list(_map_cases())
+
+
+class TestLinkMap:
+    """A builder's map is one base law plus the pairs that differ, and as
+    a mapping it is exactly the per-pair dict the builders used to write."""
+
+    @pytest.mark.parametrize("build, is_override",
+                             [case[1:] for case in MAP_CASES],
+                             ids=[case[0] for case in MAP_CASES])
+    def test_is_the_per_pair_dict(self, build, is_override) -> None:
+        links = build()
+        n = links.n
+        (law,) = set(links.overrides.values()) or {None}
+        expected = [((src, dst), law if is_override(src, dst) else links.default)
+                    for src, dst in ordered_pairs(range(n))]
+        written = list(dict(links).items())
+        assert [pair for pair, _ in written] == [pair for pair, _ in expected]
+        assert all(got is want for (_, got), (_, want) in zip(written, expected))
+        assert len(links) == n * (n - 1) == len(written)
+        assert len(links.overrides) == sum(
+            1 for src, dst in ordered_pairs(range(n)) if is_override(src, dst))
+        for pair in [(0, 0), (n - 1, n - 1), (0, n), (n, 0), (-1, 0), (0, -1)]:
+            assert pair not in links
+            with pytest.raises(KeyError):
+                links[pair]
+        with pytest.raises(TypeError):
+            links[(0, 1)] = links.default  # type: ignore[index]
+        with pytest.raises(TypeError):
+            links.overrides[(0, 1)] = links.default  # type: ignore[index]
+
+    def test_holds_only_the_pairs_that_differ(self) -> None:
+        assert len(source_links(256, 0).overrides) == 255
+        assert len(all_timely_links(256).overrides) == 0
+
+    def test_rejects_an_override_that_is_not_a_link(self) -> None:
+        for pair in [(1, 1), (0, 3), (-1, 0)]:
+            with pytest.raises(ValueError):
+                LinkMap(3, TimelyLink(), {pair: DeadLink()})
 
 
 class TestValidation:
