@@ -96,6 +96,9 @@ class ConsensusSystem:
         self.fd_network = fd_network
         self.agreement_network = agreement_network
         self.nodes = nodes
+        # What up_pids() reads on every client offer, sorted once: a
+        # node is down exactly when its Omega layer is.
+        self._omegas = tuple((pid, nodes[pid].omega) for pid in sorted(nodes))
 
     @classmethod
     def build_single_decree(
@@ -250,8 +253,8 @@ class ConsensusSystem:
         self.nodes[pid].resume()
 
     def up_pids(self) -> list[int]:
-        """Pids of nodes still up."""
-        return [pid for pid in self.pids if not self.nodes[pid].crashed]
+        """Pids of nodes still up, sorted."""
+        return [pid for pid, omega in self._omegas if not omega._crashed]
 
     def start_all(self, stagger: float = 0.0) -> None:
         """Start every node, optionally staggered."""

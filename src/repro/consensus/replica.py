@@ -212,17 +212,19 @@ class LogReplica(PaxosProcess):
         signal — the caller should defer and resubmit later, possibly to
         another node.  Commands already committed report ``True``.
         """
-        if self.crashed:
+        if self._crashed:
             return False
-        if command_id in self.committed_ids or command_id in self.pending:
+        pending = self.pending
+        if command_id in self.committed_ids or command_id in pending:
             return True
+        depth = len(pending)
         limit = self.config.queue_limit
-        if limit is not None and len(self.pending) >= limit:
+        if limit is not None and depth >= limit:
             self.shed_count += 1
             return False
-        self.pending[command_id] = command
-        if len(self.pending) > self.max_queue_depth:
-            self.max_queue_depth = len(self.pending)
+        pending[command_id] = command
+        if depth >= self.max_queue_depth:
+            self.max_queue_depth = depth + 1
         return True
 
     def committed_prefix(self) -> list[Any]:
@@ -411,35 +413,46 @@ class LogReplica(PaxosProcess):
                     else Decide(self.pid, *entries[0]))
 
     def _learn(self, instance: int, value: Any) -> None:
-        known = self.log.get(instance)
-        if known is not None or instance in self.log:
+        log = self.log
+        known = log.get(instance)
+        if known is not None or instance in log:
             if known != value:  # pragma: no cover - would be a safety bug
                 raise AssertionError(
                     f"replica {self.pid} instance {instance}: "
                     f"{known!r} vs {value!r}"
                 )
             return
-        self.log[instance] = value
-        self.decision_times[instance] = self.now
+        now = self.now
+        log[instance] = value
+        self.decision_times[instance] = now
         if self.persist:
             # Buffered here, synced by the caller: the deciding leader
             # fires a plain sync (nothing waits on it), a follower
             # learning through Decide defers its DecideAck on it.
             self.storage.put((_K_LOG, instance), value)
-        self.network.hub.decide(self.now, self.pid, (instance, value))
+        decided = (instance, value)
+        for callback in self.network.hub.decide_cbs:
+            callback(now, self.pid, decided)
+        committed, pending = self.committed_ids, self.pending
         for command_id, _ in entry_commands(value):
-            self.committed_ids.add(command_id)
-            self.pending.pop(command_id, None)
-        while self.commit_index + 1 in self.log:
-            self.commit_index += 1
+            committed.add(command_id)
+            pending.pop(command_id, None)
+        index = self.commit_index
+        while index + 1 in log:
+            index += 1
+        self.commit_index = index
 
     # ------------------------------------------------------------------
     # Message handling (the acceptor and ballot handlers are the shell's)
     # ------------------------------------------------------------------
 
     def _on_forward(self, message: Forward | Forwards) -> None:
+        # A follower re-forwards its whole queue every pass, so most ids
+        # are already known here; submit() would accept those unchanged.
+        pending, committed = self.pending, self.committed_ids
         for command_id, command in message.commands:
-            self.submit(command_id, command)
+            if command_id not in pending and command_id not in committed:
+                self.submit(command_id, command)
 
     def _after_accept(self, message: Propose) -> None:
         # Safe piggyback (see module docstring): an instance at or below

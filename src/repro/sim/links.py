@@ -82,8 +82,9 @@ class LinkPolicy(ABC):
 
         The base models deliver at most one copy, so the default defers
         to :meth:`plan`.  Wrappers that can duplicate messages (see
-        :class:`PerturbedLink`) override this; a single ``send`` always
-        plans through ``plan_all``.
+        :class:`PerturbedLink`) override this, and the network plans
+        through ``plan_all`` exactly when a policy does; a policy that
+        keeps this default is asked :meth:`plan` directly.
         """
         delay = self.plan(message, now, rng, link)
         return [] if delay is None else [delay]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Any
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,9 @@ from repro.consensus import (
     WorkloadSpec,
     check_log,
 )
+from repro.consensus.replica import entry_commands
 from repro.load import LoadOutcome, LoadSpec, ZipfSampler
+from repro.obs import Observer
 from repro.sim import FaultPlan, LinkTimings
 from repro.sim.topology import multi_source_links, source_links
 
@@ -217,6 +220,53 @@ class TestShardedLoad:
         assert 3 not in system.up_pids()
         for group in system.groups:
             assert group.nodes[3].agreement.crashed
+
+    def test_up_pids_follow_crash_and_recover_in_pid_order(self) -> None:
+        system = LoadSpec(n=5, groups=2, omega="crash-recovery",
+                          persist=True).build().system
+        assert system.shared_omega
+        system.start_all()
+        system.run_until(1.0)
+        system.crash(3)
+        system.crash(1)
+        assert system.up_pids() == [0, 2, 4]
+        system.recover(3)
+        assert system.up_pids() == [0, 2, 3, 4]
+        assert all(group.up_pids() == [0, 2, 3, 4] for group in system.groups)
+
+    def test_commit_time_is_each_commands_earliest_decide(self) -> None:
+        # The fleet reads only the first decide of each instance; an
+        # observer of every replica's decides must find the same times.
+        run = LoadSpec(n=5, groups=2, clients=60, keys=64, rate=10.0,
+                       start=3.0, duration=12.0, horizon=60.0, seed=3).build()
+        earliest: dict[Any, float] = {}
+        entries: list[dict[int, Any]] = []
+
+        class EveryDecide(Observer):
+            def __init__(self) -> None:
+                self.entries: dict[int, Any] = {}
+                entries.append(self.entries)
+
+            def on_decide(self, time: float, pid: int, value: Any) -> None:
+                instance, entry = value
+                self.entries[instance] = entry
+                for command_id, _ in entry_commands(entry):
+                    earliest[command_id] = min(
+                        earliest.get(command_id, time), time)
+
+        for group in run.system.groups:
+            group.agreement_network.hub.attach(EveryDecide())
+        handed: list[Any] = []
+        on_commit = run.fleet._on_commit
+        run.fleet._on_commit = lambda command_id, time: (
+            handed.append(command_id), on_commit(command_id, time))
+        outcome = run.run()
+        assert outcome.done and outcome.committed > 0
+        assert run.fleet.commit_times == earliest
+        # One walk per instance, not one per replica that decided it.
+        assert len(handed) == sum(len(entry_commands(entry))
+                                  for group in entries
+                                  for entry in group.values())
 
     def test_compacting_groups_snapshot_under_load(self) -> None:
         outcome = LoadSpec(n=5, groups=2, compacting=True, keep_tail=8,

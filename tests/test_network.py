@@ -92,8 +92,24 @@ class TestSendErrors:
         a.crash()
         # Process.send guards silently, but pushing through the network
         # directly is a protocol bug and must be loud.
-        with pytest.raises(NetworkError):
+        with pytest.raises(NetworkError, match="crashed process 0"):
             network.send(0, 1, Probe(0))
+        assert network.metrics.dropped_by_reason == {"src_crashed": 1}
+
+
+class TestUnicastCopies:
+    def test_duplicating_link_posts_both_copies(self, sim: Simulation,
+                                                network: Network) -> None:
+        _, b = make_pair(sim, network)
+        network.perturb_link(0, 1, DegradedWindow(0.0, 10.0, duplicate=1.0,
+                                                  duplicate_lag=0.5))
+        network.send(0, 1, Probe(0, 7))
+        network.send(1, 0, Probe(1, 8))  # the reverse link keeps one copy
+        sim.run_until(5.0)
+        assert [message.payload for _, message in b.received] == [7, 7]
+        assert 0.0 <= b.received[1][0] - b.received[0][0] <= 0.5
+        assert network.metrics.sent_by_kind["Probe"] == 2
+        assert network.metrics.delivered_by_kind["Probe"] == 3
 
 
 class TestTraceAndMetrics:
