@@ -17,7 +17,12 @@ The proof obligations of Omega ⇒ consensus live here and nowhere else:
   reported under the highest ballot (:meth:`BallotOwner.merged`);
 * **quorum intersection** — a ``Promise`` reports every value accepted
   at or above the prepare's ``from_instance``, so any later prepare
-  quorum meets any earlier accept quorum in a reporting acceptor.
+  quorum meets any earlier accept quorum in a reporting acceptor;
+* **an owner starts above its own acceptor's promise** — its implicit
+  promise and vote skip the ``Nack`` check, so :meth:`BallotOwner.start`
+  must outrank every ballot that acceptor promised, across a recovery
+  too (:meth:`BallotOwner.restore`).  A higher promise made *after* the
+  start does not yet stop the owner (docs/RECOVERY.md, "Known gap").
 
 A prepare covers *all* instances from ``from_instance`` on; single
 decree is the ``from_instance = 0``, instance-0-only use of the same
@@ -145,6 +150,16 @@ class BallotOwner:
         if ballot.round > self.max_round_seen:
             self.max_round_seen = ballot.round
 
+    def restore(self, storage: StableStorage, promised: Ballot) -> None:
+        """Reload the durable round (recovery), raised to the restored
+        ``promised``: the co-located acceptor's promise binds the owner
+        too, since the owner's own promise and vote skip the check."""
+        # The durable round was started (its prepares may have escaped),
+        # so it counts as used; rounds above it never got past the
+        # write-ahead sync and are free to reuse.
+        self.max_round_seen = storage.get(K_ROUND, -1)
+        self.observe(promised)
+
     def start(self, prepare_from: int) -> Ballot:
         """Own a fresh ballot, above every round seen, covering the
         instances from ``prepare_from`` on."""
@@ -265,14 +280,7 @@ class PaxosProcess(Process):
         self._gate.forget()
         if self.persist:
             self.acceptor.restore(self.storage)
-            # The durable round was started (its prepares may have
-            # escaped), so it counts as used; rounds above it never got
-            # past the write-ahead sync and are free to reuse.  Known
-            # gap (docs/RECOVERY.md; strict xfail in
-            # tests/test_recovery.py): the round is not also raised to
-            # the restored promise, so the next own ballot may start
-            # below it — closing it moves recovery schedules.
-            self.owner.max_round_seen = self.storage.get(K_ROUND, -1)
+            self.owner.restore(self.storage, self.acceptor.promised)
             self._restore(self.storage)
         self.set_periodic(_TICK, self.config.tick)
         self._drive()

@@ -268,19 +268,16 @@ class TestPersistedConsensus:
         ok, detail = recovery_control_case(persist=True)
         assert ok
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect (docs/RECOVERY.md, 'Known gap'; the fix moves the "
-        "pinned recovery schedules): on_recover restores the ballot "
-        "round from the process's OWN last round only, so a recovered "
-        "owner may start a ballot below the promise it restored, count "
-        "its implicit promise and vote for it, and undercut the quorum "
-        "it promised"))
     def test_recovered_owner_stays_above_the_promise_it_restored(
             self) -> None:
         # Hand-delivered, legal schedule (asynchrony + one bounce + a
         # transiently wrong Omega): p2 prepares ballot (0, 2) with
-        # {p2, p0} and proposes v2; p0 bounces, trusts itself, and runs
-        # ballot (0, 0) — below its durable promise — with the fresh p1.
+        # {p2, p0} and proposes v2; p0 bounces and trusts itself.  Had
+        # its round come back from its own last ballot only, it would
+        # run ballot (0, 0) — below its durable promise — with the fresh
+        # p1, count its implicit promise and vote, and decide a second
+        # value.  Restored above the promise, it runs ballot (1, 0), and
+        # p1 refuses p2's delayed proposal.
         from repro.consensus import ConsensusConfig, SingleDecreeConsensus
         from repro.consensus.messages import (Accepted, Prepare, Promise,
                                               Propose)
