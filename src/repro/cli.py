@@ -731,16 +731,6 @@ def cmd_live_soak(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def cmd_live_node(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.live.node import NodeSpec, run_node
-
-    with open(args.spec) as handle:
-        run_node(NodeSpec.from_json(json.load(handle)))
-    return 0
-
-
 def cmd_live_crossval(args: argparse.Namespace) -> int:
     import json
     import tempfile
@@ -1068,13 +1058,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "drift for shared case ids")
     lsoak.add_argument("--stop-on-failure", action="store_true")
     lsoak.set_defaults(handler=cmd_live_soak)
-
-    lnode = live_sub.add_parser(
-        "node", help="one node of a live cluster (spawned by 'live run'; "
-                     "rarely typed by hand)")
-    lnode.add_argument("--spec", required=True, metavar="NODE.json",
-                       help="NodeSpec JSON written by the cluster harness")
-    lnode.set_defaults(handler=cmd_live_node)
 
     lxval = live_sub.add_parser(
         "crossval", help="run the same scenario in-sim and live; diff "

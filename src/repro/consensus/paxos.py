@@ -46,7 +46,7 @@ needs stable storage in the crash-recovery model.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
 from repro.consensus.config import ConsensusConfig
 from repro.consensus.messages import (
@@ -59,11 +59,13 @@ from repro.consensus.messages import (
     Propose,
 )
 from repro.consensus.retransmit import RetransmitGate
-from repro.sim.engine import Simulation
 from repro.sim.messages import Message
-from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.storage import StableStorage
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.engine import Simulation
+    from repro.sim.network import Network
 
 __all__ = ["Acceptor", "BallotOwner", "PaxosProcess"]
 

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import TYPE_CHECKING, Any, Callable, Hashable
 
 from repro.consensus.config import ConsensusConfig
 from repro.consensus.messages import (
@@ -66,9 +66,11 @@ from repro.consensus.messages import (
     Propose,
 )
 from repro.consensus.paxos import PaxosProcess
-from repro.sim.engine import Simulation
-from repro.sim.network import Network
-from repro.sim.storage import StableStorage
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.engine import Simulation
+    from repro.sim.network import Network
+    from repro.sim.storage import StableStorage
 
 __all__ = ["Batch", "LogReplica", "NOOP", "entry_commands"]
 

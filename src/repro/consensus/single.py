@@ -32,7 +32,7 @@ correct peer.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.consensus.config import ConsensusConfig
 from repro.consensus.messages import (
@@ -43,9 +43,11 @@ from repro.consensus.messages import (
     Propose,
 )
 from repro.consensus.paxos import PaxosProcess
-from repro.sim.engine import Simulation
-from repro.sim.network import Network
-from repro.sim.storage import StableStorage
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.engine import Simulation
+    from repro.sim.network import Network
+    from repro.sim.storage import StableStorage
 
 __all__ = ["SingleDecreeConsensus"]
 

@@ -19,10 +19,13 @@ for finite runs the checker reports their finite-run analogues:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.omega import OmegaProtocol
 from repro.obs.verdict import Verdict
-from repro.sim.cluster import Cluster
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.cluster import Cluster
 
 __all__ = [
     "OmegaRunReport",

@@ -55,14 +55,16 @@ level of synchrony.
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import TYPE_CHECKING, Hashable
 
 from repro.core.config import OmegaConfig
 from repro.core.messages import FsAlive, Suspect
 from repro.core.omega import OmegaProtocol
-from repro.sim.engine import Simulation
 from repro.sim.messages import Message
-from repro.sim.network import Network
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.engine import Simulation
+    from repro.sim.network import Network
 
 __all__ = ["FSourceOmega"]
 

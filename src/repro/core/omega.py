@@ -15,10 +15,14 @@ while the process trusts itself (:meth:`OmegaProtocol._silence`).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.config import AdaptiveTimeouts, OmegaConfig
-from repro.sim.engine import Simulation
-from repro.sim.network import Network
 from repro.sim.process import Process
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.engine import Simulation
+    from repro.sim.network import Network
 
 __all__ = ["OmegaProtocol"]
 

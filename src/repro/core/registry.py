@@ -9,7 +9,7 @@ by :meth:`repro.sim.cluster.Cluster.build`.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.all_timely import AllTimelyOmega
 from repro.core.comm_efficient import CommEfficientOmega
@@ -19,8 +19,10 @@ from repro.core.omega import OmegaProtocol
 from repro.core.packet_efficient import PacketEfficientOmega
 from repro.core.recovering import RecoveringOmega
 from repro.core.source_omega import SourceOmega
-from repro.sim.engine import Simulation
-from repro.sim.network import Network
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.engine import Simulation
+    from repro.sim.network import Network
 
 __all__ = ["OMEGA_ALGORITHMS", "make_factory", "algorithm_class"]
 
@@ -33,7 +35,7 @@ OMEGA_ALGORITHMS: dict[str, type[OmegaProtocol]] = {
     "packet-efficient": PacketEfficientOmega,
 }
 
-ProcessFactory = Callable[[int, Simulation, Network], OmegaProtocol]
+ProcessFactory = Callable[[int, "Simulation", "Network"], OmegaProtocol]
 
 
 def algorithm_class(name: str) -> type[OmegaProtocol]:

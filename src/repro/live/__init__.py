@@ -22,9 +22,9 @@ UDP on localhost (or any reachable interface):
     work unchanged).
 
 :mod:`repro.live.node`
-    One OS process of a live cluster: builds clock + transports +
-    protocol stack from a JSON spec, serves a control socket, and
-    writes its node report at the horizon.
+    One OS process of a live cluster (``python -m repro.live.node``):
+    builds clock + transports + protocol stack from a JSON spec, serves
+    a control socket, and writes its node report at the horizon.
 
 :mod:`repro.live.cluster`
     :class:`LiveCluster` — spawns node subprocesses, maps nemesis

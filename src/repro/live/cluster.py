@@ -2,7 +2,7 @@
 
 :class:`LiveCluster` is the live analogue of the sim harness: it
 allocates loopback ports, writes one :class:`~repro.live.node.NodeSpec`
-per pid, spawns ``python -m repro live node`` subprocesses, executes a
+per pid, spawns ``python -m repro.live.node`` subprocesses, executes a
 nemesis :class:`~repro.sim.nemesis.FaultPlan` against them in **wall
 time**, then collects the node reports and merges them into one
 schema-valid ``repro-report/v1`` document judged by the standard
@@ -255,8 +255,8 @@ class LiveCluster:
                                if env.get("PYTHONPATH") else []))
         log = open(self.rundir / f"node{pid}.log", "a")
         self._procs[pid] = subprocess.Popen(
-            [sys.executable, "-m", "repro", "live", "node",
-             "--spec", str(spec_path)],
+            [sys.executable, "-m", "repro.live.node", "--spec",
+             str(spec_path)],
             env=env, stdout=log, stderr=subprocess.STDOUT)
         log.close()
         self._incarnations[pid] = incarnation

@@ -1,6 +1,6 @@
 """One OS process of a live cluster.
 
-``python -m repro live node --spec node.json`` boots this module: it
+``python -m repro.live.node --spec node.json`` boots this module: it
 builds a :class:`~repro.live.runtime.LiveClock`, one
 :class:`~repro.live.transport.LiveTransport` per network plane
 (failure-detector always, agreement when consensus is on), instantiates
@@ -49,15 +49,22 @@ report** — leader history, decision, clock counters, and the serialized
 named in the spec.  A SIGKILLed node writes nothing, which is exactly
 the crash-stop notion the checkers expect (see
 :func:`repro.live.report.analyze_live_run`).
+
+Every node process pays this module's import before it runs a line, so
+it loads only the live stack: the protocol modules import the sim kernel
+for type checking only, and the entry point is this module rather than
+the ``python -m repro`` CLI, which would load the simulator, the
+harness and the nemesis.
 """
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import json
 import signal
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from repro.consensus.config import ConsensusConfig
 from repro.consensus.replica import LogReplica, entry_commands
@@ -71,7 +78,7 @@ from repro.live.report import recorder_to_json
 from repro.obs.observer import Observer
 from repro.obs.report import RunRecorder
 
-__all__ = ["NodeSpec", "run_node"]
+__all__ = ["NodeSpec", "main", "run_node"]
 
 
 def _endpoint_map(raw: dict[str, Any]) -> dict[int, tuple[str, int]]:
@@ -362,5 +369,22 @@ class _Node:
 
 
 def run_node(spec: NodeSpec) -> None:
-    """Run one node to its horizon (blocking; the CLI entry point)."""
+    """Run one node to its horizon (blocking)."""
     asyncio.run(_Node(spec).run())
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """``python -m repro.live.node --spec NODE.json``; returns the exit code."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.live.node",
+        description="one node of a live cluster (spawned by LiveCluster)")
+    parser.add_argument("--spec", required=True, metavar="NODE.json",
+                        help="NodeSpec JSON written by the cluster harness")
+    args = parser.parse_args(argv)
+    with open(args.spec) as handle:
+        run_node(NodeSpec.from_json(json.load(handle)))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -65,20 +65,23 @@ pair or on the live asyncio backend
 (:class:`~repro.live.runtime.LiveClock` /
 :class:`~repro.live.transport.LiveTransport`) unchanged; the parameter
 annotations below name the sim types because that is the default and
-reference backend.  See ``docs/TRANSPORT.md`` for the exact contract
-and the sim-versus-live guarantee table.
+reference backend; they are imported for type checking only, so a live
+node never loads the simulator.  See ``docs/TRANSPORT.md`` for the
+exact contract and the sim-versus-live guarantee table.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable
 
-from repro.sim.engine import Simulation
 from repro.sim.messages import Message
-from repro.sim.network import Network
 from repro.sim.storage import StableStorage
 from repro.transport import TimerHandle
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.engine import Simulation
+    from repro.sim.network import Network
 
 __all__ = ["Process", "ProcessError"]
 

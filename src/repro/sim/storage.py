@@ -37,10 +37,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
-from repro.sim.engine import Simulation
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.observer import ObserverHub
+    from repro.sim.engine import Simulation
 
 __all__ = ["StableStorage", "StorageError"]
 

@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 from repro.sim.engine import Simulation
 from repro.sim.messages import Message
@@ -13,6 +14,14 @@ from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.trace import TraceLog
 from repro.sim.metrics import MetricsCollector
+
+# Tier-1 is deterministic: every ``@given`` test draws the same examples
+# on every run and replays nothing from a local example database.  Random
+# search runs as ``--hypothesis-profile=explore --hypothesis-seed=N``,
+# so a failure found there names the seed that reproduces it.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.register_profile("explore")
+settings.load_profile("deterministic")
 
 
 @dataclass(frozen=True)

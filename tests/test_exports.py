@@ -1,5 +1,6 @@
 """Export contract of ``repro`` and its six subpackages, and the
-cold-import guard that keeps set-up paying only for what a run uses.
+cold-import guards that keep set-up paying only for what a run uses
+(a live node process included).
 
 Counts and names only, no wall clock.  Each package names its
 re-exports once, in an ``{home module: names}`` table; a name resolves
@@ -36,6 +37,12 @@ UNUSED_BY_RUNS = (
     "repro.obs.report", "repro.obs.timeliness", "repro.consensus.checker",
     "repro.consensus.workload", "repro.consensus.rotating", "repro.core.qos",
     "repro.core.relay", "repro.sim.faults", "repro.sim.traceview")
+
+#: The simulator a live node does not run: protocol modules name these
+#: types for type checking only.
+SIM_KERNEL = tuple(f"repro.sim.{name}" for name in (
+    "engine", "network", "links", "trace", "topology", "cluster",
+    "nemesis", "events", "rng"))
 
 
 def _table(package: str) -> dict[str, tuple[str, ...]]:
@@ -125,3 +132,22 @@ class TestColdImports:
         assert "repro.load" in loaded
         assert not [name for name in loaded
                     if name in UNUSED_BY_RUNS or name.startswith("repro.live")]
+
+    def test_a_live_node_boots_only_the_live_stack(self) -> None:
+        # What `python -m repro.live.node` does (runpy, as __main__);
+        # without --spec it stops in argument parsing, after every import.
+        loaded = _fresh(
+            "import runpy\nsys.argv = ['node']\n"
+            "try:\n"
+            "    runpy.run_module('repro.live.node', run_name='__main__',\n"
+            "                     alter_sys=True)\n"
+            "except SystemExit as stop:\n"
+            "    assert stop.code == 2, stop.code\n"
+            "else:\n"
+            "    raise SystemExit('the node ran past argument parsing')")
+        assert "repro.live.transport" in loaded
+        assert not [name for name in loaded if name in SIM_KERNEL
+                    or name.startswith(("repro.harness", "repro.load",
+                                        "repro.cli"))]
+        # The node ran as __main__ only: no second copy was imported.
+        assert "repro.live.node" not in loaded

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,6 +112,26 @@ class TestFSourceTopologyProperties:
             f"n={n} source={source} targets={targets} seed={seed}"
 
 
+def _compacting_log_under_crash(seed: int, keep_tail: int, victim: int,
+                                crash_time: float) -> None:
+    """A crash-stop (``persist=False``) compacting log stays safe."""
+    system = ConsensusSystem.build_compacting_log(
+        5, lambda: multi_source_links(5, (1, 2), FAST),
+        machine_factory=JournalMachine, keep_tail=keep_tail, seed=seed)
+    workload = WorkloadSpec(count=25, period=0.5, start=3.0).build(system)
+    CrashPlan.crash_at((crash_time, victim)).schedule(system)
+    system.start_all()
+    system.run_until(300.0)
+    report = check_compacting_log(system, workload.submitted)
+    assert report.agreement, report.divergences
+    assert report.validity
+    journals = {system.node(pid).agreement.machine_snapshot()
+                for pid in system.up_pids()
+                if system.node(pid).agreement.commit_index
+                == report.max_commit}
+    assert len(journals) <= 1
+
+
 class TestCompactionSafetyProperties:
     @given(seed=st.integers(0, 10_000),
            keep_tail=st.integers(min_value=2, max_value=16),
@@ -120,18 +141,16 @@ class TestCompactionSafetyProperties:
     def test_compacting_log_safe_under_random_crash(
             self, seed: int, keep_tail: int, victim: int,
             crash_time: float) -> None:
-        system = ConsensusSystem.build_compacting_log(
-            5, lambda: multi_source_links(5, (1, 2), FAST),
-            machine_factory=JournalMachine, keep_tail=keep_tail, seed=seed)
-        workload = WorkloadSpec(count=25, period=0.5, start=3.0).build(system)
-        CrashPlan.crash_at((crash_time, victim)).schedule(system)
-        system.start_all()
-        system.run_until(300.0)
-        report = check_compacting_log(system, workload.submitted)
-        assert report.agreement, report.divergences
-        assert report.validity
-        journals = {system.node(pid).agreement.machine_snapshot()
-                    for pid in system.up_pids()
-                    if system.node(pid).agreement.commit_index
-                    == report.max_commit}
-        assert len(journals) <= 1
+        _compacting_log_under_crash(seed, keep_tail, victim, crash_time)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "known defect (docs/RECOVERY.md, 'Known gap'; the fix moves "
+        "pinned schedules): an owner is not stopped by a later, higher "
+        "promise, so two owners trusted at once decide two values for "
+        "one instance with no recovery at all"))
+    def test_compacting_log_safe_on_the_schedule_random_search_found(
+            self) -> None:
+        # Found by random search over the property above; replica 2 learns
+        # (9, 'cmd-9') and (7, 'cmd-7') for instance 7 (keep_tail=16 too).
+        _compacting_log_under_crash(seed=5150, keep_tail=7, victim=0,
+                                    crash_time=8.0)
