@@ -13,15 +13,40 @@ decide that empirically:
 It is an :class:`~repro.obs.Observer`: the network's hub feeds it on
 every send/delivery/drop, and it is cheap enough to stay attached in
 benchmarks (unlike :class:`~repro.sim.trace.TraceLog`).
+
+Nothing is stored per link.  A send is filed under its *target*: the
+``dst`` pid of :meth:`~MetricsCollector.on_send`, or the very ``dsts``
+tuple a fan-out hands to :meth:`~MetricsCollector.on_send_batch` (the
+network's cached per-sender tuple, so filing it costs one reference).
+Per sender the collector counts sends per target, and per window it
+keeps each sender's set of targets; the link-level answers
+(``sent_by_link``, ``links_between``, ``timeline``) expand targets into
+``(src, dst)`` pairs only when asked, and only for the windows asked
+for.  A census that keeps n−1 links busy therefore holds one target per
+window, not n−1 link tuples, and the start-up round's all-to-all
+fan-outs hold n tuples the network already owns instead of n² pairs.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from functools import partial
+from typing import Hashable, Iterator
 
 from repro.obs.observer import Observer
 
 __all__ = ["MetricsCollector", "WindowStats"]
+
+
+def _links(window: dict[int, set[Hashable]]) -> Iterator[tuple[int, int]]:
+    """The ``(src, dst)`` pairs one window's targets name."""
+    for src, targets in window.items():
+        for target in targets:
+            if isinstance(target, tuple):
+                for dst in target:
+                    yield (src, dst)
+            else:
+                yield (src, target)
 
 
 class WindowStats:
@@ -62,14 +87,14 @@ class MetricsCollector(Observer):
         self.window = window
         self.sent_by_sender: Counter[int] = Counter()
         self.sent_by_kind: Counter[str] = Counter()
-        self.sent_by_link: Counter[tuple[int, int]] = Counter()
         self.delivered_by_kind: Counter[str] = Counter()
         self.dropped_by_reason: Counter[str] = Counter()
-        self._window_senders: dict[int, set[int]] = defaultdict(set)
-        self._window_links: dict[int, set[tuple[int, int]]] = defaultdict(set)
+        # Targets (a dst pid, or a fan-out's dsts tuple): sends per
+        # target per sender, and each window's {src: targets}.
+        self._sent_to: dict[int, Counter[Hashable]] = defaultdict(Counter)
+        self._window_targets: dict[int, dict[int, set[Hashable]]] = \
+            defaultdict(partial(defaultdict, set))
         self._window_messages: Counter[int] = Counter()
-        # A fan-out names the same links every time: (src, dsts) -> links.
-        self._batch_links: dict[tuple, tuple[tuple[int, int], ...]] = {}
 
     # ------------------------------------------------------------------
     # Feed (called by the network's observer hub)
@@ -79,10 +104,9 @@ class MetricsCollector(Observer):
         """Account one message handed to the network."""
         self.sent_by_sender[src] += 1
         self.sent_by_kind[kind] += 1
-        self.sent_by_link[(src, dst)] += 1
+        self._sent_to[src][dst] += 1
         index = int(time // self.window)
-        self._window_senders[index].add(src)
-        self._window_links[index].add((src, dst))
+        self._window_targets[index][src].add(dst)
         self._window_messages[index] += 1
 
     def on_send_batch(self, time: float, src: int,
@@ -92,21 +116,17 @@ class MetricsCollector(Observer):
         Batch-aware form of :meth:`on_send`: the aggregates end up
         identical, but the per-sender/per-kind/per-window counters are
         bumped once by ``len(dsts)`` instead of ``len(dsts)`` times, and
-        the per-link ones are fed the fan-out's cached link tuple in one
-        C-level ``update`` each.
+        the fan-out is filed whole: ``dsts`` itself (the network's
+        cached tuple) is the target, counted once per call and expanded
+        into its ``len(dsts)`` links only by the queries.
         """
         count = len(dsts)
         self.sent_by_sender[src] += count
         self.sent_by_kind[kind] += count
+        self._sent_to[src][dsts] += 1
         index = int(time // self.window)
-        self._window_senders[index].add(src)
+        self._window_targets[index][src].add(dsts)
         self._window_messages[index] += count
-        links = self._batch_links.get((src, dsts))
-        if links is None:
-            links = self._batch_links[(src, dsts)] = tuple(
-                (src, dst) for dst in dsts)
-        self.sent_by_link.update(links)
-        self._window_links[index].update(links)
 
     def on_deliver(self, time: float, src: int, dst: int, kind: str,
                    sent_at: float = 0.0) -> None:
@@ -126,18 +146,33 @@ class MetricsCollector(Observer):
         """Total messages handed to the network."""
         return sum(self.sent_by_sender.values())
 
+    @property
+    def sent_by_link(self) -> Counter[tuple[int, int]]:
+        """Messages per ordered pair ``(src, dst)``.
+
+        A computed view: each read builds a fresh :class:`Counter` from
+        the per-target counts, so it is a snapshot, not a live attribute
+        (writing to it changes nothing).
+        """
+        out: Counter[tuple[int, int]] = Counter()
+        for src, targets in self._sent_to.items():
+            for target, count in targets.items():
+                for dst in target if isinstance(target, tuple) else (target,):
+                    out[(src, dst)] += count
+        return out
+
     def senders_between(self, start: float, end: float) -> set[int]:
         """Processes that sent in any window overlapping ``[start, end]``."""
         out: set[int] = set()
-        for index in self._window_range(start, end):
-            out |= self._window_senders.get(index, set())
+        for window in self._windows(start, end):
+            out.update(window)
         return out
 
     def links_between(self, start: float, end: float) -> set[tuple[int, int]]:
         """Ordered pairs that carried traffic in windows overlapping ``[start, end]``."""
         out: set[tuple[int, int]] = set()
-        for index in self._window_range(start, end):
-            out |= self._window_links.get(index, set())
+        for window in self._windows(start, end):
+            out.update(_links(window))
         return out
 
     def messages_between(self, start: float, end: float) -> int:
@@ -150,13 +185,21 @@ class MetricsCollector(Observer):
         last = int(until // self.window)
         out = []
         for index in range(last):
+            window = self._window_targets.get(index, {})
             out.append(WindowStats(
                 start=index * self.window,
-                senders=frozenset(self._window_senders.get(index, set())),
-                links=frozenset(self._window_links.get(index, set())),
+                senders=frozenset(window),
+                links=frozenset(_links(window)),
                 messages=self._window_messages.get(index, 0),
             ))
         return out
+
+    def _windows(self, start: float,
+                 end: float) -> list[dict[int, set[Hashable]]]:
+        """The ``{src: targets}`` of each non-empty window overlapping ``[start, end]``."""
+        targets = self._window_targets
+        return [targets[index] for index in self._window_range(start, end)
+                if index in targets]
 
     def _window_range(self, start: float, end: float) -> range:
         if end < start:

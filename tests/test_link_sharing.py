@@ -6,12 +6,15 @@ Counts only, no wall clock.  On the benchmark's ``--quick`` census shape
 pairs at one policy object per link *law*, ``build()`` must allocate in
 proportion to n rather than n², the fair-lossy streak table must hold
 only streaks in progress, and a steady-state heartbeat fan-out must be
-planned by one ``plan_many`` call — not n−1 ``plan`` calls.
+planned by one ``plan_many`` call — not n−1 ``plan`` calls.  The
+``MetricsCollector`` that certifies the n−1 busy links must not store
+the n² links of the start-up round either.
 """
 
 from __future__ import annotations
 
 import gc
+import sys
 
 import pytest
 
@@ -65,6 +68,43 @@ def test_build_sets_links_per_process_not_per_pair(
         return calls[0]
 
     assert set_links_built(2 * 24) < 3 * set_links_built(24)
+
+
+def _collector_after_a_run(n: int) -> tuple[int, int]:
+    """Deep ``getsizeof`` of what the census collector holds after a
+    run — not counting the network's own fan-out tuples, which it may
+    share — and how many ``(int, int)`` link tuples it reaches."""
+    cluster = _census(n)
+    cluster.start_all()
+    cluster.run_until(HORIZON)
+    seen = {id(fanout.dsts) for fanout in cluster.network._fanouts.values()}
+    size = links = 0
+    stack: list[object] = [cluster.metrics]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        size += sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            links += (isinstance(obj, tuple) and len(obj) == 2
+                      and all(type(item) is int for item in obj))
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.append(obj.__dict__)
+    return size, links
+
+
+def test_metrics_collector_grows_with_senders_not_pairs() -> None:
+    # Doubling n quadruples the start-up round's links; what the
+    # collector keeps of a fan-out is the network's destination tuple.
+    size, links = _collector_after_a_run(N)
+    doubled, doubled_links = _collector_after_a_run(2 * N)
+    assert doubled < 2 * size
+    assert links == doubled_links == 0
 
 
 def test_census_run_shares_laws_and_plans_fan_outs_once(

@@ -7,6 +7,7 @@ import copy
 import pytest
 
 from conftest import Ping, Probe, Recorder, make_pair
+from reference_metrics import ReferenceMetricsCollector, collector_answers
 
 from repro.obs import Observer
 from repro.sim.engine import Simulation
@@ -285,11 +286,13 @@ class TestBroadcastEqualsSendLoop:
     def _run(fan_out, link_rng: str, packets: bool) -> dict:
         sim = Simulation(seed=77)
         metrics = MetricsCollector(window=0.5)
+        reference = ReferenceMetricsCollector(window=0.5)
         trace = TraceLog(enabled=True)
         packet_log = _PacketLog()
         network = Network(
             sim, link_rng=link_rng,
-            observers=(metrics, trace) + ((packet_log,) if packets else ()))
+            observers=(metrics, reference, trace)
+            + ((packet_log,) if packets else ()))
         procs = [Recorder(pid, sim, network) for pid in range(7)]
         for proc in procs:
             if proc.pid != 5:           # 5: a not-yet-started receiver
@@ -321,20 +324,15 @@ class TestBroadcastEqualsSendLoop:
         fan_out(network, 2, Probe(2, 31))
         sim.run_until(10.0)
 
+        ranges = [(1.0, 2.4), (2.0, 2.0), (0.0, 10.0)]
+        answers = collector_answers(metrics, ranges, 10.0)
+        # The per-link collector it replaced sees the same wire.
+        assert collector_answers(reference, ranges, 10.0) == answers
         return {
             "trace": [repr(record) for record in trace],
             "received": [proc.received for proc in procs],
             "packets": packet_log.records,
-            "sent_by_link": dict(metrics.sent_by_link),
-            "sent_by_sender": dict(metrics.sent_by_sender),
-            "sent_by_kind": dict(metrics.sent_by_kind),
-            "delivered_by_kind": dict(metrics.delivered_by_kind),
-            "dropped_by_reason": dict(metrics.dropped_by_reason),
-            "links_between": metrics.links_between(1.0, 2.4),
-            "senders_between": metrics.senders_between(1.0, 2.4),
-            "messages_between": metrics.messages_between(1.0, 2.4),
-            "timeline": [(w.start, w.senders, w.links, w.messages)
-                         for w in metrics.timeline(10.0)],
+            **answers,
             "events": sim.events_executed,
         }
 
@@ -385,11 +383,12 @@ class TestSharedMapEqualsPerPairMap:
                      for pair, policy in links.items()}
         sim = Simulation(seed=31)
         metrics = MetricsCollector(window=0.5)
+        reference = ReferenceMetricsCollector(window=0.5)
         wire = _WireLog()
         network = Network(
             sim, link_rng=link_rng,
-            observers=(metrics, wire) + ((TraceLog(enabled=True),)
-                                         if traced else ()))
+            observers=(metrics, reference, wire)
+            + ((TraceLog(enabled=True),) if traced else ()))
         apply_links(network, links)
         procs = [Recorder(pid, sim, network) for pid in range(6)]
         for proc in procs:
@@ -423,17 +422,14 @@ class TestSharedMapEqualsPerPairMap:
             everyone_broadcasts(round_)
             sim.run_for(0.35)
         sim.run_until(40.0)
+        ranges = [(3.0, 4.0), (5.0, 12.0), (0.0, 40.0)]
+        answers = collector_answers(metrics, ranges, 40.0)
+        assert collector_answers(reference, ranges, 40.0) == answers
         return {
             "deliveries": wire.deliveries,
             "drops": wire.drops,
             "received": [proc.received for proc in procs],
-            "sent_by_link": dict(metrics.sent_by_link),
-            "sent_by_sender": dict(metrics.sent_by_sender),
-            "sent_by_kind": dict(metrics.sent_by_kind),
-            "delivered_by_kind": dict(metrics.delivered_by_kind),
-            "dropped_by_reason": dict(metrics.dropped_by_reason),
-            "timeline": [(w.start, w.senders, w.links, w.messages)
-                         for w in metrics.timeline(40.0)],
+            **answers,
             "events": sim.events_executed,
         }
 
