@@ -131,8 +131,8 @@ def _lazy_exports(package: str, table: dict[str, tuple[str, ...]],
 _EXPORTS = {
     "repro.consensus": (
         "Batch", "ConsensusConfig", "ConsensusSystem", "LogReplica",
-        "ShardedLog", "SingleDecreeConsensus", "WorkloadOutcome",
-        "WorkloadSpec", "check_log", "check_single_decree"),
+        "ShardedLog", "SingleDecreeConsensus", "WorkloadSpec", "check_log",
+        "check_single_decree"),
     "repro.load": (
         "ClientFleet", "LoadOutcome", "LoadRun", "LoadSpec", "ZipfSampler"),
     "repro.core": (
@@ -145,9 +145,9 @@ _EXPORTS = {
         "Verdict", "capture", "scenario_report", "validate_report"),
     "repro.transport": ("Clock", "TimerHandle", "Transport", "TransportError"),
     "repro.sim": (
-        "Cluster", "CrashPlan", "FaultPlan", "StableStorage", "StorageError",
-        "ModelEnvelope", "Nemesis", "LinkTimings", "Message", "Network",
-        "Process", "Simulation"),
+        "Cluster", "FaultPlan", "StableStorage", "StorageError",
+        "ModelEnvelope", "LinkTimings", "Message", "Network", "Process",
+        "Simulation"),
 }
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 __all__.insert(0, "__version__")

@@ -272,19 +272,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.harness.fuzz import fuzz
-
-    results = fuzz(args.cases, fuzz_seed=args.seed,
-                   stop_on_failure=not args.keep_going)
-    failures = [result for result in results if not result.ok]
-    for result in results:
-        status = "ok  " if result.ok else "FAIL"
-        print(f"{status} {result.case.describe()} -- {result.detail}")
-    print(f"\n{len(results) - len(failures)}/{len(results)} cases passed")
-    return 1 if failures else 0
-
-
 def cmd_soak(args: argparse.Namespace) -> int:
     from repro.harness.soak import (
         campaign_digest,
@@ -295,16 +282,12 @@ def cmd_soak(args: argparse.Namespace) -> int:
 
     if args.minutes is not None and args.case:
         raise SystemExit("--case requires --cases mode (a fixed campaign)")
-    if args.recovery and args.degraded:
-        raise SystemExit("--recovery and --degraded are exclusive campaigns")
+    if any(index < 0 for index in args.case):
+        raise SystemExit(f"--case must be >= 0, got {args.case}")
     cases = None if args.minutes is not None else args.cases
     results = soak(cases=cases, minutes=args.minutes, soak_seed=args.seed,
                    stop_on_failure=args.stop_on_failure,
-                   only=tuple(args.case), recovery=args.recovery,
-                   degraded=args.degraded)
-    if args.case and not results:
-        raise SystemExit(f"--case indices {args.case} outside "
-                         f"--cases {args.cases}")
+                   only=tuple(args.case), campaign=args.campaign)
     failures = []
     for result in results:
         mark = {"ok": "ok  ", "fail": "FAIL",
@@ -314,13 +297,13 @@ def cmd_soak(args: argparse.Namespace) -> int:
         if result.status == "fail":
             failures.append(result)
     digest = campaign_digest([result.case for result in results])
-    mode = ("recovery campaigns" if args.recovery
-            else "degraded campaigns" if args.degraded else "campaigns")
+    plain = args.campaign == "plain"
+    mode = "campaigns" if plain else f"{args.campaign} campaigns"
     print(f"\n{len(results) - len(failures)}/{len(results)} {mode} ok "
           f"(seed={args.seed})")
     print(f"campaign digest: {digest}")
     print(f"outcome digest: {outcome_digest(results)}")
-    if args.recovery:
+    if args.campaign == "recovery":
         # Control pair: the same crash+recover schedule violates
         # agreement without stable storage and holds with it.
         volatile_ok, volatile_detail = recovery_control_case(persist=False)
@@ -337,11 +320,9 @@ def cmd_soak(args: argparse.Namespace) -> int:
             return 1
     if failures:
         print("\nrepro lines:")
+        flag = "" if plain else f"--{args.campaign} "
         for result in failures:
-            flag = ("--recovery " if args.recovery
-                    else "--degraded " if args.degraded else "")
-            print(f"  python -m repro soak --seed {args.seed} "
-                  f"{flag}"
+            print(f"  python -m repro soak --seed {args.seed} {flag}"
                   f"--case {result.case.index}   # {result.case.describe()}")
     return 1 if failures else 0
 
@@ -551,19 +532,11 @@ def cmd_report(args: argparse.Namespace) -> int:
                              f"suite cases:\n  {listing}")
         report = bench_case_report(by_id[args.case_id])
     else:  # soak
-        from repro.harness.soak import (
-            sample_degraded_case,
-            sample_recovery_case,
-            sample_soak_case,
-        )
+        from repro.harness.soak import CAMPAIGNS
 
         if args.case < 0:
             raise SystemExit(f"--case must be >= 0, got {args.case}")
-        if args.recovery and args.degraded:
-            raise SystemExit("--recovery and --degraded are exclusive")
-        sample = (sample_recovery_case if args.recovery
-                  else sample_degraded_case if args.degraded
-                  else sample_soak_case)
+        sample = CAMPAIGNS[args.campaign]
         report = soak_case_report(sample(args.seed, args.case))
     wall = time.perf_counter() - started
 
@@ -785,6 +758,20 @@ def cmd_algorithms(args: argparse.Namespace) -> int:
 # parser
 # ----------------------------------------------------------------------
 
+def _add_campaign_flags(parser: argparse.ArgumentParser,
+                        **helps: str) -> None:
+    """One exclusive ``--NAME`` flag per help text; each stores ``NAME``.
+
+    ``args.campaign`` is then a key of
+    :data:`repro.harness.soak.CAMPAIGNS` (``"plain"`` without a flag).
+    """
+    group = parser.add_mutually_exclusive_group()
+    for name, text in helps.items():
+        group.add_argument(f"--{name}", dest="campaign",
+                           action="store_const", const=name, help=text)
+    parser.set_defaults(campaign="plain")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -860,32 +847,25 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--gst", type=float, default=5.0)
     sweep.set_defaults(handler=cmd_sweep)
 
-    fuzz_cmd = sub.add_parser(
-        "fuzz", help="run random in-model scenarios and check invariants")
-    fuzz_cmd.add_argument("--cases", type=int, default=25)
-    fuzz_cmd.add_argument("--seed", type=int, default=0)
-    fuzz_cmd.add_argument("--keep-going", action="store_true",
-                          help="do not stop at the first failure")
-    fuzz_cmd.set_defaults(handler=cmd_fuzz)
-
     soak_cmd = sub.add_parser(
         "soak", help="long randomized nemesis campaigns over all "
                      "algorithms and stacks")
     soak_cmd.add_argument("--cases", type=int, default=50,
-                          help="number of campaigns (ignored with --minutes)")
+                          help="number of campaigns (ignored with --minutes "
+                               "or --case)")
     soak_cmd.add_argument("--minutes", type=float, default=None,
                           help="wall-clock budget instead of a fixed count")
     soak_cmd.add_argument("--seed", type=int, default=0)
     soak_cmd.add_argument("--case", action="append", type=int, default=[],
                           metavar="INDEX",
                           help="replay only this case index (repeatable)")
-    soak_cmd.add_argument("--degraded", action="store_true",
-                          help="hostile-link campaign: every Omega under "
-                               "sustained loss/delay storms, flapping and "
-                               "duplication, half adaptive_qos")
-    soak_cmd.add_argument("--recovery", action="store_true",
-                          help="crash-recovery campaign: persisted stacks, "
-                               "crash+recover fault plans, control case")
+    _add_campaign_flags(
+        soak_cmd,
+        degraded="hostile-link campaign: every Omega under sustained "
+                 "loss/delay storms, flapping and duplication, half "
+                 "adaptive_qos",
+        recovery="crash-recovery campaign: persisted stacks, "
+                 "crash+recover fault plans, control case")
     soak_cmd.add_argument("--stop-on-failure", action="store_true",
                           help="stop at the first failing campaign")
     soak_cmd.set_defaults(handler=cmd_soak)
@@ -978,10 +958,9 @@ def build_parser() -> argparse.ArgumentParser:
         "soak", help="replay one soak campaign and report it")
     rsoak.add_argument("--seed", type=int, default=0)
     rsoak.add_argument("--case", type=int, required=True, metavar="INDEX")
-    rsoak.add_argument("--recovery", action="store_true",
-                       help="sample from the crash-recovery campaign")
-    rsoak.add_argument("--degraded", action="store_true",
-                       help="sample from the hostile-link campaign")
+    _add_campaign_flags(
+        rsoak, recovery="sample from the crash-recovery campaign",
+        degraded="sample from the hostile-link campaign")
     rsoak.add_argument("--out", default="", help="also write JSON here")
     rsoak.set_defaults(handler=cmd_report)
 

@@ -32,7 +32,6 @@ _EXPORTS = {
     "repro.consensus.statemachine": (
         "CounterMachine", "JournalMachine", "KeyValueStore",
         "ReplicatedStateMachine", "StateMachine"),
-    "repro.consensus.workload": (
-        "WorkloadDriver", "WorkloadOutcome", "WorkloadSpec"),
+    "repro.consensus.workload": ("WorkloadDriver", "WorkloadSpec"),
 }
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

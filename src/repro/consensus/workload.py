@@ -1,13 +1,11 @@
-"""Client workloads for the replicated log.
+"""The fixed-count client drip for the replicated log.
 
-Workloads follow the same **spec → build → run** shape as
-:class:`~repro.harness.scenarios.OmegaScenario`: a frozen
-:class:`WorkloadSpec` describes the drip (how many commands, how fast,
-when retries fire), :meth:`WorkloadSpec.build` attaches a
-:class:`WorkloadDriver` to a system (this is the only step that
-schedules timers), and :meth:`WorkloadDriver.outcome` distills the run
-into a frozen :class:`WorkloadOutcome` — commit-latency percentiles,
-retry and shed counts, throughput.
+A frozen :class:`WorkloadSpec` describes the drip (how many commands,
+how fast, when retries fire); :meth:`WorkloadSpec.build` attaches a
+:class:`WorkloadDriver` to a system, and that is the only step that
+schedules timers.  The driver exposes what its callers judge a run by:
+the :attr:`~WorkloadDriver.submitted` payloads and
+:meth:`~WorkloadDriver.done`.
 
 The driver plays the role of the paper-world "clients": it submits a
 stream of commands into the system at a configurable rate and keeps
@@ -17,9 +15,9 @@ Submission targets rotate over the *currently up* nodes, so the workload
 also exercises the forwarding path (non-leaders forward to their Omega
 leader) and survives leader crashes.
 
-For population-scale load (client fleets, Zipf skew, open/closed loops,
-sharded logs) see :mod:`repro.load`, which builds on the same submit/
-retry discipline.
+Commit latency, throughput and population-scale load (client fleets,
+Zipf skew, open/closed loops, sharded logs) are measured by
+:mod:`repro.load`, which builds on the same submit/retry discipline.
 """
 
 from __future__ import annotations
@@ -29,9 +27,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.consensus.node import ConsensusSystem
-from repro.consensus.replica import LogReplica, entry_commands
+from repro.consensus.replica import LogReplica
 
-__all__ = ["WorkloadSpec", "WorkloadDriver", "WorkloadOutcome"]
+__all__ = ["WorkloadSpec", "WorkloadDriver"]
 
 
 def _require_finite_positive(name: str, value: float) -> None:
@@ -81,59 +79,9 @@ class WorkloadSpec:
         driver._attach()
         return driver
 
-    def run(self, system: ConsensusSystem, horizon: float,
-            stagger: float = 0.0) -> "WorkloadOutcome":
-        """Convenience: build, start every node, run, and distill.
-
-        Schedule fault plans against ``system`` *before* calling this.
-        """
-        driver = self.build(system)
-        system.start_all(stagger)
-        system.run_until(horizon)
-        return driver.outcome()
-
-
-@dataclass(frozen=True)
-class WorkloadOutcome:
-    """What a finished workload run looked like, end to end.
-
-    Latency percentiles are over per-command submit→commit latencies
-    (first submission to earliest decide anywhere); ``None`` when no
-    command committed.  ``throughput_cps`` is committed commands per
-    simulated second between ``start`` and the snapshot time.
-    """
-
-    submitted: int
-    committed: int
-    retries: int
-    shed: int
-    done: bool
-    duration_s: float
-    throughput_cps: float | None
-    latency_p50_s: float | None
-    latency_p95_s: float | None
-    latency_p99_s: float | None
-
-    def to_json(self) -> dict[str, Any]:
-        """A plain-JSON rendering (used by bench rows and reports)."""
-        return {
-            "submitted": self.submitted,
-            "committed": self.committed,
-            "retries": self.retries,
-            "shed": self.shed,
-            "done": self.done,
-            "duration_s": self.duration_s,
-            "throughput_cps": self.throughput_cps,
-            "latency_s": {
-                "p50": self.latency_p50_s,
-                "p95": self.latency_p95_s,
-                "p99": self.latency_p99_s,
-            },
-        }
-
 
 class WorkloadDriver:
-    """A built workload: submits, retries, and measures one system.
+    """A built workload: submits and retries commands on one system.
 
     Construct through :meth:`WorkloadSpec.build`; the driver itself
     never schedules anything from ``__init__``.
@@ -147,8 +95,6 @@ class WorkloadDriver:
         self.retry_period = spec.retry_period
         self.commands = {index: f"cmd-{index}" for index in range(spec.count)}
         self.submit_times: dict[int, float] = {}
-        self.retries = 0
-        self.shed = 0
         self._cursor = 0
         self._attached = False
 
@@ -165,48 +111,10 @@ class WorkloadDriver:
         """All command payloads this workload ever injected."""
         return set(self.commands.values())
 
-    def commit_latency(self, pid: int) -> dict[int, float]:
-        """Per-command submit→commit latency as observed at node ``pid``."""
-        replica = self._replica(pid)
-        out: dict[int, float] = {}
-        for instance in range(replica.commit_index + 1):
-            if instance not in replica.log:
-                continue  # compacted away
-            decided_at = replica.decision_times.get(instance)
-            if decided_at is None:
-                continue
-            for command_id, _ in entry_commands(replica.log[instance]):
-                if command_id in self.submit_times \
-                        and command_id not in out:
-                    out[command_id] = \
-                        decided_at - self.submit_times[command_id]
-        return out
-
     def done(self) -> bool:
         """Whether every command is committed at some up-to-date node."""
         committed = self._committed_ids()
         return set(self.commands) <= committed
-
-    def outcome(self) -> WorkloadOutcome:
-        """Distill the run so far into a frozen :class:`WorkloadOutcome`."""
-        from repro.harness.stats import percentile  # local: avoid cycle
-
-        committed = self._committed_ids() & set(self.commands)
-        latencies = sorted(self._global_latencies().values())
-        duration = max(self.system.sim.now - self.spec.start, 0.0)
-        return WorkloadOutcome(
-            submitted=len(self.submit_times),
-            committed=len(committed),
-            retries=self.retries,
-            shed=self.shed,
-            done=self.done(),
-            duration_s=duration,
-            throughput_cps=(len(committed) / duration if duration > 0
-                            else None),
-            latency_p50_s=percentile(latencies, 0.50) if latencies else None,
-            latency_p95_s=percentile(latencies, 0.95) if latencies else None,
-            latency_p99_s=percentile(latencies, 0.99) if latencies else None,
-        )
 
     # ------------------------------------------------------------------
     # Internals
@@ -223,15 +131,6 @@ class WorkloadDriver:
             out |= {cid for cid in self._replica(pid).committed_ids}
         return out
 
-    def _global_latencies(self) -> dict[int, float]:
-        """Earliest observed commit latency per command across up nodes."""
-        merged: dict[int, float] = {}
-        for pid in self.system.up_pids():
-            for command_id, latency in self.commit_latency(pid).items():
-                if command_id not in merged or latency < merged[command_id]:
-                    merged[command_id] = latency
-        return merged
-
     def _pick_target(self, command_id: int) -> int | None:
         up = self.system.up_pids()
         if not up:
@@ -246,10 +145,8 @@ class WorkloadDriver:
         target = self._pick_target(command_id)
         if target is not None:
             self.submit_times.setdefault(command_id, self.system.sim.now)
-            accepted = self._replica(target).submit(
-                command_id, self.commands[command_id])
-            if not accepted:
-                self.shed += 1  # backpressure: the retry sweep re-offers it
+            # A shed command (backpressure) is re-offered by the retry sweep.
+            self._replica(target).submit(command_id, self.commands[command_id])
         self.system.sim.call_after(self.period, self._submit_next)
 
     def _retry(self) -> None:
@@ -259,10 +156,7 @@ class WorkloadDriver:
                 continue
             target = self._pick_target(command_id + 1)  # rotate targets
             if target is not None:
-                self.retries += 1
-                accepted = self._replica(target).submit(
-                    command_id, self.commands[command_id])
-                if not accepted:
-                    self.shed += 1
+                self._replica(target).submit(command_id,
+                                             self.commands[command_id])
         self.system.sim.call_after(self.retry_period, self._retry)
 

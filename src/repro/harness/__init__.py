@@ -11,8 +11,6 @@ _EXPORTS = {
     "repro.harness.bench": (
         "BenchCase", "build_report", "default_suite", "run_suite",
         "strip_nondeterministic"),
-    "repro.harness.fuzz": (
-        "FuzzCase", "FuzzResult", "fuzz", "run_case", "sample_case"),
     "repro.harness.soak": (
         "SoakCase", "SoakResult", "campaign_digest", "recovery_control_case",
         "run_soak_case", "sample_degraded_case", "sample_recovery_case",

@@ -1,9 +1,8 @@
 """Randomized soak campaigns: every algorithm, every stack, under nemesis.
 
-The fuzzer (:mod:`repro.harness.fuzz`) samples a handful of worlds per
-commit; the soak harness is its long-running sibling.  Each *campaign*
-pairs one registered Omega algorithm (or one of the two consensus
-stacks) with an in-model system topology and a nemesis
+The one runner for sampled simulator worlds.  Each *campaign* pairs one
+registered Omega algorithm (or one of the two consensus stacks) with an
+in-model system topology and a nemesis
 :class:`~repro.sim.nemesis.FaultPlan` sampled inside the campaign's
 :class:`~repro.sim.nemesis.ModelEnvelope`, runs it to the horizon, and
 checks the existing invariants (:func:`analyze_omega_run`,
@@ -33,6 +32,10 @@ result's ``outcome`` hashes protocol-clock observables only — leaders,
 message censuses, decisions, storage syncs — so a changed schedule names
 the case that moved).
 
+:data:`CAMPAIGNS` names the three samplers.  ``plain``
+(:func:`sample_soak_case`) is crash-stop: random in-model worlds under
+plans from :func:`~repro.sim.nemesis.sample_plan`.
+
 ``python -m repro soak --recovery`` switches to the *crash-recovery*
 campaign (:func:`sample_recovery_case`): every case runs the
 ``"crash-recovery"`` Omega and/or persisted consensus stacks under
@@ -57,10 +60,11 @@ layer soaks under exactly the link hostility it was built for.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 from repro.consensus import ConsensusSystem, WorkloadSpec, check_log, \
     check_single_decree
@@ -72,6 +76,7 @@ from repro.sim.nemesis import FaultPlan, ModelEnvelope, model_violations, \
 from repro.sim.topology import LinkTimings, multi_source_links
 
 __all__ = [
+    "CAMPAIGNS",
     "SoakCase",
     "SoakResult",
     "campaign_digest",
@@ -172,6 +177,52 @@ class SoakResult:
         return self.status != "fail"
 
 
+def _draw_shape(rng: random.Random, kind: str, algorithm: str,
+                ) -> tuple[str, int, int, tuple[int, ...], int]:
+    """Draw ``(system, n, source, targets, f)`` for one campaign.
+
+    Consensus stacks run on the ``"consensus"`` topology; an Omega
+    algorithm runs on a system its proof covers.  The draw order is part
+    of the ``(seed, index) -> case`` contract: the pinned plan digests
+    move if it changes.
+    """
+    if kind != "omega":
+        system = "consensus"
+    elif algorithm == "all-timely":
+        system = rng.choice(["all-timely", "all-et"])
+    elif algorithm == "packet-efficient":
+        system = "all-et"  # needs every link ◇timely (see its module doc)
+    elif algorithm == "f-source":
+        system = "f-source"
+    else:
+        system = rng.choice(["source", "multi-source"])
+    if system == "f-source":
+        n = rng.randint(5, 7)
+        source = rng.randrange(n)
+        others = [pid for pid in range(n) if pid != source]
+        return system, n, source, tuple(sorted(rng.sample(others, 2))), 2
+    n = rng.randint(3, 7)
+    source = rng.randrange(n)
+    return system, n, source, (), (n - 1) // 2
+
+
+def _draw_case(rng: random.Random, index: int, kind: str, algorithm: str,
+               shape: tuple[str, int, int, tuple[int, ...], int],
+               sample: Callable[[random.Random, ModelEnvelope], FaultPlan],
+               **flags: bool) -> SoakCase:
+    """Draw the seed/gst/loss tail and the plan, and seal the case."""
+    system, n, source, targets, f = shape
+    seed = rng.randrange(1_000_000)
+    gst = round(rng.uniform(0.0, 8.0), 2)
+    fair_loss = round(rng.uniform(0.0, 0.4), 2)
+    plan = sample(rng, ModelEnvelope(n=n, source=source, f=f, gst=gst,
+                                     horizon=_HORIZON))
+    return SoakCase(index=index, kind=kind, algorithm=algorithm,
+                    system=system, n=n, source=source, targets=targets,
+                    f=f, seed=seed, gst=gst, fair_loss=fair_loss,
+                    horizon=_HORIZON, plan=plan.to_repro(), **flags)
+
+
 def sample_soak_case(soak_seed: int, index: int) -> SoakCase:
     """Draw campaign ``index`` of the soak run seeded ``soak_seed``.
 
@@ -181,43 +232,10 @@ def sample_soak_case(soak_seed: int, index: int) -> SoakCase:
     """
     rng = random.Random(f"soak/{soak_seed}/{index}")
     kind = rng.choice(["omega", "omega", "omega", "single-decree", "log"])
-    targets: tuple[int, ...] = ()
-    if kind == "omega":
-        algorithm = rng.choice(_SOAK_OMEGAS)
-        if algorithm == "all-timely":
-            system = rng.choice(["all-timely", "all-et"])
-            n = rng.randint(3, 7)
-            source = rng.randrange(n)
-            f = (n - 1) // 2
-        elif algorithm == "f-source":
-            system = "f-source"
-            n = rng.randint(5, 7)
-            source = rng.randrange(n)
-            others = [pid for pid in range(n) if pid != source]
-            targets = tuple(sorted(rng.sample(others, 2)))
-            f = 2
-        else:
-            system = rng.choice(["source", "multi-source"])
-            n = rng.randint(3, 7)
-            source = rng.randrange(n)
-            f = (n - 1) // 2
-    else:
-        algorithm = rng.choice(_CONSENSUS_OMEGAS)
-        system = "consensus"
-        n = rng.randint(3, 7)
-        source = rng.randrange(n)
-        f = (n - 1) // 2
-
-    seed = rng.randrange(1_000_000)
-    gst = round(rng.uniform(0.0, 8.0), 2)
-    fair_loss = round(rng.uniform(0.0, 0.4), 2)
-    envelope = ModelEnvelope(n=n, source=source, f=f, gst=gst,
-                             horizon=_HORIZON)
-    plan = sample_plan(rng, envelope)
-    return SoakCase(index=index, kind=kind, algorithm=algorithm,
-                    system=system, n=n, source=source, targets=targets,
-                    f=f, seed=seed, gst=gst, fair_loss=fair_loss,
-                    horizon=_HORIZON, plan=plan.to_repro())
+    algorithm = rng.choice(_SOAK_OMEGAS if kind == "omega"
+                           else _CONSENSUS_OMEGAS)
+    return _draw_case(rng, index, kind, algorithm,
+                      _draw_shape(rng, kind, algorithm), sample_plan)
 
 
 def sample_recovery_case(soak_seed: int, index: int) -> SoakCase:
@@ -234,21 +252,9 @@ def sample_recovery_case(soak_seed: int, index: int) -> SoakCase:
     rng = random.Random(f"soak-recovery/{soak_seed}/{index}")
     kind = rng.choice(["omega", "omega", "single-decree", "log"])
     algorithm = "crash-recovery"
-    system = rng.choice(["source", "multi-source"]) if kind == "omega" \
-        else "consensus"
-    n = rng.randint(3, 7)
-    source = rng.randrange(n)
-    f = (n - 1) // 2
-    seed = rng.randrange(1_000_000)
-    gst = round(rng.uniform(0.0, 8.0), 2)
-    fair_loss = round(rng.uniform(0.0, 0.4), 2)
-    envelope = ModelEnvelope(n=n, source=source, f=f, gst=gst,
-                             horizon=_HORIZON)
-    plan = sample_recovery_plan(rng, envelope)
-    return SoakCase(index=index, kind=kind, algorithm=algorithm,
-                    system=system, n=n, source=source, targets=(),
-                    f=f, seed=seed, gst=gst, fair_loss=fair_loss,
-                    horizon=_HORIZON, plan=plan.to_repro(), recovery=True)
+    return _draw_case(rng, index, kind, algorithm,
+                      _draw_shape(rng, kind, algorithm),
+                      sample_recovery_plan, recovery=True)
 
 
 def sample_degraded_case(soak_seed: int, index: int) -> SoakCase:
@@ -264,41 +270,20 @@ def sample_degraded_case(soak_seed: int, index: int) -> SoakCase:
     """
     rng = random.Random(f"soak-degraded/{soak_seed}/{index}")
     algorithm = _DEGRADED_OMEGAS[index % len(_DEGRADED_OMEGAS)]
-    targets: tuple[int, ...] = ()
-    if algorithm == "all-timely":
-        system = rng.choice(["all-timely", "all-et"])
-        n = rng.randint(3, 7)
-        source = rng.randrange(n)
-        f = (n - 1) // 2
-    elif algorithm == "packet-efficient":
-        system = "all-et"  # needs every link ◇timely (see its module doc)
-        n = rng.randint(3, 7)
-        source = rng.randrange(n)
-        f = (n - 1) // 2
-    elif algorithm == "f-source":
-        system = "f-source"
-        n = rng.randint(5, 7)
-        source = rng.randrange(n)
-        others = [pid for pid in range(n) if pid != source]
-        targets = tuple(sorted(rng.sample(others, 2)))
-        f = 2
-    else:
-        system = rng.choice(["source", "multi-source"])
-        n = rng.randint(3, 7)
-        source = rng.randrange(n)
-        f = (n - 1) // 2
+    shape = _draw_shape(rng, "omega", algorithm)
     adaptive = algorithm in _ADAPTIVE_OMEGAS and rng.random() < 0.5
-    seed = rng.randrange(1_000_000)
-    gst = round(rng.uniform(0.0, 8.0), 2)
-    fair_loss = round(rng.uniform(0.0, 0.4), 2)
-    envelope = ModelEnvelope(n=n, source=source, f=f, gst=gst,
-                             horizon=_HORIZON)
-    plan = sample_degraded_plan(rng, envelope)
-    return SoakCase(index=index, kind="omega", algorithm=algorithm,
-                    system=system, n=n, source=source, targets=targets,
-                    f=f, seed=seed, gst=gst, fair_loss=fair_loss,
-                    horizon=_HORIZON, plan=plan.to_repro(),
-                    degraded=True, adaptive=adaptive)
+    return _draw_case(rng, index, "omega", algorithm, shape,
+                      sample_degraded_plan, degraded=True, adaptive=adaptive)
+
+
+#: The sim campaigns by name: each samples case ``index`` of the run
+#: seeded ``soak_seed``.  ``python -m repro soak`` runs ``plain``;
+#: ``--recovery`` and ``--degraded`` name the other two.
+CAMPAIGNS: dict[str, Callable[[int, int], SoakCase]] = {
+    "plain": sample_soak_case,
+    "recovery": sample_recovery_case,
+    "degraded": sample_degraded_case,
+}
 
 
 def run_soak_case(case: SoakCase) -> SoakResult:
@@ -530,43 +515,36 @@ def outcome_digest(results: Sequence[SoakResult]) -> str:
 
 def soak(cases: int | None = None, minutes: float | None = None,
          soak_seed: int = 0, stop_on_failure: bool = False,
-         only: tuple[int, ...] = (), recovery: bool = False,
-         degraded: bool = False) -> list[SoakResult]:
+         only: tuple[int, ...] = (),
+         campaign: str = "plain") -> list[SoakResult]:
     """Run a soak campaign; returns one result per executed case.
 
     Exactly one of ``cases`` (fixed count) or ``minutes`` (wall-clock
     budget, sampling case after case until it runs out) must be given.
-    ``only`` restricts execution to the named case indices — the replay
-    path behind ``python -m repro soak --case N``.  ``recovery``
-    switches to the crash-recovery campaign, ``degraded`` to the
-    hostile-link campaign (see module docstring); at most one of the
-    two may be set.
+    ``only`` runs exactly the named case indices instead, in ascending
+    order — the replay path behind ``python -m repro soak --case N``;
+    sampling is random-access, so any index replays.  ``campaign``
+    names the sampler in :data:`CAMPAIGNS` (see module docstring).
     """
     if (cases is None) == (minutes is None):
         raise ValueError("pass exactly one of cases= or minutes=")
     if cases is not None and cases < 1:
         raise ValueError("cases must be positive")
-    if recovery and degraded:
-        raise ValueError("recovery and degraded campaigns are exclusive")
+    if campaign not in CAMPAIGNS:
+        raise ValueError(f"unknown campaign {campaign!r}; "
+                         f"known: {', '.join(CAMPAIGNS)}")
+    if any(index < 0 for index in only):
+        raise ValueError(f"case indices must be >= 0, got {sorted(only)}")
 
-    sample = (sample_recovery_case if recovery
-              else sample_degraded_case if degraded
-              else sample_soak_case)
-    results = []
+    sample = CAMPAIGNS[campaign]
+    indices = (sorted(set(only)) if only
+               else itertools.count() if cases is None else range(cases))
     deadline = None if minutes is None else time.monotonic() + minutes * 60.0
-    index = 0
-    while True:
-        if cases is not None and index >= cases:
-            break
+    results = []
+    for index in indices:
         if deadline is not None and time.monotonic() >= deadline:
             break
-        if only and index > max(only):
-            break
-        case = sample(soak_seed, index)
-        index += 1
-        if only and case.index not in only:
-            continue
-        result = run_soak_case(case)
+        result = run_soak_case(sample(soak_seed, index))
         results.append(result)
         if not result.ok and stop_on_failure:
             break

@@ -11,12 +11,11 @@ from repro import _lazy_exports
 _EXPORTS = {
     "repro.sim.cluster": ("Cluster",),
     "repro.sim.engine": ("Simulation", "SimulationError"),
-    "repro.sim.faults": ("CrashEvent", "CrashPlan", "random_crash_plan"),
     "repro.sim.nemesis": (
         "CrashFault", "DegradeFault", "DuplicateFault", "FaultEvent",
         "FaultPlan", "FaultPlanError", "FlapFault", "ModelEnvelope",
-        "Nemesis", "PartitionFault", "PauseFault", "ProcessClasses",
-        "RecoverFault", "model_violations", "parse_event", "process_classes",
+        "PartitionFault", "PauseFault", "ProcessClasses", "RecoverFault",
+        "model_violations", "parse_event", "process_classes",
         "sample_degraded_plan", "sample_plan", "sample_recovery_plan"),
     "repro.sim.links": (
         "DegradedWindow", "PerturbedLink", "DeadLink", "EventuallyTimelyLink",

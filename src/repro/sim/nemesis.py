@@ -1,13 +1,12 @@
 """Nemesis: composable fault plans and in-model campaign generation.
 
-This module generalizes the scripted crash injection of
-:mod:`repro.sim.faults` into a unified fault subsystem.  A
+This module is the one fault script of the simulator.  A
 :class:`FaultPlan` is an ordered script of typed fault events —
 
 :class:`CrashFault`
-    Crash a process at a time (subsumes ``CrashPlan``); with
-    ``recover_at`` set, the process later comes back as a fresh
-    incarnation (crash-recovery).
+    Crash a process at a time (``FaultPlan.crashes_at`` builds a
+    crash-only plan); with ``recover_at`` set, the process later comes
+    back as a fresh incarnation (crash-recovery).
 
 :class:`RecoverFault`
     Recover a down process at a time — the standalone spelling of the
@@ -41,12 +40,15 @@ anything with the cluster surface (``sim``, ``pids``, ``crash``,
 faults apply to *every* network of the target (the consensus stack runs
 two).
 
-On top, :class:`Nemesis` samples random campaigns that stay inside the
-paper's model for a given :class:`ModelEnvelope` (never more than ``f``
-crashes, never the designated ◇source, every disturbance healing with
-enough calm left before the horizon), and :func:`model_violations`
-judges arbitrary plans against an envelope so out-of-model campaigns
-are reported as such instead of masquerading as invariant failures.
+On top, :func:`sample_plan` (and its crash-recovery and hostile-link
+siblings) draws random plans from an explicit seeded generator that
+stay inside the paper's model for a given :class:`ModelEnvelope` (never
+more than ``f`` crashes, never the designated ◇source, every
+disturbance healing with enough calm left before the horizon), and
+:func:`model_violations` judges arbitrary plans against an envelope so
+out-of-model campaigns are reported as such instead of masquerading as
+invariant failures.  The soak harness (:mod:`repro.harness.soak`) names
+each sampled campaign by ``(seed, index)``.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ __all__ = [
     "ProcessClasses",
     "model_violations",
     "process_classes",
-    "Nemesis",
     "sample_plan",
     "sample_recovery_plan",
     "sample_degraded_plan",
@@ -594,18 +595,17 @@ def _build_event(kind: str, fields: dict[str, str]) -> FaultEvent:
 class FaultPlan:
     """An ordered, validated script of fault events.
 
-    Subsumes :class:`repro.sim.faults.CrashPlan` (see
-    :meth:`crashes_at`) and generalizes it to the full event zoo.  Plans
-    are immutable-by-convention data: printable, serializable through
-    :meth:`to_repro`, and comparable.
+    From a crash-only script (:meth:`crashes_at`) to the full event zoo.
+    Plans are immutable-by-convention data: printable, serializable
+    through :meth:`to_repro`, and comparable.
 
     Determinism: a plan is pure data — all event times and durations are
     **seconds of simulated time**, and :meth:`schedule` only registers
     events on the target's kernel, so the same plan on the same cluster
     seed replays the identical fault history (that is what makes the
-    repro strings replayable).  Randomness exists only in
-    :class:`Nemesis` *sampling* of plans, which draws from an explicit
-    seeded generator, never from the plan itself.
+    repro strings replayable).  Randomness exists only in the
+    *sampling* of plans (:func:`sample_plan`), which draws from an
+    explicit seeded generator, never from the plan itself.
     """
 
     def __init__(self, events: Iterable[FaultEvent] = ()) -> None:
@@ -652,7 +652,7 @@ class FaultPlan:
 
     @classmethod
     def crashes_at(cls, *pairs: tuple[float, ...]) -> "FaultPlan":
-        """A pure-crash plan from ``(time, pid)`` pairs (à la CrashPlan).
+        """A pure-crash plan from ``(time, pid)`` pairs.
 
         A 3-tuple ``(time, pid, recover_at)`` schedules the bounce sugar
         instead: crash at ``time``, recover at ``recover_at``.
@@ -930,7 +930,7 @@ def model_violations(plan: FaultPlan, envelope: ModelEnvelope) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Nemesis: randomized in-model campaign generation
+# Randomized in-model plan sampling
 # ----------------------------------------------------------------------
 
 def sample_plan(rng: random.Random, envelope: ModelEnvelope) -> FaultPlan:
@@ -1145,27 +1145,3 @@ def sample_degraded_plan(rng: random.Random,
 
     return FaultPlan(events)
 
-
-class Nemesis:
-    """A reproducible campaign generator for one model envelope.
-
-    Campaign ``index`` is always the same plan for the same
-    ``(seed, index)`` pair — the soak harness prints exactly those two
-    numbers as the repro handle, like ``FuzzCase`` does.
-    """
-
-    def __init__(self, envelope: ModelEnvelope, seed: int = 0) -> None:
-        self.envelope = envelope
-        self.seed = seed
-
-    def plan(self, index: int) -> FaultPlan:
-        """The ``index``-th campaign of this nemesis."""
-        rng = random.Random(f"nemesis/{self.seed}/{index}")
-        return sample_plan(rng, self.envelope)
-
-    def campaigns(self, count: int) -> list[FaultPlan]:
-        """The first ``count`` campaigns."""
-        return [self.plan(index) for index in range(count)]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Nemesis(seed={self.seed}, envelope={self.envelope})"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.core import analyze_omega_run, communication_report, make_factory
 from repro.core.config import OmegaConfig
-from repro.sim import Cluster, CrashPlan, LinkTimings
+from repro.sim import Cluster, FaultPlan, LinkTimings
 from repro.sim.topology import all_eventually_timely_links, all_timely_links
 
 
@@ -46,7 +46,7 @@ class TestConvergence:
 class TestFailover:
     def test_leader_crash_elects_next_id(self) -> None:
         cluster = build()
-        CrashPlan.crash_at((20.0, 0)).schedule(cluster)
+        FaultPlan.crashes_at((20.0, 0)).schedule(cluster)
         cluster.start_all()
         cluster.run_until(90.0)
         report = analyze_omega_run(cluster)
@@ -55,7 +55,7 @@ class TestFailover:
 
     def test_cascade_of_crashes(self) -> None:
         cluster = build(n=5)
-        CrashPlan.crash_at((20.0, 0), (40.0, 1), (60.0, 2)).schedule(cluster)
+        FaultPlan.crashes_at((20.0, 0), (40.0, 1), (60.0, 2)).schedule(cluster)
         cluster.start_all()
         cluster.run_until(140.0)
         report = analyze_omega_run(cluster)
@@ -64,7 +64,7 @@ class TestFailover:
 
     def test_crashed_process_never_readopted(self) -> None:
         cluster = build()
-        CrashPlan.crash_at((20.0, 0)).schedule(cluster)
+        FaultPlan.crashes_at((20.0, 0)).schedule(cluster)
         cluster.start_all()
         cluster.run_until(90.0)
         for pid in cluster.up_pids():

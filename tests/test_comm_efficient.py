@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.core import analyze_omega_run, communication_report, make_factory
 from repro.core.config import OmegaConfig
-from repro.sim import Cluster, CrashPlan, LinkTimings
+from repro.sim import Cluster, LinkTimings
 from repro.sim.topology import multi_source_links, source_links
 
 

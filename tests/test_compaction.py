@@ -15,7 +15,7 @@ from repro.consensus import (
     check_compacting_log,
 )
 from repro.consensus.messages import Ballot, Prepare
-from repro.sim import CrashPlan, LinkTimings
+from repro.sim import FaultPlan, LinkTimings
 from repro.sim.engine import Simulation
 from repro.sim.network import Network
 from repro.sim.topology import multi_source_links
@@ -133,7 +133,7 @@ class TestSnapshotTransfer:
     def test_crashed_debtor_gets_bounded_offers(self) -> None:
         system = build_system(keep_tail=8, seed=7)
         WorkloadSpec(count=40, period=0.3, start=4.0).build(system)
-        CrashPlan.crash_at((10.0, 3)).schedule(system)
+        FaultPlan.crashes_at((10.0, 3)).schedule(system)
         system.start_all()
         system.run_until(100.0)
         total_offers = sum(system.node(pid).agreement.snapshots_sent

@@ -8,7 +8,7 @@ from repro.consensus import ConsensusSystem
 from repro.consensus.replica import LogReplica
 from repro.consensus.single import SingleDecreeConsensus
 from repro.core.omega import OmegaProtocol
-from repro.sim import CrashPlan, LinkTimings
+from repro.sim import FaultPlan, LinkTimings
 from repro.sim.topology import source_links
 
 TIMINGS = LinkTimings(gst=2.0)
@@ -65,7 +65,7 @@ class TestCrashCoupling:
     def test_crash_plan_compatible(self) -> None:
         system = ConsensusSystem.build_single_decree(
             4, links, proposals=list("abcd"))
-        CrashPlan.crash_at((1.0, 3)).schedule(system)
+        FaultPlan.crashes_at((1.0, 3)).schedule(system)
         system.start_all()
         system.run_until(2.0)
         assert system.node(3).crashed

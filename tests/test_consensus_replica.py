@@ -8,7 +8,7 @@ from repro.consensus import (
     WorkloadSpec,
     check_log,
 )
-from repro.sim import CrashPlan, LinkTimings
+from repro.sim import FaultPlan, LinkTimings
 from repro.sim.topology import multi_source_links, source_links
 
 
@@ -90,7 +90,7 @@ class TestLeaderCrash:
         # takeover-heavy schedule and just assert logs agree at the end.
         system = build(sources=(1, 2), seed=6)
         workload = WorkloadSpec(count=25, period=0.4, start=5.0).build(system)
-        CrashPlan.crash_at((12.0, 1)).schedule(system)
+        FaultPlan.crashes_at((12.0, 1)).schedule(system)
         system.start_all()
         system.run_until(400.0)
         report = check_log(system, workload.submitted)

@@ -11,7 +11,7 @@ from repro.consensus import (
     check_single_decree,
 )
 from repro.consensus.messages import Ballot, Prepare, Propose
-from repro.sim import CrashPlan, LinkTimings
+from repro.sim import FaultPlan, LinkTimings
 from repro.sim.engine import Simulation
 from repro.sim.network import Network
 from repro.sim.topology import all_timely_links, source_links
@@ -65,7 +65,7 @@ class TestHappyPath:
 class TestCrashTolerance:
     def test_minority_crash_before_start_of_agreement(self) -> None:
         system = build()
-        CrashPlan.crash_at((0.5, 0), (0.7, 4)).schedule(system)
+        FaultPlan.crashes_at((0.5, 0), (0.7, 4)).schedule(system)
         system.start_all()
         system.run_until(150.0)
         report = check_single_decree(system)
@@ -88,7 +88,7 @@ class TestCrashTolerance:
 
     def test_majority_crash_halts_but_stays_safe(self) -> None:
         system = build()
-        CrashPlan.crash_at((0.2, 0), (0.3, 2), (0.4, 4)).schedule(system)
+        FaultPlan.crashes_at((0.2, 0), (0.3, 2), (0.4, 4)).schedule(system)
         system.start_all()
         system.run_until(200.0)
         report = check_single_decree(system)

@@ -26,17 +26,17 @@ PACKAGES = ("repro", "repro.sim", "repro.consensus", "repro.core",
 
 #: How many names each ``__all__`` exports; a package that gains or
 #: loses one must say so here.
-EXPORT_COUNTS = {"repro": 53, "repro.sim": 64, "repro.consensus": 41,
-                 "repro.core": 33, "repro.harness": 30, "repro.obs": 18,
+EXPORT_COUNTS = {"repro": 50, "repro.sim": 60, "repro.consensus": 40,
+                 "repro.core": 33, "repro.harness": 25, "repro.obs": 18,
                  "repro.live": 20}
 
 #: Modules no benchmark run touches: a run must not pay to import them.
 UNUSED_BY_RUNS = (
-    "repro.harness.bench", "repro.harness.soak", "repro.harness.fuzz",
-    "repro.harness.plot", "repro.harness.stats", "repro.harness.tables",
-    "repro.obs.report", "repro.obs.timeliness", "repro.consensus.checker",
+    "repro.harness.bench", "repro.harness.soak", "repro.harness.plot",
+    "repro.harness.stats", "repro.harness.tables", "repro.obs.report",
+    "repro.obs.timeliness", "repro.consensus.checker",
     "repro.consensus.workload", "repro.consensus.rotating", "repro.core.qos",
-    "repro.core.relay", "repro.sim.faults", "repro.sim.traceview")
+    "repro.core.relay", "repro.sim.traceview")
 
 #: The simulator a live node does not run: protocol modules name these
 #: types for type checking only.
@@ -88,13 +88,11 @@ class TestExportContract:
     # is test_public_api.py::TestLoadSurface::test_deprecated_shim_is_gone.
 
     def test_submodule_import_does_not_shadow_an_export(self) -> None:
-        # ``repro.harness`` exports the functions ``fuzz`` and ``soak``,
-        # which share their home modules' names.
-        import repro.harness.fuzz
+        # ``repro.harness`` exports the function ``soak``, which shares
+        # its home module's name.
         import repro.harness.soak
 
-        assert callable(repro.harness.fuzz) and callable(repro.harness.soak)
-        assert repro.harness.fuzz is sys.modules["repro.harness.fuzz"].fuzz
+        assert callable(repro.harness.soak)
         assert repro.harness.soak is sys.modules["repro.harness.soak"].soak
 
 
@@ -121,7 +119,7 @@ class TestColdImports:
         loaded = _fresh("from repro import OmegaScenario, OmegaConfig")
         unwanted = ("repro.consensus", "repro.load", "repro.live",
                     "repro.obs.report", "repro.harness.bench",
-                    "repro.harness.soak", "repro.harness.fuzz")
+                    "repro.harness.soak")
         assert "repro.harness.scenarios" in loaded
         assert not [name for name in loaded
                     if name.startswith(unwanted)]

@@ -7,7 +7,7 @@ import pytest
 from repro.core import FsAlive, Suspect, analyze_omega_run, make_factory
 from repro.core.config import OmegaConfig
 from repro.core.f_source import FSourceOmega
-from repro.sim import Cluster, CrashPlan, LinkTimings
+from repro.sim import Cluster, FaultPlan, LinkTimings
 from repro.sim.engine import Simulation
 from repro.sim.network import Network
 from repro.sim.topology import f_source_links
@@ -115,7 +115,7 @@ class TestConvergence:
 
     def test_crashed_process_counter_grows_forever(self) -> None:
         cluster = build()
-        CrashPlan.crash_at((20.0, 1)).schedule(cluster)
+        FaultPlan.crashes_at((20.0, 1)).schedule(cluster)
         cluster.start_all()
         cluster.run_until(200.0)
         mid = cluster.process(0).counter_of(1)
@@ -125,7 +125,7 @@ class TestConvergence:
 
     def test_tolerates_crash_of_timely_target(self) -> None:
         cluster = build(source=2, targets=(0, 4), f=2)
-        CrashPlan.crash_at((20.0, 0), (30.0, 4)).schedule(cluster)
+        FaultPlan.crashes_at((20.0, 0), (30.0, 4)).schedule(cluster)
         cluster.start_all()
         cluster.run_until(500.0)
         report = analyze_omega_run(cluster)

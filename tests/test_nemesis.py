@@ -17,7 +17,6 @@ from repro.sim.nemesis import (
     FaultPlanError,
     FlapFault,
     ModelEnvelope,
-    Nemesis,
     NetemFault,
     PartitionFault,
     PauseFault,
@@ -306,6 +305,11 @@ class TestModelEnvelope:
         assert model_violations(plan, envelope) == []
 
 
+def _campaign(envelope: ModelEnvelope, seed: int, index: int) -> FaultPlan:
+    """Plan ``index`` of campaign ``seed``: one private seeded stream each."""
+    return sample_plan(random.Random(f"nemesis/{seed}/{index}"), envelope)
+
+
 class TestNemesisSampling:
     def test_sampled_plans_are_in_model(self) -> None:
         rng = random.Random(0)
@@ -326,22 +330,22 @@ class TestNemesisSampling:
 
     def test_nemesis_is_replayable_from_seed_and_index(self) -> None:
         envelope = ModelEnvelope(n=5, source=0, f=2)
-        first = Nemesis(envelope, seed=42)
-        second = Nemesis(envelope, seed=42)
-        assert first.campaigns(10) == second.campaigns(10)
+        first = [_campaign(envelope, 42, index) for index in range(10)]
+        second = [_campaign(envelope, 42, index) for index in range(10)]
+        assert first == second
         # Index addressing is random access, not a stream position.
-        assert first.plan(7) == second.campaigns(10)[7]
+        assert _campaign(envelope, 42, 7) == second[7]
 
     def test_different_seeds_differ(self) -> None:
         envelope = ModelEnvelope(n=6, source=0, f=2)
-        plans_a = Nemesis(envelope, seed=1).campaigns(5)
-        plans_b = Nemesis(envelope, seed=2).campaigns(5)
+        plans_a = [_campaign(envelope, 1, index) for index in range(5)]
+        plans_b = [_campaign(envelope, 2, index) for index in range(5)]
         assert plans_a != plans_b
 
     def test_sampled_plans_schedule_cleanly(self) -> None:
         envelope = ModelEnvelope(n=4, source=0, f=1)
         for index in range(20):
-            plan = Nemesis(envelope, seed=9).plan(index)
+            plan = _campaign(envelope, 9, index)
             cluster = build_cluster(n=4, seed=index)
             plan.schedule(cluster)
             cluster.start_all()

@@ -19,7 +19,7 @@ from repro.consensus import (
     check_single_decree,
     WorkloadSpec,
 )
-from repro.sim import CrashPlan, LinkTimings
+from repro.sim import FaultPlan, LinkTimings
 from repro.sim.cluster import Cluster
 from repro.sim.topology import source_links
 
@@ -39,7 +39,7 @@ class TestSingleDecreeSafety:
         crashes = tuple((crash_time + i, pid)
                         for i, pid in enumerate(sorted(victims)))
         if crashes:
-            CrashPlan.crash_at(*crashes).schedule(system)
+            FaultPlan.crashes_at(*crashes).schedule(system)
         system.start_all()
         system.run_until(250.0)
         report = check_single_decree(system)
@@ -88,7 +88,7 @@ class TestReplicatedLogSafety:
         system = ConsensusSystem.build_replicated_log(
             4, lambda: source_links(4, 1, FAST), seed=seed)
         workload = WorkloadSpec(count=12, period=0.7, start=2.0).build(system)
-        CrashPlan.crash_at((crash_time, victim)).schedule(system)
+        FaultPlan.crashes_at((crash_time, victim)).schedule(system)
         system.start_all()
         system.run_until(250.0)
         report = check_log(system, workload.submitted)

@@ -18,7 +18,7 @@ from repro.consensus import (
 )
 from repro.core import analyze_omega_run, make_factory, OmegaConfig
 from repro.core.relay import SeenTracker
-from repro.sim import Cluster, CrashPlan, LinkTimings
+from repro.sim import Cluster, FaultPlan, LinkTimings
 from repro.sim.links import FairLossyLink
 from repro.sim.topology import f_source_links, multi_source_links
 
@@ -119,7 +119,7 @@ def _compacting_log_under_crash(seed: int, keep_tail: int, victim: int,
         5, lambda: multi_source_links(5, (1, 2), FAST),
         machine_factory=JournalMachine, keep_tail=keep_tail, seed=seed)
     workload = WorkloadSpec(count=25, period=0.5, start=3.0).build(system)
-    CrashPlan.crash_at((crash_time, victim)).schedule(system)
+    FaultPlan.crashes_at((crash_time, victim)).schedule(system)
     system.start_all()
     system.run_until(300.0)
     report = check_compacting_log(system, workload.submitted)

@@ -50,7 +50,7 @@ class TestLoadSurface:
     """The PR-9 additions ride the same top-level re-export contract."""
 
     def test_new_names_exported(self) -> None:
-        for name in ("WorkloadSpec", "WorkloadOutcome", "Batch",
+        for name in ("WorkloadSpec", "Batch",
                      "ShardedLog", "LoadSpec", "LoadRun", "LoadOutcome",
                      "ClientFleet", "ZipfSampler"):
             assert name in repro.__all__

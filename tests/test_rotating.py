@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.consensus import RotatingLeaderOracle, build_rotating_single_decree
-from repro.sim import CrashPlan, LinkTimings, Simulation
+from repro.sim import FaultPlan, LinkTimings, Simulation
 from repro.sim.topology import source_links
 
 TIMINGS = LinkTimings(gst=3.0)
@@ -58,7 +58,7 @@ class TestRotatingConsensus:
 
     def test_safe_and_live_under_minority_crashes(self) -> None:
         cluster = self.build(seed=3)
-        CrashPlan.crash_at((1.0, 0), (3.0, 4)).schedule(cluster)
+        FaultPlan.crashes_at((1.0, 0), (3.0, 4)).schedule(cluster)
         cluster.start_all()
         cluster.run_until(300.0)
         decided = {pid: cluster.process(pid).decision
@@ -86,7 +86,7 @@ class TestRotatingConsensus:
         from repro.consensus import ConsensusSystem, check_single_decree
 
         rotating = self.build(seed=2)
-        CrashPlan.crash_at((1.0, 0)).schedule(rotating)
+        FaultPlan.crashes_at((1.0, 0)).schedule(rotating)
         rotating.start_all()
         rotating.run_until(300.0)
         rotating_decisions = [rotating.process(pid).decision_time
@@ -96,7 +96,7 @@ class TestRotatingConsensus:
         omega = ConsensusSystem.build_single_decree(
             5, lambda: source_links(5, 1, TIMINGS),
             proposals=[f"v{i}" for i in range(5)], seed=2)
-        CrashPlan.crash_at((1.0, 0)).schedule(omega)
+        FaultPlan.crashes_at((1.0, 0)).schedule(omega)
         omega.start_all()
         omega.run_until(300.0)
         report = check_single_decree(omega)

@@ -9,6 +9,7 @@ import pytest
 from repro.cli import main
 from repro.consensus.replica import LogReplica
 from repro.harness.soak import (
+    CAMPAIGNS,
     campaign_digest,
     outcome_digest,
     run_soak_case,
@@ -39,6 +40,19 @@ class TestDeterminism:
         a = campaign_digest([sample_soak_case(1, i) for i in range(20)])
         b = campaign_digest([sample_soak_case(2, i) for i in range(20)])
         assert a != b
+
+    # The plan digests CI pins, by sampling alone: a sampler that draws
+    # from its RNG in another order moves one of them.
+    @pytest.mark.parametrize("campaign, seed, cases, digest", [
+        ("plain", 0, 25, "952c7f0e9e1237fb"),
+        ("recovery", 7, 50, "7d9d64ba6685feb3"),
+        ("degraded", 7, 12, "78f5f58f9e5a4cdf"),
+    ])
+    def test_pinned_plan_digest(self, campaign: str, seed: int, cases: int,
+                                digest: str) -> None:
+        sample = CAMPAIGNS[campaign]
+        assert campaign_digest(
+            [sample(seed, index) for index in range(cases)]) == digest
 
 
 class TestSampling:
@@ -106,6 +120,15 @@ class TestExecution:
         assert results[0].case == full[4].case
         assert results[0].status == full[4].status
 
+    def test_repro_line_past_the_default_count_replays(
+            self, capsys) -> None:  # noqa: ANN001
+        # A printed repro line carries no --cases, and sampling is
+        # random access: case 60 replays under the default --cases 50.
+        assert main(["soak", "--seed", "0", "--case", "60"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("ok   #60 ")
+        assert "\n1/1 campaigns ok (seed=0)\n" in out
+
     def test_exactly_one_budget_required(self) -> None:
         with pytest.raises(ValueError):
             soak()
@@ -128,7 +151,8 @@ class TestOutcomeDigest:
     LOG_CASES = (1, 4)  # the first two log-kind cases of recovery seed 7
 
     def _campaign(self):  # noqa: ANN202
-        return soak(cases=5, soak_seed=7, only=self.LOG_CASES, recovery=True)
+        return soak(cases=5, soak_seed=7, only=self.LOG_CASES,
+                    campaign="recovery")
 
     def test_every_status_carries_a_sixteen_hex_outcome(self) -> None:
         results = soak(cases=3, soak_seed=7)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.core import Accusation, Alive, analyze_omega_run, make_factory
 from repro.core.config import OmegaConfig
 from repro.core.source_omega import SourceOmega
-from repro.sim import Cluster, CrashPlan, LinkTimings
+from repro.sim import Cluster, FaultPlan, LinkTimings
 from repro.sim.engine import Simulation
 from repro.sim.network import Network
 from repro.sim.topology import source_links
@@ -45,7 +45,7 @@ class TestConvergence:
 
     def test_crash_of_nonsource_is_tolerated(self) -> None:
         cluster = build(n=5, source=2)
-        CrashPlan.crash_at((15.0, 0), (25.0, 4)).schedule(cluster)
+        FaultPlan.crashes_at((15.0, 0), (25.0, 4)).schedule(cluster)
         cluster.start_all()
         cluster.run_until(150.0)
         report = analyze_omega_run(cluster)

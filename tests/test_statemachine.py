@@ -11,7 +11,7 @@ from repro.consensus import (
     LogReplica,
     ReplicatedStateMachine,
 )
-from repro.sim import CrashPlan, LinkTimings
+from repro.sim import FaultPlan, LinkTimings
 from repro.sim.engine import Simulation
 from repro.sim.network import Network
 from repro.sim.topology import multi_source_links
@@ -132,7 +132,7 @@ class TestEndToEndReplication:
                 5.0 + 0.5 * index,
                 lambda target=target, index=index, command=command:
                     system.node(target).agreement.submit(index, command))
-        CrashPlan.crash_at((9.0, 1)).schedule(system)
+        FaultPlan.crashes_at((9.0, 1)).schedule(system)
         system.start_all()
         system.run_until(300.0)
         snapshots = {machines[pid].snapshot() for pid in system.up_pids()}

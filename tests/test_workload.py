@@ -1,4 +1,4 @@
-"""Unit tests for the replicated-log client workload (spec → build → run)."""
+"""Unit tests for the replicated-log client drip (spec → build)."""
 
 from __future__ import annotations
 
@@ -6,12 +6,8 @@ import math
 
 import pytest
 
-from repro.consensus import (
-    ConsensusSystem,
-    WorkloadOutcome,
-    WorkloadSpec,
-)
-from repro.sim import CrashPlan, LinkTimings
+from repro.consensus import ConsensusSystem, WorkloadSpec, entry_commands
+from repro.sim import FaultPlan, LinkTimings
 from repro.sim.topology import multi_source_links
 
 
@@ -91,29 +87,25 @@ class TestCompletion:
         system = build(seed=3)
         workload = WorkloadSpec(count=10, period=0.5, start=3.0,
                                 retry_period=3.0).build(system)
-        CrashPlan.crash_at((4.0, 2)).schedule(system)
+        FaultPlan.crashes_at((4.0, 2)).schedule(system)
         system.start_all()
         system.run_until(120.0)
         assert workload.done()
 
     def test_commit_latency_positive(self) -> None:
+        # Every command commits at the leader strictly after the drip
+        # first submitted it.
         system = build()
         workload = WorkloadSpec(count=5, period=0.5, start=3.0).build(system)
         system.start_all()
         system.run_until(60.0)
-        leader = system.node(0).omega.leader()
-        latencies = workload.commit_latency(leader)
-        assert len(latencies) == 5
-        assert all(latency > 0 for latency in latencies.values())
-
-    def test_run_convenience_returns_outcome(self) -> None:
-        outcome = WorkloadSpec(count=6, period=0.5, start=3.0).run(
-            build(), horizon=60.0)
-        assert isinstance(outcome, WorkloadOutcome)
-        assert outcome.done
-        assert outcome.submitted == outcome.committed == 6
-        assert outcome.throughput_cps and outcome.throughput_cps > 0
-        assert outcome.latency_p50_s and outcome.latency_p50_s > 0
-        document = outcome.to_json()
-        assert set(document["latency_s"]) == {"p50", "p95", "p99"}
+        replica = system.node(system.node(0).omega.leader()).agreement
+        committed_at = {
+            command_id: replica.decision_times[instance]
+            for instance in range(replica.commit_index + 1)
+            for command_id, _ in entry_commands(replica.log[instance])}
+        assert set(workload.submit_times) <= set(committed_at)
+        assert all(committed_at[command_id] > submitted_at
+                   for command_id, submitted_at
+                   in workload.submit_times.items())
 
