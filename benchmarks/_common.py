@@ -1,10 +1,11 @@
 """Shared plumbing for the experiment benchmarks.
 
-Every benchmark runs a full experiment sweep inside the timed callable
-(`benchmark.pedantic(..., rounds=1)`), renders its table/figure through
+Every benchmark is a plain pytest test that runs a full experiment
+sweep, renders its table/figure through
 :func:`repro.harness.render_table`, prints it, and mirrors it to
 ``benchmarks/results/<name>.txt`` so results survive pytest's output
-capture.  ``EXPERIMENTS.md`` is written from those files.
+capture.  The tables record no timing.  ``EXPERIMENTS.md`` is written
+from those files.
 """
 
 from __future__ import annotations

@@ -126,8 +126,8 @@ def run_all() -> list[list[object]]:
     return rows
 
 
-def test_e10_ablations(benchmark) -> None:  # noqa: ANN001
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_e10_ablations() -> None:
+    rows = run_all()
     table = render_table(
         ["ablation", "primary metric", "secondary"],
         rows,

@@ -60,8 +60,8 @@ def run_both() -> list[list[object]]:
     return [omega_partition_case(), log_partition_case()]
 
 
-def test_e12_partition(benchmark) -> None:  # noqa: ANN001
-    rows = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_e12_partition() -> None:
+    rows = run_both()
     table = render_table(
         ["case", "during partition", "safe / holds after heal",
          "leader / all committed", "stab time / entries"],

@@ -3,33 +3,17 @@
 Validates R1-R3's liveness side: for every algorithm, in its own system,
 every correct process eventually trusts the same correct process.  Rows
 report stabilization time (mean over seeds) for a sweep of system sizes,
-failure-free and with a crash of the initially elected leader.
+failure-free.  Each run is the bench suite's ``e1`` runner
+(:mod:`repro.harness.bench`), at this table's own seeds.
 """
 
 from __future__ import annotations
 
 from _common import emit, mean
 
-from repro.harness import OmegaScenario, render_table
-from repro.sim import LinkTimings
+from repro.harness import bench, render_table
 
 SEEDS = (1, 2, 3)
-TIMINGS = LinkTimings(gst=5.0)
-
-
-def scenario_for(algorithm: str, n: int, seed: int) -> OmegaScenario:
-    source = n // 2  # an arbitrary non-zero pid so min-id is not special
-    if algorithm == "all-timely":
-        return OmegaScenario(algorithm=algorithm, n=n, system="all-et",
-                             seed=seed, horizon=300.0, timings=TIMINGS)
-    if algorithm == "f-source":
-        targets = (0, n - 1)
-        return OmegaScenario(algorithm=algorithm, n=n, system="f-source",
-                             source=source, targets=targets, seed=seed,
-                             horizon=600.0, timings=TIMINGS)
-    return OmegaScenario(algorithm=algorithm, n=n, system="source",
-                         source=source, seed=seed, horizon=300.0,
-                         timings=TIMINGS)
 
 
 def run_sweep() -> list[list[object]]:
@@ -39,10 +23,11 @@ def run_sweep() -> list[list[object]]:
             stabs = []
             holds = True
             for seed in SEEDS:
-                outcome = scenario_for(algorithm, n, seed).run()
-                holds &= outcome.stabilized
-                if outcome.report.stabilization_time is not None:
-                    stabs.append(outcome.report.stabilization_time)
+                _, details, _ = bench._RUNNERS["e1"](algorithm=algorithm,
+                                                     n=n, seed=seed)
+                holds &= details["omega_holds"]
+                if details["stabilization_time_s"] is not None:
+                    stabs.append(details["stabilization_time_s"])
             rows.append([
                 algorithm, n, holds,
                 mean(stabs) if stabs else None,
@@ -51,8 +36,8 @@ def run_sweep() -> list[list[object]]:
     return rows
 
 
-def test_e1_convergence(benchmark) -> None:  # noqa: ANN001
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_e1_convergence() -> None:
+    rows = run_sweep()
     table = render_table(
         ["algorithm", "n", "omega holds", "stab mean (s)", "stab max (s)"],
         rows,

@@ -10,64 +10,31 @@ Large-n extension: the asymptotic gap is the headline, so the census is
 also run at n = 32/64/128 for the communication-efficient algorithm
 (plus the R1 source algorithm at n = 32 as the Θ(n²) reference — the
 full matrix at n = 128 would be 16 256 busy links of pure baseline
-traffic and adds nothing).  Larger systems need longer horizons for the
-accusation-counter race to settle, hence the per-size horizon schedule.
+traffic and adds nothing).  The rows are the ``--full`` bench suite's
+``e3`` cases (:mod:`repro.harness.bench`), run at seed 3.
 """
 
 from __future__ import annotations
 
 from _common import emit
 
-from repro.harness import OmegaScenario, render_table
-from repro.sim import LinkTimings
-
-TIMINGS = LinkTimings(gst=5.0)
-
-# (algorithm, system, n) rows of the census; the classic 4/8/16 matrix
-# plus the large-n sweep of the communication-efficient headline.
-MATRIX = [
-    (algorithm, system, n)
-    for algorithm, system in (("all-timely", "all-et"),
-                              ("source", "source"),
-                              ("comm-efficient", "source"),
-                              ("f-source", "f-source"))
-    for n in (4, 8, 16)
-] + [
-    ("source", "source", 32),
-    ("comm-efficient", "source", 32),
-    ("comm-efficient", "source", 64),
-    ("comm-efficient", "source", 128),
-]
-
-
-def census_horizon(n: int) -> float:
-    """Per-size horizon: counter races settle later in larger systems."""
-    if n <= 16:
-        return 240.0
-    if n <= 64:
-        return 480.0
-    return 900.0
+from repro.harness import bench, render_table
 
 
 def run_census() -> list[list[object]]:
     rows: list[list[object]] = []
-    for algorithm, system, n in MATRIX:
-        scenario = OmegaScenario(
-            algorithm=algorithm, n=n, system=system, source=1,
-            targets=(0, 2) if system == "f-source" else (),
-            seed=3, horizon=census_horizon(n), ce_window=20.0,
-            timings=TIMINGS)
-        outcome = scenario.run()
-        active = len(outcome.comm.links)
+    for case in bench.default_suite(seed=3, experiments=("e3",), full=True):
+        _, details, _ = bench._RUNNERS["e3"](**case.params)
         rows.append([
-            algorithm, n, active, n - 1, n * (n - 1),
-            outcome.communication_efficient,
+            case.params["algorithm"], case.params["n"],
+            details["links_active_final_window"], details["ce_target"],
+            details["full_mesh"], details["communication_efficient"],
         ])
     return rows
 
 
-def test_e3_link_census(benchmark) -> None:  # noqa: ANN001
-    rows = benchmark.pedantic(run_census, rounds=1, iterations=1)
+def test_e3_link_census() -> None:
+    rows = run_census()
     table = render_table(
         ["algorithm", "n", "links active (final 20s)", "n-1", "n(n-1)",
          "comm-efficient"],

@@ -3,56 +3,41 @@
 Two-source system (so losing one leader keeps the assumptions intact):
 the elected leader is crashed at t=60 and we measure how long the other
 processes take to agree on a new correct leader, as a function of the
-heartbeat period η.  A companion series shows the leader output of one
-survivor around the crash.
+heartbeat period η.  Each run is the bench suite's ``e4`` runner
+(:mod:`repro.harness.bench`), at this table's own seeds.  A companion
+series shows the leader output of one survivor around the crash in the
+η = 0.5 s, seed 1 run.
 """
 
 from __future__ import annotations
 
 from _common import emit, mean
 
-from repro.core import OmegaConfig, analyze_omega_run
-from repro.harness import OmegaScenario, render_table
-from repro.sim import LinkTimings
+from repro.core import analyze_omega_run
+from repro.harness import bench, render_table
 
-N = 6
 CRASH_AT = 60.0
 SEEDS = (1, 2, 3, 4)
-TIMINGS = LinkTimings(gst=5.0)
-
-
-def failover_run(eta: float, seed: int) -> tuple[float | None, int]:
-    config = OmegaConfig(eta=eta, initial_timeout=4 * eta,
-                         growth_step=eta)
-    scenario = OmegaScenario(
-        algorithm="comm-efficient", n=N, system="multi-source",
-        sources=(1, 2), seed=seed, horizon=CRASH_AT, timings=TIMINGS,
-        config=config)
-    cluster = scenario.build()
-    cluster.start_all()
-    cluster.run_until(CRASH_AT)
-    first = analyze_omega_run(cluster).final_leader
-    if first is None:
-        return None, 0
-    cluster.crash(first)
-    cluster.run_until(CRASH_AT + 400.0)
-    report = analyze_omega_run(cluster)
-    if not report.omega_holds:
-        return None, report.total_changes
-    assert report.stabilization_time is not None
-    return report.stabilization_time - CRASH_AT, report.total_changes
 
 
 def run_sweep() -> tuple[list[list[object]], list[tuple[float, int]]]:
     rows: list[list[object]] = []
+    series: list[tuple[float, int]] = []
     for eta in (0.25, 0.5, 1.0, 2.0):
         latencies = []
         flaps = []
         for seed in SEEDS:
-            latency, changes = failover_run(eta, seed)
-            if latency is not None:
-                latencies.append(latency)
-            flaps.append(changes)
+            _, details, cluster = bench._RUNNERS["e4"](eta=eta, seed=seed)
+            leader = details["crashed_leader"]
+            if details["reelection_latency_s"] is not None:
+                latencies.append(details["reelection_latency_s"])
+            flaps.append(0 if leader is None
+                         else analyze_omega_run(cluster).total_changes)
+            if (eta, seed) == (0.5, 1):
+                observer = 0 if leader != 0 else 3
+                series = [(time, pid) for time, pid
+                          in cluster.process(observer).history
+                          if time > CRASH_AT - 30.0]
         rows.append([
             eta,
             len(latencies), len(SEEDS),
@@ -60,32 +45,17 @@ def run_sweep() -> tuple[list[list[object]], list[tuple[float, int]]]:
             max(latencies) if latencies else None,
             mean([float(f) for f in flaps]),
         ])
-
-    # Leader-output series of survivor pid 0 around the crash (eta=0.5).
-    scenario = OmegaScenario(
-        algorithm="comm-efficient", n=N, system="multi-source",
-        sources=(1, 2), seed=1, horizon=CRASH_AT,
-        timings=TIMINGS, config=OmegaConfig())
-    cluster = scenario.build()
-    cluster.start_all()
-    cluster.run_until(CRASH_AT)
-    leader = analyze_omega_run(cluster).final_leader
-    cluster.crash(leader)
-    cluster.run_until(CRASH_AT + 400.0)
-    observer = 0 if leader != 0 else 3
-    series = [(time, pid) for time, pid in cluster.process(observer).history
-              if time > CRASH_AT - 30.0]
     return rows, series
 
 
-def test_e4_failover(benchmark) -> None:  # noqa: ANN001
-    rows, series = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_e4_failover() -> None:
+    rows, series = run_sweep()
     table = render_table(
         ["eta (s)", "recovered", "runs", "latency mean (s)",
          "latency max (s)", "leader flaps mean"],
         rows,
         title=(f"Figure 2 (E4): re-election latency after crashing the "
-               f"leader at t={CRASH_AT}s (n={N}, two ◇sources)"))
+               f"leader at t={CRASH_AT}s (n=6, two ◇sources)"))
     transitions = "\n".join(
         f"    t={time:8.3f}s  ->  trusts {pid}" for time, pid in series)
     emit("e4_failover",

@@ -48,8 +48,9 @@ observer protocol and report schema.
     Population-scale client load: :class:`ClientFleet` (open/closed
     loops, Zipf key skew, at-least-once retry), sharded multi-group
     logs (:class:`ShardedLog`), and the :class:`LoadSpec` →
-    :class:`LoadOutcome` pipeline behind ``python -m repro load``
-    (docs/LOAD.md spells out the model and the E19 schema).
+    :class:`LoadOutcome` pipeline behind ``python -m repro bench
+    --experiments e19`` (docs/LOAD.md spells out the model and the E19
+    schema).
 
 Deprecation policy: a superseded entry point keeps working for one
 release but emits a ``DeprecationWarning`` once per call site, then is

@@ -18,8 +18,8 @@ Examples
     python -m repro soak --minutes 10
     python -m repro bench --jobs 4 --seed 7
     python -m repro bench --quick --jobs 2 --out bench-smoke.json
-    python -m repro load --quick --jobs 2 --no-out
-    python -m repro load --seed 7 --out BENCH_load.json
+    python -m repro bench --experiments e19 --quick --jobs 2 --no-out
+    python -m repro bench --experiments e19 --seed 7 --out BENCH_load.json
     python -m repro report scenario --algorithm comm-efficient --n 6
     python -m repro report bench --case-id e2/comm-efficient/n=8
     python -m repro report soak --seed 7 --case 12 --out report.json
@@ -332,7 +332,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.harness import bench
 
-    experiments = (tuple(part for part in args.experiments.split(","))
+    experiments = (tuple(part.strip().lower()
+                         for part in args.experiments.split(",")
+                         if part.strip())
                    if args.experiments else bench.EXPERIMENTS)
     try:
         cases = bench.default_suite(seed=args.seed, experiments=experiments,
@@ -351,8 +353,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     results = bench.run_suite(cases, jobs=jobs)
     wall = time.perf_counter() - started
+    sizing = "quick" if args.quick else "full" if args.full else "default"
+    ran = [name for name in bench.EXPERIMENTS
+           if any(case.experiment == name for case in cases)]
     report = bench.build_report(results, seed=args.seed, jobs=jobs,
-                                suite="quick" if args.quick else "e1-e4",
+                                suite=f"{sizing}:{','.join(ran)}",
                                 wall_s=wall)
 
     rows = [[r["case_id"], "ok" if r["ok"] else "FAIL",
@@ -364,23 +369,57 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ["case", "verdict", "wall (s)", "sim (s)", "events/s"], rows,
         title=f"bench suite ({len(results)} cases, jobs={jobs}, "
               f"seed={args.seed})"))
+    latency_rows = [_latency_row(r) for r in results
+                    if "latency_s" in r["result"]]
+    if latency_rows:
+        print()
+        print(render_table(
+            ["case", "committed", "commits/s", "p50 (s)", "p95 (s)",
+             "p99 (s)"], latency_rows, title="commit latency"))
     summary = report["summary"]
     print(f"\n{summary['ok']}/{summary['cases']} cases ok   "
           f"events={summary['events']:,}   "
           f"sim={summary['sim_time_s']:,.0f}s   wall={wall:.1f}s   "
           f"({summary['events'] / wall:,.0f} events/s aggregate)")
-    if not args.no_out:
-        out = args.out or bench.default_output_name()
-        with open(out, "w") as handle:
-            handle.write(bench.report_to_json(report))
-        print(f"report written to {out}")
     failed = [r["case_id"] for r in results if not r["ok"]]
     if failed:
         print("\nverdict regressions:")
         for case_id in failed:
             print(f"  FAIL {case_id}")
-    drifted = args.compare and _print_compare(report, args.compare)
+    out = None if args.no_out else args.out or bench.default_output_name()
+    drifted = _write_and_compare(report, out, args.compare)
     return 1 if failed or drifted else 0
+
+
+def _latency_row(result: dict) -> list[object]:
+    """One commit-latency table row of a bench result with ``latency_s``."""
+    details = result["result"]
+    latency = details["latency_s"] or {}
+    committed = details.get("committed")
+    if committed is None:  # batching rows nest the measured side
+        committed = (details.get("batched") or {}).get("committed")
+    throughput = details.get("throughput_cps")
+    quantiles = [latency.get(key) for key in ("p50", "p95", "p99")]
+    return [result["case_id"],
+            committed if committed is not None else "-",
+            f"{throughput:.1f}" if throughput else "-",
+            *(f"{value:.3f}" if isinstance(value, (int, float)) else "-"
+              for value in quantiles)]
+
+
+def _write_and_compare(report: dict, out: str | None, compare: str) -> bool:
+    """Write ``report`` to ``out`` and diff it against ``compare``.
+
+    Either step is skipped when its path is empty.  Returns True iff a
+    deterministic result drifted from the ``compare`` report.
+    """
+    from repro.harness.bench import report_to_json
+
+    if out:
+        with open(out, "w") as handle:
+            handle.write(report_to_json(report))
+        print(f"report written to {out}")
+    return bool(compare) and _print_compare(report, compare)
 
 
 def _print_compare(report: dict, compare_path: str) -> bool:
@@ -389,7 +428,7 @@ def _print_compare(report: dict, compare_path: str) -> bool:
     Prints the events/s drift table, a commit-latency percentile drift
     table when either report carries E19 ``latency_s`` blocks, and the
     added/removed/changed case lists (shared by ``bench --compare`` and
-    ``load --compare``).
+    ``live soak --compare``).
     """
     import json
 
@@ -434,71 +473,6 @@ def _print_compare(report: dict, compare_path: str) -> bool:
         return True
     print("deterministic results identical for all common cases")
     return False
-
-
-def cmd_load(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.harness import bench
-
-    cases = bench.default_suite(seed=args.seed, experiments=("e19",),
-                                quick=args.quick)
-    if args.filter:
-        import fnmatch
-
-        cases = [case for case in cases
-                 if fnmatch.fnmatchcase(case.case_id, args.filter)]
-        if not cases:
-            raise SystemExit(
-                f"--filter {args.filter!r} matches no case in this suite")
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    started = time.perf_counter()
-    results = bench.run_suite(cases, jobs=jobs)
-    wall = time.perf_counter() - started
-    report = bench.build_report(results, seed=args.seed, jobs=jobs,
-                                suite="load-quick" if args.quick else "load",
-                                wall_s=wall)
-
-    def _seconds(value: object) -> str:
-        return f"{value:.3f}" if isinstance(value, (int, float)) else "-"
-
-    rows = []
-    for result in results:
-        details = result["result"]
-        latency = details.get("latency_s") or {}
-        committed = details.get("committed")
-        if committed is None:  # batching rows nest the measured side
-            committed = (details.get("batched") or {}).get("committed")
-        throughput = details.get("throughput_cps")
-        rows.append([
-            result["case_id"], "ok" if result["ok"] else "FAIL",
-            committed if committed is not None else "-",
-            f"{throughput:.1f}" if throughput else "-",
-            _seconds(latency.get("p50")), _seconds(latency.get("p95")),
-            _seconds(latency.get("p99")),
-            f"{result['timing']['wall_s']:.2f}",
-        ])
-    print(render_table(
-        ["case", "verdict", "committed", "commits/s", "p50 (s)",
-         "p95 (s)", "p99 (s)", "wall (s)"], rows,
-        title=f"load suite E19 ({len(results)} cases, jobs={jobs}, "
-              f"seed={args.seed})"))
-    summary = report["summary"]
-    print(f"\n{summary['ok']}/{summary['cases']} cases ok   "
-          f"events={summary['events']:,}   "
-          f"sim={summary['sim_time_s']:,.0f}s   wall={wall:.1f}s")
-    if not args.no_out:
-        out = args.out or bench.default_output_name()
-        with open(out, "w") as handle:
-            handle.write(bench.report_to_json(report))
-        print(f"report written to {out}")
-    failed = [result["case_id"] for result in results if not result["ok"]]
-    if failed:
-        print("\nverdict regressions:")
-        for case_id in failed:
-            print(f"  FAIL {case_id}")
-    drifted = args.compare and _print_compare(report, args.compare)
-    return 1 if failed or drifted else 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -649,36 +623,26 @@ def cmd_live_run(args: argparse.Namespace) -> int:
 
 
 def cmd_live_soak(args: argparse.Namespace) -> int:
-    import json
     import time
 
     from repro.harness.soak import campaign_digest
-    from repro.live.chaos import (
-        live_bench_cases,
-        live_soak,
-        sample_live_case,
-    )
+    from repro.live.chaos import live_bench_cases, live_soak
 
-    if args.quick:
-        cases = args.cases if args.cases is not None else 4
-    else:
-        cases = args.cases if args.cases is not None else 6
+    cases = (args.cases if args.cases is not None
+             else 4 if args.quick else 6)
     if cases < 1:
         raise SystemExit(f"--cases must be >= 1, got {cases}")
+    if any(index < 0 for index in args.case):
+        raise SystemExit(f"--case must be >= 0, got {args.case}")
     if args.horizon < 7.0:
         raise SystemExit(f"--horizon must be >= 7.0 so sampled fault plans "
                          f"fit and heal before the deadline, got {args.horizon}")
-    sampled = [sample_live_case(args.seed, index, horizon=args.horizon)
-               for index in range(cases)]
     started = time.monotonic()
     results = live_soak(cases=cases, soak_seed=args.seed,
                         outdir=(args.outdir or None),
                         only=tuple(args.case), horizon=args.horizon,
                         stop_on_failure=args.stop_on_failure)
     wall = time.monotonic() - started
-    if args.case and not results:
-        raise SystemExit(f"--case indices {args.case} outside "
-                         f"--cases {cases}")
     marks = {"ok": "ok  ", "fail": "FAIL", "model-violation": "OOM ",
              "timeout": "TIME"}
     failures = 0
@@ -687,20 +651,17 @@ def cmd_live_soak(args: argparse.Namespace) -> int:
               f"-- {result.detail}")
         if not result.ok:
             failures += 1
-    digest = campaign_digest(sampled)
+    digest = campaign_digest([result.case for result in results])
     print(f"\n{len(results) - failures}/{len(results)} live campaigns ok "
           f"(seed={args.seed}, wall={wall:.1f}s)")
     print(f"campaign digest: {digest}")
     if args.bench_out or args.compare:
-        from repro.harness.bench import build_report, report_to_json
+        from repro.harness.bench import build_report
         report = build_report(live_bench_cases(results), seed=args.seed,
                               jobs=1, suite="live-soak", wall_s=wall)
-        if args.bench_out:
-            with open(args.bench_out, "w") as handle:
-                handle.write(report_to_json(report))
-            print(f"bench report written to {args.bench_out}")
-        if args.compare:
-            _print_compare(report, args.compare)
+        # Live rows carry wall-clock latencies, so --compare informs
+        # rather than gates: the exit code is the campaign's verdicts.
+        _write_and_compare(report, args.bench_out, args.compare)
     return 1 if failures else 0
 
 
@@ -871,8 +832,10 @@ def build_parser() -> argparse.ArgumentParser:
     soak_cmd.set_defaults(handler=cmd_soak)
 
     bench_cmd = sub.add_parser(
-        "bench", help="parallel E1-E4 experiment suite with a "
-                      "machine-readable BENCH_<date>.json report")
+        "bench", help="parallel experiment suite (E1-E4, E17 packet "
+                      "budgets, E18 large-n census, E19 client load with "
+                      "p50/p95/p99 commit latency) with a machine-readable "
+                      "BENCH_<date>.json report")
     bench_cmd.add_argument("--jobs", type=int, default=0,
                            help="worker processes (default: all CPU cores); "
                                 "results are identical at any level")
@@ -880,47 +843,25 @@ def build_parser() -> argparse.ArgumentParser:
     bench_cmd.add_argument("--quick", action="store_true",
                            help="CI-smoke sizing (small n, short horizons)")
     bench_cmd.add_argument("--full", action="store_true",
-                           help="include the heaviest rows (E3 at n=128)")
+                           help="include the heaviest rows (E3 at n=128, "
+                                "E18 at n=512 and n=1024)")
     bench_cmd.add_argument("--experiments", default="",
                            metavar="E1,E2,...",
                            help="comma-separated subset of "
-                                "e1,e2,e3,e4,e17,e18,e19")
+                                "e1,e2,e3,e4,e17,e18,e19 (any case)")
     bench_cmd.add_argument("--filter", default="", metavar="GLOB",
                            help="run only cases whose case_id matches this "
                                 "glob (e.g. 'e18/*' or '*/n=32')")
     bench_cmd.add_argument("--compare", default="", metavar="OLD.json",
                            help="diff the fresh report against a previous "
-                                "one: print per-case events/s drift, exit "
-                                "nonzero if any deterministic result "
-                                "changed")
+                                "one: print per-case events/s and commit-"
+                                "latency drift, exit nonzero if any "
+                                "deterministic result changed")
     bench_cmd.add_argument("--out", default="",
                            help="report path (default BENCH_<date>.json)")
     bench_cmd.add_argument("--no-out", action="store_true",
                            help="print tables only, write no JSON")
     bench_cmd.set_defaults(handler=cmd_bench)
-
-    load_cmd = sub.add_parser(
-        "load", help="client-fleet load suite (E19): committed-command "
-                     "throughput and p50/p95/p99 commit latency under "
-                     "batching, pipelining, sharding and compaction")
-    load_cmd.add_argument("--jobs", type=int, default=0,
-                          help="worker processes (default: all CPU cores); "
-                               "results are identical at any level")
-    load_cmd.add_argument("--seed", type=int, default=7)
-    load_cmd.add_argument("--quick", action="store_true",
-                          help="CI-smoke sizing (small fleets, short windows)")
-    load_cmd.add_argument("--filter", default="", metavar="GLOB",
-                          help="run only cases whose case_id matches this "
-                               "glob (e.g. 'e19/sharded/*')")
-    load_cmd.add_argument("--compare", default="", metavar="OLD.json",
-                          help="diff against a previous report: events/s and "
-                               "commit-latency percentile drift, exit "
-                               "nonzero if any deterministic result changed")
-    load_cmd.add_argument("--out", default="",
-                          help="report path (default BENCH_<date>.json)")
-    load_cmd.add_argument("--no-out", action="store_true",
-                          help="print tables only, write no JSON")
-    load_cmd.set_defaults(handler=cmd_load)
 
     report = sub.add_parser(
         "report", help="observability report (repro-report/v1 JSON + text) "
@@ -1021,9 +962,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wall seconds each case runs")
     lsoak.add_argument("--case", type=int, action="append", default=[],
                        metavar="I",
-                       help="replay only case index I (repeatable); "
-                            "sampling is unchanged, so plans are "
-                            "byte-identical to the full campaign")
+                       help="replay only case index I (repeatable, any "
+                            "index >= 0); sampling is keyed by (seed, I), "
+                            "so plans are byte-identical to the campaign's")
     lsoak.add_argument("--outdir", default="",
                        help="root directory for per-case rundirs "
                             "(default: a fresh temp dir)")

@@ -2,8 +2,9 @@
 
 This module turns the E1–E4 experiment suite (plus E17, the
 packet-budget and adaptive-degradation rows of docs/DEGRADATION.md,
-and E18, the large-n communication-efficiency census at n = 256/512/
-1024) into a list of independent :class:`BenchCase` values, fans them out
+E18, the large-n communication-efficiency census at n = 256/512/1024,
+and E19, the client-load rows of docs/LOAD.md) into a list of
+independent :class:`BenchCase` values, fans them out
 across CPU cores with ``multiprocessing``, and merges the results into
 a versioned, machine-readable report (``BENCH_<date>.json``) so the
 repository's performance trajectory is measurable run over run.
@@ -113,7 +114,7 @@ def default_suite(
     quick: bool = False,
     full: bool = False,
 ) -> list[BenchCase]:
-    """The canonical E1–E4 case list.
+    """The canonical case list: E1–E4, E17, E18 and E19 (client load).
 
     Parameters
     ----------
@@ -302,20 +303,31 @@ def _persist_open_case(seed: int, **shape: float) -> BenchCase:
 # Per-experiment runners (top-level so they pickle under spawn)
 # ----------------------------------------------------------------------
 
-def _run_e1(algorithm: str, n: int, seed: int) -> tuple[Verdict, dict, Any]:
+def _weakest_system_scenario(algorithm: str, n: int, seed: int,
+                             config: OmegaConfig | None = None,
+                             faults: str = "") -> OmegaScenario:
+    """One algorithm on its weakest adequate system (the e1 and e17 shape).
+
+    The source is ``n // 2``, an arbitrary non-zero pid, so that the
+    smallest id is not special.
+    """
     source = n // 2
-    if algorithm == "all-timely":
-        scenario = OmegaScenario(algorithm=algorithm, n=n, system="all-et",
-                                 seed=seed, horizon=300.0, timings=_TIMINGS)
-    elif algorithm == "f-source":
-        scenario = OmegaScenario(algorithm=algorithm, n=n, system="f-source",
-                                 source=source, targets=(0, n - 1), seed=seed,
-                                 horizon=600.0, timings=_TIMINGS)
-    else:
-        scenario = OmegaScenario(algorithm=algorithm, n=n, system="source",
-                                 source=source, seed=seed, horizon=300.0,
-                                 timings=_TIMINGS)
-    outcome = scenario.run()
+    if algorithm in ("all-timely", "packet-efficient"):
+        return OmegaScenario(algorithm=algorithm, n=n, system="all-et",
+                             seed=seed, horizon=300.0, timings=_TIMINGS,
+                             config=config, faults=faults)
+    if algorithm == "f-source":
+        return OmegaScenario(algorithm=algorithm, n=n, system="f-source",
+                             source=source, targets=(0, n - 1), seed=seed,
+                             horizon=600.0, timings=_TIMINGS,
+                             config=config, faults=faults)
+    return OmegaScenario(algorithm=algorithm, n=n, system="source",
+                         source=source, seed=seed, horizon=300.0,
+                         timings=_TIMINGS, config=config, faults=faults)
+
+
+def _run_e1(algorithm: str, n: int, seed: int) -> tuple[Verdict, dict, Any]:
+    outcome = _weakest_system_scenario(algorithm, n, seed).run()
     details = {
         "omega_holds": outcome.stabilized,
         "stabilization_time_s": outcome.report.stabilization_time,
@@ -460,29 +472,10 @@ class _PacketTally(Observer):
         }
 
 
-def _e17_scenario(algorithm: str, n: int, seed: int,
-                  config: OmegaConfig | None = None,
-                  faults: str = "") -> OmegaScenario:
-    """The e17 scenario of one algorithm on its weakest adequate system."""
-    source = n // 2
-    if algorithm in ("all-timely", "packet-efficient"):
-        return OmegaScenario(algorithm=algorithm, n=n, system="all-et",
-                             seed=seed, horizon=300.0, timings=_TIMINGS,
-                             config=config, faults=faults)
-    if algorithm == "f-source":
-        return OmegaScenario(algorithm=algorithm, n=n, system="f-source",
-                             source=source, targets=(0, n - 1), seed=seed,
-                             horizon=600.0, timings=_TIMINGS,
-                             config=config, faults=faults)
-    return OmegaScenario(algorithm=algorithm, n=n, system="source",
-                         source=source, seed=seed, horizon=300.0,
-                         timings=_TIMINGS, config=config, faults=faults)
-
-
 def _run_e17_budget(algorithm: str, n: int,
                     seed: int) -> tuple[Verdict, dict, Any]:
     """One packet-budget row: run observed, report the packet economy."""
-    scenario = _e17_scenario(algorithm, n, seed)
+    scenario = _weakest_system_scenario(algorithm, n, seed)
     with capture(_PacketTally):
         outcome = scenario.run()
     network = outcome.cluster.network
@@ -519,9 +512,9 @@ def _run_e17_adaptive(n: int, seed: int) -> tuple[Verdict, dict, Any]:
     sides: dict[str, dict] = {}
     clusters: dict[str, Any] = {}
     for label, adaptive in (("static", False), ("adaptive", True)):
-        scenario = _e17_scenario("comm-efficient", n, seed,
-                                 config=OmegaConfig(adaptive_qos=adaptive),
-                                 faults=faults)
+        scenario = _weakest_system_scenario(
+            "comm-efficient", n, seed,
+            config=OmegaConfig(adaptive_qos=adaptive), faults=faults)
         with capture(_PacketTally):
             outcome = scenario.run()
         network = outcome.cluster.network

@@ -315,10 +315,11 @@ def live_soak(cases: int = 6, soak_seed: int = 0,
               stop_on_failure: bool = False) -> list[LiveSoakResult]:
     """Run a seeded live campaign; returns one result per executed case.
 
-    ``only`` restricts execution to the named case indices (the replay
-    path: the full campaign is still sampled, so indices and plans are
-    identical to the unrestricted run).  Each case gets its own
-    ``caseN/`` subdirectory under ``outdir`` holding node logs, node
+    ``only`` runs exactly the named case indices instead of the first
+    ``cases``, in ascending order — the replay path behind ``--case N``;
+    sampling is keyed by ``(soak_seed, index)``, so any index replays
+    the plan the unrestricted campaign would run.  Each case gets its
+    own ``caseN/`` subdirectory under ``outdir`` holding node logs, node
     reports, and the merged ``report.json``.
     """
     import tempfile
@@ -327,11 +328,9 @@ def live_soak(cases: int = 6, soak_seed: int = 0,
         tempfile.mkdtemp(prefix="repro-live-soak-"))
     root.mkdir(parents=True, exist_ok=True)
     results = []
-    for index in range(cases):
+    for index in (sorted(set(only)) if only else range(cases)):
         case = sample_live_case(soak_seed, index, horizon=horizon)
-        if only and case.index not in only:
-            continue
-        result = run_live_case(case, root / f"case{case.index}")
+        result = run_live_case(case, root / f"case{index}")
         results.append(result)
         if stop_on_failure and not result.ok:
             break

@@ -296,3 +296,24 @@ class TestCli:
         import datetime
         name = bench.default_output_name(datetime.date(2026, 8, 6))
         assert name == "BENCH_2026-08-06.json"
+
+    def test_e19_suite_prints_commit_latency(self, capsys) -> None:
+        code = main(["bench", "--experiments", "e19", "--quick",
+                     "--jobs", "1", "--no-out"])
+        assert code == 0
+        out = capsys.readouterr().out
+        for column in ("committed", "commits/s", "p50 (s)", "p95 (s)",
+                       "p99 (s)"):
+            assert column in out
+        assert "e19/persist-open/n=5" in out
+
+    def test_experiments_accept_the_metavar_spelling(self, tmp_path) -> None:
+        out = tmp_path / "report.json"
+        code = main(["bench", "--experiments", "E19, e2", "--quick",
+                     "--jobs", "1", "--filter", "e19/persist-open/*",
+                     "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert [case["case_id"] for case in report["cases"]] \
+            == ["e19/persist-open/n=5"]
+        assert report["suite"] == "quick:e19"

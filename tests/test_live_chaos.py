@@ -225,6 +225,37 @@ class TestCaseJudging:
         assert rows[0]["events"] == 10
 
 
+class TestCliReplay:
+    def test_case_past_the_campaign_size_replays(self, tmp_path, monkeypatch,
+                                                 capsys) -> None:
+        from repro.cli import main
+        from repro.harness.soak import campaign_digest
+        from repro.live import chaos
+
+        ran = []
+
+        def canned(case: LiveSoakCase, rundir) -> chaos.LiveSoakResult:
+            ran.append(case.index)
+            return chaos.LiveSoakResult(case, "ok", "canned")
+
+        monkeypatch.setattr(chaos, "run_live_case", canned)
+        code = main(["live", "soak", "--case", "7",
+                     "--outdir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert ran == [7]
+        case_lines = [line for line in out.splitlines() if " #" in line]
+        assert len(case_lines) == 1 and " #7 " in case_lines[0]
+        digest = campaign_digest([sample_live_case(0, 7)])
+        assert f"campaign digest: {digest}" in out
+
+    def test_negative_case_is_a_clean_error(self) -> None:
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="--case must be >= 0"):
+            main(["live", "soak", "--case", "-1"])
+
+
 def _assert_all_reaped(cluster: LiveCluster) -> None:
     """Every spawned node process is dead and reaped — no orphans."""
     for pid, proc in cluster._procs.items():
