@@ -203,8 +203,7 @@ def cmd_consensus(args: argparse.Namespace) -> int:
                              f"omega={args.omega}, seed={args.seed})"))
     print(f"\nagreement: {report.agreement}   validity: {report.validity}")
     print(f"all correct decided: {report.all_correct_decided}")
-    ok = report.agreement and report.validity and report.all_correct_decided
-    return 0 if ok else 1
+    return 0 if report.verdict().ok else 1
 
 
 def cmd_log(args: argparse.Namespace) -> int:
@@ -231,8 +230,7 @@ def cmd_log(args: argparse.Namespace) -> int:
                              f"{args.commands} commands, seed={args.seed})"))
     print(f"\nagreement: {report.agreement}   validity: {report.validity}")
     print(f"all commands committed: {workload.done()}")
-    ok = report.agreement and report.validity and workload.done()
-    return 0 if ok else 1
+    return 0 if report.verdict().ok and workload.done() else 1
 
 
 # ----------------------------------------------------------------------
@@ -475,17 +473,34 @@ def _print_compare(report: dict, compare_path: str) -> bool:
     return False
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def _write_valid_report(document: dict, out: str | None) -> bool:
+    """Validate a ``repro-report/v1`` document and write it to ``out``.
+
+    Writing is skipped when ``out`` is empty; schema problems are
+    printed.  Returns True iff the document validates.
+    """
     import json
+
+    from repro.obs import validate_report
+
+    problems = validate_report(document)
+    if out:
+        with open(out, "w") as handle:
+            json.dump(document, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"report written to {out}")
+    if problems:
+        print("\nschema problems:")
+        for problem in problems:
+            print(f"  {problem}")
+    return not problems
+
+
+def cmd_report(args: argparse.Namespace) -> int:
     import time
 
     from repro.harness import bench
-    from repro.obs import (
-        bench_case_report,
-        scenario_report,
-        soak_case_report,
-        validate_report,
-    )
+    from repro.obs import bench_case_report, scenario_report, soak_case_report
 
     started = time.perf_counter()
     if args.target == "scenario":
@@ -514,21 +529,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         report = soak_case_report(sample(args.seed, args.case))
     wall = time.perf_counter() - started
 
-    document = report.to_json()
-    problems = validate_report(document)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     print(report.render_text())
-    print(f"\nwall time: {wall:.2f}s"
-          + (f"   report written to {args.out}" if args.out else ""))
-    if problems:
-        print("\nschema problems:")
-        for problem in problems:
-            print(f"  {problem}")
-        return 1
-    return 0
+    print(f"\nwall time: {wall:.2f}s")
+    return 0 if _write_valid_report(report.to_json(), args.out) else 1
 
 
 def cmd_qos(args: argparse.Namespace) -> int:
@@ -575,11 +578,10 @@ def cmd_qos(args: argparse.Namespace) -> int:
 
 
 def cmd_live_run(args: argparse.Namespace) -> int:
-    import json
     import tempfile
 
     from repro.live import ControlError, LiveCluster, LiveClusterSpec
-    from repro.obs import render_report_text, validate_report
+    from repro.obs import render_report_text
 
     try:
         spec = LiveClusterSpec(
@@ -608,18 +610,8 @@ def cmd_live_run(args: argparse.Namespace) -> int:
               f"/{workload['submitted']} committed"
               + (f"  {quantiles}" if quantiles else ""))
     print(f"\nnode logs and reports in {rundir}")
-    problems = validate_report(document)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"report written to {args.out}")
-    if problems:
-        print("\nschema problems:")
-        for problem in problems:
-            print(f"  {problem}")
-        return 1
-    return 0 if outcome.verdict.ok else 1
+    valid = _write_valid_report(document, args.out)
+    return 0 if valid and outcome.verdict.ok else 1
 
 
 def cmd_live_soak(args: argparse.Namespace) -> int:

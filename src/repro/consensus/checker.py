@@ -9,14 +9,25 @@ Checks the three classic properties over the surviving processes:
 * **Termination (finite-run analogue)** — which correct processes have
   decided by the end of the run, and when.
 
-The checker works on both :class:`SingleDecreeConsensus` ensembles and
-replicated logs, via small structural accessors.
+Each report's ``from_facts`` constructor is the one judge of its
+property, fed plain per-pid facts.  :func:`check_single_decree` and
+:func:`check_log` extract those facts from a sim
+:class:`~repro.consensus.node.ConsensusSystem`; the live backend's
+adapters (:mod:`repro.live.report`) extract them from node reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, TYPE_CHECKING
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Collection,
+    Iterable,
+    Mapping,
+    Sequence,
+)
 
 from repro.consensus.single import SingleDecreeConsensus
 from repro.obs.verdict import Verdict
@@ -37,6 +48,20 @@ class SingleDecreeReport:
     decision_times: dict[int, float]
     agreement: bool
     validity: bool
+
+    @classmethod
+    def from_facts(cls, correct: Iterable[int], proposals: Iterable[Any],
+                   decided: Mapping[int, Any],
+                   decision_times: Mapping[int, float]) -> SingleDecreeReport:
+        """Judge one run from every proposal and the deciders' facts."""
+        values = set(decided.values())
+        return cls(
+            correct=tuple(correct),
+            decided=dict(decided),
+            decision_times=dict(decision_times),
+            agreement=len(values) <= 1,
+            validity=values <= set(proposals),
+        )
 
     @property
     def all_correct_decided(self) -> bool:
@@ -78,27 +103,20 @@ class SingleDecreeReport:
 
 def check_single_decree(system: "ConsensusSystem") -> SingleDecreeReport:
     """Check one finished single-decree run."""
-    correct = tuple(system.up_pids())
-    proposals = set()
+    proposals = []
     decided: dict[int, Any] = {}
     times: dict[int, float] = {}
     for pid in system.pids:
         process = system.node(pid).agreement
         if not isinstance(process, SingleDecreeConsensus):
             raise TypeError(f"node {pid} does not run single-decree consensus")
-        proposals.add(process.proposal)
+        proposals.append(process.proposal)
         if process.decision is not None:
             decided[pid] = process.decision
             assert process.decision_time is not None
             times[pid] = process.decision_time
-    values = set(decided.values())
-    return SingleDecreeReport(
-        correct=correct,
-        decided=decided,
-        decision_times=times,
-        agreement=len(values) <= 1,
-        validity=values <= proposals,
-    )
+    return SingleDecreeReport.from_facts(system.up_pids(), proposals,
+                                         decided, times)
 
 
 @dataclass(frozen=True)
@@ -110,6 +128,34 @@ class LogReport:
     validity: bool
     committed_by_pid: dict[int, int]
     divergences: tuple[str, ...]
+
+    @classmethod
+    def from_facts(cls, correct: Iterable[int],
+                   logs: Mapping[int, Sequence[Any]],
+                   commands_of: Callable[[Any], Iterable[Any]],
+                   submitted: Collection[Any]) -> LogReport:
+        """Judge one run from each pid's committed sequence, where
+        ``commands_of(element)`` names the commands an element carries."""
+        committed_by_pid = {pid: len(log) for pid, log in logs.items()}
+        valid = all(command in submitted for log in logs.values()
+                    for element in log for command in commands_of(element))
+        divergences: list[str] = []
+        pids = sorted(logs)
+        for left_index, left in enumerate(pids):
+            for right in pids[left_index + 1:]:
+                shorter = min(committed_by_pid[left], committed_by_pid[right])
+                if logs[left][:shorter] != logs[right][:shorter]:
+                    divergences.append(
+                        f"logs of {left} and {right} diverge within "
+                        f"their common prefix of {shorter}"
+                    )
+        return cls(
+            correct=tuple(correct),
+            agreement=not divergences,
+            validity=valid,
+            committed_by_pid=committed_by_pid,
+            divergences=tuple(divergences),
+        )
 
     @property
     def max_committed(self) -> int:
@@ -149,37 +195,13 @@ def check_log(system: "ConsensusSystem", submitted: set[Any]) -> LogReport:
         entry_commands,
     )
 
-    correct = tuple(system.up_pids())
-    divergences: list[str] = []
-    valid = True
-    committed_by_pid: dict[int, int] = {}
     logs: dict[int, list[Any]] = {}
     for pid in system.pids:
         process = system.node(pid).agreement
         if not isinstance(process, LogReplica):
             raise TypeError(f"node {pid} does not run the replicated log")
-        prefix = process.committed_prefix()
-        logs[pid] = prefix
-        committed_by_pid[pid] = len(prefix)
-        for entry in prefix:
-            for _, command in entry_commands(entry):
-                if command not in submitted:
-                    valid = False
-    # Agreement: committed prefixes must be consistent (one a prefix of
-    # the other) for every pair.
-    pids = sorted(logs)
-    for left_index, left in enumerate(pids):
-        for right in pids[left_index + 1:]:
-            shorter = min(committed_by_pid[left], committed_by_pid[right])
-            if logs[left][:shorter] != logs[right][:shorter]:
-                divergences.append(
-                    f"logs of {left} and {right} diverge within "
-                    f"their common prefix of {shorter}"
-                )
-    return LogReport(
-        correct=correct,
-        agreement=not divergences,
-        validity=valid,
-        committed_by_pid=committed_by_pid,
-        divergences=tuple(divergences),
-    )
+        logs[pid] = process.committed_prefix()
+    return LogReport.from_facts(
+        system.up_pids(), logs,
+        lambda entry: [command for _, command in entry_commands(entry)],
+        submitted)

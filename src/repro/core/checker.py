@@ -9,6 +9,10 @@ for finite runs the checker reports their finite-run analogues:
   :class:`~repro.core.omega.OmegaProtocol` give the precise
   *stabilization time*: the last instant any correct process changed its
   output (valid because outputs never changed again afterwards).
+  :meth:`OmegaRunReport.from_facts` is the one judge;
+  :func:`analyze_omega_run` extracts its facts from a sim cluster, and
+  the live backend and the cross-validator extract the same facts from
+  node reports and consensus systems.
 * **Communication report** — who sent messages, and over which links,
   during a trailing window.  An algorithm behaves
   communication-efficiently in the run if the final window's sender set
@@ -19,7 +23,7 @@ for finite runs the checker reports their finite-run analogues:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.omega import OmegaProtocol
 from repro.obs.verdict import Verdict
@@ -46,6 +50,31 @@ class OmegaRunReport:
     leader_is_correct: bool
     stabilization_time: float | None
     changes_by_pid: dict[int, int]
+
+    @classmethod
+    def from_facts(cls, correct: Iterable[int],
+                   final_outputs: Mapping[int, int],
+                   last_change: Mapping[int, float],
+                   changes_by_pid: Mapping[int, int]) -> OmegaRunReport:
+        """Judge Omega from per-pid facts: each correct pid's final
+        output, the time it last changed, and its number of changes."""
+        correct = tuple(correct)
+        leaders = set(final_outputs.values())
+        agreement = len(leaders) == 1 and bool(correct)
+        final_leader = leaders.pop() if agreement else None
+        leader_is_correct = final_leader in correct if agreement else False
+        stabilization: float | None = None
+        if agreement and leader_is_correct:
+            stabilization = max(last_change.values(), default=None)
+        return cls(
+            correct=correct,
+            final_outputs=dict(final_outputs),
+            agreement=agreement,
+            final_leader=final_leader,
+            leader_is_correct=leader_is_correct,
+            stabilization_time=stabilization,
+            changes_by_pid=dict(changes_by_pid),
+        )
 
     @property
     def omega_holds(self) -> bool:
@@ -116,26 +145,12 @@ def analyze_omega_run(cluster: Cluster) -> OmegaRunReport:
             raise TypeError(f"process {pid} is not an OmegaProtocol")
         protocols[pid] = process
 
-    final_outputs = {pid: proto.leader() for pid, proto in protocols.items()}
-    leaders = set(final_outputs.values())
-    agreement = len(leaders) == 1 and bool(correct)
-    final_leader = leaders.pop() if agreement else None
-    leader_is_correct = final_leader in correct if agreement else False
-
-    stabilization: float | None = None
-    if agreement and leader_is_correct:
-        stabilization = max(proto.history[-1][0] for proto in protocols.values())
-
-    return OmegaRunReport(
-        correct=correct,
-        final_outputs=final_outputs,
-        agreement=agreement,
-        final_leader=final_leader,
-        leader_is_correct=leader_is_correct,
-        stabilization_time=stabilization,
-        changes_by_pid={pid: proto.leader_changes
-                        for pid, proto in protocols.items()},
-    )
+    return OmegaRunReport.from_facts(
+        correct,
+        {pid: proto.leader() for pid, proto in protocols.items()},
+        {pid: proto.history[-1][0] for pid, proto in protocols.items()
+         if proto.history},
+        {pid: proto.leader_changes for pid, proto in protocols.items()})
 
 
 def communication_report(cluster: Cluster, window: float,

@@ -4,8 +4,10 @@ The live backend earns its keep only if it *agrees* with the simulator
 on what the protocols do.  :func:`cross_validate` runs one scenario
 twice — once on the deterministic sim kernel, once as a live loopback
 cluster of real OS processes — judges both runs with the **same**
-checkers (:mod:`repro.core.checker` for Omega, the shared consensus
-verdict for decisions), and diffs the results:
+checkers (:mod:`repro.core.checker` for Omega,
+:mod:`repro.consensus.checker` for decisions: the sim run through
+their sim extractors, the live run through the node-report adapters of
+:mod:`repro.live.report`), and diffs the results:
 
 * both verdicts must agree on ``ok``;
 * on clean runs (no faults) both backends must elect the **same final
@@ -30,7 +32,6 @@ from typing import Any
 
 from repro.core.config import OmegaConfig
 from repro.live.cluster import LiveCluster, LiveClusterSpec
-from repro.live.report import consensus_verdict
 from repro.obs.verdict import Verdict
 
 __all__ = ["CrossValidation", "cross_validate"]
@@ -84,8 +85,10 @@ def cross_validate(rundir: str, algorithm: str = "comm-efficient",
 
     # --- sim side ------------------------------------------------------
     if consensus:
+        from repro.consensus.checker import check_single_decree
         from repro.consensus.config import ConsensusConfig
         from repro.consensus.node import ConsensusSystem
+        from repro.core.checker import OmegaRunReport
         from repro.sim.topology import all_timely_links
 
         proposals = [f"value-{pid}" for pid in range(n)]
@@ -98,20 +101,16 @@ def cross_validate(rundir: str, algorithm: str = "comm-efficient",
             FaultPlan.from_repro(faults).schedule(system)
         system.start_all()
         system.run_until(horizon)
-        outputs = {pid: system.nodes[pid].omega.leader()
-                   for pid in system.up_pids()}
-        leaders = set(outputs.values())
-        sim_leader = leaders.pop() if len(leaders) == 1 else None
-        sim_ok = (sim_leader is not None
-                  and sim_leader in system.up_pids())
-        sim_verdict = (Verdict.passed(final_leader=sim_leader) if sim_ok
-                       else Verdict.failed(
-                           f"sim omega disagrees: {outputs}"))
-        pseudo = [{"pid": pid,
-                   "decision": system.nodes[pid].agreement.decision}
-                  for pid in system.up_pids()]
-        sim_verdict = sim_verdict.merge(consensus_verdict(
-            pseudo, dict(enumerate(proposals))))
+        omegas = {pid: system.nodes[pid].omega for pid in system.up_pids()}
+        report = OmegaRunReport.from_facts(
+            omegas,
+            {pid: omega.leader() for pid, omega in omegas.items()},
+            {pid: omega.history[-1][0] for pid, omega in omegas.items()
+             if omega.history},
+            {pid: omega.leader_changes for pid, omega in omegas.items()})
+        sim_verdict = report.verdict().merge(
+            check_single_decree(system).verdict())
+        sim_leader = report.final_leader
     else:
         scenario = OmegaScenario(algorithm=algorithm, n=n,
                                  system="all-timely", seed=seed,

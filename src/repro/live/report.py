@@ -1,4 +1,4 @@
-"""Live-run reporting: node dumps, the merged ``repro-report/v1``, verdicts.
+"""Live-run reporting: the node-report codec, the merged report, adapters.
 
 A live cluster is many OS processes, each carrying its own
 :class:`~repro.obs.report.RunRecorder`(s); nothing holds the whole run
@@ -7,15 +7,16 @@ in one address space.  This module closes that gap:
 * :func:`recorder_to_json` / :func:`recorder_from_json` round-trip a
   recorder through the node report file each node writes at its
   horizon;
-* :func:`merged_live_report` reassembles the recorders of every node
-  onto shim "plane" hubs and feeds them through the **existing**
+* :func:`merged_live_report` merges the recorders of every node onto
+  shim "plane" hubs and feeds them through the **existing**
   :class:`~repro.obs.report.RunReport` builder, so the live document is
   produced by the same code path (and validated by the same
   :func:`~repro.obs.report.validate_report`) as a sim report;
-* :func:`analyze_live_run` builds the standard
-  :class:`~repro.core.checker.OmegaRunReport` from the nodes' leader
-  histories, so live runs are judged by the same checker/verdict
-  plumbing as sim runs.
+* :func:`analyze_live_run`, :func:`consensus_verdict` and
+  :func:`log_verdict` read per-pid facts out of node reports and hand
+  them to the sim checkers' ``from_facts`` constructors, so both
+  backends share one judge per property.  They import the checkers on
+  first use: a node imports this module for its codec alone.
 
 Clock caveat: each node's times are seconds since *its* boot.  Nodes of
 one cluster boot within the spawn stagger of each other (tens of
@@ -27,13 +28,16 @@ comparisons, only on per-node final states.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-from repro.core.checker import OmegaRunReport
 from repro.live.codec import decode_value, encode_value
 from repro.obs.observer import ObserverHub
 from repro.obs.report import RunRecorder, RunReport
 from repro.obs.verdict import Verdict
+from repro.sim.packets import DEFAULT_MTU
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.checker import OmegaRunReport
 
 __all__ = [
     "recorder_to_json",
@@ -47,54 +51,39 @@ __all__ = [
 ]
 
 
+#: Per :attr:`RunRecorder.FIELDS` group: (to JSON, back from JSON).
+#: Event tuples travel as JSON arrays; span dicts stay dicts.
+_CODEC = {
+    "counters": (dict, Counter),
+    "totals": (int, int),
+    "events": (list, lambda entries: [
+        tuple(entry) if isinstance(entry, list) else entry
+        for entry in entries]),
+}
+
+
 def recorder_to_json(recorder: RunRecorder) -> dict[str, Any]:
     """Serialize a :class:`RunRecorder` for a node report file."""
-    return {
-        "sent_by_kind": dict(recorder.sent_by_kind),
-        "dropped_by_reason": dict(recorder.dropped_by_reason),
-        "packets_by_kind": dict(recorder.packets_by_kind),
-        "packet_bytes_by_kind": dict(recorder.packet_bytes_by_kind),
-        "packets_delivered": recorder.packets_delivered,
-        "packet_bytes_delivered": recorder.packet_bytes_delivered,
-        "leader_timeline": [list(entry)
-                            for entry in recorder.leader_timeline],
-        # Decided values go through the wire codec's value tags: a log
-        # decide is ``(instance, entry)`` and a batched entry is a
-        # ``Batch`` dataclass, which plain JSON cannot carry.
-        "decides": [[time, pid, encode_value(value)]
-                    for time, pid, value in recorder.decides],
-        "crashes": [list(entry) for entry in recorder.crashes],
-        "recovers": [list(entry) for entry in recorder.recovers],
-        "pauses": [list(entry) for entry in recorder.pauses],
-        "resumes": [list(entry) for entry in recorder.resumes],
-        "syncs_ok": recorder.syncs_ok,
-        "syncs_failed": recorder.syncs_failed,
-        "closed_spans": list(recorder.closed_spans),
-    }
+    document = {name: _CODEC[group][0](getattr(recorder, name))
+                for group, names in RunRecorder.FIELDS.items()
+                for name in names}
+    # Decided values go through the wire codec's value tags: a log
+    # decide is ``(instance, entry)`` and a batched entry is a ``Batch``
+    # dataclass, which plain JSON cannot carry.
+    document["decides"] = [[time, pid, encode_value(value)]
+                           for time, pid, value in recorder.decides]
+    return document
 
 
 def recorder_from_json(document: Mapping[str, Any]) -> RunRecorder:
     """Rebuild a :class:`RunRecorder` from :func:`recorder_to_json` output."""
     recorder = RunRecorder()
-    recorder.sent_by_kind = Counter(document.get("sent_by_kind", {}))
-    recorder.dropped_by_reason = Counter(document.get("dropped_by_reason", {}))
-    recorder.packets_by_kind = Counter(document.get("packets_by_kind", {}))
-    recorder.packet_bytes_by_kind = Counter(
-        document.get("packet_bytes_by_kind", {}))
-    recorder.packets_delivered = document.get("packets_delivered", 0)
-    recorder.packet_bytes_delivered = document.get("packet_bytes_delivered", 0)
-    recorder.leader_timeline = [tuple(entry) for entry
-                                in document.get("leader_timeline", [])]
+    for group, names in RunRecorder.FIELDS.items():
+        for name in names:
+            if name in document:
+                setattr(recorder, name, _CODEC[group][1](document[name]))
     recorder.decides = [(time, pid, decode_value(value)) for time, pid, value
                         in document.get("decides", [])]
-    recorder.crashes = [tuple(entry) for entry in document.get("crashes", [])]
-    recorder.recovers = [tuple(entry)
-                         for entry in document.get("recovers", [])]
-    recorder.pauses = [tuple(entry) for entry in document.get("pauses", [])]
-    recorder.resumes = [tuple(entry) for entry in document.get("resumes", [])]
-    recorder.syncs_ok = document.get("syncs_ok", 0)
-    recorder.syncs_failed = document.get("syncs_failed", 0)
-    recorder.closed_spans = list(document.get("closed_spans", []))
     return recorder
 
 
@@ -102,36 +91,15 @@ def recorder_from_json(document: Mapping[str, Any]) -> RunRecorder:
 # Shims: the duck-typed surfaces RunReport actually touches
 # ----------------------------------------------------------------------
 
-def _merge_recorders(recorders: Iterable[RunRecorder]) -> RunRecorder:
-    """Sum many nodes' recorders into one (RunReport reads exactly one)."""
-    merged = RunRecorder()
-    for recorder in recorders:
-        merged.sent_by_kind.update(recorder.sent_by_kind)
-        merged.dropped_by_reason.update(recorder.dropped_by_reason)
-        merged.packets_by_kind.update(recorder.packets_by_kind)
-        merged.packet_bytes_by_kind.update(recorder.packet_bytes_by_kind)
-        merged.packets_delivered += recorder.packets_delivered
-        merged.packet_bytes_delivered += recorder.packet_bytes_delivered
-        merged.leader_timeline.extend(recorder.leader_timeline)
-        merged.decides.extend(recorder.decides)
-        merged.crashes.extend(recorder.crashes)
-        merged.recovers.extend(recorder.recovers)
-        merged.pauses.extend(recorder.pauses)
-        merged.resumes.extend(recorder.resumes)
-        merged.syncs_ok += recorder.syncs_ok
-        merged.syncs_failed += recorder.syncs_failed
-        merged.closed_spans.extend(recorder.closed_spans)
-    return merged
-
-
 class _PlaneView:
     """A merged network plane: one hub carrying the summed recorder."""
 
-    def __init__(self, recorders: Iterable[RunRecorder],
-                 mtu: int | None) -> None:
+    #: Every node transport counts packets at the default MTU.
+    mtu = DEFAULT_MTU
+
+    def __init__(self, recorders: Iterable[RunRecorder]) -> None:
         self.hub = ObserverHub()
-        self.hub.attach(_merge_recorders(recorders))
-        self.mtu = mtu
+        self.hub.attach(RunRecorder().merge(*recorders))
 
 
 class _ClockView:
@@ -148,65 +116,42 @@ class _ClockView:
 
 
 # ----------------------------------------------------------------------
-# Verdicts
+# Verdicts: node-report extractors for the sim checkers
 # ----------------------------------------------------------------------
 
 def analyze_live_run(
         node_reports: Sequence[Mapping[str, Any]]) -> OmegaRunReport:
-    """The standard Omega checker over a live cluster's node reports.
+    """The standard Omega judge over a live cluster's node reports.
 
     ``node_reports`` holds one dict per node that survived to its
     horizon — nodes SIGKILLed without recovery write none, which is
-    exactly the crash-stop "not correct" notion.  The report shape
-    matches
-    :func:`~repro.core.checker.analyze_omega_run`, so ``.verdict()``
-    and every downstream consumer work unchanged.
+    exactly the crash-stop "not correct" notion.
     """
+    from repro.core.checker import OmegaRunReport
+
     by_pid = {report["pid"]: report for report in node_reports}
-    correct = tuple(sorted(by_pid))
-    final_outputs = {pid: by_pid[pid]["final_leader"] for pid in correct}
-    leaders = set(final_outputs.values())
-    agreement = len(leaders) == 1 and bool(correct)
-    final_leader = leaders.pop() if agreement else None
-    leader_is_correct = final_leader in correct if agreement else False
-    stabilization: float | None = None
-    if agreement and leader_is_correct:
-        stabilization = max(by_pid[pid]["leader_history"][-1][0]
-                            for pid in correct
-                            if by_pid[pid]["leader_history"])
-    return OmegaRunReport(
-        correct=correct,
-        final_outputs=final_outputs,
-        agreement=agreement,
-        final_leader=final_leader,
-        leader_is_correct=leader_is_correct,
-        stabilization_time=stabilization,
-        changes_by_pid={pid: by_pid[pid].get("leader_changes", 0)
-                        for pid in correct},
-    )
+    correct = sorted(by_pid)
+    return OmegaRunReport.from_facts(
+        correct,
+        {pid: by_pid[pid]["final_leader"] for pid in correct},
+        {pid: by_pid[pid]["leader_history"][-1][0] for pid in correct
+         if by_pid[pid]["leader_history"]},
+        {pid: by_pid[pid].get("leader_changes", 0) for pid in correct})
 
 
 def consensus_verdict(node_reports: Sequence[Mapping[str, Any]],
                       proposals: Mapping[int, Any]) -> Verdict:
-    """Agreement/validity/termination over the nodes' decisions."""
-    decisions = {report["pid"]: report.get("decision")
-                 for report in node_reports}
-    decided = {pid: value for pid, value in decisions.items()
-               if value is not None}
-    violations = []
-    if len(set(decided.values())) > 1:
-        violations.append(f"live nodes decided different values: {decided}")
-    if decided and not set(decided.values()) <= set(proposals.values()):
-        violations.append(
-            f"decided value outside the proposals: {decided}")
-    undecided = sorted(set(decisions) - set(decided))
-    if undecided:
-        violations.append(f"correct nodes never decided: {undecided}")
-    evidence = {"decisions": {str(pid): value
-                              for pid, value in sorted(decisions.items())}}
-    if violations:
-        return Verdict.failed(*violations, **evidence)
-    return Verdict.passed(**evidence)
+    """The standard single-decree judge over the nodes' decisions."""
+    from repro.consensus.checker import SingleDecreeReport
+
+    decided = {report["pid"]: report for report in node_reports
+               if report.get("decision") is not None}
+    return SingleDecreeReport.from_facts(
+        sorted(report["pid"] for report in node_reports),
+        proposals.values(),
+        {pid: report["decision"] for pid, report in decided.items()},
+        {pid: report["decision_time"] for pid, report in decided.items()},
+    ).verdict()
 
 
 def _as_id(raw: Any) -> Any:
@@ -218,48 +163,31 @@ def _as_id(raw: Any) -> Any:
 
 def log_verdict(node_reports: Sequence[Mapping[str, Any]],
                 submitted_ids: Iterable[Any]) -> Verdict:
-    """Safety and liveness over replicated-log node reports.
+    """The standard replicated-log judge over the nodes' applied ids.
 
-    Safety: the applied command sequences of every pair of surviving
-    nodes must be prefix-consistent (one is a prefix of the other — the
-    replicated log's agreement notion; nodes may trail, never diverge).
-    Liveness: every submitted command id must be applied on the most
-    advanced surviving node by the horizon (trailing nodes catch up via
+    Each node's applied-id sequence is its committed log, every id its
+    own command: the sequences must be prefix-consistent and every id
+    submitted.  One live-only clause rides along, the analogue of the
+    sim workload's ``done()``: every submitted id must be applied on
+    the most advanced node by the horizon (trailing nodes catch up via
     the spread phase; a command applied nowhere was lost).
     """
-    logs = {report["pid"]: report["log"] for report in node_reports
-            if "log" in report}
-    if not logs:
-        return Verdict.failed("no surviving node carried a log block")
-    applied = {pid: [_as_id(item) for item in block.get("applied_ids", [])]
-               for pid, block in logs.items()}
-    violations = []
-    pids = sorted(applied)
-    for index, a in enumerate(pids):
-        for b in pids[index + 1:]:
-            left, right = applied[a], applied[b]
-            short, long = (left, right) if len(left) <= len(right) \
-                else (right, left)
-            if long[:len(short)] != short:
-                violations.append(
-                    f"applied logs of pids {a} and {b} diverge: "
-                    f"{left[:6]}... vs {right[:6]}...")
+    from repro.consensus.checker import LogReport
+
+    applied = {report["pid"]: [_as_id(item) for item
+                               in report["log"].get("applied_ids", [])]
+               for report in node_reports if "log" in report}
     expected = {_as_id(item) for item in submitted_ids}
+    verdict = LogReport.from_facts(
+        sorted(report["pid"] for report in node_reports), applied,
+        lambda command_id: (command_id,), expected).verdict()
     best = max(applied.values(), key=len, default=[])
     missing = sorted(expected - set(best))
     if missing:
-        violations.append(
+        verdict = verdict.merge(Verdict.failed(
             f"{len(missing)} of {len(expected)} submitted commands were "
-            f"never committed anywhere: {missing[:5]}...")
-    evidence = {
-        "commit_index": {str(pid): logs[pid].get("commit_index", -1)
-                         for pid in pids},
-        "applied": {str(pid): len(applied[pid]) for pid in pids},
-        "submitted": len(expected),
-    }
-    if violations:
-        return Verdict.failed(*violations, **evidence)
-    return Verdict.passed(**evidence)
+            f"never committed anywhere: {missing[:5]}..."))
+    return verdict
 
 
 def live_latencies(
@@ -305,7 +233,6 @@ def latency_block(latencies: Mapping[Any, float]) -> dict[str, float | None]:
 def merged_live_report(node_reports: Sequence[Mapping[str, Any]],
                        target: str, params: dict[str, Any],
                        verdict: Verdict, horizon: float,
-                       mtu: int | None = None,
                        wall_s: float | None = None) -> dict[str, Any]:
     """Merge node reports into one schema-valid ``repro-report/v1`` dict.
 
@@ -320,7 +247,7 @@ def merged_live_report(node_reports: Sequence[Mapping[str, Any]],
         for label, dump in report.get("planes", {}).items():
             plane_recorders.setdefault(label, []).append(
                 recorder_from_json(dump))
-    planes = [(label, _PlaneView(recorders, mtu))
+    planes = [(label, _PlaneView(recorders))
               for label, recorders in sorted(plane_recorders.items())]
     events = sum(report.get("clock", {}).get("events_executed", 0)
                  for report in node_reports)

@@ -140,26 +140,48 @@ class RunRecorder(Observer):
 
     Attach one per network (the :func:`~repro.obs.observer.capture`
     context does this automatically); the report builder merges the
-    recorders of all networks of a system.
+    recorders of all networks of a system.  Event lists hold tuples:
+    ``leader_timeline`` ``(time, pid, leader)``, ``decides`` ``(time,
+    pid, value)``, ``recovers`` ``(time, pid, incarnation)``, and
+    ``crashes`` / ``pauses`` / ``resumes`` ``(time, pid)``;
+    ``closed_spans`` holds one dict per finished span.
     """
 
+    #: Every recorded field, grouped by how two recorders combine in
+    #: :meth:`merge`: counters add per key, totals add, event lists
+    #: concatenate.  The live node-report codec walks the same table.
+    FIELDS = {
+        "counters": ("sent_by_kind", "dropped_by_reason",
+                     "packets_by_kind", "packet_bytes_by_kind"),
+        "totals": ("packets_delivered", "packet_bytes_delivered",
+                   "syncs_ok", "syncs_failed"),
+        "events": ("leader_timeline", "decides", "crashes", "recovers",
+                   "pauses", "resumes", "closed_spans"),
+    }
+
     def __init__(self) -> None:
-        self.sent_by_kind: Counter[str] = Counter()
-        self.dropped_by_reason: Counter[str] = Counter()
-        self.packets_by_kind: Counter[str] = Counter()
-        self.packet_bytes_by_kind: Counter[str] = Counter()
-        self.packets_delivered = 0
-        self.packet_bytes_delivered = 0
-        self.leader_timeline: list[tuple[float, int, int]] = []
-        self.decides: list[tuple[float, int, Any]] = []
-        self.crashes: list[tuple[float, int]] = []
-        self.recovers: list[tuple[float, int, int]] = []
-        self.syncs_ok = 0
-        self.syncs_failed = 0
-        self.pauses: list[tuple[float, int]] = []
-        self.resumes: list[tuple[float, int]] = []
-        self.closed_spans: list[dict[str, Any]] = []
+        for group, empty in (("counters", Counter), ("totals", int),
+                             ("events", list)):
+            for name in self.FIELDS[group]:
+                setattr(self, name, empty())
         self._open_spans: dict[tuple[int, str], tuple[float, Any]] = {}
+
+    def merge(self, *others: "RunRecorder") -> "RunRecorder":
+        """A new recorder holding this one's records plus ``others``'.
+
+        Open spans stay behind: a merged recorder reports what the runs
+        finished, which is all a report reads of many recorders.
+        """
+        merged = RunRecorder()
+        for recorder in (self, *others):
+            for name in self.FIELDS["counters"]:
+                getattr(merged, name).update(getattr(recorder, name))
+            for name in self.FIELDS["totals"]:
+                setattr(merged, name,
+                        getattr(merged, name) + getattr(recorder, name))
+            for name in self.FIELDS["events"]:
+                getattr(merged, name).extend(getattr(recorder, name))
+        return merged
 
     # -- observer hooks -------------------------------------------------
 
@@ -326,11 +348,10 @@ class RunReport:
         return out
 
     def _network_block(self, label: str, network: Any) -> dict[str, Any]:
-        recorder = network.hub.first(RunRecorder)
-        sent_by_kind = recorder.sent_by_kind if recorder else Counter()
-        packets_by_kind = recorder.packets_by_kind if recorder else Counter()
-        bytes_by_kind = (recorder.packet_bytes_by_kind if recorder
-                         else Counter())
+        recorder = network.hub.first(RunRecorder) or RunRecorder()
+        sent_by_kind = recorder.sent_by_kind
+        packets_by_kind = recorder.packets_by_kind
+        bytes_by_kind = recorder.packet_bytes_by_kind
         block: dict[str, Any] = {
             "label": label,
             "message_budget": {
@@ -339,8 +360,7 @@ class RunReport:
                             for k in sorted(sent_by_kind)},
                 "by_phase": _phase_budget(sent_by_kind),
                 "dropped_by_reason": dict(sorted(
-                    (recorder.dropped_by_reason if recorder
-                     else Counter()).items())),
+                    recorder.dropped_by_reason.items())),
             },
             "packets": {
                 "mtu": getattr(network, "mtu", None),
@@ -350,10 +370,8 @@ class RunReport:
                     kind: {"packets": packets_by_kind[kind],
                            "bytes": bytes_by_kind[kind]}
                     for kind in sorted(packets_by_kind)},
-                "delivered": (recorder.packets_delivered
-                              if recorder else 0),
-                "bytes_delivered": (recorder.packet_bytes_delivered
-                                    if recorder else 0),
+                "delivered": recorder.packets_delivered,
+                "bytes_delivered": recorder.packet_bytes_delivered,
             },
         }
         # Duck-typed: any network built through Cluster/ConsensusSystem
@@ -389,16 +407,12 @@ class RunReport:
     def to_json(self) -> dict[str, Any]:
         """Render the full ``repro-report/v1`` document as a dict."""
         recorders = self._recorders()
-        timeline = sorted(
-            (event for r in recorders for event in r.leader_timeline))
-        decides = sorted(
-            ((t, pid, value) for r in recorders
-             for (t, pid, value) in r.decides),
-            key=lambda event: (event[0], event[1]))
-        crashes = sorted(
-            (event for r in recorders for event in r.crashes))
-        recovers = sorted(
-            (event for r in recorders for event in r.recovers))
+        merged = RunRecorder().merge(*recorders)
+        timeline = sorted(merged.leader_timeline)
+        decides = sorted(merged.decides,
+                         key=lambda event: (event[0], event[1]))
+        crashes = sorted(merged.crashes)
+        recovers = sorted(merged.recovers)
         timelines: dict[int, list[dict[str, Any]]] = {}
         for (t, pid, incarnation) in recovers:
             timelines.setdefault(pid, []).append(
@@ -432,8 +446,8 @@ class RunReport:
                 "timelines": {str(pid): events
                               for pid, events in sorted(timelines.items())},
                 "storage": {
-                    "syncs_ok": sum(r.syncs_ok for r in recorders),
-                    "syncs_failed": sum(r.syncs_failed for r in recorders),
+                    "syncs_ok": merged.syncs_ok,
+                    "syncs_failed": merged.syncs_failed,
                 },
             },
             "spans": _span_summary(recorders),

@@ -106,6 +106,69 @@ class TestCodec:
         assert register_message(Prepare) is Prepare
 
 
+#: The keys ``live/node.py``'s ``_write_report`` emits (``log`` only on
+#: log nodes); ``bench/workloads.py`` and the cluster judge read them.
+NODE_REPORT_KEYS = {"pid", "incarnation", "clock", "leader_history",
+                    "final_leader", "leader_changes", "decision",
+                    "decision_time", "frames", "planes"}
+LOG_BLOCK_KEYS = {"commit_index", "applied_ids", "latencies", "load",
+                  "syncs_ok"}
+
+
+def _node_report(omega, agreement=None) -> dict:
+    """The report a live node would write, read off sim processes."""
+    from repro.consensus.replica import LogReplica, entry_commands
+    from repro.live.report import recorder_to_json
+    from repro.obs.report import RunRecorder
+
+    report = {
+        "pid": omega.pid,
+        "incarnation": omega.incarnation,
+        "clock": {"now": omega.now, "events_executed": 0, "profile": {}},
+        "leader_history": [list(entry) for entry in omega.history],
+        "final_leader": omega.leader(),
+        "leader_changes": omega.leader_changes,
+        "decision": getattr(agreement, "decision", None),
+        "decision_time": getattr(agreement, "decision_time", None),
+        "frames": {"sent": 0, "received": 0},
+        "planes": {"fd": recorder_to_json(RunRecorder())},
+    }
+    if isinstance(agreement, LogReplica):
+        report["log"] = {
+            "commit_index": agreement.commit_index,
+            "applied_ids": [list(command_id)
+                            for entry in agreement.committed_prefix()
+                            for command_id, _ in entry_commands(entry)],
+            "latencies": [],
+            "load": agreement.load_stats(),
+            "syncs_ok": 0,
+        }
+    return json.loads(json.dumps(report))  # what the report file holds
+
+
+def _full_recorder():
+    """A recorder with something in every field of ``RunRecorder.FIELDS``."""
+    from repro.consensus.replica import Batch
+    from repro.obs.report import RunRecorder
+
+    recorder = RunRecorder()
+    recorder.on_send(0.5, 0, 1, "Alive")
+    recorder.on_drop(0.5, 0, 2, "Alive", "loss")
+    recorder.on_packet_send(0.5, 0, 1, "Alive", 12, 1)
+    recorder.on_packet_deliver(0.6, 0, 1, "Alive", 12, 1)
+    recorder.on_leader_change(0.7, 1, 0)
+    recorder.on_decide(1.5, 0, (0, Batch(((("c0", 0), ("set", "k0", 0)),))))
+    recorder.on_crash(2.0, 2)
+    recorder.on_recover(3.0, 2, 1)
+    recorder.on_sync(3.1, 2, ("promised",), True)
+    recorder.on_sync(3.2, 2, ("promised",), False)
+    recorder.on_pause(4.0, 1)
+    recorder.on_resume(4.5, 1)
+    recorder.on_span_begin(0.7, 1, "epoch", 0)
+    recorder.on_span_end(5.0, 1, "epoch", None)
+    return recorder
+
+
 class TestNodeReportRoundTrip:
     def test_batched_log_decide_survives_the_report_file(self) -> None:
         """A ``Batch`` decide used to kill ``json.dump`` at node flush."""
@@ -122,6 +185,179 @@ class TestNodeReportRoundTrip:
         recorder.on_decide(2.25, 2, "value-2")  # single-decree consensus
         on_disk = json.loads(json.dumps(recorder_to_json(recorder)))
         assert recorder_from_json(on_disk).decides == recorder.decides
+
+    def test_every_recorded_field_survives_the_report_file(self) -> None:
+        from repro.live.report import recorder_from_json, recorder_to_json
+        from repro.obs.report import RunRecorder
+
+        names = [name for group in RunRecorder.FIELDS.values()
+                 for name in group]
+        recorder = _full_recorder()
+        # The table names every field a recorder keeps.
+        assert set(vars(recorder)) - {"_open_spans"} == set(names)
+        on_disk = json.loads(json.dumps(recorder_to_json(recorder)))
+        back = recorder_from_json(on_disk)
+        for name in names:
+            assert getattr(recorder, name), name  # the case covers it
+            assert getattr(back, name) == getattr(recorder, name), name
+
+    def test_merge_sums_counters_and_totals_and_joins_events(self) -> None:
+        from repro.obs.report import RunRecorder
+
+        left, right = _full_recorder(), _full_recorder()
+        right.on_send(6.0, 2, 0, "Heartbeat")
+        merged = left.merge(right)
+        assert merged.sent_by_kind == {"Alive": 2, "Heartbeat": 1}
+        assert merged.dropped_by_reason == {"loss": 2}
+        assert merged.packets_by_kind == {"Alive": 2}
+        assert merged.packet_bytes_by_kind == {"Alive": 24}
+        assert (merged.packets_delivered, merged.packet_bytes_delivered,
+                merged.syncs_ok, merged.syncs_failed) == (2, 24, 2, 2)
+        for name in RunRecorder.FIELDS["events"]:
+            assert getattr(merged, name) == 2 * getattr(left, name), name
+        assert left.sent_by_kind == {"Alive": 1}  # inputs untouched
+        assert RunRecorder().merge().sent_by_kind == {}
+
+    def test_plane_blocks_report_the_mtu_packets_were_counted_at(
+            self) -> None:
+        from repro.live.report import merged_live_report, recorder_to_json
+        from repro.obs.verdict import Verdict
+        from repro.sim.packets import DEFAULT_MTU
+
+        planes = {"fd": recorder_to_json(_full_recorder()),
+                  "agreement": recorder_to_json(_full_recorder())}
+        reports = [{"pid": pid, "planes": planes} for pid in range(3)]
+        document = merged_live_report(reports, "live/test", {},
+                                      Verdict.passed(), 1.0)
+        assert [(block["label"], block["packets"]["mtu"])
+                for block in document["networks"]] == [
+            ("agreement", DEFAULT_MTU), ("fd", DEFAULT_MTU)]
+
+
+class TestOneJudge:
+    """The live adapters hand node-report facts to the sim checkers.
+
+    Each case runs a seeded sim, writes its surviving processes as the
+    node reports a live node would, and asserts that the live adapter
+    returns the sim checker's verdict.
+    """
+
+    def test_fabricated_reports_carry_the_node_keys(self) -> None:
+        from repro.consensus.node import ConsensusSystem
+        from repro.sim.topology import all_timely_links
+
+        system = ConsensusSystem.build_replicated_log(
+            3, lambda: all_timely_links(3))
+        node = system.node(0)
+        assert set(_node_report(node.omega)) == NODE_REPORT_KEYS
+        report = _node_report(node.omega, node.agreement)
+        assert set(report) == NODE_REPORT_KEYS | {"log"}
+        assert set(report["log"]) == LOG_BLOCK_KEYS
+
+    @pytest.mark.parametrize("faults, holds", [
+        ("crash(t=10,pid=0)", True),
+        ("partition(start=5,end=40,groups=0.1|2.3)", False),
+    ])
+    def test_omega(self, faults, holds) -> None:
+        from repro.core.checker import analyze_omega_run
+        from repro.harness.scenarios import OmegaScenario
+        from repro.live.report import analyze_live_run
+
+        cluster = OmegaScenario(
+            algorithm="comm-efficient", n=4, system="all-timely", seed=3,
+            horizon=30.0, faults=faults).run().cluster
+        reports = [_node_report(cluster.process(pid))
+                   for pid in cluster.up_pids()]
+        sim = analyze_omega_run(cluster)
+        assert sim.omega_holds is holds
+        assert analyze_live_run(reports) == sim
+        assert analyze_live_run(reports).verdict() == sim.verdict()
+
+    def _single_decree(self, omega_name, proposals):
+        from repro.consensus.node import ConsensusSystem
+        from repro.sim.topology import all_timely_links
+
+        return ConsensusSystem.build_single_decree(
+            3, lambda: all_timely_links(3), proposals,
+            omega_name=omega_name)
+
+    def _assert_one_judge(self, system, proposals) -> dict:
+        from repro.consensus.checker import check_single_decree
+        from repro.live.report import consensus_verdict
+
+        reports = [_node_report(system.node(pid).omega,
+                                system.node(pid).agreement)
+                   for pid in system.up_pids()]
+        sim = check_single_decree(system).verdict().to_json()
+        live = consensus_verdict(reports, dict(enumerate(proposals)))
+        assert live.to_json() == sim
+        return sim
+
+    def test_single_decree_that_decides(self) -> None:
+        proposals = ["value-0", "value-1", "value-2"]
+        system = self._single_decree("comm-efficient", proposals)
+        system.start_all()
+        system.run_until(20.0)
+        assert self._assert_one_judge(system, proposals)["ok"]
+
+    def test_single_decree_that_violates_agreement(self) -> None:
+        # The persist=False control schedule on a whole node stack: p0
+        # decides v0 with p1, then stalls to the end (up, so correct);
+        # p1 bounces into amnesia and, with p2, decides v2.
+        proposals = ["v0", "v1", "v2"]
+        system = self._single_decree("crash-recovery", proposals)
+        system.start_all()
+        system.crash(2)
+        system.run_until(10.0)
+        system.pause(0)
+        system.crash(1)
+        system.run_until(12.0)
+        system.recover(1)
+        system.recover(2)
+        system.run_until(60.0)
+        verdict = self._assert_one_judge(system, proposals)
+        assert not verdict["ok"]
+        assert verdict["violations"][0].startswith("agreement violated")
+
+    @pytest.mark.parametrize("forge", [False, True])
+    def test_log(self, forge) -> None:
+        from repro.consensus.checker import check_log
+        from repro.consensus.node import ConsensusSystem
+        from repro.live.report import log_verdict
+        from repro.sim.topology import all_timely_links
+
+        system = ConsensusSystem.build_replicated_log(
+            3, lambda: all_timely_links(3))
+        system.start_all()
+        system.run_until(2.0)
+        commands = {("c0", index): ("set", f"k{index}", index)
+                    for index in range(10)}
+        for index, (command_id, command) in enumerate(commands.items()):
+            system.node(index % 3).agreement.submit(command_id, command)
+        system.run_until(30.0)
+        if forge:  # every node commits a command nobody submitted
+            for pid in system.pids:
+                replica = system.node(pid).agreement
+                replica.commit_index += 1
+                replica.log[replica.commit_index] = (("ghost", 9), "boo")
+        reports = [_node_report(system.node(pid).omega,
+                                system.node(pid).agreement)
+                   for pid in system.up_pids()]
+        sim = check_log(system, set(commands.values())).verdict()
+        live = log_verdict(reports, commands)
+        assert live.ok is sim.ok is (not forge)
+
+    def test_live_log_judge_rejects_an_unsubmitted_command(self) -> None:
+        from repro.live.report import log_verdict
+
+        reports = [{"pid": pid, "log": {"commit_index": 1,
+                                        "applied_ids": [["c0", 0],
+                                                        ["ghost", 9]]}}
+                   for pid in range(3)]
+        verdict = log_verdict(reports, {("c0", 0)})
+        assert not verdict.ok
+        assert verdict.violations == (
+            "validity violated: committed an unsubmitted command",)
 
 
 @pytest.mark.live
@@ -141,6 +377,8 @@ class TestLiveCluster:
         assert decisions.pop() in {f"value-{pid}" for pid in range(3)}
         assert validate_report(outcome.document) == []
         assert outcome.document["params"]["backend"] == "live-udp"
+        assert all(set(report) == NODE_REPORT_KEYS
+                   for report in outcome.node_reports)
 
     def test_batched_log_run_writes_node_reports(self, tmp_path) -> None:
         from repro.live.cluster import LiveCluster, LiveClusterSpec
@@ -152,6 +390,9 @@ class TestLiveCluster:
         outcome = LiveCluster(spec, tmp_path / "run").run()
         assert outcome.verdict.ok, outcome.verdict.violations
         assert validate_report(outcome.document) == []
+        assert all(set(report) == NODE_REPORT_KEYS | {"log"}
+                   and set(report["log"]) == LOG_BLOCK_KEYS
+                   for report in outcome.node_reports)
         # Commands arrive faster than the tick, so slots carry batches.
         assert any(isinstance(decide["value"][1], dict)
                    and len(decide["value"][1]["entries"]) > 1
