@@ -25,7 +25,7 @@ Examples
     python -m repro report soak --seed 7 --case 12 --out report.json
     python -m repro live run --n 3 --horizon 3 --consensus
     python -m repro live run --n 3 --horizon 8 --log --persist --workload 10
-    python -m repro live soak --quick
+    python -m repro live soak --cases 4
     python -m repro live soak --cases 1 --seed 7 --bench-out live-bench.json
     python -m repro live crossval --n 3 --horizon 3
     python -m repro live serve --port 8642
@@ -270,59 +270,72 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_soak(args: argparse.Namespace, **budget: object) -> list:
+    """``soak()`` with the flags both soak commands share; a bad
+    campaign is a one-line exit, not a traceback."""
+    from repro.harness.soak import soak
+
+    if any(index < 0 for index in args.case):
+        raise SystemExit(f"--case must be >= 0, got {args.case}")
+    try:
+        return soak(soak_seed=args.seed, stop_on_failure=args.stop_on_failure,
+                    only=tuple(args.case), **budget)
+    except ValueError as error:
+        raise SystemExit(f"bad soak campaign: {error}") from None
+
+
+def _print_soak(results: list, seed: int, campaign: str) -> bool:
+    """Print a campaign's case lines, summary, digests and repro lines;
+    True iff a case failed or timed out."""
+    from repro.harness.soak import campaign_digest, outcome_digest
+
+    marks = {"ok": "ok  ", "fail": "FAIL", "model-violation": "OOM ",
+             "timeout": "TIME"}
+    failures = [result for result in results if not result.ok]
+    for result in results:
+        print(f"{marks[result.status]} {result.case.describe()} -- "
+              f"{result.detail} outcome={result.outcome}")
+    mode = "campaigns" if campaign == "plain" else f"{campaign} campaigns"
+    print(f"\n{len(results) - len(failures)}/{len(results)} {mode} ok "
+          f"(seed={seed})")
+    print(f"campaign digest: "
+          f"{campaign_digest([result.case for result in results])}")
+    print(f"outcome digest: {outcome_digest(results)}")
+    if failures:
+        print("\nrepro lines:")
+        command = "live soak" if campaign == "live" else "soak"
+        flag = "" if campaign in ("plain", "live") else f"--{campaign} "
+        for result in failures:
+            print(f"  python -m repro {command} --seed {seed} {flag}"
+                  f"--case {result.case.index}   # {result.case.describe()}")
+    return bool(failures)
+
+
 def cmd_soak(args: argparse.Namespace) -> int:
-    from repro.harness.soak import (
-        campaign_digest,
-        outcome_digest,
-        recovery_control_case,
-        soak,
-    )
+    from repro.harness.soak import recovery_control_case
 
     if args.minutes is not None and args.case:
         raise SystemExit("--case requires --cases mode (a fixed campaign)")
-    if any(index < 0 for index in args.case):
-        raise SystemExit(f"--case must be >= 0, got {args.case}")
     cases = None if args.minutes is not None else args.cases
-    results = soak(cases=cases, minutes=args.minutes, soak_seed=args.seed,
-                   stop_on_failure=args.stop_on_failure,
-                   only=tuple(args.case), campaign=args.campaign)
-    failures = []
-    for result in results:
-        mark = {"ok": "ok  ", "fail": "FAIL",
-                "model-violation": "OOM "}[result.status]
-        print(f"{mark} {result.case.describe()} -- {result.detail} "
-              f"outcome={result.outcome}")
-        if result.status == "fail":
-            failures.append(result)
-    digest = campaign_digest([result.case for result in results])
-    plain = args.campaign == "plain"
-    mode = "campaigns" if plain else f"{args.campaign} campaigns"
-    print(f"\n{len(results) - len(failures)}/{len(results)} {mode} ok "
-          f"(seed={args.seed})")
-    print(f"campaign digest: {digest}")
-    print(f"outcome digest: {outcome_digest(results)}")
+    results = _run_soak(args, cases=cases, minutes=args.minutes,
+                        campaign=args.campaign)
+    failed = _print_soak(results, args.seed, args.campaign)
     if args.campaign == "recovery":
         # Control pair: the same crash+recover schedule violates
         # agreement without stable storage and holds with it.
-        volatile_ok, volatile_detail = recovery_control_case(persist=False)
-        durable_ok, durable_detail = recovery_control_case(persist=True)
         print("\nrecovery control case (why stable storage matters):")
-        print(f"  persist=False: "
-              f"{'agreement held' if volatile_ok else 'AGREEMENT VIOLATED'}"
-              f" -- {volatile_detail}")
-        print(f"  persist=True:  "
-              f"{'agreement held' if durable_ok else 'AGREEMENT VIOLATED'}"
-              f" -- {durable_detail}")
-        if volatile_ok or not durable_ok:
+        held = []
+        for label, persist in (("persist=False: ", False),
+                               ("persist=True:  ", True)):
+            ok, detail = recovery_control_case(persist=persist)
+            held.append(ok)
+            print(f"  {label}"
+                  f"{'agreement held' if ok else 'AGREEMENT VIOLATED'}"
+                  f" -- {detail}")
+        if held != [False, True]:
             print("  control case did not behave as expected")
             return 1
-    if failures:
-        print("\nrepro lines:")
-        flag = "" if plain else f"--{args.campaign} "
-        for result in failures:
-            print(f"  python -m repro soak --seed {args.seed} {flag}"
-                  f"--case {result.case.index}   # {result.case.describe()}")
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -615,46 +628,20 @@ def cmd_live_run(args: argparse.Namespace) -> int:
 
 
 def cmd_live_soak(args: argparse.Namespace) -> int:
-    import time
+    from repro.harness.soak import live_bench_cases
 
-    from repro.harness.soak import campaign_digest
-    from repro.live.chaos import live_bench_cases, live_soak
-
-    cases = (args.cases if args.cases is not None
-             else 4 if args.quick else 6)
-    if cases < 1:
-        raise SystemExit(f"--cases must be >= 1, got {cases}")
-    if any(index < 0 for index in args.case):
-        raise SystemExit(f"--case must be >= 0, got {args.case}")
-    if args.horizon < 7.0:
-        raise SystemExit(f"--horizon must be >= 7.0 so sampled fault plans "
-                         f"fit and heal before the deadline, got {args.horizon}")
-    started = time.monotonic()
-    results = live_soak(cases=cases, soak_seed=args.seed,
-                        outdir=(args.outdir or None),
-                        only=tuple(args.case), horizon=args.horizon,
-                        stop_on_failure=args.stop_on_failure)
-    wall = time.monotonic() - started
-    marks = {"ok": "ok  ", "fail": "FAIL", "model-violation": "OOM ",
-             "timeout": "TIME"}
-    failures = 0
-    for result in results:
-        print(f"{marks[result.status]} {result.case.describe()} "
-              f"-- {result.detail}")
-        if not result.ok:
-            failures += 1
-    digest = campaign_digest([result.case for result in results])
-    print(f"\n{len(results) - failures}/{len(results)} live campaigns ok "
-          f"(seed={args.seed}, wall={wall:.1f}s)")
-    print(f"campaign digest: {digest}")
+    results = _run_soak(args, cases=args.cases, campaign="live",
+                        outdir=(args.outdir or None))
+    failed = _print_soak(results, args.seed, "live")
     if args.bench_out or args.compare:
         from repro.harness.bench import build_report
-        report = build_report(live_bench_cases(results), seed=args.seed,
-                              jobs=1, suite="live-soak", wall_s=wall)
+        report = build_report(
+            live_bench_cases(results), seed=args.seed, jobs=1,
+            suite="live-soak", wall_s=sum(result.wall_s for result in results))
         # Live rows carry wall-clock latencies, so --compare informs
         # rather than gates: the exit code is the campaign's verdicts.
         _write_and_compare(report, args.bench_out, args.compare)
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
 def cmd_live_crossval(args: argparse.Namespace) -> int:
@@ -723,6 +710,21 @@ def _add_campaign_flags(parser: argparse.ArgumentParser,
         group.add_argument(f"--{name}", dest="campaign",
                            action="store_const", const=name, help=text)
     parser.set_defaults(campaign="plain")
+
+
+def _add_soak_flags(parser: argparse.ArgumentParser, cases: int) -> None:
+    """The campaign flags ``soak`` and ``live soak`` share."""
+    parser.add_argument("--cases", type=int, default=cases, metavar="N",
+                        help=f"number of campaigns (default {cases}; "
+                             f"ignored with --case)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--case", action="append", type=int, default=[],
+                        metavar="INDEX",
+                        help="replay only this case index (repeatable, any "
+                             "index >= 0: sampling is keyed by (seed, "
+                             "INDEX))")
+    parser.add_argument("--stop-on-failure", action="store_true",
+                        help="stop at the first failing campaign")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -803,15 +805,9 @@ def build_parser() -> argparse.ArgumentParser:
     soak_cmd = sub.add_parser(
         "soak", help="long randomized nemesis campaigns over all "
                      "algorithms and stacks")
-    soak_cmd.add_argument("--cases", type=int, default=50,
-                          help="number of campaigns (ignored with --minutes "
-                               "or --case)")
+    _add_soak_flags(soak_cmd, cases=50)
     soak_cmd.add_argument("--minutes", type=float, default=None,
                           help="wall-clock budget instead of a fixed count")
-    soak_cmd.add_argument("--seed", type=int, default=0)
-    soak_cmd.add_argument("--case", action="append", type=int, default=[],
-                          metavar="INDEX",
-                          help="replay only this case index (repeatable)")
     _add_campaign_flags(
         soak_cmd,
         degraded="hostile-link campaign: every Omega under sustained "
@@ -819,8 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "adaptive_qos",
         recovery="crash-recovery campaign: persisted stacks, "
                  "crash+recover fault plans, control case")
-    soak_cmd.add_argument("--stop-on-failure", action="store_true",
-                          help="stop at the first failing campaign")
     soak_cmd.set_defaults(handler=cmd_soak)
 
     bench_cmd = sub.add_parser(
@@ -921,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "'crash(t=1.0,pid=2,recover=2.0)'")
         command.add_argument("--rundir", default="",
                              help="directory for node specs/logs/reports "
-                                  "(default: a fresh temp dir)")
+                                  "(default: a fresh temp dir per case)")
 
     lrun = live_sub.add_parser(
         "run", help="spawn a node per pid on loopback UDP, run to the "
@@ -944,22 +938,10 @@ def build_parser() -> argparse.ArgumentParser:
                      "(omega, consensus, persistent replicated log + "
                      "client load) under sampled crash/netem plans, "
                      "every run judged and replayable")
-    lsoak.add_argument("--cases", type=int, default=None, metavar="N",
-                       help="campaign size (default 6; 4 with --quick)")
-    lsoak.add_argument("--quick", action="store_true",
-                       help="CI-sized campaign: 4 cases covering all "
-                            "stacks incl. the persistent log")
-    lsoak.add_argument("--seed", type=int, default=0)
-    lsoak.add_argument("--horizon", type=float, default=15.0,
-                       help="wall seconds each case runs")
-    lsoak.add_argument("--case", type=int, action="append", default=[],
-                       metavar="I",
-                       help="replay only case index I (repeatable, any "
-                            "index >= 0); sampling is keyed by (seed, I), "
-                            "so plans are byte-identical to the campaign's")
+    _add_soak_flags(lsoak, cases=6)
     lsoak.add_argument("--outdir", default="",
                        help="root directory for per-case rundirs "
-                            "(default: a fresh temp dir)")
+                            "(default: a fresh temp dir per case)")
     lsoak.add_argument("--bench-out", default="", metavar="FILE",
                        help="write a repro-bench/v1 report with live "
                             "commit-latency percentiles")
@@ -968,7 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "a previous one (sim or live): verdict "
                             "drift plus per-percentile commit-latency "
                             "drift for shared case ids")
-    lsoak.add_argument("--stop-on-failure", action="store_true")
     lsoak.set_defaults(handler=cmd_live_soak)
 
     lxval = live_sub.add_parser(

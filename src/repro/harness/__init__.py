@@ -12,9 +12,10 @@ _EXPORTS = {
         "BenchCase", "build_report", "default_suite", "run_suite",
         "strip_nondeterministic"),
     "repro.harness.soak": (
-        "SoakCase", "SoakResult", "campaign_digest", "recovery_control_case",
-        "run_soak_case", "sample_degraded_case", "sample_recovery_case",
-        "sample_soak_case", "soak"),
+        "LiveSoakCase", "SoakCase", "SoakResult", "campaign_digest",
+        "recovery_control_case", "run_soak_case", "sample_degraded_case",
+        "sample_live_case", "sample_recovery_case", "sample_soak_case",
+        "soak"),
     "repro.harness.scenarios": ("SYSTEM_NAMES", "OmegaOutcome", "OmegaScenario"),
     "repro.harness.stats": ("Summary", "percentile", "summarize"),
     "repro.harness.tables": ("format_value", "render_table"),

@@ -1,89 +1,101 @@
 """Randomized soak campaigns: every algorithm, every stack, under nemesis.
 
-The one runner for sampled simulator worlds.  Each *campaign* pairs one
-registered Omega algorithm (or one of the two consensus stacks) with an
-in-model system topology and a nemesis
+The one runner for sampled fault campaigns, on both backends.  Each
+*campaign* pairs a protocol stack with an in-model system and a nemesis
 :class:`~repro.sim.nemesis.FaultPlan` sampled inside the campaign's
 :class:`~repro.sim.nemesis.ModelEnvelope`, runs it to the horizon, and
-checks the existing invariants (:func:`analyze_omega_run`,
-:func:`check_single_decree`, :func:`check_log`).
+checks the invariants with the standard checkers (the sim's
+:func:`check_single_decree`, :func:`check_log` and Omega checker; a live
+run reaches the same checkers through its merged report).
 
-Three judgments are possible, in order:
+:func:`run_soak_case` judges every case the same way, in order:
 
+``fail`` (before running)
+    The plan does not parse, or does not round-trip byte-identically
+    through its repro string.
 ``model-violation``
     The plan breaks the assumptions the algorithm is proved under
     (source crashed, too many crashes, disturbance never heals).  The
-    invariants are *not* consulted — such a run proves nothing either
-    way.  Sampled campaigns are always in-model; this status exists for
-    hand-built plans replayed through :func:`run_soak_case`.
-``fail``
-    In-model, but an invariant broke (or the run raised) — a real bug.
-    The case's :meth:`~SoakCase.describe` line is a complete repro.
-``ok``
-    In-model and every invariant held.
+    case does *not* run — such a run proves nothing either way.
+    Sampled campaigns are always in-model; this status exists for
+    hand-built plans.
+``fail`` / ``timeout`` / ``ok``
+    The case ran: an invariant broke or the run raised (a real bug; the
+    case's ``describe()`` line is a complete repro), a live control
+    channel stayed unreachable (the one-line
+    :class:`~repro.live.cluster.ControlError`), or every invariant held.
 
 Every campaign is reconstructible from ``(soak seed, case index)``
-alone — :func:`sample_soak_case` derives a private RNG stream from the
-pair, so ``python -m repro soak --seed 7 --case 12`` replays case 12 of
-campaign seed 7 exactly, and two runs of the same campaign produce
-byte-identical digests: :func:`campaign_digest` over the sampled *plans*,
-:func:`outcome_digest` over what the protocols *did* with them (each
-result's ``outcome`` hashes protocol-clock observables only — leaders,
-message censuses, decisions, storage syncs — so a changed schedule names
-the case that moved).
+alone — each sampler derives a private RNG stream from the pair, so
+``python -m repro soak --seed 7 --case 12`` replays case 12 of campaign
+seed 7 exactly.  :func:`campaign_digest` hashes the sampled *plans*;
+:func:`outcome_digest` hashes what the protocols *did* with them (each
+result's ``outcome`` hashes observables that carry no wall-clock time —
+leaders, message censuses, decisions, storage syncs — so a changed sim
+schedule names the case that moved; live schedules are not
+deterministic, so live outcomes are not pinned).
 
-:data:`CAMPAIGNS` names the three samplers.  ``plain``
-(:func:`sample_soak_case`) is crash-stop: random in-model worlds under
-plans from :func:`~repro.sim.nemesis.sample_plan`.
+:data:`CAMPAIGNS` names the four samplers (their docstrings have the
+details):
 
-``python -m repro soak --recovery`` switches to the *crash-recovery*
-campaign (:func:`sample_recovery_case`): every case runs the
-``"crash-recovery"`` Omega and/or persisted consensus stacks under
-plans from :func:`~repro.sim.nemesis.sample_recovery_plan` — bouncing
-processes, permanent crashes and healing partitions — and the verdicts
-use the crash-recovery notion of correctness (eventually-up counts).
-:func:`recovery_control_case` is the matching negative control: a
-scripted schedule in which an unpersisted acceptor forgets its vote and
-two processes decide differently, demonstrating the violation stable
-storage exists to prevent.
-
-``python -m repro soak --degraded`` switches to the *hostile-link*
-campaign (:func:`sample_degraded_case`): round-robin over every
-registered Omega algorithm under plans from
-:func:`~repro.sim.nemesis.sample_degraded_plan` — sustained loss/delay
-storms, flapping links and duplication, with crashes rare.  Roughly
-half the cases on the adaptive-capable detectors flip
-``OmegaConfig.adaptive_qos`` on, so the estimator/backoff/batching
-layer soaks under exactly the link hostility it was built for.
+``plain`` — :func:`sample_soak_case`, ``python -m repro soak``
+    Crash-stop worlds under :func:`~repro.sim.nemesis.sample_plan`.
+``recovery`` — :func:`sample_recovery_case`, ``soak --recovery``
+    The crash-recovery Omega and persisted consensus under bouncing
+    processes, permanent crashes and healing partitions, judged with
+    the eventually-up notion of correctness.
+    :func:`recovery_control_case` is its negative control: without
+    stable storage, one scripted schedule decides two values.
+``degraded`` — :func:`sample_degraded_case`, ``soak --degraded``
+    Every registered Omega under loss/delay storms, flapping links and
+    duplication, about half of the adaptive-capable cases with
+    ``OmegaConfig.adaptive_qos`` on.
+``live`` — :func:`sample_live_case`, ``python -m repro live soak``
+    Omega, single-decree consensus or a ``persist=True`` replicated log
+    with client load across real OS processes on the UDP backend, under
+    crash→SIGKILL→respawn bounces and asymmetric netem shapes that heal
+    with :data:`HEAL_MARGIN` of the horizon left calm.  The live
+    backend is imported on first use only.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import json
+import math
 import random
+import tempfile
 import time
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.consensus import ConsensusSystem, WorkloadSpec, check_log, \
     check_single_decree
-from repro.core.checker import analyze_omega_run
 from repro.core.config import OmegaConfig
 from repro.harness.scenarios import OmegaScenario
-from repro.sim.nemesis import FaultPlan, ModelEnvelope, model_violations, \
-    sample_degraded_plan, sample_plan, sample_recovery_plan
+from repro.sim.nemesis import CrashFault, FaultEvent, FaultPlan, \
+    ModelEnvelope, NetemFault, model_violations, sample_degraded_plan, \
+    sample_plan, sample_recovery_plan
 from repro.sim.topology import LinkTimings, multi_source_links
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.live.cluster import LiveRunOutcome
 
 __all__ = [
     "CAMPAIGNS",
+    "HEAL_MARGIN",
+    "LiveSoakCase",
     "SoakCase",
     "SoakResult",
     "campaign_digest",
+    "live_bench_cases",
     "outcome_digest",
     "recovery_control_case",
     "run_soak_case",
     "sample_degraded_case",
+    "sample_live_case",
     "sample_recovery_case",
     "sample_soak_case",
     "soak",
@@ -163,18 +175,68 @@ class SoakCase:
 
 
 @dataclass(frozen=True)
-class SoakResult:
-    """Outcome of one campaign."""
+class LiveSoakCase:
+    """One live campaign: stack + plan on real processes, as data.
 
-    case: SoakCase
-    status: str                # "ok" | "fail" | "model-violation"
+    ``stack`` picks the protocol layer (``omega`` — leader election
+    only; ``consensus`` — single-decree on the agreement plane; ``log``
+    — the replicated log, with a client workload); ``plan`` is the
+    fault schedule's repro string, in wall-clock seconds from cluster
+    start.
+    """
+
+    index: int
+    stack: str
+    algorithm: str
+    n: int
+    persist: bool
+    workload: int
+    seed: int
+    horizon: float
+    plan: str
+
+    def describe(self) -> str:
+        """One-line repro: everything needed to replay this case."""
+        parts = [f"#{self.index} live/{self.stack}/{self.algorithm}"
+                 f" n={self.n}"]
+        if self.persist:
+            parts.append("persist")
+        if self.workload:
+            parts.append(f"workload={self.workload}")
+        parts.append(f"seed={self.seed} horizon={self.horizon:g}")
+        parts.append(f"plan=[{self.plan}]")
+        return " ".join(parts)
+
+    def fault_plan(self) -> FaultPlan:
+        """The case's wall-clock fault plan, parsed from its repro string."""
+        return FaultPlan.from_repro(self.plan)
+
+    def envelope(self) -> ModelEnvelope:
+        """The model envelope this case's plan is judged against."""
+        return ModelEnvelope(
+            n=self.n, source=0, f=(self.n - 1) // 2,
+            gst=self.horizon * (1.0 - HEAL_MARGIN),
+            horizon=self.horizon, heal_margin=HEAL_MARGIN)
+
+
+@dataclass(frozen=True)
+class SoakResult:
+    """Outcome of one campaign (``status``: see the module docstring).
+
+    ``document`` is a live run's merged ``repro-report/v1`` document.
+    """
+
+    case: SoakCase | LiveSoakCase
+    status: str
     detail: str
     outcome: str               # 16-hex digest of the run's observables
+    wall_s: float = 0.0
+    document: dict[str, Any] | None = None
 
     @property
     def ok(self) -> bool:
-        """True unless an in-model invariant broke."""
-        return self.status != "fail"
+        """True unless an in-model invariant broke or a run timed out."""
+        return self.status not in ("fail", "timeout")
 
 
 def _draw_shape(rng: random.Random, kind: str, algorithm: str,
@@ -276,38 +338,153 @@ def sample_degraded_case(soak_seed: int, index: int) -> SoakCase:
                       sample_degraded_plan, degraded=True, adaptive=adaptive)
 
 
-#: The sim campaigns by name: each samples case ``index`` of the run
-#: seeded ``soak_seed``.  ``python -m repro soak`` runs ``plain``;
-#: ``--recovery`` and ``--degraded`` name the other two.
-CAMPAIGNS: dict[str, Callable[[int, int], SoakCase]] = {
+#: Fraction of the horizon that must remain calm after the last live
+#: disturbance heals.  Live runs pay spawn stagger and real scheduling
+#: jitter, so the margin is wall-clock-aware: wider than the sim's
+#: default would need to be for "eventually" to have room to happen.
+HEAL_MARGIN = 0.4
+
+#: The live protocol zoo, cycled by case index: ``(stack, algorithm,
+#: persist)``.  Order is load-bearing — the ``persist=True`` replicated
+#: log leads, so a ``--cases 1`` campaign (the CI smoke job) is exactly
+#: the crash→SIGKILL→respawn→storage-recovery path under asymmetric
+#: netem with client load.
+_COMBOS: tuple[tuple[str, str, bool], ...] = (
+    ("log", "comm-efficient", True),
+    ("omega", "source", False),
+    ("consensus", "comm-efficient", False),
+    ("omega", "crash-recovery", False),
+    ("log", "comm-efficient", False),
+    ("omega", "comm-efficient", False),
+)
+
+#: Client commands driven through the ``submit`` control op per live
+#: log case.
+_LIVE_WORKLOAD = 10
+
+
+def _sample_netem_pair(rng: random.Random, n: int,
+                       heal_by: float) -> list[FaultEvent]:
+    """An asymmetric netem regime: two opposed directions, shaped apart.
+
+    One direction gets a heavy-tailed pareto jitter spread with
+    probabilistic reorder; the other a uniform spread with a rate cap —
+    the classic asymmetric-link weather the paper's ◇timely model must
+    ride out.  Both windows heal by ``heal_by``.
+    """
+    src, dst = rng.sample(range(n), 2)
+    start = round(rng.uniform(1.0, 2.0), 2)
+    end = round(min(heal_by - 0.5, start + rng.uniform(2.5, 4.0)), 2)
+    slow = NetemFault(
+        start, end, ((src, dst),),
+        delay=round(rng.uniform(0.02, 0.06), 2),
+        jitter=round(rng.uniform(0.02, 0.05), 2), dist="pareto",
+        reorder=round(rng.uniform(0.05, 0.2), 2),
+        loss=round(rng.uniform(0.0, 0.08), 2))
+    capped = NetemFault(
+        start, end, ((dst, src),),
+        delay=round(rng.uniform(0.01, 0.03), 2),
+        jitter=round(rng.uniform(0.0, 0.02), 2), dist="uniform",
+        rate=float(rng.randrange(200, 400)),
+        loss=round(rng.uniform(0.0, 0.05), 2))
+    return [slow, capped]
+
+
+def _sample_live_plan(rng: random.Random, stack: str, algorithm: str,
+                      persist: bool, n: int, horizon: float) -> str:
+    """A wall-clock fault schedule for one live case, in-model by design.
+
+    Every case gets the asymmetric netem pair.  Cases exercising
+    recovery (``persist=True`` logs and the crash-recovery Omega) add a
+    crash→respawn bounce of a non-source pid that heals inside the
+    envelope; a crash-stop Omega case may instead lose a non-source pid
+    for good (within the ``f`` bound).
+    """
+    heal_by = horizon * (1.0 - HEAL_MARGIN)
+    events: list[FaultEvent] = _sample_netem_pair(rng, n, heal_by)
+    victim = rng.randrange(1, n)  # never the designated source, pid 0
+    if persist or algorithm == "crash-recovery":
+        crash_at = round(rng.uniform(2.0, 3.0), 2)
+        recover_at = round(min(heal_by - 1.0,
+                               crash_at + rng.uniform(2.0, 3.0)), 2)
+        events.append(CrashFault(crash_at, victim, recover_at))
+    elif stack == "omega" and rng.random() < 0.5:
+        events.append(CrashFault(round(rng.uniform(2.0, 4.0), 2), victim))
+    return FaultPlan(events).to_repro()
+
+
+def sample_live_case(soak_seed: int, index: int, *,
+                     horizon: float = 15.0) -> LiveSoakCase:
+    """Draw case ``index`` of the live soak run seeded ``soak_seed``.
+
+    Same determinism contract as :func:`sample_soak_case`.  The stack
+    cycles through ``_COMBOS`` by index; ``horizon`` is the wall
+    seconds each case runs.
+    """
+    rng = random.Random(f"live-soak/{soak_seed}/{index}")
+    stack, algorithm, persist = _COMBOS[index % len(_COMBOS)]
+    n = 3
+    seed = rng.randrange(1_000_000)
+    plan = _sample_live_plan(rng, stack, algorithm, persist, n, horizon)
+    return LiveSoakCase(
+        index=index, stack=stack, algorithm=algorithm, n=n,
+        persist=persist, workload=(_LIVE_WORKLOAD if stack == "log" else 0),
+        seed=seed, horizon=horizon, plan=plan)
+
+
+#: The campaigns by name: each samples case ``index`` of the run seeded
+#: ``soak_seed``.  ``python -m repro soak`` runs ``plain``;
+#: ``--recovery`` and ``--degraded`` name the next two, and
+#: ``python -m repro live soak`` runs ``live``.
+CAMPAIGNS: dict[str, Callable[[int, int], SoakCase | LiveSoakCase]] = {
     "plain": sample_soak_case,
     "recovery": sample_recovery_case,
     "degraded": sample_degraded_case,
+    "live": sample_live_case,
 }
 
 
-def run_soak_case(case: SoakCase) -> SoakResult:
-    """Judge one campaign: model check first, then run and check invariants.
+def run_soak_case(case: SoakCase | LiveSoakCase,
+                  rundir: str | Path | None = None) -> SoakResult:
+    """Judge one campaign: plan, then model, then run and check invariants.
 
-    A plan outside the campaign's envelope short-circuits to
-    ``model-violation`` — running it would prove nothing, since every
-    invariant is conditional on the model's assumptions.
+    A live case writes its node logs, node reports and merged
+    ``report.json`` under ``rundir`` (a fresh temp dir when None); the
+    sim ignores it.
     """
-    violations = model_violations(case.fault_plan(), case.envelope())
-    if violations:
-        return _result(case, "model-violation", "; ".join(violations))
+    started = time.monotonic()
     try:
-        ok, detail, observed = _execute(case)
+        plan = case.fault_plan()
+    except ValueError as error:  # FaultPlanError is a ValueError
+        return _result(case, started, "fail",
+                       f"plan does not parse: {error}")
+    if plan.to_repro() != case.plan:
+        return _result(case, started, "fail",
+                       f"plan did not replay byte-identically: "
+                       f"{plan.to_repro()!r} != {case.plan!r}")
+    violations = model_violations(plan, case.envelope())
+    if violations:
+        return _result(case, started, "model-violation",
+                       "; ".join(violations))
+    try:
+        ok, detail, observed, document = _execute(case, rundir)
     except Exception as exc:  # soak keeps going; the case line is the repro
-        return _result(case, "fail", f"raised {exc!r}")
-    return _result(case, "ok" if ok else "fail", detail, observed)
+        from repro.live.cluster import ControlError
+
+        if isinstance(exc, ControlError):
+            return _result(case, started, "timeout", str(exc))
+        return _result(case, started, "fail", f"raised {exc!r}")
+    return _result(case, started, "ok" if ok else "fail", detail, observed,
+                   document)
 
 
-def _result(case: SoakCase, status: str, detail: str,
-            observed: tuple = ()) -> SoakResult:
+def _result(case: SoakCase | LiveSoakCase, started: float, status: str,
+            detail: str, observed: tuple = (),
+            document: dict[str, Any] | None = None) -> SoakResult:
     """Seal a result: ``outcome`` hashes the status and the observables."""
     return SoakResult(case, status, detail,
-                      _digest(repr((status, *observed))))
+                      _digest(repr((status, *observed))),
+                      time.monotonic() - started, document)
 
 
 def _digest(text: str) -> str:
@@ -336,13 +513,16 @@ def _consensus_observables(system: ConsensusSystem, per_process) -> tuple:  # no
             tuple(rows))
 
 
-def _execute(case: SoakCase) -> tuple[bool, str, tuple]:
+def _execute(case: SoakCase | LiveSoakCase, rundir: str | Path | None,
+             ) -> tuple[bool, str, tuple, dict[str, Any] | None]:
+    """Run one in-model case: ``(ok, detail, observed, document)``."""
+    if isinstance(case, LiveSoakCase):
+        return _execute_live(case, rundir)
+    execute = {"omega": _execute_omega,
+               "single-decree": _execute_single_decree,
+               "log": _execute_log}[case.kind]
     timings = LinkTimings(gst=case.gst, fair_loss=case.fair_loss)
-    if case.kind == "omega":
-        return _execute_omega(case, timings)
-    if case.kind == "single-decree":
-        return _execute_single_decree(case, timings)
-    return _execute_log(case, timings)
+    return (*execute(case, timings), None)
 
 
 def _execute_omega(case: SoakCase,
@@ -431,6 +611,70 @@ def _execute_log(case: SoakCase,
     return True, detail, observed
 
 
+def _execute_live(case: LiveSoakCase, rundir: str | Path | None,
+                  ) -> tuple[bool, str, tuple, dict[str, Any]]:
+    """Run one case on a live cluster; write its merged ``report.json``.
+
+    The cluster's own ``finally`` teardown has reaped every node process
+    by the time this returns or raises.
+    """
+    from repro.live.cluster import LiveCluster, LiveClusterSpec
+    from repro.obs.report import validate_report
+
+    spec = LiveClusterSpec(
+        n=case.n, algorithm=case.algorithm, horizon=case.horizon,
+        seed=case.seed, faults=case.plan,
+        consensus=(case.stack == "consensus"), log=(case.stack == "log"),
+        persist=case.persist, workload=case.workload, workload_start=1.0,
+        workload_period=0.4)
+    rundir = Path(rundir if rundir is not None
+                  else tempfile.mkdtemp(prefix="repro-live-soak-"))
+    outcome = LiveCluster(spec, rundir).run()
+    document = outcome.document
+    (rundir / "report.json").write_text(
+        json.dumps(document, indent=2, sort_keys=True) + "\n")
+    observed = _live_observables(outcome)
+    problems = validate_report(document)
+    if problems:
+        return False, "schema: " + "; ".join(problems), observed, document
+    if not outcome.verdict.ok:
+        return (False, "; ".join(outcome.verdict.violations), observed,
+                document)
+    return True, _live_detail(document), observed, document
+
+
+def _live_observables(outcome: LiveRunOutcome) -> tuple:
+    """What a live run judged, with every wall-clock field left out: the
+    final leader, the decisions, and a hash of the longest applied-id
+    prefix."""
+    reports = outcome.node_reports
+    decisions = sorted({repr(report["decision"]) for report in reports
+                        if report.get("decision") is not None})
+    applied = max((report["log"].get("applied_ids", [])
+                   for report in reports if "log" in report),
+                  key=len, default=[])
+    return (outcome.omega.final_leader, tuple(decisions),
+            _digest(repr(applied)))
+
+
+def _live_detail(document: dict[str, Any]) -> str:
+    """The one-line summary printed next to a passing live case."""
+    evidence = document.get("verdict", {}).get("evidence", {})
+    parts = []
+    leader = evidence.get("final_leader")
+    if leader is not None:
+        parts.append(f"leader={leader}")
+    workload = document.get("workload")
+    if workload:
+        parts.append(f"committed={workload['committed']}"
+                     f"/{workload['submitted']}")
+        latency = workload.get("latency_s") or {}
+        p95 = latency.get("p95")
+        if p95 is not None:
+            parts.append(f"p95={p95:.2f}s")
+    return " ".join(parts) if parts else "all properties held"
+
+
 def recovery_control_case(persist: bool = False) -> tuple[bool, str]:
     """The negative control: Paxos without stable storage loses safety.
 
@@ -482,22 +726,13 @@ def recovery_control_case(persist: bool = False) -> tuple[bool, str]:
     return agreement, f"decisions {decided}"
 
 
-class Describable(Protocol):
-    """Anything with a one-line repro ``describe()`` (soak case shape)."""
-
-    def describe(self) -> str: ...
-
-
-def campaign_digest(cases: Sequence[Describable]) -> str:
+def campaign_digest(cases: Sequence[SoakCase | LiveSoakCase]) -> str:
     """Short stable hash over the campaign's repro lines — the *plan*
     digest: it hashes what the sampler drew, not what the protocols did
     with it (that is :func:`outcome_digest`).
 
     Two soak runs with the same ``(seed, case count)`` must print the
-    same digest; a mismatch means determinism broke somewhere.  Duck-
-    typed over anything with a one-line ``describe()`` — sim
-    :class:`SoakCase` and :class:`repro.live.chaos.LiveSoakCase` alike —
-    so sim and live campaigns share one digest convention.
+    same digest; a mismatch means determinism broke somewhere.
     """
     return _digest("\n".join(case.describe() for case in cases))
 
@@ -515,8 +750,8 @@ def outcome_digest(results: Sequence[SoakResult]) -> str:
 
 def soak(cases: int | None = None, minutes: float | None = None,
          soak_seed: int = 0, stop_on_failure: bool = False,
-         only: tuple[int, ...] = (),
-         campaign: str = "plain") -> list[SoakResult]:
+         only: tuple[int, ...] = (), campaign: str = "plain",
+         outdir: str | Path | None = None) -> list[SoakResult]:
     """Run a soak campaign; returns one result per executed case.
 
     Exactly one of ``cases`` (fixed count) or ``minutes`` (wall-clock
@@ -524,12 +759,17 @@ def soak(cases: int | None = None, minutes: float | None = None,
     ``only`` runs exactly the named case indices instead, in ascending
     order — the replay path behind ``python -m repro soak --case N``;
     sampling is random-access, so any index replays.  ``campaign``
-    names the sampler in :data:`CAMPAIGNS` (see module docstring).
+    names the sampler in :data:`CAMPAIGNS` (see module docstring).  A
+    live case ``N`` keeps its run directory at ``outdir/caseN`` (a
+    fresh temp dir per case when ``outdir`` is None).
     """
     if (cases is None) == (minutes is None):
         raise ValueError("pass exactly one of cases= or minutes=")
     if cases is not None and cases < 1:
-        raise ValueError("cases must be positive")
+        raise ValueError(f"cases must be positive, got {cases}")
+    if minutes is not None and not (minutes > 0 and math.isfinite(minutes)):
+        raise ValueError(f"minutes must be positive and finite, "
+                         f"got {minutes}")
     if campaign not in CAMPAIGNS:
         raise ValueError(f"unknown campaign {campaign!r}; "
                          f"known: {', '.join(CAMPAIGNS)}")
@@ -544,8 +784,42 @@ def soak(cases: int | None = None, minutes: float | None = None,
     for index in indices:
         if deadline is not None and time.monotonic() >= deadline:
             break
-        result = run_soak_case(sample(soak_seed, index))
+        rundir = None if outdir is None else Path(outdir) / f"case{index}"
+        result = run_soak_case(sample(soak_seed, index), rundir)
         results.append(result)
         if not result.ok and stop_on_failure:
             break
     return results
+
+
+def live_bench_cases(results: Sequence[SoakResult]) -> list[dict]:
+    """Bench-shaped case rows of a live campaign, for
+    :func:`repro.harness.bench.build_report`.
+
+    Each row carries the run's commit-latency percentiles under
+    ``result.latency_s`` — the same block the sim's E19 load cases
+    emit — so ``--compare`` against a sim bench report prints per-
+    percentile latency drift across backends.
+    """
+    rows = []
+    for result in results:
+        case = result.case
+        document = result.document or {}
+        workload = document.get("workload") or {}
+        block: dict[str, Any] = {"status": result.status, "plan": case.plan}
+        if workload:
+            block.update((key, workload.get(key)) for key in
+                         ("latency_s", "committed", "throughput_cps"))
+        rows.append({
+            "case_id": (f"live-soak/{case.stack}/{case.algorithm}"
+                        f"#{case.index}"),
+            "ok": result.ok,
+            "events": int(document.get("sim", {})
+                          .get("events_executed", 0)),
+            "sim_time_s": case.horizon,
+            "verdict": document.get("verdict",
+                                    {"ok": result.ok, "violations": []}),
+            "result": block,
+            "timing": {"wall_s": result.wall_s},
+        })
+    return rows

@@ -47,10 +47,8 @@ UDP on localhost (or any reachable interface):
     SIGKILL (atomic snapshot file), so live crash→respawn goes through
     real storage-backed recovery.
 
-:mod:`repro.live.chaos`
-    Supervised soak campaigns (``python -m repro live soak``): the
-    protocol zoo under sampled, replayable crash/netem fault plans,
-    every run judged through the standard Verdict machinery.
+Soak campaigns on this backend (``python -m repro live soak``) are the
+``live`` campaign of :mod:`repro.harness.soak`.
 
 See ``docs/TRANSPORT.md`` for the transport contract and the
 quickstart.
@@ -59,9 +57,6 @@ quickstart.
 from repro import _lazy_exports
 
 _EXPORTS = {
-    "repro.live.chaos": (
-        "LiveSoakCase", "LiveSoakResult", "live_soak", "run_live_case",
-        "sample_live_case"),
     "repro.live.cluster": ("ControlError", "LiveCluster", "LiveClusterSpec"),
     "repro.live.codec": ("decode_frame", "encode_frame", "registered_kinds"),
     "repro.live.crossval": ("cross_validate",),

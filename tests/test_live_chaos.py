@@ -1,7 +1,8 @@
 """Live chaos harness tests: supervision, storage, sampling, teardown.
 
-Covers the soak-campaign layer (:mod:`repro.live.chaos`) and the
-robustness machinery under it: the :class:`Backoff`/:class:`Deadline`
+Covers the live soak campaign (the ``live`` entry of
+:data:`repro.harness.soak.CAMPAIGNS`) and the robustness machinery under
+it: the :class:`Backoff`/:class:`Deadline`
 supervision primitives, the one-line :class:`ControlError`, SIGKILL-
 surviving :class:`FileStorage`, deterministic case sampling with
 byte-identical plan replay, and — the load-bearing regressions — that a
@@ -13,18 +14,20 @@ Tests that spawn real node subprocesses are marked ``live``.
 
 from __future__ import annotations
 
+import importlib
 import random
 import signal
 import time
 
 import pytest
 
-from repro.live.chaos import (
+from repro.harness.soak import (
     LiveSoakCase,
+    SoakResult,
     live_bench_cases,
-    live_soak,
-    run_live_case,
+    run_soak_case,
     sample_live_case,
+    soak,
 )
 from repro.live.cluster import ControlError, LiveCluster, LiveClusterSpec
 from repro.live.runtime import Backoff, Deadline
@@ -132,9 +135,9 @@ class TestSampling:
         assert sample_live_case(7, 3) != sample_live_case(7, 4)
 
     def test_sampling_valid_at_the_cli_horizon_floor(self) -> None:
-        # `live soak` rejects --horizon < 7.0; at and above the floor,
-        # every sampled plan must construct (crash+recover windows need
-        # heal_by - 1 > the latest crash time, i.e. horizon > ~6.7).
+        # Down to a 7 s horizon every sampled plan must construct
+        # (crash+recover windows need heal_by - 1 > the latest crash
+        # time, i.e. horizon > ~6.7).
         for horizon in (7.0, 8.0):
             for seed in range(10):
                 for index in range(8):
@@ -177,7 +180,7 @@ class TestCaseJudging:
                             algorithm="comm-efficient", n=3, persist=False,
                             workload=0, seed=1, horizon=5.0,
                             plan="gibberish(t=1)")
-        result = run_live_case(case, tmp_path)
+        result = run_soak_case(case, tmp_path)
         assert result.status == "fail"
         assert "does not parse" in result.detail
 
@@ -188,9 +191,8 @@ class TestCaseJudging:
                             algorithm="comm-efficient", n=3, persist=False,
                             workload=0, seed=1, horizon=5.0,
                             plan="crash(t=1.0,pid=0)")
-        result = run_live_case(case, tmp_path)
+        result = run_soak_case(case, tmp_path)
         assert result.status == "model-violation"
-        assert result.replayed_exact
 
     def test_control_error_maps_to_named_timeout(self, tmp_path,
                                                  monkeypatch) -> None:
@@ -199,11 +201,23 @@ class TestCaseJudging:
         monkeypatch.setattr(LiveCluster, "run",
                             lambda self: (_ for _ in ()).throw(error))
         case = sample_live_case(0, 1)
-        result = run_live_case(case, tmp_path)
+        result = run_soak_case(case, tmp_path)
         assert result.status == "timeout"
         assert "node 1" in result.detail
         assert "127.0.0.1:9" in result.detail
         assert "4 attempts" in result.detail
+
+    def test_a_raising_case_fails_and_the_campaign_goes_on(
+            self, tmp_path, monkeypatch) -> None:
+        def explode(self) -> None:
+            raise OSError("socket exploded")
+
+        monkeypatch.setattr(LiveCluster, "run", explode)
+        results = soak(campaign="live", cases=2, outdir=tmp_path)
+        assert [result.case.index for result in results] == [0, 1]
+        for result in results:
+            assert result.status == "fail" and not result.ok
+            assert "OSError" in result.detail
 
     def test_bench_rows_carry_latency_percentiles(self) -> None:
         case = sample_live_case(0, 0)
@@ -215,10 +229,8 @@ class TestCaseJudging:
                          "latency_s": {"p50": 1.0, "p95": 2.0,
                                        "p99": 2.5}},
         }
-        from repro.live.chaos import LiveSoakResult
-        rows = live_bench_cases([LiveSoakResult(
-            case, "ok", "", wall_s=3.0, document=document,
-            replayed_exact=True)])
+        rows = live_bench_cases([SoakResult(
+            case, "ok", "", "0" * 16, wall_s=3.0, document=document)])
         assert rows[0]["ok"] is True
         assert rows[0]["result"]["latency_s"]["p95"] == 2.0
         assert rows[0]["case_id"].startswith("live-soak/log/")
@@ -230,15 +242,15 @@ class TestCliReplay:
                                                  capsys) -> None:
         from repro.cli import main
         from repro.harness.soak import campaign_digest
-        from repro.live import chaos
+        soak_module = importlib.import_module("repro.harness.soak")
 
         ran = []
 
-        def canned(case: LiveSoakCase, rundir) -> chaos.LiveSoakResult:
+        def canned(case: LiveSoakCase, rundir) -> SoakResult:
             ran.append(case.index)
-            return chaos.LiveSoakResult(case, "ok", "canned")
+            return SoakResult(case, "ok", "canned", "0" * 16)
 
-        monkeypatch.setattr(chaos, "run_live_case", canned)
+        monkeypatch.setattr(soak_module, "run_soak_case", canned)
         code = main(["live", "soak", "--case", "7",
                      "--outdir", str(tmp_path)])
         out = capsys.readouterr().out
@@ -342,12 +354,9 @@ class TestTeardown:
 class TestLiveSoakCampaign:
     def test_single_case_campaign_runs_and_judges_ok(self,
                                                      tmp_path) -> None:
-        results = live_soak(cases=1, soak_seed=0, outdir=tmp_path,
-                            horizon=10.0)
-        assert len(results) == 1
-        result = results[0]
+        result = run_soak_case(sample_live_case(0, 0, horizon=10.0),
+                               tmp_path / "case0")
         assert result.status == "ok", result.detail
-        assert result.replayed_exact
         assert result.case.persist and result.case.workload > 0
         workload = result.document["workload"]
         assert workload["committed"] == workload["submitted"]

@@ -47,6 +47,7 @@ class TestDeterminism:
         ("plain", 0, 25, "952c7f0e9e1237fb"),
         ("recovery", 7, 50, "7d9d64ba6685feb3"),
         ("degraded", 7, 12, "78f5f58f9e5a4cdf"),
+        ("live", 7, 12, "77bc1a0a119b470f"),
     ])
     def test_pinned_plan_digest(self, campaign: str, seed: int, cases: int,
                                 digest: str) -> None:
@@ -105,6 +106,23 @@ class TestModelJudging:
         assert "persists" in result.detail
 
 
+class TestPlanReplay:
+    def test_unparseable_plan_fails_without_running(self) -> None:
+        case = dataclasses.replace(sample_soak_case(7, 0),
+                                   plan="gibberish(t=1)")
+        result = run_soak_case(case)
+        assert result.status == "fail"
+        assert "does not parse" in result.detail
+
+    def test_plan_that_does_not_round_trip_fails_without_running(
+            self) -> None:
+        case = dataclasses.replace(sample_soak_case(7, 0),
+                                   plan="crash(t=20,pid=1)")
+        result = run_soak_case(case)
+        assert result.status == "fail"
+        assert "byte-identically" in result.detail
+
+
 class TestExecution:
     def test_small_campaign_passes(self) -> None:
         results = soak(cases=6, soak_seed=7)
@@ -136,6 +154,25 @@ class TestExecution:
             soak(cases=5, minutes=1.0)
         with pytest.raises(ValueError):
             soak(cases=0)
+
+    @pytest.mark.parametrize("minutes", [0.0, -1.0, float("nan"),
+                                         float("inf")])
+    def test_a_budget_that_runs_nothing_is_rejected(
+            self, minutes: float) -> None:
+        with pytest.raises(ValueError, match="minutes must be positive"):
+            soak(minutes=minutes)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["soak", "--minutes", "0"], "minutes must be positive"),
+        (["soak", "--minutes", "-1"], "minutes must be positive"),
+        (["soak", "--cases", "0"], "cases must be positive"),
+        (["live", "soak", "--cases", "0"], "cases must be positive"),
+    ])
+    def test_cli_rejects_an_empty_campaign_in_one_line(
+            self, argv: list[str], message: str) -> None:
+        with pytest.raises(SystemExit, match=message) as excinfo:
+            main(argv)
+        assert "\n" not in str(excinfo.value.code)
 
     def test_minutes_budget_stops(self) -> None:
         # A microscopic wall-clock budget still samples at least zero
