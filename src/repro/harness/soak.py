@@ -469,10 +469,11 @@ def run_soak_case(case: SoakCase | LiveSoakCase,
     try:
         ok, detail, observed, document = _execute(case, rundir)
     except Exception as exc:  # soak keeps going; the case line is the repro
-        from repro.live.cluster import ControlError
+        if isinstance(case, LiveSoakCase):
+            from repro.live.cluster import ControlError
 
-        if isinstance(exc, ControlError):
-            return _result(case, started, "timeout", str(exc))
+            if isinstance(exc, ControlError):
+                return _result(case, started, "timeout", str(exc))
         return _result(case, started, "fail", f"raised {exc!r}")
     return _result(case, started, "ok" if ok else "fail", detail, observed,
                    document)
@@ -647,14 +648,11 @@ def _live_observables(outcome: LiveRunOutcome) -> tuple:
     """What a live run judged, with every wall-clock field left out: the
     final leader, the decisions, and a hash of the longest applied-id
     prefix."""
-    reports = outcome.node_reports
-    decisions = sorted({repr(report["decision"]) for report in reports
+    decisions = sorted({repr(report["decision"])
+                        for report in outcome.node_reports
                         if report.get("decision") is not None})
-    applied = max((report["log"].get("applied_ids", [])
-                   for report in reports if "log" in report),
-                  key=len, default=[])
     return (outcome.omega.final_leader, tuple(decisions),
-            _digest(repr(applied)))
+            _digest(repr(outcome.applied_ids)))
 
 
 def _live_detail(document: dict[str, Any]) -> str:

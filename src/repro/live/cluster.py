@@ -57,7 +57,7 @@ import socket
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
@@ -190,6 +190,8 @@ class LiveRunOutcome:
     verdict: Verdict
     document: dict[str, Any]
     rundir: Path
+    #: The ids applied on the most advanced node (empty without a log).
+    applied_ids: list[Any] = field(default_factory=list)
 
 
 class LiveCluster:
@@ -603,12 +605,11 @@ class LiveCluster:
         }
         document = merged_live_report(node_reports, target, params,
                                       verdict, spec.horizon, wall_s=wall)
+        applied = max((report.get("log", {}).get("applied_ids", [])
+                       for report in node_reports), key=len, default=[])
         if spec.log:
             latencies = live_latencies(node_reports)
             # Committed = ids applied on the most advanced node.
-            applied = max((report.get("log", {}).get("applied_ids", [])
-                           for report in node_reports),
-                          key=len, default=[])
             document["workload"] = {
                 "submitted": len(self.submitted),
                 "committed": len(applied),
@@ -620,4 +621,4 @@ class LiveCluster:
             }
         return LiveRunOutcome(node_reports=node_reports, omega=omega,
                               verdict=verdict, document=document,
-                              rundir=self.rundir)
+                              rundir=self.rundir, applied_ids=applied)
