@@ -19,10 +19,11 @@ The proof obligations of Omega ⇒ consensus live here and nowhere else:
   at or above the prepare's ``from_instance``, so any later prepare
   quorum meets any earlier accept quorum in a reporting acceptor;
 * **an owner starts above its own acceptor's promise** — its implicit
-  promise and vote skip the ``Nack`` check, so :meth:`BallotOwner.start`
-  must outrank every ballot that acceptor promised, across a recovery
-  too (:meth:`BallotOwner.restore`).  A higher promise made *after* the
-  start does not yet stop the owner (docs/RECOVERY.md, "Known gap").
+  promise skips the ``Nack`` check, so :meth:`BallotOwner.start` must
+  outrank every ballot that acceptor promised, across a recovery too
+  (:meth:`BallotOwner.restore`).  A higher promise made *after* the
+  start refuses the owner's implicit vote (:meth:`Acceptor.vote`
+  returns no writes), and a refused self-vote does not count.
 
 A prepare covers *all* instances from ``from_instance`` on; single
 decree is the ``from_instance = 0``, instance-0-only use of the same
@@ -116,8 +117,15 @@ class Acceptor:
         return self.report(from_instance), ((K_PROMISED, self.promised),)
 
     def vote(self, ballot: Ballot, instance: int, value: Any) -> Writes:
-        """Accept ``value`` at ``ballot``; also the owner's implicit vote."""
-        self.promised = max(self.promised, ballot)
+        """Accept ``value`` at ``ballot``; also the owner's implicit vote.
+
+        A vote never lands below the promise: below it, nothing is
+        accepted and no writes come back, so an owner whose acceptor
+        promised a higher ballot after the start cannot count itself.
+        """
+        if ballot < self.promised:
+            return ()
+        self.promised = ballot
         slot = self.accepted[instance] = (ballot, value)
         return ((K_PROMISED, self.promised), ((K_ACC, instance), slot))
 

@@ -362,10 +362,12 @@ class LogReplica(PaxosProcess):
                 self._maybe_close(instance)
 
         # Self-accept; with persistence the leader's own vote counts
-        # toward the quorum only once the accepted pair is durable.
-        self._when_durable(
-            self.acceptor.vote(self.owner.ballot, instance, value),
-            count_self_accept)
+        # toward the quorum only once the accepted pair is durable, and a
+        # vote its acceptor refused (a higher promise since the start)
+        # not at all.
+        writes = self.acceptor.vote(self.owner.ballot, instance, value)
+        if writes:
+            self._when_durable(writes, count_self_accept)
 
     def _maybe_close(self, instance: int) -> None:
         slot = self._open.get(instance)

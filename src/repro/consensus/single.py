@@ -174,10 +174,11 @@ class SingleDecreeConsensus(PaxosProcess):
                 self._maybe_decide()
 
         # Self-accept; with persistence our own vote counts toward the
-        # quorum only once the accepted pair is durable.
-        self._when_durable(
-            self.acceptor.vote(ballot, _INSTANCE, self.ballot_value),
-            count_self_accept)
+        # quorum only once the accepted pair is durable, and a vote our
+        # acceptor refused (a higher promise since the start) not at all.
+        writes = self.acceptor.vote(ballot, _INSTANCE, self.ballot_value)
+        if writes:
+            self._when_durable(writes, count_self_accept)
         self._send_proposals()
         self._maybe_decide()
 

@@ -58,6 +58,17 @@ class TestAcceptor:
         assert acceptor.promised == Ballot(5, 1)
         assert acceptor.accepted == {2: (Ballot(5, 1), "kept")}
 
+    def test_a_vote_never_lands_below_the_promise(self) -> None:
+        # The owner's implicit vote: refused below the promise its
+        # acceptor made after the owner started, accepted at or above it.
+        acceptor = Acceptor(0)
+        acceptor.promise(Ballot(3, 1), 0)
+        assert acceptor.vote(Ballot(2, 0), 4, "stale") == ()
+        assert acceptor.accepted == {}
+        assert acceptor.promised == Ballot(3, 1)
+        assert dict(acceptor.vote(Ballot(3, 1), 4, "v")) == {
+            K_PROMISED: Ballot(3, 1), (K_ACC, 4): (Ballot(3, 1), "v")}
+
     def test_every_reply_names_the_keys_it_reports(self) -> None:
         acceptor = Acceptor(3)
         reply, writes = acceptor.on_propose(
@@ -168,18 +179,16 @@ class World:
     The owners sit beside their acceptors the way
     :class:`~repro.consensus.paxos.PaxosProcess` pairs them: an owner
     promises and votes for its own ballot on its own acceptor with no
-    message (``Acceptor.promise`` / ``vote``, which check nothing),
+    message (``Acceptor.promise``, which checks nothing, and
+    ``Acceptor.vote``, which refuses a ballot below the promise),
     observes every ballot that acceptor is sent, and writes each round it
     starts to stable storage.  A prepared owner re-proposes what it
     merged and opens one fresh instance, as a log leader does.  Every
     acceptor write is durable before the reply leaves, and a crash loses
     everything else: the process comes back with its acceptor restored
     from its writes and its owner through ``BallotOwner.restore``, as
-    ``on_recover`` does.
-
-    One rule is stricter than the shell's: an owner whose acceptor is
-    sent a higher ballot abandons its own, so its own vote never lands
-    below its acceptor's promise (docs/RECOVERY.md, "Known gap").
+    ``on_recover`` does.  A refused self-vote is not counted, as in
+    both drivers.
     """
 
     def __init__(self) -> None:
@@ -260,8 +269,6 @@ class World:
             owner = self.owners.get(pid)
             if owner is not None:
                 owner.observe(message.ballot)
-                if owner.ballot is not None and message.ballot > owner.ballot:
-                    owner.ballot = None  # outpaced: abandon it
             acceptor = self.acceptors[pid]
             before = acceptor.promised
             reply, writes = (acceptor.on_prepare(message)
@@ -287,9 +294,11 @@ class World:
                 # One value per ballot and instance, whatever happens.
                 assert self.proposed.setdefault(
                     (instance, owner.ballot), value) == value
-                self.write(pid, self.acceptors[pid].vote(
-                    owner.ballot, instance, value))
-                self.vote(instance, owner.ballot, pid)
+                writes = self.acceptors[pid].vote(owner.ballot, instance,
+                                                  value)
+                if writes:
+                    self.write(pid, writes)
+                    self.vote(instance, owner.ballot, pid)
             self.resend(pid)
 
     def vote(self, instance: int, ballot: Ballot, pid: int) -> None:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -143,14 +142,12 @@ class TestCompactionSafetyProperties:
             crash_time: float) -> None:
         _compacting_log_under_crash(seed, keep_tail, victim, crash_time)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "known defect (docs/RECOVERY.md, 'Known gap'; the fix moves "
-        "pinned schedules): an owner is not stopped by a later, higher "
-        "promise, so two owners trusted at once decide two values for "
-        "one instance with no recovery at all"))
     def test_compacting_log_safe_on_the_schedule_random_search_found(
             self) -> None:
-        # Found by random search over the property above; replica 2 learns
-        # (9, 'cmd-9') and (7, 'cmd-7') for instance 7 (keep_tail=16 too).
+        # Found by random search over the property above: before an
+        # owner's self-vote was refused below its acceptor's promise,
+        # replica 2 learned (9, 'cmd-9') and (7, 'cmd-7') for instance 7
+        # (keep_tail=16 too; docs/RECOVERY.md, "Closed: a self-vote below
+        # a later promise").
         _compacting_log_under_crash(seed=5150, keep_tail=7, victim=0,
                                     crash_time=8.0)

@@ -326,6 +326,55 @@ class TestPersistedConsensus:
                      if process.decision is not None}
         assert len(decisions) <= 1, f"agreement violated: {decisions}"
 
+    def test_owner_vote_refused_below_a_later_promise(self) -> None:
+        # Hand-delivered, legal schedule with no crash at all, only two
+        # owners trusted at once (docs/RECOVERY.md, "Closed: a self-vote
+        # below a later promise"): p0 and p1 start (0, 0) and (0, 1); p2
+        # promises (0, 0), then p0's acceptor promises (0, 1); p1 is
+        # prepared by {p1, p0} and proposes v1; p0 is prepared by
+        # {p0, p2} and p2 accepts its v0; p0's acceptor accepts v1.  Had
+        # p0 counted its own vote for v0 below its acceptor's promise, p0
+        # would decide v0 with {p0, p2} and p1 v1 with {p1, p0}.
+        from repro.consensus import SingleDecreeConsensus
+        from repro.consensus.messages import (Accepted, Prepare, Promise,
+                                              Propose)
+
+        sim = Simulation()
+        network = Network(sim)
+        leaders = {0: 0, 1: 1, 2: 99}
+        outbox: list = []
+        processes = [
+            SingleDecreeConsensus(
+                pid, sim, network, 3, f"v{pid}",
+                leader_of=lambda pid=pid: leaders[pid], persist=False)
+            for pid in range(3)]
+        for process in processes:
+            process.send = (lambda dst, message, src=process.pid:
+                            outbox.append((src, dst, message)))
+
+        def take(kind: type, src: int, dst: int):  # noqa: ANN202
+            found = next(entry for entry in outbox
+                         if isinstance(entry[2], kind)
+                         and entry[:2] == (src, dst))
+            outbox.remove(found)
+            return found[2]
+
+        p0, p1, p2 = processes
+        for process in processes:
+            process.start()
+        p2.deliver(take(Prepare, 0, 2))
+        p0.deliver(take(Prepare, 1, 0))
+        p1.deliver(take(Promise, 0, 1))
+        p0.deliver(take(Promise, 2, 0))
+        p2.deliver(take(Propose, 0, 2))
+        p0.deliver(take(Accepted, 2, 0))
+        p0.deliver(take(Propose, 1, 0))
+        p1.deliver(take(Accepted, 0, 1))
+        assert p1.decision == "v1"
+        decisions = {process.decision for process in processes
+                     if process.decision is not None}
+        assert decisions == {"v1"}, f"agreement violated: {decisions}"
+
 
 # ----------------------------------------------------------------------
 # Recovery soak campaign
