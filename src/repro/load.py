@@ -1,12 +1,14 @@
-"""Population-scale client load for the replicated state machine.
+"""Client load for the replicated state machine: the one client driver.
 
-The workloads in :mod:`repro.consensus.workload` drip a fixed count of
-commands — fine for correctness, useless for throughput.  This module
-drives the consensus stack the way the ROADMAP's north star demands:
-with a **client fleet** — up to millions of logical clients — hitting a
-(possibly sharded) replicated log, and measures what production cares
-about: committed-command throughput and commit-latency percentiles
-(p50/p95/p99).
+Every simulated log run is driven from here, with a **client fleet** —
+from one client to millions of logical ones — hitting a (possibly
+sharded) replicated log, measuring committed-command throughput and
+commit-latency percentiles (p50/p95/p99).  A fixed-count drip of
+``count`` commands ``period`` apart, which the correctness tests, the
+soak campaigns and ``repro log`` use, is the one-client case:
+``LoadSpec(clients=1, keys=1, arrival="steady", rate=1/period,
+duration=count*period)`` attached with :meth:`LoadSpec.drive` to a
+system the caller built.
 
 The pieces, in the repository's usual spec → build → run shape:
 
@@ -24,8 +26,10 @@ The pieces, in the repository's usual spec → build → run shape:
   **shed** each time a bounded leader queue refuses it
   (``ConsensusConfig.queue_limit`` backpressure).
 * :class:`LoadSpec` — frozen description of fleet + cluster;
-  :meth:`LoadSpec.build` assembles a
-  :class:`~repro.consensus.sharding.ShardedLog` and attaches the fleet,
+  :meth:`LoadSpec.drive` attaches the fleet to a system (a
+  :class:`~repro.consensus.sharding.ShardedLog`, or one
+  :class:`~repro.consensus.node.ConsensusSystem` as a one-group log),
+  :meth:`LoadSpec.build` assembles a ``ShardedLog`` and drives it,
   :meth:`LoadRun.run` executes to the horizon and distills a
   :class:`LoadOutcome` (throughput, percentiles, retry/shed counts, and
   one consensus-checker verdict **per group**).
@@ -43,6 +47,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.consensus.config import ConsensusConfig
+from repro.consensus.node import ConsensusSystem
 from repro.consensus.replica import entry_commands
 from repro.consensus.sharding import ShardedLog
 from repro.obs.observer import Observer
@@ -131,8 +136,8 @@ class ZipfSampler:
 class LoadSpec:
     """Declarative description of one load experiment.
 
-    Cluster shape
-    -------------
+    Cluster shape (read by :meth:`build` only)
+    ------------------------------------------
     ``n`` machines run ``groups`` independent replicated logs
     (:class:`~repro.consensus.sharding.ShardedLog`; ``shared_omega``
     picks the failure-detector layout), links come up timely after
@@ -143,15 +148,17 @@ class LoadSpec:
     entries) so snapshots happen under sustained write load; they are
     crash-stop, so combining it with ``persist=True`` is rejected.
 
-    Fleet shape
-    -----------
+    Fleet shape (read by :meth:`drive`)
+    -----------------------------------
     ``clients`` logical clients touch ``keys`` keys with Zipf(``zipf_s``)
-    skew.  ``mode="open"`` offers an aggregate ``rate`` commands/s with
-    ``arrival`` interarrivals over ``[start, start + duration)``;
+    skew.  ``mode="open"`` offers an aggregate ``rate`` commands/s over
+    ``[start, start + duration)``: Poisson interarrivals, or with
+    ``arrival="steady"`` the k-th command at ``start + k/rate``, exactly
+    ``count`` of them when ``duration = count/rate``.
     ``mode="closed"`` has every client loop submit → commit →
     ``think_time``.  Unfinished commands are re-offered every
-    ``retry_period`` to a rotating target.  The run ends at ``horizon``
-    (drain tail included).
+    ``retry_period`` to a rotating target.  A built run ends at
+    ``horizon`` (drain tail included).
     """
 
     n: int = 5
@@ -218,8 +225,22 @@ class LoadSpec:
                                batch_size=self.batch_size,
                                queue_limit=self.queue_limit)
 
+    def drive(self, system: ShardedLog | ConsensusSystem) -> "ClientFleet":
+        """Attach this spec's client fleet to ``system`` and schedule its
+        timers; they fire once the system runs.
+
+        A :class:`~repro.consensus.node.ConsensusSystem` is driven as
+        the one-group ``ShardedLog(system.sim, (system,), True)``.  Only
+        the fleet-shape fields are read: the cluster is the caller's.
+        """
+        if isinstance(system, ConsensusSystem):
+            system = ShardedLog(system.sim, (system,), shared_omega=True)
+        fleet = ClientFleet(self, system)
+        fleet._attach()
+        return fleet
+
     def build(self) -> "LoadRun":
-        """Assemble the sharded system and attach the client fleet."""
+        """Assemble the sharded system and drive it with the fleet."""
         from repro.consensus.statemachine import JournalMachine
 
         timings = LinkTimings(gst=self.gst)
@@ -237,9 +258,7 @@ class LoadSpec:
             seed=self.seed,
             persist=self.persist,
         )
-        fleet = ClientFleet(self, system)
-        fleet._attach()
-        return LoadRun(self, system, fleet)
+        return LoadRun(self, system, self.drive(system))
 
     def run(self) -> "LoadOutcome":
         """Convenience: build, execute to the horizon, distill."""
@@ -271,7 +290,7 @@ class _CommitWatch(Observer):
 class ClientFleet:
     """The client population driving one :class:`ShardedLog`.
 
-    Construct through :meth:`LoadSpec.build`.  Logical clients are
+    Construct through :meth:`LoadSpec.drive`.  Logical clients are
     *virtual*: open-loop mode keeps per-client state only for clients
     that have actually issued a command, so fleets of millions cost
     memory proportional to traffic, not population.  Commit detection is
@@ -296,6 +315,9 @@ class ClientFleet:
         self.retries = 0
         self.shed = 0
         self._rr = 0
+        # Steady arrivals in [start, start + duration), rounded so that
+        # duration = count / rate issues exactly count commands.
+        self._steady_count = math.ceil(round(spec.duration * spec.rate, 9))
         self._attached = False
 
     # ------------------------------------------------------------------
@@ -326,16 +348,21 @@ class ClientFleet:
         return self.system.sim.now < self.spec.start + self.spec.duration
 
     def _open_arrival(self) -> None:
-        if not self._offering():
+        spec = self.spec
+        if spec.arrival == "poisson":
+            if not self._offering():
+                return
+        elif self.issued >= self._steady_count:
             return
-        client = int(self._rng.random() * self.spec.clients) \
-            % self.spec.clients
+        client = int(self._rng.random() * spec.clients) % spec.clients
         self._issue(client)
-        if self.spec.arrival == "poisson":
-            gap = self._rng.expovariate(self.spec.rate)
+        if spec.arrival == "poisson":
+            self.system.sim.call_after(self._rng.expovariate(spec.rate),
+                                       self._open_arrival)
         else:
-            gap = 1.0 / self.spec.rate
-        self.system.sim.call_after(gap, self._open_arrival)
+            # The k-th arrival from its index: summed 1/rate gaps drift.
+            self.system.sim.call_at(spec.start + self.issued / spec.rate,
+                                    self._open_arrival)
 
     def _closed_submit_factory(self, client: int) -> Any:
         def submit_once() -> None:

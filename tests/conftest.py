@@ -76,3 +76,13 @@ def make_pair(sim: Simulation, network: Network) -> tuple[Recorder, Recorder]:
     a.start()
     b.start()
     return a, b
+
+
+def drip(count: int, period: float, start: float, **fields):  # noqa: ANN003,ANN201
+    """The fixed-count client drip as a :class:`~repro.load.LoadSpec`:
+    one client on one key, ``count`` commands ``period`` apart from
+    ``start``; attach it to a built system with ``.drive(system)``."""
+    from repro.load import LoadSpec
+
+    return LoadSpec(clients=1, keys=1, arrival="steady", rate=1 / period,
+                    start=start, duration=count * period, **fields)

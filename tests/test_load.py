@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import drip
+
 from repro.consensus import (
     ConsensusConfig,
     ConsensusSystem,
@@ -112,6 +114,121 @@ class TestLoadSpecValidation:
         with pytest.raises(ValueError, match="compacting=True with "
                                              "persist=True is unsupported"):
             LoadSpec(compacting=True, persist=True)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_start_non_negative_and_finite(self, bad: float) -> None:
+        with pytest.raises(ValueError, match="start"):
+            LoadSpec(start=bad)
+
+
+def _drip_system(n: int = 4, seed: int = 0) -> ConsensusSystem:
+    timings = LinkTimings(gst=2.0)
+    return ConsensusSystem.build_replicated_log(
+        n, lambda: multi_source_links(n, (0, 1), timings), seed=seed)
+
+
+# (count, period) of the fixed-count drips in the tree: tests, the soak
+# log stack, ``repro log``'s defaults and the E9/E12/E15 benchmarks.
+DRIP_SHAPES = sorted({
+    (5, 0.5), (5, 2.0), (8, 0.5), (8, 1.0), (10, 0.5), (12, 0.6),
+    (12, 0.7), (14, 0.4), (15, 0.5), (20, 0.5), (25, 0.4), (25, 0.5),
+    (30, 0.3), (30, 0.5), (40, 0.3), (50, 0.3), (60, 0.3), (80, 0.4),
+    (200, 1.0)})
+
+
+class TestSteadyArrivals:
+    @staticmethod
+    def issued(spec: LoadSpec) -> list[float]:
+        # The system never starts: only the fleet's timers run.
+        run = spec.build()
+        run.system.run_until(spec.start + spec.duration + 1.0)
+        return sorted(run.fleet.submit_times.values())
+
+    @pytest.mark.parametrize("count, period", DRIP_SHAPES)
+    def test_a_drip_issues_exactly_count(self, count: int,
+                                         period: float) -> None:
+        spec = drip(count, period, start=3.0, n=3, horizon=300.0)
+        times = self.issued(spec)
+        assert len(times) == count
+        assert times == [3.0 + k / spec.rate for k in range(count)]
+
+    @pytest.mark.parametrize("rate, duration, count", [
+        (10.0, 3.0, 30), (1 / 0.6, 7.2, 12)])
+    def test_summed_gaps_no_longer_add_a_command(
+            self, rate: float, duration: float, count: int) -> None:
+        spec = LoadSpec(n=3, clients=1, keys=1, arrival="steady",
+                        rate=rate, duration=duration)
+        assert len(self.issued(spec)) == count
+
+
+class TestDrip:
+    """The fixed-count drip: a one-client steady fleet on a built log."""
+
+    def test_spec_is_frozen_and_pure(self) -> None:
+        spec = drip(3, 1.0, start=0.0)
+        with pytest.raises(AttributeError):
+            spec.rate = 4.0  # type: ignore[misc]
+        # Describing a drip schedules nothing: driving is explicit.
+        system = _drip_system()
+        before = system.sim.events_executed
+        drip(5, 0.5, start=0.0)
+        assert system.sim.events_executed == before
+        assert spec.drive(system) is not spec.drive(_drip_system(seed=1))
+
+    def test_commands_submitted_at_rate(self) -> None:
+        system = _drip_system()
+        fleet = drip(5, 2.0, start=1.0).drive(system)
+        system.start_all()
+        system.run_until(4.9)
+        assert sorted(fleet.submit_times.values()) == [1.0, 3.0]
+        system.run_until(20.0)
+        assert len(fleet.submit_times) == fleet.issued == 5
+
+    def test_submitted_set(self) -> None:
+        system = _drip_system()
+        fleet = drip(3, 1.0, start=0.0).drive(system)
+        system.run_until(5.0)
+        assert fleet.group_payloads == [
+            {("w", 0, seq, 0) for seq in range(3)}]
+
+    def test_done_after_commit(self) -> None:
+        system = _drip_system()
+        fleet = drip(8, 0.5, start=3.0).drive(system)
+        system.start_all()
+        system.run_until(4.0)
+        assert not fleet.done()
+        system.run_until(60.0)
+        assert fleet.issued == 8 and fleet.done()
+        assert check_log(system, fleet.group_payloads[0]).verdict()
+
+    def test_retry_survives_crash_of_target(self) -> None:
+        # Crash a node that receives some submissions; retries go to
+        # surviving nodes, so everything still commits.
+        system = _drip_system(seed=3)
+        fleet = drip(10, 0.5, start=3.0, retry_period=3.0).drive(system)
+        FaultPlan.crashes_at((4.0, 2)).schedule(system)
+        system.start_all()
+        system.run_until(120.0)
+        assert fleet.issued == 10 and fleet.done()
+
+    def test_commit_latency_positive(self) -> None:
+        # Every command commits at the leader strictly after the drip
+        # first submitted it.
+        system = _drip_system()
+        fleet = drip(5, 0.5, start=3.0).drive(system)
+        system.start_all()
+        system.run_until(60.0)
+        replica = system.node(system.node(0).omega.leader()).agreement
+        committed_at = {
+            command_id: replica.decision_times[instance]
+            for instance in range(replica.commit_index + 1)
+            for command_id, _ in entry_commands(replica.log[instance])}
+        assert len(fleet.submit_times) == 5
+        assert set(fleet.submit_times) <= set(committed_at)
+        assert all(committed_at[command_id] > submitted_at
+                   for command_id, submitted_at
+                   in fleet.submit_times.items())
+        assert min(fleet.latencies()) > 0
 
 
 SMALL_OPEN = dict(n=5, clients=50, keys=32, rate=8.0, start=3.0,
