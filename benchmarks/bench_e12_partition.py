@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from _common import emit
 
-from repro.consensus import ConsensusSystem, WorkloadSpec, check_log
+from repro.consensus import ConsensusSystem, check_log
 from repro.core import OmegaConfig, analyze_omega_run, make_factory
 from repro.harness import render_table
+from repro.load import LoadSpec
 from repro.sim import Cluster, LinkTimings
 from repro.sim.topology import all_eventually_timely_links, multi_source_links
 
@@ -43,17 +44,18 @@ def omega_partition_case() -> list[object]:
 def log_partition_case() -> list[object]:
     system = ConsensusSystem.build_replicated_log(
         5, lambda: multi_source_links(5, (0, 1), TIMINGS), seed=3)
-    workload = WorkloadSpec(count=25, period=0.5, start=4.0).build(system)
+    fleet = LoadSpec(clients=1, keys=1, arrival="steady", rate=1 / 0.5,
+                     start=4.0, duration=25 * 0.5).drive(system)
     for network in (system.agreement_network, system.fd_network):
         network.add_partition(10.0, 60.0, [{0, 1}, {2, 3}, {4}])
     system.start_all()
     system.run_until(58.0)
-    stalled_at = check_log(system, workload.submitted).max_committed
+    stalled_at = check_log(system, fleet.group_payloads[0]).max_committed
     system.run_until(400.0)
-    report = check_log(system, workload.submitted)
+    report = check_log(system, fleet.group_payloads[0])
     safe = report.agreement and report.validity
     return ["log: 2/2/1 fragmentation 10-60s", stalled_at, safe,
-            workload.done(), report.max_committed]
+            fleet.done(), report.max_committed]
 
 
 def run_both() -> list[list[object]]:

@@ -20,10 +20,10 @@ from _common import emit
 from repro.consensus import (
     ConsensusSystem,
     JournalMachine,
-    WorkloadSpec,
     check_compacting_log,
 )
 from repro.harness import render_table
+from repro.load import LoadSpec
 from repro.sim import LinkTimings
 from repro.sim.topology import multi_source_links
 
@@ -37,8 +37,8 @@ def run_case(keep_tail: int, seed: int = 9):  # noqa: ANN201
     system = ConsensusSystem.build_compacting_log(
         N, lambda: multi_source_links(N, (1, 2), TIMINGS),
         machine_factory=JournalMachine, keep_tail=keep_tail, seed=seed)
-    workload = WorkloadSpec(
-        count=COMMANDS, period=0.4, start=4.0).build(system)
+    fleet = LoadSpec(clients=1, keys=1, arrival="steady", rate=1 / 0.4,
+                     start=4.0, duration=COMMANDS * 0.4).drive(system)
     for network in (system.agreement_network, system.fd_network):
         network.add_partition(10.0, 70.0, [{0, 1, 2, 3}, {4}])
 
@@ -52,7 +52,7 @@ def run_case(keep_tail: int, seed: int = 9):  # noqa: ANN201
     system.sim.add_probe(1.0, sample)
     system.start_all()
     system.run_until(HORIZON)
-    report = check_compacting_log(system, workload.submitted)
+    report = check_compacting_log(system, fleet.group_payloads[0])
     laggard = system.node(4).agreement
     journals = {system.node(pid).agreement.machine_snapshot()
                 for pid in system.up_pids()}
@@ -62,7 +62,7 @@ def run_case(keep_tail: int, seed: int = 9):  # noqa: ANN201
         "safe": report.agreement and report.validity,
         "converged": len(journals) == 1
         and len(next(iter(journals))) == COMMANDS,
-        "done": workload.done(),
+        "done": fleet.done(),
     }
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from _common import emit
 
-from repro.consensus import ConsensusSystem, WorkloadSpec, check_log
+from repro.consensus import ConsensusSystem, check_log
 from repro.harness import render_table
+from repro.load import LoadSpec
 from repro.sim import LinkTimings
 from repro.sim.topology import multi_source_links
 
@@ -27,15 +28,16 @@ TIMINGS = LinkTimings(gst=5.0)
 def run_log(crash_leader: bool, seed: int = 2):  # noqa: ANN201
     system = ConsensusSystem.build_replicated_log(
         N, lambda: multi_source_links(N, (1, 2), TIMINGS), seed=seed)
-    workload = WorkloadSpec(
-        count=COMMANDS, period=1.0, start=6.0).build(system)
+    fleet = LoadSpec(clients=1, keys=1, arrival="steady", rate=1.0,
+                     start=6.0, duration=COMMANDS * 1.0,
+                     horizon=HORIZON).drive(system)
     system.start_all()
     if crash_leader:
         system.run_until(100.0)
         leader = system.node(3).omega.leader()
         system.crash(leader)
     system.run_until(HORIZON)
-    report = check_log(system, workload.submitted)
+    report = check_log(system, fleet.group_payloads[0])
     assert report.agreement and report.validity
     metrics = system.agreement_network.metrics
     points = []
@@ -43,7 +45,7 @@ def run_log(crash_leader: bool, seed: int = 2):  # noqa: ANN201
         end = start + WINDOW - 0.001
         points.append((metrics.messages_between(start, end),
                        len(metrics.links_between(start, end))))
-    commands_done = workload.done()
+    commands_done = fleet.done()
     # messages per command in the failure-free steady state (windows
     # fully inside the submission phase, post-stabilization)
     steady = metrics.messages_between(60.0, 180.0) / 120.0  # msgs/second

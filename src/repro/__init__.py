@@ -132,7 +132,7 @@ def _lazy_exports(package: str, table: dict[str, tuple[str, ...]],
 _EXPORTS = {
     "repro.consensus": (
         "Batch", "ConsensusConfig", "ConsensusSystem", "LogReplica",
-        "ShardedLog", "SingleDecreeConsensus", "WorkloadSpec", "check_log",
+        "ShardedLog", "SingleDecreeConsensus", "check_log",
         "check_single_decree"),
     "repro.load": (
         "ClientFleet", "LoadOutcome", "LoadRun", "LoadSpec", "ZipfSampler"),

@@ -41,12 +41,7 @@ import argparse
 import os
 from typing import Sequence
 
-from repro.consensus import (
-    ConsensusSystem,
-    WorkloadSpec,
-    check_log,
-    check_single_decree,
-)
+from repro.consensus import ConsensusSystem, check_log, check_single_decree
 from repro.core import (
     OMEGA_ALGORITHMS,
     OmegaConfig,
@@ -58,6 +53,7 @@ from repro.core import (
 from repro.core.registry import algorithm_class
 from repro.harness import OmegaScenario, render_table
 from repro.harness.scenarios import SYSTEM_NAMES
+from repro.load import LoadSpec
 from repro.sim import Cluster, FaultPlan, FaultPlanError, LinkTimings
 from repro.sim.topology import (
     f_source_links,
@@ -212,8 +208,14 @@ def cmd_log(args: argparse.Namespace) -> int:
     system = ConsensusSystem.build_replicated_log(
         args.n, lambda: multi_source_links(args.n, sources, timings),
         omega_name=args.omega, seed=args.seed, persist=args.persist)
-    workload = WorkloadSpec(count=args.commands,
-                            period=args.period, start=5.0).build(system)
+    try:
+        fleet = LoadSpec(
+            clients=1, keys=1, arrival="steady", rate=1 / args.period,
+            start=5.0, duration=args.commands * args.period,
+            horizon=args.horizon).drive(system)
+    except (ValueError, ZeroDivisionError) as error:
+        raise SystemExit(f"bad log workload (--commands {args.commands}, "
+                         f"--period {args.period}): {error}") from None
     system.start_all()
     if args.crash_leader_at is not None:
         system.run_until(args.crash_leader_at)
@@ -221,7 +223,7 @@ def cmd_log(args: argparse.Namespace) -> int:
         print(f"crashing leader {leader} at t={args.crash_leader_at}")
         system.crash(leader)
     system.run_until(args.horizon)
-    report = check_log(system, workload.submitted)
+    report = check_log(system, fleet.group_payloads[0])
     rows = [[pid, report.committed_by_pid[pid],
              "up" if pid in report.correct else "crashed"]
             for pid in system.pids]
@@ -229,8 +231,8 @@ def cmd_log(args: argparse.Namespace) -> int:
                        title=f"replicated log (n={args.n}, "
                              f"{args.commands} commands, seed={args.seed})"))
     print(f"\nagreement: {report.agreement}   validity: {report.validity}")
-    print(f"all commands committed: {workload.done()}")
-    return 0 if report.verdict().ok and workload.done() else 1
+    print(f"all commands committed: {fleet.done()}")
+    return 0 if report.verdict().ok and fleet.done() else 1
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,9 @@ Single-decree, ballot-based consensus and a multi-decree replicated log
 live once the paired Omega module stabilizes with a majority of correct
 processes.  Assembled with
 :class:`ConsensusSystem` (or, sharded over many groups, with
-:class:`ShardedLog`), exercised by :class:`WorkloadSpec` workloads,
-judged by :func:`check_single_decree` / :func:`check_log`.
+:class:`ShardedLog`), driven by :mod:`repro.load`'s client fleet
+(:meth:`~repro.load.LoadSpec.drive`), judged by
+:func:`check_single_decree` / :func:`check_log`.
 """
 
 from repro import _lazy_exports
@@ -32,6 +33,5 @@ _EXPORTS = {
     "repro.consensus.statemachine": (
         "CounterMachine", "JournalMachine", "KeyValueStore",
         "ReplicatedStateMachine", "StateMachine"),
-    "repro.consensus.workload": ("WorkloadDriver", "WorkloadSpec"),
 }
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

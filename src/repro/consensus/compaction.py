@@ -131,6 +131,11 @@ class CompactingReplica(LogReplica):
     # ------------------------------------------------------------------
 
     def _learn(self, instance: int, value: Any) -> None:
+        if instance < self.compact_floor:
+            # A late or retransmitted decide of a compacted instance: it
+            # is applied and summarized by the machine already, and
+            # storing it again would grow the log below the floor.
+            return
         super()._learn(instance, value)
         self._apply_committed()
 

@@ -71,10 +71,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.consensus import ConsensusSystem, WorkloadSpec, check_log, \
-    check_single_decree
+from repro.consensus import ConsensusSystem, check_log, check_single_decree
 from repro.core.config import OmegaConfig
 from repro.harness.scenarios import OmegaScenario
+from repro.load import LoadSpec
 from repro.sim.nemesis import CrashFault, FaultEvent, FaultPlan, \
     ModelEnvelope, NetemFault, model_violations, sample_degraded_plan, \
     sample_plan, sample_recovery_plan
@@ -593,17 +593,18 @@ def _execute_log(case: SoakCase,
         case.n,
         lambda: multi_source_links(case.n, (case.source,), timings),
         omega_name=case.algorithm, seed=case.seed, persist=case.recovery)
-    workload = WorkloadSpec(count=12, period=0.6, start=3.0).build(system)
+    fleet = LoadSpec(clients=1, keys=1, arrival="steady", rate=1 / 0.6,
+                     start=3.0, duration=12 * 0.6).drive(system)
     case.fault_plan().schedule(system)
     system.start_all()
     system.run_until(case.horizon)
-    report = check_log(system, workload.submitted)
+    report = check_log(system, fleet.group_payloads[0])
     observed = _consensus_observables(system, lambda replica: (
         replica.commit_index,
         hashlib.sha256(repr(replica.committed_prefix()).encode()).hexdigest()))
     if not report.verdict():
         return False, f"safety violated: {report.divergences}", observed
-    if not workload.done():
+    if not fleet.done():
         return False, "liveness: commands missing", observed
     detail = f"committed {report.max_committed} entries"
     if case.recovery:

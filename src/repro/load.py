@@ -271,9 +271,8 @@ class _CommitWatch(Observer):
     commit instant.  Every replica decides every instance; the later
     decides of an instance are skipped without a walk over its entry."""
 
-    def __init__(self, fleet: "ClientFleet", group: int) -> None:
+    def __init__(self, fleet: "ClientFleet") -> None:
         self.fleet = fleet
-        self.group = group
         self.seen: set[int] = set()
 
     def on_decide(self, time: float, pid: int, value: Any) -> None:
@@ -318,18 +317,14 @@ class ClientFleet:
         # Steady arrivals in [start, start + duration), rounded so that
         # duration = count / rate issues exactly count commands.
         self._steady_count = math.ceil(round(spec.duration * spec.rate, 9))
-        self._attached = False
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
 
     def _attach(self) -> None:
-        if self._attached:
-            raise RuntimeError("fleet already attached")
-        self._attached = True
-        for index, group in enumerate(self.system.groups):
-            group.agreement_network.hub.attach(_CommitWatch(self, index))
+        for group in self.system.groups:
+            group.agreement_network.hub.attach(_CommitWatch(self))
         sim = self.system.sim
         if self.spec.mode == "open":
             sim.call_at(self.spec.start, self._open_arrival)

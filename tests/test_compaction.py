@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import drip
+
 from repro.consensus import (
     CompactingReplica,
     ConsensusSystem,
     JournalMachine,
     KeyValueStore,
-    WorkloadSpec,
     SnapshotAck,
     SnapshotOffer,
     check_compacting_log,
@@ -79,11 +80,27 @@ class TestApplicationOnCommit:
         replica.deliver(Decide(1, 1, (7, "x")))
         assert replica.machine_snapshot() == ("x",)
 
+    def test_late_decide_below_the_floor_is_not_stored_again(self) -> None:
+        # A retransmitted decide that arrives after its instance was
+        # compacted must not grow the log below the floor (keep_tail=4).
+        sim, replicas = build_pair()
+        replica = replicas[0]
+        from repro.consensus.messages import Decide
+
+        for instance in range(10):
+            replica.deliver(Decide(1, instance, (instance, f"c{instance}")))
+        sim.run_until(1.0)  # a driver pass compacts
+        assert replica.compact_floor == 6 and replica.log_size() == 4
+        replica.deliver(Decide(1, 2, (2, "c2")))
+        assert replica.log_size() == 4
+        assert replica.machine_snapshot() == tuple(
+            f"c{instance}" for instance in range(10))
+
 
 class TestCompaction:
     def test_log_is_bounded(self) -> None:
         system = build_system(keep_tail=8)
-        WorkloadSpec(count=60, period=0.3, start=4.0).build(system)
+        drip(60, 0.3, start=4.0).drive(system)
         system.start_all()
         system.run_until(200.0)
         for pid in system.up_pids():
@@ -93,10 +110,10 @@ class TestCompaction:
 
     def test_floor_advances_with_commits(self) -> None:
         system = build_system(keep_tail=8)
-        workload = WorkloadSpec(count=40, period=0.3, start=4.0).build(system)
+        fleet = drip(40, 0.3, start=4.0).drive(system)
         system.start_all()
         system.run_until(200.0)
-        report = check_compacting_log(system, workload.submitted)
+        report = check_compacting_log(system, fleet.group_payloads[0])
         assert report.agreement and report.validity
         for pid in system.up_pids():
             replica = system.node(pid).agreement
@@ -104,10 +121,10 @@ class TestCompaction:
 
     def test_all_replicas_converge(self) -> None:
         system = build_system()
-        workload = WorkloadSpec(count=50, period=0.3, start=4.0).build(system)
+        fleet = drip(50, 0.3, start=4.0).drive(system)
         system.start_all()
         system.run_until(250.0)
-        assert workload.done()
+        assert fleet.done()
         journals = {system.node(pid).agreement.machine_snapshot()
                     for pid in system.up_pids()}
         assert len(journals) == 1
@@ -117,22 +134,22 @@ class TestCompaction:
 class TestSnapshotTransfer:
     def test_partitioned_laggard_catches_up_via_snapshot(self) -> None:
         system = build_system(keep_tail=8, seed=9)
-        workload = WorkloadSpec(count=80, period=0.4, start=4.0).build(system)
+        fleet = drip(80, 0.4, start=4.0).drive(system)
         for network in (system.agreement_network, system.fd_network):
             network.add_partition(10.0, 50.0, [{0, 1, 2, 3}, {4}])
         system.start_all()
         system.run_until(300.0)
-        report = check_compacting_log(system, workload.submitted)
+        report = check_compacting_log(system, fleet.group_payloads[0])
         assert report.agreement and report.validity
         laggard = system.node(4).agreement
         assert laggard.snapshots_installed >= 1, \
             "the laggard must have needed a snapshot"
         assert laggard.commit_index == report.max_commit
-        assert workload.done()
+        assert fleet.done()
 
     def test_crashed_debtor_gets_bounded_offers(self) -> None:
         system = build_system(keep_tail=8, seed=7)
-        WorkloadSpec(count=40, period=0.3, start=4.0).build(system)
+        drip(40, 0.3, start=4.0).drive(system)
         FaultPlan.crashes_at((10.0, 3)).schedule(system)
         system.start_all()
         system.run_until(100.0)

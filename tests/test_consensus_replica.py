@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from conftest import drip
+
 from repro.consensus import (
     ConsensusSystem,
     LogReplica,
-    WorkloadSpec,
     check_log,
 )
 from repro.sim import FaultPlan, LinkTimings
@@ -23,28 +24,28 @@ def build(n: int = 5, seed: int = 1, sources: tuple[int, ...] = (1,),
 class TestHappyPath:
     def test_commands_commit_everywhere(self) -> None:
         system = build()
-        workload = WorkloadSpec(count=20, period=0.5, start=5.0).build(system)
+        fleet = drip(20, 0.5, start=5.0).drive(system)
         system.start_all()
         system.run_until(120.0)
-        report = check_log(system, workload.submitted)
+        report = check_log(system, fleet.group_payloads[0])
         assert report.agreement and report.validity
-        assert workload.done()
+        assert fleet.done()
         assert all(count >= 20 for count in report.committed_by_pid.values())
 
     def test_every_command_exactly_once_in_state_machine(self) -> None:
         system = build(seed=2)
-        workload = WorkloadSpec(count=15, period=0.5, start=5.0).build(system)
+        fleet = drip(15, 0.5, start=5.0).drive(system)
         system.start_all()
         system.run_until(120.0)
         for pid in system.up_pids():
             replica = system.node(pid).agreement
             assert isinstance(replica, LogReplica)
             applied = replica.applied_commands()
-            assert sorted(applied) == sorted(workload.submitted)
+            assert sorted(applied) == sorted(fleet.group_payloads[0])
 
     def test_logs_are_prefix_consistent_midway(self) -> None:
         system = build(seed=3)
-        WorkloadSpec(count=30, period=0.3, start=5.0).build(system)
+        drip(30, 0.3, start=5.0).drive(system)
         system.start_all()
         system.run_until(25.0)  # mid-flight on purpose
         prefixes = {}
@@ -71,37 +72,37 @@ class TestHappyPath:
 class TestLeaderCrash:
     def test_failover_preserves_log(self) -> None:
         system = build(sources=(1, 2), seed=5)
-        workload = WorkloadSpec(count=30, period=0.5, start=5.0).build(system)
+        fleet = drip(30, 0.5, start=5.0).drive(system)
         system.start_all()
         system.run_until(15.0)
         leader = system.node(3).omega.leader()
         system.crash(leader)
         system.run_until(400.0)
-        report = check_log(system, workload.submitted)
+        report = check_log(system, fleet.group_payloads[0])
         assert report.agreement and report.validity
         # every command still committed at every correct replica
         for pid in system.up_pids():
             replica = system.node(pid).agreement
             assert sorted(replica.applied_commands()) == \
-                sorted(workload.submitted)
+                sorted(fleet.group_payloads[0])
 
     def test_noop_fill_after_takeover(self) -> None:
         # A new leader must be able to fill gaps it inherits; run a
         # takeover-heavy schedule and just assert logs agree at the end.
         system = build(sources=(1, 2), seed=6)
-        workload = WorkloadSpec(count=25, period=0.4, start=5.0).build(system)
+        fleet = drip(25, 0.4, start=5.0).drive(system)
         FaultPlan.crashes_at((12.0, 1)).schedule(system)
         system.start_all()
         system.run_until(400.0)
-        report = check_log(system, workload.submitted)
+        report = check_log(system, fleet.group_payloads[0])
         assert report.agreement and report.validity
-        assert workload.done()
+        assert fleet.done()
 
 
 class TestCommunicationPattern:
     def test_steady_state_uses_leader_adjacent_links_only(self) -> None:
         system = build(seed=7)
-        WorkloadSpec(count=10, period=0.5, start=5.0).build(system)
+        drip(10, 0.5, start=5.0).drive(system)
         system.start_all()
         system.run_until(150.0)
         leader = system.node(0).omega.leader()

@@ -23,7 +23,6 @@ from repro.consensus import (
     ConsensusConfig,
     ConsensusSystem,
     ShardedLog,
-    WorkloadSpec,
     check_log,
 )
 from repro.consensus.replica import entry_commands
@@ -173,7 +172,11 @@ class TestDrip:
         before = system.sim.events_executed
         drip(5, 0.5, start=0.0)
         assert system.sim.events_executed == before
-        assert spec.drive(system) is not spec.drive(_drip_system(seed=1))
+
+    def test_one_spec_drives_two_systems(self) -> None:
+        spec = drip(2, 1.0, start=0.0)
+        assert spec.drive(_drip_system()) is not spec.drive(
+            _drip_system(seed=1))
 
     def test_commands_submitted_at_rate(self) -> None:
         system = _drip_system()
@@ -417,18 +420,17 @@ class TestBatchedSlotsProperty:
         system = ConsensusSystem.build_replicated_log(
             4, lambda: source_links(4, 1, FAST), seed=seed,
             consensus_config=config, persist=True)
-        workload = WorkloadSpec(count=14, period=0.4, start=2.0,
-                                retry_period=2.0).build(system)
+        fleet = drip(14, 0.4, start=2.0, retry_period=2.0).drive(system)
         FaultPlan.crashes_at(
             (crash_time, victim, crash_time + 6.0)).schedule(system)
         system.start_all()
         system.run_until(250.0)
-        report = check_log(system, workload.submitted)
+        report = check_log(system, fleet.group_payloads[0])
         assert report.agreement
         assert report.validity
         for pid in system.up_pids():
             applied = system.node(pid).agreement.applied_commands()
             assert len(applied) == len(set(applied)), \
                 "a command applied more than once"
-            assert set(applied) <= workload.submitted
-        assert workload.done()
+            assert set(applied) <= fleet.group_payloads[0]
+        assert fleet.done()

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import Probe, Recorder, make_pair
+from conftest import Probe, Recorder, drip, make_pair
 
-from repro.consensus import ConsensusSystem, WorkloadSpec, check_log
+from repro.consensus import ConsensusSystem, check_log
 from repro.core import OmegaConfig, analyze_omega_run, make_factory
 from repro.sim import Cluster, LinkTimings
 from repro.sim.engine import Simulation
@@ -122,31 +122,31 @@ class TestConsensusAcrossPartitions:
         timings = LinkTimings(gst=2.0)
         system = ConsensusSystem.build_replicated_log(
             5, lambda: multi_source_links(5, (0, 1), timings), seed=3)
-        workload = WorkloadSpec(count=20, period=0.5, start=4.0).build(system)
+        fleet = drip(20, 0.5, start=4.0).drive(system)
         # Fragment into minorities: no quorum anywhere for 30s, on both
         # the agreement and the failure-detector network.
         for network in (system.agreement_network, system.fd_network):
             network.add_partition(10.0, 40.0, [{0, 1}, {2, 3}, {4}])
         system.start_all()
         system.run_until(38.0)
-        report_mid = check_log(system, workload.submitted)
+        report_mid = check_log(system, fleet.group_payloads[0])
         committed_mid = report_mid.max_committed
         system.run_until(39.5)
-        assert check_log(system, workload.submitted).max_committed \
+        assert check_log(system, fleet.group_payloads[0]).max_committed \
             <= committed_mid + 1, "no quorum: commits must stall"
         system.run_until(300.0)
-        report = check_log(system, workload.submitted)
+        report = check_log(system, fleet.group_payloads[0])
         assert report.agreement and report.validity
-        assert workload.done()
+        assert fleet.done()
 
     def test_safety_holds_even_with_symmetric_split(self) -> None:
         timings = LinkTimings(gst=2.0)
         system = ConsensusSystem.build_replicated_log(
             4, lambda: multi_source_links(4, (0, 2), timings), seed=4)
-        workload = WorkloadSpec(count=10, period=0.5, start=3.0).build(system)
+        fleet = drip(10, 0.5, start=3.0).drive(system)
         for network in (system.agreement_network, system.fd_network):
             network.add_partition(8.0, 30.0, [{0, 1}, {2, 3}])
         system.start_all()
         system.run_until(250.0)
-        report = check_log(system, workload.submitted)
+        report = check_log(system, fleet.group_payloads[0])
         assert report.agreement and report.validity

@@ -12,12 +12,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import drip
+
 from repro.consensus import (
     ConsensusSystem,
     SingleDecreeConsensus,
     check_log,
     check_single_decree,
-    WorkloadSpec,
 )
 from repro.sim import FaultPlan, LinkTimings
 from repro.sim.cluster import Cluster
@@ -87,10 +88,10 @@ class TestReplicatedLogSafety:
                                          crash_time: float) -> None:
         system = ConsensusSystem.build_replicated_log(
             4, lambda: source_links(4, 1, FAST), seed=seed)
-        workload = WorkloadSpec(count=12, period=0.7, start=2.0).build(system)
+        fleet = drip(12, 0.7, start=2.0).drive(system)
         FaultPlan.crashes_at((crash_time, victim)).schedule(system)
         system.start_all()
         system.run_until(250.0)
-        report = check_log(system, workload.submitted)
+        report = check_log(system, fleet.group_payloads[0])
         assert report.agreement
         assert report.validity

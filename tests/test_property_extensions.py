@@ -7,12 +7,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Probe
+from conftest import Probe, drip
 
 from repro.consensus import (
     ConsensusSystem,
     JournalMachine,
-    WorkloadSpec,
     check_compacting_log,
 )
 from repro.core import analyze_omega_run, make_factory, OmegaConfig
@@ -117,11 +116,11 @@ def _compacting_log_under_crash(seed: int, keep_tail: int, victim: int,
     system = ConsensusSystem.build_compacting_log(
         5, lambda: multi_source_links(5, (1, 2), FAST),
         machine_factory=JournalMachine, keep_tail=keep_tail, seed=seed)
-    workload = WorkloadSpec(count=25, period=0.5, start=3.0).build(system)
+    fleet = drip(25, 0.5, start=3.0).drive(system)
     FaultPlan.crashes_at((crash_time, victim)).schedule(system)
     system.start_all()
     system.run_until(300.0)
-    report = check_compacting_log(system, workload.submitted)
+    report = check_compacting_log(system, fleet.group_payloads[0])
     assert report.agreement, report.divergences
     assert report.validity
     journals = {system.node(pid).agreement.machine_snapshot()

@@ -50,8 +50,7 @@ class TestLoadSurface:
     """The PR-9 additions ride the same top-level re-export contract."""
 
     def test_new_names_exported(self) -> None:
-        for name in ("WorkloadSpec", "Batch",
-                     "ShardedLog", "LoadSpec", "LoadRun", "LoadOutcome",
+        for name in ("Batch", "ShardedLog", "LoadSpec", "LoadRun", "LoadOutcome",
                      "ClientFleet", "ZipfSampler"):
             assert name in repro.__all__
             assert hasattr(repro, name)
@@ -60,14 +59,21 @@ class TestLoadSurface:
         # LogWorkload was kept for one release (shim policy), then cut.
         import repro.consensus
 
-        for module in (repro, repro.consensus, repro.consensus.workload):
+        for module in (repro, repro.consensus):
             assert "LogWorkload" not in module.__all__
             assert not hasattr(module, "LogWorkload")
+
+    def test_drive_is_the_one_client_attach_path(self) -> None:
+        # A fixed-count drip is a one-client LoadSpec fleet driven onto a
+        # system the caller built; the drip's own module is gone.
+        assert callable(repro.LoadSpec.drive)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.consensus.workload")
 
     def test_spec_types_are_frozen(self) -> None:
         import dataclasses
 
-        for cls in (repro.WorkloadSpec, repro.LoadSpec, repro.Batch):
+        for cls in (repro.LoadSpec, repro.Batch):
             params = getattr(cls, "__dataclass_params__")
             assert params.frozen, f"{cls.__name__} must be frozen"
             assert dataclasses.is_dataclass(cls)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import Probe, Recorder
+from conftest import Probe, Recorder, drip
 
 from repro.core import OmegaConfig, analyze_omega_run
 from repro.core.recovering import RecoveringOmega
@@ -29,7 +29,7 @@ from repro.sim import Cluster, FaultPlan, Simulation
 from repro.sim.network import Network
 from repro.sim.process import ProcessError
 from repro.sim.topology import all_timely_links, apply_links, source_links
-from repro.consensus import ConsensusSystem, WorkloadSpec, check_log, \
+from repro.consensus import ConsensusSystem, check_log, \
     check_single_decree
 
 
@@ -238,13 +238,13 @@ class TestPersistedConsensus:
         system = ConsensusSystem.build_replicated_log(
             3, lambda: source_links(3, 0), omega_name="crash-recovery",
             seed=5, persist=True)
-        workload = WorkloadSpec(count=8, period=1.0, start=1.0).build(system)
+        fleet = drip(8, 1.0, start=1.0).drive(system)
         FaultPlan.crashes_at((3.0, 2, 10.0)).schedule(system)
         system.start_all()
         system.run_until(120.0)
-        report = check_log(system, set(workload.submitted))
+        report = check_log(system, fleet.group_payloads[0])
         assert report.agreement and report.validity
-        assert workload.done()
+        assert fleet.done()
         replica = system.node(2).agreement
         assert replica.commit_index >= 7
 
