@@ -101,11 +101,11 @@ class Acceptor:
 
     def on_propose(self, message: Propose) -> tuple[Message, Writes]:
         """Phase 2b: accept and answer ``Accepted``, or a ``Nack``."""
-        if message.ballot < self.promised:
+        writes = self.vote(message.ballot, message.instance, message.value)
+        if not writes:
             return Nack(self.pid, message.ballot, message.instance,
                         self.promised), ()
-        return (Accepted(self.pid, message.ballot, message.instance),
-                self.vote(message.ballot, message.instance, message.value))
+        return Accepted(self.pid, message.ballot, message.instance), writes
 
     def promise(self, ballot: Ballot,
                 from_instance: int) -> tuple[Report, Writes]:
