@@ -129,10 +129,10 @@ def _drip_system(n: int = 4, seed: int = 0) -> ConsensusSystem:
 # (count, period) of the fixed-count drips in the tree: tests, the soak
 # log stack, ``repro log``'s defaults and the E9/E12/E15 benchmarks.
 DRIP_SHAPES = sorted({
-    (5, 0.5), (5, 2.0), (8, 0.5), (8, 1.0), (10, 0.5), (12, 0.6),
-    (12, 0.7), (14, 0.4), (15, 0.5), (20, 0.5), (25, 0.4), (25, 0.5),
-    (30, 0.3), (30, 0.5), (40, 0.3), (50, 0.3), (60, 0.3), (80, 0.4),
-    (200, 1.0)})
+    (2, 1.0), (3, 1.0), (5, 0.5), (5, 2.0), (8, 0.5), (8, 1.0), (10, 0.5),
+    (12, 0.6), (12, 0.7), (14, 0.4), (15, 0.5), (20, 0.5), (25, 0.4),
+    (25, 0.5), (30, 0.3), (30, 0.5), (40, 0.3), (50, 0.3), (60, 0.3),
+    (80, 0.4), (150, 0.4), (200, 1.0)})
 
 
 class TestSteadyArrivals:
