@@ -173,6 +173,29 @@ class TestDrip:
         drip(5, 0.5, start=0.0)
         assert system.sim.events_executed == before
 
+    def test_validation(self) -> None:
+        # A drip's count and period reach the spec as its duration and
+        # rate, so a bad shape is refused under the field it became.
+        with pytest.raises(ValueError, match="duration"):
+            drip(0, 1.0, start=0.0)
+        with pytest.raises(ValueError, match="rate"):
+            drip(1, -1.0, start=0.0)
+        with pytest.raises(ValueError, match="start"):
+            drip(1, 1.0, start=-1.0)
+        with pytest.raises(ValueError, match="retry_period"):
+            drip(1, 1.0, start=0.0, retry_period=-2.0)
+
+    @pytest.mark.parametrize("field", ["period", "retry_period"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field: str, bad: float) -> None:
+        # A non-finite period becomes a NaN, zero or negative-zero rate.
+        if field == "period":
+            with pytest.raises(ValueError, match="rate"):
+                drip(1, bad, start=0.0)
+        else:
+            with pytest.raises(ValueError, match=field):
+                drip(1, 1.0, start=0.0, **{field: bad})
+
     def test_one_spec_drives_two_systems(self) -> None:
         spec = drip(2, 1.0, start=0.0)
         assert spec.drive(_drip_system()) is not spec.drive(
