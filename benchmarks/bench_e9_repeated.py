@@ -29,8 +29,7 @@ def run_log(crash_leader: bool, seed: int = 2):  # noqa: ANN201
     system = ConsensusSystem.build_replicated_log(
         N, lambda: multi_source_links(N, (1, 2), TIMINGS), seed=seed)
     fleet = LoadSpec(clients=1, keys=1, arrival="steady", rate=1.0,
-                     start=6.0, duration=COMMANDS * 1.0,
-                     horizon=HORIZON).drive(system)
+                     start=6.0, duration=COMMANDS * 1.0).drive(system)
     system.start_all()
     if crash_leader:
         system.run_until(100.0)

@@ -211,8 +211,7 @@ def cmd_log(args: argparse.Namespace) -> int:
     try:
         fleet = LoadSpec(
             clients=1, keys=1, arrival="steady", rate=1 / args.period,
-            start=5.0, duration=args.commands * args.period,
-            horizon=args.horizon).drive(system)
+            start=5.0, duration=args.commands * args.period).drive(system)
     except (ValueError, ZeroDivisionError) as error:
         raise SystemExit(f"bad log workload (--commands {args.commands}, "
                          f"--period {args.period}): {error}") from None

@@ -146,7 +146,8 @@ class LoadSpec:
     pipelining depth (``max_batch``).  ``compacting=True`` runs
     compacting replicas (journal machines, ``keep_tail`` retained
     entries) so snapshots happen under sustained write load; they are
-    crash-stop, so combining it with ``persist=True`` is rejected.
+    crash-stop, so combining it with ``persist=True`` is rejected.  A
+    built run ends at ``horizon``, past ``start + duration``.
 
     Fleet shape (read by :meth:`drive`)
     -----------------------------------
@@ -156,9 +157,8 @@ class LoadSpec:
     ``arrival="steady"`` the k-th command at ``start + k/rate``, exactly
     ``count`` of them when ``duration = count/rate``.
     ``mode="closed"`` has every client loop submit → commit →
-    ``think_time``.  Unfinished commands are re-offered every
-    ``retry_period`` to a rotating target.  A built run ends at
-    ``horizon`` (drain tail included).
+    ``think_time``.  Commands not yet decided are re-offered every
+    ``retry_period`` to a rotating target.
     """
 
     n: int = 5
@@ -199,15 +199,13 @@ class LoadSpec:
                  f"mode must be one of {_MODES}, got {self.mode!r}")
         _require(self.arrival in _ARRIVALS,
                  f"arrival must be one of {_ARRIVALS}, got {self.arrival!r}")
-        for name in ("rate", "think_time", "duration", "retry_period", "gst"):
+        for name in ("rate", "think_time", "duration", "retry_period", "gst",
+                     "horizon"):
             value = getattr(self, name)
             _require(_finite(value) and value > 0,
                      f"{name} must be positive and finite, got {value!r}")
         _require(_finite(self.start) and self.start >= 0,
                  f"start must be non-negative and finite, got {self.start!r}")
-        _require(_finite(self.horizon)
-                 and self.horizon > self.start + self.duration,
-                 f"horizon must exceed start + duration, got {self.horizon!r}")
         _require(self.batch_size >= 1,
                  f"batch_size must be at least 1, got {self.batch_size!r}")
         _require(self.window >= 1,
@@ -243,6 +241,8 @@ class LoadSpec:
         """Assemble the sharded system and drive it with the fleet."""
         from repro.consensus.statemachine import JournalMachine
 
+        _require(self.horizon > self.start + self.duration,
+                 f"horizon must exceed start + duration, got {self.horizon!r}")
         timings = LinkTimings(gst=self.gst)
         sources = (0, 1 % self.n)
         system = ShardedLog.build(
@@ -417,8 +417,14 @@ class ClientFleet:
     # ------------------------------------------------------------------
 
     def done(self) -> bool:
-        """Whether every issued command has committed."""
-        return not self.outstanding
+        """Whether every issued command is committed at a replica up now
+        (the first decide ends the re-offers; if its replica has crashed
+        since, a takeover must recover the chosen entry)."""
+        committed: set[Hashable] = set()
+        for shard in self.system.groups:
+            for pid in shard.up_pids():
+                committed |= shard.nodes[pid].agreement.committed_ids
+        return committed.issuperset(self.submit_times)
 
     def latencies(self) -> array:
         """Per-command submit→commit latencies, sorted ascending, as a

@@ -689,11 +689,6 @@ class FaultPlan:
         return {pid for pid, steps in self._lifecycle.items()
                 if steps[-1][1] == "crash"}
 
-    def recovering_pids(self) -> set[int]:
-        """Pids that recover at least once under this plan."""
-        return {pid for pid, steps in self._lifecycle.items()
-                if any(what == "recover" for _, what in steps)}
-
     def involved_pids(self) -> frozenset[int]:
         """Every pid any event touches directly or via a link pair."""
         pids: set[int] = set()

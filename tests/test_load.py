@@ -92,8 +92,10 @@ class TestLoadSpecValidation:
             LoadSpec(arrival="pareto")
 
     def test_horizon_must_cover_offered_window(self) -> None:
+        # build() runs to the horizon, so it checks the bound there.
+        spec = LoadSpec(n=3, start=5.0, duration=60.0, horizon=30.0)
         with pytest.raises(ValueError, match="horizon"):
-            LoadSpec(start=5.0, duration=60.0, horizon=30.0)
+            spec.build()
         with pytest.raises(ValueError, match="horizon"):
             LoadSpec(horizon=math.nan)
 
@@ -226,6 +228,36 @@ class TestDrip:
         system.run_until(60.0)
         assert fleet.issued == 8 and fleet.done()
         assert check_log(system, fleet.group_payloads[0]).verdict()
+
+    def test_a_decide_only_a_crashed_replica_saw_is_not_done(self) -> None:
+        # The fleet stops re-offering at the first decide; done() asks
+        # the replicas up now.  Crash the lone decider before its
+        # Decides land: the command is not done until the takeover
+        # recovers the chosen entry, with no re-offer to bring it back.
+        system = _drip_system(n=5)
+        fleet = drip(1, 1.0, start=3.0).drive(system)
+        system.start_all()
+        while not fleet.commit_times:
+            assert system.sim.step()
+        (command_id,) = fleet.commit_times
+        deciders = [pid for pid in system.up_pids() if command_id
+                    in system.node(pid).agreement.committed_ids]
+        assert len(deciders) == 1
+        system.crash(deciders[0])
+        assert not fleet.outstanding and not fleet.done()
+        retries = fleet.retries
+        system.run_until(120.0)
+        assert fleet.done() and fleet.retries == retries
+        assert check_log(system, fleet.group_payloads[0]).verdict()
+
+    def test_a_drip_past_the_default_horizon_drives(self) -> None:
+        # drive() leaves the run's length to the caller: only build()
+        # runs to the spec's horizon, so only build() checks it.
+        spec = drip(250, 1.0, start=0.0)
+        assert spec.start + spec.duration > spec.horizon
+        spec.drive(_drip_system())
+        with pytest.raises(ValueError, match="horizon"):
+            spec.build()
 
     def test_retry_survives_crash_of_target(self) -> None:
         # Crash a node that receives some submissions; retries go to
