@@ -831,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="CI-smoke sizing (small n, short horizons)")
     bench_cmd.add_argument("--full", action="store_true",
                            help="include the heaviest rows (E3 at n=128, "
-                                "E18 at n=512 and n=1024)")
+                                "E18 at n=512, 1024 and 2048)")
     bench_cmd.add_argument("--experiments", default="",
                            metavar="E1,E2,...",
                            help="comma-separated subset of "

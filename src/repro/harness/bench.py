@@ -2,7 +2,7 @@
 
 This module turns the E1–E4 experiment suite (plus E17, the
 packet-budget and adaptive-degradation rows of docs/DEGRADATION.md,
-E18, the large-n communication-efficiency census at n = 256/512/1024,
+E18, the large-n communication-efficiency census at n = 256…2048,
 and E19, the client-load rows of docs/LOAD.md) into a list of
 independent :class:`BenchCase` values, fans them out
 across CPU cores with ``multiprocessing``, and merges the results into
@@ -126,7 +126,7 @@ def default_suite(
         CI-smoke sizing: a handful of small-n, short-horizon cases.
     full:
         Also include the heaviest large-n rows (E3 census at n = 128,
-        E18 at n = 512 and n = 1024).
+        E18 at n = 512, 1024 and 2048).
     """
     unknown = set(experiments) - set(EXPERIMENTS)
     if unknown:
@@ -277,8 +277,8 @@ def default_suite(
     if "e18" in experiments and not quick:
         # Large-n CE census: the paper's n-1-links claim at the next
         # order of magnitude.  n=256 rides in the default suite; the
-        # n=512/1024 rows are --full material (tens of seconds each).
-        for n in ((256, 512, 1024) if full else (256,)):
+        # n=512…2048 rows are --full material (tens of seconds each).
+        for n in (tuple(_E18_HORIZONS) if full else (256,)):
             cases.append(BenchCase(
                 case_id=f"e18/comm-efficient/n={n}",
                 experiment="e18",
@@ -571,10 +571,12 @@ def _run_e17(mode: str, **params: Any) -> tuple[Verdict, dict, Any]:
     raise ValueError(f"unknown e17 mode {mode!r}")
 
 
-_E18_HORIZONS = {256: 400.0, 512: 500.0, 1024: 600.0}
-"""Sim-seconds per E18 size: steady tails scaled with n, sized so the
-n=1024 row stays within a one-minute single-core wall budget (steady
-state costs ~5 wall-seconds per 100 sim-seconds at n=1024)."""
+_E18_HORIZONS = {256: 400.0, 512: 500.0, 1024: 600.0, 2048: 600.0}
+"""Sim-seconds per E18 size, in row order: steady tails scaled with n,
+sized so the n=1024 row stays within a one-minute single-core wall
+budget (steady state costs ~5 wall-seconds per 100 sim-seconds at
+n=1024).  n=2048 keeps n=1024's horizon: its start-up round alone is
+4.2 M sends."""
 
 
 def _run_e18(n: int, seed: int) -> tuple[Verdict, dict, Any]:

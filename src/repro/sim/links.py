@@ -47,7 +47,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Collection, Hashable, Iterable
 
 from repro.sim.messages import Message
 
@@ -90,14 +90,16 @@ class LinkPolicy(ABC):
         return [] if delay is None else [delay]
 
     def plan_many(self, message: Message, now: float,
-                  rngs: Sequence[random.Random],
-                  links: Sequence[Hashable]) -> list[float | None]:
+                  rngs: Collection[random.Random],
+                  links: Collection[Hashable]) -> list[float | None]:
         """One :meth:`plan` per ``(rng, link)``, in order, as one call.
 
         This is how the network plans a whole fan-out over links that
         share this policy.  Overrides exist only to hoist what is
         constant per fan-out out of the loop: they must make the same
         draws from the same streams in the same order as this default.
+        ``rngs`` and ``links`` may be lazy: read their length and
+        iterate them once each, never index them.
         """
         return [self.plan(message, now, rng, link)
                 for rng, link in zip(rngs, links)]
@@ -119,7 +121,7 @@ def _uniform_delay(rng: random.Random, lo: float, hi: float) -> float:
     return lo + (hi - lo) * rng.random()
 
 
-def _uniform_delays(rngs: Sequence[random.Random], lo: float,
+def _uniform_delays(rngs: Collection[random.Random], lo: float,
                     hi: float) -> list[float | None]:
     """``[_uniform_delay(rng, lo, hi) for rng in rngs]``, bounds checked once."""
     if hi < lo:
@@ -154,8 +156,8 @@ class TimelyLink(LinkPolicy):
         return _uniform_delay(rng, self.min_delay, self.delta)
 
     def plan_many(self, message: Message, now: float,
-                  rngs: Sequence[random.Random],
-                  links: Sequence[Hashable]) -> list[float | None]:
+                  rngs: Collection[random.Random],
+                  links: Collection[Hashable]) -> list[float | None]:
         return _uniform_delays(rngs, self.min_delay, self.delta)
 
     def describe(self) -> str:
@@ -209,8 +211,8 @@ class EventuallyTimelyLink(LinkPolicy):
         return _uniform_delay(rng, self.min_delay, self.pre_gst_delay_max)
 
     def plan_many(self, message: Message, now: float,
-                  rngs: Sequence[random.Random],
-                  links: Sequence[Hashable]) -> list[float | None]:
+                  rngs: Collection[random.Random],
+                  links: Collection[Hashable]) -> list[float | None]:
         if now >= self.gst:
             return _uniform_delays(rngs, self.min_delay, self.delta)
         return super().plan_many(message, now, rngs, links)
@@ -323,8 +325,8 @@ class FairLossyLink(LinkPolicy):
                                                        ceiling)
 
     def plan_many(self, message: Message, now: float,
-                  rngs: Sequence[random.Random],
-                  links: Sequence[Hashable]) -> list[float | None]:
+                  rngs: Collection[random.Random],
+                  links: Collection[Hashable]) -> list[float | None]:
         fairness_key = message.fairness_key()
         streaks = self._drops_in_a_row
         limit = self.max_consecutive_drops

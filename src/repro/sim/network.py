@@ -43,18 +43,26 @@ re-deriving anything per call:
   resolved once, wire size is computed once per message, and all
   delivery events are bulk-posted through a single ``post_batch()``
   kernel call instead of n−1 independent ``send()``s.  Each sender
-  keeps a lazily built fan-out record (destinations, link tokens, rng
-  streams, and the one policy its out-links share, if they do); when
-  they do and nothing needs a per-copy callback before the plan — no
-  active partition, no per-copy send/packet observer — the whole
-  fan-out is planned by **one** ``policy.plan_many`` call.  Every other
-  broadcast plans copy by copy, and ``send`` plans its one copy, through
-  ``plan`` directly on links that keep the default one-copy
-  ``plan_all``.  Observer and ordering semantics are bit-for-bit those
-  of the send loop both replace — see :meth:`Network.broadcast`.
-* What remains per copy — the delay draw at send time, ``_deliver`` at
-  delivery time — reads fields, not properties, and under
-  ``link_rng="src"`` a sender's stream is looked up once, not per link.
+  keeps a lazily built fan-out record (destinations, rng streams, and
+  the one policy its out-links share, if they do); when they do and
+  nothing needs a per-copy callback before the plan — no active
+  partition, no per-copy send/packet observer — the whole fan-out is
+  planned by **one** ``policy.plan_many`` call.  Its link tokens are
+  computed from the destinations as it iterates, and under
+  ``link_rng="src"`` its streams are the sender's one stream repeated,
+  so the record stores neither n−1 tokens nor n−1 stream references.
+  Every other broadcast plans copy by copy, and ``send`` plans its one
+  copy, through ``plan`` directly on links that keep the default
+  one-copy ``plan_all``.  Observer and ordering semantics are
+  bit-for-bit those of the send loop both replace — see
+  :meth:`Network.broadcast`.
+* A message in flight is **one** :class:`_InFlight` record per fan-out
+  (per unicast send), not one closure per copy: sender, message, send
+  time, incarnation and the destinations in firing order, as an
+  ``array``.  What remains per copy is the delay draw at send time, one
+  ``(time, seq, record)`` calendar entry (its time float and seq int
+  included), one array slot, and at delivery one call of the record —
+  which reads fields, not properties.
 * Observer dispatch iterates the hub's precomputed per-event callback
   tuples — an empty tuple (no observer overrides that hook) costs one
   truthiness check, exactly like the old lazy-trace guard.
@@ -63,8 +71,10 @@ re-deriving anything per call:
 from __future__ import annotations
 
 import random
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from array import array
+from itertools import repeat
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple,
+                    Sequence)
 
 from repro.obs.observer import Observer, ObserverHub, attach_captured
 from repro.sim.engine import Simulation
@@ -91,15 +101,121 @@ class NetworkError(RuntimeError):
 _LINK_SHIFT = 32
 
 
+class _LinkTokens:
+    """A sender's out-link tokens, computed from its destinations on each
+    pass: what ``plan_many`` reads (length, one iteration) without n−1
+    stored ints per sender."""
+
+    __slots__ = ("base", "dsts")
+
+    def __init__(self, src: int, dsts: tuple[int, ...]) -> None:
+        self.base = src << _LINK_SHIFT
+        self.dsts = dsts
+
+    def __len__(self) -> int:
+        return len(self.dsts)
+
+    def __iter__(self) -> Iterator[int]:
+        return map(self.base.__or__, self.dsts)
+
+
+class _Repeated:
+    """One rng stream ``count`` times: a sender's out-link streams under
+    ``link_rng="src"``, without n−1 stored references to it."""
+
+    __slots__ = ("stream", "count")
+
+    def __init__(self, stream: random.Random, count: int) -> None:
+        self.stream = stream
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[random.Random]:
+        return repeat(self.stream, self.count)
+
+
 class _Fanout(NamedTuple):
     """What ``broadcast`` needs to know about one sender, computed once."""
 
     dsts: tuple[int, ...]
-    links: tuple[int, ...]
-    rngs: tuple[random.Random, ...]
+    links: _LinkTokens
+    #: One stream per out-link (``link_rng="pair"``), or the sender's one
+    #: stream repeated (``"src"``).
+    rngs: tuple[random.Random, ...] | _Repeated
     #: The one-copy policy every out-link shares, or None if they differ
     #: (or the shared one can duplicate).
     policy: LinkPolicy | None
+
+
+class _InFlight:
+    """The copies of one message from one sender that are still on the
+    wire: one record per fan-out, and one per unicast send.
+
+    The kernel holds one calendar entry ``(time, seq, record)`` per copy,
+    every one pointing at this record.  The copies are posted in ``(time,
+    copy index)`` order, so the kernel, which runs entries in ``(time,
+    seq)`` order, fires them in the order of ``dsts``: each call delivers
+    the next destination's copy.
+    """
+
+    __slots__ = ("network", "src", "message", "sent_at", "incarnation",
+                 "dsts", "fired")
+
+    def __init__(self, network: "Network", src: int, message: Message,
+                 sent_at: float, incarnation: int,
+                 dsts: Sequence[int]) -> None:
+        self.network = network
+        self.src = src
+        self.message = message
+        self.sent_at = sent_at
+        self.incarnation = incarnation
+        #: Destinations in firing order (a copy per entry; a duplicated
+        #: copy appears once per delivery).
+        self.dsts = dsts
+        self.fired = 0
+
+    def __call__(self) -> None:
+        # Once per copy: read fields, not the now/crashed/started properties.
+        fired = self.fired
+        dst = self.dsts[fired]
+        self.fired = fired + 1
+        network = self.network
+        processes = network._processes
+        receiver = processes[dst]
+        now = network.sim._now
+        hub = network.hub
+        src = self.src
+        message = self.message
+        if (network._any_recovered
+                and processes[src].incarnation != self.incarnation):
+            # The sending incarnation died while this message was in
+            # flight; its successor never sent it.
+            for callback in hub.drop_cbs:
+                callback(now, src, dst, message.kind, "stale_incarnation")
+            return
+        if receiver._crashed or not receiver._started:
+            # Crash-stop processes receive nothing; a not-yet-started
+            # process has no open endpoint either (staggered boots).
+            reason = "dst_crashed" if receiver._crashed else "dst_not_started"
+            for callback in hub.drop_cbs:
+                callback(now, src, dst, message.kind, reason)
+            return
+        deliver_cbs = hub.deliver_cbs
+        if deliver_cbs:
+            kind = message.kind
+            sent_at = self.sent_at
+            for callback in deliver_cbs:
+                callback(now, src, dst, kind, sent_at)
+        packet_cbs = hub.packet_deliver_cbs
+        if packet_cbs:
+            kind = message.kind
+            size = message.wire_size()
+            packets = packet_count(size, network.mtu)
+            for callback in packet_cbs:
+                callback(now, src, dst, kind, size, packets)
+        receiver.deliver(message)
 
 
 class Network:
@@ -365,10 +481,12 @@ class Network:
                 (policy,) = policies
                 if type(policy).plan_all is LinkPolicy.plan_all:
                     shared = policy
-            base = src << _LINK_SHIFT
+            if self.link_rng == "src":
+                rngs = _Repeated(routes[0][1], len(dsts)) if routes else ()
+            else:
+                rngs = tuple(rng for _, rng in routes)
             fanout = self._fanouts[src] = _Fanout(
-                dsts, tuple(base | dst for dst in dsts),
-                tuple(rng for _, rng in routes), shared)
+                dsts, _LinkTokens(src, dsts), rngs, shared)
         return fanout
 
     def perturb_link(self, src: int, dst: int, window: DegradedWindow) -> None:
@@ -492,12 +610,12 @@ class Network:
                 callback(now, src, dst, kind, "link")
             return
         # Deliveries are never cancelled, so use the handle-free path.
+        # Every copy goes to dst, so any firing order is dsts' order.
+        record = _InFlight(self, src, message, now, sender.incarnation,
+                           (dst,) * len(delays))
         post_after = self.sim.post_after
-        deliver = self._deliver
-        incarnation = sender.incarnation
         for delay in delays:
-            post_after(delay,
-                       partial(deliver, src, dst, message, now, incarnation))
+            post_after(delay, record)
 
     def broadcast(self, src: int, message: Message) -> None:
         """Send ``message`` from ``src`` to every other registered process.
@@ -554,10 +672,10 @@ class Network:
                         break
                 else:
                     src_groups.append(frozenset())
-        deliver = self._deliver
-        incarnation = sender.incarnation
-        items: list[tuple[float, partial]] = []
-        append = items.append
+        # The copies that survive their plan: destination and time, in
+        # copy order (a duplicated copy appears once per delivery).
+        targets: list[int] = []
+        times: list[float] = []
         shared = fanout.policy
         if shared is not None and not (send_cbs or packet_cbs or src_groups):
             # Nothing to call per copy before its plan: one call plans
@@ -568,83 +686,55 @@ class Network:
                     for callback in drop_cbs:
                         callback(now, src, dst, kind, "link")
                 else:
-                    append((now + delay,
-                            partial(deliver, src, dst, message, now,
-                                    incarnation)))
-            if items:
-                self.sim.post_batch(items)
-            return
-        # _fanout() filled every slot of this sender's table row.
-        table = self._route_table
-        base = src * self._stride
-        default_plan_all = LinkPolicy.plan_all
-        for dst, link in zip(dsts, fanout.links):
-            if send_cbs:
-                for callback in send_cbs:
-                    callback(now, src, dst, kind)
-            if packet_cbs:
-                for callback in packet_cbs:
-                    callback(now, src, dst, kind, size, packets)
-            if src_groups and any(dst not in group for group in src_groups):
-                for callback in drop_cbs:
-                    callback(now, src, dst, kind, "partition")
-                continue
-            policy, rng = table[base + dst]
-            if type(policy).plan_all is default_plan_all:
-                # One-copy link: skip plan_all's list round trip.
-                delay = policy.plan(message, now, rng, link)
-                if delay is None:
+                    targets.append(dst)
+                    times.append(now + delay)
+        else:
+            # _fanout() filled every slot of this sender's table row.
+            table = self._route_table
+            base = src * self._stride
+            token = src << _LINK_SHIFT
+            default_plan_all = LinkPolicy.plan_all
+            for dst in dsts:
+                if send_cbs:
+                    for callback in send_cbs:
+                        callback(now, src, dst, kind)
+                if packet_cbs:
+                    for callback in packet_cbs:
+                        callback(now, src, dst, kind, size, packets)
+                if src_groups and any(dst not in group for group in src_groups):
                     for callback in drop_cbs:
-                        callback(now, src, dst, kind, "link")
+                        callback(now, src, dst, kind, "partition")
                     continue
-                append((now + delay,
-                        partial(deliver, src, dst, message, now, incarnation)))
-            else:
-                delays = policy.plan_all(message, now, rng, link)
-                if not delays:
-                    for callback in drop_cbs:
-                        callback(now, src, dst, kind, "link")
-                    continue
-                for delay in delays:
-                    append((now + delay,
-                            partial(deliver, src, dst, message, now,
-                                    incarnation)))
-        if items:
-            self.sim.post_batch(items)
-
-    def _deliver(self, src: int, dst: int, message: Message, sent_at: float,
-                 sent_incarnation: int = 0) -> None:
-        # Once per copy: read fields, not the now/crashed/started properties.
-        receiver = self._processes[dst]
-        now = self.sim._now
-        hub = self.hub
-        if (self._any_recovered
-                and self._processes[src].incarnation != sent_incarnation):
-            # The sending incarnation died while this message was in
-            # flight; its successor never sent it.
-            for callback in hub.drop_cbs:
-                callback(now, src, dst, message.kind, "stale_incarnation")
+                policy, rng = table[base + dst]
+                if type(policy).plan_all is default_plan_all:
+                    # One-copy link: skip plan_all's list round trip.
+                    delay = policy.plan(message, now, rng, token | dst)
+                    if delay is None:
+                        for callback in drop_cbs:
+                            callback(now, src, dst, kind, "link")
+                        continue
+                    targets.append(dst)
+                    times.append(now + delay)
+                else:
+                    delays = policy.plan_all(message, now, rng, token | dst)
+                    if not delays:
+                        for callback in drop_cbs:
+                            callback(now, src, dst, kind, "link")
+                        continue
+                    for delay in delays:
+                        targets.append(dst)
+                        times.append(now + delay)
+        if not times:
             return
-        if receiver._crashed or not receiver._started:
-            # Crash-stop processes receive nothing; a not-yet-started
-            # process has no open endpoint either (staggered boots).
-            reason = "dst_crashed" if receiver._crashed else "dst_not_started"
-            for callback in hub.drop_cbs:
-                callback(now, src, dst, message.kind, reason)
-            return
-        deliver_cbs = hub.deliver_cbs
-        if deliver_cbs:
-            kind = message.kind
-            for callback in deliver_cbs:
-                callback(now, src, dst, kind, sent_at)
-        packet_cbs = hub.packet_deliver_cbs
-        if packet_cbs:
-            kind = message.kind
-            size = message.wire_size()
-            packets = packet_count(size, self.mtu)
-            for callback in packet_cbs:
-                callback(now, src, dst, kind, size, packets)
-        receiver.deliver(message)
+        # Post in (time, copy index) order.  The batch takes the block of
+        # seqs a copy-order post would, and within it the kernel's (time,
+        # seq) order is still (time, copy index) — so the schedule is the
+        # copy-order one, and the record's k-th firing is its k-th dst.
+        order = sorted(range(len(times)), key=times.__getitem__)
+        record = _InFlight(self, src, message, now, sender.incarnation,
+                           array("I", map(targets.__getitem__, order)))
+        times.sort()
+        self.sim.post_batch(zip(times, repeat(record)))
 
     # ------------------------------------------------------------------
     # Lifecycle bookkeeping (called by Process.crash / Process.recover)

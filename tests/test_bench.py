@@ -34,7 +34,8 @@ class TestSuiteConstruction:
         full = {c.case_id for c in bench.default_suite(seed=7, full=True)}
         assert full - base == {"e3/comm-efficient/n=128",
                                "e18/comm-efficient/n=512",
-                               "e18/comm-efficient/n=1024"}
+                               "e18/comm-efficient/n=1024",
+                               "e18/comm-efficient/n=2048"}
 
     def test_default_suite_has_the_e18_census(self) -> None:
         base = {c.case_id for c in bench.default_suite(seed=7)}

@@ -8,13 +8,15 @@ proportion to n rather than n², the fair-lossy streak table must hold
 only streaks in progress, and a steady-state heartbeat fan-out must be
 planned by one ``plan_many`` call — not n−1 ``plan`` calls.  The
 ``MetricsCollector`` that certifies the n−1 busy links must not store
-the n² links of the start-up round either.
+the n² links of the start-up round either, and neither may the network
+while that round is in flight.
 """
 
 from __future__ import annotations
 
 import gc
 import sys
+import tracemalloc
 
 import pytest
 
@@ -144,3 +146,47 @@ def test_census_run_shares_laws_and_plans_fan_outs_once(
     assert tail["broadcasts"] >= TAIL / 2
     assert tail["plan_many"] == tail["broadcasts"]
     assert tail["plan"] == 0
+
+
+def _started_census(n: int) -> tuple[Cluster, int]:
+    """A census just after ``start_all()``, and the bytes it allocated."""
+    cluster = _census(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cluster.start_all()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return cluster, grown
+
+
+def test_start_up_round_holds_per_copy_only_its_calendar_entry() -> None:
+    # The all-to-all start-up round is n(n−1) copies in flight at once,
+    # the run's peak.  A copy may cost its calendar entry (tuple, time
+    # float, seq int) and an array slot of its fan-out's one in-flight
+    # record — not a closure and its argument tuple per copy (≈ 560
+    # bytes a pending event when it was).
+    n = 2 * N
+    cluster, grown = _started_census(n)
+    pending = cluster.sim.pending()
+    assert pending > n * (n - 1) // 2
+    assert grown / pending <= 400
+
+
+def test_fan_out_records_store_no_per_link_tuples() -> None:
+    # Link tokens are computed from the destinations, and under
+    # link_rng="src" a sender's streams are its one stream: no record
+    # stores n−1 of either beside the destination tuple itself.
+    n = 2 * N
+    cluster, _ = _started_census(n)
+    fanouts = cluster.network._fanouts
+    assert len(fanouts) == n
+    for fanout in fanouts.values():
+        for field in fanout[1:]:
+            held = [field] + [getattr(field, slot)
+                              for slot in getattr(type(field), "__slots__", ())]
+            assert not any(isinstance(value, (tuple, list))
+                           and len(value) == n - 1
+                           and value is not fanout.dsts for value in held)

@@ -460,3 +460,100 @@ class TestSharedMapEqualsPerPairMap:
         assert twice and min(twice) >= 10
         assert not any((src, dst) == (4, 5) and time >= 6.5
                        for time, src, dst in shared["deliveries"])
+
+
+class _TieLog(Observer):
+    """Deliveries, drops and the run's own marker events, in the order
+    they happened — so a same-instant tie resolved differently shows."""
+
+    def __init__(self) -> None:
+        self.log: list[tuple] = []
+
+    def on_deliver(self, time, src, dst, kind, sent_at) -> None:  # noqa: ANN001
+        self.log.append((time, src, dst, kind, "delivered"))
+
+    def on_drop(self, time, src, dst, kind, reason) -> None:  # noqa: ANN001
+        self.log.append((time, src, dst, kind, reason))
+
+
+class TestInFlightRecordEqualsCopyLoop:
+    """A fan-out is one in-flight record whose copies fire in the order
+    they were posted, ``(time, copy index)``.  Under a law that gives
+    every copy the same delay, nearly every event of the run ties on
+    time with others — copies of other fan-outs, same-instant unicasts,
+    plain ``post_at`` events — so only seq decides, and the record must
+    still fire exactly as the per-copy ``send`` loop's own events do."""
+
+    D = 0.01  # every copy's delay on the shared law
+
+    @classmethod
+    def _run(cls, fan_out, link_rng: str) -> dict:
+        sim = Simulation(seed=5)
+        wire = _TieLog()
+        network = Network(
+            sim, link_rng=link_rng, observers=(wire,),
+            default_link=lambda: TimelyLink(delta=cls.D, min_delay=cls.D))
+        procs = [Recorder(pid, sim, network) for pid in range(6)]
+        for proc in procs:
+            proc.start()
+        # Sender 0 duplicates towards 2 at the very same instant and
+        # towards 4 a little later: its copies fire out of copy order.
+        network.perturb_link(0, 2, DegradedWindow(0.0, 50.0, duplicate=1.0,
+                                                  duplicate_lag=0.0))
+        network.perturb_link(0, 4, DegradedWindow(0.0, 50.0, duplicate=1.0,
+                                                  duplicate_lag=0.004))
+
+        def mark(label: str) -> None:
+            sim.post_at(sim.now + cls.D,
+                        lambda: wire.log.append((sim.now, "mark", label)))
+
+        def round_(payload: int) -> None:
+            mark(f"before {payload}")
+            for proc in procs:
+                if not proc.crashed and not proc.paused:
+                    fan_out(network, proc.pid, Probe(proc.pid, payload))
+            procs[2].send(1, Probe(2, -payload))       # same instant
+            mark(f"between {payload}")
+            if not procs[3].crashed:
+                fan_out(network, 3, Ping(3))
+            procs[5].send(0, Ping(5))
+            mark(f"after {payload}")
+
+        for payload in range(4):
+            round_(payload)
+            sim.run_for(cls.D / 2)      # the rounds' copies overlap
+        procs[4].pause()                # copies to 4 arrive while frozen
+        round_(10)
+        sim.run_for(cls.D / 4)
+        procs[5].crash()                # ... and to 5 while it is down
+        procs[1].crash()                # 1's copies go stale in flight
+        procs[1].recover()
+        round_(11)
+        sim.run_for(2 * cls.D)          # rounds 10 and 11 land
+        procs[4].resume()
+        procs[5].recover()
+        round_(12)
+        sim.run_until(1.0)
+        return {
+            "wire": wire.log,
+            "received": [proc.received for proc in procs],
+            "events": sim.events_executed,
+            "profile": sim.profile(),
+        }
+
+    @pytest.mark.parametrize("link_rng", ["pair", "src"])
+    def test_same_ties(self, link_rng: str) -> None:
+        batched = self._run(Network.broadcast, link_rng)
+        assert batched == self._run(_send_loop, link_rng)
+        reasons = {entry[4] for entry in batched["wire"]
+                   if entry[1] != "mark"}
+        assert reasons == {"delivered", "dst_crashed", "stale_incarnation"}
+        # Ties really are the common case: most entries share their time.
+        times = [entry[0] for entry in batched["wire"]]
+        assert len(set(times)) * 4 < len(times)
+        # Both duplicators copied: 2's twin at the same instant.
+        from_zero = [(time, message.payload)
+                     for time, message in batched["received"][2]
+                     if message.sender == 0]
+        assert len(from_zero) == 2 * len({payload
+                                          for _, payload in from_zero})
