@@ -58,11 +58,12 @@ re-deriving anything per call:
   :meth:`Network.broadcast`.
 * A message in flight is **one** :class:`_InFlight` record per fan-out
   (per unicast send), not one closure per copy: sender, message, send
-  time, incarnation and the destinations in firing order, as an
-  ``array``.  What remains per copy is the delay draw at send time, one
-  ``(time, seq, record)`` calendar entry (its time float and seq int
-  included), one array slot, and at delivery one call of the record —
-  which reads fields, not properties.
+  time, incarnation and the destinations in firing order — an
+  ``array`` for a fan-out, the one pid (once per copy) for a unicast.
+  What remains per copy is the delay draw at send time, one ``(time,
+  seq, record)`` calendar entry (its time float and seq int included),
+  one destination slot, and at delivery one call of the record — which
+  reads fields, not properties.
 * Observer dispatch iterates the hub's precomputed per-event callback
   tuples — an empty tuple (no observer overrides that hook) costs one
   truthiness check, exactly like the old lazy-trace guard.
