@@ -179,6 +179,8 @@ def _run_relayed(args: argparse.Namespace, timings: LinkTimings,
 # ----------------------------------------------------------------------
 
 def cmd_consensus(args: argparse.Namespace) -> int:
+    if args.omega == "f-source" and args.f is None:
+        raise SystemExit("--omega f-source needs --f (its fault bound)")
     timings = LinkTimings(gst=args.gst, fair_loss=args.loss)
     system = ConsensusSystem.build_single_decree(
         args.n, lambda: source_links(args.n, args.source, timings),
@@ -781,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     log = sub.add_parser("log", help="run the replicated log")
     log.add_argument("--n", type=int, default=5)
     log.add_argument("--omega", default="comm-efficient",
-                     choices=sorted(OMEGA_ALGORITHMS))
+                     choices=sorted(set(OMEGA_ALGORITHMS) - {"f-source"}))
     log.add_argument("--source", type=int, default=0)
     log.add_argument("--seed", type=int, default=0)
     log.add_argument("--commands", type=int, default=30)

@@ -63,6 +63,10 @@ __all__ = [
     "check_compacting_log",
 ]
 
+# Snapshots are bulky: a debtor (a crashed one, say) gets at most one
+# offer per this many seconds, not one per tick.
+SNAPSHOT_RETRY = 2.5
+
 
 @dataclass(frozen=True, slots=True)
 class SnapshotOffer(Message):
@@ -96,10 +100,8 @@ class CompactingReplica(LogReplica):
         older entries are compacted away.  Must be positive — the tail
         lets slightly-lagging peers catch up through ordinary ``Decide``
         traffic without a full snapshot.
-    snapshot_retry:
-        Minimum interval between snapshot offers to the same debtor
-        (snapshots are bulky; a crashed debtor should not be showered
-        with one per tick).
+
+    Offers to the same debtor are ``SNAPSHOT_RETRY`` seconds apart.
     """
 
     HANDLERS = {**LogReplica.HANDLERS, SnapshotOffer: "_on_snapshot_offer",
@@ -108,16 +110,12 @@ class CompactingReplica(LogReplica):
     def __init__(self, pid: int, sim: Simulation, network: Network, n: int,
                  leader_of: Callable[[], int],
                  machine_factory: Callable[[], StateMachine],
-                 keep_tail: int = 32, snapshot_retry: float = 2.5,
-                 config=None) -> None:  # noqa: ANN001
+                 keep_tail: int = 32, config=None) -> None:  # noqa: ANN001
         super().__init__(pid, sim, network, n, leader_of, config)
         if keep_tail < 1:
             raise ValueError("keep_tail must be positive")
-        if snapshot_retry <= 0:
-            raise ValueError("snapshot_retry must be positive")
         self.machine = machine_factory()
         self.keep_tail = keep_tail
-        self.snapshot_retry = snapshot_retry
         self._last_offer: dict[int, float] = {}
         self.compact_floor = 0          # log[i] for i < floor is discarded
         self.applied_ids: set[Hashable] = set()
@@ -184,7 +182,7 @@ class CompactingReplica(LogReplica):
             return
         due = [peer for peer in self._snapshot_debtors
                if self.now - self._last_offer.get(peer, -1e18)
-               >= self.snapshot_retry]
+               >= SNAPSHOT_RETRY]
         if not due:
             return
         offer = SnapshotOffer(self.pid, self.commit_index,

@@ -6,6 +6,12 @@ from dataclasses import dataclass
 
 __all__ = ["ConsensusConfig"]
 
+# Crash-recovery stacks (``persist=True``) back retransmissions to a
+# silent peer off exponentially from ``tick`` up to this many seconds
+# between attempts, so a long-down peer costs O(log) traffic instead of
+# one message per tick; any message from the peer resets its backoff.
+BACKOFF_CAP = 8.0
+
 
 @dataclass(frozen=True)
 class ConsensusConfig:
@@ -33,12 +39,6 @@ class ConsensusConfig:
         returns ``False`` (sheds) once the queue is full, and the
         workload is expected to defer and retry — the leader-side
         backpressure signal.
-    backoff_cap:
-        Crash-recovery stacks only (``persist=True``): retransmissions
-        to a peer that has stayed silent back off exponentially from
-        ``tick`` up to this many seconds between attempts, so a long-down
-        peer costs O(log) traffic instead of one message per tick.  Any
-        message from the peer resets its backoff.
     sync_latency:
         Crash-recovery stacks only: seconds a stable-storage sync takes
         (the window in which a crash loses buffered writes).
@@ -48,7 +48,6 @@ class ConsensusConfig:
     max_batch: int = 8
     batch_size: int = 1
     queue_limit: int | None = None
-    backoff_cap: float = 8.0
     sync_latency: float = 0.02
 
     def __post_init__(self) -> None:
@@ -60,7 +59,8 @@ class ConsensusConfig:
             raise ValueError("batch_size must be at least 1")
         if self.queue_limit is not None and self.queue_limit < 1:
             raise ValueError("queue_limit must be None or at least 1")
-        if self.backoff_cap < self.tick:
-            raise ValueError("backoff_cap must be at least one tick")
+        if self.tick > BACKOFF_CAP:
+            raise ValueError(f"tick must be at most BACKOFF_CAP "
+                             f"({BACKOFF_CAP} s)")
         if self.sync_latency < 0:
             raise ValueError("sync_latency must be non-negative")

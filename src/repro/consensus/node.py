@@ -28,11 +28,9 @@ from repro.core.registry import make_factory
 from repro.core.config import OmegaConfig
 from repro.sim.engine import Simulation
 from repro.sim.links import LinkPolicy
-from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.topology import apply_links
-from repro.sim.trace import TraceLog
 
 __all__ = ["ConsensusNode", "ConsensusSystem"]
 
@@ -111,8 +109,6 @@ class ConsensusSystem:
         consensus_config: ConsensusConfig | None = None,
         f: int | None = None,
         seed: int = 0,
-        trace: bool = False,
-        metrics_window: float = 1.0,
         persist: bool = False,
     ) -> "ConsensusSystem":
         """Assemble a single-decree ensemble.
@@ -131,8 +127,7 @@ class ConsensusSystem:
             make_factory(omega_name, omega_config, n=n, f=f),
             lambda pid, sim, network, leader_of: SingleDecreeConsensus(
                 pid, sim, network, n, proposals[pid], leader_of=leader_of,
-                config=consensus_config, persist=persist),
-            trace, metrics_window)
+                config=consensus_config, persist=persist))
 
     @classmethod
     def build_replicated_log(
@@ -144,8 +139,6 @@ class ConsensusSystem:
         consensus_config: ConsensusConfig | None = None,
         f: int | None = None,
         seed: int = 0,
-        trace: bool = False,
-        metrics_window: float = 1.0,
         persist: bool = False,
     ) -> "ConsensusSystem":
         """Assemble a replicated-log ensemble (repeated consensus).
@@ -158,8 +151,7 @@ class ConsensusSystem:
             make_factory(omega_name, omega_config, n=n, f=f),
             lambda pid, sim, network, leader_of: LogReplica(
                 pid, sim, network, n, leader_of=leader_of,
-                config=consensus_config, persist=persist),
-            trace, metrics_window)
+                config=consensus_config, persist=persist))
 
     @classmethod
     def build_compacting_log(
@@ -173,8 +165,6 @@ class ConsensusSystem:
         consensus_config: ConsensusConfig | None = None,
         f: int | None = None,
         seed: int = 0,
-        trace: bool = False,
-        metrics_window: float = 1.0,
     ) -> "ConsensusSystem":
         """Assemble a replicated log with compaction and state machines."""
         return cls._build(
@@ -183,19 +173,17 @@ class ConsensusSystem:
             lambda pid, sim, network, leader_of: CompactingReplica(
                 pid, sim, network, n, leader_of=leader_of,
                 machine_factory=machine_factory, keep_tail=keep_tail,
-                config=consensus_config),
-            trace, metrics_window)
+                config=consensus_config))
 
     @classmethod
     def _build(cls, sim: Simulation, n: int, links_factory: LinkMapFactory,
                omega_factory: Callable[[int, Simulation, Network],
                                        OmegaProtocol],
-               make_agreement: AgreementFactory, trace: bool,
-               metrics_window: float) -> "ConsensusSystem":
+               make_agreement: AgreementFactory) -> "ConsensusSystem":
         """One Omega + agreement stack on ``sim``: a failure-detector
         network, an agreement network, and ``n`` nodes pairing the two."""
-        fd_network = cls._network(sim, links_factory, trace, metrics_window)
-        ag_network = cls._network(sim, links_factory, trace, metrics_window)
+        fd_network = cls._network(sim, links_factory)
+        ag_network = cls._network(sim, links_factory)
         nodes: dict[int, ConsensusNode] = {}
         for pid in range(n):
             omega = omega_factory(pid, sim, fd_network)
@@ -204,12 +192,8 @@ class ConsensusSystem:
         return cls(sim, fd_network, ag_network, nodes)
 
     @staticmethod
-    def _network(sim: Simulation, links_factory: LinkMapFactory,
-                 trace: bool, metrics_window: float) -> Network:
-        network = Network(sim, observers=(
-            MetricsCollector(window=metrics_window),
-            *((TraceLog(enabled=True),) if trace else ()),
-        ))
+    def _network(sim: Simulation, links_factory: LinkMapFactory) -> Network:
+        network = Network(sim)
         apply_links(network, links_factory())
         return network
 
@@ -256,14 +240,10 @@ class ConsensusSystem:
         """Pids of nodes still up, sorted."""
         return [pid for pid, omega in self._omegas if not omega._crashed]
 
-    def start_all(self, stagger: float = 0.0) -> None:
-        """Start every node, optionally staggered."""
-        for index, pid in enumerate(self.pids):
-            node = self.nodes[pid]
-            if stagger > 0:
-                self.sim.call_at(index * stagger, node.start)
-            else:
-                node.start()
+    def start_all(self) -> None:
+        """Start every node."""
+        for pid in self.pids:
+            self.nodes[pid].start()
 
     def run_until(self, deadline: float) -> None:
         """Advance the simulated clock to ``deadline``."""

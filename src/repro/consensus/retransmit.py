@@ -7,7 +7,7 @@ message (docs/RECOVERY.md has the contract and its bounds).
 
 from __future__ import annotations
 
-from repro.consensus.config import ConsensusConfig
+from repro.consensus.config import BACKOFF_CAP, ConsensusConfig
 
 __all__ = ["RetransmitGate"]
 
@@ -19,12 +19,11 @@ class RetransmitGate:
     the owner's lifetime (they survive :meth:`forget`).
     """
 
-    __slots__ = ("_tick", "_cap", "_retry_at", "_interval", "_verdicts",
+    __slots__ = ("_tick", "_retry_at", "_interval", "_verdicts",
                  "sent", "gated")
 
     def __init__(self, config: ConsensusConfig) -> None:
         self._tick = config.tick
-        self._cap = config.backoff_cap
         self._retry_at: dict[int, float] = {}
         self._interval: dict[int, float] = {}
         # Pass state, not re-derived from the clock: a live clock moves
@@ -50,7 +49,7 @@ class RetransmitGate:
             if verdict:
                 interval = self._interval.get(peer, self._tick)
                 self._retry_at[peer] = now + interval
-                self._interval[peer] = min(2 * interval, self._cap)
+                self._interval[peer] = min(2 * interval, BACKOFF_CAP)
             self._verdicts[peer] = verdict
         if verdict:
             self.sent += 1

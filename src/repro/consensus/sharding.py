@@ -9,21 +9,15 @@ ordering is deliberately absent; each group is linearizable on its own.
 
 :class:`ShardedLog` builds ``groups`` such stacks over a **single**
 :class:`~repro.sim.engine.Simulation` so one deterministic clock drives
-them all.  Two failure-detector layouts, matching the two deployments
-the paper's Omega admits:
-
-* ``shared_omega=True`` (default): one failure-detector network and one
-  Omega module per *machine*, shared by every group on it — the
-  paper-faithful "one leader oracle per machine" layout, and the cheap
-  one (failure-detection traffic does not scale with group count).
-  All groups on a machine follow the same leader.
-* ``shared_omega=False``: every group runs its own Omega on its own
-  failure-detector network, so groups elect independently (useful when
-  per-group leaders should spread over machines after faults).
+them all.  There is one failure-detector network and one Omega module
+per *machine*, shared by every group on it — the paper-faithful "one
+leader oracle per machine" layout, whose failure-detection traffic does
+not grow with the group count.  All groups on a machine follow the same
+leader.
 
 Machines, not processes, are the crash unit: :meth:`ShardedLog.crash`
-takes down the machine's Omega layer(s) and its replica in *every*
-group at the same instant, mirroring :class:`ConsensusNode`.
+takes down the machine's Omega layer and its replica in *every* group
+at the same instant, mirroring :class:`ConsensusNode`.
 
 Each group is exposed as a plain
 :class:`~repro.consensus.node.ConsensusSystem`, so the existing
@@ -35,7 +29,6 @@ group independently.
 from __future__ import annotations
 
 import zlib
-from functools import partial
 from typing import Any, Callable, Hashable
 
 from repro.consensus.compaction import CompactingReplica
@@ -60,13 +53,15 @@ class ShardedLog:
     …), plus :meth:`group_of` for key routing.
     """
 
-    def __init__(self, sim: Simulation, groups: tuple[ConsensusSystem, ...],
-                 shared_omega: bool) -> None:
+    def __init__(self, sim: Simulation,
+                 groups: tuple[ConsensusSystem, ...]) -> None:
         if not groups:
             raise ValueError("need at least one group")
         self.sim = sim
         self.groups = groups
-        self.shared_omega = shared_omega
+        # Every group shares the first group's Omega modules.
+        self._omegas = {pid: node.omega
+                        for pid, node in groups[0].nodes.items()}
 
     @classmethod
     def build(
@@ -77,19 +72,17 @@ class ShardedLog:
         omega_name: str = "comm-efficient",
         omega_config: OmegaConfig | None = None,
         consensus_config: ConsensusConfig | None = None,
-        shared_omega: bool = True,
         machine_factory: Callable[[], Any] | None = None,
         keep_tail: int = 32,
         f: int | None = None,
         seed: int = 0,
-        metrics_window: float = 1.0,
         persist: bool = False,
     ) -> "ShardedLog":
         """Assemble ``groups`` replicated-log stacks over ``n`` machines.
 
         ``links_factory`` is called once per network (one
-        failure-detector network — per group when ``shared_omega`` is
-        off — plus one agreement network per group), each call yielding
+        failure-detector network plus one agreement network per group),
+        each call yielding
         fresh stateful link policies of the same topology.  With a
         ``machine_factory`` every group runs
         :class:`~repro.consensus.compaction.CompactingReplica` replicas
@@ -117,26 +110,18 @@ class ShardedLog:
             return LogReplica(pid, sim, network, n, leader_of=leader_of,
                               config=consensus_config, persist=persist)
 
-        if not shared_omega:
-            return cls(sim, tuple(
-                ConsensusSystem._build(sim, n, links_factory, omega_factory,
-                                       make_replica, False, metrics_window)
-                for _ in range(groups)), shared_omega)
         # One failure-detector network and one Omega per machine, shared
         # by every group's nodes.
-        fd_network = ConsensusSystem._network(
-            sim, links_factory, trace=False, metrics_window=metrics_window)
+        fd_network = ConsensusSystem._network(sim, links_factory)
         omegas = [omega_factory(pid, sim, fd_network) for pid in range(n)]
         built: list[ConsensusSystem] = []
         for _ in range(groups):
-            ag_network = ConsensusSystem._network(
-                sim, links_factory, trace=False,
-                metrics_window=metrics_window)
+            ag_network = ConsensusSystem._network(sim, links_factory)
             built.append(ConsensusSystem(sim, fd_network, ag_network, {
                 pid: ConsensusNode(pid, omega, make_replica(
                     pid, sim, ag_network, omega.leader))
                 for pid, omega in enumerate(omegas)}))
-        return cls(sim, tuple(built), shared_omega)
+        return cls(sim, tuple(built))
 
     # ------------------------------------------------------------------
     # Routing
@@ -170,50 +155,36 @@ class ShardedLog:
 
     @property
     def networks(self) -> tuple[Network, ...]:
-        """Every distinct network: FD network(s) first, then one
+        """Every network: the shared FD network first, then one
         agreement network per group (fault plans hit all of them)."""
-        out: list[Network] = []
-        for group in self.groups:
-            if group.fd_network not in out:
-                out.append(group.fd_network)
-        out.extend(group.agreement_network for group in self.groups)
-        return tuple(out)
-
-    def _omegas_of(self, pid: int) -> list[Any]:
-        """The machine's Omega modules (one if shared, one per group)."""
-        if self.shared_omega:
-            return [self.groups[0].nodes[pid].omega]
-        return [group.nodes[pid].omega for group in self.groups]
+        return (self.groups[0].fd_network,
+                *(group.agreement_network for group in self.groups))
 
     def node(self, pid: int) -> ConsensusNode:
         """The first group's node (omega + replica) — handy for leaders."""
         return self.groups[0].nodes[pid]
 
     def crash(self, pid: int) -> None:
-        """Crash one machine: its Omega layer(s) and every group replica."""
-        for omega in self._omegas_of(pid):
-            omega.crash()
+        """Crash one machine: its Omega layer and every group replica."""
+        self._omegas[pid].crash()
         for group in self.groups:
             group.nodes[pid].agreement.crash()
 
     def recover(self, pid: int) -> None:
         """Reboot one machine (all layers, every group)."""
-        for omega in self._omegas_of(pid):
-            omega.recover()
+        self._omegas[pid].recover()
         for group in self.groups:
             group.nodes[pid].agreement.recover()
 
     def pause(self, pid: int) -> None:
         """Freeze one machine (all layers, every group)."""
-        for omega in self._omegas_of(pid):
-            omega.pause()
+        self._omegas[pid].pause()
         for group in self.groups:
             group.nodes[pid].agreement.pause()
 
     def resume(self, pid: int) -> None:
         """Unfreeze one machine (all layers, every group)."""
-        for omega in self._omegas_of(pid):
-            omega.resume()
+        self._omegas[pid].resume()
         for group in self.groups:
             group.nodes[pid].agreement.resume()
 
@@ -221,20 +192,12 @@ class ShardedLog:
         """Pids of machines still up."""
         return self.groups[0].up_pids()
 
-    def start_all(self, stagger: float = 0.0) -> None:
+    def start_all(self) -> None:
         """Start every machine (each Omega once, every group's replica)."""
-        for index, pid in enumerate(self.pids):
-            if stagger > 0:
-                self.sim.call_at(index * stagger,
-                                 partial(self._start_machine, pid))
-            else:
-                self._start_machine(pid)
-
-    def _start_machine(self, pid: int) -> None:
-        for omega in self._omegas_of(pid):
-            omega.start()
-        for group in self.groups:
-            group.nodes[pid].agreement.start()
+        for pid in self.pids:
+            self._omegas[pid].start()
+            for group in self.groups:
+                group.nodes[pid].agreement.start()
 
     def run_until(self, deadline: float) -> None:
         """Advance the simulated clock to ``deadline``."""

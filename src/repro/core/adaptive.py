@@ -61,6 +61,17 @@ INSUFFICIENT = "insufficient-data"
 # this many gaps is not enough signal to call a link anything.
 _MIN_GAPS = 3
 
+# The layer's constants; docs/DEGRADATION.md gives the reason for each.
+EWMA_ALPHA = 0.3        # weight of the newest gap in the per-link EWMA
+DEGRADE_RATIO = 2.0     # smoothed gap / η above which a link is degraded
+BAD_RATIO = 4.0         # ... and above which it is bad
+BACKOFF_BASE = 2.0      # watch-timeout scale per suspicion level
+BACKOFF_CAP = 8.0       # most the backoff (and the gap stretch) may scale
+RELAX_STREAK = 5        # timely heartbeats that decay one backoff level
+GAP_MARGIN = 3.0        # watch at least this many estimated gaps
+BATCH_LIMIT = 4         # most η periods one leased heartbeat covers
+PRESSURE_DECAY = 5.0    # quiet seconds that decay one batching level
+
 
 @dataclass
 class LinkQualityEstimator:
@@ -79,7 +90,7 @@ class LinkQualityEstimator:
             return
         gap = now - last
         previous = self._ewma.get(peer)
-        alpha = self.config.ewma_alpha
+        alpha = EWMA_ALPHA
         self._ewma[peer] = (gap if previous is None
                             else previous + alpha * (gap - previous))
         self._gaps[peer] = self._gaps.get(peer, 0) + 1
@@ -99,9 +110,9 @@ class LinkQualityEstimator:
         if self._gaps.get(peer, 0) < _MIN_GAPS:
             return INSUFFICIENT
         ratio = self._ewma[peer] / self.config.eta
-        if ratio <= self.config.degrade_ratio:
+        if ratio <= DEGRADE_RATIO:
             return TIMELY
-        if ratio <= self.config.bad_ratio:
+        if ratio <= BAD_RATIO:
             return DEGRADED
         return BAD
 
@@ -110,14 +121,13 @@ class LinkQualityEstimator:
 class BackoffPolicy:
     """Bounded-exponential timeout backoff with decay on recovery."""
 
-    config: OmegaConfig
     _level: dict[int, int] = field(default_factory=dict)
     _streak: dict[int, int] = field(default_factory=dict)
 
     def suspect(self, peer: int) -> None:
         """A watch on ``peer`` expired: raise its backoff level (bounded)."""
         level = self._level.get(peer, 0) + 1
-        if self.config.backoff_base ** level > self.config.backoff_cap:
+        if BACKOFF_BASE ** level > BACKOFF_CAP:
             level -= 1
         self._level[peer] = level
         self._streak[peer] = 0
@@ -128,7 +138,7 @@ class BackoffPolicy:
         if level == 0:
             return
         streak = self._streak.get(peer, 0) + 1
-        if streak >= self.config.relax_streak:
+        if streak >= RELAX_STREAK:
             self._level[peer] = level - 1
             self._streak[peer] = 0
         else:
@@ -143,8 +153,7 @@ class BackoffPolicy:
         level = self._level.get(peer, 0)
         if level == 0:
             return 1.0
-        return min(self.config.backoff_cap,
-                   self.config.backoff_base ** level)
+        return min(BACKOFF_CAP, BACKOFF_BASE ** level)
 
 
 class AdaptiveController:
@@ -160,7 +169,7 @@ class AdaptiveController:
     def __init__(self, config: OmegaConfig) -> None:
         self.config = config
         self.estimator = LinkQualityEstimator(config)
-        self.backoff = BackoffPolicy(config)
+        self.backoff = BackoffPolicy()
         # Outgoing-link pressure: accusations received per peer, with
         # lazy time decay.  (peer -> (level, last_accusation_time))
         self._pressure: dict[int, tuple[int, float]] = {}
@@ -192,8 +201,7 @@ class AdaptiveController:
         """
         gap = self.estimator.gap(peer)
         if gap is not None:
-            estimated = min(gap * self.config.gap_margin,
-                            base * self.config.backoff_cap)
+            estimated = min(gap * GAP_MARGIN, base * BACKOFF_CAP)
             base = max(base, estimated)
         extra = (lease - 1) * self.config.eta if lease > 1 else 0.0
         return base * self.backoff.scale(peer) + extra
@@ -211,13 +219,12 @@ class AdaptiveController:
         mode coalesces several periods into one leased heartbeat.
         """
         level = self._decayed_pressure(peer, now) + 1
-        limit = max(0, self.config.batch_limit.bit_length() - 1)
+        limit = max(0, BATCH_LIMIT.bit_length() - 1)
         self._pressure[peer] = (min(level, limit), now)
 
     def lease(self, peer: int, now: float) -> int:
         """Periods one heartbeat to ``peer`` should cover (1 = no batching)."""
-        return min(self.config.batch_limit,
-                   2 ** self._decayed_pressure(peer, now))
+        return min(BATCH_LIMIT, 2 ** self._decayed_pressure(peer, now))
 
     def next_send(self, peer: int, now: float) -> int:
         """Lease for this η-tick's heartbeat to ``peer``; 0 = skip the tick.
@@ -242,4 +249,4 @@ class AdaptiveController:
             return 0
         level, last = entry
         quiet = max(0.0, now - last)
-        return max(0, level - int(quiet // self.config.pressure_decay))
+        return max(0, level - int(quiet // PRESSURE_DECAY))

@@ -20,6 +20,9 @@ __all__ = ["OmegaConfig", "AdaptiveTimeouts"]
 
 GROWTH_POLICIES = ("additive", "multiplicative")
 
+# The multiplicative policy's factor per false suspicion.
+GROWTH_FACTOR = 1.5
+
 
 @dataclass(frozen=True)
 class OmegaConfig:
@@ -35,11 +38,9 @@ class OmegaConfig:
     growth_policy:
         ``"additive"`` (timeout += ``growth_step``; the pseudocode's
         ``Timeout[q] + 1``) or ``"multiplicative"`` (timeout *=
-        ``growth_factor``), applied on every false suspicion.
+        ``GROWTH_FACTOR``), applied on every false suspicion.
     growth_step:
         Additive increment.
-    growth_factor:
-        Multiplicative factor.
     phase_tagged_accusations:
         Whether accusations carry the phase of the heartbeat whose
         timeout triggered them, letting the accused discard stale blame
@@ -49,47 +50,15 @@ class OmegaConfig:
         Master switch for the adaptive degradation layer
         (:mod:`repro.core.adaptive`, docs/DEGRADATION.md).  Off by
         default: the static algorithms are bit-for-bit unchanged unless
-        a run opts in.  The remaining fields only matter when it is on.
-    ewma_alpha:
-        Smoothing factor of the per-link heartbeat-gap EWMA (0 < α ≤ 1).
-    degrade_ratio, bad_ratio:
-        Gap-to-η ratios above which an incoming link is classified
-        ``degraded`` respectively ``bad``.
-    backoff_base, backoff_cap:
-        Bounded-exponential watch-timeout backoff: each suspicion
-        multiplies the scale by ``backoff_base``, never beyond
-        ``backoff_cap``.
-    relax_streak:
-        Consecutive timely heartbeats needed to decay one backoff level
-        (the "decay on recovery" half of the policy).
-    gap_margin:
-        Watch timeouts are stretched to at least ``gap_margin`` times
-        the estimated heartbeat gap (bounded by ``backoff_cap`` times
-        the static timeout).
-    batch_limit:
-        Maximum heartbeat lease of the degradation mode — the most η
-        periods one batched heartbeat may cover.  1 disables batching.
-    pressure_decay:
-        Seconds without a fresh accusation after which one level of
-        batching pressure decays.
+        a run opts in; its constants live in that module.
     """
 
     eta: float = 0.5
     initial_timeout: float = 2.0
     growth_policy: str = "additive"
     growth_step: float = 0.5
-    growth_factor: float = 1.5
     phase_tagged_accusations: bool = True
     adaptive_qos: bool = False
-    ewma_alpha: float = 0.3
-    degrade_ratio: float = 2.0
-    bad_ratio: float = 4.0
-    backoff_base: float = 2.0
-    backoff_cap: float = 8.0
-    relax_streak: int = 5
-    gap_margin: float = 3.0
-    batch_limit: int = 4
-    pressure_decay: float = 5.0
 
     def __post_init__(self) -> None:
         if self.eta <= 0:
@@ -100,26 +69,6 @@ class OmegaConfig:
             raise ValueError(f"growth_policy must be one of {GROWTH_POLICIES}")
         if self.growth_step <= 0:
             raise ValueError("growth_step must be positive")
-        if self.growth_factor <= 1:
-            raise ValueError("growth_factor must exceed 1")
-        if not 0 < self.ewma_alpha <= 1:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.degrade_ratio < 1:
-            raise ValueError("degrade_ratio must be at least 1")
-        if self.bad_ratio < self.degrade_ratio:
-            raise ValueError("bad_ratio must be at least degrade_ratio")
-        if self.backoff_base <= 1:
-            raise ValueError("backoff_base must exceed 1")
-        if self.backoff_cap < 1:
-            raise ValueError("backoff_cap must be at least 1")
-        if self.relax_streak < 1:
-            raise ValueError("relax_streak must be at least 1")
-        if self.gap_margin < 1:
-            raise ValueError("gap_margin must be at least 1")
-        if self.batch_limit < 1:
-            raise ValueError("batch_limit must be at least 1")
-        if self.pressure_decay <= 0:
-            raise ValueError("pressure_decay must be positive")
 
 
 @dataclass
@@ -139,7 +88,7 @@ class AdaptiveTimeouts:
         if self.config.growth_policy == "additive":
             grown = current + self.config.growth_step
         else:
-            grown = current * self.config.growth_factor
+            grown = current * GROWTH_FACTOR
         self._table[peer] = grown
         return grown
 

@@ -126,7 +126,7 @@ class Beat(Message):
     ----------
     lease:
         How many η periods this beat covers (1 outside the adaptive
-        degradation mode).  Bounded by ``OmegaConfig.batch_limit``, so
+        degradation mode).  Bounded by :data:`repro.core.adaptive.BATCH_LIMIT`, so
         unlike ``Alive`` the message never grows: every ``Beat`` fits a
         constant number of packets for the whole run.
     """

@@ -16,7 +16,7 @@ system, as for :class:`~repro.core.all_timely.AllTimelyOmega`):
 
 * The only message is :class:`~repro.core.messages.Beat`, whose fields
   are bounded for the whole run (``sender`` plus a lease capped by
-  ``batch_limit``): wire size is constant, so packets ≡ messages.
+  ``BATCH_LIMIT``): wire size is constant, so packets ≡ messages.
 * **Candidate rule** (communication efficiency): a process beats iff it
   currently trusts itself.  Initially everyone does; adopting a
   smaller-id candidate silences a process, so candidates thin out until
@@ -52,8 +52,8 @@ exponentially (bounded, decaying on recovery).  Sender side there is no
 per-link feedback at all — suspicion is local, so a stable leader hears
 *nothing* — hence batching ramps with leadership **tenure**: the longer
 a leader has been unchallenged, the longer the lease its beats
-announce, up to ``batch_limit`` periods per beat.  Steady state thus
-costs up to ``batch_limit`` times fewer packets, and receivers extend
+announce, up to ``BATCH_LIMIT`` periods per beat.  Steady state thus
+costs up to ``BATCH_LIMIT`` times fewer packets, and receivers extend
 their watch by the announced lease so detection QoS degrades only by
 the bounded lease, never silently.
 """
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.core.adaptive import AdaptiveController
+from repro.core.adaptive import BATCH_LIMIT, AdaptiveController
 from repro.core.messages import Beat
 from repro.core.omega import _HEARTBEAT, OmegaProtocol
 
@@ -73,8 +73,8 @@ __all__ = ["PacketEfficientOmega"]
 _WATCH = "watch"
 
 # Adaptive mode: η-ticks of unchallenged leadership per extra lease
-# level.  At the default η = 0.5 the lease reaches ``batch_limit``
-# after batch_limit · 10 s of stable tenure.
+# level.  At the default η = 0.5 the lease reaches ``BATCH_LIMIT``
+# after BATCH_LIMIT · 10 s of stable tenure.
 _TENURE_TICKS = 20
 
 
@@ -112,13 +112,13 @@ class PacketEfficientOmega(OmegaProtocol):
             return
         # Tenure-based batching: a leader nobody has displaced for a
         # while announces ever longer leases (bounded), skipping the
-        # covered ticks — steady state sends up to batch_limit× fewer
+        # covered ticks — steady state sends up to BATCH_LIMIT× fewer
         # packets.
         self._tenure += 1
         if self._skip > 0:
             self._skip -= 1
             return
-        lease = min(self.config.batch_limit, 1 + self._tenure // _TENURE_TICKS)
+        lease = min(BATCH_LIMIT, 1 + self._tenure // _TENURE_TICKS)
         self._skip = lease - 1
         self.broadcast(Beat(self.pid, lease))
 

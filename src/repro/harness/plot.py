@@ -42,16 +42,14 @@ def sparkline(values: Sequence[float], lo: float | None = None,
 
 
 def render_series(series: Mapping[str, Sequence[float]],
-                  title: str | None = None,
-                  shared_scale: bool = True) -> str:
-    """Multi-line labelled sparklines, optionally on one shared scale."""
+                  title: str | None = None) -> str:
+    """Multi-line labelled sparklines on one shared scale."""
     if not series:
         return title or ""
     lo = hi = None
-    if shared_scale:
-        everything = [v for values in series.values() for v in values]
-        if everything:
-            lo, hi = min(everything), max(everything)
+    everything = [v for values in series.values() for v in values]
+    if everything:
+        lo, hi = min(everything), max(everything)
     label_width = max(len(label) for label in series)
     lines = [] if title is None else [title]
     for label, values in series.items():

@@ -116,7 +116,6 @@ class OmegaScenario:
     seed: int = 0
     horizon: float = 120.0
     ce_window: float = 20.0
-    stagger: float = 0.0
     quorum_override: int | None = None
     timings: LinkTimings = field(default_factory=lambda: LinkTimings(gst=5.0))
     config: OmegaConfig = field(default_factory=OmegaConfig)
@@ -194,7 +193,7 @@ class OmegaScenario:
     def run(self) -> OmegaOutcome:
         """Run to the horizon and analyze."""
         cluster = self.build()
-        cluster.start_all(stagger=self.stagger)
+        cluster.start_all()
         cluster.run_until(self.horizon)
         return OmegaOutcome(
             scenario=self,

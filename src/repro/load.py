@@ -50,6 +50,7 @@ from repro.consensus.config import ConsensusConfig
 from repro.consensus.node import ConsensusSystem
 from repro.consensus.replica import entry_commands
 from repro.consensus.sharding import ShardedLog
+from repro.core.registry import OMEGA_ALGORITHMS
 from repro.obs.observer import Observer
 from repro.obs.verdict import Verdict
 from repro.sim.topology import LinkTimings, multi_source_links
@@ -64,6 +65,11 @@ __all__ = [
 
 _ARRIVALS = ("poisson", "steady")
 _MODES = ("open", "closed")
+
+# Zipf skew of the fleet's key popularity: a hot head, a long tail.
+ZIPF_S = 1.1
+# Seconds between the fleet's sweeps re-offering undecided commands.
+RETRY_PERIOD = 4.0
 
 
 def _require(condition: bool, message: str) -> None:
@@ -139,9 +145,10 @@ class LoadSpec:
     Cluster shape (read by :meth:`build` only)
     ------------------------------------------
     ``n`` machines run ``groups`` independent replicated logs
-    (:class:`~repro.consensus.sharding.ShardedLog`; ``shared_omega``
-    picks the failure-detector layout), links come up timely after
-    ``gst``.  ``batch_size``/``window``/``queue_limit`` map onto
+    (:class:`~repro.consensus.sharding.ShardedLog`) over one ``omega``
+    per machine, and links come up timely after ``gst``.  Every Omega
+    of the registry but ``"f-source"`` (which needs an ``f``) is
+    accepted.  ``batch_size``/``window``/``queue_limit`` map onto
     :class:`~repro.consensus.config.ConsensusConfig` — ``window`` is the
     pipelining depth (``max_batch``).  ``compacting=True`` runs
     compacting replicas (journal machines, ``keep_tail`` retained
@@ -151,19 +158,18 @@ class LoadSpec:
 
     Fleet shape (read by :meth:`drive`)
     -----------------------------------
-    ``clients`` logical clients touch ``keys`` keys with Zipf(``zipf_s``)
-    skew.  ``mode="open"`` offers an aggregate ``rate`` commands/s over
+    ``clients`` logical clients touch ``keys`` keys with
+    Zipf(``ZIPF_S``) skew.  ``mode="open"`` offers an aggregate ``rate`` commands/s over
     ``[start, start + duration)``: Poisson interarrivals, or with
     ``arrival="steady"`` the k-th command at ``start + k/rate``, exactly
     ``count`` of them when ``duration = count/rate``.
     ``mode="closed"`` has every client loop submit → commit →
     ``think_time``.  Commands not yet decided are re-offered every
-    ``retry_period`` to a rotating target.
+    ``RETRY_PERIOD`` seconds to a rotating target.
     """
 
     n: int = 5
     groups: int = 1
-    shared_omega: bool = True
     omega: str = "comm-efficient"
     gst: float = 2.0
     seed: int = 0
@@ -176,7 +182,6 @@ class LoadSpec:
 
     clients: int = 1000
     keys: int = 256
-    zipf_s: float = 1.1
     mode: str = "open"
     rate: float = 40.0
     arrival: str = "poisson"
@@ -184,7 +189,6 @@ class LoadSpec:
     start: float = 5.0
     duration: float = 60.0
     horizon: float = 120.0
-    retry_period: float = 4.0
 
     def __post_init__(self) -> None:
         _require(self.n >= 2, f"n must be at least 2, got {self.n!r}")
@@ -193,14 +197,18 @@ class LoadSpec:
         _require(self.clients >= 1,
                  f"clients must be at least 1, got {self.clients!r}")
         _require(self.keys >= 1, f"keys must be at least 1, got {self.keys!r}")
-        _require(_finite(self.zipf_s) and self.zipf_s >= 0,
-                 f"zipf_s must be non-negative and finite, got {self.zipf_s!r}")
         _require(self.mode in _MODES,
                  f"mode must be one of {_MODES}, got {self.mode!r}")
         _require(self.arrival in _ARRIVALS,
                  f"arrival must be one of {_ARRIVALS}, got {self.arrival!r}")
-        for name in ("rate", "think_time", "duration", "retry_period", "gst",
-                     "horizon"):
+        _require(self.omega != "f-source",
+                 "omega='f-source' is unsupported: it needs a fault bound "
+                 "f, which LoadSpec does not have")
+        _require(self.omega in OMEGA_ALGORITHMS,
+                 f"omega must be one of "
+                 f"{sorted(set(OMEGA_ALGORITHMS) - {'f-source'})}, "
+                 f"got {self.omega!r}")
+        for name in ("rate", "think_time", "duration", "gst", "horizon"):
             value = getattr(self, name)
             _require(_finite(value) and value > 0,
                      f"{name} must be positive and finite, got {value!r}")
@@ -228,11 +236,11 @@ class LoadSpec:
         timers; they fire once the system runs.
 
         A :class:`~repro.consensus.node.ConsensusSystem` is driven as
-        the one-group ``ShardedLog(system.sim, (system,), True)``.  Only
+        the one-group ``ShardedLog(system.sim, (system,))``.  Only
         the fleet-shape fields are read: the cluster is the caller's.
         """
         if isinstance(system, ConsensusSystem):
-            system = ShardedLog(system.sim, (system,), shared_omega=True)
+            system = ShardedLog(system.sim, (system,))
         fleet = ClientFleet(self, system)
         fleet._attach()
         return fleet
@@ -252,7 +260,6 @@ class LoadSpec:
                 self.n, sources, timings),
             omega_name=self.omega,
             consensus_config=self.consensus_config(),
-            shared_omega=self.shared_omega,
             machine_factory=JournalMachine if self.compacting else None,
             keep_tail=self.keep_tail,
             seed=self.seed,
@@ -302,7 +309,7 @@ class ClientFleet:
         self.spec = spec
         self.system = system
         self._rng = system.sim.rng.stream("load", "fleet")
-        self._zipf = ZipfSampler(spec.keys, spec.zipf_s)
+        self._zipf = ZipfSampler(spec.keys, ZIPF_S)
         self._next_seq: dict[int, int] = {}
         # command id -> (payload, group, first submit time)
         self.outstanding: dict[Hashable, tuple[Any, int, float]] = {}
@@ -333,7 +340,7 @@ class ClientFleet:
                 offset = self._rng.random() * self.spec.think_time
                 sim.call_at(self.spec.start + offset,
                             self._closed_submit_factory(client))
-        sim.call_at(self.spec.start + self.spec.retry_period, self._retry)
+        sim.call_at(self.spec.start + RETRY_PERIOD, self._retry)
 
     # ------------------------------------------------------------------
     # Arrival processes
@@ -398,7 +405,7 @@ class ClientFleet:
         for command_id, (payload, group, _) in list(self.outstanding.items()):
             self.retries += 1
             self._offer(command_id, payload, group)
-        self.system.sim.call_after(self.spec.retry_period, self._retry)
+        self.system.sim.call_after(RETRY_PERIOD, self._retry)
 
     def _on_commit(self, command_id: Hashable, time: float) -> None:
         if command_id in self.commit_times:

@@ -53,7 +53,6 @@ class Cluster:
         links: Mapping[tuple[int, int], LinkPolicy] | None = None,
         seed: int = 0,
         trace: bool = False,
-        metrics_window: float = 1.0,
         observers: Iterable[Observer] = (),
         link_rng: str = "pair",
     ) -> "Cluster":
@@ -80,8 +79,6 @@ class Cluster:
             Root seed of the run.
         trace:
             Enable full event tracing (tests: yes, benchmarks: no).
-        metrics_window:
-            Aggregation window of the metrics collector.
         observers:
             Extra observers to attach to the network's hub.
         link_rng:
@@ -93,7 +90,7 @@ class Cluster:
             raise ValueError("a distributed system needs at least 2 processes")
         sim = Simulation(seed=seed)
         network = Network(sim, observers=(
-            MetricsCollector(window=metrics_window),
+            MetricsCollector(),
             *((TraceLog(enabled=True),) if trace else ()),
             *observers,
         ), link_rng=link_rng)
@@ -152,19 +149,11 @@ class Cluster:
     # Operations
     # ------------------------------------------------------------------
 
-    def start_all(self, stagger: float = 0.0) -> None:
-        """Start every process, optionally staggering starts by ``stagger``.
-
-        With a positive stagger, pid ``i`` starts at ``i * stagger`` —
-        real systems never boot simultaneously, and several experiments
-        rely on asymmetric starts to provoke leadership duels.
-        """
-        for index, pid in enumerate(self.pids):
-            process = self.processes[pid]
-            if stagger > 0:
-                self.sim.call_at(index * stagger, process.start)
-            else:
-                process.start()
+    def start_all(self) -> None:
+        """Start every process now (post ``process.start`` with
+        ``sim.call_at`` for a staggered boot)."""
+        for pid in self.pids:
+            self.processes[pid].start()
 
     def run_until(self, deadline: float) -> None:
         """Advance the simulated clock to ``deadline`` (simulated seconds)."""

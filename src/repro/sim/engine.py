@@ -63,8 +63,8 @@ holds for every time in bucket ``index`` — no epsilon, no edge cases.
 
 Cancellation tombstones events in O(1) and the engine drops tombstones
 when they surface; a compaction sweep rebuilds the heap when
-tombstones outnumber live events (threshold configurable via
-``compact_threshold``), so a workload that constantly resets timers
+tombstones outnumber live events (and number at least
+``_COMPACT_THRESHOLD``), so a workload that constantly resets timers
 cannot grow the heap without bound.
 
 Typical use::
@@ -93,6 +93,11 @@ _INF = float("inf")
 # 2**60 seconds of calendar would never be reached anyway.
 _FAR_HORIZON = 2.0 ** 60
 
+# Tombstones before a cancellation may trigger a compaction sweep of the
+# heap (which also needs tombstones to be at least half of it): keeps
+# the amortized cost of a cancel at O(log n).
+_COMPACT_THRESHOLD = 64
+
 # A calendar entry carries the bare action, no ScheduledEvent.
 _Entry = tuple[float, int, Callable[[], None]]
 
@@ -110,13 +115,6 @@ class Simulation:
         Root seed of the run's random fabric (see :class:`RngFabric`).
         Two simulations built with the same seed and driven by the same
         calls execute identical event interleavings.
-    compact_threshold:
-        Minimum number of tombstones before a cancellation can trigger a
-        compaction sweep of the heap (the sweep additionally requires
-        tombstones to be at least half the heap).  Lower values
-        bound heap memory tighter at the price of more frequent O(heap)
-        sweeps; the default keeps the amortized cost of a cancel at
-        O(log n).
     bucket_width:
         Span of simulated seconds covered by one calendar bucket.  Must
         be a positive power of two (see the module docstring for why);
@@ -125,18 +123,14 @@ class Simulation:
         is already open and is merged into it rather than bucketed.
     """
 
-    def __init__(self, seed: int = 0, *, compact_threshold: int = 64,
+    def __init__(self, seed: int = 0, *,
                  bucket_width: float = 0.0625) -> None:
-        if compact_threshold < 1:
-            raise SimulationError(
-                f"compact_threshold must be >= 1, got {compact_threshold}")
         if not (bucket_width > 0 and math.frexp(bucket_width)[0] == 0.5):
             raise SimulationError(
                 f"bucket_width must be a positive power of two, "
                 f"got {bucket_width}")
         self._now = 0.0
         self._seq = 0
-        self._compact_threshold = compact_threshold
         self._bucket_width = bucket_width
         self._inv_width = 1.0 / bucket_width  # exact: width is 2**-k
         # Tier 1: calendar buckets of (time, seq, action) tuples, keyed by
@@ -537,7 +531,7 @@ class Simulation:
         self._tombstones += 1
         tombstones = self._tombstones
         heap = self._heap
-        if (tombstones >= self._compact_threshold
+        if (tombstones >= _COMPACT_THRESHOLD
                 and tombstones * 2 >= len(heap)):
             # In-place (the run loops hold a reference to this list, and
             # cancellation can happen from inside a running event).

@@ -74,8 +74,7 @@ from __future__ import annotations
 import random
 from array import array
 from itertools import repeat
-from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple,
-                    Sequence)
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.obs.observer import Observer, ObserverHub, attach_captured
 from repro.sim.engine import Simulation
@@ -240,14 +239,6 @@ class Network:
         :class:`~repro.sim.metrics.MetricsCollector`, preserving the
         historical behaviour of ``Network(sim)``; pass an explicit
         empty tuple for a truly bare network.
-    default_link:
-        Factory of the law for every ordered pair that neither an
-        installed map nor :meth:`set_link` covers, called once on first
-        need; defaults to one shared :class:`TimelyLink`.
-    mtu:
-        Packet size used to convert modeled wire bytes into packet
-        counts (see :mod:`repro.sim.packets`).  Only consulted when a
-        packet observer is attached; the default run pays nothing.
     link_rng:
         Granularity of the link RNG streams.  ``"pair"`` (the default,
         and the historical behaviour) derives one independent stream per
@@ -259,14 +250,19 @@ class Network:
         the n=1024 sweeps affordable.  The two settings produce
         different (each internally deterministic) delay sequences, so
         changing it changes a run the way changing the seed does.
+
+    A pair that neither an installed map nor :meth:`set_link` covers
+    gets one shared :class:`TimelyLink`, made on first need.
     """
+
+    #: Modeled wire bytes become packets at this size (only a packet
+    #: observer asks; see :mod:`repro.sim.packets`).
+    mtu = DEFAULT_MTU
 
     def __init__(
         self,
         sim: Simulation,
-        default_link: Callable[[], LinkPolicy] = TimelyLink,
         observers: Iterable[Observer] | None = None,
-        mtu: int = DEFAULT_MTU,
         link_rng: str = "pair",
     ) -> None:
         self.sim = sim
@@ -277,14 +273,10 @@ class Network:
             for observer in observers:
                 self.hub.attach(observer)
         attach_captured(self.hub, self)
-        if mtu <= 0:
-            raise NetworkError("mtu must be positive")
         if link_rng not in ("pair", "src"):
             raise NetworkError(
                 f"link_rng must be 'pair' or 'src', got {link_rng!r}")
-        self.mtu = mtu
         self.link_rng = link_rng
-        self._default_link = default_link
         self._default_policy: LinkPolicy | None = None
         self._processes: dict[int, "Process"] = {}
         # The installed map's base law and the pids it covers; _links
@@ -428,7 +420,7 @@ class Network:
                 return self._base_law
             policy = self._default_policy
             if policy is None:
-                policy = self._default_policy = self._default_link()
+                policy = self._default_policy = TimelyLink()
         return policy
 
     def _route_table_now(self) -> list[tuple[LinkPolicy, random.Random] | None]:

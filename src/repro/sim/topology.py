@@ -110,56 +110,60 @@ class LinkMap(Mapping[tuple[int, int], LinkPolicy]):
         return self.n * (self.n - 1)
 
 
+# Link constants every topology shares (see LinkTimings).
+DELTA = 0.05                # post-GST delay bound of (◇)timely links
+MIN_DELAY = 0.001           # propagation floor of every link type
+FAIR_MAX_CONSECUTIVE = 10   # fair-lossy: most drops in a row
+ASYNC_LOSS = 0.5            # lossy-asynchronous: loss probability
+ASYNC_DELAY_MAX = 5.0       # lossy-asynchronous: delay ceiling
+
+
 @dataclass(frozen=True)
 class LinkTimings:
     """Substrate constants shared by the topology builders.
 
+    Every link type keeps ``MIN_DELAY`` as its propagation floor, and
+    (eventually) timely links deliver within ``DELTA`` (after GST).
+
     Attributes
     ----------
-    delta:
-        Post-GST delay bound of (eventually) timely links.
-    min_delay:
-        Physical propagation floor for every link type.
     gst:
         Global stabilization time of eventually timely links.
     pre_gst_loss / pre_gst_delay_max:
         Behaviour of ◇timely links before GST.
-    fair_loss / fair_max_consecutive / fair_delay_max / fair_delay_growth:
-        Fair-lossy link parameters (base loss probability, enforced
-        fairness bound, delay spread, and the delay-ceiling growth rate
-        that realizes the model's *unbounded* fair-lossy delays).
+    fair_loss / fair_delay_max / fair_delay_growth:
+        Fair-lossy link parameters (base loss probability, delay spread,
+        and the delay-ceiling growth rate that realizes the model's
+        *unbounded* fair-lossy delays); at most ``FAIR_MAX_CONSECUTIVE``
+        drops in a row keep the link fair.
     fair_outage_period / fair_outage_growth:
         Growing-outage ("gap") adversary of fair-lossy links: fixed pass
         windows alternating with linearly growing outages — the honest
         realization of the model's unbounded silences.
-    async_loss / async_delay_max:
-        Lossy-asynchronous link parameters.
+
+    Lossy-asynchronous links lose ``ASYNC_LOSS`` of their messages and
+    delay the rest by up to ``ASYNC_DELAY_MAX``.
     """
 
-    delta: float = 0.05
-    min_delay: float = 0.001
     gst: float = 10.0
     pre_gst_loss: float = 0.5
     pre_gst_delay_max: float = 5.0
     fair_loss: float = 0.3
-    fair_max_consecutive: int = 10
     fair_delay_max: float = 1.0
     fair_delay_growth: float = 0.0
     fair_outage_period: float = 0.0
     fair_outage_growth: float = 0.0
-    async_loss: float = 0.5
-    async_delay_max: float = 5.0
 
     def timely(self) -> TimelyLink:
         """A fresh always-timely link."""
-        return TimelyLink(delta=self.delta, min_delay=self.min_delay)
+        return TimelyLink(delta=DELTA, min_delay=MIN_DELAY)
 
     def eventually_timely(self) -> EventuallyTimelyLink:
         """A fresh ◇timely link with this GST."""
         return EventuallyTimelyLink(
             gst=self.gst,
-            delta=self.delta,
-            min_delay=self.min_delay,
+            delta=DELTA,
+            min_delay=MIN_DELAY,
             pre_gst_loss=self.pre_gst_loss,
             pre_gst_delay_max=self.pre_gst_delay_max,
         )
@@ -168,9 +172,9 @@ class LinkTimings:
         """A fresh typed fair-lossy link."""
         return FairLossyLink(
             loss=self.fair_loss,
-            max_consecutive_drops=self.fair_max_consecutive,
+            max_consecutive_drops=FAIR_MAX_CONSECUTIVE,
             delay_max=self.fair_delay_max,
-            min_delay=self.min_delay,
+            min_delay=MIN_DELAY,
             delay_growth_rate=self.fair_delay_growth,
             outage_period=self.fair_outage_period,
             outage_growth=self.fair_outage_growth,
@@ -179,9 +183,9 @@ class LinkTimings:
     def lossy_async(self) -> LossyAsyncLink:
         """A fresh lossy-asynchronous link."""
         return LossyAsyncLink(
-            loss=self.async_loss,
-            delay_max=self.async_delay_max,
-            min_delay=self.min_delay,
+            loss=ASYNC_LOSS,
+            delay_max=ASYNC_DELAY_MAX,
+            min_delay=MIN_DELAY,
         )
 
 

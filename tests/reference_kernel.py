@@ -26,6 +26,9 @@ from repro.sim.rng import RngFabric
 
 _INF = float("inf")
 
+# The production kernel's compaction threshold, restated (no shared code).
+_COMPACT_THRESHOLD = 64
+
 
 class ReferenceSimulation:
     """The pre-calendar-queue scheduler: one binary heap, nothing else.
@@ -39,13 +42,9 @@ class ReferenceSimulation:
     Do not use it outside tests — it is the slow path by construction.
     """
 
-    def __init__(self, seed: int = 0, *, compact_threshold: int = 64) -> None:
-        if compact_threshold < 1:
-            raise SimulationError(
-                f"compact_threshold must be >= 1, got {compact_threshold}")
+    def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
         self._seq = 0
-        self._compact_threshold = compact_threshold
         self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._tombstones = 0
         self._cancels = 0
@@ -223,7 +222,7 @@ class ReferenceSimulation:
         self._tombstones += 1
         tombstones = self._tombstones
         heap = self._heap
-        if (tombstones >= self._compact_threshold
+        if (tombstones >= _COMPACT_THRESHOLD
                 and tombstones * 2 >= len(heap)):
             heap[:] = [entry for entry in heap if not entry[2].cancelled]
             heapq.heapify(heap)

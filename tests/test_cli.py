@@ -86,6 +86,11 @@ class TestConsensusCommand:
                      "--horizon", "150"])
         assert code == 0
 
+    def test_f_source_without_f_is_a_one_line_exit(self) -> None:
+        with pytest.raises(SystemExit, match="needs --f") as exit_info:
+            main(["consensus", "--omega", "f-source"])
+        assert "\n" not in str(exit_info.value)
+
 
 class TestLogCommand:
     def test_commits_all_commands(self, capsys) -> None:  # noqa: ANN001
@@ -102,6 +107,13 @@ class TestLogCommand:
         assert code == 0
         assert "crashing leader" in out
 
+    def test_f_source_is_not_a_log_omega(self, capsys) -> None:  # noqa: ANN001
+        # The log has no --f to give it: a usage error, not a traceback.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["log", "--omega", "f-source"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'f-source'" in capsys.readouterr().err
+
 
 class TestQosCommand:
     def test_table_per_algorithm(self, capsys) -> None:  # noqa: ANN001
@@ -116,7 +128,22 @@ class TestQosCommand:
 class TestSweepCommand:
     @pytest.mark.slow
     def test_matrix_shape(self, capsys) -> None:  # noqa: ANN001
-        code = main(["sweep", "--n", "5", "--horizon", "400"])
+        code = main(["sweep"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "FAILS" in out and "holds + CE" in out
+        # The exact matrix of the paper's trade-off at the defaults: the
+        # baseline and the bounded-packet variant fail outside all-◇timely
+        # (2), everything but the f-source algorithm fails in the
+        # ◇f-source system (5), and CE holds only with a full source.
+        assert out.count("FAILS") == 7
+        assert out.count("holds + CE") == 5
+        header = next(line for line in out.splitlines()
+                      if "system \\ algorithm" in line)
+        row = next(line for line in out.splitlines()
+                   if "◇f-source (f=2)" in line)
+        columns = [cell.strip() for cell in header.split("|")[2:-1]]
+        verdicts = [cell.strip() for cell in row.split("|")[2:-1]]
+        assert len(columns) == len(verdicts) == 6
+        assert dict(zip(columns, verdicts)) == {
+            name: "holds" if name == "f-source" else "FAILS"
+            for name in columns}

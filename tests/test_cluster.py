@@ -38,7 +38,8 @@ class TestStart:
 
     def test_staggered_start(self) -> None:
         cluster = Cluster.build(3, recorder_factory)
-        cluster.start_all(stagger=1.0)
+        for pid in cluster.pids:               # pid i boots at t = i
+            cluster.sim.call_at(float(pid), cluster.process(pid).start)
         assert not cluster.process(2).started
         cluster.run_until(0.0)
         assert cluster.process(0).started

@@ -74,7 +74,8 @@ class TestConvergence:
         # A staggered start maximizes the window where several processes
         # believe they lead; the priority race must still collapse to one.
         cluster = build(seed=3)
-        cluster.start_all(stagger=2.0)
+        for pid in cluster.pids:               # pid i boots at t = 2i
+            cluster.sim.call_at(2.0 * pid, cluster.process(pid).start)
         cluster.run_until(200.0)
         report = analyze_omega_run(cluster)
         assert report.omega_holds

@@ -52,14 +52,6 @@ class TestValidation:
             CompactingReplica(0, sim, network, 3, leader_of=lambda: 0,
                               machine_factory=JournalMachine, keep_tail=0)
 
-    def test_snapshot_retry_positive(self) -> None:
-        sim = Simulation()
-        network = Network(sim)
-        with pytest.raises(ValueError):
-            CompactingReplica(0, sim, network, 3, leader_of=lambda: 0,
-                              machine_factory=JournalMachine,
-                              snapshot_retry=0.0)
-
 
 class TestApplicationOnCommit:
     def test_machine_follows_commits(self) -> None:

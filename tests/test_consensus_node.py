@@ -73,7 +73,8 @@ class TestCrashCoupling:
     def test_staggered_start(self) -> None:
         system = ConsensusSystem.build_single_decree(
             4, links, proposals=list("abcd"))
-        system.start_all(stagger=1.0)
+        for pid in system.pids:                # machine i boots at t = i
+            system.sim.call_at(float(pid), system.node(pid).start)
         system.run_until(0.5)
         assert system.node(0).omega.started
         assert not system.node(3).omega.started

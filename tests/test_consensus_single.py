@@ -159,8 +159,7 @@ class TestDeterminism:
 
 class TestRetransmissionUnderLoss:
     def test_decides_despite_heavy_fair_loss(self) -> None:
-        timings = LinkTimings(gst=3.0, fair_loss=0.7,
-                              fair_max_consecutive=6)
+        timings = LinkTimings(gst=3.0, fair_loss=0.7)
         system = ConsensusSystem.build_single_decree(
             5, lambda: source_links(5, 1, timings),
             proposals=list("abcde"), seed=5,

@@ -13,9 +13,13 @@ import pytest
 
 from repro.core import OmegaConfig, analyze_omega_run
 from repro.core.adaptive import (
+    BACKOFF_CAP,
     BAD,
     DEGRADED,
+    GAP_MARGIN,
     INSUFFICIENT,
+    PRESSURE_DECAY,
+    RELAX_STREAK,
     TIMELY,
     AdaptiveController,
     BackoffPolicy,
@@ -103,17 +107,16 @@ class TestLinkQualityEstimator:
 
 class TestBackoffPolicy:
     def test_bounded_exponential_scale(self) -> None:
-        policy = BackoffPolicy(OmegaConfig())   # base 2, cap 8
+        policy = BackoffPolicy()                # base 2, cap 8
         assert policy.scale(1) == 1.0
         for expected in (2.0, 4.0, 8.0, 8.0):   # capped at 8
             policy.suspect(1)
             assert policy.scale(1) == expected
 
     def test_relax_decays_after_streak(self) -> None:
-        config = OmegaConfig()
-        policy = BackoffPolicy(config)
+        policy = BackoffPolicy()
         policy.suspect(1)
-        for _ in range(config.relax_streak - 1):
+        for _ in range(RELAX_STREAK - 1):
             policy.relax(1)
             assert policy.level(1) == 1
         policy.relax(1)
@@ -122,15 +125,14 @@ class TestBackoffPolicy:
 
 class TestAdaptiveController:
     def test_watch_delay_stretches_with_estimated_gap(self) -> None:
-        config = OmegaConfig()
-        controller = AdaptiveController(config)
+        controller = AdaptiveController(OmegaConfig())
         base = 2.0
         assert controller.watch_delay(1, base) == base
-        for index in range(6):                  # gaps of 2.0 > base/gap_margin
+        for index in range(6):                  # gaps of 2.0 > base/GAP_MARGIN
             controller.observe_heartbeat(1, index * 2.0)
         stretched = controller.watch_delay(1, base)
         assert stretched == pytest.approx(
-            min(2.0 * config.gap_margin, base * config.backoff_cap))
+            min(2.0 * GAP_MARGIN, base * BACKOFF_CAP))
 
     def test_lease_extension_adds_covered_periods(self) -> None:
         config = OmegaConfig()
@@ -140,7 +142,7 @@ class TestAdaptiveController:
             pytest.approx(plain + 2 * config.eta)
 
     def test_accusations_raise_batching_pressure(self) -> None:
-        controller = AdaptiveController(OmegaConfig())   # batch_limit 4
+        controller = AdaptiveController(OmegaConfig())   # BATCH_LIMIT 4
         assert controller.lease(1, 0.0) == 1
         controller.accused_by(1, 0.0)
         assert controller.lease(1, 0.0) == 2
@@ -158,13 +160,13 @@ class TestAdaptiveController:
         assert controller.next_send(1, 0.0) == 4
 
     def test_pressure_decays_with_quiet_time(self) -> None:
-        config = OmegaConfig()                   # pressure_decay 5.0
-        controller = AdaptiveController(config)
+        controller = AdaptiveController(OmegaConfig())
+
         controller.accused_by(1, 0.0)
         controller.accused_by(1, 0.0)
         assert controller.lease(1, 0.0) == 4
-        assert controller.lease(1, config.pressure_decay) == 2
-        assert controller.lease(1, 2 * config.pressure_decay) == 1
+        assert controller.lease(1, PRESSURE_DECAY) == 2
+        assert controller.lease(1, 2 * PRESSURE_DECAY) == 1
 
 
 class TestNemesisDegraded:

@@ -247,8 +247,7 @@ class TestDeterminism:
 
 
 class TestCompactThreshold:
-    @pytest.mark.parametrize("threshold", [8, 64])
-    def test_timer_churn_bounds_heap_size(self, threshold: int) -> None:
+    def test_timer_churn_bounds_heap_size(self) -> None:
         """Constantly-reset timers must not grow the heap without bound.
 
         The sentinel timer keeps the tombstones off the heap top (where
@@ -256,7 +255,7 @@ class TestCompactThreshold:
         compaction sweep can reclaim them — the case the threshold
         policy exists for.
         """
-        sim = Simulation(seed=0, compact_threshold=threshold)
+        sim = Simulation(seed=0)
         sentinel = sim.call_after(500.0, lambda: None)
         handle = sim.call_after(600.0, lambda: None)
         peak = 0
@@ -273,24 +272,21 @@ class TestCompactThreshold:
         sim.run_until(60.0)
         # ~5000 cancels happened; the live heap holds two timers.  The
         # compaction policy keeps the heap within a small multiple of
-        # the threshold rather than letting tombstones accumulate.
+        # the 64-tombstone threshold rather than letting them accumulate.
         assert sim.pending() == 2
         assert not sentinel.cancelled
-        assert peak <= 4 * threshold + 8
+        assert peak <= 4 * 64 + 8
         assert sim.profile()["compactions"] > 0
 
-    def test_lower_threshold_compacts_more_eagerly(self) -> None:
-        def compactions(threshold: int) -> int:
-            sim = Simulation(seed=0, compact_threshold=threshold)
-            for _ in range(512):
+    def test_sweep_waits_for_64_tombstones(self) -> None:
+        def compactions(cancels: int) -> int:
+            sim = Simulation(seed=0)
+            for _ in range(cancels):
                 sim.call_after(10.0, lambda: None).cancel()
             return sim.profile()["compactions"]
 
-        assert compactions(8) > compactions(64)
-
-    def test_threshold_must_be_positive(self) -> None:
-        with pytest.raises(SimulationError):
-            Simulation(compact_threshold=0)
+        assert compactions(63) == 0
+        assert compactions(64) == 1
 
     def test_bucket_width_must_be_power_of_two(self) -> None:
         with pytest.raises(SimulationError):

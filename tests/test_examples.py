@@ -10,7 +10,6 @@ import importlib.util
 import pathlib
 import sys
 
-import pytest
 
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
@@ -55,13 +54,3 @@ class TestExamples:
         assert "agreement fraction" in out
         assert "OK: re-elected" in out
 
-    @pytest.mark.slow
-    def test_synchrony_sweep(self, capsys) -> None:  # noqa: ANN001
-        out = run_example("synchrony_sweep", capsys)
-        # The exact matrix of the paper's trade-off: all-timely fails
-        # outside its system (1), and everything except the f-source
-        # algorithm fails in the ◇f-source system (3).
-        assert out.count("FAILS") == 4
-        assert out.count("holds + CE") == 2
-        lines = [line for line in out.splitlines() if "◇f-source (f=2)" in line]
-        assert lines and lines[0].rstrip().endswith("holds    |")

@@ -79,11 +79,20 @@ class TestLoadSpecValidation:
         LoadSpec()
 
     @pytest.mark.parametrize("field", ["rate", "think_time", "duration",
-                                       "retry_period", "gst"])
+                                       "gst"])
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_positive_finite_fields(self, field: str, bad: float) -> None:
         with pytest.raises(ValueError, match=field):
             LoadSpec(**{field: bad})
+
+    def test_omega_must_be_buildable_without_f(self) -> None:
+        # Refused up front by name, not at build() with a KeyError or a
+        # complaint about fields LoadSpec does not have.
+        with pytest.raises(ValueError, match="omega='f-source'"):
+            LoadSpec(omega="f-source")
+        with pytest.raises(ValueError, match="omega must be one of"):
+            LoadSpec(omega="no-such-omega")
+        LoadSpec(omega="crash-recovery")
 
     def test_enum_fields(self) -> None:
         with pytest.raises(ValueError, match="mode"):
@@ -184,19 +193,13 @@ class TestDrip:
             drip(1, -1.0, start=0.0)
         with pytest.raises(ValueError, match="start"):
             drip(1, 1.0, start=-1.0)
-        with pytest.raises(ValueError, match="retry_period"):
-            drip(1, 1.0, start=0.0, retry_period=-2.0)
 
-    @pytest.mark.parametrize("field", ["period", "retry_period"])
+    @pytest.mark.parametrize("field", ["period"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, field: str, bad: float) -> None:
         # A non-finite period becomes a NaN, zero or negative-zero rate.
-        if field == "period":
-            with pytest.raises(ValueError, match="rate"):
-                drip(1, bad, start=0.0)
-        else:
-            with pytest.raises(ValueError, match=field):
-                drip(1, 1.0, start=0.0, **{field: bad})
+        with pytest.raises(ValueError, match="rate"):
+            drip(1, start=0.0, **{field: bad})
 
     def test_one_spec_drives_two_systems(self) -> None:
         spec = drip(2, 1.0, start=0.0)
@@ -263,7 +266,7 @@ class TestDrip:
         # Crash a node that receives some submissions; retries go to
         # surviving nodes, so everything still commits.
         system = _drip_system(seed=3)
-        fleet = drip(10, 0.5, start=3.0, retry_period=3.0).drive(system)
+        fleet = drip(10, 0.5, start=3.0).drive(system)
         FaultPlan.crashes_at((4.0, 2)).schedule(system)
         system.start_all()
         system.run_until(120.0)
@@ -399,10 +402,18 @@ class TestShardedLoad:
     def test_up_pids_follow_crash_and_recover_in_pid_order(self) -> None:
         system = LoadSpec(n=5, groups=2, omega="crash-recovery",
                           persist=True).build().system
-        assert system.shared_omega
+        # One Omega per machine, shared by every group, on one FD network.
+        for pid in system.pids:
+            omegas = {id(group.nodes[pid].omega) for group in system.groups}
+            assert len(omegas) == 1
+        fd_network = system.groups[0].fd_network
+        assert all(group.fd_network is fd_network for group in system.groups)
+        assert system.networks == (fd_network, *(
+            group.agreement_network for group in system.groups))
         system.start_all()
         system.run_until(1.0)
         system.crash(3)
+        assert system.groups[0].nodes[3].omega.crashed
         system.crash(1)
         assert system.up_pids() == [0, 2, 4]
         system.recover(3)
@@ -475,7 +486,7 @@ class TestBatchedSlotsProperty:
         system = ConsensusSystem.build_replicated_log(
             4, lambda: source_links(4, 1, FAST), seed=seed,
             consensus_config=config, persist=True)
-        fleet = drip(14, 0.4, start=2.0, retry_period=2.0).drive(system)
+        fleet = drip(14, 0.4, start=2.0).drive(system)
         FaultPlan.crashes_at(
             (crash_time, victim, crash_time + 6.0)).schedule(system)
         system.start_all()

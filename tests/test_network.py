@@ -372,7 +372,8 @@ class TestSharedMapEqualsPerPairMap:
     """A link map shares one policy object per law; the wire must not be
     able to tell it from a map with a fresh instance per ordered pair."""
 
-    TIMINGS = LinkTimings(gst=2.0, fair_loss=0.7, fair_max_consecutive=3,
+    # Loss high enough that drop streaks reach the fairness bound of 10.
+    TIMINGS = LinkTimings(gst=2.0, fair_loss=0.9,
                           fair_outage_period=1.0, fair_outage_growth=0.25)
 
     @classmethod
@@ -490,9 +491,9 @@ class TestInFlightRecordEqualsCopyLoop:
     def _run(cls, fan_out, link_rng: str) -> dict:
         sim = Simulation(seed=5)
         wire = _TieLog()
-        network = Network(
-            sim, link_rng=link_rng, observers=(wire,),
-            default_link=lambda: TimelyLink(delta=cls.D, min_delay=cls.D))
+        network = Network(sim, link_rng=link_rng, observers=(wire,))
+        network.set_link_map(
+            LinkMap(6, TimelyLink(delta=cls.D, min_delay=cls.D), {}))
         procs = [Recorder(pid, sim, network) for pid in range(6)]
         for proc in procs:
             proc.start()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import AdaptiveTimeouts, OmegaConfig
+from repro.core.config import GROWTH_FACTOR, AdaptiveTimeouts, OmegaConfig
 
 
 class TestOmegaConfigValidation:
@@ -28,8 +28,6 @@ class TestOmegaConfigValidation:
     def test_growth_parameters(self) -> None:
         with pytest.raises(ValueError):
             OmegaConfig(growth_step=0.0)
-        with pytest.raises(ValueError):
-            OmegaConfig(growth_factor=1.0)
 
 
 class TestAdaptiveTimeouts:
@@ -47,10 +45,9 @@ class TestAdaptiveTimeouts:
 
     def test_multiplicative_growth(self) -> None:
         timeouts = AdaptiveTimeouts(
-            OmegaConfig(initial_timeout=2.0, growth_policy="multiplicative",
-                        growth_factor=2.0))
-        assert timeouts.grow(1) == 4.0
-        assert timeouts.grow(1) == 8.0
+            OmegaConfig(initial_timeout=2.0, growth_policy="multiplicative"))
+        assert timeouts.grow(1) == 2.0 * GROWTH_FACTOR
+        assert timeouts.grow(1) == 2.0 * GROWTH_FACTOR ** 2
 
     def test_growth_is_unbounded(self) -> None:
         timeouts = AdaptiveTimeouts(OmegaConfig())

@@ -45,13 +45,6 @@ class TestRenderSeries:
         assert "▁▁" in small_line
         assert "██" in big_line
 
-    def test_independent_scales(self) -> None:
-        text = render_series({"small": [1, 2], "big": [8, 16]},
-                             shared_scale=False)
-        small_line, big_line = text.splitlines()
-        # Each series spans its own scale fully.
-        assert "▁█" in small_line and "▁█" in big_line
-
     def test_empty(self) -> None:
         assert render_series({}, title="t") == "t"
 

@@ -46,6 +46,48 @@ class TestExports:
         assert repro.__version__
 
 
+class TestConfigSurface:
+    """Every settable value of the config objects, by name.  A value no
+    run ever changes is a constant at its point of use, not a field;
+    adding one here must be a deliberate edit."""
+
+    FIELDS = {
+        "repro.core.config.OmegaConfig": (
+            "eta", "initial_timeout", "growth_policy", "growth_step",
+            "phase_tagged_accusations", "adaptive_qos"),
+        "repro.consensus.config.ConsensusConfig": (
+            "tick", "max_batch", "batch_size", "queue_limit",
+            "sync_latency"),
+        "repro.sim.topology.LinkTimings": (
+            "gst", "pre_gst_loss", "pre_gst_delay_max", "fair_loss",
+            "fair_delay_max", "fair_delay_growth", "fair_outage_period",
+            "fair_outage_growth"),
+        "repro.load.LoadSpec": (
+            "n", "groups", "omega", "gst", "seed", "batch_size", "window",
+            "queue_limit", "persist", "compacting", "keep_tail", "clients",
+            "keys", "mode", "rate", "arrival", "think_time", "start",
+            "duration", "horizon"),
+        "repro.harness.scenarios.OmegaScenario": (
+            "algorithm", "n", "system", "source", "sources", "targets", "f",
+            "crashes", "faults", "seed", "horizon", "ce_window",
+            "quorum_override", "timings", "config", "trace", "link_rng"),
+        "repro.live.cluster.LiveClusterSpec": (
+            "n", "algorithm", "eta", "initial_timeout", "horizon", "seed",
+            "consensus", "proposals", "faults", "tick", "host", "log",
+            "persist", "batch_size", "workload", "workload_period",
+            "workload_start", "workload_clients"),
+    }
+
+    @pytest.mark.parametrize("path", sorted(FIELDS))
+    def test_fields_are_pinned(self, path: str) -> None:
+        import dataclasses
+
+        module_name, name = path.rsplit(".", 1)
+        cls = getattr(importlib.import_module(module_name), name)
+        assert tuple(spec.name for spec in dataclasses.fields(cls)) == \
+            self.FIELDS[path]
+
+
 class TestLoadSurface:
     """The PR-9 additions ride the same top-level re-export contract."""
 

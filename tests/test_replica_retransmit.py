@@ -4,7 +4,7 @@ With ``persist=True`` the driver's sends pass a per-peer backoff gate.
 The gate decides **once per driver pass**: a due peer gets everything the
 pass has for it (its decisions as one message), a backing-off peer gets
 nothing, and toward a peer that never answers the number of passes that
-send anything stays logarithmic up to ``backoff_cap``.  All on simulated
+send anything stays logarithmic up to ``BACKOFF_CAP``.  All on simulated
 time.
 """
 
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.consensus.config import ConsensusConfig
+from repro.consensus.config import BACKOFF_CAP, ConsensusConfig
 from repro.consensus.messages import (
     Accepted,
     Ballot,
@@ -37,7 +37,7 @@ from repro.load import LoadSpec
 from repro.sim.engine import Simulation
 from repro.sim.network import Network
 
-CONFIG = ConsensusConfig()  # tick 0.5, backoff_cap 8, max_batch 8
+CONFIG = ConsensusConfig()  # tick 0.5, max_batch 8
 
 
 def record_sends(process) -> list:  # noqa: ANN001
@@ -55,8 +55,8 @@ def record_sends(process) -> list:  # noqa: ANN001
 
 def silent_peer_bound(horizon: float) -> float:
     """Passes that may send toward a peer that never answers."""
-    return (math.log2(CONFIG.backoff_cap / CONFIG.tick)
-            + horizon / CONFIG.backoff_cap + 1)
+    return (math.log2(BACKOFF_CAP / CONFIG.tick)
+            + horizon / BACKOFF_CAP + 1)
 
 
 def bursts_toward(sent: list, peer: int) -> dict[float, int]:

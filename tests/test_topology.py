@@ -6,6 +6,7 @@ import pytest
 
 from conftest import Recorder
 
+from repro.sim import topology
 from repro.sim.cluster import Cluster
 from repro.sim.links import (
     DeadLink,
@@ -198,13 +199,13 @@ class TestValidation:
 
 class TestLinkTimings:
     def test_factories_honor_parameters(self) -> None:
-        timings = LinkTimings(delta=0.1, gst=3.0, fair_loss=0.4,
-                              fair_delay_growth=0.5, async_loss=0.9)
-        assert timings.timely().delta == 0.1
+        timings = LinkTimings(gst=3.0, fair_loss=0.4, fair_delay_growth=0.5)
+        assert timings.timely().delta == topology.DELTA
         assert timings.eventually_timely().gst == 3.0
         fair = timings.fair_lossy()
         assert fair.loss == 0.4 and fair.delay_growth_rate == 0.5
-        assert timings.lossy_async().loss == 0.9
+        assert fair.max_consecutive_drops == topology.FAIR_MAX_CONSECUTIVE
+        assert timings.lossy_async().loss == topology.ASYNC_LOSS
 
 
 class TestApplyLinks:
