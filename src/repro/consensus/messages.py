@@ -16,7 +16,7 @@ repeated-consensus replica.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import Any, Hashable, NamedTuple
 
 from repro.sim.messages import Message
 
@@ -141,7 +141,7 @@ class Forward(Message):
     ``command_id`` deduplicates at-least-once forwarding in the log.
     """
 
-    command_id: int
+    command_id: Hashable
     command: Any
 
     @property

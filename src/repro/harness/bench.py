@@ -47,7 +47,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.core import OmegaConfig, analyze_omega_run, measure_qos
 from repro.harness.scenarios import OmegaScenario
-from repro.obs.observer import Observer, capture
+from repro.obs.observer import capture
+from repro.obs.report import RunRecorder
 from repro.obs.verdict import Verdict
 from repro.sim import DegradeFault, FaultPlan, LinkTimings
 
@@ -196,7 +197,7 @@ def default_suite(
 
     if "e17" in experiments:
         # Packet budgets: one row per registered Omega variant, run with
-        # the packet tally attached (the timed e1-e4 paths stay
+        # a RunRecorder attached (the timed e1-e4 paths stay
         # observer-free, so these rows never perturb the perf guard).
         budget_algorithms = (("comm-efficient", "packet-efficient")
                              if quick else _E17_ALGORITHMS)
@@ -430,67 +431,25 @@ _E17_ALGORITHMS = ("all-timely", "source", "comm-efficient", "f-source",
                    "crash-recovery", "packet-efficient")
 
 
-class _PacketTally(Observer):
-    """Minimal packet accounting for e17 (attached via ``capture``).
-
-    Unlike :class:`~repro.obs.report.RunRecorder` this records nothing
-    but the packet counters, so budget rows stay cheap; the timed e1-e4
-    cases never attach it and keep their observer-free hot path.
-    """
-
-    def __init__(self) -> None:
-        self.sent = 0
-        self.bytes_sent = 0
-        self.delivered = 0
-        self.bytes_delivered = 0
-        self.by_kind: dict[str, list[int]] = {}
-
-    def on_packet_send(self, time: float, src: int, dst: int, kind: str,
-                       size: int, packets: int) -> None:
-        self.sent += packets
-        self.bytes_sent += size
-        entry = self.by_kind.setdefault(kind, [0, 0])
-        entry[0] += packets
-        entry[1] += size
-
-    def on_packet_deliver(self, time: float, src: int, dst: int, kind: str,
-                          size: int, packets: int) -> None:
-        self.delivered += packets
-        self.bytes_delivered += size
-
-    def block(self, mtu: int) -> dict:
-        """The additive ``packets`` budget block of a bench case result."""
-        return {
-            "mtu": mtu,
-            "sent": self.sent,
-            "bytes_sent": self.bytes_sent,
-            "by_kind": {kind: {"packets": packets, "bytes": size}
-                        for kind, (packets, size)
-                        in sorted(self.by_kind.items())},
-            "delivered": self.delivered,
-            "bytes_delivered": self.bytes_delivered,
-        }
-
-
 def _run_e17_budget(algorithm: str, n: int,
                     seed: int) -> tuple[Verdict, dict, Any]:
     """One packet-budget row: run observed, report the packet economy."""
     scenario = _weakest_system_scenario(algorithm, n, seed)
-    with capture(_PacketTally):
+    with capture(RunRecorder):
         outcome = scenario.run()
     network = outcome.cluster.network
-    tally = network.hub.first(_PacketTally)
+    packets = network.hub.first(RunRecorder).packets_block(network.mtu)
     horizon = scenario.horizon
     details = {
         "omega_holds": outcome.stabilized,
         "stabilization_time_s": outcome.report.stabilization_time,
         "final_leader": outcome.report.final_leader,
-        "packets": tally.block(network.mtu),
-        "packets_per_sim_s": tally.sent / horizon,
-        "bytes_per_sim_s": tally.bytes_sent / horizon,
+        "packets": packets,
+        "packets_per_sim_s": packets["sent"] / horizon,
+        "bytes_per_sim_s": packets["bytes_sent"] / horizon,
     }
     verdict = outcome.report.verdict().merge(Verdict.passed(
-        packets_sent=tally.sent, bytes_sent=tally.bytes_sent))
+        packets_sent=packets["sent"], bytes_sent=packets["bytes_sent"]))
     return verdict, details, outcome.cluster
 
 
@@ -515,15 +474,15 @@ def _run_e17_adaptive(n: int, seed: int) -> tuple[Verdict, dict, Any]:
         scenario = _weakest_system_scenario(
             "comm-efficient", n, seed,
             config=OmegaConfig(adaptive_qos=adaptive), faults=faults)
-        with capture(_PacketTally):
+        with capture(RunRecorder):
             outcome = scenario.run()
         network = outcome.cluster.network
-        tally = network.hub.first(_PacketTally)
         qos = measure_qos(outcome.cluster, start=30.0,
                           end=scenario.horizon)
         sides[label] = {
             "omega_holds": outcome.stabilized,
-            "packets": tally.block(network.mtu),
+            "packets": network.hub.first(RunRecorder).packets_block(
+                network.mtu),
             "agreement_fraction": qos.agreement_fraction,
             "good_fraction": qos.good_fraction,
             "output_changes": qos.total_changes,

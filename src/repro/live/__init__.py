@@ -5,9 +5,8 @@ inside the deterministic simulator run across real OS processes over
 UDP on localhost (or any reachable interface):
 
 :mod:`repro.live.codec`
-    Length-prefixed wire codec for every registered
-    :class:`~repro.sim.messages.Message` subclass, with incarnation
-    stamping for the stale-incarnation drop rule.
+    Frames: a :mod:`repro.wire` message stamped with the sender's
+    incarnation, for the stale-incarnation drop rule, and send time.
 
 :mod:`repro.live.runtime`
     :class:`LiveClock` — the :class:`~repro.transport.Clock`
@@ -44,8 +43,8 @@ UDP on localhost (or any reachable interface):
 
 :mod:`repro.live.storage`
     :class:`FileStorage` — stable storage whose durable map survives
-    SIGKILL (atomic snapshot file), so live crash→respawn goes through
-    real storage-backed recovery.
+    SIGKILL (atomic, checksummed snapshot file), so live crash→respawn
+    goes through real storage-backed recovery.
 
 Soak campaigns on this backend (``python -m repro live soak``) are the
 ``live`` campaign of :mod:`repro.harness.soak`.
@@ -58,11 +57,12 @@ from repro import _lazy_exports
 
 _EXPORTS = {
     "repro.live.cluster": ("ControlError", "LiveCluster", "LiveClusterSpec"),
-    "repro.live.codec": ("decode_frame", "encode_frame", "registered_kinds"),
+    "repro.live.codec": ("decode_frame", "encode_frame"),
     "repro.live.crossval": ("cross_validate",),
     "repro.live.report": ("analyze_live_run", "merged_live_report"),
     "repro.live.runtime": ("Backoff", "Deadline", "LiveClock"),
     "repro.live.storage": ("FileStorage",),
     "repro.live.transport": ("LinkWindow", "LiveTransport"),
+    "repro.wire": ("CodecError",),
 }
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

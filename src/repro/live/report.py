@@ -16,7 +16,7 @@ in one address space.  This module closes that gap:
   :func:`log_verdict` read per-pid facts out of node reports and hand
   them to the sim checkers' ``from_facts`` constructors, so both
   backends share one judge per property.  They import the checkers on
-  first use: a node imports this module for its codec alone.
+  first use: a node imports this module for its report codec alone.
 
 Clock caveat: each node's times are seconds since *its* boot.  Nodes of
 one cluster boot within the spawn stagger of each other (tens of
@@ -30,11 +30,11 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-from repro.live.codec import decode_value, encode_value
 from repro.obs.observer import ObserverHub
 from repro.obs.report import RunRecorder, RunReport
 from repro.obs.verdict import Verdict
 from repro.sim.packets import DEFAULT_MTU
+from repro.wire import decode_value, encode_value
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.checker import OmegaRunReport
@@ -67,10 +67,10 @@ def recorder_to_json(recorder: RunRecorder) -> dict[str, Any]:
     document = {name: _CODEC[group][0](getattr(recorder, name))
                 for group, names in RunRecorder.FIELDS.items()
                 for name in names}
-    # Decided values go through the wire codec's value tags: a log
+    # Decided values travel as the hex of their wire encoding: a log
     # decide is ``(instance, entry)`` and a batched entry is a ``Batch``
     # dataclass, which plain JSON cannot carry.
-    document["decides"] = [[time, pid, encode_value(value)]
+    document["decides"] = [[time, pid, encode_value(value).hex()]
                            for time, pid, value in recorder.decides]
     return document
 
@@ -82,8 +82,8 @@ def recorder_from_json(document: Mapping[str, Any]) -> RunRecorder:
         for name in names:
             if name in document:
                 setattr(recorder, name, _CODEC[group][1](document[name]))
-    recorder.decides = [(time, pid, decode_value(value)) for time, pid, value
-                        in document.get("decides", [])]
+    recorder.decides = [(time, pid, decode_value(bytes.fromhex(value)))
+                        for time, pid, value in document.get("decides", [])]
     return recorder
 
 

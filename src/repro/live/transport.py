@@ -30,9 +30,9 @@ Semantics versus the sim (the full table is in ``docs/TRANSPORT.md``):
   stamped with an incarnation lower than the sender's newest known one
   are dropped as ``stale_incarnation`` (exact for senders hosted in the
   same loop, newest-seen for remote senders).
-* Packet accounting reuses the modeled sizes of
-  :mod:`repro.sim.packets` so live and sim ``packets`` report blocks
-  are directly comparable (see :mod:`repro.live.codec`).
+* A frame (:mod:`repro.live.codec`) is the :mod:`repro.wire` message
+  plus incarnation and send time; packet accounting counts its message bytes, the sim's
+  ``wire_size()``, so the backends' ``packets`` blocks compare directly.
 """
 
 from __future__ import annotations
@@ -42,13 +42,14 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from repro.live.codec import CodecError, decode_frame, encode_frame
 from repro.live.runtime import LiveClock
 from repro.obs.observer import Observer, attach_captured, ObserverHub
 from repro.sim.messages import Message
 from repro.sim.metrics import MetricsCollector
-from repro.sim.packets import DEFAULT_MTU, packet_count
 from repro.transport import TransportError
+from repro.live.codec import decode_frame, encode_frame, frame_overhead
+from repro.sim.packets import DEFAULT_MTU, packet_count
+from repro.wire import CodecError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.process import Process
@@ -167,24 +168,21 @@ class LiveTransport:
         empty tuple gives a bare hub.  Active
         :func:`~repro.obs.observer.capture` contexts contribute their
         observers here too.
-    mtu:
-        Modeled packet size for the packet-accounting callbacks.
     seed:
         Seed of the fault-window RNG (loss/delay/duplication draws).
         Live runs are not deterministic anyway, but a fixed seed keeps
         the *fault* draws reproducible given identical timing.
     """
 
+    #: Frame bytes become packets at this size, as on the sim network.
+    mtu = DEFAULT_MTU
+
     def __init__(self, clock: LiveClock,
                  endpoints: dict[int, tuple[str, int]],
                  local_pids: Iterable[int],
                  observers: Iterable[Observer] | None = None,
-                 mtu: int = DEFAULT_MTU,
                  seed: int = 0) -> None:
-        if mtu <= 0:
-            raise TransportError("mtu must be positive")
         self.clock = clock
-        self.mtu = mtu
         self.hub = ObserverHub()
         if observers is None:
             self.hub.attach(MetricsCollector())
@@ -371,8 +369,8 @@ class LiveTransport:
         if send_cbs:
             for callback in send_cbs:
                 callback(now, src, dst, kind)
-        self._account_packets(now, src, dst, message, hub.packet_send_cbs)
-        self._transmit(src, dst, message, now, sender.incarnation)
+        frame = self._encode(message, sender.incarnation, now)
+        self._transmit(src, dst, kind, frame, sender.incarnation, now)
 
     def broadcast(self, src: int, message: Message) -> None:
         """Send ``message`` from ``src`` to every other ensemble pid.
@@ -398,45 +396,50 @@ class LiveTransport:
             for callback in batch_cbs:
                 callback(now, src, dsts, kind)
         send_cbs = hub.send_only_cbs
-        packet_cbs = hub.packet_send_cbs
         incarnation = sender.incarnation
+        frame = self._encode(message, incarnation, now)
         for dst in self.pids:
             if dst == src:
                 continue
             if send_cbs:
                 for callback in send_cbs:
                     callback(now, src, dst, kind)
-            self._account_packets(now, src, dst, message, packet_cbs)
-            self._transmit(src, dst, message, now, incarnation)
+            self._transmit(src, dst, kind, frame, incarnation, now)
 
-    def _account_packets(self, now: float, src: int, dst: int,
-                         message: Message, packet_cbs: tuple) -> None:
-        if packet_cbs:
-            size = message.wire_size()
-            packets = packet_count(size, self.mtu)
-            for callback in packet_cbs:
-                callback(now, src, dst, message.kind, size, packets)
-
-    def _transmit(self, src: int, dst: int, message: Message, now: float,
-                  incarnation: int) -> None:
-        """Push one frame toward the socket, through any fault windows."""
-        (loss, uniform_delay, duplicate, base_delay, jitter, dist,
-         reorder, rate) = self._window_effects(src, dst, now)
-        if rate and not self._rate_admit(src, dst, rate, now):
-            for callback in self.hub.drop_cbs:
-                callback(now, src, dst, message.kind, "rate_cap")
-            return
-        if loss and self._rng.random() < loss:
-            for callback in self.hub.drop_cbs:
-                callback(now, src, dst, message.kind, "link")
-            return
+    @staticmethod
+    def _encode(message: Message, incarnation: int,
+                now: float) -> bytes | None:
+        """The one frame of a send or broadcast; ``None`` if oversized."""
         try:
-            frame = encode_frame(message, incarnation, now)
+            return encode_frame(message, incarnation, now)
         except CodecError as error:
             if error.reason != "oversized_frame":
                 raise  # an unencodable field is a bug, not a link event
-            for callback in self.hub.drop_cbs:
-                callback(now, src, dst, message.kind, error.reason)
+            return None
+
+    def _transmit(self, src: int, dst: int, kind: str, frame: bytes | None,
+                  incarnation: int, now: float) -> None:
+        """Push one frame toward the socket, through any fault windows."""
+        drop_cbs = self.hub.drop_cbs
+        if frame is None:
+            for callback in drop_cbs:
+                callback(now, src, dst, kind, "oversized_frame")
+            return
+        packet_cbs = self.hub.packet_send_cbs
+        if packet_cbs:
+            size = len(frame) - frame_overhead(incarnation)
+            packets = packet_count(size, self.mtu)
+            for callback in packet_cbs:
+                callback(now, src, dst, kind, size, packets)
+        (loss, uniform_delay, duplicate, base_delay, jitter, dist,
+         reorder, rate) = self._window_effects(src, dst, now)
+        if rate and not self._rate_admit(src, dst, rate, now):
+            for callback in drop_cbs:
+                callback(now, src, dst, kind, "rate_cap")
+            return
+        if loss and self._rng.random() < loss:
+            for callback in drop_cbs:
+                callback(now, src, dst, kind, "link")
             return
         copies = 2 if duplicate and self._rng.random() < duplicate else 1
         for _ in range(copies):
@@ -471,8 +474,8 @@ class LiveTransport:
             message, incarnation, sent_at = decode_frame(data)
         except CodecError as error:
             # Oversized, truncated, garbage, or unknown-kind frames all
-            # account under the codec's precise reason; never raise into
-            # the event loop off a datagram.
+            # account under the decoder's precise reason; never raise
+            # into the event loop off a datagram.
             for callback in hub.drop_cbs:
                 callback(now, -1, dst, "?", error.reason)
             return
@@ -511,7 +514,7 @@ class LiveTransport:
                 callback(now, src, dst, kind, sent_at)
         packet_cbs = hub.packet_deliver_cbs
         if packet_cbs:
-            size = message.wire_size()
+            size = len(data) - frame_overhead(incarnation)
             packets = packet_count(size, self.mtu)
             for callback in packet_cbs:
                 callback(now, src, dst, kind, size, packets)

@@ -93,16 +93,16 @@ class Observer:
 
     def on_packet_send(self, time: float, src: int, dst: int, kind: str,
                        size: int, packets: int) -> None:
-        """A send cost ``size`` modeled bytes in ``packets`` packets.
+        """A send cost ``size`` wire bytes in ``packets`` packets.
 
         Only dispatched when some observer overrides it: the network
-        computes wire sizes lazily (see :mod:`repro.sim.packets`), so
-        packet accounting is free for runs that do not ask for it.
+        encodes messages (:mod:`repro.wire`) only then, so packet
+        accounting is free for runs that do not ask for it.
         """
 
     def on_packet_deliver(self, time: float, src: int, dst: int, kind: str,
                           size: int, packets: int) -> None:
-        """A delivery carried ``size`` modeled bytes in ``packets`` packets."""
+        """A delivery carried ``size`` wire bytes in ``packets`` packets."""
 
     def on_crash(self, time: float, pid: int) -> None:
         """Process ``pid`` crashed (down until a possible recovery)."""

@@ -38,8 +38,8 @@ Layout (``repro-report/v1``)
 ``networks``
     One block per network (failure-detector and agreement planes are
     separate): ``message_budget`` (total, by kind, by protocol phase),
-    ``packets`` (the per-packet budget of :mod:`repro.sim.packets`:
-    modeled bytes and MTU-sized packets, sent and delivered, by kind),
+    ``packets`` (the per-packet budget: bytes of the :mod:`repro.wire`
+    encoding and MTU-sized packets, sent and delivered, by kind),
     ``busy_links`` (trailing-window census), and ``timeliness``
     (per-link classification plus ``matches_topology``).
 ``workload``
@@ -196,7 +196,7 @@ class RunRecorder(Observer):
 
     def on_packet_send(self, time: float, src: int, dst: int, kind: str,
                        size: int, packets: int) -> None:
-        """Tally the send's modeled wire cost (bytes and MTU packets)."""
+        """Tally the send's wire cost (bytes and MTU packets)."""
         self.packets_by_kind[kind] += packets
         self.packet_bytes_by_kind[kind] += size
 
@@ -205,6 +205,17 @@ class RunRecorder(Observer):
         """Tally the delivered wire cost (duplicates count per copy)."""
         self.packets_delivered += packets
         self.packet_bytes_delivered += size
+
+    def packets_block(self, mtu: int | None) -> dict[str, Any]:
+        """The ``packets`` block of a report network (or an e17 row)."""
+        packets, sizes = self.packets_by_kind, self.packet_bytes_by_kind
+        return {"mtu": mtu, "sent": sum(packets.values()),
+                "bytes_sent": sum(sizes.values()),
+                "by_kind": {kind: {"packets": packets[kind],
+                                   "bytes": sizes[kind]}
+                            for kind in sorted(packets)},
+                "delivered": self.packets_delivered,
+                "bytes_delivered": self.packet_bytes_delivered}
 
     def on_crash(self, time: float, pid: int) -> None:
         """Record the crash instant."""
@@ -350,8 +361,6 @@ class RunReport:
     def _network_block(self, label: str, network: Any) -> dict[str, Any]:
         recorder = network.hub.first(RunRecorder) or RunRecorder()
         sent_by_kind = recorder.sent_by_kind
-        packets_by_kind = recorder.packets_by_kind
-        bytes_by_kind = recorder.packet_bytes_by_kind
         block: dict[str, Any] = {
             "label": label,
             "message_budget": {
@@ -362,17 +371,7 @@ class RunReport:
                 "dropped_by_reason": dict(sorted(
                     recorder.dropped_by_reason.items())),
             },
-            "packets": {
-                "mtu": getattr(network, "mtu", None),
-                "sent": sum(packets_by_kind.values()),
-                "bytes_sent": sum(bytes_by_kind.values()),
-                "by_kind": {
-                    kind: {"packets": packets_by_kind[kind],
-                           "bytes": bytes_by_kind[kind]}
-                    for kind in sorted(packets_by_kind)},
-                "delivered": recorder.packets_delivered,
-                "bytes_delivered": recorder.packet_bytes_delivered,
-            },
+            "packets": recorder.packets_block(getattr(network, "mtu", None)),
         }
         # Duck-typed: any network built through Cluster/ConsensusSystem
         # carries a MetricsCollector; a deliberately bare one may not.

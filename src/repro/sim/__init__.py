@@ -23,7 +23,7 @@ _EXPORTS = {
     "repro.sim.messages": ("Message",),
     "repro.sim.metrics": ("MetricsCollector", "WindowStats"),
     "repro.sim.network": ("Network", "NetworkError"),
-    "repro.sim.packets": ("DEFAULT_MTU", "packet_count", "wire_size"),
+    "repro.sim.packets": ("DEFAULT_MTU", "packet_count"),
     "repro.sim.process": ("Process", "ProcessError"),
     "repro.sim.rng": ("RngFabric",),
     "repro.sim.storage": ("StableStorage", "StorageError"),
@@ -36,5 +36,6 @@ _EXPORTS = {
         "CrashRecord", "DeliverRecord", "DropRecord", "SendRecord", "TraceLog"),
     "repro.sim.traceview": (
         "render_message_flow", "render_process_timeline", "summarize_trace"),
+    "repro.wire": ("wire_size",),
 }
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

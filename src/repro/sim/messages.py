@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Hashable
 
-from repro.sim.packets import wire_size
+from repro.wire import wire_size
 
 __all__ = ["Message"]
 
@@ -51,12 +51,9 @@ class Message:
         return type(self).__name__
 
     def wire_size(self) -> int:
-        """Modeled bytes on the wire (see :mod:`repro.sim.packets`).
+        """Bytes on the wire, ``len(encode(self))`` (:mod:`repro.wire`).
 
-        Derived from the dataclass fields, so a message carrying an
-        unbounded counter grows with it while bounded-field messages
-        stay bounded — the distinction packet accounting exists to
-        expose.  Subclasses with non-field payloads may override.
+        An unbounded counter grows its message; bounded fields do not.
         """
         return wire_size(self)
 

@@ -255,8 +255,8 @@ class Network:
     gets one shared :class:`TimelyLink`, made on first need.
     """
 
-    #: Modeled wire bytes become packets at this size (only a packet
-    #: observer asks; see :mod:`repro.sim.packets`).
+    #: A message's encoded bytes (:mod:`repro.wire`) become packets at
+    #: this size; only a packet observer asks.
     mtu = DEFAULT_MTU
 
     def __init__(
@@ -577,8 +577,8 @@ class Network:
                 callback(now, src, dst, kind)
         packet_cbs = hub.packet_send_cbs
         if packet_cbs:
-            # Wire size is computed only here, so runs without a packet
-            # observer never pay for the accounting model.
+            # A message is encoded only here, so runs without a packet
+            # observer never pay for the accounting.
             size = message.wire_size()
             packets = packet_count(size, self.mtu)
             for callback in packet_cbs:

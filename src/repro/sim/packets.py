@@ -1,110 +1,23 @@
-"""Wire-size and packet-count model for simulated messages.
+"""Packet accounting: a message's bytes cut into MTU-sized packets.
 
-The paper optimizes *message* complexity, but packet-efficiency work
-(Bramas/Foreback/Nesterenko/Tixeuil, arXiv:1505.05025) observes that a
-"message" carrying an unbounded counter is not one bounded unit on a
-real wire: deployments pay per **packet** of bounded size (the MTU).
-This module gives every :class:`~repro.sim.messages.Message` a
-deterministic wire size derived from its dataclass fields, and converts
-sizes into packet counts against an MTU:
-
-* integers cost a zig-zag varint — 1 byte per 7 bits of magnitude — so
-  an accusation counter that grows without bound inflates the heartbeat
-  that carries it, while a bounded-field message stays bounded;
-* floats cost a fixed 8 bytes, strings/bytes their length plus a 2-byte
-  length prefix, sequences a 1-byte count plus their elements;
-* every message pays a 1-byte kind tag.
-
-The model is intentionally simple: it is an *accounting* device (fed to
-observers by :class:`~repro.sim.network.Network` only when a packet
-observer is attached), not a serialization format.  Nothing in the
-simulation's event schedule depends on it.
+The paper counts messages; packet-efficiency work (Bramas et al.,
+arXiv:1505.05025) counts the bounded-size packets a deployment pays
+for.  A message's size is its real encoding (:mod:`repro.wire`), and
+sim and live packet blocks both count it with :func:`packet_count`.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
-
-__all__ = ["DEFAULT_MTU", "int_size", "field_size", "wire_size",
-           "broadcast_cost",
-           "packet_count"]
+__all__ = ["DEFAULT_MTU", "packet_count"]
 
 # Packets of up to this many bytes cross a link as one unit.  Small on
-# purpose: protocol messages here are a handful of fields, and a tight
-# MTU makes unbounded-counter growth visible as extra packets within
-# simulated horizons instead of only in the asymptote.
+# purpose: unbounded-counter growth shows as extra packets within
+# simulated horizons, not only in the asymptote.
 DEFAULT_MTU = 16
-
-
-def int_size(value: int) -> int:
-    """Bytes of ``value`` as a zig-zag varint (1 byte per 7 bits)."""
-    encoded = (value << 1) ^ (value >> 63) if value < 0 else value << 1
-    size = 1
-    encoded >>= 7
-    while encoded:
-        size += 1
-        encoded >>= 7
-    return size
-
-
-def field_size(value: object) -> int:
-    """Bytes contributed by one field value; recursive for sequences."""
-    if value is None:
-        return 1
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        return int_size(value)
-    if isinstance(value, float):
-        return 8
-    if isinstance(value, (str, bytes)):
-        return 2 + len(value)
-    if isinstance(value, (tuple, list, frozenset, set)):
-        return 1 + sum(field_size(item) for item in value)
-    if isinstance(value, dict):
-        return 1 + sum(field_size(k) + field_size(v)
-                       for k, v in value.items())
-    if is_dataclass(value) and not isinstance(value, type):
-        # Nested payload dataclasses (e.g. a multi-command Batch inside
-        # a Propose/Decide) cost a 1-byte tag plus their fields, same as
-        # a top-level message.
-        return 1 + sum(field_size(getattr(value, spec.name))
-                       for spec in fields(value))
-    raise TypeError(
-        f"no wire-size rule for field of type {type(value).__name__}")
-
-
-def wire_size(message: object) -> int:
-    """Modeled bytes of ``message``: 1-byte kind tag + its dataclass fields.
-
-    Walks the dataclass fields on every call, so hot paths should call
-    it once per *message*, not once per copy — the network's batched
-    ``broadcast`` computes the size a single time and reuses it for all
-    n−1 per-destination packet callbacks (a broadcast sends the same
-    bytes to everyone; see :func:`broadcast_cost`).
-    """
-    return 1 + sum(field_size(getattr(message, spec.name))
-                   for spec in fields(message))
 
 
 def packet_count(size: int, mtu: int = DEFAULT_MTU) -> int:
     """Packets needed to carry ``size`` bytes over links with ``mtu``."""
     if mtu <= 0:
         raise ValueError("mtu must be positive")
-    if size <= 0:
-        return 1
-    return -(-size // mtu)
-
-
-def broadcast_cost(message: object, fanout: int,
-                   mtu: int = DEFAULT_MTU) -> tuple[int, int]:
-    """Total ``(bytes, packets)`` of one broadcast to ``fanout`` receivers.
-
-    Sizes the message once and multiplies — the unicast model has no
-    shared medium, so a fan-out costs exactly ``fanout`` independent
-    copies.
-    """
-    if fanout < 0:
-        raise ValueError("fanout must be nonnegative")
-    size = wire_size(message)
-    return size * fanout, packet_count(size, mtu) * fanout
+    return max(1, -(-size // mtu))

@@ -25,7 +25,7 @@ from repro.core.adaptive import (
     BackoffPolicy,
     LinkQualityEstimator,
 )
-from repro.core.messages import Alive, Beat
+from repro.core.messages import Alive, Beat, Heartbeat
 from repro.harness import OmegaScenario
 from repro.harness.soak import (
     _ADAPTIVE_OMEGAS,
@@ -40,13 +40,13 @@ from repro.sim.nemesis import (
     model_violations,
     sample_degraded_plan,
 )
-from repro.sim.packets import (
-    DEFAULT_MTU,
-    field_size,
-    int_size,
-    packet_count,
-    wire_size,
-)
+from repro.sim.packets import DEFAULT_MTU, packet_count
+from repro.wire import encode, encode_value, wire_size
+
+
+def int_size(value: int) -> int:
+    """Bytes of one int field: a heartbeat less its 1-byte kind id."""
+    return len(encode(Heartbeat(sender=value))) - 1
 
 
 class TestPacketModel:
@@ -59,12 +59,13 @@ class TestPacketModel:
         assert int_size(2 ** 62) == 10
 
     def test_field_size_by_type(self) -> None:
-        assert field_size(None) == 1
-        assert field_size(True) == 1
-        assert field_size(3.14) == 8
-        assert field_size("ab") == 4           # 2-byte length prefix
-        assert field_size((1, 2, 3)) == 4      # 1-byte count + varints
-        assert field_size({1: 2}) == 3
+        # A tagged (``Any``) value: a 1-byte type tag, then the value.
+        assert len(encode_value(None)) == 1
+        assert len(encode_value(True)) == 1
+        assert len(encode_value(3.14)) == 9        # tag + 8-byte float
+        assert len(encode_value("ab")) == 4        # tag + count + bytes
+        assert len(encode_value((1, 2, 3))) == 8   # tag + count + 3 ints
+        assert len(encode_value({1: 2})) == 6      # tag + count + 2 ints
 
     def test_alive_grows_with_counter_but_beat_stays_bounded(self) -> None:
         small = wire_size(Alive(sender=0, counter=0, phase=0))

@@ -19,16 +19,10 @@ import urllib.request
 
 import pytest
 
-from repro.consensus.messages import Ballot, Prepare, Promise, Propose
+from repro.consensus.messages import Ballot, Promise, Propose
 from repro.core.messages import Alive, Heartbeat
-from repro.live.codec import (
-    MAX_FRAME,
-    CodecError,
-    decode_frame,
-    encode_frame,
-    register_message,
-    registered_kinds,
-)
+from repro.live.codec import MAX_FRAME, decode_frame, encode_frame
+from repro.wire import KINDS, CodecError
 
 HORIZON = 2.0
 
@@ -63,47 +57,30 @@ class TestCodec:
 
     def test_truncated_frames_raise(self) -> None:
         frame = encode_frame(Heartbeat(sender=0), 0, 0.0)
-        with pytest.raises(CodecError):
-            decode_frame(frame[:2])  # shorter than the length prefix
-        with pytest.raises(CodecError):
-            decode_frame(frame[:-1])  # body shorter than declared
+        for cut in (0, 1, 2, len(frame) - 1):
+            with pytest.raises(CodecError) as caught:
+                decode_frame(frame[:cut])
+            assert caught.value.reason == "truncated_frame"
 
     def test_garbage_bodies_raise(self) -> None:
-        import struct
-
-        body = b"not json at all"
-        with pytest.raises(CodecError):
-            decode_frame(struct.pack(">I", len(body)) + body)
-        huge = struct.pack(">I", MAX_FRAME + 1) + b"x"
-        with pytest.raises(CodecError):
-            decode_frame(huge)
+        frame = encode_frame(Heartbeat(sender=0), 0, 0.0)
+        with pytest.raises(CodecError, match="stray bytes"):
+            decode_frame(frame + b"not a frame")
+        with pytest.raises(CodecError) as caught:
+            decode_frame(b"x" * (MAX_FRAME + 1))
+        assert caught.value.reason == "oversized_frame"
 
     def test_unknown_kind_raises(self) -> None:
         frame = encode_frame(Heartbeat(sender=0), 0, 0.0)
-        body = json.loads(frame[4:])
-        body["k"] = "NoSuchKind"
-        raw = json.dumps(body).encode()
-        import struct
-
-        with pytest.raises(CodecError, match="NoSuchKind"):
-            decode_frame(struct.pack(">I", len(raw)) + raw)
+        with pytest.raises(CodecError, match="unknown message kind") \
+                as caught:
+            decode_frame(bytes([len(KINDS) + 1]) + frame[1:])
+        assert caught.value.reason == "unknown_kind"
 
     def test_known_kinds_cover_both_protocol_layers(self) -> None:
-        kinds = registered_kinds()
+        kinds = {path.rsplit(".", 1)[1] for path in KINDS}
         assert "Alive" in kinds  # Omega layer
         assert "Prepare" in kinds and "Decide" in kinds  # consensus layer
-
-    def test_register_rejects_shadowing(self) -> None:
-        with pytest.raises(CodecError, match="already registered"):
-
-            class Prepare2(Prepare):  # same name via __name__ surgery
-                pass
-
-            Prepare2.__name__ = "Prepare"
-            register_message(Prepare2)
-
-    def test_register_same_class_twice_is_noop(self) -> None:
-        assert register_message(Prepare) is Prepare
 
 
 #: The keys ``live/node.py``'s ``_write_report`` emits (``log`` only on

@@ -18,6 +18,7 @@ import importlib
 import random
 import signal
 import time
+from pathlib import Path
 
 import pytest
 
@@ -123,8 +124,37 @@ class TestFileStorage:
 
     def test_corrupt_snapshot_raises_storage_error(self, tmp_path) -> None:
         path = tmp_path / "node0.storage"
-        path.write_bytes(b"this is not a pickle")
+        path.write_bytes(b"this is not a snapshot")
         with pytest.raises(StorageError, match="cannot reload"):
+            FileStorage(0, Simulation(seed=1), str(path))
+
+    @staticmethod
+    def _snapshot(tmp_path) -> Path:
+        path = tmp_path / "node0.storage"
+        storage = FileStorage(0, Simulation(seed=1), str(path))
+        storage.put(("log", 0), ("c1", "set", 42))
+        storage.sync()
+        return path
+
+    def test_a_flipped_byte_is_a_checksum_mismatch(self, tmp_path) -> None:
+        path = self._snapshot(tmp_path)
+        data = path.read_bytes()
+        at = data.index(b"c1") + 1
+        path.write_bytes(data[:at] + b"9" + data[at + 1:])
+        with pytest.raises(StorageError, match="checksum mismatch"):
+            FileStorage(0, Simulation(seed=1), str(path))
+
+    def test_an_unknown_version_byte_is_refused(self, tmp_path) -> None:
+        path = self._snapshot(tmp_path)
+        path.write_bytes(b"\xff" + path.read_bytes()[1:])
+        with pytest.raises(StorageError, match="unknown snapshot version 255"):
+            FileStorage(0, Simulation(seed=1), str(path))
+
+    @pytest.mark.parametrize("cut", [1, 3, 4, 9])
+    def test_a_truncated_file_is_refused(self, tmp_path, cut) -> None:
+        path = self._snapshot(tmp_path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(StorageError, match="truncated snapshot"):
             FileStorage(0, Simulation(seed=1), str(path))
 
 

@@ -209,17 +209,17 @@ class TestPacketAccountingDeterminism:
     """Same seed => byte-identical packet tallies, at any parallelism."""
 
     def test_scenario_tallies_are_reproducible(self) -> None:
-        from repro.harness.bench import _PacketTally
         from repro.obs.observer import capture
+        from repro.obs.report import RunRecorder
 
         def tally() -> dict:
             scenario = OmegaScenario(algorithm="comm-efficient", n=4,
                                      system="source", source=2, seed=5,
                                      horizon=60.0)
-            with capture(_PacketTally):
+            with capture(RunRecorder):
                 outcome = scenario.run()
             network = outcome.cluster.network
-            return network.hub.first(_PacketTally).block(network.mtu)
+            return network.hub.first(RunRecorder).packets_block(network.mtu)
 
         assert tally() == tally()
 

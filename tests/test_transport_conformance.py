@@ -196,32 +196,58 @@ class TestElection:
         run_conformance(backend_name, 3, body)
 
 
-def _frame_with_kind(kind: str) -> bytes:
-    """A structurally valid frame whose ``k`` tag is ``kind``."""
-    import json
-    import struct
+def _heartbeat_frame() -> bytes:
+    from repro.core.messages import Heartbeat
+    from repro.live.codec import encode_frame
 
-    body = json.dumps({"k": kind, "i": 0, "t": 0.0, "f": {}}).encode()
-    return struct.pack(">I", len(body)) + body
+    return encode_frame(Heartbeat(sender=0), 0, 0.0)
+
+
+def _propose_frame_with_value(value: bytes) -> bytes:
+    """A ``Propose`` frame whose ``value`` field is ``value`` verbatim."""
+    from repro.consensus.messages import Ballot, Propose
+    from repro.live.codec import encode_frame
+    from repro.wire import encode_value
+
+    marker = "value-marker"
+    frame = encode_frame(Propose(0, Ballot(0, 0), 0, marker, 0), 0, 0.0)
+    return frame.replace(encode_value(marker), value)
 
 
 def _corrupt_frames():
-    import struct
+    from repro.core.messages import Alive, Heartbeat
+    from repro.wire import KINDS, encode, encode_value
 
-    from repro.live.codec import MAX_FRAME
-
+    frame = _heartbeat_frame()
+    tail = frame[len(encode(Heartbeat(sender=0))):]  # incarnation, sent_at
+    alive_id = encode(Alive(0, 0, 0))[0]
+    # {[]: None}: a dict entry whose key is a list, not hashable.
+    entry = encode_value({(1,): None})
+    unhashable = entry[:2] + encode_value([])[:1] + entry[3:]
+    overlong = b"\x80" * 10 + b"\x00"  # an 11-byte varint
     return [
-        pytest.param(b"\x00\x01", "truncated_frame", id="short-prefix"),
-        pytest.param(struct.pack(">I", 50) + b"{}", "truncated_frame",
-                     id="length-mismatch"),
-        pytest.param(struct.pack(">I", MAX_FRAME + 1) + b"x" * 8,
-                     "oversized_frame", id="oversized"),
-        pytest.param(struct.pack(">I", 15) + b"not json at all",
-                     "corrupt_frame", id="garbage-body"),
-        pytest.param(struct.pack(">I", 2) + b"{}", "corrupt_frame",
-                     id="missing-envelope-keys"),
-        pytest.param(_frame_with_kind("NoSuchMessageClass"),
-                     "unknown_kind", id="unknown-kind"),
+        pytest.param(frame[:2], "truncated_frame", id="short-frame"),
+        pytest.param(frame[:-3], "truncated_frame",
+                     id="length-short-of-its-fields"),
+        pytest.param(encode(Heartbeat(sender=0)), "truncated_frame",
+                     id="missing-envelope"),  # no incarnation, no sent_at
+        pytest.param(frame[:1] + b"\xff" * 12, "corrupt_frame",
+                     id="garbage-body"),
+        pytest.param(frame + b"\x00", "corrupt_frame", id="trailing-bytes"),
+        pytest.param(bytes([alive_id]) + frame[1:], "truncated_frame",
+                     id="fields-off-schema"),
+        pytest.param(_propose_frame_with_value(b"\xee"), "corrupt_frame",
+                     id="unknown-value-tag"),
+        pytest.param(_propose_frame_with_value(unhashable), "corrupt_frame",
+                     id="malformed-dict-entry"),
+        pytest.param(frame[:1] + overlong + tail, "corrupt_frame",
+                     id="non-int-sender"),
+        pytest.param(encode(Heartbeat(sender=0)) + overlong + tail[1:],
+                     "corrupt_frame", id="non-int-incarnation"),
+        pytest.param(bytes([len(KINDS) + 1]) + frame[1:], "unknown_kind",
+                     id="unknown-kind"),
+        pytest.param(b"\x00" + frame[1:], "unknown_kind",
+                     id="unlisted-kind"),
     ]
 
 
@@ -276,7 +302,8 @@ class TestCodecRobustness:
         # drop the observers see, not a CodecError in the sender's loop.
         from repro.consensus.messages import Forwards
         from repro.core.messages import Heartbeat
-        from repro.live.codec import MAX_FRAME, CodecError
+        from repro.live.codec import MAX_FRAME
+        from repro.wire import CodecError
 
         async def main() -> None:
             backend = LiveBackend(2)
@@ -294,7 +321,7 @@ class TestCodecRobustness:
                 # An unencodable field is a bug and stays loud.
                 with pytest.raises(CodecError, match="no wire encoding"):
                     backend.transport.send(
-                        0, 1, Forwards(0, ((("c", 1), b"raw"),)))
+                        0, 1, Forwards(0, ((("c", 1), object()),)))
                 backend.transport.send(0, 1, Heartbeat(sender=0))
                 deadline = asyncio.get_running_loop().time() + 2.0
                 while (not b.received
