@@ -16,6 +16,7 @@ Examples
     python -m repro sweep --n 5 --horizon 400
     python -m repro soak --cases 50 --seed 7
     python -m repro soak --minutes 10
+    python -m repro soak --cases 25 --compare soak-before.json
     python -m repro bench --jobs 4 --seed 7
     python -m repro bench --quick --jobs 2 --out bench-smoke.json
     python -m repro bench --experiments e19 --quick --jobs 2 --no-out
@@ -314,6 +315,22 @@ def _print_soak(results: list, seed: int, campaign: str) -> bool:
     return bool(failures)
 
 
+def _soak_report(args: argparse.Namespace, results: list,
+                 campaign: str) -> bool:
+    """Write and/or diff the campaign's bench report (``--bench-out``,
+    ``--compare``); True iff a deterministic result drifted."""
+    if not (args.bench_out or args.compare):
+        return False
+    from repro.harness.bench import build_report
+    from repro.harness.soak import soak_bench_cases
+
+    report = build_report(
+        soak_bench_cases(results), seed=args.seed, jobs=1,
+        suite=f"soak:{campaign}",
+        wall_s=sum(result.wall_s for result in results))
+    return _write_and_compare(report, args.bench_out, args.compare)
+
+
 def cmd_soak(args: argparse.Namespace) -> int:
     from repro.harness.soak import recovery_control_case
 
@@ -323,6 +340,8 @@ def cmd_soak(args: argparse.Namespace) -> int:
     results = _run_soak(args, cases=cases, minutes=args.minutes,
                         campaign=args.campaign)
     failed = _print_soak(results, args.seed, args.campaign)
+    # Sim outcomes are deterministic: a moved one fails, as in bench.
+    failed = _soak_report(args, results, args.campaign) or failed
     if args.campaign == "recovery":
         # Control pair: the same crash+recover schedule violates
         # agreement without stable storage and holds with it.
@@ -483,7 +502,7 @@ def _print_compare(report: dict, compare_path: str) -> bool:
     if diff["changed"]:
         print("\ndeterministic results changed (verdict/result drift):")
         for case_id in diff["changed"]:
-            print(f"  CHANGED {case_id}")
+            print(f"  CHANGED {case_id}: {', '.join(diff['moved'][case_id])}")
         return True
     print("deterministic results identical for all common cases")
     return False
@@ -631,19 +650,12 @@ def cmd_live_run(args: argparse.Namespace) -> int:
 
 
 def cmd_live_soak(args: argparse.Namespace) -> int:
-    from repro.harness.soak import live_bench_cases
-
     results = _run_soak(args, cases=args.cases, campaign="live",
                         outdir=(args.outdir or None))
     failed = _print_soak(results, args.seed, "live")
-    if args.bench_out or args.compare:
-        from repro.harness.bench import build_report
-        report = build_report(
-            live_bench_cases(results), seed=args.seed, jobs=1,
-            suite="live-soak", wall_s=sum(result.wall_s for result in results))
-        # Live rows carry wall-clock latencies, so --compare informs
-        # rather than gates: the exit code is the campaign's verdicts.
-        _write_and_compare(report, args.bench_out, args.compare)
+    # Live rows carry wall-clock latencies, so --compare informs rather
+    # than gates: the exit code is the campaign's verdicts.
+    _soak_report(args, results, "live")
     return 1 if failed else 0
 
 
@@ -728,6 +740,11 @@ def _add_soak_flags(parser: argparse.ArgumentParser, cases: int) -> None:
                              "INDEX))")
     parser.add_argument("--stop-on-failure", action="store_true",
                         help="stop at the first failing campaign")
+    parser.add_argument("--bench-out", default="", metavar="FILE",
+                        help="write a repro-bench/v1 report, a row per case")
+    parser.add_argument("--compare", default="", metavar="OLD.json",
+                        help="diff against an earlier --bench-out report: "
+                             "each moved case and what moved in it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -945,14 +962,6 @@ def build_parser() -> argparse.ArgumentParser:
     lsoak.add_argument("--outdir", default="",
                        help="root directory for per-case rundirs "
                             "(default: a fresh temp dir per case)")
-    lsoak.add_argument("--bench-out", default="", metavar="FILE",
-                       help="write a repro-bench/v1 report with live "
-                            "commit-latency percentiles")
-    lsoak.add_argument("--compare", default="", metavar="OLD.json",
-                       help="diff this campaign's bench report against "
-                            "a previous one (sim or live): verdict "
-                            "drift plus per-percentile commit-latency "
-                            "drift for shared case ids")
     lsoak.set_defaults(handler=cmd_live_soak)
 
     lxval = live_sub.add_parser(

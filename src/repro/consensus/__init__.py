@@ -22,8 +22,8 @@ _EXPORTS = {
     "repro.consensus.config": ("ConsensusConfig",),
     "repro.consensus.messages": (
         "BOTTOM_BALLOT", "Accepted", "Ballot", "Decide", "DecideAck",
-        "DecideAcks", "Decides", "Forward", "Forwards", "Nack", "Prepare",
-        "Promise", "Propose"),
+        "Decides", "Forward", "Forwards", "Nack", "Prepare", "Promise",
+        "Propose"),
     "repro.consensus.node": ("ConsensusNode", "ConsensusSystem"),
     "repro.consensus.replica": ("NOOP", "Batch", "LogReplica", "entry_commands"),
     "repro.consensus.sharding": ("ShardedLog",),

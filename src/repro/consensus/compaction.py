@@ -117,7 +117,6 @@ class CompactingReplica(LogReplica):
         self.machine = machine_factory()
         self.keep_tail = keep_tail
         self._last_offer: dict[int, float] = {}
-        self.compact_floor = 0          # log[i] for i < floor is discarded
         self.applied_ids: set[Hashable] = set()
         self._applied_through = -1
         self._snapshot_debtors: set[int] = set()
@@ -168,13 +167,6 @@ class CompactingReplica(LogReplica):
             self.log.pop(instance, None)
             self.accepted.pop(instance, None)
             self.decision_times.pop(instance, None)
-            acks = self._decide_acks.pop(instance, None)
-            if acks is not None and len(acks) < self.n:
-                # Peers that never acknowledged this decision can no
-                # longer be served the entry: they owe us a snapshot.
-                self._snapshot_debtors |= {
-                    peer for peer in range(self.n)
-                    if peer != self.pid and peer not in acks}
         self.compact_floor = new_floor
 
     def _offer_snapshots(self) -> None:
@@ -197,9 +189,19 @@ class CompactingReplica(LogReplica):
     # Messages
     # ------------------------------------------------------------------
 
+    def _report(self, peer: int, mark: int) -> None:
+        # A peer owes us a snapshot while its latest report is below the
+        # floor - 1 (it needs a gone entry); a stale table is no debt.
+        super()._report(peer, mark)
+        if mark >= self.compact_floor - 1:
+            self._snapshot_debtors.discard(peer)
+        elif self._leading():
+            self._snapshot_debtors.add(peer)
+
     def _on_snapshot_ack(self, message: SnapshotAck) -> None:
-        if message.through >= self.compact_floor - 1:
-            self._snapshot_debtors.discard(message.sender)
+        # The peer's watermark is at least the snapshot's.
+        self._report(message.sender, max(self._watermarks[message.sender],
+                                         message.through))
 
     def _on_snapshot_offer(self, message: SnapshotOffer) -> None:
         if message.through > self.commit_index:
@@ -218,9 +220,6 @@ class CompactingReplica(LogReplica):
         for instance in list(self.accepted):
             if instance <= message.through:
                 del self.accepted[instance]
-        for instance in list(self._decide_acks):
-            if instance <= message.through:
-                del self._decide_acks[instance]
         self.commit_index = message.through
         self._applied_through = message.through
         self.compact_floor = message.through + 1

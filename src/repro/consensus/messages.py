@@ -33,7 +33,6 @@ __all__ = [
     "Forward",
     "Forwards",
     "Decides",
-    "DecideAcks",
 ]
 
 
@@ -67,11 +66,14 @@ class Promise(Message):
 
     ``accepted`` maps instance -> (ballot, value) for every instance at
     or above the prepare's ``from_instance`` with a non-⊥ accepted value.
+    ``commit_through`` is the sender's watermark (see :class:`DecideAck`),
+    so a new log leader knows what each promiser holds.
     """
 
     ballot: Ballot
     from_instance: int
     accepted: tuple[tuple[int, tuple[Ballot, Any]], ...]
+    commit_through: int = -1
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,10 +93,15 @@ class Propose(Message):
 
 @dataclass(frozen=True, slots=True)
 class Accepted(Message):
-    """Phase-2b: acceptor accepted ``instance`` at ``ballot``."""
+    """Phase-2b: acceptor accepted ``instance`` at ``ballot``.
+
+    ``commit_through`` is the sender's watermark (see :class:`DecideAck`),
+    counting what the accepted ``Propose``'s own piggyback taught it.
+    """
 
     ballot: Ballot
     instance: int
+    commit_through: int = -1
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,7 +118,8 @@ class Nack(Message):
 
 @dataclass(frozen=True, slots=True)
 class Decide(Message):
-    """Decision announcement for ``instance``; retransmitted until acked."""
+    """Decision announcement for ``instance``; resent until the
+    receiver's watermark covers it."""
 
     instance: int
     value: Any
@@ -124,14 +132,15 @@ class Decide(Message):
 
 @dataclass(frozen=True, slots=True)
 class DecideAck(Message):
-    """Acknowledgement of a :class:`Decide`."""
+    """Cumulative acknowledgement: the sender's *watermark*.
 
-    instance: int
+    ``commit_through`` is the sender's highest contiguous decided
+    instance (its ``commit_index``; ``-1`` for none), so one ack answers
+    every :class:`Decide` or :class:`Decides` below it.  With
+    persistence a watermark never runs ahead of the durable log.
+    """
 
-    @property
-    def instances(self) -> tuple[int, ...]:
-        """The one-entry case of :attr:`DecideAcks.instances`."""
-        return (self.instance,)
+    commit_through: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,7 +163,7 @@ class Forward(Message):
 # kind per pass.  A pass with a single entry sends the plain class above
 # (low-rate schedules stay bit-identical, as with ``Batch`` slots); more
 # entries travel in the plural form, which handlers read through the
-# same ``commands`` / ``entries`` / ``instances`` attribute.
+# same ``commands`` / ``entries`` attribute.
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,10 +178,3 @@ class Decides(Message):
     """Decided ``(instance, value)`` pairs one pass has for one peer."""
 
     entries: tuple[tuple[int, Any], ...]
-
-
-@dataclass(frozen=True, slots=True)
-class DecideAcks(Message):
-    """Acknowledgement of every instance of one :class:`Decides`."""
-
-    instances: tuple[int, ...]

@@ -39,7 +39,8 @@ the per-pass :class:`~repro.consensus.retransmit.RetransmitGate` with
 docs/RECOVERY.md — :meth:`PaxosProcess._when_durable`, the one function
 through which everything a peer may count toward a quorum waits for its
 write to commit: a fresh ballot's prepares, the owner's own votes, every
-``Promise`` and ``Accepted``, and the log's decide acks.  Without
+``Promise`` and ``Accepted``, and the log's decide acks (so the watermark
+those three carry never runs ahead of the durable log).  Without
 ``persist`` nothing touches storage and a recovered process comes back
 amnesiac — deliberately: that is the control case showing why Paxos
 needs stable storage in the crash-recovery model.
@@ -91,21 +92,26 @@ class Acceptor:
         self.promised: Ballot = BOTTOM_BALLOT
         self.accepted: dict[int, tuple[Ballot, Any]] = {}
 
-    def on_prepare(self, message: Prepare) -> tuple[Message, Writes]:
-        """Phase 1b: a ``Promise`` carrying :meth:`report`, or a ``Nack``."""
+    def on_prepare(self, message: Prepare,
+                   commit_through: int = -1) -> tuple[Message, Writes]:
+        """Phase 1b: a ``Promise`` carrying :meth:`report` and the
+        learner's ``commit_through`` watermark, or a ``Nack``."""
         if message.ballot < self.promised:
             return Nack(self.pid, message.ballot, -1, self.promised), ()
         report, writes = self.promise(message.ballot, message.from_instance)
         return Promise(self.pid, message.ballot, message.from_instance,
-                       report), writes
+                       report, commit_through), writes
 
-    def on_propose(self, message: Propose) -> tuple[Message, Writes]:
-        """Phase 2b: accept and answer ``Accepted``, or a ``Nack``."""
+    def on_propose(self, message: Propose,
+                   commit_through: int = -1) -> tuple[Message, Writes]:
+        """Phase 2b: accept and answer ``Accepted`` (carrying the
+        learner's ``commit_through`` watermark), or a ``Nack``."""
         writes = self.vote(message.ballot, message.instance, message.value)
         if not writes:
             return Nack(self.pid, message.ballot, message.instance,
                         self.promised), ()
-        return Accepted(self.pid, message.ballot, message.instance), writes
+        return Accepted(self.pid, message.ballot, message.instance,
+                        commit_through), writes
 
     def promise(self, ballot: Ballot,
                 from_instance: int) -> tuple[Report, Writes]:
@@ -220,6 +226,9 @@ class PaxosProcess(Process):
     """
 
     IDLE = PREPARING = ""
+    commit_index = -1
+    """Highest instance through which everything is decided here, the
+    watermark every ``Promise`` and ``Accepted`` reports (the log's)."""
     HANDLERS: dict[type, str] = {Prepare: "_on_prepare",
                                  Promise: "_on_promise",
                                  Propose: "_on_propose", Nack: "_on_nack"}
@@ -316,18 +325,20 @@ class PaxosProcess(Process):
         if handler is not None:
             handler(message)
 
-    def _retransmit(self, peer: int, message: Message) -> None:
+    def _retransmit(self, peer: int, message: Message) -> bool:
         """Send — unconditionally in crash-stop runs (the classic
         once-per-tick retransmission), through the per-pass backoff gate
-        with persistence."""
-        if not self.persist or self._gate.admits(peer, self.now):
+        with persistence.  True iff it went out."""
+        sent = not self.persist or self._gate.admits(peer, self.now)
+        if sent:
             self.send(peer, message)
+        return sent
 
-    def _retransmit_to(self, heard: Iterable[int], message: Message) -> None:
-        """Retransmit ``message`` to every peer not yet in ``heard``."""
-        for peer in range(self.n):
-            if peer != self.pid and peer not in heard:
-                self._retransmit(peer, message)
+    def _retransmit_to(self, heard: Iterable[int], message: Message) -> bool:
+        """Retransmit ``message`` to every peer not yet in ``heard``;
+        True iff any copy went out."""
+        return any([self._retransmit(peer, message) for peer in range(self.n)
+                    if peer != self.pid and peer not in heard])
 
     def _when_durable(self, writes: Writes, then: Callable[[], None]) -> None:
         """Run ``then`` once ``writes`` (and everything buffered before
@@ -358,18 +369,19 @@ class PaxosProcess(Process):
 
     def _on_prepare(self, message: Prepare) -> None:
         self.owner.observe(message.ballot)
-        self._reply_durably(message.sender,
-                            *self.acceptor.on_prepare(message))
+        self._reply_durably(message.sender, *self.acceptor.on_prepare(
+            message, self.commit_index))
 
     def _on_propose(self, message: Propose) -> None:
         self.owner.observe(message.ballot)
-        reply, writes = self.acceptor.on_propose(message)
-        self._reply_durably(message.sender, reply, writes)
-        if writes:
-            self._after_accept(message)
+        # The hint first, so the reply's watermark counts what it taught.
+        self._take_hint(message)
+        self._reply_durably(message.sender, *self.acceptor.on_propose(
+            message, self.commit_index))
 
-    def _after_accept(self, message: Propose) -> None:
-        """Hook: ``message`` was just accepted (the log's commit hint)."""
+    def _take_hint(self, message: Propose) -> None:
+        """Hook: learn from ``message.commit_through`` (the log's commit
+        piggyback) before the acceptor answers it."""
 
     def _reply_durably(self, peer: int, reply: Message,
                        writes: Writes) -> None:

@@ -10,14 +10,23 @@ thereafter commits each client command with one round trip:
 
 so in steady state only the ``2(n-1)`` leader-adjacent links carry
 traffic: the consensus analogue of the paper's communication efficiency
-(experiment E9).  Decisions additionally propagate through explicit
-``Decide``/``DecideAck`` exchanges (retransmitted until acknowledged —
-links may be fair-lossy) plus a safe piggyback: a ``Propose`` carries the
-leader's ``commit_through`` index, and a follower may mark an instance
-``i <= commit_through`` decided if *its accepted ballot for i equals the
-message's ballot* — then its accepted value is exactly the value the
-leader proposed (ballots propose a unique value per instance) and hence
-the decided one.
+(experiment E9).  Followers learn decisions from a safe piggyback: a
+``Propose`` carries the leader's ``commit_through`` index, and a follower
+may mark an instance ``i <= commit_through`` decided if *its accepted
+ballot for i equals the message's ballot* — then its accepted value is
+exactly the value the leader proposed (ballots propose a unique value
+per instance) and hence the decided one.
+
+**Decide by watermark.**  Every report a follower sends (``Accepted``,
+``Promise``, the cumulative ``DecideAck``) carries its *watermark*, its
+``commit_index``; an ``Accepted`` counts what its ``Propose`` taught.
+Only the current leader spreads decisions, where the piggyback
+demonstrably did not deliver: at a tick, a peer whose watermark stalled
+since the previous tick, or any peer if no ``Propose`` went out since,
+gets the entries above its watermark decided a tick ago or more, at
+most ``max_batch``, oldest first.  Promises seed a new leader's table,
+and a crashed peer costs the leader one message per tick, so eventually
+only the leader sends.
 
 Client commands enter through :meth:`LogReplica.submit` on any node;
 non-leaders forward their whole pending queue to their Omega leader
@@ -26,10 +35,10 @@ apply time).
 
 The tick-paced driver sends **at most one message of a kind to a peer
 per pass**: the pending queue travels as one ``Forwards``, the pass's
-decisions for a peer as one ``Decides``, answered by one ``DecideAcks``
+decisions for a peer as one ``Decides``, answered by one ``DecideAck``
 — typed fair-lossy links promise delivery per message *type*, not per
 command.  A pass with a single entry sends the plain ``Forward`` /
-``Decide`` / ``DecideAck``, so low-rate schedules are unchanged.
+``Decide``, so low-rate schedules are unchanged.
 
 Safety is the ballot protocol of :mod:`repro.consensus.paxos` — one
 acceptor and one ballot owner, shared with the single-decree class — and
@@ -41,10 +50,11 @@ piggyback, the learner.
 
 With ``persist=True`` the replica survives the crash-recovery model
 (docs/RECOVERY.md): besides the shell's acceptor state and ballot round,
-the learned log entries live on stable storage, and a ``DecideAck``
-waits for its entries' write like every quorum vote does.  A recovered
+the learned log entries live on stable storage, and every watermark
+report waits for its entries' write like every quorum vote does, so a
+reported watermark never runs ahead of the durable log.  A recovered
 replica rejoins as a follower with its acceptor state and committed
-prefix intact.
+prefix intact; its first report is the watermark it restored.
 """
 
 from __future__ import annotations
@@ -59,10 +69,10 @@ from repro.consensus.messages import (
     Ballot,
     Decide,
     DecideAck,
-    DecideAcks,
     Decides,
     Forward,
     Forwards,
+    Promise,
     Propose,
 )
 from repro.consensus.paxos import PaxosProcess
@@ -152,8 +162,12 @@ class LogReplica(PaxosProcess):
     IDLE, PREPARING = PHASE_FOLLOWER, PHASE_PREPARING
     HANDLERS = {**PaxosProcess.HANDLERS, Accepted: "_on_accepted",
                 Decide: "_on_decide", Decides: "_on_decide",
-                DecideAck: "_on_decide_ack", DecideAcks: "_on_decide_ack",
+                DecideAck: "_on_decide_ack",
                 Forward: "_on_forward", Forwards: "_on_forward"}
+
+    compact_floor = 0
+    """Instances below this are gone from the log (a plain log keeps all;
+    :class:`~repro.consensus.compaction.CompactingReplica` raises it)."""
 
     def __init__(self, pid: int, sim: Simulation, network: Network, n: int,
                  leader_of: Callable[[], int],
@@ -178,8 +192,11 @@ class LogReplica(PaxosProcess):
         self.commit_index = -1  # highest i with 0..i all decided
         self.committed_ids: set[Hashable] = set()
         self.decision_times: dict[int, float] = {}
-        self._decide_acks: dict[int, set[int]] = {}
-        self._spread_cursor = 0
+        # Each peer's last reported watermark, the table at the previous
+        # tick, and whether a Propose went out since (_spread_decisions).
+        self._watermarks = [-1] * self.n
+        self._previous = [-1] * self.n
+        self._proposed = False
         # Leader state; ``_in_flight`` holds the ids of the commands the
         # open slots carry (kept in step with ``_open`` by
         # _open_slot/_maybe_close/_abandon_open).
@@ -337,8 +354,10 @@ class LogReplica(PaxosProcess):
         # (Re)transmit every open slot to peers that have not accepted.
         ballot = self.owner.ballot
         for instance, slot in self._open.items():
-            self._retransmit_to(slot.acks, Propose(
-                self.pid, ballot, instance, slot.value, self.commit_index))
+            if self._retransmit_to(slot.acks, Propose(
+                    self.pid, ballot, instance, slot.value,
+                    self.commit_index)):
+                self._proposed = True
 
     def _open_batch(self, batch: list[tuple[Hashable, Any]]) -> None:
         value: Any = batch[0] if len(batch) == 1 else Batch(tuple(batch))
@@ -352,6 +371,9 @@ class LogReplica(PaxosProcess):
         self._in_flight.clear()
 
     def _open_slot(self, instance: int, value: Any) -> None:
+        # An instance known decided is re-proposed as decided: another
+        # value at our ballot would reach our acceptors by piggyback.
+        value = self.log.get(instance, value)
         slot = self._open[instance] = _OpenSlot(value, set())
         self._in_flight.update(
             command_id for command_id, _ in entry_commands(value))
@@ -379,42 +401,37 @@ class LogReplica(PaxosProcess):
         self._learn(instance, slot.value)
         if self.persist:
             self.storage.sync()  # liveness only; nothing waits on it
-        # Only the deciding leader announces: followers learning through
-        # Decide or the commit piggyback must stay silent, or everyone
-        # would re-broadcast and communication efficiency would be lost.
-        self._decide_acks.setdefault(instance, {self.pid})
 
     # --- decision propagation -------------------------------------------
 
+    def _leading(self) -> bool:
+        """Omega trusts this replica and its ballot is prepared."""
+        return self.leader_of() == self.pid and self.phase == PHASE_LEADING
+
     def _spread_decisions(self) -> None:
-        # Retransmit unacknowledged decisions, capped per tick so a
-        # crashed peer (which will never ack) cannot turn every tick into
-        # a flood proportional to the log length.  The cap rotates
-        # round-robin over the unacked instances — picking "oldest first"
-        # would let instances blocked solely on a crashed peer starve the
-        # spreading of newer decisions forever.
-        done = [instance for instance, acks in self._decide_acks.items()
-                if len(acks) == self.n]
-        for instance in done:
-            del self._decide_acks[instance]
-        outstanding = sorted(self._decide_acks)
-        if not outstanding:
+        # Decide by watermark (module docstring): only where the
+        # piggyback demonstrably did not deliver.
+        proposed, self._proposed = self._proposed, False
+        previous, self._previous = self._previous, list(self._watermarks)
+        if not self._leading():
             return
-        budget = min(self.config.max_batch, len(outstanding))
-        start = self._spread_cursor % len(outstanding)
-        self._spread_cursor += budget
-        chosen = [outstanding[(start + offset) % len(outstanding)]
-                  for offset in range(budget)]
-        for peer in range(self.n):
-            if peer == self.pid:
+        settled = self.now - self.config.tick
+        log, times = self.log, self.decision_times
+        for peer, mark in enumerate(self._watermarks):
+            if peer == self.pid or (proposed and mark != previous[peer]):
                 continue
-            entries = tuple((instance, self.log[instance])
-                            for instance in chosen
-                            if peer not in self._decide_acks[instance])
+            entries: list[tuple[int, Any]] = []
+            for instance in range(max(mark + 1, self.compact_floor),
+                                  self._next_instance):
+                if instance in log \
+                        and times.get(instance, settled) <= settled:
+                    entries.append((instance, log[instance]))
+                    if len(entries) == self.config.max_batch:
+                        break
             if entries:
                 self._retransmit(
-                    peer, Decides(self.pid, entries) if len(entries) > 1
-                    else Decide(self.pid, *entries[0]))
+                    peer, Decides(self.pid, tuple(entries))
+                    if len(entries) > 1 else Decide(self.pid, *entries[0]))
 
     def _learn(self, instance: int, value: Any) -> None:
         log = self.log
@@ -426,13 +443,18 @@ class LogReplica(PaxosProcess):
                     f"{known!r} vs {value!r}"
                 )
             return
+        slot = self._open.get(instance)
+        if slot is not None and slot.value != value:
+            # A higher ballot decided otherwise: ours is dead, and its
+            # piggyback past here would teach our acceptors our value.
+            self._step_down("outvoted")
         now = self.now
         log[instance] = value
         self.decision_times[instance] = now
         if self.persist:
             # Buffered here, synced by the caller: the deciding leader
-            # fires a plain sync (nothing waits on it), a follower
-            # learning through Decide defers its DecideAck on it.
+            # fires a plain sync (nothing waits on it), a follower defers
+            # its watermark report (DecideAck, Accepted) on it.
             self.storage.put((_K_LOG, instance), value)
         decided = (instance, value)
         for callback in self.network.hub.decide_cbs:
@@ -458,10 +480,12 @@ class LogReplica(PaxosProcess):
             if command_id not in pending and command_id not in committed:
                 self.submit(command_id, command)
 
-    def _after_accept(self, message: Propose) -> None:
+    def _take_hint(self, message: Propose) -> None:
         # Safe piggyback (see module docstring): an instance at or below
         # the leader's commit index whose accepted ballot *is* the
         # message's ballot holds exactly the leader's (decided) value.
+        # With persistence the entries learned here are buffered, and the
+        # reply's own sync makes them durable before its watermark leaves.
         accepted = self.acceptor.accepted
         for instance in range(self.commit_index + 1,
                               message.commit_through + 1):
@@ -469,10 +493,18 @@ class LogReplica(PaxosProcess):
             if slot is not None and slot[0] == message.ballot \
                     and instance not in self.log:
                 self._learn(instance, slot[1])
-        if self.persist and self.storage.dirty:
-            self.storage.sync()  # flush piggyback-learned entries
+
+    def _report(self, peer: int, mark: int) -> None:
+        """Note ``peer``'s reported watermark (its ``commit_index``)."""
+        self._watermarks[peer] = mark
+
+    def _on_promise(self, message: Promise) -> None:
+        # A prepare round seeds the new leader's watermark table.
+        self._report(message.sender, message.commit_through)
+        super()._on_promise(message)
 
     def _on_accepted(self, message: Accepted) -> None:
+        self._report(message.sender, message.commit_through)
         if self.phase != PHASE_LEADING \
                 or message.ballot != self.owner.ballot:
             return
@@ -482,21 +514,15 @@ class LogReplica(PaxosProcess):
             self._maybe_close(message.instance)
 
     def _on_decide(self, message: Decide | Decides) -> None:
-        entries = message.entries
-        for instance, value in entries:
+        for instance, value in message.entries:
             self._learn(instance, value)
-        instances = tuple(instance for instance, _ in entries)
-        ack = (DecideAcks(self.pid, instances) if len(instances) > 1
-               else DecideAck(self.pid, *instances))
-        # With persistence the ack waits for the one sync that covers
-        # every entry (``_learn`` buffered them): an acked decide is
-        # never retransmitted, so an ack for an entry that then
-        # evaporated in a crash would leave the recovered log with a
-        # permanent hole.
+        # One cumulative ack, its watermark read now.  With persistence
+        # it waits for the one sync that covers every entry (``_learn``
+        # buffered them): the leader never resends below a reported
+        # watermark, so a report covering an entry that then evaporated
+        # in a crash would leave the recovered log with a permanent hole.
+        ack = DecideAck(self.pid, self.commit_index)
         self._when_durable((), lambda: self.send(message.sender, ack))
 
-    def _on_decide_ack(self, message: DecideAck | DecideAcks) -> None:
-        for instance in message.instances:
-            acks = self._decide_acks.get(instance)
-            if acks is not None:
-                acks.add(message.sender)
+    def _on_decide_ack(self, message: DecideAck) -> None:
+        self._report(message.sender, message.commit_through)

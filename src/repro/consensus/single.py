@@ -107,13 +107,13 @@ class SingleDecreeConsensus(PaxosProcess):
         self._accept_acks: set[int] = set()
         self.decision: Any = None
         self.decision_time: float | None = None
-        self._decide_acks: set[int] = set()
+        self._informed: set[int] = set()
 
     def _restore(self, storage: StableStorage) -> None:
         stored = storage.get(_K_DECISION)
         if stored is not None:
             self.decision, self.decision_time = stored
-            self._decide_acks = {self.pid}
+            self._informed = {self.pid}
 
     # ------------------------------------------------------------------
     # Driver: (re)transmit whatever is outstanding
@@ -149,7 +149,7 @@ class SingleDecreeConsensus(PaxosProcess):
             self.pid, self.ballot, _INSTANCE, self.ballot_value, -1))
 
     def _spread_decision(self) -> None:
-        self._retransmit_to(self._decide_acks,
+        self._retransmit_to(self._informed,
                             Decide(self.pid, _INSTANCE, self.decision))
 
     # ------------------------------------------------------------------
@@ -204,14 +204,14 @@ class SingleDecreeConsensus(PaxosProcess):
         self.send(message.sender, DecideAck(self.pid, _INSTANCE))
 
     def _on_decide_ack(self, message: DecideAck) -> None:
-        self._decide_acks.add(message.sender)
+        self._informed.add(message.sender)
 
     def _learn(self, value: Any) -> None:
         if self.decision is None:
             self._step_down("decided")
             self.decision = value
             self.decision_time = self.now
-            self._decide_acks.add(self.pid)
+            self._informed.add(self.pid)
             self.network.hub.decide(self.now, self.pid, value)
             if self.persist:
                 # Persisted for liveness only (a recovered process

@@ -135,19 +135,20 @@ def default_suite(
                          f"known: {EXPERIMENTS}")
     cases: list[BenchCase] = []
 
+    def add(experiment: str, label: str, **params: Any) -> None:
+        cases.append(BenchCase(case_id=f"{experiment}/{label}",
+                               experiment=experiment, params=params))
+
     if "e1" in experiments:
-        algorithms = (("all-timely", ), ("comm-efficient", )) if quick else (
-            ("all-timely", ), ("source", ), ("comm-efficient", ), ("f-source", ))
+        algorithms = (("all-timely", "comm-efficient") if quick else
+                      ("all-timely", "source", "comm-efficient", "f-source"))
         sizes = (3, 4) if quick else (3, 5, 8, 12)
         seeds = (seed,) if quick else (seed, seed + 1)
-        for (algorithm,) in algorithms:
+        for algorithm in algorithms:
             for n in sizes:
                 for case_seed in seeds:
-                    cases.append(BenchCase(
-                        case_id=f"e1/{algorithm}/n={n}/seed={case_seed}",
-                        experiment="e1",
-                        params={"algorithm": algorithm, "n": n,
-                                "seed": case_seed}))
+                    add("e1", f"{algorithm}/n={n}/seed={case_seed}",
+                        algorithm=algorithm, n=n, seed=case_seed)
 
     if "e2" in experiments:
         combos: list[tuple[str, int, float]] = (
@@ -155,45 +156,33 @@ def default_suite(
             [("all-timely", 8, 120.0), ("source", 8, 120.0),
              ("comm-efficient", 8, 120.0), ("comm-efficient", 32, 240.0)])
         for algorithm, n, horizon in combos:
-            cases.append(BenchCase(
-                case_id=f"e2/{algorithm}/n={n}",
-                experiment="e2",
-                params={"algorithm": algorithm, "n": n, "seed": seed,
-                        "horizon": horizon}))
+            add("e2", f"{algorithm}/n={n}", algorithm=algorithm, n=n,
+                seed=seed, horizon=horizon)
 
     if "e3" in experiments:
-        combos_e3: list[tuple[str, str, int]] = []
-        if quick:
-            combos_e3 = [("all-timely", "all-et", 4),
-                         ("comm-efficient", "source", 4)]
-        else:
-            for algorithm, system in (("all-timely", "all-et"),
-                                      ("source", "source"),
-                                      ("comm-efficient", "source"),
-                                      ("f-source", "f-source")):
-                for n in (4, 8, 16):
-                    combos_e3.append((algorithm, system, n))
+        combos_e3 = [("all-timely", "all-et", 4),
+                     ("comm-efficient", "source", 4)]
+        if not quick:
+            combos_e3 = [(algorithm, system, n) for algorithm, system in (
+                ("all-timely", "all-et"), ("source", "source"),
+                ("comm-efficient", "source"), ("f-source", "f-source"))
+                for n in (4, 8, 16)]
             combos_e3 += [("source", "source", 32),
                           ("comm-efficient", "source", 32),
                           ("comm-efficient", "source", 64)]
             if full:
                 combos_e3.append(("comm-efficient", "source", 128))
         for algorithm, system, n in combos_e3:
-            cases.append(BenchCase(
-                case_id=f"e3/{algorithm}/n={n}",
-                experiment="e3",
-                params={"algorithm": algorithm, "system": system, "n": n,
-                        "seed": seed}))
+            add("e3", f"{algorithm}/n={n}", algorithm=algorithm,
+                system=system, n=n, seed=seed)
 
     if "e4" in experiments:
         etas = (0.5,) if quick else (0.25, 0.5, 1.0, 2.0)
         seeds = (seed,) if quick else (seed, seed + 1)
         for eta in etas:
             for case_seed in seeds:
-                cases.append(BenchCase(
-                    case_id=f"e4/eta={eta:g}/seed={case_seed}",
-                    experiment="e4",
-                    params={"eta": eta, "seed": case_seed}))
+                add("e4", f"eta={eta:g}/seed={case_seed}", eta=eta,
+                    seed=case_seed)
 
     if "e17" in experiments:
         # Packet budgets: one row per registered Omega variant, run with
@@ -203,11 +192,8 @@ def default_suite(
                              if quick else _E17_ALGORITHMS)
         budget_n = 4 if quick else 8
         for algorithm in budget_algorithms:
-            cases.append(BenchCase(
-                case_id=f"e17/budget/{algorithm}/n={budget_n}",
-                experiment="e17",
-                params={"mode": "budget", "algorithm": algorithm,
-                        "n": budget_n, "seed": seed}))
+            add("e17", f"budget/{algorithm}/n={budget_n}", mode="budget",
+                algorithm=algorithm, n=budget_n, seed=seed)
         # Adaptive-vs-static comm-efficient under a sustained degrade
         # storm: the robustness headline row.  Sized to the regime the
         # adaptive layer targets (small/mid ensembles; at n >= 8 the
@@ -215,89 +201,56 @@ def default_suite(
         # storm and batching is dominated by the loss rate — see
         # docs/DEGRADATION.md).
         for n in ((4,) if quick else (4, 6)):
-            cases.append(BenchCase(
-                case_id=f"e17/adaptive-vs-static/n={n}",
-                experiment="e17",
-                params={"mode": "adaptive", "n": n, "seed": seed}))
+            add("e17", f"adaptive-vs-static/n={n}", mode="adaptive", n=n,
+                seed=seed)
 
     if "e19" in experiments:
         # Consensus-under-load rows (docs/LOAD.md): client fleets driving
         # the replicated log, measured as committed-command throughput
         # and commit-latency percentiles.  All sim-time figures, so the
         # rows are deterministic at any --jobs level.
+        def load(label: str, mode: str, **params: Any) -> None:
+            add("e19", f"{label}/n=5", mode=mode, seed=seed, **params)
+
         if quick:
-            cases.append(BenchCase(
-                case_id="e19/batching/n=5",
-                experiment="e19",
-                params={"mode": "batching", "seed": seed, "clients": 200,
-                        "keys": 64, "rate": 40.0, "duration": 15.0,
-                        "horizon": 60.0}))
-            cases.append(BenchCase(
-                case_id="e19/sharded/groups=4/n=5",
-                experiment="e19",
-                params={"mode": "sharded", "seed": seed, "groups": 4,
-                        "clients": 200, "keys": 64, "rate": 20.0,
-                        "duration": 20.0, "horizon": 60.0}))
-            cases.append(_persist_open_case(seed, duration=60.0, crash_at=30.0,
-                                            recover_at=40.0, horizon=100.0))
+            load("batching", "batching", clients=200, keys=64, rate=40.0,
+                 duration=15.0, horizon=60.0)
+            load("sharded/groups=4", "sharded", groups=4, clients=200,
+                 keys=64, rate=20.0, duration=20.0, horizon=60.0)
+            load("persist-open", "persist-open", **_PERSIST_OPEN,
+                 duration=60.0, crash_at=30.0, recover_at=40.0,
+                 horizon=100.0)
         else:
-            cases.append(BenchCase(
-                case_id="e19/open/n=5",
-                experiment="e19",
-                params={"mode": "open", "seed": seed, "clients": 2000,
-                        "keys": 512, "rate": 40.0, "duration": 60.0,
-                        "horizon": 120.0}))
-            cases.append(BenchCase(
-                case_id="e19/closed/n=5",
-                experiment="e19",
-                params={"mode": "closed", "seed": seed, "clients": 64,
-                        "keys": 256, "think_time": 4.0, "duration": 60.0,
-                        "horizon": 120.0}))
-            cases.append(BenchCase(
-                case_id="e19/batching/n=5",
-                experiment="e19",
-                params={"mode": "batching", "seed": seed, "clients": 500,
-                        "keys": 128, "rate": 60.0, "duration": 40.0,
-                        "horizon": 120.0}))
-            cases.append(BenchCase(
-                case_id="e19/sharded/groups=4/n=5",
-                experiment="e19",
-                params={"mode": "sharded", "seed": seed, "groups": 4,
-                        "clients": 1000, "keys": 256, "rate": 40.0,
-                        "duration": 45.0, "horizon": 100.0}))
-            cases.append(BenchCase(
-                case_id="e19/compaction/n=5",
-                experiment="e19",
-                params={"mode": "compaction", "seed": seed, "groups": 2,
-                        "keep_tail": 16, "clients": 200, "keys": 64,
-                        "rate": 15.0, "duration": 45.0, "horizon": 100.0}))
-            cases.append(_persist_open_case(seed, duration=200.0,
-                                            crash_at=100.0, recover_at=115.0,
-                                            horizon=260.0))
+            load("open", "open", clients=2000, keys=512, rate=40.0,
+                 duration=60.0, horizon=120.0)
+            load("closed", "closed", clients=64, keys=256, think_time=4.0,
+                 duration=60.0, horizon=120.0)
+            load("batching", "batching", clients=500, keys=128, rate=60.0,
+                 duration=40.0, horizon=120.0)
+            load("sharded/groups=4", "sharded", groups=4, clients=1000,
+                 keys=256, rate=40.0, duration=45.0, horizon=100.0)
+            load("compaction", "compaction", groups=2, keep_tail=16,
+                 clients=200, keys=64, rate=15.0, duration=45.0,
+                 horizon=100.0)
+            load("persist-open", "persist-open", **_PERSIST_OPEN,
+                 duration=200.0, crash_at=100.0, recover_at=115.0,
+                 horizon=260.0)
 
     if "e18" in experiments and not quick:
         # Large-n CE census: the paper's n-1-links claim at the next
         # order of magnitude.  n=256 rides in the default suite; the
         # n=512…2048 rows are --full material (tens of seconds each).
         for n in (tuple(_E18_HORIZONS) if full else (256,)):
-            cases.append(BenchCase(
-                case_id=f"e18/comm-efficient/n={n}",
-                experiment="e18",
-                params={"n": n, "seed": seed}))
+            add("e18", f"comm-efficient/n={n}", n=n, seed=seed)
 
     return cases
 
 
-def _persist_open_case(seed: int, **shape: float) -> BenchCase:
-    """The persisted commit path: storage syncs, write-ahead rules and
-    the retransmission backoff gate under open-loop load, through one
-    crash and recovery of the trusted leader (the arrivals continue)."""
-    return BenchCase(
-        case_id="e19/persist-open/n=5",
-        experiment="e19",
-        params={"mode": "persist-open", "seed": seed, "persist": True,
-                "omega": "crash-recovery", "clients": 1000, "keys": 256,
-                "rate": 3.0, **shape})
+# The persisted commit path: storage syncs, write-ahead rules and the
+# retransmission backoff gate under open-loop load, through one crash
+# and recovery of the trusted leader (the arrivals continue).
+_PERSIST_OPEN = {"persist": True, "omega": "crash-recovery",
+                 "clients": 1000, "keys": 256, "rate": 3.0}
 
 
 # ----------------------------------------------------------------------
@@ -816,15 +769,18 @@ def compare_reports(old: dict, new: dict) -> dict:
     get ``latency`` rows — old/new/ratio per percentile — so commit-tail
     drift is visible at a glance.  ``added``/``removed`` list case_ids
     present in only one report — suite-shape changes, not regressions.
-    ``ok`` is True iff no common case's deterministic record changed;
-    the CLI's ``bench --compare`` exits nonzero on it.
+    ``moved`` maps each changed case to the dotted paths of the fields
+    that differ (``result.agreement_census``, ``events``, ...).  ``ok``
+    is True iff no common case's deterministic record changed; the CLI's
+    ``bench --compare`` exits nonzero on it.
     """
     old_cases = {case["case_id"]: case
                  for case in strip_nondeterministic(old)["cases"]}
     new_cases = {case["case_id"]: case
                  for case in strip_nondeterministic(new)["cases"]}
-    changed = [case_id for case_id, case in new_cases.items()
-               if case_id in old_cases and old_cases[case_id] != case]
+    moved = {case_id: _moved_fields(old_cases[case_id], case)
+             for case_id, case in new_cases.items()
+             if case_id in old_cases and old_cases[case_id] != case}
     old_timing = {case["case_id"]: case.get("timing") or {}
                   for case in old["cases"]}
     new_timing = {case["case_id"]: case.get("timing") or {}
@@ -862,13 +818,23 @@ def compare_reports(old: dict, new: dict) -> dict:
                           if old_value and new_value else None),
             })
     return {
-        "ok": not changed,
-        "changed": changed,
+        "ok": not moved,
+        "changed": list(moved),
+        "moved": moved,
         "added": sorted(set(new_cases) - set(old_cases)),
         "removed": sorted(set(old_cases) - set(new_cases)),
         "throughput": throughput,
         "latency": latency,
     }
+
+
+def _moved_fields(old: Any, new: Any, path: str = "") -> list[str]:
+    """Dotted paths of the leaves where two JSON records differ."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return [] if old == new else [path or "."]
+    return [moved for key in sorted(set(old) | set(new))
+            for moved in _moved_fields(old.get(key), new.get(key),
+                                       f"{path}.{key}" if path else key)]
 
 
 def report_to_json(report: dict) -> str:

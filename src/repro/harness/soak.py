@@ -90,7 +90,6 @@ __all__ = [
     "SoakCase",
     "SoakResult",
     "campaign_digest",
-    "live_bench_cases",
     "outcome_digest",
     "recovery_control_case",
     "run_soak_case",
@@ -99,6 +98,7 @@ __all__ = [
     "sample_recovery_case",
     "sample_soak_case",
     "soak",
+    "soak_bench_cases",
 ]
 
 _HORIZON = 300.0
@@ -223,7 +223,8 @@ class LiveSoakCase:
 class SoakResult:
     """Outcome of one campaign (``status``: see the module docstring).
 
-    ``document`` is a live run's merged ``repro-report/v1`` document.
+    ``document`` is a live run's merged ``repro-report/v1`` document;
+    ``observed`` is what ``outcome`` hashes, as ``(name, value)`` pairs.
     """
 
     case: SoakCase | LiveSoakCase
@@ -232,6 +233,7 @@ class SoakResult:
     outcome: str               # 16-hex digest of the run's observables
     wall_s: float = 0.0
     document: dict[str, Any] | None = None
+    observed: tuple[tuple[str, Any], ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -480,12 +482,14 @@ def run_soak_case(case: SoakCase | LiveSoakCase,
 
 
 def _result(case: SoakCase | LiveSoakCase, started: float, status: str,
-            detail: str, observed: tuple = (),
+            detail: str, observed: dict[str, Any] | None = None,
             document: dict[str, Any] | None = None) -> SoakResult:
     """Seal a result: ``outcome`` hashes the status and the observables."""
+    observed = observed or {}
     return SoakResult(case, status, detail,
-                      _digest(repr((status, *observed))),
-                      time.monotonic() - started, document)
+                      _digest(repr((status, *observed.values()))),
+                      time.monotonic() - started, document,
+                      tuple(observed.items()))
 
 
 def _digest(text: str) -> str:
@@ -503,19 +507,21 @@ def _storage_counts(process) -> tuple[int, int, int]:  # noqa: ANN001
     return (storage.syncs_ok, storage.syncs_failed, storage.batches_lost)
 
 
-def _consensus_observables(system: ConsensusSystem, per_process) -> tuple:  # noqa: ANN001
+def _consensus_observables(system: ConsensusSystem,
+                           per_process) -> dict[str, Any]:  # noqa: ANN001
     """Both networks' send censuses, then one row per process."""
     rows = []
     for pid in system.pids:
         process = system.node(pid).agreement
         rows.append((pid, *per_process(process), process.promised,
                      _storage_counts(process)))
-    return (_census(system.fd_network), _census(system.agreement_network),
-            tuple(rows))
+    return {"fd_census": _census(system.fd_network),
+            "agreement_census": _census(system.agreement_network),
+            "processes": tuple(rows)}
 
 
 def _execute(case: SoakCase | LiveSoakCase, rundir: str | Path | None,
-             ) -> tuple[bool, str, tuple, dict[str, Any] | None]:
+             ) -> tuple[bool, str, dict[str, Any], dict[str, Any] | None]:
     """Run one in-model case: ``(ok, detail, observed, document)``."""
     if isinstance(case, LiveSoakCase):
         return _execute_live(case, rundir)
@@ -527,7 +533,7 @@ def _execute(case: SoakCase | LiveSoakCase, rundir: str | Path | None,
 
 
 def _execute_omega(case: SoakCase,
-                   timings: LinkTimings) -> tuple[bool, str, tuple]:
+                   timings: LinkTimings) -> tuple[bool, str, dict[str, Any]]:
     scenario = OmegaScenario(
         algorithm=case.algorithm, n=case.n, system=case.system,
         source=case.source, targets=case.targets,
@@ -536,9 +542,11 @@ def _execute_omega(case: SoakCase,
         timings=timings, config=OmegaConfig(adaptive_qos=case.adaptive))
     outcome = scenario.run()
     report = outcome.report
-    observed = (report.final_leader, report.stabilization_time,
-                report.total_changes, _census(outcome.cluster.network),
-                tuple(sorted(outcome.comm.links)))
+    observed = {"final_leader": report.final_leader,
+                "stabilization_time": report.stabilization_time,
+                "leader_changes": report.total_changes,
+                "census": _census(outcome.cluster.network),
+                "busy_links": tuple(sorted(outcome.comm.links))}
     if not report.verdict():
         return (False, f"omega violated: outputs={report.final_outputs}",
                 observed)
@@ -561,8 +569,8 @@ def _storage_detail(processes) -> str:  # noqa: ANN001 - any Process iterable
             f"lost_batches={sum(lost for _, _, lost in counts)}]")
 
 
-def _execute_single_decree(case: SoakCase,
-                           timings: LinkTimings) -> tuple[bool, str, tuple]:
+def _execute_single_decree(case: SoakCase, timings: LinkTimings,
+                           ) -> tuple[bool, str, dict[str, Any]]:
     system = ConsensusSystem.build_single_decree(
         case.n,
         lambda: multi_source_links(case.n, (case.source,), timings),
@@ -588,7 +596,7 @@ def _execute_single_decree(case: SoakCase,
 
 
 def _execute_log(case: SoakCase,
-                 timings: LinkTimings) -> tuple[bool, str, tuple]:
+                 timings: LinkTimings) -> tuple[bool, str, dict[str, Any]]:
     system = ConsensusSystem.build_replicated_log(
         case.n,
         lambda: multi_source_links(case.n, (case.source,), timings),
@@ -606,6 +614,14 @@ def _execute_log(case: SoakCase,
         return False, f"safety violated: {report.divergences}", observed
     if not fleet.done():
         return False, "liveness: commands missing", observed
+    # Communication efficiency: once calm, only the leader sends.
+    metrics = system.agreement_network.metrics
+    tail = case.horizon - metrics.window
+    leader = system.node(system.up_pids()[0]).omega.leader()
+    senders = metrics.senders_between(tail, tail) - {leader}
+    if senders:
+        return False, (f"calm tail: p{leader} leads but "
+                       f"{sorted(senders)} sent in the last window"), observed
     detail = f"committed {report.max_committed} entries"
     if case.recovery:
         detail += " " + _storage_detail(
@@ -614,7 +630,7 @@ def _execute_log(case: SoakCase,
 
 
 def _execute_live(case: LiveSoakCase, rundir: str | Path | None,
-                  ) -> tuple[bool, str, tuple, dict[str, Any]]:
+                  ) -> tuple[bool, str, dict[str, Any], dict[str, Any]]:
     """Run one case on a live cluster; write its merged ``report.json``.
 
     The cluster's own ``finally`` teardown has reaped every node process
@@ -645,15 +661,16 @@ def _execute_live(case: LiveSoakCase, rundir: str | Path | None,
     return True, _live_detail(document), observed, document
 
 
-def _live_observables(outcome: LiveRunOutcome) -> tuple:
+def _live_observables(outcome: LiveRunOutcome) -> dict[str, Any]:
     """What a live run judged, with every wall-clock field left out: the
     final leader, the decisions, and a hash of the longest applied-id
     prefix."""
     decisions = sorted({repr(report["decision"])
                         for report in outcome.node_reports
                         if report.get("decision") is not None})
-    return (outcome.omega.final_leader, tuple(decisions),
-            _digest(repr(outcome.applied_ids)))
+    return {"final_leader": outcome.omega.final_leader,
+            "decisions": tuple(decisions),
+            "applied_ids": _digest(repr(outcome.applied_ids))}
 
 
 def _live_detail(document: dict[str, Any]) -> str:
@@ -791,14 +808,16 @@ def soak(cases: int | None = None, minutes: float | None = None,
     return results
 
 
-def live_bench_cases(results: Sequence[SoakResult]) -> list[dict]:
-    """Bench-shaped case rows of a live campaign, for
+def soak_bench_cases(results: Sequence[SoakResult]) -> list[dict]:
+    """Bench-shaped case rows of a campaign, for
     :func:`repro.harness.bench.build_report`.
 
-    Each row carries the run's commit-latency percentiles under
-    ``result.latency_s`` — the same block the sim's E19 load cases
-    emit — so ``--compare`` against a sim bench report prints per-
-    percentile latency drift across backends.
+    A sim row's ``result`` carries the ``outcome`` digest and each named
+    observable (as its ``repr``), so ``soak --compare`` names the
+    observable that moved.  A live row carries the run's commit-latency
+    percentiles under ``result.latency_s`` instead — the same block the
+    sim's E19 load cases emit — so ``--compare`` against a sim bench
+    report prints per-percentile latency drift across backends.
     """
     rows = []
     for result in results:
@@ -809,9 +828,18 @@ def live_bench_cases(results: Sequence[SoakResult]) -> list[dict]:
         if workload:
             block.update((key, workload.get(key)) for key in
                          ("latency_s", "committed", "throughput_cps"))
+        if isinstance(case, LiveSoakCase):
+            case_id = f"live-soak/{case.stack}/{case.algorithm}#{case.index}"
+        else:
+            campaign = ("recovery" if case.recovery else
+                        "degraded" if case.degraded else "plain")
+            case_id = f"soak/{campaign}/{case.kind}/{case.algorithm}" \
+                      f"#{case.index}"
+            block["outcome"] = result.outcome
+            block.update((name, repr(value))
+                         for name, value in result.observed)
         rows.append({
-            "case_id": (f"live-soak/{case.stack}/{case.algorithm}"
-                        f"#{case.index}"),
+            "case_id": case_id,
             "ok": result.ok,
             "events": int(document.get("sim", {})
                           .get("events_executed", 0)),

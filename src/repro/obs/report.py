@@ -108,7 +108,6 @@ PHASE_OF_KIND = {
     "Decide": "decide",
     "DecideAck": "decide",
     "Decides": "decide",
-    "DecideAcks": "decide",
     "Forward": "forward",
     "Forwards": "forward",
     "SnapshotOffer": "snapshot",

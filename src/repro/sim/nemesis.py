@@ -127,6 +127,22 @@ def _parse_groups(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(groups)
 
 
+# (render, parse) per attribute; every other field is a float.
+_FLOAT = (_fmt, float)
+_CODECS = {"pid": (str, int), "dist": (str, str),
+           "pairs": (_fmt_pairs, _parse_pairs),
+           "groups": (_fmt_groups, _parse_groups)}
+
+
+def _fields(cls: type) -> list[tuple[str, str, bool]]:
+    """``cls.repro_fields`` parsed: ``(short name, attribute, optional)``."""
+    out = []
+    for spec in cls.repro_fields.split():
+        short, _, name = spec.rstrip("?").partition("=")
+        out.append((short, name or short, spec.endswith("?")))
+    return out
+
+
 def _networks(target: object) -> "tuple[Network, ...]":
     networks = getattr(target, "networks", None)
     if networks is None:
@@ -154,6 +170,11 @@ class FaultEvent:
     """Base class: one typed, schedulable, serializable fault."""
 
     kind: ClassVar[str] = "fault"
+    repro_fields: ClassVar[str] = ""
+    """The repro token's fields in order, each ``short=attribute`` (or
+    just ``attribute``); ``?`` marks one a token may leave out (its
+    default applies).  One table serves :meth:`to_repro` and
+    :func:`parse_event`."""
 
     def window(self) -> tuple[float, float]:
         """The ``[start, end)`` interval this fault disturbs."""
@@ -169,7 +190,10 @@ class FaultEvent:
 
     def to_repro(self) -> str:
         """Compact one-token repro string; inverse of :func:`parse_event`."""
-        raise NotImplementedError
+        parts = [f"{short}={_CODECS.get(name, _FLOAT)[0](value)}"
+                 for short, name, _ in _fields(type(self))
+                 if (value := getattr(self, name)) is not None]
+        return f"{self.kind}({','.join(parts)})"
 
     def schedule(self, target: object) -> None:
         """Install this fault on a cluster-like target."""
@@ -194,6 +218,7 @@ class CrashFault(FaultEvent):
     recover_at: float | None = None
 
     kind: ClassVar[str] = "crash"
+    repro_fields: ClassVar[str] = "t=time pid recover=recover_at?"
 
     def __post_init__(self) -> None:
         if self.time < 0:
@@ -212,12 +237,6 @@ class CrashFault(FaultEvent):
     def pids(self) -> frozenset[int]:
         return frozenset((self.pid,))
 
-    def to_repro(self) -> str:
-        base = f"crash(t={_fmt(self.time)},pid={self.pid}"
-        if self.recover_at is not None:
-            return base + f",recover={_fmt(self.recover_at)})"
-        return base + ")"
-
     def schedule(self, target: object) -> None:
         target.sim.call_at(self.time, lambda: target.crash(self.pid))
         if self.recover_at is not None:
@@ -233,6 +252,7 @@ class RecoverFault(FaultEvent):
     pid: int
 
     kind: ClassVar[str] = "recover"
+    repro_fields: ClassVar[str] = "t=time pid"
 
     def __post_init__(self) -> None:
         if self.time < 0:
@@ -243,9 +263,6 @@ class RecoverFault(FaultEvent):
 
     def pids(self) -> frozenset[int]:
         return frozenset((self.pid,))
-
-    def to_repro(self) -> str:
-        return f"recover(t={_fmt(self.time)},pid={self.pid})"
 
     def schedule(self, target: object) -> None:
         target.sim.call_at(self.time, lambda: target.recover(self.pid))
@@ -260,6 +277,7 @@ class PauseFault(FaultEvent):
     duration: float
 
     kind: ClassVar[str] = "pause"
+    repro_fields: ClassVar[str] = "t=time pid dur=duration"
 
     def __post_init__(self) -> None:
         if self.time < 0:
@@ -272,10 +290,6 @@ class PauseFault(FaultEvent):
 
     def pids(self) -> frozenset[int]:
         return frozenset((self.pid,))
-
-    def to_repro(self) -> str:
-        return (f"pause(t={_fmt(self.time)},pid={self.pid},"
-                f"dur={_fmt(self.duration)})")
 
     def schedule(self, target: object) -> None:
         target.sim.call_at(self.time, lambda: target.pause(self.pid))
@@ -292,6 +306,7 @@ class PartitionFault(FaultEvent):
     groups: tuple[tuple[int, ...], ...]
 
     kind: ClassVar[str] = "partition"
+    repro_fields: ClassVar[str] = "start end groups"
 
     def __post_init__(self) -> None:
         if self.end <= self.start:
@@ -314,10 +329,6 @@ class PartitionFault(FaultEvent):
 
     def pids(self) -> frozenset[int]:
         return frozenset(pid for group in self.groups for pid in group)
-
-    def to_repro(self) -> str:
-        return (f"partition(start={_fmt(self.start)},end={_fmt(self.end)},"
-                f"groups={_fmt_groups(self.groups)})")
 
     def schedule(self, target: object) -> None:
         for network in _networks(target):
@@ -367,6 +378,7 @@ class DegradeFault(_LinkWindowFault):
     delay: float = 0.0
 
     kind: ClassVar[str] = "degrade"
+    repro_fields: ClassVar[str] = "start end pairs loss delay"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -376,11 +388,6 @@ class DegradeFault(_LinkWindowFault):
             raise FaultPlanError("delay must be >= 0")
         if self.loss == 0.0 and self.delay == 0.0:
             raise FaultPlanError("degrade must add loss or delay")
-
-    def to_repro(self) -> str:
-        return (f"degrade(start={_fmt(self.start)},end={_fmt(self.end)},"
-                f"pairs={_fmt_pairs(self.pairs)},loss={_fmt(self.loss)},"
-                f"delay={_fmt(self.delay)})")
 
     def _window_object(self) -> DegradedWindow:
         return DegradedWindow(self.start, self.end, loss=self.loss,
@@ -395,6 +402,7 @@ class FlapFault(_LinkWindowFault):
     up: float = 0.5
 
     kind: ClassVar[str] = "flap"
+    repro_fields: ClassVar[str] = "start end pairs period up"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -402,11 +410,6 @@ class FlapFault(_LinkWindowFault):
             raise FaultPlanError("flap period must be positive")
         if not 0.0 < self.up < 1.0:
             raise FaultPlanError("flap up fraction must lie in (0, 1)")
-
-    def to_repro(self) -> str:
-        return (f"flap(start={_fmt(self.start)},end={_fmt(self.end)},"
-                f"pairs={_fmt_pairs(self.pairs)},period={_fmt(self.period)},"
-                f"up={_fmt(self.up)})")
 
     def _window_object(self) -> DegradedWindow:
         return DegradedWindow(self.start, self.end, flap_period=self.period,
@@ -421,6 +424,7 @@ class DuplicateFault(_LinkWindowFault):
     lag: float = 0.05
 
     kind: ClassVar[str] = "dup"
+    repro_fields: ClassVar[str] = "start end pairs p lag"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -428,11 +432,6 @@ class DuplicateFault(_LinkWindowFault):
             raise FaultPlanError(f"p must lie in (0, 1], got {self.p}")
         if self.lag < 0:
             raise FaultPlanError("lag must be >= 0")
-
-    def to_repro(self) -> str:
-        return (f"dup(start={_fmt(self.start)},end={_fmt(self.end)},"
-                f"pairs={_fmt_pairs(self.pairs)},p={_fmt(self.p)},"
-                f"lag={_fmt(self.lag)})")
 
     def _window_object(self) -> DegradedWindow:
         return DegradedWindow(self.start, self.end, duplicate=self.p,
@@ -472,6 +471,8 @@ class NetemFault(_LinkWindowFault):
     loss: float = 0.0
 
     kind: ClassVar[str] = "netem"
+    repro_fields: ClassVar[str] = ("start end pairs delay? jitter? dist? "
+                                   "reorder? rate? loss?")
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -496,13 +497,6 @@ class NetemFault(_LinkWindowFault):
                 "netem must shape something: delay, jitter, reorder, "
                 "rate, or loss")
 
-    def to_repro(self) -> str:
-        return (f"netem(start={_fmt(self.start)},end={_fmt(self.end)},"
-                f"pairs={_fmt_pairs(self.pairs)},delay={_fmt(self.delay)},"
-                f"jitter={_fmt(self.jitter)},dist={self.dist},"
-                f"reorder={_fmt(self.reorder)},rate={_fmt(self.rate)},"
-                f"loss={_fmt(self.loss)})")
-
     def _window_object(self) -> DegradedWindow:
         extra = self.delay + self.jitter
         if extra == 0.0 and self.loss == 0.0:
@@ -520,16 +514,9 @@ class NetemFault(_LinkWindowFault):
 
 _EVENT_RE = re.compile(r"^(\w+)\((.*)\)$")
 
-_EVENT_KINDS: dict[str, type[FaultEvent]] = {
-    "crash": CrashFault,
-    "recover": RecoverFault,
-    "pause": PauseFault,
-    "partition": PartitionFault,
-    "degrade": DegradeFault,
-    "flap": FlapFault,
-    "dup": DuplicateFault,
-    "netem": NetemFault,
-}
+_EVENT_KINDS: dict[str, type[FaultEvent]] = {cls.kind: cls for cls in (
+    CrashFault, RecoverFault, PauseFault, PartitionFault, DegradeFault,
+    FlapFault, DuplicateFault, NetemFault)}
 
 
 def parse_event(text: str) -> FaultEvent:
@@ -547,45 +534,13 @@ def parse_event(text: str) -> FaultEvent:
         if not sep:
             raise FaultPlanError(f"malformed field {item!r} in {text!r}")
         fields[name.strip()] = value.strip()
+    cls = _EVENT_KINDS[kind]
     try:
-        return _build_event(kind, fields)
+        return cls(**{name: _CODECS.get(name, _FLOAT)[1](fields[short])
+                      for short, name, optional in _fields(cls)
+                      if not optional or short in fields})
     except (KeyError, ValueError) as error:
         raise FaultPlanError(f"cannot parse {text!r}: {error}") from None
-
-
-def _build_event(kind: str, fields: dict[str, str]) -> FaultEvent:
-    if kind == "crash":
-        recover_at = (float(fields["recover"]) if "recover" in fields
-                      else None)
-        return CrashFault(time=float(fields["t"]), pid=int(fields["pid"]),
-                          recover_at=recover_at)
-    if kind == "recover":
-        return RecoverFault(time=float(fields["t"]), pid=int(fields["pid"]))
-    if kind == "pause":
-        return PauseFault(time=float(fields["t"]), pid=int(fields["pid"]),
-                          duration=float(fields["dur"]))
-    if kind == "partition":
-        return PartitionFault(start=float(fields["start"]),
-                              end=float(fields["end"]),
-                              groups=_parse_groups(fields["groups"]))
-    start, end = float(fields["start"]), float(fields["end"])
-    pairs = _parse_pairs(fields["pairs"])
-    if kind == "degrade":
-        return DegradeFault(start, end, pairs, loss=float(fields["loss"]),
-                            delay=float(fields["delay"]))
-    if kind == "flap":
-        return FlapFault(start, end, pairs, period=float(fields["period"]),
-                         up=float(fields["up"]))
-    if kind == "netem":
-        return NetemFault(start, end, pairs,
-                          delay=float(fields.get("delay", "0")),
-                          jitter=float(fields.get("jitter", "0")),
-                          dist=fields.get("dist", "uniform"),
-                          reorder=float(fields.get("reorder", "0")),
-                          rate=float(fields.get("rate", "0")),
-                          loss=float(fields.get("loss", "0")))
-    return DuplicateFault(start, end, pairs, p=float(fields["p"]),
-                          lag=float(fields["lag"]))
 
 
 # ----------------------------------------------------------------------
@@ -928,6 +883,13 @@ def model_violations(plan: FaultPlan, envelope: ModelEnvelope) -> list[str]:
 # Randomized in-model plan sampling
 # ----------------------------------------------------------------------
 
+def _sample_pairs(rng: random.Random, n: int,
+                  count: int) -> tuple[tuple[int, int], ...]:
+    """``count`` distinct ordered links (all, if fewer), sorted."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return tuple(sorted(rng.sample(pairs, min(count, len(pairs)))))
+
+
 def sample_plan(rng: random.Random, envelope: ModelEnvelope) -> FaultPlan:
     """Draw one random fault plan that is in-model for ``envelope``.
 
@@ -951,10 +913,6 @@ def sample_plan(rng: random.Random, envelope: ModelEnvelope) -> FaultPlan:
         if end <= start:
             end = round(start + min_len, 2)
         return start, min(end, heal_by)
-
-    def sample_pairs(count: int) -> tuple[tuple[int, int], ...]:
-        all_pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        return tuple(sorted(rng.sample(all_pairs, min(count, len(all_pairs)))))
 
     # Crashes: up to f victims, never the source.
     crash_count = rng.randint(0, min(envelope.f, len(others)))
@@ -987,7 +945,7 @@ def sample_plan(rng: random.Random, envelope: ModelEnvelope) -> FaultPlan:
     for _ in range(rng.randint(0, 2)):
         start, end = sample_window(3.0, 25.0)
         events.append(DegradeFault(
-            start, end, sample_pairs(rng.randint(1, 3)),
+            start, end, _sample_pairs(rng, n, rng.randint(1, 3)),
             loss=round(rng.uniform(0.2, 0.9), 2),
             delay=round(rng.uniform(0.0, 1.0), 2)))
 
@@ -995,7 +953,7 @@ def sample_plan(rng: random.Random, envelope: ModelEnvelope) -> FaultPlan:
     if rng.random() < 0.3:
         start, end = sample_window(5.0, 20.0)
         events.append(FlapFault(
-            start, end, sample_pairs(rng.randint(1, 2)),
+            start, end, _sample_pairs(rng, n, rng.randint(1, 2)),
             period=round(rng.uniform(1.0, 5.0), 2),
             up=round(rng.uniform(0.3, 0.7), 2)))
 
@@ -1005,7 +963,7 @@ def sample_plan(rng: random.Random, envelope: ModelEnvelope) -> FaultPlan:
         end = round(min(start + rng.uniform(10.0, 60.0),
                         envelope.horizon), 2)
         events.append(DuplicateFault(
-            start, end, sample_pairs(rng.randint(1, 3)),
+            start, end, _sample_pairs(rng, n, rng.randint(1, 3)),
             p=round(rng.uniform(0.1, 0.5), 2)))
 
     return FaultPlan(events)
@@ -1066,9 +1024,7 @@ def sample_recovery_plan(rng: random.Random,
 
     # A loss/delay storm on a few links.
     if rng.random() < 0.5:
-        all_pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        pairs = tuple(sorted(rng.sample(all_pairs,
-                                        min(3, len(all_pairs)))))
+        pairs = _sample_pairs(rng, n, 3)
         start = round(rng.uniform(1.0, heal_by * 0.6), 2)
         end = round(min(start + rng.uniform(3.0, 20.0), heal_by), 2)
         if end > start:
@@ -1096,7 +1052,6 @@ def sample_degraded_plan(rng: random.Random,
     n, source = envelope.n, envelope.source
     heal_by = envelope.heal_by
     others = [pid for pid in range(n) if pid != source]
-    all_pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     events: list[FaultEvent] = []
 
     def sample_window(min_len: float, max_len: float) -> tuple[float, float]:
@@ -1106,15 +1061,14 @@ def sample_degraded_plan(rng: random.Random,
             end = round(min(start + min_len, heal_by), 2)
         return start, end
 
-    def sample_pairs(count: int) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(rng.sample(all_pairs, min(count, len(all_pairs)))))
 
     # The signature storm: heavy, sustained loss (and some delay) on a
     # wide slice of the links.  Always present.
     for _ in range(rng.randint(1, 3)):
         start, end = sample_window(10.0, heal_by * 0.6)
         events.append(DegradeFault(
-            start, end, sample_pairs(rng.randint(2, max(2, len(all_pairs) // 3))),
+            start, end,
+            _sample_pairs(rng, n, rng.randint(2, max(2, n * (n - 1) // 3))),
             loss=round(rng.uniform(0.4, 0.9), 2),
             delay=round(rng.uniform(0.1, 1.5), 2)))
 
@@ -1122,7 +1076,7 @@ def sample_degraded_plan(rng: random.Random,
     if rng.random() < 0.7:
         start, end = sample_window(8.0, 30.0)
         events.append(FlapFault(
-            start, end, sample_pairs(rng.randint(1, 3)),
+            start, end, _sample_pairs(rng, n, rng.randint(1, 3)),
             period=round(rng.uniform(0.5, 4.0), 2),
             up=round(rng.uniform(0.2, 0.6), 2)))
 
@@ -1130,7 +1084,7 @@ def sample_degraded_plan(rng: random.Random,
     if rng.random() < 0.5:
         start, end = sample_window(10.0, 40.0)
         events.append(DuplicateFault(
-            start, end, sample_pairs(rng.randint(1, 3)),
+            start, end, _sample_pairs(rng, n, rng.randint(1, 3)),
             p=round(rng.uniform(0.2, 0.6), 2)))
 
     # A rare crash, never the source, within the fault bound.

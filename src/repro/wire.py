@@ -25,16 +25,19 @@ __all__ = ["CodecError", "KINDS", "decode_value", "encode", "encode_value",
            "kind_class", "schema", "wire_size"]
 
 #: Every message class that crosses a wire, kind id 1 first.  Append
-#: only: a class's position is its id in every encoding.
-KINDS = tuple(f"repro.{module}.{name}" for module, names in (
+#: only: a class's position is its id in every encoding.  A retired
+#: class keeps its slot as ``None`` (``-`` below), and its id decodes as
+#: ``unknown_kind``; id 18 was the per-instance ``DecideAcks``.
+KINDS = tuple(None if name == "-" else f"repro.{module}.{name}"
+              for module, names in (
     ("core.messages", "Heartbeat Alive BatchedAlive Accusation FsAlive "
                       "Beat Suspect"),
     ("consensus.messages", "Prepare Promise Propose Accepted Nack Decide "
-                           "DecideAck Forward Forwards Decides DecideAcks"),
+                           "DecideAck Forward Forwards Decides -"),
     ("consensus.compaction", "SnapshotOffer SnapshotAck"),
     ("core.relay", "Relay"),
 ) for name in names.split())
-_KIND_IDS = {path: kind for kind, path in enumerate(KINDS, start=1)}
+_KIND_IDS = {path: kind for kind, path in enumerate(KINDS, start=1) if path}
 
 _DOUBLE = struct.Struct(">d")
 
@@ -177,10 +180,11 @@ def _get(spec: str, data: bytes, pos: int) -> tuple[Any, int]:
 @cache
 def kind_class(kind: int) -> type:
     """The message class with kind id ``kind`` (imported on first use)."""
-    if not 1 <= kind <= len(KINDS):
+    path = KINDS[kind - 1] if 1 <= kind <= len(KINDS) else None
+    if path is None:
         raise CodecError(f"unknown message kind id {kind}",
                          reason="unknown_kind")
-    module, name = KINDS[kind - 1].rsplit(".", 1)
+    module, name = path.rsplit(".", 1)
     return getattr(import_module(module), name)
 
 

@@ -2,30 +2,36 @@
 
 The tick-paced driver of :class:`~repro.consensus.replica.LogReplica`
 sends at most one message of a kind to a peer per pass
-(docs/PERFORMANCE.md, "Per-pass coalescing").  Counts and state only, no
-wall clock: a traffic guard on the benchmark's ``--quick`` ``log_closed``
-shape, single-vs-plural equivalence at a follower, the persisted ack
-rule, the wire surface of the three plural kinds, and the packed
-latency samples the faster drive made necessary.
+(docs/PERFORMANCE.md, "Per-pass coalescing"), and a follower answers
+decisions with one cumulative ``DecideAck`` (its watermark).  Counts and
+state only, no wall clock: a traffic guard on the benchmark's
+``--quick`` ``log_closed`` shape, single-vs-plural equivalence at a
+follower, the persisted ack rule, the wire surface of the two plural
+kinds, and the packed latency samples the faster drive made necessary.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
+from functools import partial
 
 import pytest
 
 from repro.consensus.compaction import CompactingReplica, SnapshotOffer
 from repro.consensus.messages import (
+    Accepted,
+    Ballot,
     Decide,
     DecideAck,
-    DecideAcks,
     Decides,
     Forward,
     Forwards,
+    Promise,
+    Propose,
 )
-from repro.consensus.replica import FORWARD_SPLIT, NOOP, Batch, LogReplica
+from repro.consensus.replica import (FORWARD_SPLIT, NOOP, PHASE_LEADING,
+                                     Batch, LogReplica)
 from repro.consensus.statemachine import JournalMachine
 from repro.harness import bench
 from repro.harness.stats import percentile
@@ -68,8 +74,9 @@ def test_closed_loop_saturation_costs_a_bounded_number_of_messages() -> None:
     assert outcome.verdict.ok and outcome.done
     sends = sum(sum(group.agreement_network.metrics.sent_by_kind.values())
                 for group in run.system.groups)
-    # 2.50 here (1.54 of it Propose + Accepted); 7.30 when every pending
-    # command and every decided instance is its own message.
+    # 2.09 here (1.53 of it Propose + Accepted; 2.50 with a Decide and a
+    # DecideAck per decided instance); 7.30 when every pending command
+    # and every decided instance is its own message.
     assert sends / outcome.committed <= 2.6
     for census in censuses:
         assert census.per_pass and max(census.per_pass.values()) == 1
@@ -112,8 +119,9 @@ ENTRIES = (
 
 
 def build_pair(kind: str):  # noqa: ANN201
-    """An unstarted leader (pid 0) whose ``ENTRIES`` are unacked, and a
-    started follower (pid 1) whose sends are handed straight to it."""
+    """An unstarted, prepared leader (pid 0) that has decided
+    ``ENTRIES`` and heard no watermark, and a started follower (pid 1)
+    whose sends are handed straight to it."""
     sim = Simulation()
     network = Network(sim)
 
@@ -129,7 +137,9 @@ def build_pair(kind: str):  # noqa: ANN201
     leader, follower = make(0), make(1)
     for instance, value in ENTRIES:
         leader.log[instance] = value
-        leader._decide_acks[instance] = {0}
+    leader.commit_index = leader._next_instance = len(ENTRIES)
+    leader.commit_index -= 1
+    leader.owner.ballot, leader.phase = Ballot(0, 0), PHASE_LEADING
     follower.start()
     sent = []
 
@@ -172,30 +182,31 @@ def test_one_multi_entry_decide_equals_its_single_decides_in_order(
     sim, leader, follower, sent = build_pair(kind)
     follower.deliver(Decides(0, ENTRIES))
     sim.run_until(0.4)  # past the sync latency, before the first tick
-    acks = [message for message in sent
-            if isinstance(message, (DecideAck, DecideAcks))]
-    assert acks == [DecideAcks(1, tuple(i for i, _ in ENTRIES))]
+    acks = [message for message in sent if isinstance(message, DecideAck)]
+    assert acks == [DecideAck(1, 6)]
 
     sim_b, leader_b, follower_b, sent_b = build_pair(kind)
     for instance, value in ENTRIES:
         follower_b.deliver(Decide(0, instance, value))
     sim_b.run_until(0.4)
-    assert [type(message) for message in sent_b
-            if isinstance(message, (DecideAck, DecideAcks))] \
-        == [DecideAck] * len(ENTRIES)
+    # One ack per Decide, each the watermark after it: the gap at 1
+    # holds it at 0 until 1 lands, unless the snapshot covers 0..1.
+    assert [message.commit_through for message in sent_b
+            if isinstance(message, DecideAck)] \
+        == ([1, 2, 3, 3, 3, 5, 6] if kind == "compacting"
+            else [0, 0, 0, 0, 3, 5, 6])
 
     assert follower_state(follower) == follower_state(follower_b)
     assert follower.commit_index == 6
     assert 99 in follower.pending and 10 not in follower.pending
-    assert leader._decide_acks == leader_b._decide_acks
-    assert all(acks == {0, 1} for acks in leader._decide_acks.values())
+    assert leader._watermarks == leader_b._watermarks == [-1, 6, -1]
 
 
 def test_a_one_entry_plural_decide_is_acked_with_the_plain_class() -> None:
     sim, leader, follower, sent = build_pair("plain")
     follower.deliver(Decides(0, ENTRIES[:1]))
     assert sent == [DecideAck(1, 0)]
-    assert leader._decide_acks[0] == {0, 1}
+    assert leader._watermarks[1] == 0
 
 
 def test_a_crash_before_the_sync_sends_no_ack_and_the_leader_retransmits(
@@ -208,7 +219,7 @@ def test_a_crash_before_the_sync_sends_no_ack_and_the_leader_retransmits(
     assert not sent
     follower.recover()
     assert follower.log == {} and follower.committed_ids == set()
-    assert all(acks == {0} for acks in leader._decide_acks.values())
+    assert leader._watermarks[1] == -1
 
     resent = []
     leader.send = lambda peer, message: resent.append((peer, message))
@@ -217,12 +228,66 @@ def test_a_crash_before_the_sync_sends_no_ack_and_the_leader_retransmits(
         in resent
     follower.deliver(resent[[peer for peer, _ in resent].index(1)][1])
     sim.run_until(2.0)
-    assert all(acks == {0, 1} for acks in leader._decide_acks.values())
+    assert leader._watermarks[1] == 6
     assert set(follower.log) == {instance for instance, _ in ENTRIES}
 
 
+def durable_through(replica: LogReplica) -> int:
+    """The highest instance through which the log is on stable storage."""
+    durable = {key[1] for key in replica.storage.durable_keys()
+               if isinstance(key, tuple) and key[0] == "log"}
+    mark = -1
+    while mark + 1 in durable:
+        mark += 1
+    return mark
+
+
+def test_a_reported_watermark_never_runs_ahead_of_the_durable_log() -> None:
+    # A crash inside the sync window sends no report at all ...
+    sim, leader, follower, sent = build_pair("persist")
+    follower.deliver(Propose(0, Ballot(0, 0), 7, (16, "g"), 6))
+    follower.deliver(Decides(0, ENTRIES))
+    follower.crash()
+    sim.run_until(1.0)
+    assert not sent
+
+    # ... and on a persisted log under load, through a crash and
+    # recovery of the trusted leader and a follower bounce, no report
+    # ever carries a watermark above its sender's durable prefix.
+    run = LoadSpec(persist=True, omega="crash-recovery", rate=3.0,
+                   duration=40.0, horizon=80.0, clients=1000, keys=256,
+                   seed=7).build()
+    system = run.system
+    reports = []
+    for pid in system.pids:
+        replica = system.node(pid).agreement
+
+        def send(dst, message, replica=replica,  # noqa: ANN001
+                 send=replica.send) -> None:
+            if isinstance(message, (Accepted, DecideAck, Promise)):
+                reports.append((message.commit_through,
+                                durable_through(replica)))
+            send(dst, message)
+
+        replica.send = send
+
+    def bounce(down: float, follower: bool) -> None:
+        leader = system.node(system.up_pids()[0]).omega.leader()
+        pid = (leader + 1) % len(system.pids) if follower else leader
+        system.crash(pid)
+        system.sim.call_at(system.sim.now + down, partial(system.recover,
+                                                          pid))
+
+    for at, down, follower in ((10.0, 5.0, False), (25.0, 3.0, True)):
+        system.sim.call_at(at, partial(bounce, down, follower))
+    outcome = run.run()
+    assert outcome.verdict.ok and outcome.done
+    assert len(reports) > 100 and max(mark for mark, _ in reports) > 30
+    assert all(mark <= durable for mark, durable in reports)
+
+
 # ----------------------------------------------------------------------
-# Wire surface of the plural kinds
+# Wire surface of the plural kinds (``DecideAck`` is cumulative: one)
 # ----------------------------------------------------------------------
 
 def load_generator_forward(entries: int, pad: str = "") -> Forwards:
@@ -235,7 +300,6 @@ def load_generator_forward(entries: int, pad: str = "") -> Forwards:
 @pytest.mark.parametrize("message", [
     load_generator_forward(3),
     Decides(0, ENTRIES),
-    DecideAcks(2, (0, 2, 3, 5, 1, 4, 6)),
 ], ids=lambda message: message.kind)
 def test_plural_kinds_are_registered_sized_phased_and_round_trip(
         message) -> None:  # noqa: ANN001
@@ -251,7 +315,6 @@ def test_plural_kinds_are_registered_sized_phased_and_round_trip(
 def test_singular_classes_read_as_the_one_entry_case() -> None:
     assert Forward(1, (4, 0), "cmd").commands == (((4, 0), "cmd"),)
     assert Decide(0, 7, "v").entries == ((7, "v"),)
-    assert DecideAck(2, 7).instances == (7,)
     # Views, not fields: the wire form and the constructors are as before.
     assert Decide(0, 7, "v").wire_size() == 1 + 1 + 1 + 3
     decoded, _, _ = decode_frame(encode_frame(Forward(1, 4, "cmd"), 0, 0.0))

@@ -5,11 +5,18 @@ from __future__ import annotations
 from conftest import drip
 
 from repro.consensus import (
+    Accepted,
     ConsensusSystem,
+    Decide,
+    DecideAck,
     LogReplica,
+    Promise,
     check_log,
 )
+from repro.consensus.replica import PHASE_FOLLOWER
 from repro.sim import FaultPlan, LinkTimings
+from repro.sim.engine import Simulation
+from repro.sim.network import Network
 from repro.sim.topology import multi_source_links, source_links
 
 
@@ -135,3 +142,127 @@ class TestDeduplication:
         for pid in system.up_pids():
             applied = system.node(pid).agreement.applied_commands()
             assert applied.count("dup-cmd") == 1
+
+
+class TestWatermarks:
+    def test_a_new_leader_sends_no_decide_at_or_below_a_reported_watermark(
+            self) -> None:
+        # 140 commands, the leader crashed once the log is past 100: the
+        # prepare round's promises seed the new leader's watermarks, so
+        # it never probes a peer from instance 0.
+        system = build(seed=5)
+        fleet = drip(140, 0.2, start=5.0).drive(system)
+        reports: dict[int, dict[int, int]] = {pid: {} for pid in system.pids}
+        decided: list[tuple[int, int, int]] = []  # (instance, dst, report)
+        for pid in system.pids:
+            replica = system.node(pid).agreement
+
+            def on_message(message, replica=replica,  # noqa: ANN001
+                           handle=replica.on_message) -> None:
+                if isinstance(message, (Accepted, Promise, DecideAck)):
+                    reports[replica.pid][message.sender] = \
+                        message.commit_through
+                handle(message)
+
+            def send(dst, message, replica=replica,  # noqa: ANN001
+                     send=replica.send) -> None:
+                for instance, _ in getattr(message, "entries", ()):
+                    decided.append((instance, dst,
+                                    reports[replica.pid].get(dst, -1)))
+                send(dst, message)
+
+            replica.on_message, replica.send = on_message, send
+        system.start_all()
+        system.run_until(27.0)
+        leader = system.node(0).omega.leader()
+        assert system.node(leader).agreement.commit_index >= 100
+        before = len(decided)
+        system.crash(leader)
+        system.run_until(150.0)
+        assert check_log(system, fleet.group_payloads[0]).verdict()
+        assert fleet.done()
+        after = decided[before:]
+        assert all(instance > report for instance, _, report in after)
+        # Not vacuous: the new leader did spread above high watermarks.
+        assert any(report >= 100 for _, _, report in after)
+
+    @staticmethod
+    def _five_by_hand():  # noqa: ANN205
+        """Five unstarted replicas, p0 and p1 trusting p0 and the rest
+        p2, whose sends wait in an outbox until delivered by hand."""
+        sim = Simulation()
+        network = Network(sim)
+        trusts = {0: 0, 1: 0, 2: 2, 3: 2, 4: 2}
+        replicas = [LogReplica(pid, sim, network, 5,
+                               leader_of=lambda pid=pid: trusts[pid])
+                    for pid in range(5)]
+        outbox: list = []
+        for replica in replicas:
+            replica.send = (lambda dst, message, src=replica.pid:
+                            outbox.append((src, dst, message)))
+
+        def deliver(src: int, dst: int) -> None:
+            for item in [item for item in outbox if item[:2] == (src, dst)]:
+                outbox.remove(item)
+                replicas[dst].deliver(item[2])
+
+        return replicas, deliver
+
+    def test_a_leader_outvoted_on_an_open_slot_steps_down(self) -> None:
+        # p0 leads with {p0, p1, p3} and only p1 accepts its value "p" at
+        # instance 0; p2 leads a higher ballot with {p2, p3, p4}, which
+        # never saw "p", and decides "v" there.  When p0 learns "v" its
+        # ballot is dead: had it gone on leading, its next Propose's
+        # commit piggyback (commit_through = 0) would teach p1 its own
+        # accepted "p" — two values at instance 0.
+        replicas, deliver = self._five_by_hand()
+        old, voter, new = replicas[0], replicas[1], replicas[2]
+        for leader, quorum, command in ((old, (1, 3), "p"),
+                                        (new, (3, 4), "v")):
+            leader._start_ballot(0)
+            for peer in quorum:
+                deliver(leader.pid, peer)
+                deliver(peer, leader.pid)
+            leader.submit(command, command.upper())
+            leader._pump_proposals()
+            for peer in ((1,) if leader is old else quorum):
+                deliver(leader.pid, peer)
+                deliver(peer, leader.pid)
+        assert voter.accepted[0][1] == ("p", "P")
+        assert new.log == {0: ("v", "V")}
+        old.deliver(Decide(2, 0, ("v", "V")))
+        assert old.phase == PHASE_FOLLOWER
+        old.submit("q", "Q")
+        old._pass()  # the next tick: a fresh ballot, not a Propose
+        deliver(0, 1)
+        assert voter.log.get(0, ("v", "V")) == ("v", "V")
+
+    def test_a_leader_proposes_what_it_already_knows_decided(self) -> None:
+        # p0's prepare reaches p1 and p3 first; then p2 prepares with
+        # {p2, p3, p4}, decides "v" at instance 0 and tells p0, which is
+        # still preparing.  p0's promises report nothing at 0, so its
+        # next slot is 0: it must propose "v" there, or p1 would accept
+        # p0's "p" and learn it from p0's next piggyback.
+        replicas, deliver = self._five_by_hand()
+        old, voter, new = replicas[0], replicas[1], replicas[2]
+        old._start_ballot(0)
+        deliver(0, 1)
+        deliver(0, 3)
+        new._start_ballot(0)
+        new.submit("v", "V")
+        for peer in (3, 4):
+            deliver(2, peer)
+            deliver(peer, 2)
+        for peer in (3, 4):
+            deliver(2, peer)
+            deliver(peer, 2)
+        assert new.log == {0: ("v", "V")}
+        old.deliver(Decide(2, 0, ("v", "V")))
+        old.submit("p", "P")
+        for peer in (1, 3):
+            deliver(peer, 0)
+        deliver(0, 1)
+        old.submit("q", "Q")
+        old._pump_proposals()
+        deliver(0, 1)
+        assert voter.log.get(0) == ("v", "V")

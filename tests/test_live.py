@@ -78,7 +78,7 @@ class TestCodec:
         assert caught.value.reason == "unknown_kind"
 
     def test_known_kinds_cover_both_protocol_layers(self) -> None:
-        kinds = {path.rsplit(".", 1)[1] for path in KINDS}
+        kinds = {path.rsplit(".", 1)[1] for path in KINDS if path}
         assert "Alive" in kinds  # Omega layer
         assert "Prepare" in kinds and "Decide" in kinds  # consensus layer
 

@@ -25,10 +25,10 @@ import pytest
 from repro.harness.soak import (
     LiveSoakCase,
     SoakResult,
-    live_bench_cases,
     run_soak_case,
     sample_live_case,
     soak,
+    soak_bench_cases,
 )
 from repro.live.cluster import ControlError, LiveCluster, LiveClusterSpec
 from repro.live.runtime import Backoff, Deadline
@@ -259,7 +259,7 @@ class TestCaseJudging:
                          "latency_s": {"p50": 1.0, "p95": 2.0,
                                        "p99": 2.5}},
         }
-        rows = live_bench_cases([SoakResult(
+        rows = soak_bench_cases([SoakResult(
             case, "ok", "", "0" * 16, wall_s=3.0, document=document)])
         assert rows[0]["ok"] is True
         assert rows[0]["result"]["latency_s"]["p95"] == 2.0

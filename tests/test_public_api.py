@@ -162,8 +162,8 @@ class TestDocstrings:
 def _one_message_per_kind() -> list:
     from repro.consensus.compaction import SnapshotAck, SnapshotOffer
     from repro.consensus.messages import (
-        Accepted, Ballot, Decide, DecideAck, DecideAcks, Decides, Forward,
-        Forwards, Nack, Prepare, Promise, Propose)
+        Accepted, Ballot, Decide, DecideAck, Decides, Forward, Forwards,
+        Nack, Prepare, Promise, Propose)
     from repro.consensus.replica import Batch
     from repro.core.messages import (
         Accusation, Alive, BatchedAlive, Beat, FsAlive, Heartbeat, Suspect)
@@ -174,12 +174,12 @@ def _one_message_per_kind() -> list:
         Heartbeat(3), Alive(2, 5, 1), BatchedAlive(2, 5, 1, 4),
         Accusation(1, 2, 0), FsAlive(0, (0, 3, 1)), Beat(4, 2),
         Suspect(1, 2, 3), Prepare(0, ballot, 12),
-        Promise(2, ballot, 12, ((12, (Ballot(2, 0), command)),)),
+        Promise(2, ballot, 12, ((12, (Ballot(2, 0), command)),), 11),
         Propose(0, ballot, 41, Batch((command,)), 40),
-        Accepted(1, ballot, 41), Nack(1, ballot, 41, Ballot(4, 2)),
+        Accepted(1, ballot, 41, 40), Nack(1, ballot, 41, Ballot(4, 2)),
         Decide(0, 41, None), DecideAck(2, 41),
         Forward(1, ("c1", 17), ("set", "k5", 35)), Forwards(1, (command,)),
-        Decides(0, ((41, command),)), DecideAcks(2, (41, 42)),
+        Decides(0, ((41, command),)),
         SnapshotOffer(0, 7, {"k5": 35, "k6": -1.5}, (("c1", 17),)),
         SnapshotAck(1, 7), Relay(3, 0, 9, -1, Alive(0, 1, 1)),
     ]
@@ -188,7 +188,7 @@ def _one_message_per_kind() -> list:
 #: ``encode_frame(message, incarnation=1, sent_at=1.5)`` of each message
 #: above, in kind-id order: the wire format (``repro.wire``, framed by
 #: ``repro.live.codec``), byte for byte.  A change here is a change of
-#: what nodes send and store.
+#: what nodes send and store.  Id 18 (0x12) is retired.
 FRAME_HEX = [
     "0106013ff8000000000000",
     "02040a02013ff8000000000000",
@@ -199,10 +199,10 @@ FRAME_HEX = [
     "07020406013ff8000000000000",
     "0800060218013ff8000000000000",
     "090406021807010702031807020c04000702070205026331032207030503"
-    "73657405026b350346013ff8000000000000",
+    "73657405026b35034616013ff8000000000000",
     "0a000602520d0701070207020502633103220703050373657405026b3503"
     "4650013ff8000000000000",
-    "0b02060252013ff8000000000000",
+    "0b0206025250013ff8000000000000",
     "0c020602520804013ff8000000000000",
     "0d005200013ff8000000000000",
     "0e0452013ff8000000000000",
@@ -212,7 +212,6 @@ FRAME_HEX = [
     "000000000000",
     "1100070107020352070207020502633103220703050373657405026b3503"
     "46013ff8000000000000",
-    "1204025254013ff8000000000000",
     "13000e0b0205026b35034605026b3604bff8000000000000070107020502"
     "63310322013ff8000000000000",
     "14020e013ff8000000000000",
@@ -227,7 +226,7 @@ class TestWireFormat:
 
         messages = _one_message_per_kind()
         assert [type(message).__name__ for message in messages] == \
-            [path.rsplit(".", 1)[1] for path in KINDS]
+            [path.rsplit(".", 1)[1] for path in KINDS if path is not None]
         for message, pinned in zip(messages, FRAME_HEX):
             frame = encode_frame(message, 1, 1.5)
             assert frame.hex() == pinned, message

@@ -125,7 +125,8 @@ class TestGate:
 
 def leading_replica(open_slots: int, unacked: int,
                     config: ConsensusConfig = CONFIG) -> LogReplica:
-    """A persisted n=3 leader with unacked decides below its open slots."""
+    """A persisted n=3 leader with ``unacked`` decided entries below its
+    open slots, and no watermark heard from either peer."""
     sim = Simulation()
     network = Network(sim)
     replicas = [LogReplica(pid, sim, network, 3, leader_of=lambda: 0,
@@ -135,7 +136,6 @@ def leading_replica(open_slots: int, unacked: int,
     leader.phase = PHASE_LEADING
     for instance in range(unacked):
         leader.log[instance] = (("d", instance), "x")
-        leader._decide_acks[instance] = {0}
     leader.commit_index = unacked - 1
     for instance in range(unacked, unacked + open_slots):
         leader._open_slot(instance, (("p", instance), "y"))
@@ -175,8 +175,9 @@ class TestLogReplicaPass:
 
     def test_a_sync_that_commits_at_once_continues_the_pass(self) -> None:
         # With a synchronous store (the live FileStorage) the round's
-        # write-ahead callback runs inside the tick that started it:
-        # peers that tick already served must still get their Prepare.
+        # write-ahead callback runs inside the tick that started it, and
+        # every peer gets its Prepare in that pass.  A replica that is
+        # not yet leading spreads no decisions.
         leader = leading_replica(
             open_slots=0, unacked=2,
             config=ConsensusConfig(sync_latency=0.0))
@@ -185,7 +186,8 @@ class TestLogReplicaPass:
         leader._drive()
         for peer in (1, 2):
             kinds = [type(m) for _, dst, m in sent if dst == peer]
-            assert kinds == [Decides, Prepare]
+            assert kinds == [Prepare]
+        assert {time for time, _, _ in sent} == {leader.now}
 
     def test_unpersisted_replica_never_consults_the_gate(self) -> None:
         sim = Simulation()

@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 
 from repro.cli import main
+from repro.consensus.messages import DecideAck
 from repro.consensus.replica import LogReplica
 from repro.harness.soak import (
     CAMPAIGNS,
@@ -213,6 +214,15 @@ class TestOutcomeDigest:
     def test_spread_budget_of_one_flips_outcomes_not_plans(
             self, monkeypatch) -> None:  # noqa: ANN001
         before = self._campaign()
+        self._spread_with_budget_of_one(monkeypatch)
+        after = self._campaign()
+        assert all(result.status == "ok" for result in before + after)
+        assert outcome_digest(after) != outcome_digest(before)
+        assert campaign_digest([r.case for r in after]) \
+            == campaign_digest([r.case for r in before])
+
+    @staticmethod
+    def _spread_with_budget_of_one(monkeypatch) -> None:  # noqa: ANN001
         original = LogReplica._spread_decisions
 
         def budget_of_one(replica: LogReplica) -> None:
@@ -224,11 +234,41 @@ class TestOutcomeDigest:
                 replica.config = config
 
         monkeypatch.setattr(LogReplica, "_spread_decisions", budget_of_one)
-        after = self._campaign()
-        assert all(result.status == "ok" for result in before + after)
-        assert outcome_digest(after) != outcome_digest(before)
-        assert campaign_digest([r.case for r in after]) \
-            == campaign_digest([r.case for r in before])
+
+    def test_compare_names_each_moved_case_and_observable(
+            self, tmp_path, capsys, monkeypatch) -> None:  # noqa: ANN001
+        old = tmp_path / "soak.json"
+        args = ["soak", "--recovery", "--seed", "7",
+                *(f"--case={index}" for index in self.LOG_CASES)]
+        assert main([*args, "--bench-out", str(old)]) == 0
+        assert main([*args, "--compare", str(old)]) == 0
+        assert "deterministic results identical" in capsys.readouterr().out
+        self._spread_with_budget_of_one(monkeypatch)
+        assert main([*args, "--compare", str(old)]) == 1
+        moved = [line.strip() for line in capsys.readouterr().out.splitlines()
+                 if line.strip().startswith("CHANGED ")]
+        assert moved and all(
+            line.startswith("CHANGED soak/recovery/log/crash-recovery#")
+            and "result.outcome" in line and "result.agreement_census" in line
+            for line in moved)
+
+    def test_a_chatty_follower_fails_the_calm_tail_by_name(
+            self, monkeypatch) -> None:  # noqa: ANN001
+        # Eventually only the leader may send on the agreement network.
+        original = LogReplica._pass
+
+        def chatty(replica: LogReplica) -> None:
+            original(replica)
+            leader = replica.leader_of()
+            if leader != replica.pid:
+                replica.send(leader, DecideAck(replica.pid,
+                                               replica.commit_index))
+
+        monkeypatch.setattr(LogReplica, "_pass", chatty)
+        results = self._campaign()
+        assert [result.status for result in results] == ["fail", "fail"]
+        assert all(result.detail.startswith("calm tail: p")
+                   for result in results)
 
     def test_cli_prints_both_digests_and_per_case_outcomes(
             self, capsys) -> None:  # noqa: ANN001
