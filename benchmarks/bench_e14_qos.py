@@ -28,15 +28,14 @@ TIMINGS = LinkTimings(gst=5.0)
 def scenario_for(algorithm: str, seed: int) -> OmegaScenario:
     if algorithm == "all-timely":
         return OmegaScenario(algorithm=algorithm, n=6, system="all-et",
-                             seed=seed, horizon=HORIZON, timings=TIMINGS,
-                             trace=True)
+                             seed=seed, horizon=HORIZON, timings=TIMINGS)
     if algorithm == "f-source":
         return OmegaScenario(algorithm=algorithm, n=6, system="f-source",
                              source=2, targets=(0, 4), f=2, seed=seed,
-                             horizon=HORIZON, timings=TIMINGS, trace=True)
+                             horizon=HORIZON, timings=TIMINGS)
     return OmegaScenario(algorithm=algorithm, n=6, system="multi-source",
                          sources=(1, 2), seed=seed, horizon=HORIZON,
-                         timings=TIMINGS, trace=True)
+                         timings=TIMINGS)
 
 
 def crash_is_tolerated(algorithm: str) -> bool:

@@ -34,7 +34,7 @@ TIMINGS = LinkTimings(gst=3.0)
 
 
 def run_case(keep_tail: int, seed: int = 9):  # noqa: ANN201
-    system = ConsensusSystem.build_compacting_log(
+    system = ConsensusSystem.build_replicated_log(
         N, lambda: multi_source_links(N, (1, 2), TIMINGS),
         machine_factory=JournalMachine, keep_tail=keep_tail, seed=seed)
     fleet = LoadSpec(clients=1, keys=1, arrival="steady", rate=1 / 0.4,

@@ -46,8 +46,8 @@ observer protocol and report schema.
 
 :mod:`repro.load`
     Population-scale client load: :class:`ClientFleet` (open/closed
-    loops, Zipf key skew, at-least-once retry), sharded multi-group
-    logs (:class:`ShardedLog`), and the :class:`LoadSpec` →
+    loops, Zipf key skew, at-least-once retry) driving one- or
+    multi-group :class:`ConsensusSystem` logs, and the :class:`LoadSpec` →
     :class:`LoadOutcome` pipeline behind ``python -m repro bench
     --experiments e19`` (docs/LOAD.md spells out the model and the E19
     schema).
@@ -132,8 +132,7 @@ def _lazy_exports(package: str, table: dict[str, tuple[str, ...]],
 _EXPORTS = {
     "repro.consensus": (
         "Batch", "ConsensusConfig", "ConsensusSystem", "LogReplica",
-        "ShardedLog", "SingleDecreeConsensus", "check_log",
-        "check_single_decree"),
+        "SingleDecreeConsensus", "check_log", "check_single_decree"),
     "repro.load": (
         "ClientFleet", "LoadOutcome", "LoadRun", "LoadSpec", "ZipfSampler"),
     "repro.core": (

@@ -53,7 +53,7 @@ from repro.core import (
 )
 from repro.core.registry import algorithm_class
 from repro.harness import OmegaScenario, render_table
-from repro.harness.scenarios import SYSTEM_NAMES
+from repro.harness.scenarios import SYSTEM_NAMES, combined_fault_plan
 from repro.load import LoadSpec
 from repro.sim import Cluster, FaultPlan, FaultPlanError, LinkTimings
 from repro.sim.topology import (
@@ -111,7 +111,8 @@ def cmd_omega(args: argparse.Namespace) -> int:
     crashes = _parse_crashes(args.crash)
 
     if args.relay or args.system == "relay-tree":
-        cluster = _run_relayed(args, timings, config, crashes)
+        cluster = _run_relayed(args, timings, config,
+                               combined_fault_plan(crashes, args.faults))
         relayed = True
     else:
         scenario = OmegaScenario(
@@ -119,10 +120,7 @@ def cmd_omega(args: argparse.Namespace) -> int:
             source=args.source, targets=_parse_targets(args.targets),
             f=args.f, crashes=crashes, faults=args.faults, seed=args.seed,
             horizon=args.horizon, timings=timings, config=config)
-        try:
-            cluster = scenario.run().cluster
-        except FaultPlanError as error:
-            raise SystemExit(f"bad fault plan: {error}")
+        cluster = scenario.run().cluster
         relayed = False
 
     report = analyze_omega_run(cluster)
@@ -149,7 +147,7 @@ def cmd_omega(args: argparse.Namespace) -> int:
 
 
 def _run_relayed(args: argparse.Namespace, timings: LinkTimings,
-                 config: OmegaConfig, crashes) -> Cluster:  # noqa: ANN001
+                 config: OmegaConfig, plan: FaultPlan) -> Cluster:
     cls = make_relayed(algorithm_class(args.algorithm))
     if args.system == "relay-tree":
         links = relay_tree_links(args.n, args.source, timings)
@@ -168,8 +166,7 @@ def _run_relayed(args: argparse.Namespace, timings: LinkTimings,
     cluster = Cluster.build(
         args.n, lambda pid, sim, net: cls(pid, sim, net, config),
         links=links, seed=args.seed)
-    if crashes:
-        FaultPlan.crashes_at(*crashes).schedule(cluster)
+    plan.schedule(cluster)
     cluster.start_all()
     cluster.run_until(args.horizon)
     return cluster
@@ -579,8 +576,7 @@ def cmd_qos(args: argparse.Namespace) -> int:
             scenario = OmegaScenario(
                 algorithm=algorithm, n=args.n, system="f-source",
                 source=args.n // 2, targets=(0, args.n - 1), f=2,
-                seed=args.seed, horizon=args.horizon, timings=timings,
-                trace=True)
+                seed=args.seed, horizon=args.horizon, timings=timings)
             crash = False
         else:
             # all-timely and packet-efficient need every link ◇timely.
@@ -590,7 +586,7 @@ def cmd_qos(args: argparse.Namespace) -> int:
             scenario = OmegaScenario(
                 algorithm=algorithm, n=args.n, system=system,
                 sources=(1, 2), seed=args.seed, horizon=args.horizon,
-                timings=timings, trace=True)
+                timings=timings)
             crash = True
         cluster = scenario.build()
         cluster.start_all()

@@ -5,8 +5,8 @@ Single-decree, ballot-based consensus and a multi-decree replicated log
 :mod:`repro.consensus.paxos` — both safe under asynchrony/loss/crash and
 live once the paired Omega module stabilizes with a majority of correct
 processes.  Assembled with
-:class:`ConsensusSystem` (or, sharded over many groups, with
-:class:`ShardedLog`), driven by :mod:`repro.load`'s client fleet
+:class:`ConsensusSystem` (one Omega per machine, one or more log groups
+sharding the key space), driven by :mod:`repro.load`'s client fleet
 (:meth:`~repro.load.LoadSpec.drive`), judged by
 :func:`check_single_decree` / :func:`check_log`.
 """
@@ -26,7 +26,6 @@ _EXPORTS = {
         "Propose"),
     "repro.consensus.node": ("ConsensusNode", "ConsensusSystem"),
     "repro.consensus.replica": ("NOOP", "Batch", "LogReplica", "entry_commands"),
-    "repro.consensus.sharding": ("ShardedLog",),
     "repro.consensus.rotating": (
         "RotatingLeaderOracle", "build_rotating_single_decree"),
     "repro.consensus.single": ("SingleDecreeConsensus",),

@@ -66,11 +66,9 @@ def measure_qos(cluster: Cluster, start: float = 0.0,
     """Compute :class:`OmegaQoS` for a finished run on ``cluster``.
 
     ``start``/``end`` bound the observation window (defaults: the whole
-    run).  Correct processes are those never crashed; crash times come
-    from the trace if enabled, otherwise from the processes themselves
-    being marked crashed (in which case detection times use the crash
-    records and require tracing — a run without tracing and without
-    crashes still yields full agreement statistics).
+    run).  Correct processes are those up at the end; crash instants
+    come from the metrics collector every cluster network carries, so a
+    traced and an untraced run measure alike.
     """
     end_time = cluster.sim.now if end is None else end
     if end_time <= start:
@@ -84,8 +82,7 @@ def measure_qos(cluster: Cluster, start: float = 0.0,
             raise TypeError(f"process {pid} is not an OmegaProtocol")
         histories[pid] = process.history
 
-    crash_times = {record.pid: record.time
-                   for record in cluster.trace.crashes()}
+    crash_times = cluster.metrics.crash_times
 
     # --- agreement / good fractions over exact intervals ---------------
     breakpoints = {start, end_time}

@@ -28,7 +28,7 @@ System names
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.checker import (
     CommunicationReport,
@@ -51,7 +51,8 @@ from repro.sim.topology import (
     source_links_lossy_elsewhere,
 )
 
-__all__ = ["OmegaScenario", "OmegaOutcome", "SYSTEM_NAMES"]
+__all__ = ["OmegaScenario", "OmegaOutcome", "SYSTEM_NAMES",
+           "combined_fault_plan"]
 
 SYSTEM_NAMES = (
     "all-timely",
@@ -61,6 +62,14 @@ SYSTEM_NAMES = (
     "f-source",
     "source-lossy",
 )
+
+
+def combined_fault_plan(crashes: tuple[tuple[float, ...], ...],
+                        faults: str) -> FaultPlan:
+    """One plan of the ``(time, pid[, recover_at])`` crash shorthand
+    followed by the events of the ``faults`` repro string."""
+    return FaultPlan(FaultPlan.crashes_at(*crashes).events
+                     + FaultPlan.from_repro(faults).events)
 
 
 @dataclass(frozen=True)
@@ -161,21 +170,13 @@ class OmegaScenario:
                                   self.timings)
         return source_links_lossy_elsewhere(self.n, self.source, self.timings)
 
-    def with_seed(self, seed: int) -> "OmegaScenario":
-        """The same scenario under a different seed."""
-        return replace(self, seed=seed)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
     def fault_plan(self) -> FaultPlan:
         """The combined fault plan: ``crashes`` shorthand plus ``faults``."""
-        plan = FaultPlan.crashes_at(*self.crashes)
-        if self.faults:
-            plan = FaultPlan(plan.events
-                             + FaultPlan.from_repro(self.faults).events)
-        return plan
+        return combined_fault_plan(self.crashes, self.faults)
 
     def build(self) -> Cluster:
         """Assemble the cluster without running it (tests use this)."""

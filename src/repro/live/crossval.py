@@ -88,7 +88,7 @@ def cross_validate(rundir: str, algorithm: str = "comm-efficient",
         from repro.consensus.checker import check_single_decree
         from repro.consensus.config import ConsensusConfig
         from repro.consensus.node import ConsensusSystem
-        from repro.core.checker import OmegaRunReport
+        from repro.core.checker import analyze_omega_run
         from repro.sim.topology import all_timely_links
 
         proposals = [f"value-{pid}" for pid in range(n)]
@@ -101,13 +101,7 @@ def cross_validate(rundir: str, algorithm: str = "comm-efficient",
             FaultPlan.from_repro(faults).schedule(system)
         system.start_all()
         system.run_until(horizon)
-        omegas = {pid: system.nodes[pid].omega for pid in system.up_pids()}
-        report = OmegaRunReport.from_facts(
-            omegas,
-            {pid: omega.leader() for pid, omega in omegas.items()},
-            {pid: omega.history[-1][0] for pid, omega in omegas.items()
-             if omega.history},
-            {pid: omega.leader_changes for pid, omega in omegas.items()})
+        report = analyze_omega_run(system)
         sim_verdict = report.verdict().merge(
             check_single_decree(system).verdict())
         sim_leader = report.final_leader

@@ -26,10 +26,9 @@ The pieces, in the repository's usual spec → build → run shape:
   **shed** each time a bounded leader queue refuses it
   (``ConsensusConfig.queue_limit`` backpressure).
 * :class:`LoadSpec` — frozen description of fleet + cluster;
-  :meth:`LoadSpec.drive` attaches the fleet to a system (a
-  :class:`~repro.consensus.sharding.ShardedLog`, or one
-  :class:`~repro.consensus.node.ConsensusSystem` as a one-group log),
-  :meth:`LoadSpec.build` assembles a ``ShardedLog`` and drives it,
+  :meth:`LoadSpec.drive` attaches the fleet to a
+  :class:`~repro.consensus.node.ConsensusSystem` of one or more log
+  groups, :meth:`LoadSpec.build` assembles one and drives it,
   :meth:`LoadRun.run` executes to the horizon and distills a
   :class:`LoadOutcome` (throughput, percentiles, retry/shed counts, and
   one consensus-checker verdict **per group**).
@@ -49,7 +48,6 @@ from typing import Any, Hashable
 from repro.consensus.config import ConsensusConfig
 from repro.consensus.node import ConsensusSystem
 from repro.consensus.replica import entry_commands
-from repro.consensus.sharding import ShardedLog
 from repro.core.registry import OMEGA_ALGORITHMS
 from repro.obs.observer import Observer
 from repro.obs.verdict import Verdict
@@ -145,7 +143,7 @@ class LoadSpec:
     Cluster shape (read by :meth:`build` only)
     ------------------------------------------
     ``n`` machines run ``groups`` independent replicated logs
-    (:class:`~repro.consensus.sharding.ShardedLog`) over one ``omega``
+    (:class:`~repro.consensus.node.ConsensusSystem`) over one ``omega``
     per machine, and links come up timely after ``gst``.  Every Omega
     of the registry but ``"f-source"`` (which needs an ``f``) is
     accepted.  ``batch_size``/``window``/``queue_limit`` map onto
@@ -231,16 +229,13 @@ class LoadSpec:
                                batch_size=self.batch_size,
                                queue_limit=self.queue_limit)
 
-    def drive(self, system: ShardedLog | ConsensusSystem) -> "ClientFleet":
+    def drive(self, system: ConsensusSystem) -> "ClientFleet":
         """Attach this spec's client fleet to ``system`` and schedule its
         timers; they fire once the system runs.
 
-        A :class:`~repro.consensus.node.ConsensusSystem` is driven as
-        the one-group ``ShardedLog(system.sim, (system,))``.  Only
-        the fleet-shape fields are read: the cluster is the caller's.
+        Only the fleet-shape fields are read: the cluster is the
+        caller's, with one log group or several.
         """
-        if isinstance(system, ConsensusSystem):
-            system = ShardedLog(system.sim, (system,))
         fleet = ClientFleet(self, system)
         fleet._attach()
         return fleet
@@ -253,17 +248,17 @@ class LoadSpec:
                  f"horizon must exceed start + duration, got {self.horizon!r}")
         timings = LinkTimings(gst=self.gst)
         sources = (0, 1 % self.n)
-        system = ShardedLog.build(
+        system = ConsensusSystem.build_replicated_log(
             n=self.n,
-            groups=self.groups,
             links_factory=lambda: multi_source_links(
                 self.n, sources, timings),
             omega_name=self.omega,
             consensus_config=self.consensus_config(),
-            machine_factory=JournalMachine if self.compacting else None,
-            keep_tail=self.keep_tail,
             seed=self.seed,
             persist=self.persist,
+            groups=self.groups,
+            machine_factory=JournalMachine if self.compacting else None,
+            keep_tail=self.keep_tail,
         )
         return LoadRun(self, system, self.drive(system))
 
@@ -294,7 +289,8 @@ class _CommitWatch(Observer):
 
 
 class ClientFleet:
-    """The client population driving one :class:`ShardedLog`.
+    """The client population driving one
+    :class:`~repro.consensus.node.ConsensusSystem`.
 
     Construct through :meth:`LoadSpec.drive`.  Logical clients are
     *virtual*: open-loop mode keeps per-client state only for clients
@@ -305,7 +301,7 @@ class ClientFleet:
     it carries), so latency needs no polling.
     """
 
-    def __init__(self, spec: LoadSpec, system: ShardedLog) -> None:
+    def __init__(self, spec: LoadSpec, system: ConsensusSystem) -> None:
         self.spec = spec
         self.system = system
         self._rng = system.sim.rng.stream("load", "fleet")
@@ -499,7 +495,7 @@ class LoadOutcome:
 class LoadRun:
     """An assembled load rig: sharded system + client fleet, ready to run."""
 
-    def __init__(self, spec: LoadSpec, system: ShardedLog,
+    def __init__(self, spec: LoadSpec, system: ConsensusSystem,
                  fleet: ClientFleet) -> None:
         self.spec = spec
         self.system = system

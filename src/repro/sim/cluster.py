@@ -1,18 +1,21 @@
-"""Cluster assembly: n processes + network + kernel in one handle.
+"""Cluster assembly: n machines + networks + kernel in one handle.
 
 :class:`Cluster` is the object experiments and examples actually hold.
-It wires a :class:`~repro.sim.engine.Simulation`, a
-:class:`~repro.sim.network.Network` with a link map from
-:mod:`repro.sim.topology`, and one protocol process per pid, then exposes
-the handful of operations runs need: start everything, run the clock,
-crash processes, and ask who is still up.
+It wires a :class:`~repro.sim.engine.Simulation`, one or more
+:class:`~repro.sim.network.Network`\\ s with link maps from
+:mod:`repro.sim.topology`, and per pid a *stack* of protocol processes —
+one layer per network — then exposes the handful of operations runs
+need: start everything, run the clock, crash, recover, pause and resume
+machines, and ask who is still up.
+
+A machine fails as a whole: every operation on a pid hits every layer
+of its stack, first to last, and machines are walked in pid order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from repro.obs.observer import Observer
 from repro.sim.engine import Simulation
 from repro.sim.links import LinkPolicy
 from repro.sim.metrics import MetricsCollector
@@ -27,10 +30,12 @@ ProcessFactory = Callable[[int, Simulation, Network], Process]
 
 
 class Cluster:
-    """A running system of ``n`` protocol processes.
+    """A running system of ``n`` machines, each a stack of processes.
 
-    Build one with :meth:`build`; construct processes via the factory so
-    the cluster stays agnostic of which protocol it hosts.
+    ``stacks[pid]`` holds one process per network, in ``networks``
+    order; a machine is up while its first layer is.  Build a
+    one-layer cluster with :meth:`build`; construct processes via the
+    factory so the cluster stays agnostic of which protocol it hosts.
 
     Determinism: a cluster is deterministic in its build arguments — the
     same ``(n, factory, links, seed)`` and the same sequence of
@@ -39,11 +44,14 @@ class Cluster:
     reported by cluster methods are **seconds of simulated time**.
     """
 
-    def __init__(self, sim: Simulation, network: Network,
-                 processes: dict[int, Process]) -> None:
+    def __init__(self, sim: Simulation, networks: Sequence[Network],
+                 stacks: Mapping[int, Sequence[Process]]) -> None:
         self.sim = sim
-        self.network = network
-        self.processes = processes
+        self.networks = tuple(networks)
+        self.stacks = {pid: tuple(stacks[pid]) for pid in sorted(stacks)}
+        self.processes = {pid: stack[0] for pid, stack in self.stacks.items()}
+        # What up_pids() reads on every client offer, sorted once.
+        self._firsts = tuple(self.processes.items())
 
     @classmethod
     def build(
@@ -53,10 +61,9 @@ class Cluster:
         links: Mapping[tuple[int, int], LinkPolicy] | None = None,
         seed: int = 0,
         trace: bool = False,
-        observers: Iterable[Observer] = (),
         link_rng: str = "pair",
     ) -> "Cluster":
-        """Assemble a cluster of ``n`` processes with pids ``0..n-1``.
+        """Assemble a cluster of ``n`` one-layer machines, pids ``0..n-1``.
 
         The network always gets a :class:`MetricsCollector`; a
         :class:`TraceLog` is attached only when ``trace`` is true (an
@@ -79,8 +86,6 @@ class Cluster:
             Root seed of the run.
         trace:
             Enable full event tracing (tests: yes, benchmarks: no).
-        observers:
-            Extra observers to attach to the network's hub.
         link_rng:
             Link RNG stream granularity, forwarded to
             :class:`~repro.sim.network.Network`: ``"pair"`` (default)
@@ -92,12 +97,11 @@ class Cluster:
         network = Network(sim, observers=(
             MetricsCollector(),
             *((TraceLog(enabled=True),) if trace else ()),
-            *observers,
         ), link_rng=link_rng)
         if links is not None:
             apply_links(network, links)
-        processes = {pid: process_factory(pid, sim, network) for pid in range(n)}
-        return cls(sim, network, processes)
+        return cls(sim, (network,), {
+            pid: (process_factory(pid, sim, network),) for pid in range(n)})
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -105,27 +109,27 @@ class Cluster:
 
     @property
     def n(self) -> int:
-        """Number of processes."""
-        return len(self.processes)
+        """Number of machines."""
+        return len(self.stacks)
 
     @property
     def pids(self) -> list[int]:
         """All pids, sorted."""
-        return sorted(self.processes)
+        return list(self.stacks)
 
     @property
-    def networks(self) -> tuple[Network, ...]:
-        """All networks of this system (one; fault plans iterate this)."""
-        return (self.network,)
+    def network(self) -> Network:
+        """The first network (the only one of a :meth:`build` cluster)."""
+        return self.networks[0]
 
     @property
     def metrics(self) -> MetricsCollector:
-        """The network's metrics collector (delegates to the observer hub)."""
+        """The first network's metrics collector."""
         return self.network.metrics
 
     @property
     def trace(self) -> TraceLog:
-        """The network's trace log (delegates to the observer hub).
+        """The first network's trace log.
 
         On clusters built with ``trace=False`` this returns a disabled
         log (lazily attached) instead of crashing, so trace views stay
@@ -134,26 +138,27 @@ class Cluster:
         return self.network.trace
 
     def process(self, pid: int) -> Process:
-        """The process with this pid."""
+        """The first layer of machine ``pid``."""
         return self.processes[pid]
 
     def up_pids(self) -> list[int]:
-        """Pids of processes that are currently up (never crashed, or recovered)."""
-        return [pid for pid in self.pids if not self.processes[pid].crashed]
+        """Pids of machines that are currently up (never crashed, or recovered)."""
+        return [pid for pid, first in self._firsts if not first._crashed]
 
     def crashed_pids(self) -> list[int]:
-        """Pids of processes that are currently down."""
-        return [pid for pid in self.pids if self.processes[pid].crashed]
+        """Pids of machines that are currently down."""
+        return [pid for pid, first in self._firsts if first._crashed]
 
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
 
     def start_all(self) -> None:
-        """Start every process now (post ``process.start`` with
-        ``sim.call_at`` for a staggered boot)."""
-        for pid in self.pids:
-            self.processes[pid].start()
+        """Start every layer of every machine now (post each layer's
+        ``start`` with ``sim.call_at`` for a staggered boot)."""
+        for stack in self.stacks.values():
+            for layer in stack:
+                layer.start()
 
     def run_until(self, deadline: float) -> None:
         """Advance the simulated clock to ``deadline`` (simulated seconds)."""
@@ -164,26 +169,31 @@ class Cluster:
         self.sim.run_for(duration)
 
     def crash(self, pid: int) -> None:
-        """Crash one process immediately."""
-        self.processes[pid].crash()
+        """Crash one machine immediately: every layer at the same instant."""
+        for layer in self.stacks[pid]:
+            layer.crash()
 
     def crash_many(self, pids: Sequence[int]) -> None:
-        """Crash several processes immediately."""
+        """Crash several machines immediately."""
         for pid in pids:
             self.crash(pid)
 
     def recover(self, pid: int) -> None:
-        """Recover one down process as a fresh incarnation (see :meth:`Process.recover`)."""
-        self.processes[pid].recover()
+        """Reboot one down machine: each layer recovers as a fresh
+        incarnation with its own stable storage (see :meth:`Process.recover`)."""
+        for layer in self.stacks[pid]:
+            layer.recover()
 
     def pause(self, pid: int) -> None:
-        """Freeze one process (see :meth:`Process.pause`)."""
-        self.processes[pid].pause()
+        """Freeze one machine (see :meth:`Process.pause`)."""
+        for layer in self.stacks[pid]:
+            layer.pause()
 
     def resume(self, pid: int) -> None:
-        """Unfreeze one process and replay what it missed."""
-        self.processes[pid].resume()
+        """Unfreeze one machine; each layer replays what it missed."""
+        for layer in self.stacks[pid]:
+            layer.resume()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Cluster(n={self.n}, t={self.sim.now:.3f}, "
+        return (f"{type(self).__name__}(n={self.n}, t={self.sim.now:.3f}, "
                 f"up={len(self.up_pids())})")

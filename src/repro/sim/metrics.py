@@ -71,7 +71,8 @@ class MetricsCollector(Observer):
 
     An observer (attach it to a network's hub, or let ``Network(sim)``
     attach a default one); it only overrides the send/deliver/drop
-    hooks, so it adds nothing to the cost of the other event kinds.
+    hooks and the cold crash hook, so it adds nothing to the cost of
+    the other event kinds.
 
     Parameters
     ----------
@@ -95,6 +96,8 @@ class MetricsCollector(Observer):
         self._window_targets: dict[int, dict[int, set[Hashable]]] = \
             defaultdict(partial(defaultdict, set))
         self._window_messages: Counter[int] = Counter()
+        # Each pid's last crash instant (what measure_qos reads).
+        self.crash_times: dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Feed (called by the network's observer hub)
@@ -136,6 +139,10 @@ class MetricsCollector(Observer):
     def on_drop(self, time: float, src: int, dst: int, kind: str, reason: str) -> None:
         """Account one dropped message."""
         self.dropped_by_reason[reason] += 1
+
+    def on_crash(self, time: float, pid: int) -> None:
+        """Note ``pid``'s crash instant (a later crash replaces it)."""
+        self.crash_times[pid] = time
 
     # ------------------------------------------------------------------
     # Queries

@@ -67,6 +67,15 @@ class TestOmegaCommand:
         assert code == 0
         assert "originators:" in out
 
+    def test_relay_schedules_faults_like_crash(self, capsys) -> None:  # noqa: ANN001
+        relay = ["omega", "--system", "relay-tree", "--n", "6", "--source",
+                 "2", "--relay", "--horizon", "120"]
+        main([*relay, "--faults", "crash(t=30.0,pid=4)"])
+        faulted = capsys.readouterr().out
+        main([*relay, "--crash", "30:4"])
+        assert "\n|       4 |" not in faulted
+        assert faulted == capsys.readouterr().out
+
     def test_relay_rejects_f_source_algorithm(self) -> None:
         with pytest.raises(SystemExit):
             main(["omega", "--algorithm", "f-source", "--relay",

@@ -26,7 +26,7 @@ TIMINGS = LinkTimings(gst=3.0)
 
 def build_system(n: int = 5, keep_tail: int = 8, seed: int = 9,
                  machine=JournalMachine) -> ConsensusSystem:  # noqa: ANN001
-    return ConsensusSystem.build_compacting_log(
+    return ConsensusSystem.build_replicated_log(
         n, lambda: multi_source_links(n, (1, 2), TIMINGS),
         machine_factory=machine, keep_tail=keep_tail, seed=seed)
 

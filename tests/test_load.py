@@ -22,7 +22,6 @@ from conftest import drip
 from repro.consensus import (
     ConsensusConfig,
     ConsensusSystem,
-    ShardedLog,
     check_log,
 )
 from repro.consensus.replica import entry_commands
@@ -382,9 +381,22 @@ class TestShardedLoad:
         busy = [row for row in outcome.per_group if row["submitted"] > 0]
         assert len(busy) >= 2
 
+    def test_drive_spreads_over_the_groups_of_a_caller_built_system(
+            self) -> None:
+        system = ConsensusSystem.build_replicated_log(
+            5, lambda: multi_source_links(5, (0, 1), FAST), groups=2, seed=3)
+        fleet = LoadSpec(clients=30, keys=32, rate=6.0, start=3.0,
+                         duration=12.0).drive(system)
+        system.start_all()
+        system.run_until(60.0)
+        assert fleet.done()
+        assert all(fleet.group_payloads)
+        for group, submitted in zip(system.groups, fleet.group_payloads):
+            assert check_log(group, submitted).verdict().ok
+
     def test_group_of_is_stable_and_total(self) -> None:
         system = LoadSpec(n=5, groups=4).build().system
-        assert isinstance(system, ShardedLog)
+        assert isinstance(system, ConsensusSystem)
         for key in range(64):
             group = system.group_of(key)
             assert 0 <= group < 4
@@ -466,8 +478,9 @@ class TestShardedLoad:
 
         with pytest.raises(ValueError, match="machine_factory with "
                                              "persist=True is unsupported"):
-            ShardedLog.build(3, 2, lambda: source_links(3, 1, FAST),
-                             machine_factory=JournalMachine, persist=True)
+            ConsensusSystem.build_replicated_log(
+                3, lambda: source_links(3, 1, FAST), groups=2,
+                machine_factory=JournalMachine, persist=True)
 
 
 class TestBatchedSlotsProperty:

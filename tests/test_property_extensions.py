@@ -113,7 +113,7 @@ class TestFSourceTopologyProperties:
 def _compacting_log_under_crash(seed: int, keep_tail: int, victim: int,
                                 crash_time: float) -> None:
     """A crash-stop (``persist=False``) compacting log stays safe."""
-    system = ConsensusSystem.build_compacting_log(
+    system = ConsensusSystem.build_replicated_log(
         5, lambda: multi_source_links(5, (1, 2), FAST),
         machine_factory=JournalMachine, keep_tail=keep_tail, seed=seed)
     fleet = drip(25, 0.5, start=3.0).drive(system)

@@ -92,7 +92,7 @@ class TestLoadSurface:
     """The PR-9 additions ride the same top-level re-export contract."""
 
     def test_new_names_exported(self) -> None:
-        for name in ("Batch", "ShardedLog", "LoadSpec", "LoadRun", "LoadOutcome",
+        for name in ("Batch", "LoadSpec", "LoadRun", "LoadOutcome",
                      "ClientFleet", "ZipfSampler"):
             assert name in repro.__all__
             assert hasattr(repro, name)

@@ -259,3 +259,19 @@ class TestOnRealRuns:
         qos = measure_qos(cluster)
         report = analyze_omega_run(cluster)
         assert qos.total_changes == report.total_changes
+
+    def test_a_traced_and_an_untraced_crash_run_measure_alike(self) -> None:
+        def qos(trace: bool):  # noqa: ANN202
+            cluster = OmegaScenario(algorithm="comm-efficient", n=6,
+                                    system="multi-source", sources=(1, 2),
+                                    seed=1, horizon=300.0,
+                                    trace=trace).build()
+            cluster.start_all()
+            cluster.run_until(100.0)
+            cluster.crash(analyze_omega_run(cluster).final_leader)
+            cluster.run_until(300.0)
+            return measure_qos(cluster)
+
+        traced = qos(trace=True)
+        assert traced.worst_detection_time is not None
+        assert qos(trace=False) == traced

@@ -33,11 +33,6 @@ class TestDerived:
                                  targets=(1, 2))
         assert scenario.effective_f == 2
 
-    def test_with_seed(self) -> None:
-        scenario = OmegaScenario(algorithm="source", n=4, system="source")
-        assert scenario.with_seed(9).seed == 9
-        assert scenario.seed == 0, "original unchanged"
-
     def test_link_maps_match_system(self) -> None:
         source = OmegaScenario(algorithm="source", n=4, system="source",
                                source=1)
