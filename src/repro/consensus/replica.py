@@ -76,6 +76,7 @@ from repro.consensus.messages import (
     Propose,
 )
 from repro.consensus.paxos import PaxosProcess
+from repro.consensus.retransmit import RoundTripTimer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulation
@@ -130,13 +131,17 @@ PHASE_LEADING = "leading"
 
 
 class _OpenSlot:
-    """A leader-side in-flight instance."""
+    """A leader-side in-flight instance: who accepted it, when each peer
+    got its last copy, and which peers got more than one (Karn's rule:
+    their replies time no round trip)."""
 
-    __slots__ = ("value", "acks")
+    __slots__ = ("value", "acks", "sent", "resent")
 
     def __init__(self, value: Any, acks: set[int]) -> None:
         self.value = value
         self.acks = acks
+        self.sent: dict[int, float] = {}
+        self.resent: set[int] = set()
 
 
 class LogReplica(PaxosProcess):
@@ -203,6 +208,7 @@ class LogReplica(PaxosProcess):
         self._open: dict[int, _OpenSlot] = {}
         self._in_flight: set[Hashable] = set()
         self._next_instance = 0
+        self._rtt = RoundTripTimer(self.config)
         # Client command intake (insertion ordered).
         self.pending: "OrderedDict[Hashable, Any]" = OrderedDict()
 
@@ -279,6 +285,7 @@ class LogReplica(PaxosProcess):
     # ------------------------------------------------------------------
 
     def _pass(self) -> None:
+        self._rtt.begin_tick(self.now)
         self._spread_decisions()
         if self.leader_of() != self.pid:
             self._step_down("abandoned")
@@ -351,13 +358,27 @@ class LogReplica(PaxosProcess):
                     batch = []
             if batch and len(self._open) < self.config.max_batch:
                 self._open_batch(batch)
-        # (Re)transmit every open slot to peers that have not accepted.
-        ballot = self.owner.ballot
+        # Transmit every open slot to the peers that have not accepted
+        # it: a first copy at once, a resend once the peer's RTO has
+        # passed since its last copy (then, with persistence, the gate).
+        ballot, now, due = self.owner.ballot, self.now, self._rtt.due
         for instance, slot in self._open.items():
-            if self._retransmit_to(slot.acks, Propose(
-                    self.pid, ballot, instance, slot.value,
-                    self.commit_index)):
-                self._proposed = True
+            message = None
+            sent, acks = slot.sent, slot.acks
+            for peer in range(self.n):
+                if peer == self.pid or peer in acks:
+                    continue
+                last = sent.get(peer)
+                if last is not None and not due(peer, last, now):
+                    continue
+                if message is None:
+                    message = Propose(self.pid, ballot, instance, slot.value,
+                                      self.commit_index)
+                if self._retransmit(peer, message):
+                    sent[peer] = now
+                    if last is not None:
+                        slot.resent.add(peer)
+                    self._proposed = True
 
     def _open_batch(self, batch: list[tuple[Hashable, Any]]) -> None:
         value: Any = batch[0] if len(batch) == 1 else Batch(tuple(batch))
@@ -510,7 +531,12 @@ class LogReplica(PaxosProcess):
             return
         slot = self._open.get(message.instance)
         if slot is not None:
-            slot.acks.add(message.sender)
+            sender = message.sender
+            sent = slot.sent.get(sender)
+            if sent is not None and sender not in slot.acks \
+                    and sender not in slot.resent:
+                self._rtt.sample(sender, self.now - sent)
+            slot.acks.add(sender)
             self._maybe_close(message.instance)
 
     def _on_decide(self, message: Decide | Decides) -> None:

@@ -1,15 +1,22 @@
-"""Retransmission pacing of the ``persist=True`` consensus stacks.
+"""Retransmission pacing of the consensus stacks.
 
-A crash-recovery peer may stay down for minutes, so the driver backs
-off toward a silent peer — but **once per driver pass**, never once per
-message (docs/RECOVERY.md has the contract and its bounds).
+Two rules, applied in this order where both hold:
+
+- :class:`RoundTripTimer` (the replicated log's leader, every run):
+  an open slot's ``Propose`` goes to a peer again only once that peer's
+  measured round trip has passed, not at every tick;
+- :class:`RetransmitGate` (``persist=True`` only): a crash-recovery peer
+  may stay down for minutes, so the driver backs off toward a silent
+  peer — but **once per driver pass**, never once per message.
+
+docs/RECOVERY.md has the contract and its bounds.
 """
 
 from __future__ import annotations
 
 from repro.consensus.config import BACKOFF_CAP, ConsensusConfig
 
-__all__ = ["RetransmitGate"]
+__all__ = ["RetransmitGate", "RoundTripTimer"]
 
 
 class RetransmitGate:
@@ -61,3 +68,58 @@ class RetransmitGate:
         """Drop every backoff: a recovered incarnation starts afresh."""
         self._retry_at.clear()
         self._interval.clear()
+
+
+class RoundTripTimer:
+    """Per-peer retransmission timeout (RTO) from measured round trips.
+
+    The RFC 6298 estimator: ``SRTT`` / ``RTTVAR`` with gains 1/8 and
+    1/4, and ``RTO = SRTT + 2 * RTTVAR`` — a variance weight of 2, not
+    the RFC's 4, which held commit latency back on a saturated log
+    (docs/PERFORMANCE.md).  The RTO is floored at one driver tick, so no
+    peer is resent more often than at every tick, and capped at
+    ``BACKOFF_CAP``; a peer with no sample yet sits at the floor.
+
+    The floor counts ticks, not seconds: a copy is never resent in the
+    tick pass that sent it, and an RTO at the floor has passed once any
+    later tick begins, however early a live clock fires it.  All state
+    is volatile: a recovered incarnation measures afresh.
+    """
+
+    __slots__ = ("_floor", "_srtt", "_rttvar", "_rto", "_tick_at")
+
+    def __init__(self, config: ConsensusConfig) -> None:
+        self._floor = config.tick
+        self._srtt: dict[int, float] = {}
+        self._rttvar: dict[int, float] = {}
+        self._rto: dict[int, float] = {}
+        self._tick_at = float("-inf")
+
+    def begin_tick(self, now: float) -> None:
+        """Open a tick pass at ``now``: every copy sent before it is a
+        tick old."""
+        self._tick_at = now
+
+    def sample(self, peer: int, rtt: float) -> None:
+        """Fold one round trip to ``peer`` into its estimate.  The caller
+        keeps Karn's rule: no sample from a copy that was resent."""
+        srtt = self._srtt.get(peer)
+        if srtt is None:
+            srtt, rttvar = rtt, rtt / 2
+        else:
+            rttvar = 0.75 * self._rttvar[peer] + 0.25 * abs(srtt - rtt)
+            srtt = 0.875 * srtt + 0.125 * rtt
+        self._srtt[peer], self._rttvar[peer] = srtt, rttvar
+        self._rto[peer] = min(max(srtt + 2 * rttvar, self._floor),
+                              BACKOFF_CAP)
+
+    def rto(self, peer: int) -> float:
+        """``peer``'s current timeout in seconds."""
+        return self._rto.get(peer, self._floor)
+
+    def due(self, peer: int, sent_at: float, now: float) -> bool:
+        """Whether a copy sent to ``peer`` at ``sent_at`` may go again."""
+        if sent_at >= self._tick_at:
+            return False
+        rto = self._rto.get(peer, self._floor)
+        return rto <= self._floor or now - sent_at >= rto

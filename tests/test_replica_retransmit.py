@@ -1,11 +1,15 @@
-"""Retransmission pacing on the persisted commit path (docs/RECOVERY.md).
+"""Retransmission pacing of the consensus drivers (docs/RECOVERY.md).
 
-With ``persist=True`` the driver's sends pass a per-peer backoff gate.
-The gate decides **once per driver pass**: a due peer gets everything the
-pass has for it (its decisions as one message), a backing-off peer gets
-nothing, and toward a peer that never answers the number of passes that
-send anything stays logarithmic up to ``BACKOFF_CAP``.  All on simulated
-time.
+The log leader resends an open slot's ``Propose`` to a peer only once
+that peer's measured round trip (its RTO, floored at one driver tick)
+has passed since its last copy.
+
+With ``persist=True`` the driver's sends then pass a per-peer backoff
+gate.  The gate decides **once per driver pass**: a due peer gets
+everything the pass has for it (its decisions as one message), a
+backing-off peer gets nothing, and toward a peer that never answers the
+number of passes that send anything stays logarithmic up to
+``BACKOFF_CAP``.  All on simulated time.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from repro.consensus.replica import (
     PHASE_LEADING,
     LogReplica,
 )
-from repro.consensus.retransmit import RetransmitGate
+from repro.consensus.retransmit import RetransmitGate, RoundTripTimer
 from repro.consensus.single import SingleDecreeConsensus
 from repro.harness import bench
 from repro.load import LoadSpec
@@ -50,6 +54,15 @@ def record_sends(process) -> list:  # noqa: ANN001
         send(peer, message)
 
     process.send = recording
+    return sent
+
+
+def capture_sends(process) -> list:  # noqa: ANN001
+    """Log ``(time, peer, message)`` for everything ``process`` sends,
+    and deliver none of it: a hand-driven schedule."""
+    sent: list = []
+    process.send = lambda peer, message: sent.append(
+        (process.now, peer, message))
     return sent
 
 
@@ -163,15 +176,28 @@ class TestLogReplicaPass:
 
     def test_next_pass_sends_only_to_the_peer_that_answered(self) -> None:
         leader = leading_replica(open_slots=3, unacked=2)
+        sent = capture_sends(leader)
+        # Ticks at 0 and 0.5 reach both peers; the gate's interval toward
+        # each is one tick, then two.
         leader._drive()
-        sent = record_sends(leader)
-        # Peer 1 answers (a delivery is a pass; nothing to pump in it);
-        # on the next tick it is due again, the silent peer 2 is not.
+        leader.sim.run_until(CONFIG.tick)
+        leader._drive()
+        assert {dst for _, dst, _ in sent} == {1, 2}
+        assert leader.load_stats()["retransmits_gated"] == 0
+        # Peer 1 answers slot 2 (a delivery is a pass; nothing to pump in
+        # it), which closes on that vote and the leader's durable one.
+        # On the next tick peer 1 is due again, the silent peer 2 is not.
+        leader.sim.run_until(1.4 * CONFIG.tick)
         leader.deliver(Accepted(1, leader.ballot, 2))
+        assert 2 not in leader._open
+        sent.clear()
+        leader.sim.run_until(2 * CONFIG.tick)
         leader._drive()
         assert sent and {dst for _, dst, _ in sent} == {1}
-        # Toward peer 2: three Proposes and the one Decides.
-        assert leader.load_stats()["retransmits_gated"] == 4
+        assert [m.instance for _, _, m in sent
+                if isinstance(m, Propose)] == [3, 4]
+        # Toward peer 2: the two open slots' Proposes and the one Decides.
+        assert leader.load_stats()["retransmits_gated"] == 3
 
     def test_a_sync_that_commits_at_once_continues_the_pass(self) -> None:
         # With a synchronous store (the live FileStorage) the round's
@@ -222,6 +248,156 @@ class TestLogReplicaPass:
         # The live peer is served every tick.
         assert len(bursts_toward(sent, 1)) >= horizon / CONFIG.tick - 2
         assert leader.load_stats()["retransmits_gated"] > 0
+
+
+def hand_driven_leader(n: int = 5) -> tuple[Simulation, LogReplica, list]:
+    """An unpersisted log leader holding a prepared ballot, alone on its
+    network: nothing it sends is delivered, every reply is by hand, and
+    each ``_drive()`` is one driver tick."""
+    sim = Simulation()
+    leader = LogReplica(0, sim, Network(sim), n, leader_of=lambda: 0,
+                        config=CONFIG)
+    leader.owner.ballot = Ballot(0, 0)
+    leader.phase = PHASE_LEADING
+    return sim, leader, capture_sends(leader)
+
+
+def tick(sim: Simulation, leader: LogReplica, at: float) -> None:
+    sim.run_until(at)
+    leader._drive()
+
+
+def accept(sim: Simulation, leader: LogReplica, at: float, peer: int,
+           instance: int) -> None:
+    sim.run_until(at)
+    leader.deliver(Accepted(peer, leader.ballot, instance))
+
+
+def propose_times(sent: list, peer: int, instance: int) -> list[float]:
+    return [time for time, dst, m in sent if dst == peer
+            and isinstance(m, Propose) and m.instance == instance]
+
+
+class TestRoundTripTimer:
+    def test_rfc_6298_estimator_with_a_variance_weight_of_two(self) -> None:
+        timer = RoundTripTimer(CONFIG)
+        assert timer.rto(1) == CONFIG.tick  # unmeasured: the floor
+        timer.sample(1, 0.4)  # SRTT 0.4, RTTVAR 0.2
+        assert timer.rto(1) == pytest.approx(0.8)
+        timer.sample(1, 0.8)  # RTTVAR 0.25, SRTT 0.45
+        assert timer.rto(1) == pytest.approx(0.45 + 2 * 0.25)
+        assert timer.rto(2) == CONFIG.tick  # per peer
+
+    def test_floored_at_one_tick_and_capped_at_the_backoff_cap(
+            self) -> None:
+        timer = RoundTripTimer(CONFIG)
+        timer.sample(1, 0.001)
+        timer.sample(2, 60.0)
+        assert (timer.rto(1), timer.rto(2)) == (CONFIG.tick, BACKOFF_CAP)
+
+    def test_a_copy_is_due_only_in_a_later_tick(self) -> None:
+        timer = RoundTripTimer(CONFIG)
+        timer.begin_tick(1.0)
+        assert not timer.due(1, 1.0, 1.0)  # sent in this very tick
+        timer.begin_tick(1.499)  # a live clock's tick, slightly early
+        assert timer.due(1, 1.0, 1.499)
+        timer.sample(2, 0.4)  # RTO 0.8
+        assert not timer.due(2, 1.0, 1.499)
+        timer.begin_tick(1.998)
+        assert timer.due(2, 1.0, 1.998)
+
+    def test_recovery_forgets_every_measurement(self) -> None:
+        sim, leader, _ = hand_driven_leader()
+        leader._rtt.sample(4, 0.9)
+        assert leader._rtt.rto(4) > CONFIG.tick
+        leader.crash()
+        leader.recover()
+        assert leader._rtt.rto(4) == CONFIG.tick
+
+
+class TestProposeResendsByRoundTrip:
+    def test_a_reply_slower_than_a_tick_but_inside_the_rto_is_awaited(
+            self) -> None:
+        sim, leader, sent = hand_driven_leader()
+        # Slot 0: fair-lossy peers 3 and 4 answer in 0.4 s and close it
+        # (the leader's vote is the third); each RTO becomes 0.8 s.
+        leader.submit("a", 1)
+        tick(sim, leader, 0.0)
+        accept(sim, leader, 0.4, 3, 0)
+        accept(sim, leader, 0.4, 4, 0)
+        assert leader.commit_index == 0
+        assert leader._rtt.rto(4) == pytest.approx(0.8)
+        # Slot 1: peer 3 answers at once, peer 4 takes 0.7 s — longer
+        # than a tick, shorter than its RTO.  Peers 1 and 2 never
+        # answered anything: their RTO is the floor.
+        leader.submit("b", 2)
+        tick(sim, leader, 0.5)
+        accept(sim, leader, 0.6, 3, 1)
+        tick(sim, leader, 1.0)
+        assert propose_times(sent, 4, 1) == [0.5]
+        assert propose_times(sent, 1, 1) == propose_times(sent, 2, 1) \
+            == [0.5, 1.0]
+        accept(sim, leader, 1.2, 4, 1)
+        assert leader.commit_index == 1
+        # Its first copy, answered: a sample (SRTT 0.4375, RTTVAR 0.225).
+        assert leader._rtt.rto(4) == pytest.approx(0.4375 + 2 * 0.225)
+
+    def test_karn_a_reply_to_a_resent_slot_is_no_sample(self) -> None:
+        sim, leader, sent = hand_driven_leader()
+        leader.submit("a", 1)
+        tick(sim, leader, 0.0)
+        tick(sim, leader, 0.5)  # unmeasured peers: resent every tick
+        assert propose_times(sent, 4, 0) == [0.0, 0.5]
+        # Which copy does this answer?  0.7 s or 0.2 s: no sample.
+        accept(sim, leader, 0.7, 4, 0)
+        assert leader._rtt.rto(4) == CONFIG.tick
+        # So the next slot is still resent to silent peer 4 at every
+        # tick (a 0.7 s sample would have held it for 1.4 s).
+        leader.submit("b", 2)
+        tick(sim, leader, 1.0)
+        tick(sim, leader, 1.5)
+        assert propose_times(sent, 4, 1) == [1.0, 1.5]
+
+    def test_a_fast_peer_is_resent_at_most_once_per_tick_early_or_not(
+            self) -> None:
+        sim, leader, sent = hand_driven_leader()
+        # Peers 1 and 4 answer three slots within a millisecond.
+        for instance in range(3):
+            leader.submit(instance, "x")
+            tick(sim, leader, instance * CONFIG.tick)
+            for peer in (1, 4):
+                accept(sim, leader, instance * CONFIG.tick + 0.001, peer,
+                       instance)
+        assert leader.commit_index == 2
+        assert leader._rtt.rto(4) == CONFIG.tick
+        # Slot 3 goes unanswered by peer 4 while ticks fire 1 ms early,
+        # as a live clock's may; peer 1's reply is a pass in between.
+        leader.submit(3, "x")
+        ticks = [1.5 + k * (CONFIG.tick - 0.001) for k in range(5)]
+        for k, at in enumerate(ticks):
+            tick(sim, leader, at)
+            if k == 0:
+                accept(sim, leader, at + 0.001, 1, 3)
+        assert propose_times(sent, 4, 3) == ticks
+
+    def test_a_dropped_accepted_is_recovered_once_the_rto_passes(
+            self) -> None:
+        sim, leader, sent = hand_driven_leader()
+        leader.submit("a", 1)
+        tick(sim, leader, 0.0)
+        accept(sim, leader, 0.4, 3, 0)
+        accept(sim, leader, 0.4, 4, 0)  # RTO 0.8 s
+        leader.submit("b", 2)
+        tick(sim, leader, 0.5)
+        accept(sim, leader, 0.6, 3, 1)
+        # Peer 4's Accepted for slot 1 is lost on the way.
+        for at in (1.0, 1.5, 2.0):
+            tick(sim, leader, at)
+        # Held at the 1.0 tick (0.5 s < 0.8 s), resent at 1.5, and not
+        # again at 2.0: the resend is one tick old, its RTO not passed.
+        assert propose_times(sent, 4, 1) == [0.5, 1.5]
+        accept(sim, leader, 2.1, 4, 1)
+        assert leader.commit_index == 1 and not leader._open
 
 
 class TestPersistedLogEndToEnd:
