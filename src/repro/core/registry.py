@@ -24,7 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulation
     from repro.sim.network import Network
 
-__all__ = ["OMEGA_ALGORITHMS", "make_factory", "algorithm_class"]
+__all__ = ["OMEGA_ALGORITHMS", "make_factory", "algorithm_class",
+           "failure_model"]
 
 OMEGA_ALGORITHMS: dict[str, type[OmegaProtocol]] = {
     "all-timely": AllTimelyOmega,
@@ -45,6 +46,19 @@ def algorithm_class(name: str) -> type[OmegaProtocol]:
     except KeyError:
         known = ", ".join(sorted(OMEGA_ALGORITHMS))
         raise KeyError(f"unknown Omega algorithm {name!r}; known: {known}") from None
+
+
+def failure_model(name: str) -> str:
+    """The failure model the algorithm ``name`` is proved for.
+
+    ``"crash-recovery"`` for :class:`RecoveringOmega` (a process may come
+    back), ``"crash-stop"`` for every other one: recovering a process
+    under a crash-stop algorithm can split leadership for good
+    (docs/MODEL.md).
+    """
+    if issubclass(algorithm_class(name), RecoveringOmega):
+        return "crash-recovery"
+    return "crash-stop"
 
 
 def make_factory(name: str, config: OmegaConfig | None = None,

@@ -73,6 +73,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.consensus import ConsensusSystem, check_log, check_single_decree
 from repro.core.config import OmegaConfig
+from repro.core.registry import failure_model
 from repro.harness.scenarios import OmegaScenario
 from repro.load import LoadSpec
 from repro.sim.nemesis import CrashFault, FaultEvent, FaultPlan, \
@@ -151,9 +152,11 @@ class SoakCase:
         return FaultPlan.from_repro(self.plan)
 
     def envelope(self) -> ModelEnvelope:
-        """The model envelope this campaign is judged against."""
+        """The model envelope this campaign is judged against; its
+        failure model is the Omega algorithm's."""
         return ModelEnvelope(n=self.n, source=self.source, f=self.f,
-                             gst=self.gst, horizon=self.horizon)
+                             gst=self.gst, horizon=self.horizon,
+                             failure_model=failure_model(self.algorithm))
 
     def describe(self) -> str:
         """One-line repro: everything needed to replay this campaign."""

@@ -743,6 +743,11 @@ class ModelEnvelope:
         Fraction of the horizon that must remain calm after the last
         non-crash disturbance heals, so "eventually" has room to happen
         (disturbances must end by ``horizon * (1 - heal_margin)``).
+    failure_model:
+        What the algorithm under test survives: ``"crash-recovery"``
+        (the default) lets a crashed process come back, ``"crash-stop"``
+        does not (``repro.core.registry.failure_model`` names it per
+        algorithm).
     """
 
     n: int
@@ -751,6 +756,7 @@ class ModelEnvelope:
     gst: float = 10.0
     horizon: float = 400.0
     heal_margin: float = 0.5
+    failure_model: str = "crash-recovery"
 
     def __post_init__(self) -> None:
         if not 0 <= self.source < self.n:
@@ -759,6 +765,8 @@ class ModelEnvelope:
             raise ValueError("fault bound f must be >= 0")
         if not 0.0 < self.heal_margin < 1.0:
             raise ValueError("heal_margin must lie in (0, 1)")
+        if self.failure_model not in ("crash-stop", "crash-recovery"):
+            raise ValueError(f"unknown failure model {self.failure_model!r}")
 
     @property
     def heal_by(self) -> float:
@@ -840,9 +848,17 @@ def model_violations(plan: FaultPlan, envelope: ModelEnvelope) -> list[str]:
     legal on every link type, but one that persists to the horizon
     denies the "eventually" in eventually-timely and the fairness of
     fair-lossy links.  Duplication only adds copies and never violates
-    the model.
+    the model.  Under a ``"crash-stop"`` envelope no process may
+    recover at all.
     """
     issues: list[str] = []
+    if envelope.failure_model == "crash-stop":
+        recovered = sorted(pid for pid, steps in plan.lifecycle().items()
+                           if any(what == "recover" for _, what in steps))
+        if recovered:
+            issues.append(
+                f"recovers pids {recovered} under a crash-stop algorithm; "
+                f"a recovered process may split leadership for good")
     classes = process_classes(plan, envelope)
     eventually_down = set(classes.eventually_down)
     if envelope.source in eventually_down:

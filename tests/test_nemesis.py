@@ -20,6 +20,7 @@ from repro.sim.nemesis import (
     NetemFault,
     PartitionFault,
     PauseFault,
+    RecoverFault,
     model_violations,
     parse_event,
     sample_plan,
@@ -288,6 +289,22 @@ class TestModelEnvelope:
         plan = FaultPlan([PartitionFault(10.0, 390.0, ((0, 1, 2), (3, 4)))])
         assert any("persists" in issue
                    for issue in model_violations(plan, envelope))
+
+    def test_a_recover_is_a_violation_only_under_crash_stop(self) -> None:
+        bounce = FaultPlan([CrashFault(30.0, 3, recover_at=60.0)])
+        late = FaultPlan([CrashFault(30.0, 1), RecoverFault(90.0, 1)])
+        stop = ModelEnvelope(n=5, source=0, f=2, failure_model="crash-stop")
+        assert model_violations(bounce, stop) == [
+            "recovers pids [3] under a crash-stop algorithm; a recovered "
+            "process may split leadership for good"]
+        assert any("recovers pids [1]" in issue
+                   for issue in model_violations(late, stop))
+        for plan in (bounce, late):
+            assert model_violations(plan, ModelEnvelope(n=5, source=0,
+                                                        f=2)) == []
+        assert model_violations(FaultPlan.crashes_at((10.0, 1)), stop) == []
+        with pytest.raises(ValueError, match="failure model"):
+            ModelEnvelope(n=5, source=0, f=2, failure_model="byzantine")
 
     def test_duplication_is_always_legal(self) -> None:
         envelope = ModelEnvelope(n=5, source=0, f=2, horizon=400.0)

@@ -10,7 +10,12 @@ from repro.core.config import OmegaConfig
 from repro.core.f_source import FSourceOmega
 from repro.core.omega import OmegaProtocol
 from repro.core.packet_efficient import PacketEfficientOmega
-from repro.core.registry import OMEGA_ALGORITHMS, algorithm_class, make_factory
+from repro.core.registry import (
+    OMEGA_ALGORITHMS,
+    algorithm_class,
+    failure_model,
+    make_factory,
+)
 from repro.core.source_omega import SourceOmega
 from repro.sim.engine import Simulation
 from repro.sim.network import Network
@@ -71,6 +76,11 @@ class TestRegistry:
         assert algorithm_class("comm-efficient") is CommEfficientOmega
         assert algorithm_class("f-source") is FSourceOmega
         assert algorithm_class("packet-efficient") is PacketEfficientOmega
+
+    def test_only_the_recovering_omega_survives_a_recover(self) -> None:
+        assert {name: failure_model(name) for name in OMEGA_ALGORITHMS} \
+            == {name: "crash-recovery" if name == "crash-recovery"
+                else "crash-stop" for name in OMEGA_ALGORITHMS}
 
     def test_unknown_name_lists_known(self) -> None:
         with pytest.raises(KeyError, match="all-timely"):

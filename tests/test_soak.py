@@ -106,6 +106,26 @@ class TestModelJudging:
         assert result.status == "model-violation"
         assert "persists" in result.detail
 
+    def test_a_recover_under_a_crash_stop_omega_is_reported_not_run(
+            self) -> None:
+        # Recovering the leader of a crash-stop Omega splits leadership
+        # for good (comm-efficient, n=3: the recovered p0 trusts itself,
+        # p1 and p2 trust p2); the crash-recovery Omega is built for it.
+        base = sample_soak_case(7, 2)
+        case = type(base)(
+            index=2, kind="omega", algorithm="comm-efficient",
+            system="source", n=3, source=0, targets=(), f=1, seed=1,
+            gst=5.0, fair_loss=0.2, horizon=300.0,
+            plan="crash(t=50.0,pid=0,recover=100.0)")
+        result = run_soak_case(case)
+        assert result.status == "model-violation"
+        assert "recovers pids [0] under a crash-stop algorithm" \
+            in result.detail
+        recovering = dataclasses.replace(case, algorithm="crash-recovery")
+        assert recovering.envelope().failure_model == "crash-recovery"
+        assert model_violations(recovering.fault_plan(),
+                                recovering.envelope()) == []
+
 
 class TestPlanReplay:
     def test_unparseable_plan_fails_without_running(self) -> None:
