@@ -20,9 +20,11 @@ class ConsensusConfig:
     Attributes
     ----------
     tick:
-        Period of the driver timer: retransmissions of every outstanding
-        message happen each tick (mandatory over fair-lossy links), and a
-        proposer (re)starts ballots on ticks.
+        Period of the driver timer: outstanding messages are
+        retransmitted on ticks (mandatory over fair-lossy links) — an
+        open log slot's ``Propose`` once the peer's measured round trip
+        has passed, never twice in one tick — and a proposer (re)starts
+        ballots on ticks.
     max_batch:
         Replicated log only: how many log instances the leader may keep
         open concurrently (the pipelining window).

@@ -28,6 +28,14 @@ most ``max_batch``, oldest first.  Promises seed a new leader's table,
 and a crashed peer costs the leader one message per tick, so eventually
 only the leader sends.
 
+**Resend by measured round trip.**  The leader resends an open slot's
+``Propose`` to a peer that has not accepted it only once that peer's
+retransmission timeout has passed since its last copy
+(:class:`~repro.consensus.retransmit.RoundTripTimer`: RFC 6298 on the
+leader's own ``Propose``→``Accepted`` round trips, floored at one tick);
+a fair-lossy link's first ``Accepted`` is often still on its way at the
+next tick.
+
 Client commands enter through :meth:`LogReplica.submit` on any node;
 non-leaders forward their whole pending queue to their Omega leader
 every tick (at-least-once, deduplicated by command id at propose and

@@ -86,13 +86,11 @@ class RoundTripTimer:
     is volatile: a recovered incarnation measures afresh.
     """
 
-    __slots__ = ("_floor", "_srtt", "_rttvar", "_rto", "_tick_at")
+    __slots__ = ("_floor", "_estimates", "_tick_at")
 
     def __init__(self, config: ConsensusConfig) -> None:
         self._floor = config.tick
-        self._srtt: dict[int, float] = {}
-        self._rttvar: dict[int, float] = {}
-        self._rto: dict[int, float] = {}
+        self._estimates: dict[int, tuple[float, float]] = {}  # SRTT, RTTVAR
         self._tick_at = float("-inf")
 
     def begin_tick(self, now: float) -> None:
@@ -103,23 +101,26 @@ class RoundTripTimer:
     def sample(self, peer: int, rtt: float) -> None:
         """Fold one round trip to ``peer`` into its estimate.  The caller
         keeps Karn's rule: no sample from a copy that was resent."""
-        srtt = self._srtt.get(peer)
-        if srtt is None:
+        estimate = self._estimates.get(peer)
+        if estimate is None:
             srtt, rttvar = rtt, rtt / 2
         else:
-            rttvar = 0.75 * self._rttvar[peer] + 0.25 * abs(srtt - rtt)
+            srtt, rttvar = estimate
+            rttvar = 0.75 * rttvar + 0.25 * abs(srtt - rtt)
             srtt = 0.875 * srtt + 0.125 * rtt
-        self._srtt[peer], self._rttvar[peer] = srtt, rttvar
-        self._rto[peer] = min(max(srtt + 2 * rttvar, self._floor),
-                              BACKOFF_CAP)
+        self._estimates[peer] = (srtt, rttvar)
 
     def rto(self, peer: int) -> float:
         """``peer``'s current timeout in seconds."""
-        return self._rto.get(peer, self._floor)
+        estimate = self._estimates.get(peer)
+        if estimate is None:
+            return self._floor
+        srtt, rttvar = estimate
+        return min(max(srtt + 2 * rttvar, self._floor), BACKOFF_CAP)
 
     def due(self, peer: int, sent_at: float, now: float) -> bool:
         """Whether a copy sent to ``peer`` at ``sent_at`` may go again."""
         if sent_at >= self._tick_at:
             return False
-        rto = self._rto.get(peer, self._floor)
-        return rto <= self._floor or now - sent_at >= rto
+        rto = self.rto(peer)
+        return rto == self._floor or now - sent_at >= rto

@@ -400,6 +400,23 @@ class TestProposeResendsByRoundTrip:
         assert leader.commit_index == 1 and not leader._open
 
 
+    def test_a_copy_the_rto_holds_back_never_reaches_the_gate(
+            self) -> None:
+        # Persisted n=3 leader, one open slot; peer 1's RTO is 1.8 s,
+        # peer 2 is unmeasured (the floor).
+        leader = leading_replica(open_slots=1, unacked=0)
+        sent = capture_sends(leader)
+        leader._rtt.sample(1, 0.9)
+        leader._drive()
+        leader.sim.run_until(CONFIG.tick)
+        leader._drive()
+        assert propose_times(sent, 1, 0) == [0.0]
+        assert propose_times(sent, 2, 0) == [0.0, CONFIG.tick]
+        stats = leader.load_stats()
+        assert (stats["retransmits_sent"], stats["retransmits_gated"]) \
+            == (3, 0)
+
+
 class TestPersistedLogEndToEnd:
     def test_open_loop_at_3_cps_commits_within_four_ticks(self) -> None:
         outcome = LoadSpec(n=5, persist=True, omega="crash-recovery",
