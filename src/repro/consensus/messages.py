@@ -11,6 +11,12 @@ message retransmitted forever on a fair-lossy link is delivered.
 Single-decree messages carry the ``instance`` they belong to: the same
 acceptor code (:class:`repro.consensus.paxos.Acceptor`) serves the
 repeated-consensus replica.
+
+The four kinds a leader sends — ``Prepare``, ``Propose``, ``Decide`` and
+``Decides`` — end in an optional ``stamp``: the sender's Omega
+``(counter, phase)`` while that Omega trusts the sender, ``None``
+otherwise.  A stamped message is a heartbeat: the receiver's Omega reads
+the stamp as an ``Alive`` from the sender (DESIGN.md, R2 and R5).
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ __all__ = [
     "Forward",
     "Forwards",
     "Decides",
+    "STAMPED",
+    "Stamp",
 ]
 
 
@@ -46,6 +54,9 @@ class Ballot(NamedTuple):
 BOTTOM_BALLOT = Ballot(-1, -1)
 """Sorts below every real ballot; the initial promise of an acceptor."""
 
+Stamp = tuple[int, int]
+"""A sender's Omega ``(counter, phase)``, carried by the leader's kinds."""
+
 
 @dataclass(frozen=True, slots=True)
 class Prepare(Message):
@@ -58,6 +69,7 @@ class Prepare(Message):
 
     ballot: Ballot
     from_instance: int
+    stamp: Stamp | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,6 +101,7 @@ class Propose(Message):
     instance: int
     value: Any
     commit_through: int
+    stamp: Stamp | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,6 +136,7 @@ class Decide(Message):
 
     instance: int
     value: Any
+    stamp: Stamp | None = None
 
     @property
     def entries(self) -> tuple[tuple[int, Any], ...]:
@@ -178,3 +192,8 @@ class Decides(Message):
     """Decided ``(instance, value)`` pairs one pass has for one peer."""
 
     entries: tuple[tuple[int, Any], ...]
+    stamp: Stamp | None = None
+
+
+STAMPED = (Prepare, Propose, Decide, Decides)
+"""The kinds that carry a :data:`Stamp`."""

@@ -169,7 +169,8 @@ class ConsensusSystem(Cluster):
                                        OmegaProtocol],
                make_agreement: AgreementFactory) -> "ConsensusSystem":
         """Every network (failure detector first, then one per group),
-        then every Omega, then each group's agreement processes."""
+        then every Omega, then each group's agreement processes, each
+        paired with its machine's Omega."""
         sim = Simulation(seed=seed)
         networks = []
         for _ in range(groups + 1):
@@ -180,7 +181,11 @@ class ConsensusSystem(Cluster):
                   for pid in range(n)}
         for network in networks[1:]:
             for pid, stack in stacks.items():
-                stack.append(make_agreement(pid, sim, network, stack[0].leader))
+                agreement = make_agreement(pid, sim, network, stack[0].leader)
+                # The agreement layer's leader messages are the Omega's
+                # heartbeats too (PaxosProcess.omega).
+                agreement.omega = stack[0]
+                stack.append(agreement)
         return cls(sim, networks, stacks)
 
     def group_of(self, key: Hashable) -> int:

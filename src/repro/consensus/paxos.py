@@ -44,15 +44,25 @@ those three carry never runs ahead of the durable log).  Without
 ``persist`` nothing touches storage and a recovered process comes back
 amnesiac — deliberately: that is the control case showing why Paxos
 needs stable storage in the crash-recovery model.
+
+The shell is also where agreement traffic doubles as the failure
+detector's heartbeat: paired with its machine's Omega
+(:attr:`PaxosProcess.omega`), it stamps every ``Prepare``, ``Propose``,
+``Decide`` and ``Decides`` it sends with what
+:meth:`~repro.core.omega.OmegaProtocol.stamp` returns, and hands every
+stamp it receives to :meth:`~repro.core.omega.OmegaProtocol.on_stamp`
+before the message's handler runs.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
 from repro.consensus.config import ConsensusConfig
 from repro.consensus.messages import (
     BOTTOM_BALLOT,
+    STAMPED,
     Accepted,
     Ballot,
     Nack,
@@ -66,10 +76,13 @@ from repro.sim.process import Process
 from repro.sim.storage import StableStorage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.omega import OmegaProtocol
     from repro.sim.engine import Simulation
     from repro.sim.network import Network
 
 __all__ = ["Acceptor", "BallotOwner", "PaxosProcess"]
+
+_STAMPED = frozenset(STAMPED)
 
 # Stable-storage keys (persist=True only).  Per-instance state uses
 # tuple keys so one flat store holds every instance.
@@ -232,6 +245,10 @@ class PaxosProcess(Process):
     HANDLERS: dict[type, str] = {Prepare: "_on_prepare",
                                  Promise: "_on_promise",
                                  Propose: "_on_propose", Nack: "_on_nack"}
+    omega: OmegaProtocol | None = None
+    """The machine's Omega, which stamps the leader kinds this process
+    sends and reads the stamps it receives; ``None`` (unpaired) sends
+    every message unstamped and ignores stamps."""
 
     def __init__(self, pid: int, sim: Simulation, network: Network, n: int,
                  leader_of: Callable[[], int],
@@ -321,9 +338,23 @@ class PaxosProcess(Process):
             # A delivery is a driver pass of its own (a Promise or an
             # Accepted may pump), and a sign of life from the sender.
             self._gate.begin_pass(heard=message.sender)
-        handler = self._handlers.get(type(message))
+        kind = type(message)
+        if kind in _STAMPED and message.stamp is not None \
+                and self.omega is not None:
+            self.omega.on_stamp(message.sender, message.stamp)
+        handler = self._handlers.get(kind)
         if handler is not None:
             handler(message)
+
+    def send(self, dst: int, message: Message) -> None:
+        """Send ``message``, stamped by :attr:`omega` if it is a leader
+        kind and that Omega stamps it."""
+        if type(message) in _STAMPED and self.omega is not None \
+                and not (self._crashed or self._paused):
+            stamp = self.omega.stamp(dst)
+            if stamp is not None:
+                message = replace(message, stamp=stamp)
+        super().send(dst, message)
 
     def _retransmit(self, peer: int, message: Message) -> bool:
         """Send — unconditionally in crash-stop runs (the classic

@@ -11,6 +11,13 @@ its simulated timestamp, so the checker can compute stabilization times
 without sampling error — and, for the algorithms where only a
 self-trusting process sends, the η heartbeat cycle that exists only
 while the process trusts itself (:meth:`OmegaProtocol._silence`).
+
+It also declares the two hooks through which a machine's agreement
+layer lends its traffic to the failure detector: :meth:`stamp` (the
+priority to carry on a leader message) and :meth:`on_stamp` (a priority
+read off one).  Both do nothing here; the
+:class:`~repro.core.source_omega.SourceOmega` family reads a stamped
+message as a heartbeat.
 """
 
 from __future__ import annotations
@@ -66,6 +73,20 @@ class OmegaProtocol(Process):
     def leader_changes(self) -> int:
         """How many times the output changed after the initial value."""
         return max(0, len(self.history) - 1)
+
+    def stamp(self, dst: int) -> tuple[int, int] | None:
+        """The priority to stamp on an agreement message leaving for
+        ``dst`` now, or ``None`` for an unstamped one.
+
+        Called only for a message that does leave, so an algorithm may
+        count the stamp as delivered heartbeat work.  The base class
+        stamps nothing.
+        """
+        return None
+
+    def on_stamp(self, sender: int, stamp: tuple[int, int]) -> None:
+        """Read the stamp on an agreement message from ``sender``; the
+        base class ignores it."""
 
     # ------------------------------------------------------------------
     # Subclass plumbing

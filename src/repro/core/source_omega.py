@@ -45,7 +45,7 @@ Why this implements Omega in the source system:
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Hashable, Iterable
 
 from repro.core.adaptive import AdaptiveController
 from repro.core.messages import Accusation, Alive, BatchedAlive
@@ -83,6 +83,8 @@ class SourceOmega(OmegaProtocol):
         self.adaptive = (AdaptiveController(self.config)
                          if self.config.adaptive_qos else None)
         self._lease: dict[int, int] = {}
+        # Per peer, when it was last sent a stamp and which one.
+        self._stamped: dict[int, tuple[float, tuple[int, int]]] = {}
 
     def on_start(self) -> None:
         super().on_start()
@@ -99,7 +101,14 @@ class SourceOmega(OmegaProtocol):
 
     def _heartbeat(self) -> None:
         if self.adaptive is None:
-            self.broadcast(Alive(self.pid, self.counter, self.phase))
+            alive = Alive(self.pid, self.counter, self.phase)
+            covered = self._covered()
+            if not covered:
+                self.broadcast(alive)
+                return
+            for dst in self.network.pids:
+                if dst != self.pid and dst not in covered:
+                    self.send(dst, alive)
             return
         # Adaptive degradation mode: per-peer batching.  A peer whose
         # accusations keep arriving is behind a degraded outgoing link;
@@ -118,6 +127,31 @@ class SourceOmega(OmegaProtocol):
             else:
                 self.send(dst, BatchedAlive(self.pid, self.counter,
                                             self.phase, lease))
+
+    def _covered(self) -> Iterable[int]:
+        """The peers sent a stamp equal to the current ``(counter,
+        phase)`` within the last η, window ends included."""
+        if not self._stamped:
+            return ()
+        since = self.now - self.config.eta
+        current = (self.counter, self.phase)
+        return {dst for dst, (at, stamp) in self._stamped.items()
+                if at >= since and stamp == current}
+
+    def stamp(self, dst: int) -> tuple[int, int] | None:
+        if self.adaptive is not None or self._leader != self.pid:
+            return None
+        stamp = (self.counter, self.phase)
+        self._stamped[dst] = (self.now, stamp)
+        return stamp
+
+    def on_stamp(self, sender: int, stamp: tuple[int, int]) -> None:
+        if self.adaptive is None and self.started and not self.crashed:
+            self._heard(sender, *stamp)
+
+    def on_crash(self) -> None:
+        super().on_crash()
+        self._stamped.clear()
 
     # ------------------------------------------------------------------
     # Priorities
@@ -154,12 +188,18 @@ class SourceOmega(OmegaProtocol):
             self.adaptive.observe_heartbeat(peer, self.now)
             self._lease[peer] = (message.lease
                                  if isinstance(message, BatchedAlive) else 1)
-        counter = self.counters.get(peer)
-        if counter is None or message.counter > counter:
-            counter = self.counters[peer] = message.counter
-        phase = self.phases.get(peer)
-        if phase is None or message.phase > phase:
-            self.phases[peer] = message.phase
+        self._heard(peer, message.counter, message.phase)
+
+    def _heard(self, peer: int, counter: int, phase: int) -> None:
+        """``peer`` announced ``(counter, phase)``, by ``Alive`` or stamp."""
+        known = self.counters.get(peer)
+        if known is None or counter > known:
+            self.counters[peer] = counter
+        else:
+            counter = known
+        known = self.phases.get(peer)
+        if known is None or phase > known:
+            self.phases[peer] = phase
         if peer == self._leader:
             # Steady state, the pseudocode's "reset timer_p": the beat is
             # from the leader we already trust, so only the watch moves —

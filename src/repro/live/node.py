@@ -222,6 +222,7 @@ class _Node:
                 self.replica.attach_storage(FileStorage(
                     spec.pid, self.clock, spec.storage_path,
                     hub=self.ag.hub))
+            self.replica.omega = self.omega
             self.replica.incarnation = spec.incarnation
             if spec.incarnation > 0 and spec.persist:
                 # Respawn after SIGKILL: rebuild promise/accepted/log
@@ -233,6 +234,7 @@ class _Node:
                 spec.pid, self.clock, self.ag, spec.n, spec.proposal,
                 leader_of=self.omega.leader,
                 config=ConsensusConfig(tick=spec.tick))
+            self.consensus.omega = self.omega
             self.consensus.incarnation = spec.incarnation
             self.consensus.start()
         server = await asyncio.start_server(

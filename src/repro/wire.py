@@ -13,6 +13,7 @@ byte layout is in docs/TRANSPORT.md ("The wire format").
 from __future__ import annotations
 
 import struct
+import types
 import typing
 from collections.abc import Hashable
 from dataclasses import fields
@@ -40,6 +41,10 @@ KINDS = tuple(None if name == "-" else f"repro.{module}.{name}"
 _KIND_IDS = {path: kind for kind, path in enumerate(KINDS, start=1) if path}
 
 _DOUBLE = struct.Struct(">d")
+
+#: Kind-id flag of a message whose trailing ``stamp`` field is set: the
+#: stamp follows the other fields.  Kind ids stay below it.
+_STAMPED = 0x80
 
 # Value tags of an ``"any"`` field.
 (_NONE, _FALSE, _TRUE, _INT, _FLOAT, _STR, _BYTES, _TUPLE, _LIST, _SET,
@@ -118,6 +123,9 @@ def _get_count(data: bytes, pos: int) -> tuple[int, int]:
 
 def _spec(hint: Any, where: str) -> str:
     args = typing.get_args(hint)
+    if (typing.get_origin(hint) in (typing.Union, types.UnionType)
+            and args == (tuple[int, int], type(None))):
+        return "stamp"
     if typing.get_origin(hint) is tuple:
         for arg in set(args) - {Ellipsis}:  # the parts need wire types too
             _spec(arg, where)
@@ -136,14 +144,18 @@ def _spec(hint: Any, where: str) -> str:
 def schema(cls: type) -> tuple[tuple[str, str], ...]:
     """``(field name, wire type)`` of each field of dataclass ``cls``.
 
-    ``"int"``, ``"ints"`` (``tuple[int, ...]``), ``"Ballot"`` or
-    ``"any"`` (``Any``, ``Hashable``, ``Message``, other tuples); any
+    ``"int"``, ``"ints"`` (``tuple[int, ...]``), ``"Ballot"``,
+    ``"any"`` (``Any``, ``Hashable``, ``Message``, other tuples) or
+    ``"stamp"`` (``tuple[int, int] | None``, the last field only); any
     other annotation raises ``TypeError``.
     """
     hints = typing.get_type_hints(cls)
-    return tuple((spec.name, _spec(hints[spec.name],
-                                   f"{cls.__name__}.{spec.name}"))
-                 for spec in fields(cls))
+    specs = tuple((spec.name, _spec(hints[spec.name],
+                                    f"{cls.__name__}.{spec.name}"))
+                  for spec in fields(cls))
+    if any(spec == "stamp" for _, spec in specs[:-1]):
+        raise TypeError(f"{cls.__name__}: a stamp must be the last field")
+    return specs
 
 
 def _put(spec: str, value: Any, out: bytearray) -> None:
@@ -196,17 +208,43 @@ def _kind_id(cls: type) -> int:
 
 
 def _put_message(message: Any, out: bytearray) -> None:
-    out.append(_kind_id(message.__class__))
-    for name, spec in schema(message.__class__):
-        _put(spec, getattr(message, name), out)
+    cls = message.__class__
+    at = len(out)
+    out.append(_kind_id(cls))
+    for name, spec in schema(cls):
+        value = getattr(message, name)
+        if spec != "stamp":
+            _put(spec, value, out)
+        elif value is not None:
+            # An unset stamp costs nothing: the flag says one follows.
+            if (value.__class__ is not tuple or len(value) != 2
+                    or any(item.__class__ is not int or item < 0
+                           for item in value)):
+                raise CodecError(f"expected a stamp of two ints >= 0, "
+                                 f"got {value!r}")
+            out[at] |= _STAMPED
+            _put_uvarint(value[0], out)
+            _put_uvarint(value[1], out)
 
 
 def _get_message(data: bytes, pos: int) -> tuple[Any, int]:
-    cls = kind_class(data[pos])
+    kind = data[pos]
+    cls = kind_class(kind & ~_STAMPED)
     pos += 1
+    specs = schema(cls)
+    stamped = kind & _STAMPED
+    if stamped and (not specs or specs[-1][1] != "stamp"):
+        raise CodecError(f"a {cls.__name__} carries no stamp")
     values = []
-    for _, spec in schema(cls):
-        value, pos = _get(spec, data, pos)
+    for _, spec in specs:
+        if spec != "stamp":
+            value, pos = _get(spec, data, pos)
+        elif stamped:
+            counter, pos = _get_uvarint(data, pos)
+            phase, pos = _get_uvarint(data, pos)
+            value = (counter, phase)
+        else:
+            value = None
         values.append(value)
     return cls(*values), pos
 

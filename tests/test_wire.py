@@ -31,6 +31,7 @@ from repro.wire import (KINDS, CodecError, encode, encode_value, kind_class,
 CLASSES = [kind_class(kind) for kind, path in enumerate(KINDS, start=1)
            if path is not None]
 INTS = st.integers(-2 ** 63, 2 ** 63 - 1)
+STAMP_INTS = st.integers(0, 2 ** 64 - 1)
 SCALARS = (st.none() | st.booleans() | INTS | st.text(max_size=8)
            | st.binary(max_size=8) | st.floats(allow_nan=False))
 HASHABLES = st.recursive(
@@ -52,7 +53,8 @@ VALUES = st.recursive(
 def _strategy(spec: str) -> st.SearchStrategy:
     """Values of one wire type, as :func:`repro.wire.schema` names it."""
     return {"int": INTS, "ints": st.lists(INTS, max_size=4).map(tuple),
-            "Ballot": st.builds(Ballot, INTS, INTS), "any": VALUES}[spec]
+            "Ballot": st.builds(Ballot, INTS, INTS), "any": VALUES,
+            "stamp": st.none() | st.tuples(STAMP_INTS, STAMP_INTS)}[spec]
 
 
 def _messages(cls) -> st.SearchStrategy:
