@@ -99,7 +99,7 @@ def recorder_of(backend) -> RunRecorder:
     return backend.transport.hub.first(RunRecorder)
 
 
-@pytest.fixture(params=["sim", "live"])
+@pytest.fixture(params=["sim", pytest.param("live", marks=pytest.mark.live)])
 def backend_name(request) -> str:
     return request.param
 
