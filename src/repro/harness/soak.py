@@ -219,7 +219,8 @@ class LiveSoakCase:
         return ModelEnvelope(
             n=self.n, source=0, f=(self.n - 1) // 2,
             gst=self.horizon * (1.0 - HEAL_MARGIN),
-            horizon=self.horizon, heal_margin=HEAL_MARGIN)
+            horizon=self.horizon, heal_margin=HEAL_MARGIN,
+            failure_model=failure_model(self.algorithm))
 
 
 @dataclass(frozen=True)
@@ -353,9 +354,10 @@ HEAL_MARGIN = 0.4
 #: persist)``.  Order is load-bearing — the ``persist=True`` replicated
 #: log leads, so a ``--cases 1`` campaign (the CI smoke job) is exactly
 #: the crash→SIGKILL→respawn→storage-recovery path under asymmetric
-#: netem with client load.
+#: netem with client load.  It respawns a pid, so its Omega is the
+#: crash-recovery one.
 _COMBOS: tuple[tuple[str, str, bool], ...] = (
-    ("log", "comm-efficient", True),
+    ("log", "crash-recovery", True),
     ("omega", "source", False),
     ("consensus", "comm-efficient", False),
     ("omega", "crash-recovery", False),

@@ -197,6 +197,10 @@ class TestSampling:
         assert lead.stack == "log" and lead.persist and lead.workload > 0
         assert "crash(" in lead.plan and "recover=" in lead.plan
         assert "dist=pareto" in lead.plan and "dist=uniform" in lead.plan
+        # It respawns a pid, so it runs the crash-recovery Omega and is
+        # judged in that model.
+        assert lead.algorithm == "crash-recovery"
+        assert lead.envelope().failure_model == "crash-recovery"
 
     def test_describe_carries_the_full_plan(self) -> None:
         case = sample_live_case(0, 0)
@@ -223,6 +227,16 @@ class TestCaseJudging:
                             plan="crash(t=1.0,pid=0)")
         result = run_soak_case(case, tmp_path)
         assert result.status == "model-violation"
+
+    def test_a_respawn_under_a_crash_stop_omega_is_out_of_model(
+            self, tmp_path) -> None:
+        case = LiveSoakCase(index=0, stack="log",
+                            algorithm="comm-efficient", n=3, persist=True,
+                            workload=10, seed=1, horizon=5.0,
+                            plan="crash(t=1.0,pid=1,recover=2.0)")
+        result = run_soak_case(case, tmp_path)
+        assert result.status == "model-violation"
+        assert "under a crash-stop algorithm" in result.detail
 
     def test_control_error_maps_to_named_timeout(self, tmp_path,
                                                  monkeypatch) -> None:
