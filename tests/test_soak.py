@@ -48,7 +48,7 @@ class TestDeterminism:
         ("plain", 0, 25, "952c7f0e9e1237fb"),
         ("recovery", 7, 50, "7d9d64ba6685feb3"),
         ("degraded", 7, 12, "78f5f58f9e5a4cdf"),
-        ("live", 7, 12, "77bc1a0a119b470f"),
+        ("live", 7, 12, "945fb44bbe48dab4"),
     ])
     def test_pinned_plan_digest(self, campaign: str, seed: int, cases: int,
                                 digest: str) -> None:
