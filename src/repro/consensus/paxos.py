@@ -56,7 +56,8 @@ before the message's handler runs.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
 from repro.consensus.config import ConsensusConfig
@@ -82,7 +83,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Acceptor", "BallotOwner", "PaxosProcess"]
 
-_STAMPED = frozenset(STAMPED)
+# Per stamped kind, its fields but the trailing stamp, in order.
+_UNSTAMPED_FIELDS = {
+    kind: attrgetter(*[field.name for field in fields(kind)][:-1])
+    for kind in STAMPED}
 
 # Stable-storage keys (persist=True only).  Per-instance state uses
 # tuple keys so one flat store holds every instance.
@@ -269,6 +273,11 @@ class PaxosProcess(Process):
         # only with persistence, where a peer may be down for a long
         # stretch and come back.  Its counters survive recovery.
         self._gate = RetransmitGate(self.config)
+        # The last stamped copy made, as (message, stamp, copy): one
+        # message fanned out to several peers at one instant is copied
+        # once.
+        self._stamped_copy: tuple[Message, tuple[int, int], Message] | None \
+            = None
         self._handlers = {kind: getattr(self, name)
                           for kind, name in self.HANDLERS.items()}
         self._reset()
@@ -339,7 +348,7 @@ class PaxosProcess(Process):
             # Accepted may pump), and a sign of life from the sender.
             self._gate.begin_pass(heard=message.sender)
         kind = type(message)
-        if kind in _STAMPED and message.stamp is not None \
+        if kind in _UNSTAMPED_FIELDS and message.stamp is not None \
                 and self.omega is not None:
             self.omega.on_stamp(message.sender, message.stamp)
         handler = self._handlers.get(kind)
@@ -349,11 +358,19 @@ class PaxosProcess(Process):
     def send(self, dst: int, message: Message) -> None:
         """Send ``message``, stamped by :attr:`omega` if it is a leader
         kind and that Omega stamps it."""
-        if type(message) in _STAMPED and self.omega is not None \
+        kind = type(message)
+        if kind in _UNSTAMPED_FIELDS and self.omega is not None \
                 and not (self._crashed or self._paused):
             stamp = self.omega.stamp(dst)
             if stamp is not None:
-                message = replace(message, stamp=stamp)
+                cached = self._stamped_copy
+                if cached is not None and cached[0] is message \
+                        and cached[1] == stamp:
+                    message = cached[2]
+                else:
+                    copy = kind(*_UNSTAMPED_FIELDS[kind](message), stamp)
+                    self._stamped_copy = (message, stamp, copy)
+                    message = copy
         super().send(dst, message)
 
     def _retransmit(self, peer: int, message: Message) -> bool:

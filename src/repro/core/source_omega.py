@@ -45,7 +45,7 @@ Why this implements Omega in the source system:
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Collection, Hashable
 
 from repro.core.adaptive import AdaptiveController
 from repro.core.messages import Accusation, Alive, BatchedAlive
@@ -128,7 +128,7 @@ class SourceOmega(OmegaProtocol):
                 self.send(dst, BatchedAlive(self.pid, self.counter,
                                             self.phase, lease))
 
-    def _covered(self) -> Iterable[int]:
+    def _covered(self) -> Collection[int]:
         """The peers sent a stamp equal to the current ``(counter,
         phase)`` within the last η, window ends included."""
         if not self._stamped:
@@ -146,7 +146,7 @@ class SourceOmega(OmegaProtocol):
         return stamp
 
     def on_stamp(self, sender: int, stamp: tuple[int, int]) -> None:
-        if self.adaptive is None and self.started and not self.crashed:
+        if self.adaptive is None and self._started and not self._crashed:
             self._heard(sender, *stamp)
 
     def on_crash(self) -> None:

@@ -44,7 +44,7 @@ _DOUBLE = struct.Struct(">d")
 
 #: Kind-id flag of a message whose trailing ``stamp`` field is set: the
 #: stamp follows the other fields.  Kind ids stay below it.
-_STAMPED = 0x80
+_STAMP_FLAG = 0x80
 
 # Value tags of an ``"any"`` field.
 (_NONE, _FALSE, _TRUE, _INT, _FLOAT, _STR, _BYTES, _TUPLE, _LIST, _SET,
@@ -222,19 +222,19 @@ def _put_message(message: Any, out: bytearray) -> None:
                            for item in value)):
                 raise CodecError(f"expected a stamp of two ints >= 0, "
                                  f"got {value!r}")
-            out[at] |= _STAMPED
+            out[at] |= _STAMP_FLAG
             _put_uvarint(value[0], out)
             _put_uvarint(value[1], out)
 
 
 def _get_message(data: bytes, pos: int) -> tuple[Any, int]:
     kind = data[pos]
-    cls = kind_class(kind & ~_STAMPED)
+    cls = kind_class(kind & ~_STAMP_FLAG)
     pos += 1
     specs = schema(cls)
-    stamped = kind & _STAMPED
+    stamped = kind & _STAMP_FLAG
     if stamped and (not specs or specs[-1][1] != "stamp"):
-        raise CodecError(f"a {cls.__name__} carries no stamp")
+        raise CodecError(f"{cls.__name__} carries no stamp")
     values = []
     for _, spec in specs:
         if spec != "stamp":
