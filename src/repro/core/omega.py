@@ -79,7 +79,7 @@ class OmegaProtocol(Process):
         ``dst`` now, or ``None`` for an unstamped one.
 
         Called only for a message that does leave, so an algorithm may
-        count the stamp as delivered heartbeat work.  The base class
+        count the stamp as a heartbeat sent to ``dst``.  The base class
         stamps nothing.
         """
         return None
