@@ -39,8 +39,6 @@ __all__ = [
     "Forward",
     "Forwards",
     "Decides",
-    "STAMPED",
-    "Stamp",
 ]
 
 
@@ -54,9 +52,6 @@ class Ballot(NamedTuple):
 BOTTOM_BALLOT = Ballot(-1, -1)
 """Sorts below every real ballot; the initial promise of an acceptor."""
 
-Stamp = tuple[int, int]
-"""A sender's Omega ``(counter, phase)``, carried by the leader's kinds."""
-
 
 @dataclass(frozen=True, slots=True)
 class Prepare(Message):
@@ -69,7 +64,7 @@ class Prepare(Message):
 
     ballot: Ballot
     from_instance: int
-    stamp: Stamp | None = None
+    stamp: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,7 +96,7 @@ class Propose(Message):
     instance: int
     value: Any
     commit_through: int
-    stamp: Stamp | None = None
+    stamp: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,7 +131,7 @@ class Decide(Message):
 
     instance: int
     value: Any
-    stamp: Stamp | None = None
+    stamp: tuple[int, int] | None = None
 
     @property
     def entries(self) -> tuple[tuple[int, Any], ...]:
@@ -192,8 +187,4 @@ class Decides(Message):
     """Decided ``(instance, value)`` pairs one pass has for one peer."""
 
     entries: tuple[tuple[int, Any], ...]
-    stamp: Stamp | None = None
-
-
-STAMPED = (Prepare, Propose, Decide, Decides)
-"""The kinds that carry a :data:`Stamp`."""
+    stamp: tuple[int, int] | None = None

@@ -63,9 +63,10 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 from repro.consensus.config import ConsensusConfig
 from repro.consensus.messages import (
     BOTTOM_BALLOT,
-    STAMPED,
     Accepted,
     Ballot,
+    Decide,
+    Decides,
     Nack,
     Prepare,
     Promise,
@@ -83,10 +84,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Acceptor", "BallotOwner", "PaxosProcess"]
 
-# Per stamped kind, its fields but the trailing stamp, in order.
+# Per stamped kind (the four a leader sends), its fields but the
+# trailing stamp, in order.
 _UNSTAMPED_FIELDS = {
     kind: attrgetter(*[field.name for field in fields(kind)][:-1])
-    for kind in STAMPED}
+    for kind in (Prepare, Propose, Decide, Decides)}
 
 # Stable-storage keys (persist=True only).  Per-instance state uses
 # tuple keys so one flat store holds every instance.

@@ -83,8 +83,11 @@ class SourceOmega(OmegaProtocol):
         self.adaptive = (AdaptiveController(self.config)
                          if self.config.adaptive_qos else None)
         self._lease: dict[int, int] = {}
-        # Per peer, when it was last sent a stamp and which one.
+        # Per peer, when it was last sent a stamp since the last beat,
+        # and which one.
         self._stamped: dict[int, tuple[float, tuple[int, int]]] = {}
+        # Per sender, the last stamp read and when.
+        self._stamps_read: dict[int, tuple[float, tuple[int, int]]] = {}
 
     def on_start(self) -> None:
         super().on_start()
@@ -130,13 +133,16 @@ class SourceOmega(OmegaProtocol):
 
     def _covered(self) -> Collection[int]:
         """The peers sent a stamp equal to the current ``(counter,
-        phase)`` within the last η, window ends included."""
+        phase)`` since the last beat and within the last η, window ends
+        included.  The stamps are then forgotten: each covers one beat."""
         if not self._stamped:
             return ()
         since = self.now - self.config.eta
         current = (self.counter, self.phase)
-        return {dst for dst, (at, stamp) in self._stamped.items()
-                if at >= since and stamp == current}
+        covered = {dst for dst, (at, stamp) in self._stamped.items()
+                   if at >= since and stamp == current}
+        self._stamped.clear()
+        return covered
 
     def stamp(self, dst: int) -> tuple[int, int] | None:
         if self.adaptive is not None or self._leader != self.pid:
@@ -147,7 +153,12 @@ class SourceOmega(OmegaProtocol):
 
     def on_stamp(self, sender: int, stamp: tuple[int, int]) -> None:
         if self.adaptive is None and self._started and not self._crashed:
-            self._heard(sender, *stamp)
+            # The same stamp read again at the same instant (one fan-out
+            # per agreement group) says nothing new.
+            read = (self.now, stamp)
+            if self._stamps_read.get(sender) != read:
+                self._stamps_read[sender] = read
+                self._heard(sender, *stamp)
 
     def on_crash(self) -> None:
         super().on_crash()

@@ -4,7 +4,7 @@ A self-trusting ``SourceOmega``-family process stamps its agreement
 layer's ``Prepare``/``Propose``/``Decide``/``Decides`` with its Omega
 ``(counter, phase)``; a receiver reads the stamp exactly as an ``Alive``
 from the sender, and at each η beat the ``Alive`` to a peer that got the
-current stamp within ``[now − η, now]`` is skipped.
+current stamp since the last beat, within ``[now − η, now]``, is skipped.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.consensus.messages import (
-    STAMPED,
     Ballot,
     Decide,
     Decides,
@@ -25,6 +24,7 @@ from repro.core.comm_efficient import CommEfficientOmega
 from repro.core.config import OmegaConfig
 from repro.core.messages import Accusation, Alive
 from repro.core.source_omega import SourceOmega
+from repro.harness.soak import run_soak_case, sample_soak_case
 from repro.live.codec import decode_frame, encode_frame
 from repro.sim.engine import Simulation
 from repro.sim.network import Network
@@ -32,6 +32,7 @@ from repro.sim.topology import all_timely_links
 from repro.wire import CodecError, decode_value, encode, encode_value
 
 ETA = OmegaConfig().eta  # 0.5
+STAMPED = (Prepare, Propose, Decide, Decides)
 
 
 def hand_wired(network: Network) -> list:
@@ -84,6 +85,20 @@ class TestHeartbeatSkip:
         p0.stamp(2)
         sim.run_until(2 * ETA)
         assert alives_to(sent) == [1]
+
+    def test_a_stamp_covers_one_beat_only(self) -> None:
+        # A stamp sent at a beat's instant, before that beat runs, covers
+        # it; the next beat, exactly η later, still sends the Alive.
+        sim, network, (p0, _, _) = omegas()
+        sent = hand_wired(network)
+        p0.start()
+        sim.call_at(2 * ETA, lambda: p0.stamp(1))  # queued before the beat
+        sim.run_until(ETA)
+        sent.clear()
+        sim.run_until(2 * ETA)
+        assert alives_to(sent) == [2]
+        sim.run_until(3 * ETA)
+        assert alives_to(sent) == [1, 2]
 
     def test_a_priority_change_since_the_stamp_sends_the_alive(self) -> None:
         sim, network, (p0, _, _) = omegas()
@@ -168,6 +183,22 @@ class TestStampReceipt:
         sim.run_until(2 * timeout)  # past the stamp's deadline
         assert p1.leader() == 1
 
+    def test_a_stamp_read_again_at_the_same_instant_is_ignored(self) -> None:
+        # One fan-out per agreement group: the repeats move no timer.
+        sim, network, (_, p1, _) = omegas()
+        hand_wired(network)
+        p1.start()
+        p1.deliver(Alive(0, 0, 0))
+        sim.run_until(0.3)
+        armed = []
+        p1.set_timer = lambda key, delay: armed.append(key)
+        for _ in range(4):
+            p1.on_stamp(0, (0, 0))
+        assert armed == ["watch"]
+        p1.on_stamp(0, (1, 1))  # a new stamp is read at once
+        assert p1.counters[0] == 1
+        assert armed == ["watch", "watch"]
+
     def test_a_stamp_outranked_by_the_leader_changes_nothing(self) -> None:
         sim, network, (_, _, p2) = omegas()
         hand_wired(network)
@@ -176,6 +207,15 @@ class TestStampReceipt:
         p2.on_stamp(1, (0, 0))  # (0, 1) ranks below the leader's (0, 0)
         assert p2.leader() == 0
         assert p2.counters == {0: 0, 1: 0}
+
+
+class TestSoakReplays:
+    # Plain-soak log cases whose non-source leader was demoted in the
+    # last second of the horizon while one stamp covered two beats.
+    @pytest.mark.parametrize("seed, index", [(3, 77), (9, 56)])
+    def test_the_calm_tail_holds(self, seed: int, index: int) -> None:
+        result = run_soak_case(sample_soak_case(seed, index))
+        assert result.status == "ok", result.detail
 
 
 def hand_delivered_log(n: int = 3):  # noqa: ANN201
