@@ -86,8 +86,6 @@ class SourceOmega(OmegaProtocol):
         # Per peer, when it was last sent a stamp since the last beat,
         # and which one.
         self._stamped: dict[int, tuple[float, tuple[int, int]]] = {}
-        # Per sender, the last stamp read and when.
-        self._stamps_read: dict[int, tuple[float, tuple[int, int]]] = {}
 
     def on_start(self) -> None:
         super().on_start()
@@ -153,12 +151,7 @@ class SourceOmega(OmegaProtocol):
 
     def on_stamp(self, sender: int, stamp: tuple[int, int]) -> None:
         if self.adaptive is None and self._started and not self._crashed:
-            # The same stamp read again at the same instant (one fan-out
-            # per agreement group) says nothing new.
-            read = (self.now, stamp)
-            if self._stamps_read.get(sender) != read:
-                self._stamps_read[sender] = read
-                self._heard(sender, *stamp)
+            self._heard(sender, *stamp)
 
     def on_crash(self) -> None:
         super().on_crash()

@@ -183,22 +183,6 @@ class TestStampReceipt:
         sim.run_until(2 * timeout)  # past the stamp's deadline
         assert p1.leader() == 1
 
-    def test_a_stamp_read_again_at_the_same_instant_is_ignored(self) -> None:
-        # One fan-out per agreement group: the repeats move no timer.
-        sim, network, (_, p1, _) = omegas()
-        hand_wired(network)
-        p1.start()
-        p1.deliver(Alive(0, 0, 0))
-        sim.run_until(0.3)
-        armed = []
-        p1.set_timer = lambda key, delay: armed.append(key)
-        for _ in range(4):
-            p1.on_stamp(0, (0, 0))
-        assert armed == ["watch"]
-        p1.on_stamp(0, (1, 1))  # a new stamp is read at once
-        assert p1.counters[0] == 1
-        assert armed == ["watch", "watch"]
-
     def test_a_stamp_outranked_by_the_leader_changes_nothing(self) -> None:
         sim, network, (_, _, p2) = omegas()
         hand_wired(network)
