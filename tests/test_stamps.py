@@ -194,8 +194,8 @@ class TestStampReceipt:
 
 
 class TestSoakReplays:
-    # Plain-soak log cases whose non-source leader was demoted in the
-    # last second of the horizon while one stamp covered two beats.
+    # Plain-soak log cases that lost the calm tail (a leader change in
+    # the last second) when one stamp could cover two beats.
     @pytest.mark.parametrize("seed, index", [(3, 77), (9, 56)])
     def test_the_calm_tail_holds(self, seed: int, index: int) -> None:
         result = run_soak_case(sample_soak_case(seed, index))
