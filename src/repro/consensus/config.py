@@ -24,7 +24,9 @@ class ConsensusConfig:
         retransmitted on ticks (mandatory over fair-lossy links) — an
         open log slot's ``Propose`` once the peer's measured round trip
         has passed, never twice in one tick — and a proposer (re)starts
-        ballots on ticks.
+        ballots on ticks.  The replicated log batches on ticks only
+        under load: an idle log forwards and proposes a new command at
+        once (Nagle's rule, :mod:`repro.consensus.replica`).
     max_batch:
         Replicated log only: how many log instances the leader may keep
         open concurrently (the pipelining window).

@@ -37,16 +37,26 @@ a fair-lossy link's first ``Accepted`` is often still on its way at the
 next tick.
 
 Client commands enter through :meth:`LogReplica.submit` on any node;
-non-leaders forward their whole pending queue to their Omega leader
-every tick (at-least-once, deduplicated by command id at propose and
-apply time).
+non-leaders forward their pending queue to their Omega leader
+(at-least-once, deduplicated by command id at propose and apply time).
 
-The tick-paced driver sends **at most one message of a kind to a peer
-per pass**: the pending queue travels as one ``Forwards``, the pass's
-decisions for a peer as one ``Decides``, answered by one ``DecideAck``
-— typed fair-lossy links promise delivery per message *type*, not per
-command.  A pass with a single entry sends the plain ``Forward`` /
-``Decide``, so low-rate schedules are unchanged.
+**Nagle's rule.**  Batching pays only under load, so an idle pipeline
+does not wait for the tick.  A follower whose pending queue was empty
+forwards a new command to its leader at once; a leader with no open
+slot proposes at once on a local submit or a ``Forward`` receipt (every
+waiting command, up to ``max_batch`` slots of ``batch_size``).  With
+any slot open, new commands wait for the tick, which opens the slots,
+resends what is due and re-forwards every pending command the follower
+has not forwarded to that leader since the previous tick — so a loaded
+log batches exactly as a tick-paced one.  A ``Propose`` sent between
+ticks is resent only once its peer's RTO has passed in seconds.
+
+Each pass sends **at most one message of a kind to a peer**: the
+pending queue travels as one ``Forwards``, the pass's decisions for a
+peer as one ``Decides``, answered by one ``DecideAck`` — typed
+fair-lossy links promise delivery per message *type*, not per command.
+A pass with a single entry sends the plain ``Forward`` / ``Decide``,
+and a follower sends one forward message per instant.
 
 Safety is the ballot protocol of :mod:`repro.consensus.paxos` — one
 acceptor and one ballot owner, shared with the single-decree class — and
@@ -98,6 +108,11 @@ __all__ = ["Batch", "LogReplica", "NOOP", "entry_commands"]
 # tenth of ``repro.live.codec.MAX_FRAME``.
 FORWARD_SPLIT = 256
 
+# A leader keeps this many pipelines' worth (``max_batch`` slots each)
+# of closed slots, so an ``Accepted`` that arrives after its quorum
+# still times a round trip.
+CLOSED_KEPT = 4
+
 _K_LOG = "log"  # stable storage: (("log", instance) -> decided value)
 
 NOOP = None
@@ -140,16 +155,18 @@ PHASE_LEADING = "leading"
 
 class _OpenSlot:
     """A leader-side in-flight instance: who accepted it, when each peer
-    got its last copy, and which peers got more than one (Karn's rule:
-    their replies time no round trip)."""
+    got its last copy, which peers got more than one (Karn's rule:
+    their replies time no round trip), and which got their last copy
+    between ticks (their RTO counts in seconds)."""
 
-    __slots__ = ("value", "acks", "sent", "resent")
+    __slots__ = ("value", "acks", "sent", "resent", "early")
 
     def __init__(self, value: Any, acks: set[int]) -> None:
         self.value = value
         self.acks = acks
         self.sent: dict[int, float] = {}
         self.resent: set[int] = set()
+        self.early: set[int] = set()
 
 
 class LogReplica(PaxosProcess):
@@ -212,13 +229,19 @@ class LogReplica(PaxosProcess):
         self._proposed = False
         # Leader state; ``_in_flight`` holds the ids of the commands the
         # open slots carry (kept in step with ``_open`` by
-        # _open_slot/_maybe_close/_abandon_open).
+        # _open_slot/_maybe_close/_abandon_open).  ``_closed`` keeps the
+        # last CLOSED_KEPT * max_batch slots of this ballot to quorum.
         self._open: dict[int, _OpenSlot] = {}
+        self._closed: dict[int, _OpenSlot] = {}
         self._in_flight: set[Hashable] = set()
         self._next_instance = 0
         self._rtt = RoundTripTimer(self.config)
-        # Client command intake (insertion ordered).
+        # Client command intake (insertion ordered), and the ids a
+        # follower forwarded at once since the previous tick, to whom,
+        # and when the last one went.
         self.pending: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._forwarded: dict[Hashable, int] = {}
+        self._forwarded_at = float("-inf")
 
     def _restore(self, storage: StableStorage) -> None:
         for key in storage.durable_keys():
@@ -244,18 +267,38 @@ class LogReplica(PaxosProcess):
         and the pending queue is full.  A shed is the backpressure
         signal — the caller should defer and resubmit later, possibly to
         another node.  Commands already committed report ``True``.
+
+        An idle pipeline moves the command on at once (Nagle's rule, see
+        the module docstring); a busy one leaves it to the next tick.
         """
         if self._crashed:
             return False
         pending = self.pending
         if command_id in self.committed_ids or command_id in pending:
             return True
-        depth = len(pending)
+        if not self._enqueue(command_id, command):
+            return False
+        if self._leading():
+            if not self._open:
+                if self.persist:
+                    self._gate.begin_pass()  # a pass of its own
+                self._pump_proposals(tick=False)
+        elif len(pending) == 1:
+            leader = self.leader_of()
+            if leader != self.pid:
+                self._forwarded[command_id] = leader
+                self._forwarded_at = self.now
+                self.send(leader, Forward(self.pid, command_id, command))
+        return True
+
+    def _enqueue(self, command_id: Hashable, command: Any) -> bool:
+        """Queue a new command, or shed it (False) if the queue is full."""
+        depth = len(self.pending)
         limit = self.config.queue_limit
         if limit is not None and depth >= limit:
             self.shed_count += 1
             return False
-        pending[command_id] = command
+        self.pending[command_id] = command
         if depth >= self.max_queue_depth:
             self.max_queue_depth = depth + 1
         return True
@@ -294,16 +337,17 @@ class LogReplica(PaxosProcess):
 
     def _pass(self) -> None:
         self._rtt.begin_tick(self.now)
+        forwarded, self._forwarded = self._forwarded, {}
         self._spread_decisions()
         if self.leader_of() != self.pid:
             self._step_down("abandoned")
-            self._forward_pending()
+            self._forward_pending(forwarded)
         elif self.phase == PHASE_FOLLOWER:
             self._start_ballot(self.commit_index + 1)
         elif self.phase == PHASE_PREPARING:
             self._send_prepares()
         else:
-            self._pump_proposals()
+            self._pump_proposals(tick=True)
 
     def _step_down(self, why: str) -> None:
         # Commands in open slots that fail to commit re-enter via client
@@ -311,13 +355,16 @@ class LogReplica(PaxosProcess):
         self.phase = PHASE_FOLLOWER
         self._abandon_open()
 
-    def _forward_pending(self) -> None:
+    def _forward_pending(self, forwarded: dict[Hashable, int]) -> None:
         leader = self.leader_of()
-        if leader == self.pid or not self.pending:
-            return
-        # Everything pending, every pass: typed fairness then covers
-        # every command.  Split only to bound the frame size.
-        commands = tuple(self.pending.items())
+        if leader == self.pid or not self.pending \
+                or self._forwarded_at == self.now:
+            return  # (at most one forward message per instant)
+        # Everything pending but what went to this leader since the
+        # previous tick: typed fairness then covers every command.
+        # Split only to bound the frame size.
+        commands = tuple(item for item in self.pending.items()
+                         if forwarded.get(item[0]) != leader)
         for start in range(0, len(commands), FORWARD_SPLIT):
             chunk = commands[start:start + FORWARD_SPLIT]
             self.send(leader, Forwards(self.pid, chunk) if len(chunk) > 1
@@ -337,11 +384,11 @@ class LogReplica(PaxosProcess):
             value = reported[1] if reported is not None else NOOP
             self._open_slot(instance, value)
         self._next_instance = top + 1
-        self._pump_proposals()
+        self._pump_proposals(tick=False)
 
     # --- steady-state leading -------------------------------------------
 
-    def _pump_proposals(self) -> None:
+    def _pump_proposals(self, tick: bool) -> None:
         # Open new slots for pending commands, up to the pipeline budget
         # (``max_batch`` concurrent instances), packing up to
         # ``batch_size`` commands per slot.  Commands stay in ``pending``
@@ -369,15 +416,18 @@ class LogReplica(PaxosProcess):
         # Transmit every open slot to the peers that have not accepted
         # it: a first copy at once, a resend once the peer's RTO has
         # passed since its last copy (then, with persistence, the gate).
+        # Only a tick resends: a pass between ticks finds no slot open
+        # but those it opened.
         ballot, now, due = self.owner.ballot, self.now, self._rtt.due
         for instance, slot in self._open.items():
             message = None
-            sent, acks = slot.sent, slot.acks
+            sent, acks, early = slot.sent, slot.acks, slot.early
             for peer in range(self.n):
                 if peer == self.pid or peer in acks:
                     continue
                 last = sent.get(peer)
-                if last is not None and not due(peer, last, now):
+                if last is not None \
+                        and not due(peer, last, now, peer in early):
                     continue
                 if message is None:
                     message = Propose(self.pid, ballot, instance, slot.value,
@@ -386,6 +436,10 @@ class LogReplica(PaxosProcess):
                     sent[peer] = now
                     if last is not None:
                         slot.resent.add(peer)
+                    if tick:
+                        early.discard(peer)
+                    else:
+                        early.add(peer)
                     self._proposed = True
 
     def _open_batch(self, batch: list[tuple[Hashable, Any]]) -> None:
@@ -397,6 +451,7 @@ class LogReplica(PaxosProcess):
 
     def _abandon_open(self) -> None:
         self._open.clear()
+        self._closed.clear()
         self._in_flight.clear()
 
     def _open_slot(self, instance: int, value: Any) -> None:
@@ -425,6 +480,10 @@ class LogReplica(PaxosProcess):
         if slot is None or len(slot.acks) < self.majority:
             return
         del self._open[instance]
+        closed = self._closed
+        closed[instance] = slot
+        if len(closed) > CLOSED_KEPT * self.config.max_batch:
+            del closed[next(iter(closed))]
         self._in_flight.difference_update(
             command_id for command_id, _ in entry_commands(slot.value))
         self._learn(instance, slot.value)
@@ -502,12 +561,15 @@ class LogReplica(PaxosProcess):
     # ------------------------------------------------------------------
 
     def _on_forward(self, message: Forward | Forwards) -> None:
-        # A follower re-forwards its whole queue every pass, so most ids
-        # are already known here; submit() would accept those unchanged.
+        # A follower re-forwards its queue every tick, so most ids are
+        # already known here.  An idle leader proposes the new ones at
+        # once (Nagle's rule), all of the message's together.
         pending, committed = self.pending, self.committed_ids
         for command_id, command in message.commands:
             if command_id not in pending and command_id not in committed:
-                self.submit(command_id, command)
+                self._enqueue(command_id, command)
+        if self._leading() and not self._open:
+            self._pump_proposals(tick=False)
 
     def _take_hint(self, message: Propose) -> None:
         # Safe piggyback (see module docstring): an instance at or below
@@ -537,7 +599,10 @@ class LogReplica(PaxosProcess):
         if self.phase != PHASE_LEADING \
                 or message.ballot != self.owner.ballot:
             return
+        # A slot closed by quorum still times its late replies.
         slot = self._open.get(message.instance)
+        if slot is None:
+            slot = self._closed.get(message.instance)
         if slot is not None:
             sender = message.sender
             sent = slot.sent.get(sender)

@@ -4,7 +4,8 @@ Two rules, applied in this order where both hold:
 
 - :class:`RoundTripTimer` (the replicated log's leader, every run):
   an open slot's ``Propose`` goes to a peer again only once that peer's
-  measured round trip has passed, not at every tick;
+  measured round trip has passed, not at every tick (nor at the first
+  tick after a copy sent between ticks);
 - :class:`RetransmitGate` (``persist=True`` only): a crash-recovery peer
   may stay down for minutes, so the driver backs off toward a silent
   peer — but **once per driver pass**, never once per message.
@@ -80,10 +81,14 @@ class RoundTripTimer:
     peer is resent more often than at every tick, and capped at
     ``BACKOFF_CAP``; a peer with no sample yet sits at the floor.
 
-    The floor counts ticks, not seconds: a copy is never resent in the
-    tick pass that sent it, and an RTO at the floor has passed once any
-    later tick begins, however early a live clock fires it.  All state
-    is volatile: a recovered incarnation measures afresh.
+    For a copy a tick pass sent, the floor counts ticks, not seconds: a
+    copy is never resent in the tick pass that sent it, and an RTO at
+    the floor has passed once any later tick begins, however early a
+    live clock fires it.  A copy sent between ticks (the replicated
+    log's idle leader proposes at once) counts its RTO in seconds, the
+    floor included, so the next tick does not resend a copy that left
+    just before it.  All state is volatile: a recovered incarnation
+    measures afresh.
     """
 
     __slots__ = ("_floor", "_estimates", "_tick_at")
@@ -118,9 +123,12 @@ class RoundTripTimer:
         srtt, rttvar = estimate
         return min(max(srtt + 2 * rttvar, self._floor), BACKOFF_CAP)
 
-    def due(self, peer: int, sent_at: float, now: float) -> bool:
-        """Whether a copy sent to ``peer`` at ``sent_at`` may go again."""
+    def due(self, peer: int, sent_at: float, now: float,
+            between_ticks: bool = False) -> bool:
+        """Whether a copy sent to ``peer`` at ``sent_at`` — in a tick
+        pass, or ``between_ticks`` — may go again."""
         if sent_at >= self._tick_at:
             return False
         rto = self.rto(peer)
-        return rto == self._floor or now - sent_at >= rto
+        return (rto == self._floor and not between_ticks) \
+            or now - sent_at >= rto

@@ -92,9 +92,12 @@ def test_a_backlog_over_the_split_constant_is_forwarded_whole() -> None:
                 for client in range(2 * FORWARD_SPLIT + 1)]
     for command_id, command in commands:
         assert follower.submit(command_id, command)
+    # The first command went at once (the queue was empty); the next
+    # tick forwards the rest.
+    sim.run_until(0.5)
     follower._drive()
     assert [type(message) for _, message in sent] == [
-        Forwards, Forwards, Forward]
+        Forward, Forwards, Forwards]
     assert {peer for peer, _ in sent} == {0}
     assert [pair for _, message in sent
             for pair in message.commands] == commands
@@ -121,7 +124,7 @@ ENTRIES = (
 def build_pair(kind: str):  # noqa: ANN201
     """An unstarted, prepared leader (pid 0) that has decided
     ``ENTRIES`` and heard no watermark, and a started follower (pid 1)
-    whose sends are handed straight to it."""
+    whose sends from then on are handed straight to it."""
     sim = Simulation()
     network = Network(sim)
 
@@ -139,7 +142,6 @@ def build_pair(kind: str):  # noqa: ANN201
         leader.log[instance] = value
     leader.commit_index = leader._next_instance = len(ENTRIES)
     leader.commit_index -= 1
-    leader.owner.ballot, leader.phase = Ballot(0, 0), PHASE_LEADING
     follower.start()
     sent = []
 
@@ -149,8 +151,13 @@ def build_pair(kind: str):  # noqa: ANN201
             leader.deliver(message)
 
     follower.send = hand_over
+    # The idle follower forwards its first command at once; the leader,
+    # not yet prepared, only queues it (a prepared one would propose it
+    # to pid 2, which this pair lacks).
     follower.submit(10, "a")
     follower.submit(99, "z")
+    sent.clear()
+    leader.owner.ballot, leader.phase = Ballot(0, 0), PHASE_LEADING
     if kind == "compacting":
         # A snapshot base inside the entries: instances 0..1 are gone.
         follower.deliver(SnapshotOffer(0, 1, ("x", "y"), (7, 8)))

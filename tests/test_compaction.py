@@ -15,7 +15,7 @@ from repro.consensus import (
     SnapshotOffer,
     check_compacting_log,
 )
-from repro.consensus.messages import Ballot, Prepare
+from repro.consensus.messages import Ballot, Forward, Prepare
 from repro.sim import FaultPlan, LinkTimings
 from repro.sim.engine import Simulation
 from repro.sim.network import Network
@@ -179,7 +179,9 @@ class TestSnapshotTransfer:
     def test_install_updates_dedup_state(self) -> None:
         _, replicas = build_pair()
         replica = replicas[0]
-        replica.submit(5, "queued-cmd")
+        # Queued by a peer's forward: an idle follower's own submit
+        # forwards at once, and pid 99 is no member here.
+        replica.deliver(Forward(2, 5, "queued-cmd"))
         replica.deliver(SnapshotOffer(1, through=3,
                                       state=("w", "x", "queued-cmd"),
                                       applied_ids=(1, 2, 5)))

@@ -223,8 +223,7 @@ class TestWatermarks:
             for peer in quorum:
                 deliver(leader.pid, peer)
                 deliver(peer, leader.pid)
-            leader.submit(command, command.upper())
-            leader._pump_proposals()
+            leader.submit(command, command.upper())  # proposed at once
             for peer in ((1,) if leader is old else quorum):
                 deliver(leader.pid, peer)
                 deliver(peer, leader.pid)
@@ -262,7 +261,7 @@ class TestWatermarks:
         for peer in (1, 3):
             deliver(peer, 0)
         deliver(0, 1)
-        old.submit("q", "Q")
-        old._pump_proposals()
+        old.submit("q", "Q")  # slot 0 is open: it waits for the tick
+        old._pump_proposals(tick=True)
         deliver(0, 1)
         assert voter.log.get(0) == ("v", "V")

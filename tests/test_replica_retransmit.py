@@ -267,6 +267,15 @@ def tick(sim: Simulation, leader: LogReplica, at: float) -> None:
     leader._drive()
 
 
+def submit(sim: Simulation, leader: LogReplica, at: float,
+           command_id: object, command: object) -> None:
+    """Submit at ``at``: with no slot open the leader proposes at once,
+    so a submit at a tick instant puts the first copies on the tick
+    grid."""
+    sim.run_until(at)
+    leader.submit(command_id, command)
+
+
 def accept(sim: Simulation, leader: LogReplica, at: float, peer: int,
            instance: int) -> None:
     sim.run_until(at)
@@ -330,7 +339,7 @@ class TestProposeResendsByRoundTrip:
         # Slot 1: peer 3 answers at once, peer 4 takes 0.7 s — longer
         # than a tick, shorter than its RTO.  Peers 1 and 2 never
         # answered anything: their RTO is the floor.
-        leader.submit("b", 2)
+        submit(sim, leader, 0.5, "b", 2)
         tick(sim, leader, 0.5)
         accept(sim, leader, 0.6, 3, 1)
         tick(sim, leader, 1.0)
@@ -361,10 +370,14 @@ class TestProposeResendsByRoundTrip:
     def test_a_fast_peer_is_resent_at_most_once_per_tick_early_or_not(
             self) -> None:
         sim, leader, sent = hand_driven_leader()
-        # Peers 1 and 4 answer three slots within a millisecond.
+        # Peers 1 and 4 answer three slots within a millisecond.  Slot
+        # 3's command comes while slot 2 is open, so it waits for the
+        # next tick.
         for instance in range(3):
-            leader.submit(instance, "x")
+            submit(sim, leader, instance * CONFIG.tick, instance, "x")
             tick(sim, leader, instance * CONFIG.tick)
+            if instance == 2:
+                leader.submit(3, "x")
             for peer in (1, 4):
                 accept(sim, leader, instance * CONFIG.tick + 0.001, peer,
                        instance)
@@ -372,7 +385,6 @@ class TestProposeResendsByRoundTrip:
         assert leader._rtt.rto(4) == CONFIG.tick
         # Slot 3 goes unanswered by peer 4 while ticks fire 1 ms early,
         # as a live clock's may; peer 1's reply is a pass in between.
-        leader.submit(3, "x")
         ticks = [1.5 + k * (CONFIG.tick - 0.001) for k in range(5)]
         for k, at in enumerate(ticks):
             tick(sim, leader, at)
@@ -387,7 +399,7 @@ class TestProposeResendsByRoundTrip:
         tick(sim, leader, 0.0)
         accept(sim, leader, 0.4, 3, 0)
         accept(sim, leader, 0.4, 4, 0)  # RTO 0.8 s
-        leader.submit("b", 2)
+        submit(sim, leader, 0.5, "b", 2)
         tick(sim, leader, 0.5)
         accept(sim, leader, 0.6, 3, 1)
         # Peer 4's Accepted for slot 1 is lost on the way.

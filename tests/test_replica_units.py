@@ -102,7 +102,9 @@ class TestLearnAndApply:
     def test_learned_command_leaves_pending(self) -> None:
         _, replicas = build_ensemble()
         follower = replicas[0]
-        follower.submit(9, "queued")
+        # Queued by a peer's forward: an idle follower's own submit
+        # forwards at once, and pid 99 is no member here.
+        follower.deliver(Forward(2, 9, "queued"))
         assert 9 in follower.pending
         follower.deliver(Decide(1, 0, (9, "queued")))
         assert 9 not in follower.pending
