@@ -56,7 +56,7 @@ pending queue travels as one ``Forwards``, the pass's decisions for a
 peer as one ``Decides``, answered by one ``DecideAck`` — typed
 fair-lossy links promise delivery per message *type*, not per command.
 A pass with a single entry sends the plain ``Forward`` / ``Decide``,
-and a follower sends one forward message per instant.
+and a follower forwards at most once per instant.
 
 Safety is the ballot protocol of :mod:`repro.consensus.paxos` — one
 acceptor and one ballot owner, shared with the single-decree class — and
@@ -359,7 +359,9 @@ class LogReplica(PaxosProcess):
         leader = self.leader_of()
         if leader == self.pid or not self.pending \
                 or self._forwarded_at == self.now:
-            return  # (at most one forward message per instant)
+            # An at-once forward went at this very instant: the rest
+            # waits a tick, so a follower forwards once per instant.
+            return
         # Everything pending but what went to this leader since the
         # previous tick: typed fairness then covers every command.
         # Split only to bound the frame size.
