@@ -49,7 +49,9 @@ any slot open, new commands wait for the tick, which opens the slots,
 resends what is due and re-forwards every pending command the follower
 has not forwarded to that leader since the previous tick — so a loaded
 log batches exactly as a tick-paced one.  A ``Propose`` sent between
-ticks is resent only once its peer's RTO has passed in seconds.
+ticks is not resent by the tick right after it: its one-tick RTO floor
+has passed only once the copy predates the previous tick
+(:class:`~repro.consensus.retransmit.RoundTripTimer`).
 
 Each pass sends **at most one message of a kind to a peer**: the
 pending queue travels as one ``Forwards``, the pass's decisions for a
@@ -155,18 +157,16 @@ PHASE_LEADING = "leading"
 
 class _OpenSlot:
     """A leader-side in-flight instance: who accepted it, when each peer
-    got its last copy, which peers got more than one (Karn's rule:
-    their replies time no round trip), and which got their last copy
-    between ticks (their RTO counts in seconds)."""
+    got its last copy, and which peers got more than one (Karn's rule:
+    their replies time no round trip)."""
 
-    __slots__ = ("value", "acks", "sent", "resent", "early")
+    __slots__ = ("value", "acks", "sent", "resent")
 
     def __init__(self, value: Any, acks: set[int]) -> None:
         self.value = value
         self.acks = acks
         self.sent: dict[int, float] = {}
         self.resent: set[int] = set()
-        self.early: set[int] = set()
 
 
 class LogReplica(PaxosProcess):
@@ -236,12 +236,11 @@ class LogReplica(PaxosProcess):
         self._in_flight: set[Hashable] = set()
         self._next_instance = 0
         self._rtt = RoundTripTimer(self.config)
-        # Client command intake (insertion ordered), and the ids a
-        # follower forwarded at once since the previous tick, to whom,
-        # and when the last one went.
+        # Client command intake (insertion ordered), and the command a
+        # follower last forwarded at once since the previous tick: its
+        # id, to whom and when.
         self.pending: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._forwarded: dict[Hashable, int] = {}
-        self._forwarded_at = float("-inf")
+        self._forwarded: tuple[Hashable, int, float] | None = None
 
     def _restore(self, storage: StableStorage) -> None:
         for key in storage.durable_keys():
@@ -282,12 +281,11 @@ class LogReplica(PaxosProcess):
             if not self._open:
                 if self.persist:
                     self._gate.begin_pass()  # a pass of its own
-                self._pump_proposals(tick=False)
+                self._pump_proposals()
         elif len(pending) == 1:
             leader = self.leader_of()
             if leader != self.pid:
-                self._forwarded[command_id] = leader
-                self._forwarded_at = self.now
+                self._forwarded = (command_id, leader, self.now)
                 self.send(leader, Forward(self.pid, command_id, command))
         return True
 
@@ -337,7 +335,7 @@ class LogReplica(PaxosProcess):
 
     def _pass(self) -> None:
         self._rtt.begin_tick(self.now)
-        forwarded, self._forwarded = self._forwarded, {}
+        forwarded, self._forwarded = self._forwarded, None
         self._spread_decisions()
         if self.leader_of() != self.pid:
             self._step_down("abandoned")
@@ -347,7 +345,7 @@ class LogReplica(PaxosProcess):
         elif self.phase == PHASE_PREPARING:
             self._send_prepares()
         else:
-            self._pump_proposals(tick=True)
+            self._pump_proposals()
 
     def _step_down(self, why: str) -> None:
         # Commands in open slots that fail to commit re-enter via client
@@ -355,18 +353,25 @@ class LogReplica(PaxosProcess):
         self.phase = PHASE_FOLLOWER
         self._abandon_open()
 
-    def _forward_pending(self, forwarded: dict[Hashable, int]) -> None:
+    def _forward_pending(
+            self, forwarded: tuple[Hashable, int, float] | None) -> None:
         leader = self.leader_of()
-        if leader == self.pid or not self.pending \
-                or self._forwarded_at == self.now:
-            # An at-once forward went at this very instant: the rest
-            # waits a tick, so a follower forwards once per instant.
+        if leader == self.pid or not self.pending:
             return
-        # Everything pending but what went to this leader since the
-        # previous tick: typed fairness then covers every command.
+        skip = None
+        if forwarded is not None:
+            command_id, to, at = forwarded
+            if at == self.now:
+                # An at-once forward went at this very instant: the rest
+                # waits a tick, so a follower forwards once per instant.
+                return
+            if to == leader:
+                skip = command_id
+        # Everything pending but what went to this leader at once since
+        # the previous tick: typed fairness then covers every command.
         # Split only to bound the frame size.
         commands = tuple(item for item in self.pending.items()
-                         if forwarded.get(item[0]) != leader)
+                         if item[0] != skip)
         for start in range(0, len(commands), FORWARD_SPLIT):
             chunk = commands[start:start + FORWARD_SPLIT]
             self.send(leader, Forwards(self.pid, chunk) if len(chunk) > 1
@@ -386,11 +391,11 @@ class LogReplica(PaxosProcess):
             value = reported[1] if reported is not None else NOOP
             self._open_slot(instance, value)
         self._next_instance = top + 1
-        self._pump_proposals(tick=False)
+        self._pump_proposals()
 
     # --- steady-state leading -------------------------------------------
 
-    def _pump_proposals(self, tick: bool) -> None:
+    def _pump_proposals(self) -> None:
         # Open new slots for pending commands, up to the pipeline budget
         # (``max_batch`` concurrent instances), packing up to
         # ``batch_size`` commands per slot.  Commands stay in ``pending``
@@ -423,13 +428,12 @@ class LogReplica(PaxosProcess):
         ballot, now, due = self.owner.ballot, self.now, self._rtt.due
         for instance, slot in self._open.items():
             message = None
-            sent, acks, early = slot.sent, slot.acks, slot.early
+            sent, acks = slot.sent, slot.acks
             for peer in range(self.n):
                 if peer == self.pid or peer in acks:
                     continue
                 last = sent.get(peer)
-                if last is not None \
-                        and not due(peer, last, now, peer in early):
+                if last is not None and not due(peer, last, now):
                     continue
                 if message is None:
                     message = Propose(self.pid, ballot, instance, slot.value,
@@ -438,10 +442,6 @@ class LogReplica(PaxosProcess):
                     sent[peer] = now
                     if last is not None:
                         slot.resent.add(peer)
-                    if tick:
-                        early.discard(peer)
-                    else:
-                        early.add(peer)
                     self._proposed = True
 
     def _open_batch(self, batch: list[tuple[Hashable, Any]]) -> None:
@@ -571,7 +571,7 @@ class LogReplica(PaxosProcess):
             if command_id not in pending and command_id not in committed:
                 self._enqueue(command_id, command)
         if self._leading() and not self._open:
-            self._pump_proposals(tick=False)
+            self._pump_proposals()
 
     def _take_hint(self, message: Propose) -> None:
         # Safe piggyback (see module docstring): an instance at or below

@@ -81,27 +81,29 @@ class RoundTripTimer:
     peer is resent more often than at every tick, and capped at
     ``BACKOFF_CAP``; a peer with no sample yet sits at the floor.
 
-    For a copy a tick pass sent, the floor counts ticks, not seconds: a
-    copy is never resent in the tick pass that sent it, and an RTO at
-    the floor has passed once any later tick begins, however early a
-    live clock fires it.  A copy sent between ticks (the replicated
-    log's idle leader proposes at once) counts its RTO in seconds, the
-    floor included, so the next tick does not resend a copy that left
-    just before it.  All state is volatile: a recovered incarnation
-    measures afresh.
+    The floor counts ticks, not seconds: a copy is never resent in the
+    tick pass that sent it, and an RTO at the floor has passed once the
+    copy is a whole tick old — sent no later than the start of the
+    previous tick — however early a live clock fires the current one.
+    A copy sent in a tick pass is so at the next tick; one sent between
+    ticks (the replicated log's idle leader proposes at once) at the
+    tick after, so the next tick does not resend a copy that left just
+    before it.  All state is volatile: a recovered incarnation measures
+    afresh.
     """
 
-    __slots__ = ("_floor", "_estimates", "_tick_at")
+    __slots__ = ("_floor", "_estimates", "_prev_at", "_tick_at")
 
     def __init__(self, config: ConsensusConfig) -> None:
         self._floor = config.tick
         self._estimates: dict[int, tuple[float, float]] = {}  # SRTT, RTTVAR
-        self._tick_at = float("-inf")
+        self._prev_at = self._tick_at = float("-inf")
 
     def begin_tick(self, now: float) -> None:
-        """Open a tick pass at ``now``: every copy sent before it is a
-        tick old."""
-        self._tick_at = now
+        """Open a tick pass at ``now``: every copy sent before it is
+        older than this tick, and every copy sent up to the previous
+        tick's start a whole tick old."""
+        self._prev_at, self._tick_at = self._tick_at, now
 
     def sample(self, peer: int, rtt: float) -> None:
         """Fold one round trip to ``peer`` into its estimate.  The caller
@@ -123,12 +125,10 @@ class RoundTripTimer:
         srtt, rttvar = estimate
         return min(max(srtt + 2 * rttvar, self._floor), BACKOFF_CAP)
 
-    def due(self, peer: int, sent_at: float, now: float,
-            between_ticks: bool = False) -> bool:
-        """Whether a copy sent to ``peer`` at ``sent_at`` — in a tick
-        pass, or ``between_ticks`` — may go again."""
+    def due(self, peer: int, sent_at: float, now: float) -> bool:
+        """Whether a copy sent to ``peer`` at ``sent_at`` may go again."""
         if sent_at >= self._tick_at:
             return False
         rto = self.rto(peer)
-        return (rto == self._floor and not between_ticks) \
+        return (rto == self._floor and sent_at <= self._prev_at) \
             or now - sent_at >= rto

@@ -262,6 +262,6 @@ class TestWatermarks:
             deliver(peer, 0)
         deliver(0, 1)
         old.submit("q", "Q")  # slot 0 is open: it waits for the tick
-        old._pump_proposals(tick=True)
+        old._pump_proposals()
         deliver(0, 1)
         assert voter.log.get(0) == ("v", "V")

@@ -178,12 +178,18 @@ class TestBetweenTickCopies:
             == [0.2, 1.0]
 
     def test_the_timer_counts_a_between_tick_copy_in_seconds(self) -> None:
-        timer = RoundTripTimer(CONFIG)
-        timer.begin_tick(1.499)  # early, as a live clock's may be
-        assert timer.due(1, 1.2, 1.499) \
-            and not timer.due(1, 1.2, 1.499, between_ticks=True)
-        timer.begin_tick(1.998)
-        assert timer.due(1, 1.2, 1.998, between_ticks=True)
+        # Ticks at 0.7 and 1.2, then one early, as a live clock's may
+        # be: the copy the 1.2 tick sent is due, one sent at 1.2 between
+        # the 0.7 and 1.5 ticks is not.
+        tick_copy, between = RoundTripTimer(CONFIG), RoundTripTimer(CONFIG)
+        for at in (0.7, 1.2, 1.499):
+            tick_copy.begin_tick(at)
+        for at in (0.7, 1.499):
+            between.begin_tick(at)
+        assert tick_copy.due(1, 1.2, 1.499) \
+            and not between.due(1, 1.2, 1.499)
+        between.begin_tick(1.998)
+        assert between.due(1, 1.2, 1.998)
 
 
 class TestLateAccepted:
