@@ -19,7 +19,7 @@ from repro.consensus import ConsensusSystem, check_log
 from repro.core import OmegaConfig, analyze_omega_run, make_factory
 from repro.harness import render_table
 from repro.load import LoadSpec
-from repro.sim import Cluster, LinkTimings
+from repro.sim import Cluster, LinkTimings, PartitionFault
 from repro.sim.topology import all_eventually_timely_links, multi_source_links
 
 TIMINGS = LinkTimings(gst=2.0)
@@ -29,7 +29,7 @@ def omega_partition_case() -> list[object]:
     cluster = Cluster.build(
         5, make_factory("all-timely", OmegaConfig()),
         links=all_eventually_timely_links(5, TIMINGS), seed=2)
-    cluster.network.add_partition(40.0, 100.0, [{0, 1, 2}, {3, 4}])
+    PartitionFault(40.0, 100.0, ((0, 1, 2), (3, 4))).schedule(cluster)
     cluster.start_all()
     cluster.run_until(95.0)
     during = {pid: cluster.process(pid).leader() for pid in cluster.pids}
@@ -46,8 +46,7 @@ def log_partition_case() -> list[object]:
         5, lambda: multi_source_links(5, (0, 1), TIMINGS), seed=3)
     fleet = LoadSpec(clients=1, keys=1, arrival="steady", rate=1 / 0.5,
                      start=4.0, duration=25 * 0.5).drive(system)
-    for network in (system.agreement_network, system.fd_network):
-        network.add_partition(10.0, 60.0, [{0, 1}, {2, 3}, {4}])
+    PartitionFault(10.0, 60.0, ((0, 1), (2, 3), (4,))).schedule(system)
     system.start_all()
     system.run_until(58.0)
     stalled_at = check_log(system, fleet.group_payloads[0]).max_committed

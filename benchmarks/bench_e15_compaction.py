@@ -24,7 +24,7 @@ from repro.consensus import (
 )
 from repro.harness import render_table
 from repro.load import LoadSpec
-from repro.sim import LinkTimings
+from repro.sim import LinkTimings, PartitionFault
 from repro.sim.topology import multi_source_links
 
 N = 5
@@ -39,8 +39,7 @@ def run_case(keep_tail: int, seed: int = 9):  # noqa: ANN201
         machine_factory=JournalMachine, keep_tail=keep_tail, seed=seed)
     fleet = LoadSpec(clients=1, keys=1, arrival="steady", rate=1 / 0.4,
                      start=4.0, duration=COMMANDS * 0.4).drive(system)
-    for network in (system.agreement_network, system.fd_network):
-        network.add_partition(10.0, 70.0, [{0, 1, 2, 3}, {4}])
+    PartitionFault(10.0, 70.0, ((0, 1, 2, 3), (4,))).schedule(system)
 
     peak_log = {pid: 0 for pid in system.pids}
 

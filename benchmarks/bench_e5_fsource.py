@@ -12,7 +12,7 @@ from __future__ import annotations
 from _common import emit, mean
 
 from repro.harness import OmegaScenario, render_table
-from repro.sim import LinkTimings
+from repro.sim import FaultPlan, LinkTimings
 
 N = 7
 SOURCE = 3
@@ -26,13 +26,14 @@ def run_sweep() -> list[list[object]]:
         targets = tuple(range(f))  # targets 0..f-1
         for loss in (0.3, 0.6):
             for crash_targets in (False, True):
-                crashes: tuple[tuple[float, int], ...] = ()
+                crashes = ""
                 if crash_targets:
                     # The adversary crashes f processes, starting with
                     # timely targets — the hardest legal choice.
                     victims = list(targets)[:f]
-                    crashes = tuple((30.0 + 10.0 * i, pid)
-                                    for i, pid in enumerate(victims))
+                    crashes = FaultPlan.crashes_at(
+                        *((30.0 + 10.0 * i, pid)
+                          for i, pid in enumerate(victims))).to_repro()
                 timings = LinkTimings(gst=5.0, fair_loss=loss,
                                       fair_delay_growth=0.2)
                 holds = True
@@ -42,7 +43,7 @@ def run_sweep() -> list[list[object]]:
                     outcome = OmegaScenario(
                         algorithm="f-source", n=N, system="f-source",
                         source=SOURCE, targets=targets, f=f,
-                        crashes=crashes, seed=seed, horizon=HORIZON,
+                        faults=crashes, seed=seed, horizon=HORIZON,
                         timings=timings).run()
                     holds &= outcome.stabilized
                     leaders.add(outcome.report.final_leader)

@@ -8,10 +8,11 @@ Examples
     python -m repro omega --algorithm comm-efficient --system source \
         --n 6 --source 2 --horizon 150
     python -m repro omega --algorithm f-source --system f-source \
-        --n 5 --source 2 --targets 0,4 --crash 30:0
+        --n 5 --source 2 --targets 0,4 --faults 'crash(t=30.0,pid=0)'
     python -m repro omega --algorithm comm-efficient --system relay-tree \
         --n 6 --source 2 --relay
-    python -m repro consensus --n 5 --omega comm-efficient --crash 2:0
+    python -m repro consensus --n 5 --omega comm-efficient \
+        --faults 'crash(t=2.0,pid=0)'
     python -m repro log --n 5 --commands 50 --crash-leader-at 20
     python -m repro sweep --n 5 --horizon 400
     python -m repro soak --cases 50 --seed 7
@@ -53,7 +54,7 @@ from repro.core import (
 )
 from repro.core.registry import algorithm_class
 from repro.harness import OmegaScenario, render_table
-from repro.harness.scenarios import SYSTEM_NAMES, combined_fault_plan
+from repro.harness.scenarios import SYSTEM_NAMES
 from repro.load import LoadSpec
 from repro.sim import Cluster, FaultPlan, FaultPlanError, LinkTimings
 from repro.sim.topology import (
@@ -64,30 +65,6 @@ from repro.sim.topology import (
 )
 
 __all__ = ["main", "build_parser"]
-
-
-def _parse_crashes(values: list[str]) -> tuple[tuple[float, ...], ...]:
-    """Parse ``--crash TIME:PID[:RECOVER]`` specs.
-
-    Malformed specs exit with a one-line message; a pid outside the
-    target ensemble is caught at schedule time with a one-line
-    :class:`~repro.sim.nemesis.FaultPlanError` naming the pid and n.
-    """
-    crashes = []
-    for item in values:
-        parts = item.split(":")
-        try:
-            if len(parts) == 2:
-                crashes.append((float(parts[0]), int(parts[1])))
-            elif len(parts) == 3:
-                crashes.append((float(parts[0]), int(parts[1]),
-                                float(parts[2])))
-            else:
-                raise ValueError(item)
-        except ValueError:
-            raise SystemExit(f"bad --crash {item!r}; expected TIME:PID "
-                             f"or TIME:PID:RECOVER")
-    return tuple(crashes)
 
 
 def _parse_targets(text: str) -> tuple[int, ...]:
@@ -108,17 +85,16 @@ def cmd_omega(args: argparse.Namespace) -> int:
                           fair_outage_period=args.outage_period,
                           fair_outage_growth=args.outage_growth)
     config = OmegaConfig(eta=args.eta)
-    crashes = _parse_crashes(args.crash)
 
     if args.relay or args.system == "relay-tree":
         cluster = _run_relayed(args, timings, config,
-                               combined_fault_plan(crashes, args.faults))
+                               FaultPlan.from_repro(args.faults))
         relayed = True
     else:
         scenario = OmegaScenario(
             algorithm=args.algorithm, n=args.n, system=args.system,
             source=args.source, targets=_parse_targets(args.targets),
-            f=args.f, crashes=crashes, faults=args.faults, seed=args.seed,
+            f=args.f, faults=args.faults, seed=args.seed,
             horizon=args.horizon, timings=timings, config=config)
         cluster = scenario.run().cluster
         relayed = False
@@ -185,9 +161,7 @@ def cmd_consensus(args: argparse.Namespace) -> int:
         proposals=[f"value-from-{pid}" for pid in range(args.n)],
         omega_name=args.omega, f=args.f, seed=args.seed,
         persist=args.persist)
-    crashes = _parse_crashes(args.crash)
-    if crashes:
-        FaultPlan.crashes_at(*crashes).schedule(system)
+    FaultPlan.from_repro(args.faults).schedule(system)
     system.start_all()
     system.run_until(args.horizon)
     report = check_single_decree(system)
@@ -686,7 +660,7 @@ def cmd_live_serve(args: argparse.Namespace) -> int:
     print(f"live control plane on http://{host}:{port}")
     print("  POST /clusters            {\"n\": 3, \"horizon\": 3.0, ...}")
     print("  GET  /clusters/<id>       status")
-    print("  POST /clusters/<id>/faults  crash/pause/resume/degrade")
+    print("  POST /clusters/<id>/faults  {\"faults\": \"crash(t=0.0,pid=2)\"}")
     print("  GET  /clusters/<id>/report  merged repro-report/v1")
     print("  DELETE /clusters/<id>     kill and forget")
     try:
@@ -743,6 +717,13 @@ def _add_soak_flags(parser: argparse.ArgumentParser, cases: int) -> None:
                              "each moved case and what moved in it")
 
 
+#: The sim commands' fault script: nemesis repro tokens, crashes included.
+_FAULTS_FLAG = dict(
+    default="", metavar="PLAN",
+    help="nemesis FaultPlan repro string, e.g. 'crash(t=30.0,pid=0)' or "
+         "'crash(t=2.0,pid=1,recover=9.0) pause(t=20.0,pid=1,dur=5.0)'")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -767,11 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     omega.add_argument("--ce-window", type=float, default=20.0)
     omega.add_argument("--outage-period", type=float, default=0.0)
     omega.add_argument("--outage-growth", type=float, default=0.0)
-    omega.add_argument("--crash", action="append", default=[],
-                       metavar="TIME:PID[:RECOVER]")
-    omega.add_argument("--faults", default="", metavar="PLAN",
-                       help="nemesis FaultPlan repro string, e.g. "
-                            "'pause(t=20.0,pid=1,dur=5.0)'")
+    omega.add_argument("--faults", **_FAULTS_FLAG)
     omega.add_argument("--relay", action="store_true",
                        help="run the relayed (timely-path) variant")
     omega.set_defaults(handler=cmd_omega)
@@ -786,8 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
     consensus.add_argument("--loss", type=float, default=0.3)
     consensus.add_argument("--gst", type=float, default=5.0)
     consensus.add_argument("--horizon", type=float, default=200.0)
-    consensus.add_argument("--crash", action="append", default=[],
-                           metavar="TIME:PID[:RECOVER]")
+    consensus.add_argument("--faults", **_FAULTS_FLAG)
     consensus.add_argument("--persist", action="store_true",
                            help="acceptor state on stable storage "
                                 "(survives crash+recover bounces)")

@@ -1,7 +1,7 @@
 """Canonical experiment scenarios.
 
 An :class:`OmegaScenario` is a declarative description of one leader
-election run — algorithm, system topology, crash script, seed, horizon —
+election run — algorithm, system topology, fault script, seed, horizon —
 that can be executed with :meth:`OmegaScenario.run`.  Benchmarks sweep
 over these as data; tests replay the interesting ones; `EXPERIMENTS.md`
 names them.
@@ -51,8 +51,7 @@ from repro.sim.topology import (
     source_links_lossy_elsewhere,
 )
 
-__all__ = ["OmegaScenario", "OmegaOutcome", "SYSTEM_NAMES",
-           "combined_fault_plan"]
+__all__ = ["OmegaScenario", "OmegaOutcome", "SYSTEM_NAMES"]
 
 SYSTEM_NAMES = (
     "all-timely",
@@ -62,14 +61,6 @@ SYSTEM_NAMES = (
     "f-source",
     "source-lossy",
 )
-
-
-def combined_fault_plan(crashes: tuple[tuple[float, ...], ...],
-                        faults: str) -> FaultPlan:
-    """One plan of the ``(time, pid[, recover_at])`` crash shorthand
-    followed by the events of the ``faults`` repro string."""
-    return FaultPlan(FaultPlan.crashes_at(*crashes).events
-                     + FaultPlan.from_repro(faults).events)
 
 
 @dataclass(frozen=True)
@@ -101,11 +92,11 @@ class OmegaScenario:
     to ``len(targets)``) only matter for ``f-source``; ``sources`` only
     for ``multi-source``.
 
-    ``crashes`` keeps the historical ``(time, pid)`` shorthand — a
-    3-tuple ``(time, pid, recover_at)`` adds the crash-recovery bounce
-    sugar; the general fault language is the ``faults`` field — a
-    :class:`~repro.sim.nemesis.FaultPlan` repro string (pauses, healing
-    partitions, link storms...), scheduled alongside the crashes.
+    ``faults`` is the run's fault script: a
+    :class:`~repro.sim.nemesis.FaultPlan` repro string (crashes and
+    recoveries, pauses, healing partitions, link storms...), e.g.
+    ``crash(t=10.0,pid=0)``; ``FaultPlan.crashes_at(...).to_repro()``
+    writes a crash-only one in code.
 
     ``link_rng`` selects the link RNG stream granularity (``"pair"``,
     the default, or ``"src"``; see :class:`~repro.sim.network.Network`)
@@ -120,7 +111,6 @@ class OmegaScenario:
     sources: tuple[int, ...] = ()
     targets: tuple[int, ...] = ()
     f: int | None = None
-    crashes: tuple[tuple[float, ...], ...] = ()
     faults: str = ""
     seed: int = 0
     horizon: float = 120.0
@@ -174,10 +164,6 @@ class OmegaScenario:
     # Execution
     # ------------------------------------------------------------------
 
-    def fault_plan(self) -> FaultPlan:
-        """The combined fault plan: ``crashes`` shorthand plus ``faults``."""
-        return combined_fault_plan(self.crashes, self.faults)
-
     def build(self) -> Cluster:
         """Assemble the cluster without running it (tests use this)."""
         factory = make_factory(self.algorithm, self.config, n=self.n,
@@ -186,9 +172,8 @@ class OmegaScenario:
         cluster = Cluster.build(self.n, factory, links=self.link_map(),
                                 seed=self.seed, trace=self.trace,
                                 link_rng=self.link_rng)
-        plan = self.fault_plan()
-        if plan:
-            plan.schedule(cluster)
+        if self.faults:
+            FaultPlan.from_repro(self.faults).schedule(cluster)
         return cluster
 
     def run(self) -> OmegaOutcome:

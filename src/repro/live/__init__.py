@@ -15,8 +15,8 @@ UDP on localhost (or any reachable interface):
 
 :mod:`repro.live.transport`
     :class:`LiveTransport` — the :class:`~repro.transport.Transport`
-    implementation on UDP datagram endpoints, with socket-level
-    delay/drop/duplication fault windows and full observer-hub
+    implementation on UDP datagram endpoints, which applies nemesis
+    link faults at the socket, and full observer-hub
     dispatch (so :class:`~repro.obs.report.RunRecorder` and friends
     work unchanged).
 
@@ -27,8 +27,8 @@ UDP on localhost (or any reachable interface):
 
 :mod:`repro.live.cluster`
     :class:`LiveCluster` — spawns node subprocesses, maps nemesis
-    fault plans onto them (SIGKILL/SIGSTOP/SIGCONT and socket-level
-    degrade windows), and merges node reports into a schema-valid
+    fault plans onto them (SIGKILL/SIGSTOP/SIGCONT, and link faults sent
+    to the nodes as repro tokens), and merges node reports into a schema-valid
     ``repro-report/v1`` document.
 
 :mod:`repro.live.control`
@@ -62,7 +62,7 @@ _EXPORTS = {
     "repro.live.report": ("analyze_live_run", "merged_live_report"),
     "repro.live.runtime": ("Backoff", "Deadline", "LiveClock"),
     "repro.live.storage": ("FileStorage",),
-    "repro.live.transport": ("LinkWindow", "LiveTransport"),
+    "repro.live.transport": ("LiveTransport",),
     "repro.wire": ("CodecError",),
 }
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

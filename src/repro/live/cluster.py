@@ -17,19 +17,16 @@ Fault mapping (the live meaning of each nemesis event):
 ``recover``        Respawn a killed node (fresh OS process, same ports).
 ``pause``          SIGSTOP, then SIGCONT after the duration — a real
                    scheduler freeze instead of a simulated one.
-``degrade``        A control-channel ``degrade`` op to each node
-                   hosting a source pid of the window's pairs: extra
-                   loss/delay on its outbound frames.
-``dup``            Same, with a duplication probability.
-``flap``           Approximated as a loss window of ``1 - up`` for the
-                   window (the sim's square-wave up/down cycling has no
-                   socket-level equivalent here).
-``partition``      Loss-1.0 windows on every cross-group ordered pair.
-``netem``          Full socket-level realization: fixed delay + jittered
-                   spread (uniform/pareto), reorder, rate caps — per
-                   ordered direction, so asymmetric regimes apply as
-                   written.
+link faults        The event's repro token, sent in one ``fault``
+                   control op to each node hosting a sending pid of
+                   the event (every node, for a partition); the node's
+                   transports apply it through their kind→effect table
+                   (``repro.live.transport``).
 =================  ====================================================
+
+The same actions run a spec's plan and the events that
+:meth:`LiveCluster.inject` queues while the run is going (the HTTP
+control plane's ``POST /clusters/<id>/faults``).
 
 Wall-time caveat: fault times are offsets from cluster start, but nodes
 boot one spawn-stagger apart and their clocks are per-node; live fault
@@ -49,6 +46,8 @@ half-started campaign never leaks orphan processes.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import os
 import random
@@ -56,6 +55,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,11 +75,9 @@ from repro.live.runtime import Backoff, Deadline
 from repro.obs.verdict import Verdict
 from repro.sim.nemesis import (
     CrashFault,
-    DegradeFault,
-    DuplicateFault,
+    FaultEvent,
     FaultPlan,
-    FlapFault,
-    NetemFault,
+    FaultPlanError,
     PartitionFault,
     PauseFault,
     RecoverFault,
@@ -220,9 +218,19 @@ class LiveCluster:
         # around them, and teardown SIGCONTs the paused ones.
         self._down: set[int] = set()
         self._paused: set[int] = set()
+        # The wall-clock action queue of :meth:`_drive`: (offset from
+        # ``_started``, tie-break, action), filled by the plan, the
+        # workload and :meth:`inject`.
+        self._pending: list[tuple[float, int, Callable[[], None]]] = []
+        self._order = itertools.count()
+        self._wake = threading.Condition()
+        self._started: float | None = None  # set when run() starts
+        self._stopped = False  # the drive is over; inject() refuses
         # The at-least-once client workload's ledger: id -> command.
         self.submitted: dict[Any, Any] = {}
         self._rng = random.Random(f"live-cluster/{spec.seed}")
+        self._queue(self._plan_actions(self.plan)
+                    + self._workload_actions())
 
     # ------------------------------------------------------------------
     # Node lifecycle
@@ -334,34 +342,31 @@ class LiveCluster:
     # Fault plan → wall-clock actions
     # ------------------------------------------------------------------
 
-    def _degrade_action(self, pairs: tuple[tuple[int, int], ...],
-                        duration: float, loss: float = 0.0,
-                        extra_delay: float = 0.0,
-                        duplicate: float = 0.0, delay: float = 0.0,
-                        jitter: float = 0.0, dist: str = "uniform",
-                        reorder: float = 0.0,
-                        rate: float = 0.0) -> Callable[[], None]:
-        sources = sorted({src for src, _dst in pairs})
+    def _link_fault(self, event: FaultEvent) -> Callable[[], None]:
+        token = event.to_repro()
+        senders = (range(self.spec.n) if isinstance(event, PartitionFault)
+                   else sorted({src for src, _dst in event.link_pairs()}))
 
         def act() -> None:
-            for src in sources:
-                src_pairs = [[s, d] for s, d in pairs if s == src]
+            for pid in senders:
                 try:
-                    self.control(src, {
-                        "op": "degrade", "plane": "both",
-                        "duration": duration, "pairs": src_pairs,
-                        "loss": loss, "extra_delay": extra_delay,
-                        "duplicate": duplicate, "delay": delay,
-                        "jitter": jitter, "dist": dist,
-                        "reorder": reorder, "rate": rate},
-                        backoff=Backoff(attempts=2))
+                    self.control(pid, {"op": "fault", "event": token},
+                                 backoff=Backoff(attempts=2))
                 except (OSError, ControlError):
-                    pass  # the source node is down; nothing to degrade
+                    pass  # the sending node is down; nothing to fault
         return act
 
-    def _wall_actions(self) -> list[tuple[float, Callable[[], None]]]:
-        """The plan as ``(offset_seconds, action)`` pairs, time-ordered."""
+    def _plan_actions(self, plan: FaultPlan, base: float = 0.0,
+                      ) -> list[tuple[float, Callable[[], None]]]:
+        """``plan`` as ``(offset_seconds, action)`` pairs, its times
+        read from ``base`` seconds after cluster start."""
         spec = self.spec
+        unknown = sorted(pid for pid in plan.involved_pids()
+                         if not 0 <= pid < spec.n)
+        if unknown:
+            raise FaultPlanError(
+                f"{plan.to_repro()} references pid {unknown[0]}, but the "
+                f"cluster owns pids 0..{spec.n - 1} (n={spec.n})")
         actions: list[tuple[float, Callable[[], None]]] = []
 
         def kill(pid: int) -> Callable[[], None]:
@@ -393,46 +398,73 @@ class LiveCluster:
                     self._down.discard(pid)
             return act
 
-        for event in self.plan:
+        for event in plan:
             if isinstance(event, CrashFault):
-                actions.append((event.time, kill(event.pid)))
+                actions.append((base + event.time, kill(event.pid)))
                 if event.recover_at is not None:
-                    actions.append((event.recover_at,
-                                    respawn(event.pid, event.recover_at)))
+                    at = base + event.recover_at
+                    actions.append((at, respawn(event.pid, at)))
             elif isinstance(event, RecoverFault):
-                actions.append((event.time, respawn(event.pid, event.time)))
+                at = base + event.time
+                actions.append((at, respawn(event.pid, at)))
             elif isinstance(event, PauseFault):
-                actions.append((event.time, sig(event.pid, signal.SIGSTOP)))
-                actions.append((event.time + event.duration,
+                actions.append((base + event.time,
+                                sig(event.pid, signal.SIGSTOP)))
+                actions.append((base + event.time + event.duration,
                                 sig(event.pid, signal.SIGCONT)))
-            elif isinstance(event, DegradeFault):
-                actions.append((event.start, self._degrade_action(
-                    event.pairs, event.end - event.start,
-                    loss=event.loss, extra_delay=event.delay)))
-            elif isinstance(event, DuplicateFault):
-                actions.append((event.start, self._degrade_action(
-                    event.pairs, event.end - event.start,
-                    duplicate=event.p)))
-            elif isinstance(event, FlapFault):
-                actions.append((event.start, self._degrade_action(
-                    event.pairs, event.end - event.start,
-                    loss=1.0 - event.up)))
-            elif isinstance(event, NetemFault):
-                actions.append((event.start, self._degrade_action(
-                    event.pairs, event.end - event.start,
-                    loss=event.loss, delay=event.delay,
-                    jitter=event.jitter, dist=event.dist,
-                    reorder=event.reorder, rate=event.rate)))
-            elif isinstance(event, PartitionFault):
-                pairs = tuple(
-                    (src, dst)
-                    for group in event.groups for src in group
-                    for other in event.groups if other is not group
-                    for dst in other)
-                actions.append((event.start, self._degrade_action(
-                    pairs, event.end - event.start, loss=1.0)))
-        actions.sort(key=lambda pair: pair[0])
+            else:
+                actions.append((base + event.window()[0],
+                                self._link_fault(event)))
         return actions
+
+    def _queue(self, actions: list[tuple[float, Callable[[], None]]],
+               ) -> None:
+        """Queue actions for :meth:`_drive`; ties keep queue order."""
+        with self._wake:
+            for offset, action in actions:
+                heapq.heappush(self._pending,
+                               (offset, next(self._order), action))
+            self._wake.notify()
+
+    def _drive(self) -> None:
+        """Fire queued actions at their offsets until the horizon.
+
+        An action due after the horizon never fires (the shutdown
+        thaws a node whose pause outlasts the run).
+        """
+        horizon = self.spec.horizon
+        while True:
+            with self._wake:
+                elapsed = time.monotonic() - self._started
+                next_at = (self._pending[0][0] if self._pending
+                           else float("inf"))
+                if next_at <= min(elapsed, horizon):
+                    action = heapq.heappop(self._pending)[2]
+                elif elapsed < horizon:
+                    self._wake.wait(min(next_at, horizon) - elapsed)
+                    continue
+                else:
+                    self._stopped = True
+                    return
+            action()
+
+    def inject(self, faults: str) -> int:
+        """Queue a repro string's events on the running cluster.
+
+        Their times are offsets from now (from the start, before the
+        run starts); they run through the same actions as the spec's
+        plan, on the run's own thread.  Returns the number of events;
+        raises :class:`FaultPlanError` on a malformed string and
+        :class:`ValueError` once the run has passed its horizon.
+        """
+        plan = FaultPlan.from_repro(faults)
+        with self._wake:
+            if self._stopped:
+                raise ValueError("the cluster is past its horizon")
+            base = (0.0 if self._started is None
+                    else time.monotonic() - self._started)
+            self._queue(self._plan_actions(plan, base))
+        return len(plan)
 
     # ------------------------------------------------------------------
     # Client workload (live form of a repro.load fleet)
@@ -499,27 +531,19 @@ class LiveCluster:
         first), so no orphan survives a failed run.
         """
         spec = self.spec
-        started = time.monotonic()
+        self._started = time.monotonic()
         try:
             for pid in range(spec.n):
                 self._spawn(pid, spec.horizon, incarnation=0)
             for pid in range(spec.n):
                 self._await_ready(pid)
-            actions = self._wall_actions() + self._workload_actions()
-            actions.sort(key=lambda pair: pair[0])
-            for offset, action in actions:
-                delay = offset - (time.monotonic() - started)
-                if delay > 0:
-                    time.sleep(delay)
-                action()
-            remaining = spec.horizon - (time.monotonic() - started)
-            if remaining > 0:
-                time.sleep(remaining)
+            self._drive()
             self._shutdown()
             node_reports = self._collect()
-            wall = time.monotonic() - started
+            wall = time.monotonic() - self._started
             return self._judge(node_reports, wall)
         finally:
+            self._stopped = True
             self.teardown()
 
     def _shutdown(self) -> None:

@@ -19,13 +19,14 @@ Routes (JSON in, JSON out):
     "verdict"?}`` (verdict once done).
 
 ``POST /clusters/<id>/faults``
-    Inject a fault into a running cluster.  Body one of:
-    ``{"op": "crash", "pid": 2}`` (SIGKILL),
-    ``{"op": "pause", "pid": 2}`` / ``{"op": "resume", "pid": 2}``
-    (SIGSTOP/SIGCONT), or
-    ``{"op": "degrade", "pairs": [[0, 1]], "duration": 2.0,
-    "loss": 0.5, "extra_delay": 0.1, "duplicate": 0.0}``
-    (socket-level window via the nodes' control channels).
+    Inject faults into a running cluster.  Body
+    ``{"faults": "<repro string>"}``, the nemesis repro string a spec's
+    ``faults`` takes (``crash(t=0.0,pid=2)``,
+    ``pause(t=0.5,pid=1,dur=1.0)``,
+    ``degrade(start=0.0,end=2.0,pairs=0>1,loss=0.5,delay=0.1)``, ...),
+    its times offsets from the request.  The events run through the
+    same actions as the spec's plan (:meth:`LiveCluster.inject`).
+    → ``{"ok": true, "events": N}``; a malformed string is a 400.
 
 ``GET /clusters/<id>/report``
     → the merged ``repro-report/v1`` document (409 while running).
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import json
 import re
-import signal
 import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -93,29 +93,8 @@ class _ClusterHandle:
         return body
 
     def inject(self, request: dict[str, Any]) -> dict[str, Any]:
-        op = request.get("op")
-        if op in ("crash", "pause", "resume"):
-            pid = int(request["pid"])
-            proc = self.cluster._procs.get(pid)
-            if proc is None or proc.poll() is not None:
-                return {"ok": False, "error": f"node {pid} is not running"}
-            if op == "crash":
-                proc.kill()
-            else:
-                proc.send_signal(signal.SIGSTOP if op == "pause"
-                                 else signal.SIGCONT)
-            return {"ok": True}
-        if op == "degrade":
-            pairs = tuple((int(src), int(dst))
-                          for src, dst in request["pairs"])
-            action = self.cluster._degrade_action(
-                pairs, float(request["duration"]),
-                loss=float(request.get("loss", 0.0)),
-                extra_delay=float(request.get("extra_delay", 0.0)),
-                duplicate=float(request.get("duplicate", 0.0)))
-            action()
-            return {"ok": True}
-        return {"ok": False, "error": f"unknown fault op {op!r}"}
+        return {"ok": True,
+                "events": self.cluster.inject(str(request["faults"]))}
 
     def destroy(self) -> None:
         # Full teardown, not a bare kill: SIGCONTs paused processes

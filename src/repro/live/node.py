@@ -16,13 +16,14 @@ HTTP control plane can reach inside:
     → ``{"pid", "now", "incarnation", "leader", "decision"}`` (plus
     ``commit_index``/``committed`` on a replicated-log node).
 
-``{"op": "degrade", "plane": "fd"|"agreement"|"both", "duration": s,
-"pairs": [[src, dst], ...], "loss": p, "extra_delay": s,
-"duplicate": p, "delay": s, "jitter": s, "dist": "uniform"|"pareto",
-"reorder": p, "rate": fps}``
-    Overlay a :class:`~repro.live.transport.LinkWindow` starting now —
-    the live form of the nemesis ``degrade``/``flap``/``dup``/``netem``
-    faults (the netem fields default to off).
+``{"op": "fault", "event": "<repro token>"}``
+    Apply one nemesis link fault (``degrade``, ``dup``, ``flap``,
+    ``netem`` or ``partition``, e.g.
+    ``degrade(start=1.0,end=2.0,pairs=0>1,loss=0.5,delay=0.1)``) to
+    both network planes, from now for ``end - start`` seconds, through
+    :meth:`~repro.live.transport.LiveTransport.apply_fault`.  A
+    malformed token, a process fault (those act on the OS process) or
+    an unknown op is answered ``{"ok": false, "error": ...}``.
 
 ``{"op": "submit", "id": [client, seq], "command": ...}``
     Replicated-log nodes only: hand a client command to this replica
@@ -288,23 +289,15 @@ class _Node:
                 status["commit_index"] = self.replica.commit_index
                 status["committed"] = len(self.replica.committed_ids)
             return status
-        if op == "degrade":
-            pairs = tuple((int(src), int(dst))
-                          for src, dst in request.get("pairs", []))
-            planes = {"fd": [self.fd], "agreement": [self.ag],
-                      "both": [self.fd, self.ag]}[request.get("plane", "fd")]
-            for transport in planes:
+        if op == "fault":
+            # The nemesis loads only when a fault arrives, so a node
+            # that is never faulted boots the live stack alone.
+            from repro.sim.nemesis import parse_event
+
+            event = parse_event(str(request["event"]))
+            for transport in (self.fd, self.ag):
                 if transport is not None:
-                    transport.degrade(
-                        float(request["duration"]), pairs,
-                        loss=float(request.get("loss", 0.0)),
-                        extra_delay=float(request.get("extra_delay", 0.0)),
-                        duplicate=float(request.get("duplicate", 0.0)),
-                        delay=float(request.get("delay", 0.0)),
-                        jitter=float(request.get("jitter", 0.0)),
-                        dist=str(request.get("dist", "uniform")),
-                        reorder=float(request.get("reorder", 0.0)),
-                        rate=float(request.get("rate", 0.0)))
+                    transport.apply_fault(event)
             return {"ok": True}
         if op == "submit":
             if self.replica is None:

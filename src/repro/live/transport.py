@@ -14,12 +14,12 @@ process (one datagram endpoint each).  A per-OS-process node hosts one
 pid; the in-loop conformance tests host all of them on loopback —
 messages still cross real UDP sockets either way.
 
-Fault injection happens at the socket boundary: a :class:`LinkWindow`
-overlays extra loss, delay, and duplication on chosen ordered pairs for
-a time window, which is how the nemesis ``degrade``/``flap``/``dup``
-events (and partitions, as loss-1.0 windows) map onto live runs.
-Crash/pause faults act on the *process* (SIGKILL/SIGSTOP from the
-cluster harness, or ``Process.crash`` in-loop), not on the transport.
+Link faults act at the socket boundary: :meth:`LiveTransport.apply_fault`
+takes a nemesis ``degrade``/``dup``/``flap``/``netem``/``partition``
+event and disturbs its ordered pairs for the event's window length,
+through one kind→effect table (``_EFFECTS``).  Crash/pause faults act
+on the *process* (SIGKILL/SIGSTOP from the cluster harness, or
+``Process.crash`` in-loop), not on the transport.
 
 Semantics versus the sim (the full table is in ``docs/TRANSPORT.md``):
 
@@ -40,7 +40,7 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.live.runtime import LiveClock
 from repro.obs.observer import Observer, attach_captured, ObserverHub
@@ -54,7 +54,7 @@ from repro.wire import CodecError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.process import Process
 
-__all__ = ["LinkWindow", "LiveTransport"]
+__all__ = ["LiveTransport"]
 
 
 #: Burst allowance of the rate-cap token bucket, in seconds of the cap
@@ -72,32 +72,22 @@ _PARETO_ALPHA = 2.0
 
 
 @dataclass(frozen=True)
-class LinkWindow:
-    """A socket-level disturbance window on chosen ordered pairs.
+class _Effect:
+    """What one link fault does to each frame on its ordered pairs.
 
-    ``pairs`` is a tuple of ``(src, dst)`` ordered pairs, or ``()`` for
-    *all* pairs.  ``loss`` is an extra drop probability, ``extra_delay``
-    an extra uniform-[0, extra_delay] latency, ``duplicate`` a
-    probability of sending a second copy — the live analogue of
-    :class:`~repro.sim.links.DegradedWindow`.  Times are seconds on the
-    applying transport's clock.
-
-    The netem-style fields extend the window into the shapes a
-    ``tc netem`` qdisc produces (nemesis ``netem`` events map here):
-    ``delay`` is a *fixed* base latency; ``jitter`` an additional
-    spread drawn per frame from ``dist`` (``uniform`` over
+    ``cut`` drops every frame (reason ``partition``); ``loss`` drops
+    with that probability (reason ``link``); ``extra_delay`` adds a
+    uniform ``[0, extra_delay)`` latency and ``delay`` a fixed one;
+    ``jitter`` adds a spread drawn from ``dist`` (``uniform`` over
     ``[0, jitter)``, or a heavy-tailed ``pareto`` scaled so its mean is
-    ``jitter`` and capped at 4x); ``reorder`` the probability that a
-    frame skips its queued delay entirely and overtakes in-flight
-    traffic; ``rate`` a frames/second cap (``0`` = uncapped) enforced
-    by a token bucket — frames over the cap drop with reason
-    ``rate_cap``.  Because pairs are ordered, asymmetric per-direction
-    regimes are just two windows.
+    ``jitter`` and capped at 4x); ``duplicate`` is the probability of a
+    second copy; ``reorder`` the probability that a frame skips its
+    delay and overtakes in-flight traffic; ``rate`` a frames/second
+    cap (``0`` = none) enforced by a token bucket, whose excess drops
+    with reason ``rate_cap``.
     """
 
-    start: float
-    end: float
-    pairs: tuple[tuple[int, int], ...] = ()
+    cut: bool = False
     loss: float = 0.0
     extra_delay: float = 0.0
     duplicate: float = 0.0
@@ -107,34 +97,62 @@ class LinkWindow:
     reorder: float = 0.0
     rate: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.end <= self.start:
-            raise ValueError("window must have positive duration")
-        if not 0.0 <= self.loss <= 1.0:
-            raise ValueError(f"loss must be a probability, got {self.loss}")
-        if not 0.0 <= self.duplicate <= 1.0:
-            raise ValueError(
-                f"duplicate must be a probability, got {self.duplicate}")
-        if self.extra_delay < 0:
-            raise ValueError("extra_delay must be >= 0")
-        if self.delay < 0:
-            raise ValueError("delay must be >= 0")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
-        if self.dist not in ("uniform", "pareto"):
-            raise ValueError(
-                f"dist must be 'uniform' or 'pareto', got {self.dist!r}")
-        if not 0.0 <= self.reorder <= 1.0:
-            raise ValueError(
-                f"reorder must be a probability, got {self.reorder}")
-        if self.rate < 0:
-            raise ValueError("rate must be >= 0 (0 = uncapped)")
+    def __add__(self, other: "_Effect") -> "_Effect":
+        """Two overlapping faults: losses compose multiplicatively,
+        delays and jitters add, duplicate/reorder take the max, a
+        pareto jitter makes the sum pareto, the tightest cap wins."""
+        rates = [rate for rate in (self.rate, other.rate) if rate > 0.0]
+        return _Effect(
+            cut=self.cut or other.cut,
+            loss=1.0 - (1.0 - self.loss) * (1.0 - other.loss),
+            extra_delay=self.extra_delay + other.extra_delay,
+            duplicate=max(self.duplicate, other.duplicate),
+            delay=self.delay + other.delay,
+            jitter=self.jitter + other.jitter,
+            dist="pareto" if "pareto" in (self.dist, other.dist)
+            else "uniform",
+            reorder=max(self.reorder, other.reorder),
+            rate=min(rates, default=0.0))
 
-    def applies(self, src: int, dst: int, now: float) -> bool:
-        """Whether this window disturbs ``src -> dst`` at ``now``."""
-        if not self.start <= now < self.end:
-            return False
-        return not self.pairs or (src, dst) in self.pairs
+
+#: The live effect of each nemesis link-fault kind, the one place in
+#: ``repro.live`` that reads a link fault's fields:
+#:
+#: =============  =====================================================
+#: ``degrade``    extra ``loss`` plus a uniform extra delay up to
+#:                ``delay``.
+#: ``dup``        a second copy with probability ``p``.
+#: ``flap``       a loss of ``1 - up`` for the whole window (the sim's
+#:                square-wave up/down cycling has no socket-level
+#:                equivalent here).
+#: ``netem``      the full shape: fixed ``delay``, ``jitter`` drawn
+#:                from ``dist``, ``reorder``, ``rate`` cap and ``loss``
+#:                — per ordered direction, so asymmetric regimes apply
+#:                as written.
+#: ``partition``  every frame between two groups (or from or to a pid
+#:                in no group) is cut, as on the sim's ``Network``.
+#: =============  =====================================================
+_EFFECTS: dict[str, Callable[[Any], _Effect]] = {
+    "degrade": lambda event: _Effect(loss=event.loss,
+                                     extra_delay=event.delay),
+    "dup": lambda event: _Effect(duplicate=event.p),
+    "flap": lambda event: _Effect(loss=1.0 - event.up),
+    "netem": lambda event: _Effect(
+        loss=event.loss, delay=event.delay, jitter=event.jitter,
+        dist=event.dist, reorder=event.reorder, rate=event.rate),
+    "partition": lambda event: _Effect(cut=True),
+}
+
+
+def _fault_pairs(event: Any,
+                 pids: Iterable[int]) -> frozenset[tuple[int, int]]:
+    """The ordered pairs a link fault disturbs among ``pids``."""
+    if event.kind != "partition":
+        return frozenset(event.link_pairs())
+    return frozenset(
+        (src, dst) for src in pids for dst in pids if src != dst
+        and not any(src in group and dst in group
+                    for group in event.groups))
 
 
 class _Endpoint(asyncio.DatagramProtocol):
@@ -198,7 +216,9 @@ class LiveTransport:
                 raise TransportError(f"local pid {pid} has no endpoint")
         self._processes: dict[int, "Process"] = {}
         self._sockets: dict[int, asyncio.DatagramTransport] = {}
-        self._windows: list[LinkWindow] = []
+        # Open link faults: (end, ordered pairs, effect), in apply order.
+        self._windows: list[
+            tuple[float, frozenset[tuple[int, int]], _Effect]] = []
         # Token buckets of rate-capped pairs: (src, dst) -> (tokens, last).
         self._buckets: dict[tuple[int, int], tuple[float, float]] = {}
         self._rng = random.Random(seed)
@@ -267,61 +287,37 @@ class LiveTransport:
         return sorted(self.endpoints)
 
     # ------------------------------------------------------------------
-    # Fault windows
+    # Link faults
     # ------------------------------------------------------------------
 
-    def add_window(self, window: LinkWindow) -> None:
-        """Overlay a loss/delay/duplication window on outbound traffic."""
-        self._windows.append(window)
+    def apply_fault(self, event: Any) -> None:
+        """Apply a nemesis link fault from now for its window's length.
 
-    def degrade(self, duration: float,
-                pairs: tuple[tuple[int, int], ...] = (),
-                loss: float = 0.0, extra_delay: float = 0.0,
-                duplicate: float = 0.0, start: float | None = None,
-                delay: float = 0.0, jitter: float = 0.0,
-                dist: str = "uniform", reorder: float = 0.0,
-                rate: float = 0.0) -> LinkWindow:
-        """Convenience: add a window starting now (or at ``start``)."""
-        begin = self.clock.now if start is None else start
-        window = LinkWindow(begin, begin + duration, pairs, loss,
-                            extra_delay, duplicate, delay, jitter, dist,
-                            reorder, rate)
-        self.add_window(window)
-        return window
-
-    def _window_effects(self, src: int, dst: int, now: float) -> tuple[
-            float, float, float, float, float, str, float, float]:
-        """Composed disturbance on ``src -> dst`` at ``now``.
-
-        Returns ``(loss, uniform_delay, duplicate, base_delay, jitter,
-        dist, reorder, rate)``.  Losses compose multiplicatively,
-        delays and jitters add, duplicate/reorder take the max, any
-        pareto window makes the composed jitter pareto, and the
-        tightest positive rate cap wins.
+        ``event`` is a parsed :mod:`repro.sim.nemesis` event; its
+        effect comes from the kind→effect table above.  A process
+        fault (crash, recover, pause) acts on the OS process, not on
+        the sockets, and raises :class:`ValueError`.
         """
-        loss = 0.0
-        uniform_delay = 0.0
-        duplicate = 0.0
-        base_delay = 0.0
-        jitter = 0.0
-        dist = "uniform"
-        reorder = 0.0
-        rate = 0.0
-        for window in self._windows:
-            if window.applies(src, dst, now):
-                loss = 1.0 - (1.0 - loss) * (1.0 - window.loss)
-                uniform_delay += window.extra_delay
-                duplicate = max(duplicate, window.duplicate)
-                base_delay += window.delay
-                jitter += window.jitter
-                if window.dist == "pareto":
-                    dist = "pareto"
-                reorder = max(reorder, window.reorder)
-                if window.rate > 0.0:
-                    rate = window.rate if rate == 0.0 else min(rate,
-                                                               window.rate)
-        return (loss, uniform_delay, duplicate, base_delay, jitter, dist,
-                reorder, rate)
+        effect = _EFFECTS.get(event.kind)
+        if effect is None:
+            raise ValueError(f"{event.kind} is a process fault; only "
+                             f"link faults ({', '.join(_EFFECTS)}) "
+                             f"apply to a transport")
+        start, end = event.window()
+        window = (self.clock.now + end - start,
+                  _fault_pairs(event, self.pids), effect(event))
+        self._windows.append(window)
+        # Once healed, the fault costs a send nothing.
+        self.clock.post_after(end - start,
+                              lambda: self._windows.remove(window))
+
+    def _effect(self, src: int, dst: int, now: float) -> _Effect | None:
+        """The composed effect of the faults open on ``src -> dst``."""
+        effect = None
+        for end, pairs, window in self._windows:
+            if now < end and (src, dst) in pairs:
+                effect = window if effect is None else effect + window
+        return effect
 
     def _sample_jitter(self, jitter: float, dist: str) -> float:
         """One per-frame jitter draw: uniform spread or capped pareto."""
@@ -431,22 +427,30 @@ class LiveTransport:
             packets = packet_count(size, self.mtu)
             for callback in packet_cbs:
                 callback(now, src, dst, kind, size, packets)
-        (loss, uniform_delay, duplicate, base_delay, jitter, dist,
-         reorder, rate) = self._window_effects(src, dst, now)
-        if rate and not self._rate_admit(src, dst, rate, now):
+        effect = self._effect(src, dst, now) if self._windows else None
+        if effect is None:
+            self._send_frame(src, dst, frame)
+            return
+        if effect.cut:
+            for callback in drop_cbs:
+                callback(now, src, dst, kind, "partition")
+            return
+        if effect.rate and not self._rate_admit(src, dst, effect.rate, now):
             for callback in drop_cbs:
                 callback(now, src, dst, kind, "rate_cap")
             return
-        if loss and self._rng.random() < loss:
+        if effect.loss and self._rng.random() < effect.loss:
             for callback in drop_cbs:
                 callback(now, src, dst, kind, "link")
             return
-        copies = 2 if duplicate and self._rng.random() < duplicate else 1
+        copies = (2 if effect.duplicate
+                  and self._rng.random() < effect.duplicate else 1)
         for _ in range(copies):
-            delay = base_delay + self._sample_jitter(jitter, dist)
-            if uniform_delay:
-                delay += self._rng.uniform(0.0, uniform_delay)
-            if reorder and self._rng.random() < reorder:
+            delay = effect.delay + self._sample_jitter(effect.jitter,
+                                                       effect.dist)
+            if effect.extra_delay:
+                delay += self._rng.uniform(0.0, effect.extra_delay)
+            if effect.reorder and self._rng.random() < effect.reorder:
                 # netem reorder semantics: this frame bypasses the
                 # shaped queue and overtakes delayed in-flight traffic.
                 delay = 0.0

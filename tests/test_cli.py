@@ -45,14 +45,15 @@ class TestOmegaCommand:
     def test_crash_option(self, capsys) -> None:  # noqa: ANN001
         code = main(["omega", "--algorithm", "all-timely",
                      "--system", "all-et", "--n", "4",
-                     "--crash", "20:0", "--horizon", "100"])
+                     "--faults", "crash(t=20.0,pid=0)", "--horizon", "100"])
         out = capsys.readouterr().out
         assert code == 0
         assert "final leader:       1" in out
 
     def test_bad_crash_syntax(self) -> None:
-        with pytest.raises(SystemExit):
-            main(["omega", "--crash", "nonsense"])
+        with pytest.raises(SystemExit, match="bad fault plan") as exit_info:
+            main(["omega", "--faults", "crash(t=oops,pid=1)"])
+        assert "\n" not in str(exit_info.value)
 
     def test_f_source_with_targets(self, capsys) -> None:  # noqa: ANN001
         code = main(["omega", "--algorithm", "f-source",
@@ -70,11 +71,12 @@ class TestOmegaCommand:
     def test_relay_schedules_faults_like_crash(self, capsys) -> None:  # noqa: ANN001
         relay = ["omega", "--system", "relay-tree", "--n", "6", "--source",
                  "2", "--relay", "--horizon", "120"]
+        main(relay)
+        calm = capsys.readouterr().out
         main([*relay, "--faults", "crash(t=30.0,pid=4)"])
         faulted = capsys.readouterr().out
-        main([*relay, "--crash", "30:4"])
+        assert "\n|       4 |" in calm
         assert "\n|       4 |" not in faulted
-        assert faulted == capsys.readouterr().out
 
     def test_relay_rejects_f_source_algorithm(self) -> None:
         with pytest.raises(SystemExit):
@@ -91,8 +93,8 @@ class TestConsensusCommand:
         assert "agreement: True   validity: True" in out
 
     def test_with_crash(self, capsys) -> None:  # noqa: ANN001
-        code = main(["consensus", "--n", "5", "--crash", "2:4",
-                     "--horizon", "150"])
+        code = main(["consensus", "--n", "5", "--faults",
+                     "crash(t=2.0,pid=4)", "--horizon", "150"])
         assert code == 0
 
     def test_f_source_without_f_is_a_one_line_exit(self) -> None:

@@ -16,7 +16,7 @@ from repro.consensus import (
     check_compacting_log,
 )
 from repro.consensus.messages import Ballot, Forward, Prepare
-from repro.sim import FaultPlan, LinkTimings
+from repro.sim import FaultPlan, LinkTimings, PartitionFault
 from repro.sim.engine import Simulation
 from repro.sim.network import Network
 from repro.sim.topology import multi_source_links
@@ -127,8 +127,7 @@ class TestSnapshotTransfer:
     def test_partitioned_laggard_catches_up_via_snapshot(self) -> None:
         system = build_system(keep_tail=8, seed=9)
         fleet = drip(80, 0.4, start=4.0).drive(system)
-        for network in (system.agreement_network, system.fd_network):
-            network.add_partition(10.0, 50.0, [{0, 1, 2, 3}, {4}])
+        PartitionFault(10.0, 50.0, ((0, 1, 2, 3), (4,))).schedule(system)
         system.start_all()
         system.run_until(300.0)
         report = check_compacting_log(system, fleet.group_payloads[0])
@@ -230,8 +229,7 @@ class TestKeyValueCompaction:
                 4.0 + 0.3 * index,
                 lambda t=target, i=index, c=command:
                     system.node(t).agreement.submit(i, c))
-        for network in (system.agreement_network, system.fd_network):
-            network.add_partition(6.0, 25.0, [{0, 1, 2, 3}, {4}])
+        PartitionFault(6.0, 25.0, ((0, 1, 2, 3), (4,))).schedule(system)
         system.start_all()
         system.run_until(250.0)
         stores = [dict(system.node(pid).agreement.machine_snapshot())

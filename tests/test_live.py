@@ -12,6 +12,7 @@ in CI-smoke territory.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import urllib.error
@@ -337,6 +338,275 @@ class TestOneJudge:
             "validity violated: committed an unsubmitted command",)
 
 
+def _in_loop_node(requests, n=4, then=None, settle=0.0):
+    """Answer ``requests`` on the control channel of an in-loop node.
+
+    The node hosts every pid's fault-detector process on one transport
+    (no subprocess, no datagram socket: frames stop at the fault
+    effects).  ``then(transport)`` runs ``settle`` seconds after the
+    last answer.  Returns the answers, the transport and the clock
+    reading after them.
+    """
+    import asyncio
+
+    from repro.live.node import NodeSpec, _Node
+    from repro.live.runtime import LiveClock
+    from repro.live.transport import LiveTransport
+    from repro.obs.report import RunRecorder
+    from repro.sim.process import Process
+
+    async def main():
+        endpoints = {pid: ("127.0.0.1", 0) for pid in range(n)}
+        node = _Node(NodeSpec(pid=0, n=n, endpoints=endpoints,
+                              control_port=0, report_path=""))
+        node.clock = LiveClock()
+        node.fd = LiveTransport(node.clock, endpoints, range(n),
+                                observers=(RunRecorder(),))
+        for pid in range(n):
+            Process(pid, node.clock, node.fd)
+        server = await asyncio.start_server(node._control_connection,
+                                            "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        answers = []
+        for request in requests:
+            writer.write(json.dumps(request).encode() + b"\n")
+            await writer.drain()
+            answers.append(json.loads(await reader.readline()))
+        now = node.clock.now
+        await asyncio.sleep(settle)
+        if then is not None:
+            then(node.fd)
+        writer.close()
+        server.close()
+        await server.wait_closed()
+        return answers, node.fd, now
+
+    return asyncio.run(main())
+
+
+def _cross(*groups):
+    """The ordered pairs between different groups."""
+    return {(src, dst) for group in groups for src in group
+            for other in groups if other is not group for dst in other}
+
+
+class TestLinkFaultMapping:
+    """Each nemesis link-fault kind, sent through a node's ``fault`` op,
+    yields the effect the kind→effect table in
+    ``repro.live.transport`` documents, for the event's window length."""
+
+    @pytest.mark.parametrize("token, pairs, effect", [
+        ("degrade(start=1.0,end=3.0,pairs=0>1;2>3,loss=0.25,delay=0.1)",
+         {(0, 1), (2, 3)}, {"loss": 0.25, "extra_delay": 0.1}),
+        ("dup(start=1.0,end=3.0,pairs=1>0,p=0.3,lag=0.05)",
+         {(1, 0)}, {"duplicate": 0.3}),
+        ("flap(start=1.0,end=3.0,pairs=0>2,period=1.0,up=0.75)",
+         {(0, 2)}, {"loss": 0.25}),
+        ("netem(start=1.0,end=3.0,pairs=3>0,delay=0.05,jitter=0.04,"
+         "dist=pareto,reorder=0.1,rate=250.0,loss=0.02)",
+         {(3, 0)}, {"delay": 0.05, "jitter": 0.04, "dist": "pareto",
+                    "reorder": 0.1, "rate": 250.0, "loss": 0.02}),
+        ("partition(start=1.0,end=3.0,groups=0.1|2.3)",
+         _cross((0, 1), (2, 3)), {"cut": True}),
+    ], ids=["degrade", "dup", "flap", "netem", "partition"])
+    def test_each_kind_yields_its_documented_effect(
+            self, token, pairs, effect) -> None:
+        from repro.live.transport import _Effect
+
+        answers, transport, now = _in_loop_node(
+            [{"op": "fault", "event": token}])
+        assert answers == [{"ok": True}]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    expected = _Effect(**effect) if (src, dst) in pairs \
+                        else None
+                    assert transport._effect(src, dst, now) == expected
+        some_pair = min(pairs)
+        # The window lasts end - start = 2 s from when the op arrived.
+        assert transport._effect(*some_pair, now + 1.5) is not None
+        assert transport._effect(*some_pair, now + 2.1) is None
+
+    def test_overlapping_faults_compose(self) -> None:
+        from repro.live.transport import _Effect
+
+        answers, transport, now = _in_loop_node([
+            {"op": "fault", "event": token} for token in (
+                "degrade(start=0.0,end=2.0,pairs=0>1,loss=0.5,delay=0.1)",
+                "netem(start=0.0,end=2.0,pairs=0>1,delay=0.05,jitter=0.02,"
+                "dist=pareto,rate=100.0,loss=0.5)",
+                "netem(start=0.0,end=2.0,pairs=0>1,jitter=0.01,reorder=0.2,"
+                "rate=300.0)",
+                "dup(start=0.0,end=2.0,pairs=0>1,p=0.4,lag=0.05)")])
+        assert answers == [{"ok": True}] * 4
+        # Losses compose, delays and jitters add, a pareto spread makes
+        # the sum pareto, the tightest cap and the largest
+        # duplicate/reorder probabilities win.
+        assert transport._effect(0, 1, now) == _Effect(
+            loss=0.75, extra_delay=0.1, duplicate=0.4, delay=0.05,
+            jitter=0.03, dist="pareto", reorder=0.2, rate=100.0)
+
+    def test_a_live_partition_drops_under_partition_not_link(self) -> None:
+        from repro.core.messages import Heartbeat
+        from repro.obs.report import RunRecorder
+
+        def send_all(transport) -> None:
+            for src in range(3):
+                for dst in range(3):
+                    if src != dst:
+                        transport.send(src, dst, Heartbeat(sender=src))
+
+        _answers, transport, _now = _in_loop_node(
+            [{"op": "fault",
+              "event": "partition(start=0.0,end=5.0,groups=0|1.2)"}],
+            n=3, then=send_all)
+        recorder = transport.hub.first(RunRecorder)
+        # 0 is cut from 1 and 2 both ways; 1 <-> 2 stays up.
+        assert recorder.dropped_by_reason == {"partition": 4}
+
+    def test_bad_requests_get_a_named_error(self) -> None:
+        answers, transport, _now = _in_loop_node([
+            {"op": "degrade", "duration": 1.0, "loss": 1.0},
+            {"op": "fault", "event": "degrade(start=oops)"},
+            {"op": "fault", "event": "crash(t=1.0,pid=0)"},
+            {"op": "fault"},
+        ])
+        assert [answer["ok"] for answer in answers] == [False] * 4
+        assert answers[0]["error"] == "unknown control op 'degrade'"
+        assert "degrade(start=oops)" in answers[1]["error"]
+        assert answers[2]["error"].startswith("crash is a process fault")
+        assert answers[3]["error"] == "'event'"
+        assert transport._windows == []
+
+    @pytest.mark.parametrize("requests", [
+        [], [{"op": "fault", "event":
+              "degrade(start=0.0,end=0.05,pairs=0>1,loss=1.0,delay=0.0)"}],
+    ], ids=["no-fault", "healed-fault"])
+    def test_no_open_fault_means_no_per_window_work(
+            self, monkeypatch, requests) -> None:
+        from repro.core.messages import Heartbeat
+        from repro.live.transport import LiveTransport
+        from repro.obs.report import RunRecorder
+
+        def per_window_work(*args) -> None:
+            raise AssertionError("a fault-free send looked at windows")
+
+        monkeypatch.setattr(LiveTransport, "_effect", per_window_work)
+        _answers, transport, _now = _in_loop_node(
+            requests, n=2, settle=0.2, then=lambda transport:
+            transport.send(0, 1, Heartbeat(sender=0)))
+        recorder = transport.hub.first(RunRecorder)
+        assert recorder.sent_by_kind == {"Heartbeat": 1}
+        assert recorder.dropped_by_reason == {}
+
+
+class _StubProc:
+    """A node process that records the signals the cluster sends it."""
+
+    def __init__(self) -> None:
+        self.signals: list[int] = []
+        self.returncode = None
+
+    def poll(self):
+        return self.returncode
+
+    def kill(self) -> None:
+        import signal
+
+        self.signals.append(signal.SIGKILL)
+        self.returncode = -signal.SIGKILL
+
+    def send_signal(self, signum: int) -> None:
+        self.signals.append(signum)
+
+    def wait(self, timeout=None):
+        return self.returncode
+
+
+class TestHttpFaults:
+    """``POST /clusters/<id>/faults`` runs the plan's own actions, so the
+    cluster's bookkeeping sees every HTTP-injected crash and pause."""
+
+    def _handle(self, tmp_path, monkeypatch):
+        import time
+
+        from repro.live import control
+        from repro.live.cluster import LiveClusterSpec
+
+        monkeypatch.setattr(control.tempfile, "mkdtemp",
+                            lambda prefix: str(tmp_path))
+        handle = control._ClusterHandle(
+            "c0", LiveClusterSpec(n=3, horizon=0.2))
+        cluster = handle.cluster
+        cluster._procs = {pid: _StubProc() for pid in range(3)}
+        cluster._started = time.monotonic()  # what run() does first
+        return handle, cluster
+
+    def test_an_http_crash_marks_the_pid_down(self, tmp_path,
+                                              monkeypatch) -> None:
+        import signal
+
+        handle, cluster = self._handle(tmp_path, monkeypatch)
+        answer = handle.inject(
+            {"faults": "crash(t=0.0,pid=1) pause(t=0.0,pid=2,dur=30.0)"})
+        assert answer == {"ok": True, "events": 2}
+        cluster._drive()
+        assert cluster._down == {1, 2}
+        assert cluster._procs[1].signals == [signal.SIGKILL]
+        # Teardown's graceful path thaws the node paused over HTTP.
+        cluster._shutdown()
+        assert cluster._procs[2].signals == [signal.SIGSTOP, signal.SIGCONT]
+
+    def test_concurrent_injects_lose_no_action(self, tmp_path,
+                                               monkeypatch) -> None:
+        import signal
+        import sys
+
+        handle, cluster = self._handle(tmp_path, monkeypatch)
+        cluster.spec = dataclasses.replace(cluster.spec, horizon=1.0)
+        errors: list[BaseException] = []
+
+        def inject_many() -> None:
+            try:
+                for _ in range(25):
+                    handle.inject(
+                        {"faults": "pause(t=0.0,pid=1,dur=0.001)"})
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=inject_many)
+                       for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            cluster._drive()  # the run thread, racing the injectors
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        signals = cluster._procs[1].signals
+        assert signals.count(signal.SIGSTOP) == 8 * 25
+        assert signals.count(signal.SIGCONT) == 8 * 25
+
+    def test_malformed_or_foreign_faults_are_refused(self, tmp_path,
+                                                     monkeypatch) -> None:
+        from repro.sim.nemesis import FaultPlanError
+
+        handle, cluster = self._handle(tmp_path, monkeypatch)
+        with pytest.raises(FaultPlanError, match="malformed"):
+            handle.inject({"faults": "crash"})
+        with pytest.raises(FaultPlanError, match="references pid 7"):
+            handle.inject({"faults": "crash(t=0.0,pid=7)"})
+        cluster._drive()
+        with pytest.raises(ValueError, match="past its horizon"):
+            handle.inject({"faults": "crash(t=0.0,pid=1)"})
+        assert cluster._down == set()
+
+
 @pytest.mark.live
 class TestLiveCluster:
     def test_cluster_elects_and_decides(self, tmp_path) -> None:
@@ -464,6 +734,46 @@ class TestControlPlane:
             status, _ = self._request(
                 port, "GET", f"/clusters/{cluster_id}")
             assert status == 404
+        finally:
+            server.shutdown()
+
+    def test_faults_over_http_run_the_plan_actions(self) -> None:
+        import time
+
+        from repro.live.control import serve
+
+        server = serve(port=0)
+        port = server.server_address[1]
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            status, body = self._request(
+                port, "POST", "/clusters", {"n": 3, "horizon": HORIZON})
+            cluster_id = body["id"]
+            faults = f"/clusters/{cluster_id}/faults"
+            status, body = self._request(port, "POST", faults,
+                                         {"faults": "crash(t=oops,pid=2)"})
+            assert status == 400 and "crash(t=oops,pid=2)" in body["error"]
+            status, body = self._request(
+                port, "POST", faults,
+                {"faults": "crash(t=0.0,pid=2) "
+                           "partition(start=0.0,end=0.5,groups=0|1)"})
+            assert (status, body) == (200, {"ok": True, "events": 2})
+            deadline = time.time() + 30
+            while time.time() < deadline:
+                status, body = self._request(
+                    port, "GET", f"/clusters/{cluster_id}")
+                if body["state"] != "running":
+                    break
+                time.sleep(0.25)
+            assert body["state"] == "done", body
+            assert body["verdict"]["ok"] is True
+            assert body["verdict"]["evidence"]["correct"] == [0, 1]
+            status, report = self._request(
+                port, "GET", f"/clusters/{cluster_id}/report")
+            dropped = {reason for network in report["networks"]
+                       for reason in network["message_budget"]
+                       ["dropped_by_reason"]}
+            assert "partition" in dropped and "link" not in dropped
         finally:
             server.shutdown()
 

@@ -8,7 +8,7 @@ from conftest import Probe, Recorder, drip, make_pair
 
 from repro.consensus import ConsensusSystem, check_log
 from repro.core import OmegaConfig, analyze_omega_run, make_factory
-from repro.sim import Cluster, LinkTimings
+from repro.sim import Cluster, LinkTimings, PartitionFault
 from repro.sim.engine import Simulation
 from repro.sim.network import Network, NetworkError
 from repro.sim.topology import all_eventually_timely_links, multi_source_links
@@ -93,7 +93,7 @@ class TestOmegaAcrossPartitions:
             links=all_eventually_timely_links(5, LinkTimings(gst=2.0)),
             seed=1)
         # A minority {3, 4} is isolated between t=20 and t=60.
-        cluster.network.add_partition(20.0, 60.0, [{0, 1, 2}, {3, 4}])
+        PartitionFault(20.0, 60.0, ((0, 1, 2), (3, 4))).schedule(cluster)
         cluster.start_all()
         cluster.run_until(50.0)
         # During the partition the two sides disagree.
@@ -110,7 +110,7 @@ class TestOmegaAcrossPartitions:
             5, make_factory("all-timely", OmegaConfig()),
             links=all_eventually_timely_links(5, LinkTimings(gst=2.0)),
             seed=2)
-        cluster.network.add_partition(20.0, 60.0, [{0, 1, 2}, {3, 4}])
+        PartitionFault(20.0, 60.0, ((0, 1, 2), (3, 4))).schedule(cluster)
         cluster.start_all()
         cluster.run_until(58.0)
         majority_outputs = {cluster.process(pid).leader() for pid in (0, 1, 2)}
@@ -125,8 +125,7 @@ class TestConsensusAcrossPartitions:
         fleet = drip(20, 0.5, start=4.0).drive(system)
         # Fragment into minorities: no quorum anywhere for 30s, on both
         # the agreement and the failure-detector network.
-        for network in (system.agreement_network, system.fd_network):
-            network.add_partition(10.0, 40.0, [{0, 1}, {2, 3}, {4}])
+        PartitionFault(10.0, 40.0, ((0, 1), (2, 3), (4,))).schedule(system)
         system.start_all()
         system.run_until(38.0)
         report_mid = check_log(system, fleet.group_payloads[0])
@@ -144,8 +143,7 @@ class TestConsensusAcrossPartitions:
         system = ConsensusSystem.build_replicated_log(
             4, lambda: multi_source_links(4, (0, 2), timings), seed=4)
         fleet = drip(10, 0.5, start=3.0).drive(system)
-        for network in (system.agreement_network, system.fd_network):
-            network.add_partition(8.0, 30.0, [{0, 1}, {2, 3}])
+        PartitionFault(8.0, 30.0, ((0, 1), (2, 3))).schedule(system)
         system.start_all()
         system.run_until(250.0)
         report = check_log(system, fleet.group_payloads[0])

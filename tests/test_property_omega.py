@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import analyze_omega_run
 from repro.harness import OmegaScenario
-from repro.sim import LinkTimings
+from repro.sim import FaultPlan, LinkTimings
 
 
 FAST = LinkTimings(gst=3.0, pre_gst_delay_max=2.0)
@@ -49,11 +49,12 @@ class TestOmegaUnderRandomCrashes:
     @settings(max_examples=12, deadline=None)
     def test_all_timely_with_minority_crashes(
             self, seed: int, victims: set[int], crash_time: float) -> None:
-        crashes = tuple((crash_time + i, pid)
-                        for i, pid in enumerate(sorted(victims)))
+        crashes = FaultPlan.crashes_at(*((crash_time + i, pid) for i, pid
+                                         in enumerate(sorted(victims))))
         outcome = OmegaScenario(
             algorithm="all-timely", n=5, system="all-et",
-            crashes=crashes, seed=seed, horizon=150.0, timings=FAST).run()
+            faults=crashes.to_repro(), seed=seed, horizon=150.0,
+            timings=FAST).run()
         assert outcome.stabilized
         expected = min(pid for pid in range(5) if pid not in victims)
         assert outcome.report.final_leader == expected
@@ -66,8 +67,8 @@ class TestOmegaUnderRandomCrashes:
             self, seed: int, victim: int, crash_time: float) -> None:
         outcome = OmegaScenario(
             algorithm="comm-efficient", n=4, system="source", source=1,
-            crashes=((crash_time, victim),), seed=seed, horizon=200.0,
-            timings=FAST).run()
+            faults=FaultPlan.crashes_at((crash_time, victim)).to_repro(),
+            seed=seed, horizon=200.0, timings=FAST).run()
         assert outcome.stabilized
         assert outcome.report.final_leader != victim
 

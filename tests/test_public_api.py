@@ -69,7 +69,7 @@ class TestConfigSurface:
             "duration", "horizon"),
         "repro.harness.scenarios.OmegaScenario": (
             "algorithm", "n", "system", "source", "sources", "targets", "f",
-            "crashes", "faults", "seed", "horizon", "ce_window",
+            "faults", "seed", "horizon", "ce_window",
             "quorum_override", "timings", "config", "trace", "link_rng"),
         "repro.live.cluster.LiveClusterSpec": (
             "n", "algorithm", "eta", "initial_timeout", "horizon", "seed",

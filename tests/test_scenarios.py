@@ -64,7 +64,7 @@ class TestExecution:
 
     def test_crashes_applied(self) -> None:
         scenario = OmegaScenario(algorithm="all-timely", n=4, system="all-et",
-                                 crashes=((10.0, 0),), horizon=80.0)
+                                 faults="crash(t=10.0,pid=0)", horizon=80.0)
         outcome = scenario.run()
         assert outcome.cluster.crashed_pids() == [0]
         assert outcome.report.final_leader == 1

@@ -134,12 +134,12 @@ def _scenario_digest(trace) -> str:
 
 
 @pytest.mark.parametrize("algorithm,faults", [
-    ("comm-efficient", ()),
-    ("source", ((12.0, 3, 25.0),)),   # crash + recovery mid-run
-    ("all-timely", ((8.0, 2),)),      # crash-stop
-])
+    ("comm-efficient", ""),
+    ("source", "crash(t=12.0,pid=3,recover=25.0)"),  # crash + recovery
+    ("all-timely", "crash(t=8.0,pid=2)"),            # crash-stop
+], ids=["comm-efficient-faults0", "source-faults1", "all-timely-faults2"])
 def test_protocol_runs_trace_identically(monkeypatch, algorithm: str,
-                                         faults: tuple) -> None:
+                                         faults: str) -> None:
     """Full protocol runs — broadcasts, faults — digest identically."""
     def run(sim_cls):
         monkeypatch.setattr(cluster_mod, "Simulation", sim_cls)
@@ -147,7 +147,7 @@ def test_protocol_runs_trace_identically(monkeypatch, algorithm: str,
             algorithm=algorithm, n=5,
             system="source" if algorithm != "all-timely" else "all-et",
             source=1, seed=11, horizon=40.0, ce_window=10.0,
-            crashes=faults, trace=True)
+            faults=faults, trace=True)
         outcome = scenario.run()
         return (outcome.cluster.sim.events_executed,
                 _scenario_digest(outcome.cluster.trace),

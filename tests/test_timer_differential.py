@@ -34,8 +34,9 @@ from repro.sim.trace import SendRecord
 
 SEEDS = range(20)
 SYSTEMS = ("source", "multi-source", "all-timely")
-FAULTS = "pause(t=12.0,pid=1,dur=9.0) pause(t=30.0,pid=0,dur=1.5)"
-CRASHES = ((18.0, 3), (24.0, 2, 33.0))  # crash-stop, and a recovery bounce
+# Two pauses, a crash-stop, and a recovery bounce.
+FAULTS = ("pause(t=12.0,pid=1,dur=9.0) pause(t=30.0,pid=0,dur=1.5) "
+          "crash(t=18.0,pid=3) crash(t=24.0,pid=2,recover=33.0)")
 
 
 def _eager_set_timer(self: Process, key: Hashable, delay: float) -> None:
@@ -51,7 +52,7 @@ def _eager_set_timer(self: Process, key: Hashable, delay: float) -> None:
 def _schedule(algorithm: str, system: str, seed: int):
     outcome = OmegaScenario(
         algorithm=algorithm, n=5, system=system, source=1, sources=(1, 4),
-        seed=seed, horizon=45.0, crashes=CRASHES, faults=FAULTS,
+        seed=seed, horizon=45.0, faults=FAULTS,
         trace=True).run()
     cluster = outcome.cluster
     sends = [(record.time, record.src, record.dst, record.kind)
