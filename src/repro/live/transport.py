@@ -17,9 +17,13 @@ messages still cross real UDP sockets either way.
 Link faults act at the socket boundary: :meth:`LiveTransport.apply_fault`
 takes a nemesis ``degrade``/``dup``/``flap``/``netem``/``partition``
 event and disturbs its ordered pairs for the event's window length,
-through one kind→effect table (``_EFFECTS``).  Crash/pause faults act
-on the *process* (SIGKILL/SIGSTOP from the cluster harness, or
-``Process.crash`` in-loop), not on the transport.
+with the meaning the sim gives it: the nemesis' one kind→effect table
+(:func:`~repro.sim.nemesis.link_effect`), pairs
+(:func:`~repro.sim.nemesis.fault_pairs`) and applier
+(:func:`~repro.sim.nemesis.apply_link_faults`), with "at once" as the
+link underneath.  Crash/pause faults act on the *process* (SIGKILL/SIGSTOP
+from the cluster harness, or ``Process.crash`` in-loop), not on the
+transport.
 
 Semantics versus the sim (the full table is in ``docs/TRANSPORT.md``):
 
@@ -39,8 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.live.runtime import LiveClock
 from repro.obs.observer import Observer, attach_captured, ObserverHub
@@ -57,102 +60,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["LiveTransport"]
 
 
-#: Burst allowance of the rate-cap token bucket, in seconds of the cap
-#: (a 200 frames/s cap may burst ~20 frames before shedding).
-_BURST_S = 0.1
-
-#: Cap on a pareto jitter draw, in multiples of ``jitter`` — keeps the
-#: heavy tail from exceeding protocol timeouts by unbounded amounts.
-_PARETO_CAP = 4.0
-
-#: Shape parameter of the pareto jitter distribution.  ``alpha = 2``
-#: makes ``jitter * (X - 1)`` average ``jitter`` with a heavy tail, so
-#: uniform and pareto windows are comparable at the same ``jitter``.
-_PARETO_ALPHA = 2.0
-
-
-@dataclass(frozen=True)
-class _Effect:
-    """What one link fault does to each frame on its ordered pairs.
-
-    ``cut`` drops every frame (reason ``partition``); ``loss`` drops
-    with that probability (reason ``link``); ``extra_delay`` adds a
-    uniform ``[0, extra_delay)`` latency and ``delay`` a fixed one;
-    ``jitter`` adds a spread drawn from ``dist`` (``uniform`` over
-    ``[0, jitter)``, or a heavy-tailed ``pareto`` scaled so its mean is
-    ``jitter`` and capped at 4x); ``duplicate`` is the probability of a
-    second copy; ``reorder`` the probability that a frame skips its
-    delay and overtakes in-flight traffic; ``rate`` a frames/second
-    cap (``0`` = none) enforced by a token bucket, whose excess drops
-    with reason ``rate_cap``.
-    """
-
-    cut: bool = False
-    loss: float = 0.0
-    extra_delay: float = 0.0
-    duplicate: float = 0.0
-    delay: float = 0.0
-    jitter: float = 0.0
-    dist: str = "uniform"
-    reorder: float = 0.0
-    rate: float = 0.0
-
-    def __add__(self, other: "_Effect") -> "_Effect":
-        """Two overlapping faults: losses compose multiplicatively,
-        delays and jitters add, duplicate/reorder take the max, a
-        pareto jitter makes the sum pareto, the tightest cap wins."""
-        rates = [rate for rate in (self.rate, other.rate) if rate > 0.0]
-        return _Effect(
-            cut=self.cut or other.cut,
-            loss=1.0 - (1.0 - self.loss) * (1.0 - other.loss),
-            extra_delay=self.extra_delay + other.extra_delay,
-            duplicate=max(self.duplicate, other.duplicate),
-            delay=self.delay + other.delay,
-            jitter=self.jitter + other.jitter,
-            dist="pareto" if "pareto" in (self.dist, other.dist)
-            else "uniform",
-            reorder=max(self.reorder, other.reorder),
-            rate=min(rates, default=0.0))
-
-
-#: The live effect of each nemesis link-fault kind, the one place in
-#: ``repro.live`` that reads a link fault's fields:
-#:
-#: =============  =====================================================
-#: ``degrade``    extra ``loss`` plus a uniform extra delay up to
-#:                ``delay``.
-#: ``dup``        a second copy with probability ``p``.
-#: ``flap``       a loss of ``1 - up`` for the whole window (the sim's
-#:                square-wave up/down cycling has no socket-level
-#:                equivalent here).
-#: ``netem``      the full shape: fixed ``delay``, ``jitter`` drawn
-#:                from ``dist``, ``reorder``, ``rate`` cap and ``loss``
-#:                — per ordered direction, so asymmetric regimes apply
-#:                as written.
-#: ``partition``  every frame between two groups (or from or to a pid
-#:                in no group) is cut, as on the sim's ``Network``.
-#: =============  =====================================================
-_EFFECTS: dict[str, Callable[[Any], _Effect]] = {
-    "degrade": lambda event: _Effect(loss=event.loss,
-                                     extra_delay=event.delay),
-    "dup": lambda event: _Effect(duplicate=event.p),
-    "flap": lambda event: _Effect(loss=1.0 - event.up),
-    "netem": lambda event: _Effect(
-        loss=event.loss, delay=event.delay, jitter=event.jitter,
-        dist=event.dist, reorder=event.reorder, rate=event.rate),
-    "partition": lambda event: _Effect(cut=True),
-}
-
-
-def _fault_pairs(event: Any,
-                 pids: Iterable[int]) -> frozenset[tuple[int, int]]:
-    """The ordered pairs a link fault disturbs among ``pids``."""
-    if event.kind != "partition":
-        return frozenset(event.link_pairs())
-    return frozenset(
-        (src, dst) for src in pids for dst in pids if src != dst
-        and not any(src in group and dst in group
-                    for group in event.groups))
+def _at_once() -> float:
+    """The link under a live pair's faults: the socket, now."""
+    return 0.0
 
 
 class _Endpoint(asyncio.DatagramProtocol):
@@ -216,11 +126,9 @@ class LiveTransport:
                 raise TransportError(f"local pid {pid} has no endpoint")
         self._processes: dict[int, "Process"] = {}
         self._sockets: dict[int, asyncio.DatagramTransport] = {}
-        # Open link faults: (end, ordered pairs, effect), in apply order.
-        self._windows: list[
-            tuple[float, frozenset[tuple[int, int]], _Effect]] = []
-        # Token buckets of rate-capped pairs: (src, dst) -> (tokens, last).
-        self._buckets: dict[tuple[int, int], tuple[float, float]] = {}
+        # Open link faults per ordered pair, in apply order
+        # (FaultWindow); a pair with none has no entry.
+        self._faults: dict[tuple[int, int], list[Any]] = {}
         self._rng = random.Random(seed)
         # Newest incarnation seen per sender; the receiver-side
         # stale-incarnation filter (exact for in-loop senders).
@@ -293,52 +201,32 @@ class LiveTransport:
     def apply_fault(self, event: Any) -> None:
         """Apply a nemesis link fault from now for its window's length.
 
-        ``event`` is a parsed :mod:`repro.sim.nemesis` event; its
-        effect comes from the kind→effect table above.  A process
-        fault (crash, recover, pause) acts on the OS process, not on
-        the sockets, and raises :class:`ValueError`.
+        ``event`` is a parsed :mod:`repro.sim.nemesis` event.  Each of
+        its ordered pairs gets the kind's
+        :class:`~repro.sim.nemesis.LinkEffect` for ``end - start``
+        seconds of this clock, after the faults already open on it.  A
+        process fault (crash, recover, pause) acts on the OS process,
+        not on the sockets, and raises :class:`ValueError`.
         """
-        effect = _EFFECTS.get(event.kind)
-        if effect is None:
-            raise ValueError(f"{event.kind} is a process fault; only "
-                             f"link faults ({', '.join(_EFFECTS)}) "
-                             f"apply to a transport")
+        # The nemesis loads with the first fault, never at node boot.
+        from repro.sim.nemesis import FaultWindow, fault_pairs, link_effect
+
+        effect = link_effect(event)
         start, end = event.window()
-        window = (self.clock.now + end - start,
-                  _fault_pairs(event, self.pids), effect(event))
-        self._windows.append(window)
-        # Once healed, the fault costs a send nothing.
-        self.clock.post_after(end - start,
-                              lambda: self._windows.remove(window))
+        now = self.clock.now
+        opened = [(pair, FaultWindow(now, now + end - start, effect))
+                  for pair in sorted(fault_pairs(event, self.pids))]
+        for pair, window in opened:
+            self._faults.setdefault(pair, []).append(window)
+        self.clock.post_after(end - start, lambda: self._heal(opened))
 
-    def _effect(self, src: int, dst: int, now: float) -> _Effect | None:
-        """The composed effect of the faults open on ``src -> dst``."""
-        effect = None
-        for end, pairs, window in self._windows:
-            if now < end and (src, dst) in pairs:
-                effect = window if effect is None else effect + window
-        return effect
-
-    def _sample_jitter(self, jitter: float, dist: str) -> float:
-        """One per-frame jitter draw: uniform spread or capped pareto."""
-        if jitter <= 0.0:
-            return 0.0
-        if dist == "pareto":
-            spread = jitter * (self._rng.paretovariate(_PARETO_ALPHA) - 1.0)
-            return min(spread, jitter * _PARETO_CAP)
-        return self._rng.uniform(0.0, jitter)
-
-    def _rate_admit(self, src: int, dst: int, rate: float,
-                    now: float) -> bool:
-        """Token-bucket admission for a rate-capped pair."""
-        tokens, last = self._buckets.get((src, dst), (rate * _BURST_S, now))
-        burst = max(2.0, rate * _BURST_S)
-        tokens = min(burst, tokens + (now - last) * rate)
-        if tokens < 1.0:
-            self._buckets[(src, dst)] = (tokens, now)
-            return False
-        self._buckets[(src, dst)] = (tokens - 1.0, now)
-        return True
+    def _heal(self, opened: list[tuple[tuple[int, int], Any]]) -> None:
+        """Close a healed fault; a pair left with none costs a send nothing."""
+        for pair, window in opened:
+            windows = self._faults[pair]
+            windows.remove(window)
+            if not windows:
+                del self._faults[pair]
 
     # ------------------------------------------------------------------
     # Transport protocol: messaging
@@ -427,33 +315,18 @@ class LiveTransport:
             packets = packet_count(size, self.mtu)
             for callback in packet_cbs:
                 callback(now, src, dst, kind, size, packets)
-        effect = self._effect(src, dst, now) if self._windows else None
-        if effect is None:
+        faults = self._faults.get((src, dst)) if self._faults else None
+        if faults is None:
             self._send_frame(src, dst, frame)
             return
-        if effect.cut:
+        from repro.sim.nemesis import apply_link_faults
+
+        delays, reason = apply_link_faults(faults, now, self._rng, _at_once)
+        if not delays:
             for callback in drop_cbs:
-                callback(now, src, dst, kind, "partition")
+                callback(now, src, dst, kind, reason)
             return
-        if effect.rate and not self._rate_admit(src, dst, effect.rate, now):
-            for callback in drop_cbs:
-                callback(now, src, dst, kind, "rate_cap")
-            return
-        if effect.loss and self._rng.random() < effect.loss:
-            for callback in drop_cbs:
-                callback(now, src, dst, kind, "link")
-            return
-        copies = (2 if effect.duplicate
-                  and self._rng.random() < effect.duplicate else 1)
-        for _ in range(copies):
-            delay = effect.delay + self._sample_jitter(effect.jitter,
-                                                       effect.dist)
-            if effect.extra_delay:
-                delay += self._rng.uniform(0.0, effect.extra_delay)
-            if effect.reorder and self._rng.random() < effect.reorder:
-                # netem reorder semantics: this frame bypasses the
-                # shaped queue and overtakes delayed in-flight traffic.
-                delay = 0.0
+        for delay in delays:
             if delay:
                 self.clock.post_after(
                     delay, lambda: self._send_frame(src, dst, frame))

@@ -14,12 +14,12 @@ _EXPORTS = {
     "repro.sim.nemesis": (
         "CrashFault", "DegradeFault", "DuplicateFault", "FaultEvent",
         "FaultPlan", "FaultPlanError", "FlapFault", "ModelEnvelope",
-        "PartitionFault", "PauseFault", "ProcessClasses", "RecoverFault",
-        "model_violations", "parse_event", "process_classes",
+        "PartitionFault", "PauseFault", "PerturbedLink", "ProcessClasses",
+        "RecoverFault", "model_violations", "parse_event", "process_classes",
         "sample_degraded_plan", "sample_plan", "sample_recovery_plan"),
     "repro.sim.links": (
-        "DegradedWindow", "PerturbedLink", "DeadLink", "EventuallyTimelyLink",
-        "FairLossyLink", "LinkPolicy", "LossyAsyncLink", "TimelyLink"),
+        "DeadLink", "EventuallyTimelyLink", "FairLossyLink", "LinkPolicy",
+        "LossyAsyncLink", "TimelyLink"),
     "repro.sim.messages": ("Message",),
     "repro.sim.metrics": ("MetricsCollector", "WindowStats"),
     "repro.sim.network": ("Network", "NetworkError"),

@@ -35,19 +35,18 @@ out one instance per law per map (see :mod:`repro.sim.topology`).  A
 direct caller that leaves ``link`` at ``None`` gets "this object serves
 one link".
 
-On top of the four base models, :class:`PerturbedLink` wraps any policy
-with time-bounded :class:`DegradedWindow` adversities — extra loss,
-delay storms, flapping, message duplication — which is how the nemesis
-subsystem (:mod:`repro.sim.nemesis`) injects link faults without
-replacing the underlying synchrony model.
+Link faults (loss and delay storms, flapping, duplication, netem
+shapes, partitions) do not replace a pair's law: the nemesis
+(:mod:`repro.sim.nemesis`) wraps it in a
+:class:`~repro.sim.nemesis.PerturbedLink` that plans through the faults
+open on that pair, with the meaning the live backend gives them too.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Collection, Hashable, Iterable
+from typing import Collection, Hashable
 
 from repro.sim.messages import Message
 
@@ -58,8 +57,6 @@ __all__ = [
     "FairLossyLink",
     "LossyAsyncLink",
     "DeadLink",
-    "DegradedWindow",
-    "PerturbedLink",
 ]
 
 
@@ -81,10 +78,8 @@ class LinkPolicy(ABC):
         """Delivery delays for every copy of ``message`` (empty = dropped).
 
         The base models deliver at most one copy, so the default defers
-        to :meth:`plan`.  Wrappers that can duplicate messages (see
-        :class:`PerturbedLink`) override this, and the network plans
-        through ``plan_all`` exactly when a policy does; a policy that
-        keeps this default is asked :meth:`plan` directly.
+        to :meth:`plan`.  A link under faults that duplicate messages
+        (:class:`~repro.sim.nemesis.PerturbedLink`) overrides this.
         """
         delay = self.plan(message, now, rng, link)
         return [] if delay is None else [delay]
@@ -385,119 +380,3 @@ class DeadLink(LossyAsyncLink):
 
     def describe(self) -> str:
         return "dead"
-
-
-@dataclass(frozen=True)
-class DegradedWindow:
-    """A time-bounded adversity applied on top of a link's base policy.
-
-    During ``[start, end)`` the window may add loss (``loss``), stretch
-    delays (``extra_delay`` is a uniform ceiling added to each delivered
-    copy), duplicate delivered messages (``duplicate`` probability; the
-    copy lands within ``duplicate_lag`` after the original), or *flap*
-    the link: with ``flap_period > 0`` the link cycles up for
-    ``flap_up`` of each period and drops everything in the down phase.
-
-    Windows are pure data — the stateful part lives in
-    :class:`PerturbedLink`, which owns a list of them.
-    """
-
-    start: float
-    end: float
-    loss: float = 0.0
-    extra_delay: float = 0.0
-    duplicate: float = 0.0
-    duplicate_lag: float = 0.05
-    flap_period: float = 0.0
-    flap_up: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.end <= self.start:
-            raise ValueError("degraded window must have positive duration")
-        for name in ("loss", "duplicate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {value}")
-        if self.extra_delay < 0 or self.duplicate_lag < 0:
-            raise ValueError("delays must be >= 0")
-        if self.flap_period < 0:
-            raise ValueError("flap_period must be >= 0")
-        if self.flap_period > 0 and not 0.0 < self.flap_up < 1.0:
-            raise ValueError("flap_up must lie strictly in (0, 1)")
-
-    def active(self, now: float) -> bool:
-        """Whether the window covers ``now``."""
-        return self.start <= now < self.end
-
-    def flapped_down(self, now: float) -> bool:
-        """Whether a flapping window is in its down phase at ``now``."""
-        if self.flap_period <= 0:
-            return False
-        phase = ((now - self.start) % self.flap_period) / self.flap_period
-        return phase >= self.flap_up
-
-    def describe(self) -> str:
-        """Short rendering for traces."""
-        parts = [f"[{self.start:g},{self.end:g})"]
-        if self.loss:
-            parts.append(f"loss={self.loss:g}")
-        if self.extra_delay:
-            parts.append(f"+delay<={self.extra_delay:g}")
-        if self.duplicate:
-            parts.append(f"dup={self.duplicate:g}")
-        if self.flap_period:
-            parts.append(f"flap={self.flap_period:g}/up={self.flap_up:g}")
-        return " ".join(parts)
-
-
-class PerturbedLink(LinkPolicy):
-    """A link policy wrapping another with scheduled degraded windows.
-
-    The wrapper is per link (its windows are); the inner policy may be
-    a shared law, so the ``link`` token is passed through to it.
-    Outside every window the wrapper is transparent: it consumes exactly
-    the same randomness as the inner policy alone, so a run perturbed by
-    windows that never activate is bit-for-bit the unperturbed run.
-    Inside a window, extra loss is decided first (one draw per active
-    window), then the inner policy plans as usual, then delay stretching
-    and duplication apply to the surviving copies.
-    """
-
-    def __init__(self, inner: LinkPolicy,
-                 windows: Iterable[DegradedWindow] = ()) -> None:
-        self.inner = inner
-        self.windows: list[DegradedWindow] = list(windows)
-
-    def add_window(self, window: DegradedWindow) -> None:
-        """Attach one more degraded window to this link."""
-        self.windows.append(window)
-
-    def plan(self, message: Message, now: float, rng: random.Random,
-             link: Hashable = None) -> float | None:
-        copies = self.plan_all(message, now, rng, link)
-        return copies[0] if copies else None
-
-    def plan_all(self, message: Message, now: float, rng: random.Random,
-                 link: Hashable = None) -> list[float]:
-        active = [w for w in self.windows if w.active(now)]
-        for window in active:
-            if window.flapped_down(now):
-                return []
-            if window.loss and rng.random() < window.loss:
-                return []
-        copies = self.inner.plan_all(message, now, rng, link)
-        if not copies:
-            return []
-        for window in active:
-            if window.extra_delay:
-                copies = [delay + rng.uniform(0.0, window.extra_delay)
-                          for delay in copies]
-        for window in active:
-            if window.duplicate and rng.random() < window.duplicate:
-                copies = copies + [copies[0]
-                                   + rng.uniform(0.0, window.duplicate_lag)]
-        return copies
-
-    def describe(self) -> str:
-        return (f"perturbed({self.inner.describe()}, "
-                f"windows={len(self.windows)})")

@@ -18,8 +18,7 @@ This module is the one fault script of the simulator.  A
     suspicions the detectors must recover from.
 
 :class:`PartitionFault`
-    Split the network into groups for a window, then heal (subsumes the
-    ad-hoc partition lists on :class:`~repro.sim.network.Network`).
+    Split the network into groups for a window, then heal.
 
 :class:`DegradeFault`
     A loss/delay storm on chosen ordered links for a window.
@@ -30,6 +29,10 @@ This module is the one fault script of the simulator.  A
 :class:`DuplicateFault`
     Probabilistic message duplication on chosen links for a window.
 
+:class:`NetemFault`
+    A netem-style shape (delay, jitter, reorder, rate cap, loss) on
+    chosen ordered links for a window.
+
 Every event is data-first: a frozen dataclass that prints, serializes to
 a compact *repro string* (``crash(t=20.0,pid=3)``), parses back with
 :func:`parse_event`, and is therefore replayable.  Plans schedule onto
@@ -39,6 +42,14 @@ anything with the cluster surface (``sim``, ``pids``, ``crash``,
 :class:`~repro.consensus.node.ConsensusSystem` qualify, and network
 faults apply to *every* network of the target (the consensus stack runs
 two).
+
+A link fault means one thing on both backends.  :func:`link_effect`
+maps each link-fault kind to one :class:`LinkEffect`,
+:func:`fault_pairs` names the ordered pairs it disturbs, and
+:func:`apply_link_faults` plans a message through the open faults of
+its pair.  The simulator holds a pair's faults in a
+:class:`PerturbedLink` around the pair's link law; the live transport
+(:mod:`repro.live.transport`) holds them per pair on its clock.
 
 On top, :func:`sample_plan` (and its crash-recovery and hostile-link
 siblings) draws random plans from an explicit seeded generator that
@@ -56,11 +67,13 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Hashable, \
+    Iterable, Sequence
 
-from repro.sim.links import DegradedWindow
+from repro.sim.links import LinkPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.messages import Message
     from repro.sim.network import Network
 
 __all__ = [
@@ -73,6 +86,12 @@ __all__ = [
     "FlapFault",
     "DuplicateFault",
     "NetemFault",
+    "LinkEffect",
+    "FaultWindow",
+    "PerturbedLink",
+    "link_effect",
+    "fault_pairs",
+    "apply_link_faults",
     "FaultPlan",
     "FaultPlanError",
     "ModelEnvelope",
@@ -298,11 +317,45 @@ class PauseFault(FaultEvent):
 
 
 @dataclass(frozen=True)
-class PartitionFault(FaultEvent):
-    """Split the network into ``groups`` during ``[start, end)``, then heal."""
+class _LinkFaultEvent(FaultEvent):
+    """Shared shape of the link faults: a ``[start, end)`` window that
+    gives each of its ordered pairs one :class:`LinkEffect`."""
 
     start: float
     end: float
+
+    def window(self) -> tuple[float, float]:
+        return (self.start, self.end)
+
+    def schedule(self, target: object) -> None:
+        effect = link_effect(self)
+        for network in _networks(target):
+            unknown = ((self.pids() | FaultPlan.involved_link_pids(self))
+                       - set(network.pids))
+            if unknown:
+                raise FaultPlanError(f"{self.to_repro()} references pid "
+                                     f"{min(unknown)}, which the network "
+                                     f"does not own")
+            for src, dst in sorted(fault_pairs(self, network.pids)):
+                policy = network.link(src, dst)
+                if not isinstance(policy, PerturbedLink):
+                    policy = PerturbedLink(policy)
+                policy.faults.append(FaultWindow(self.start, self.end, effect))
+                # Drops the pair's cached route and its sender's fan-out.
+                network.set_link(src, dst, policy)
+
+
+@dataclass(frozen=True)
+class PartitionFault(_LinkFaultEvent):
+    """Split the network into ``groups`` during ``[start, end)``, then heal.
+
+    Every message between two groups, or from or to a pid in no group,
+    drops with reason ``partition`` (:func:`fault_pairs`).  A partition
+    is a burst of correlated loss, which every lossy link type permits;
+    cutting an *eventually timely* link after its GST steps outside the
+    model, deliberately.
+    """
+
     groups: tuple[tuple[int, ...], ...]
 
     kind: ClassVar[str] = "partition"
@@ -324,24 +377,14 @@ class PartitionFault(FaultEvent):
                     f"{sorted(overlap)} repeat")
             seen |= set(group)
 
-    def window(self) -> tuple[float, float]:
-        return (self.start, self.end)
-
     def pids(self) -> frozenset[int]:
         return frozenset(pid for group in self.groups for pid in group)
 
-    def schedule(self, target: object) -> None:
-        for network in _networks(target):
-            network.add_partition(self.start, self.end,
-                                  [set(group) for group in self.groups])
-
 
 @dataclass(frozen=True)
-class _LinkWindowFault(FaultEvent):
-    """Shared shape of the window-scoped link faults."""
+class _LinkWindowFault(_LinkFaultEvent):
+    """Shared shape of the link faults on named ordered pairs."""
 
-    start: float
-    end: float
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
@@ -354,20 +397,8 @@ class _LinkWindowFault(FaultEvent):
                 f"window [{self.start:g}, {self.end:g}); end must come "
                 f"after start")
 
-    def window(self) -> tuple[float, float]:
-        return (self.start, self.end)
-
     def link_pairs(self) -> tuple[tuple[int, int], ...]:
         return self.pairs
-
-    def _window_object(self) -> DegradedWindow:
-        raise NotImplementedError
-
-    def schedule(self, target: object) -> None:
-        window = self._window_object()
-        for network in _networks(target):
-            for src, dst in self.pairs:
-                network.perturb_link(src, dst, window)
 
 
 @dataclass(frozen=True)
@@ -389,10 +420,6 @@ class DegradeFault(_LinkWindowFault):
         if self.loss == 0.0 and self.delay == 0.0:
             raise FaultPlanError("degrade must add loss or delay")
 
-    def _window_object(self) -> DegradedWindow:
-        return DegradedWindow(self.start, self.end, loss=self.loss,
-                              extra_delay=self.delay)
-
 
 @dataclass(frozen=True)
 class FlapFault(_LinkWindowFault):
@@ -411,14 +438,11 @@ class FlapFault(_LinkWindowFault):
         if not 0.0 < self.up < 1.0:
             raise FaultPlanError("flap up fraction must lie in (0, 1)")
 
-    def _window_object(self) -> DegradedWindow:
-        return DegradedWindow(self.start, self.end, flap_period=self.period,
-                              flap_up=self.up)
-
 
 @dataclass(frozen=True)
 class DuplicateFault(_LinkWindowFault):
-    """Duplicate delivered messages with probability ``p``."""
+    """Duplicate delivered messages with probability ``p``, the copy
+    landing up to ``lag`` after the original."""
 
     p: float = 0.2
     lag: float = 0.05
@@ -433,10 +457,6 @@ class DuplicateFault(_LinkWindowFault):
         if self.lag < 0:
             raise FaultPlanError("lag must be >= 0")
 
-    def _window_object(self) -> DegradedWindow:
-        return DegradedWindow(self.start, self.end, duplicate=self.p,
-                              duplicate_lag=self.lag)
-
 
 _NETEM_DISTS = ("uniform", "pareto")
 
@@ -449,18 +469,15 @@ class NetemFault(_LinkWindowFault):
     produces (arXiv:2102.01251 motivates the asymmetric shapes): a
     fixed base ``delay`` plus ``jitter`` drawn from ``dist``
     (``uniform`` over ``[0, jitter)`` or a heavy-tailed ``pareto``
-    spread scaled by ``jitter``), probabilistic ``reorder`` (a frame
-    skips its queued delay and overtakes in-flight traffic), a ``rate``
-    cap in frames/second (``0`` means uncapped; excess frames drop with
-    reason ``rate_cap``), and plain ``loss``.
+    spread scaled by ``jitter``), probabilistic ``reorder`` (a message
+    skips the shape's delay and overtakes in-flight traffic), a ``rate``
+    cap in messages/second (``0`` means uncapped; excess messages drop
+    with reason ``rate_cap``), and plain ``loss``.
 
     Because ``pairs`` are ordered, asymmetric regimes are spelled as
     two events — e.g. a slow ``0>1`` direction and a lossy ``1>0``
-    direction.  On the simulator the shape is approximated by a
-    :class:`DegradedWindow` with ``extra_delay = delay + jitter`` and
-    the same ``loss`` (the sim's link model has no reorder/rate knobs);
-    on the live backend the full shape applies at the socket
-    (:class:`repro.live.transport.LinkWindow`).
+    direction.  Both backends realize the whole shape through one
+    :class:`LinkEffect` (:func:`apply_link_faults`).
     """
 
     delay: float = 0.0
@@ -497,15 +514,227 @@ class NetemFault(_LinkWindowFault):
                 "netem must shape something: delay, jitter, reorder, "
                 "rate, or loss")
 
-    def _window_object(self) -> DegradedWindow:
-        extra = self.delay + self.jitter
-        if extra == 0.0 and self.loss == 0.0:
-            # Reorder/rate-only shapes have no sim-window equivalent;
-            # schedule a negligible delay so the window still exists
-            # (and shows up in traces) without perturbing timeouts.
-            extra = 1e-9
-        return DegradedWindow(self.start, self.end, loss=self.loss,
-                              extra_delay=extra)
+
+# ----------------------------------------------------------------------
+# Link-fault effects: one meaning on both backends
+# ----------------------------------------------------------------------
+
+#: Burst allowance of a rate cap's token bucket, in seconds of the cap
+#: (a 200 messages/s cap may burst 20 messages before shedding).
+_BURST_S = 0.1
+
+#: Shape parameter of the pareto jitter.  ``alpha = 2`` makes ``jitter *
+#: (X - 1)`` average ``jitter`` with a heavy tail, so uniform and pareto
+#: shapes are comparable at the same ``jitter``.
+_PARETO_ALPHA = 2.0
+
+#: Cap on a pareto jitter draw, in multiples of ``jitter``: keeps the
+#: heavy tail from exceeding protocol timeouts by unbounded amounts.
+_PARETO_CAP = 4.0
+
+
+@dataclass(frozen=True)
+class LinkEffect:
+    """What one link fault does to each message on each of its pairs.
+
+    In the order :func:`apply_link_faults` applies them: ``cut`` drops
+    every message (reason ``partition``); a ``period`` > 0 flaps the
+    link, up for the first ``up`` of each period from the fault's start
+    and dropping everything in the rest (reason ``link``); a ``rate``
+    > 0 caps the pair at that many messages per second, the excess
+    dropping with reason ``rate_cap``; ``loss`` drops with that
+    probability (reason ``link``).  A message that survives is held a
+    fixed ``delay`` plus a ``jitter`` spread drawn from ``dist``
+    (``uniform`` over ``[0, jitter)``, or ``pareto`` with mean
+    ``jitter``, capped at 4x), unless ``reorder`` lets it skip both;
+    ``duplicate`` is the probability of a second copy up to ``lag``
+    after the first.
+    """
+
+    cut: bool = False
+    period: float = 0.0
+    up: float = 1.0
+    rate: float = 0.0
+    loss: float = 0.0
+    delay: float = 0.0
+    jitter: float = 0.0
+    dist: str = "uniform"
+    reorder: float = 0.0
+    duplicate: float = 0.0
+    lag: float = 0.0
+
+
+#: The one meaning of each link-fault kind, on both backends:
+#:
+#: =============  =====================================================
+#: ``degrade``    extra ``loss``, and a uniform extra delay up to
+#:                ``delay``.
+#: ``dup``        a second copy with probability ``p``, up to ``lag``
+#:                after the first.
+#: ``flap``       a square wave: up for ``up`` of each ``period`` from
+#:                the fault's start, everything dropped in the rest.
+#: ``netem``      the whole shape: ``rate`` cap, ``loss``, fixed
+#:                ``delay`` plus ``jitter`` from ``dist``, ``reorder``
+#:                — per ordered direction, so asymmetric regimes apply
+#:                as written.
+#: ``partition``  every message between two groups (or from or to a
+#:                pid in no group) is cut.
+#: =============  =====================================================
+_LINK_EFFECTS: dict[str, Callable[[Any], LinkEffect]] = {
+    "degrade": lambda event: LinkEffect(loss=event.loss, jitter=event.delay),
+    "dup": lambda event: LinkEffect(duplicate=event.p, lag=event.lag),
+    "flap": lambda event: LinkEffect(period=event.period, up=event.up),
+    "netem": lambda event: LinkEffect(
+        rate=event.rate, loss=event.loss, delay=event.delay,
+        jitter=event.jitter, dist=event.dist, reorder=event.reorder),
+    "partition": lambda event: LinkEffect(cut=True),
+}
+
+
+def link_effect(event: FaultEvent) -> LinkEffect:
+    """The :class:`LinkEffect` of a link fault (the table above).
+
+    A process fault (crash, recover, pause) acts on a process, not on
+    links, and raises :class:`FaultPlanError`.
+    """
+    make = _LINK_EFFECTS.get(event.kind)
+    if make is None:
+        raise FaultPlanError(
+            f"{event.kind} is a process fault; only link faults "
+            f"({', '.join(_LINK_EFFECTS)}) act on links")
+    return make(event)
+
+
+def fault_pairs(event: FaultEvent,
+                pids: Iterable[int]) -> frozenset[tuple[int, int]]:
+    """The ordered pairs among ``pids`` that a link fault disturbs: its
+    named pairs, or for a partition every pair whose ends share no group."""
+    if not isinstance(event, PartitionFault):
+        return frozenset(event.link_pairs())
+    pids = tuple(pids)
+    return frozenset(
+        (src, dst) for src in pids for dst in pids if src != dst
+        and not any(src in group and dst in group for group in event.groups))
+
+
+class FaultWindow:
+    """One link fault on one ordered pair: its ``[start, end)`` window on
+    the backend's clock, its :class:`LinkEffect`, and the pair's token
+    bucket under a rate cap."""
+
+    __slots__ = ("start", "end", "effect", "_tokens", "_last")
+
+    def __init__(self, start: float, end: float, effect: LinkEffect) -> None:
+        self.start = start
+        self.end = end
+        self.effect = effect
+        self._tokens = 0.0
+        self._last: float | None = None
+
+    def _admit(self, now: float) -> bool:
+        """Token-bucket admission under the effect's rate cap (the bucket
+        starts full)."""
+        rate = self.effect.rate
+        burst = max(2.0, rate * _BURST_S)
+        tokens = (burst if self._last is None
+                  else min(burst, self._tokens + (now - self._last) * rate))
+        self._last = now
+        admitted = tokens >= 1.0
+        self._tokens = tokens - 1.0 if admitted else tokens
+        return admitted
+
+
+def _jitter(rng: random.Random, jitter: float, dist: str) -> float:
+    if dist == "pareto":
+        return min(jitter * (rng.paretovariate(_PARETO_ALPHA) - 1.0),
+                   jitter * _PARETO_CAP)
+    return rng.uniform(0.0, jitter)
+
+
+def apply_link_faults(
+    windows: Sequence[FaultWindow], now: float, rng: random.Random,
+    base: Callable[[], float | None],
+) -> tuple[list[float], str | None]:
+    """Plan one message across one ordered pair under its link faults.
+
+    ``windows`` are the pair's faults in the order they were applied;
+    those open at ``now`` act, in the steps of :class:`LinkEffect`: a
+    cut drops before any draw; then, fault by fault, a flap's down
+    phase, the rate cap and one loss draw; then ``base()`` plans the
+    message on the link underneath (the sim's link policy; on live,
+    ``0.0``: at once), ``None`` for a drop; then each fault's delay,
+    jitter and reorder; last, each fault's duplicate with its lag.
+    This is the draw order of every pinned sim run.  Returns the delays
+    of the copies to deliver and ``None``, or ``[]`` and the drop
+    reason.  With no window open it makes exactly ``base()``'s draws.
+    """
+    active = [window for window in windows
+              if window.start <= now < window.end]
+    for window in active:
+        if window.effect.cut:
+            return [], "partition"
+    for window in active:
+        effect = window.effect
+        period = effect.period
+        if period and ((now - window.start) % period) / period >= effect.up:
+            return [], "link"
+        if effect.rate and not window._admit(now):
+            return [], "rate_cap"
+        if effect.loss and rng.random() < effect.loss:
+            return [], "link"
+    delay = base()
+    if delay is None:
+        return [], "link"
+    for window in active:
+        effect = window.effect
+        if effect.reorder and rng.random() < effect.reorder:
+            continue  # skips this fault's queue: overtakes what it holds
+        if effect.delay:
+            delay += effect.delay
+        if effect.jitter:
+            delay += _jitter(rng, effect.jitter, effect.dist)
+    copies = [delay]
+    for window in active:
+        effect = window.effect
+        if effect.duplicate and rng.random() < effect.duplicate:
+            copies.append(delay + rng.uniform(0.0, effect.lag))
+    return copies, None
+
+
+class PerturbedLink(LinkPolicy):
+    """The sim's holder of one ordered pair's link faults around its law.
+
+    ``inner`` is the pair's link law (possibly shared with other pairs,
+    so the ``link`` token passes through) and ``faults`` its
+    :class:`FaultWindow`s; every plan goes through
+    :func:`apply_link_faults`, so outside every window the holder makes
+    exactly the draws of ``inner`` alone.
+    """
+
+    def __init__(self, inner: LinkPolicy,
+                 faults: Iterable[FaultWindow] = ()) -> None:
+        self.inner = inner
+        self.faults: list[FaultWindow] = list(faults)
+
+    def plan_copies(self, message: Message, now: float, rng: random.Random,
+                    link: Hashable = None) -> tuple[list[float], str | None]:
+        """Delays of every copy and ``None``, or ``[]`` and the drop reason."""
+        return apply_link_faults(
+            self.faults, now, rng,
+            lambda: self.inner.plan(message, now, rng, link))
+
+    def plan(self, message: Message, now: float, rng: random.Random,
+             link: Hashable = None) -> float | None:
+        copies = self.plan_copies(message, now, rng, link)[0]
+        return copies[0] if copies else None
+
+    def plan_all(self, message: Message, now: float, rng: random.Random,
+                 link: Hashable = None) -> list[float]:
+        return self.plan_copies(message, now, rng, link)[0]
+
+    def describe(self) -> str:
+        return (f"perturbed({self.inner.describe()}, "
+                f"faults={len(self.faults)})")
 
 
 # ----------------------------------------------------------------------

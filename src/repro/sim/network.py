@@ -29,31 +29,32 @@ re-deriving anything per call:
   :class:`~repro.sim.topology.LinkMap` is kept as its base law (every
   pair inside ``range(n)``) plus its overrides, and ``_links`` holds
   only the pairs someone set — a map's overrides, :meth:`set_link`,
-  :meth:`perturb_link`.  What each message needs lives in **flat
+  a pair under link faults.  What each message needs lives in **flat
   arrays indexed by ``src * stride + dst``** (``stride`` = highest pid
   + 1): the route table caches each ordered link's ``(policy,
   rng_stream)`` pair in one slot, so the per-message lookup is an
   integer multiply and a list index instead of a tuple hash.  Policies
   are shared per law, so under ``link_rng="src"`` the n² slots point at
   a handful of interned tuples.  The arrays are (re)built lazily on
-  first use after a registration or a new map; :meth:`set_link` /
-  :meth:`perturb_link` clear just the affected slot, so fault injection
-  still takes effect immediately.
-* ``broadcast`` is **one pass per fan-out**: partition membership is
-  resolved once, wire size is computed once per message, and all
-  delivery events are bulk-posted through a single ``post_batch()``
-  kernel call instead of n−1 independent ``send()``s.  Each sender
-  keeps a lazily built fan-out record (destinations, rng streams, and
-  the one policy its out-links share, if they do); when they do and
-  nothing needs a per-copy callback before the plan — no active
-  partition, no per-copy send/packet observer — the whole fan-out is
-  planned by **one** ``policy.plan_many`` call.  Its link tokens are
+  first use after a registration or a new map; :meth:`set_link`
+  clears just the affected slot, so fault injection still takes effect
+  immediately.
+* ``broadcast`` is **one pass per fan-out**: wire size is computed once
+  per message, and all delivery events are bulk-posted through a
+  single ``post_batch()`` kernel call instead of n−1 independent
+  ``send()``s.  Each sender keeps a lazily built fan-out record
+  (destinations, rng streams, the one law its out-links share, if they
+  do, and the span of the link faults on them); when they do and
+  nothing needs a per-copy step before the plan — no link fault open,
+  no per-copy send/packet observer — the whole fan-out is planned by
+  **one** ``policy.plan_many`` call.  Its link tokens are
   computed from the destinations as it iterates, and under
   ``link_rng="src"`` its streams are the sender's one stream repeated,
   so the record stores neither n−1 tokens nor n−1 stream references.
   Every other broadcast plans copy by copy, and ``send`` plans its one
-  copy, through ``plan`` directly on links that keep the default
-  one-copy ``plan_all``.  Observer and ordering semantics are
+  copy: through ``plan`` on a bare law, and through the nemesis'
+  :func:`~repro.sim.nemesis.apply_link_faults` on a pair under link
+  faults.  Observer and ordering semantics are
   bit-for-bit those of the send loop both replace — see
   :meth:`Network.broadcast`.
 * A message in flight is **one** :class:`_InFlight` record per fan-out
@@ -78,9 +79,10 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.obs.observer import Observer, ObserverHub, attach_captured
 from repro.sim.engine import Simulation
-from repro.sim.links import DegradedWindow, LinkPolicy, PerturbedLink, TimelyLink
+from repro.sim.links import LinkPolicy, TimelyLink
 from repro.sim.messages import Message
 from repro.sim.metrics import MetricsCollector
+from repro.sim.nemesis import PerturbedLink
 from repro.sim.packets import DEFAULT_MTU, packet_count
 from repro.sim.trace import TraceLog
 
@@ -144,9 +146,12 @@ class _Fanout(NamedTuple):
     #: One stream per out-link (``link_rng="pair"``), or the sender's one
     #: stream repeated (``"src"``).
     rngs: tuple[random.Random, ...] | _Repeated
-    #: The one-copy policy every out-link shares, or None if they differ
-    #: (or the shared one can duplicate).
+    #: The law every out-link shares under any link faults, or None if
+    #: they differ.
     policy: LinkPolicy | None
+    #: ``[first start, last end)`` of the link faults on the out-links
+    #: (empty without any): inside it the fan-out plans copy by copy.
+    faulted: tuple[float, float]
 
 
 class _InFlight:
@@ -284,7 +289,6 @@ class Network:
         self._base_pids = range(0)
         self._base_law: LinkPolicy | None = None
         self._links: dict[tuple[int, int], LinkPolicy] = {}
-        self._partitions: list[tuple[float, float, tuple[frozenset[int], ...]]] = []
         # Whether any process ever recovered: gates the per-delivery
         # stale-incarnation check so crash-stop runs never pay for it.
         self._any_recovered = False
@@ -382,7 +386,7 @@ class Network:
         The map's base law covers every ordered pair of distinct pids in
         ``range(links.n)`` and its overrides go in as explicit links;
         every covered pair loses what it had (an explicit
-        :meth:`set_link`, a :meth:`perturb_link` overlay, an earlier
+        :meth:`set_link`, the link faults scheduled on it, an earlier
         map), exactly as one ``set_link`` per pair of the map would
         leave it.  Cached routes and fan-out records are dropped.
         """
@@ -406,7 +410,8 @@ class Network:
 
     def link(self, src: int, dst: int) -> LinkPolicy:
         """The policy for ``src -> dst``: the pair's own (a map override,
-        :meth:`set_link`, :meth:`perturb_link`), else the installed map's
+        :meth:`set_link`, a :class:`~repro.sim.nemesis.PerturbedLink`
+        under link faults), else the installed map's
         base law, else the network default (instantiated lazily).
 
         Nothing is stored by asking.  The object may serve other pairs
@@ -469,82 +474,22 @@ class Network:
             dsts = tuple(dst for dst in self._pid_tuple if dst != src)
             routes = [self._route(src, dst) for dst in dsts]
             policies = {policy for policy, _ in routes}
-            shared = None
-            if len(policies) == 1:
-                (policy,) = policies
-                if type(policy).plan_all is LinkPolicy.plan_all:
-                    shared = policy
+            faults = [fault for policy in policies
+                      if type(policy) is PerturbedLink
+                      for fault in policy.faults]
+            laws = {policy.inner if type(policy) is PerturbedLink else policy
+                    for policy in policies} if faults else policies
+            shared = laws.pop() if len(laws) == 1 else None
+            faulted = ((min(fault.start for fault in faults),
+                        max(fault.end for fault in faults))
+                       if faults else (0.0, 0.0))
             if self.link_rng == "src":
                 rngs = _Repeated(routes[0][1], len(dsts)) if routes else ()
             else:
                 rngs = tuple(rng for _, rng in routes)
             fanout = self._fanouts[src] = _Fanout(
-                dsts, _LinkTokens(src, dsts), rngs, shared)
+                dsts, _LinkTokens(src, dsts), rngs, shared, faulted)
         return fanout
-
-    def perturb_link(self, src: int, dst: int, window: DegradedWindow) -> None:
-        """Overlay a :class:`DegradedWindow` on the ``src -> dst`` policy.
-
-        The pair's current policy is wrapped in a
-        :class:`~repro.sim.links.PerturbedLink` on first use; further
-        windows accumulate on the same wrapper.  This is the hook the
-        nemesis subsystem uses for loss storms, delay storms, flapping
-        and duplication without disturbing the base synchrony model.
-        """
-        if src == dst:
-            raise NetworkError("no self-links in the model")
-        self.process(src)
-        self.process(dst)
-        policy = self.link(src, dst)
-        if not isinstance(policy, PerturbedLink):
-            policy = PerturbedLink(policy)
-            self._links[(src, dst)] = policy
-            self._clear_route(src, dst)
-        policy.add_window(window)
-
-    # ------------------------------------------------------------------
-    # Partitions
-    # ------------------------------------------------------------------
-
-    def add_partition(self, start: float, end: float,
-                      groups: "Sequence[Iterable[int]]") -> None:
-        """Partition the network into ``groups`` during ``[start, end)``.
-
-        Messages whose source and destination fall into different groups
-        (or outside every group) during the interval are dropped at send
-        time with reason ``"partition"``.  A partition is simply a burst
-        of correlated message loss, which every lossy link type permits;
-        note that partitioning an *eventually timely* link after its GST
-        steps outside the model — tests that do so are probing behaviour
-        beyond the paper's assumptions, deliberately.
-        """
-        if end <= start:
-            raise NetworkError("partition must have positive duration")
-        frozen = tuple(frozenset(group) for group in groups)
-        seen: set[int] = set()
-        for group in frozen:
-            overlap = seen & group
-            if overlap:
-                raise NetworkError(
-                    f"partition groups must be pairwise disjoint; "
-                    f"{sorted(overlap)} appear in more than one group")
-            for pid in group:
-                if pid not in self._processes:
-                    raise NetworkError(
-                        f"partition references unknown pid {pid}; "
-                        f"registered: {self.pids}")
-            seen |= group
-        self._partitions.append((start, end, frozen))
-
-    def partitioned(self, src: int, dst: int, now: float) -> bool:
-        """Whether ``src -> dst`` is currently severed by a partition."""
-        for start, end, groups in self._partitions:
-            if not start <= now < end:
-                continue
-            same_side = any(src in group and dst in group for group in groups)
-            if not same_side:
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # Messaging
@@ -584,23 +529,18 @@ class Network:
             for callback in packet_cbs:
                 callback(now, src, dst, kind, size, packets)
 
-        if self._partitions and self.partitioned(src, dst, now):
-            for callback in hub.drop_cbs:
-                callback(now, src, dst, kind, "partition")
-            return
-
         policy, rng = self._route(src, dst)
         link = src << _LINK_SHIFT | dst
-        if type(policy).plan_all is LinkPolicy.plan_all:
-            # One-copy link: skip plan_all's list round trip.
+        if type(policy) is PerturbedLink:
+            # Link faults may cut, shed or duplicate.
+            delays, reason = policy.plan_copies(message, now, rng, link)
+        else:
             delay = policy.plan(message, now, rng, link)
             delays = () if delay is None else (delay,)
-        else:
-            # Perturbed links may duplicate.
-            delays = policy.plan_all(message, now, rng, link)
+            reason = "link"
         if not delays:
             for callback in hub.drop_cbs:
-                callback(now, src, dst, kind, "link")
+                callback(now, src, dst, kind, reason)
             return
         # Deliveries are never cancelled, so use the handle-free path.
         # Every copy goes to dst, so any firing order is dsts' order.
@@ -616,12 +556,11 @@ class Network:
         Semantically identical to calling :meth:`send` once per other
         pid in ascending order — same observer callbacks (per
         destination, in the same order), same RNG draws, same delivery
-        event ordering — but executed as one pass: partition membership
-        is resolved once, wire size is computed once, and all delivery
-        events are scheduled through a single
+        event ordering — but executed as one pass: wire size is computed
+        once, and all delivery events are scheduled through a single
         :meth:`~repro.sim.engine.Simulation.post_batch` call.  When the
-        sender's out-links share one policy and nothing must be called
-        per copy ahead of its plan (no active partition, no per-copy
+        sender's out-links share one law and nothing must be done per
+        copy ahead of its plan (no link fault open on them, no per-copy
         send or packet observer), the delays come from one
         :meth:`~repro.sim.links.LinkPolicy.plan_many` call; otherwise
         from one ``plan`` per copy.  The only observable difference is
@@ -653,26 +592,17 @@ class Network:
             size = message.wire_size()
             packets = packet_count(size, self.mtu)
         drop_cbs = hub.drop_cbs
-        # Resolve the partition picture once for the whole fan-out:
-        # src's group in each active partition (an empty group = src is
-        # outside every group, severed from everyone).
-        src_groups: list[frozenset[int]] = []
-        for start, end, groups in self._partitions:
-            if start <= now < end:
-                for group in groups:
-                    if src in group:
-                        src_groups.append(group)
-                        break
-                else:
-                    src_groups.append(frozenset())
         # The copies that survive their plan: destination and time, in
         # copy order (a duplicated copy appears once per delivery).
         targets: list[int] = []
         times: list[float] = []
         shared = fanout.policy
-        if shared is not None and not (send_cbs or packet_cbs or src_groups):
-            # Nothing to call per copy before its plan: one call plans
-            # the fan-out (same draws, same streams, same order).
+        faulted = fanout.faulted
+        if shared is not None and not (send_cbs or packet_cbs) and not (
+                faulted[0] <= now < faulted[1]):
+            # Nothing to do per copy before its plan, and a fault that
+            # is not open draws nothing: one call plans the fan-out
+            # (same draws, same streams, same order).
             delays = shared.plan_many(message, now, fanout.rngs, fanout.links)
             for dst, delay in zip(dsts, delays):
                 if delay is None:
@@ -686,7 +616,6 @@ class Network:
             table = self._route_table
             base = src * self._stride
             token = src << _LINK_SHIFT
-            default_plan_all = LinkPolicy.plan_all
             for dst in dsts:
                 if send_cbs:
                     for callback in send_cbs:
@@ -694,13 +623,18 @@ class Network:
                 if packet_cbs:
                     for callback in packet_cbs:
                         callback(now, src, dst, kind, size, packets)
-                if src_groups and any(dst not in group for group in src_groups):
-                    for callback in drop_cbs:
-                        callback(now, src, dst, kind, "partition")
-                    continue
                 policy, rng = table[base + dst]
-                if type(policy).plan_all is default_plan_all:
-                    # One-copy link: skip plan_all's list round trip.
+                if type(policy) is PerturbedLink:
+                    delays, reason = policy.plan_copies(message, now, rng,
+                                                        token | dst)
+                    if not delays:
+                        for callback in drop_cbs:
+                            callback(now, src, dst, kind, reason)
+                        continue
+                    for delay in delays:
+                        targets.append(dst)
+                        times.append(now + delay)
+                else:
                     delay = policy.plan(message, now, rng, token | dst)
                     if delay is None:
                         for callback in drop_cbs:
@@ -708,15 +642,6 @@ class Network:
                         continue
                     targets.append(dst)
                     times.append(now + delay)
-                else:
-                    delays = policy.plan_all(message, now, rng, token | dst)
-                    if not delays:
-                        for callback in drop_cbs:
-                            callback(now, src, dst, kind, "link")
-                        continue
-                    for delay in delays:
-                        targets.append(dst)
-                        times.append(now + delay)
         if not times:
             return
         # Post in (time, copy index) order.  The batch takes the block of

@@ -319,7 +319,7 @@ def apply_links(network: Network, links: Mapping[tuple[int, int], LinkPolicy]) -
     """Install a link map on a network.
 
     Every pair the map covers loses what it had (an explicit
-    ``set_link``, a ``perturb_link`` overlay, an earlier map).  A
+    ``set_link``, the link faults scheduled on it, an earlier map).  A
     :class:`LinkMap` goes in whole through
     :meth:`~repro.sim.network.Network.set_link_map`; any other mapping
     pair by pair.

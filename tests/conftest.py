@@ -78,6 +78,24 @@ def make_pair(sim: Simulation, network: Network) -> tuple[Recorder, Recorder]:
     return a, b
 
 
+def inject(network: Network, *events) -> None:  # noqa: ANN002
+    """Schedule nemesis link-fault ``events`` on one bare network, through
+    the same validation and per-pair path a plan takes on a cluster."""
+    from types import SimpleNamespace
+
+    from repro.sim.nemesis import FaultPlan
+
+    FaultPlan(events).schedule(SimpleNamespace(
+        sim=network.sim, pids=network.pids, networks=(network,)))
+
+
+def severed(network: Network, src: int, dst: int) -> bool:
+    """Whether a message ``src`` sends ``dst`` now drops as ``partition``."""
+    before = network.metrics.dropped_by_reason.get("partition", 0)
+    network.send(src, dst, Probe(src))
+    return network.metrics.dropped_by_reason.get("partition", 0) > before
+
+
 def drip(count: int, period: float, start: float, **fields):  # noqa: ANN003,ANN201
     """The fixed-count client drip as a :class:`~repro.load.LoadSpec`:
     one client on one key, ``count`` commands ``period`` apart from

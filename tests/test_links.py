@@ -8,19 +8,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Ping, Probe
+from conftest import Ping, Probe, Recorder, inject, make_pair
 
+from repro.sim.engine import Simulation
 from repro.sim.links import (
     DeadLink,
-    DegradedWindow,
     EventuallyTimelyLink,
     FairLossyLink,
+    LinkPolicy,
     LossyAsyncLink,
-    PerturbedLink,
     TimelyLink,
 )
+from repro.sim.nemesis import (
+    DegradeFault,
+    DuplicateFault,
+    FlapFault,
+    PerturbedLink,
+)
+from repro.sim.network import Network
 
 MSG = Probe(0)
+LINK = ((0, 1),)
+
+
+def perturbed(law: LinkPolicy, *events) -> PerturbedLink:  # noqa: ANN002
+    """``law`` on the pair 0>1 under nemesis ``events`` on ``LINK``,
+    scheduled as a fault plan schedules them on a cluster."""
+    sim = Simulation(seed=0)
+    network = Network(sim, observers=())
+    for pid in (0, 1):
+        Recorder(pid, sim, network)
+    network.set_link(0, 1, law)
+    inject(network, *events)
+    return network.link(0, 1)
 
 
 class TestTimelyLink:
@@ -217,27 +237,43 @@ class TestEventuallyTimelyBoundary:
 
 
 class TestDegradedWindow:
-    def test_active_is_half_open(self) -> None:
-        window = DegradedWindow(start=2.0, end=4.0, loss=0.5)
-        assert not window.active(1.99)
-        assert window.active(2.0)
-        assert window.active(3.99)
-        assert not window.active(4.0)
+    """A link fault's window, as a scheduled nemesis event opens it."""
 
-    def test_flap_phase(self) -> None:
-        window = DegradedWindow(start=10.0, end=20.0, flap_period=2.0,
-                                flap_up=0.5)
-        assert not window.flapped_down(10.5)   # first half of the period: up
-        assert window.flapped_down(11.5)       # second half: down
-        assert not window.flapped_down(12.5)   # next period: up again
+    @staticmethod
+    def _delivered_at(sim: Simulation, network: Network,
+                      times: list[float]) -> list[bool]:
+        delivered = []
+        for when in times:
+            sim.run_until(when)
+            dropped = network.metrics.dropped_by_reason.get("link", 0)
+            network.send(0, 1, MSG)
+            delivered.append(
+                network.metrics.dropped_by_reason.get("link", 0) == dropped)
+        return delivered
+
+    def test_active_is_half_open(self, sim: Simulation,
+                                 network: Network) -> None:
+        make_pair(sim, network)
+        inject(network, DegradeFault(start=2.0, end=4.0, pairs=LINK,
+                                     loss=1.0))
+        assert self._delivered_at(sim, network, [1.99, 2.0, 3.99, 4.0]) \
+            == [True, False, False, True]
+
+    def test_flap_phase(self, sim: Simulation, network: Network) -> None:
+        make_pair(sim, network)
+        inject(network, FlapFault(start=10.0, end=20.0, pairs=LINK,
+                                  period=2.0, up=0.5))
+        # First half of the period: up; second half: down; next period: up.
+        assert self._delivered_at(sim, network, [10.5, 11.5, 12.5]) \
+            == [True, False, True]
 
     def test_rejects_bad_parameters(self) -> None:
         with pytest.raises(ValueError):
-            DegradedWindow(start=5.0, end=5.0)
+            DegradeFault(start=5.0, end=5.0, pairs=LINK, loss=0.5)
         with pytest.raises(ValueError):
-            DegradedWindow(start=0.0, end=1.0, loss=1.5)
+            DegradeFault(start=0.0, end=1.0, pairs=LINK, loss=1.5)
         with pytest.raises(ValueError):
-            DegradedWindow(start=0.0, end=1.0, flap_period=1.0, flap_up=0.0)
+            FlapFault(start=0.0, end=1.0, pairs=LINK, period=1.0, up=0.0)
 
 
 class TestPerturbedLink:
@@ -250,37 +286,36 @@ class TestPerturbedLink:
                     for t in range(100)]
 
         bare = FairLossyLink(loss=0.4)
-        wrapped = PerturbedLink(FairLossyLink(loss=0.4),
-                                [DegradedWindow(start=500.0, end=600.0,
-                                                loss=1.0)])
+        wrapped = perturbed(FairLossyLink(loss=0.4),
+                            DegradeFault(start=500.0, end=600.0, pairs=LINK,
+                                         loss=1.0))
         assert plans(bare) == plans(wrapped)
 
     def test_window_loss_drops_messages(self, rng: random.Random) -> None:
-        link = PerturbedLink(TimelyLink(),
-                             [DegradedWindow(start=0.0, end=10.0, loss=1.0)])
+        link = perturbed(TimelyLink(), DegradeFault(start=0.0, end=10.0,
+                                                    pairs=LINK, loss=1.0))
         assert link.plan_all(MSG, now=5.0, rng=rng) == []
         assert link.plan_all(MSG, now=10.0, rng=rng) != []
 
     def test_flap_down_phase_drops(self, rng: random.Random) -> None:
-        link = PerturbedLink(TimelyLink(),
-                             [DegradedWindow(start=0.0, end=100.0,
-                                             flap_period=2.0, flap_up=0.5)])
+        link = perturbed(TimelyLink(), FlapFault(start=0.0, end=100.0,
+                                                 pairs=LINK, period=2.0,
+                                                 up=0.5))
         assert link.plan_all(MSG, now=0.5, rng=rng) != []
         assert link.plan_all(MSG, now=1.5, rng=rng) == []
 
     def test_duplication_adds_a_lagged_copy(self, rng: random.Random) -> None:
-        link = PerturbedLink(TimelyLink(delta=0.05),
-                             [DegradedWindow(start=0.0, end=10.0,
-                                             duplicate=1.0,
-                                             duplicate_lag=0.5)])
+        link = perturbed(TimelyLink(delta=0.05),
+                         DuplicateFault(start=0.0, end=10.0, pairs=LINK,
+                                        p=1.0, lag=0.5))
         copies = link.plan_all(MSG, now=1.0, rng=rng)
         assert len(copies) == 2
         assert copies[0] <= copies[1] <= copies[0] + 0.5
 
     def test_extra_delay_stretches_copies(self, rng: random.Random) -> None:
-        link = PerturbedLink(TimelyLink(delta=0.05),
-                             [DegradedWindow(start=0.0, end=10.0,
-                                             extra_delay=3.0)])
+        link = perturbed(TimelyLink(delta=0.05),
+                         DegradeFault(start=0.0, end=10.0, pairs=LINK,
+                                      delay=3.0))
         stretched = [link.plan_all(MSG, now=1.0, rng=rng)[0]
                      for _ in range(200)]
         assert all(delay <= 3.05 for delay in stretched)
@@ -340,10 +375,10 @@ LAWS = {
                                       outage_period=1.0, outage_growth=0.5),
     "lossy-async": lambda: LossyAsyncLink(loss=0.5),
     "dead": DeadLink,
-    "perturbed": lambda: PerturbedLink(
+    "perturbed": lambda: perturbed(
         FairLossyLink(loss=0.4, max_consecutive_drops=1),
-        [DegradedWindow(start=2.0, end=8.0, loss=0.3, extra_delay=0.2,
-                        duplicate=0.5)]),
+        DegradeFault(start=2.0, end=8.0, pairs=LINK, loss=0.3, delay=0.2),
+        DuplicateFault(start=2.0, end=8.0, pairs=LINK, p=0.5)),
 }
 
 
@@ -390,7 +425,6 @@ class TestPlanManyIsPlanPerCopy:
 
     def test_every_override_is_covered(self) -> None:
         from repro.sim import links as links_mod
-        from repro.sim.links import LinkPolicy
 
         overriding = {
             cls for cls in vars(links_mod).values()

@@ -344,8 +344,9 @@ def _in_loop_node(requests, n=4, then=None, settle=0.0):
     The node hosts every pid's fault-detector process on one transport
     (no subprocess, no datagram socket: frames stop at the fault
     effects).  ``then(transport)`` runs ``settle`` seconds after the
-    last answer.  Returns the answers, the transport and the clock
-    reading after them.
+    last answer (and is awaited if it is a coroutine function).
+    Returns the answers, the transport and the clock reading after
+    them.
     """
     import asyncio
 
@@ -376,7 +377,9 @@ def _in_loop_node(requests, n=4, then=None, settle=0.0):
         now = node.clock.now
         await asyncio.sleep(settle)
         if then is not None:
-            then(node.fd)
+            done = then(node.fd)
+            if asyncio.iscoroutine(done):
+                await done
         writer.close()
         server.close()
         await server.wait_closed()
@@ -391,18 +394,25 @@ def _cross(*groups):
             for other in groups if other is not group for dst in other}
 
 
+def _effects(transport, src, dst, now):
+    """The effects of the faults open on ``src -> dst`` at ``now``, in
+    the order they were applied."""
+    return [window.effect for window in transport._faults.get((src, dst), ())
+            if window.start <= now < window.end]
+
+
 class TestLinkFaultMapping:
     """Each nemesis link-fault kind, sent through a node's ``fault`` op,
-    yields the effect the kind→effect table in
-    ``repro.live.transport`` documents, for the event's window length."""
+    yields the effect the nemesis' kind→effect table documents, for the
+    event's window length, and means on live what it means on the sim."""
 
     @pytest.mark.parametrize("token, pairs, effect", [
         ("degrade(start=1.0,end=3.0,pairs=0>1;2>3,loss=0.25,delay=0.1)",
-         {(0, 1), (2, 3)}, {"loss": 0.25, "extra_delay": 0.1}),
+         {(0, 1), (2, 3)}, {"loss": 0.25, "jitter": 0.1}),
         ("dup(start=1.0,end=3.0,pairs=1>0,p=0.3,lag=0.05)",
-         {(1, 0)}, {"duplicate": 0.3}),
+         {(1, 0)}, {"duplicate": 0.3, "lag": 0.05}),
         ("flap(start=1.0,end=3.0,pairs=0>2,period=1.0,up=0.75)",
-         {(0, 2)}, {"loss": 0.25}),
+         {(0, 2)}, {"period": 1.0, "up": 0.75}),
         ("netem(start=1.0,end=3.0,pairs=3>0,delay=0.05,jitter=0.04,"
          "dist=pareto,reorder=0.1,rate=250.0,loss=0.02)",
          {(3, 0)}, {"delay": 0.05, "jitter": 0.04, "dist": "pareto",
@@ -412,7 +422,7 @@ class TestLinkFaultMapping:
     ], ids=["degrade", "dup", "flap", "netem", "partition"])
     def test_each_kind_yields_its_documented_effect(
             self, token, pairs, effect) -> None:
-        from repro.live.transport import _Effect
+        from repro.sim.nemesis import LinkEffect
 
         answers, transport, now = _in_loop_node(
             [{"op": "fault", "event": token}])
@@ -420,16 +430,16 @@ class TestLinkFaultMapping:
         for src in range(4):
             for dst in range(4):
                 if src != dst:
-                    expected = _Effect(**effect) if (src, dst) in pairs \
-                        else None
-                    assert transport._effect(src, dst, now) == expected
+                    expected = [LinkEffect(**effect)] if (src, dst) in pairs \
+                        else []
+                    assert _effects(transport, src, dst, now) == expected
         some_pair = min(pairs)
         # The window lasts end - start = 2 s from when the op arrived.
-        assert transport._effect(*some_pair, now + 1.5) is not None
-        assert transport._effect(*some_pair, now + 2.1) is None
+        assert _effects(transport, *some_pair, now + 1.5)
+        assert not _effects(transport, *some_pair, now + 2.1)
 
     def test_overlapping_faults_compose(self) -> None:
-        from repro.live.transport import _Effect
+        from repro.sim.nemesis import LinkEffect, apply_link_faults
 
         answers, transport, now = _in_loop_node([
             {"op": "fault", "event": token} for token in (
@@ -438,14 +448,58 @@ class TestLinkFaultMapping:
                 "dist=pareto,rate=100.0,loss=0.5)",
                 "netem(start=0.0,end=2.0,pairs=0>1,jitter=0.01,reorder=0.2,"
                 "rate=300.0)",
-                "dup(start=0.0,end=2.0,pairs=0>1,p=0.4,lag=0.05)")])
-        assert answers == [{"ok": True}] * 4
-        # Losses compose, delays and jitters add, a pareto spread makes
-        # the sum pareto, the tightest cap and the largest
-        # duplicate/reorder probabilities win.
-        assert transport._effect(0, 1, now) == _Effect(
-            loss=0.75, extra_delay=0.1, duplicate=0.4, delay=0.05,
-            jitter=0.03, dist="pareto", reorder=0.2, rate=100.0)
+                "dup(start=0.0,end=2.0,pairs=0>1,p=0.4,lag=0.05)",
+                "netem(start=0.0,end=2.0,pairs=1>0,delay=0.05)",
+                "netem(start=0.0,end=2.0,pairs=1>0,delay=0.02)")])
+        assert answers == [{"ok": True}] * 6
+        # Overlapping faults apply in sequence, in the order they
+        # arrived: each keeps its own loss draw, cap, delay and copy.
+        assert _effects(transport, 0, 1, now) == [
+            LinkEffect(loss=0.5, jitter=0.1),
+            LinkEffect(rate=100.0, loss=0.5, delay=0.05, jitter=0.02,
+                       dist="pareto"),
+            LinkEffect(jitter=0.01, reorder=0.2, rate=300.0),
+            LinkEffect(duplicate=0.4, lag=0.05)]
+        # Their delays add: 0.05 s then 0.02 s after "at once".
+        delays, reason = apply_link_faults(transport._faults[(1, 0)], now,
+                                           transport._rng, lambda: 0.0)
+        assert delays == [pytest.approx(0.07)] and reason is None
+
+    def test_a_flap_drops_exactly_its_down_phases(self) -> None:
+        import asyncio
+
+        from repro.core.messages import Heartbeat
+        from repro.obs import Observer
+
+        class Wire(Observer):
+            def __init__(self) -> None:
+                self.sends, self.drops = [], []
+
+            def on_send(self, time, src, dst, kind) -> None:
+                self.sends.append(time)
+
+            def on_drop(self, time, src, dst, kind, reason) -> None:
+                self.drops.append((time, reason))
+
+        wire = Wire()
+
+        async def send_for_a_period_and_more(transport) -> None:
+            transport.hub.attach(wire)
+            for _ in range(60):
+                transport.send(0, 1, Heartbeat(sender=0))
+                await asyncio.sleep(0.02)
+
+        _answers, transport, _now = _in_loop_node(
+            [{"op": "fault", "event":
+              "flap(start=0.0,end=5.0,pairs=0>1,period=1.0,up=0.5)"}],
+            n=2, then=send_for_a_period_and_more)
+        (flap,) = transport._faults[(0, 1)]
+        down = [time for time in wire.sends
+                if ((time - flap.start) % 1.0) / 1.0 >= 0.5]
+        # The square wave: every frame sent in a down phase drops, and
+        # none sent in an up phase does.
+        assert wire.drops == [(time, "link") for time in down]
+        assert 0 < len(down) < len(wire.sends)
 
     def test_a_live_partition_drops_under_partition_not_link(self) -> None:
         from repro.core.messages import Heartbeat
@@ -477,7 +531,7 @@ class TestLinkFaultMapping:
         assert "degrade(start=oops)" in answers[1]["error"]
         assert answers[2]["error"].startswith("crash is a process fault")
         assert answers[3]["error"] == "'event'"
-        assert transport._windows == []
+        assert transport._faults == {}
 
     @pytest.mark.parametrize("requests", [
         [], [{"op": "fault", "event":
@@ -486,13 +540,13 @@ class TestLinkFaultMapping:
     def test_no_open_fault_means_no_per_window_work(
             self, monkeypatch, requests) -> None:
         from repro.core.messages import Heartbeat
-        from repro.live.transport import LiveTransport
         from repro.obs.report import RunRecorder
+        from repro.sim import nemesis
 
         def per_window_work(*args) -> None:
             raise AssertionError("a fault-free send looked at windows")
 
-        monkeypatch.setattr(LiveTransport, "_effect", per_window_work)
+        monkeypatch.setattr(nemesis, "apply_link_faults", per_window_work)
         _answers, transport, _now = _in_loop_node(
             requests, n=2, settle=0.2, then=lambda transport:
             transport.send(0, 1, Heartbeat(sender=0)))
@@ -628,20 +682,56 @@ class TestLiveCluster:
                    for report in outcome.node_reports)
 
     def test_batched_log_run_writes_node_reports(self, tmp_path) -> None:
+        # The cluster's nodes run in this loop, so the whole burst reaches
+        # the leader in one loop pass: its first command opens a slot at
+        # once, and the other fifteen wait for it, so slots carry batches.
+        # Over one control connection per command the burst arrives
+        # slower than an idle leader commits each command alone.
+        import asyncio
+        import time
+
         from repro.live.cluster import LiveCluster, LiveClusterSpec
+        from repro.live.node import _Node
         from repro.obs.report import validate_report
 
         spec = LiveClusterSpec(n=3, horizon=4.0, log=True, batch_size=4,
-                               workload=16, workload_clients=4,
-                               workload_start=1.5, workload_period=0.0005)
-        outcome = LiveCluster(spec, tmp_path / "run").run()
+                               workload=16, workload_clients=4)
+        cluster = LiveCluster(spec, tmp_path / "run")
+        nodes = [_Node(cluster._node_spec(pid, spec.horizon, 0))
+                 for pid in range(spec.n)]
+
+        async def burst() -> None:
+            for _ in range(50):         # well inside the 4 s horizon
+                await asyncio.sleep(0.05)
+                leaders = {node.omega.leader() if node.omega else None
+                           for node in nodes}
+                if len(leaders) == 1 and None not in leaders:
+                    break
+            else:
+                pytest.fail(f"no agreed leader after 2.5 s: {leaders}")
+            leader = nodes[leaders.pop()]
+            for index in range(spec.workload):
+                command_id = (f"c{index % spec.workload_clients}",
+                              index // spec.workload_clients)
+                command = ("set", f"k{index % 8}", index)
+                cluster.submitted[command_id] = command
+                assert leader._dispatch({
+                    "op": "submit", "id": list(command_id),
+                    "command": list(command)})["accepted"]
+
+        async def run() -> None:
+            await asyncio.gather(*(node.run() for node in nodes), burst())
+
+        started = time.monotonic()
+        asyncio.run(run())
+        outcome = cluster._judge(cluster._collect(),
+                                 time.monotonic() - started)
         assert outcome.verdict.ok, outcome.verdict.violations
         assert validate_report(outcome.document) == []
         assert all(set(report) == NODE_REPORT_KEYS | {"log"}
                    and set(report["log"]) == LOG_BLOCK_KEYS
                    for report in outcome.node_reports)
-        # Commands arrive faster than a loopback round trip, so the
-        # pipeline is busy and slots carry batches.
+        assert outcome.document["workload"]["committed"] == spec.workload
         assert any(isinstance(decide["value"][1], dict)
                    and len(decide["value"][1]["entries"]) > 1
                    for decide in outcome.document["decides"])

@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from conftest import Probe, Recorder
+from conftest import Probe, Recorder, severed
 
 from repro.sim.cluster import Cluster
+from repro.sim.links import TimelyLink
 from repro.sim.nemesis import (
     CrashFault,
     DegradeFault,
@@ -156,9 +157,11 @@ class TestScheduling:
         cluster = build_cluster(n=4)
         plan = FaultPlan([PartitionFault(1.0, 5.0, ((0, 1), (2, 3)))])
         plan.schedule(cluster)
-        assert cluster.network.partitioned(0, 2, 2.0)
-        assert not cluster.network.partitioned(0, 1, 2.0)
-        assert not cluster.network.partitioned(0, 2, 5.0)
+        cluster.run_until(2.0)
+        assert severed(cluster.network, 0, 2)
+        assert not severed(cluster.network, 0, 1)
+        cluster.run_until(5.0)
+        assert not severed(cluster.network, 0, 2)
 
     def test_degrade_perturbs_exactly_the_named_links(self) -> None:
         cluster = build_cluster(n=3)
@@ -194,12 +197,14 @@ class TestScheduling:
             proposals=["a", "b", "c"], seed=5)
         plan = FaultPlan([PartitionFault(1.0, 4.0, ((0, 1), (2,)))])
         plan.schedule(system)
+        system.sim.run_until(2.0)
         for network in system.networks:
-            assert network.partitioned(0, 2, 2.0)
+            assert severed(network, 0, 2)
 
 
 class TestNetem:
-    """The netem-style shape: validation, sim approximation, model rules."""
+    """The netem-style shape: validation, the whole shape on the sim,
+    model rules."""
 
     def test_repro_string_spells_every_field(self) -> None:
         event = NetemFault(1.0, 6.0, ((0, 1),), delay=0.05, jitter=0.04,
@@ -236,20 +241,42 @@ class TestNetem:
         with pytest.raises(FaultPlanError):
             NetemFault(1.0, 6.0, ((0, 1),), **kwargs)
 
-    def test_sim_approximation_degrades_the_named_link(self) -> None:
-        # On the simulator the shape collapses to loss + extra_delay =
-        # delay + jitter; a loss=1.0 netem window therefore blackholes
-        # exactly its pairs, like a DegradeFault would.
+    @staticmethod
+    def _shaped(netem: NetemFault) -> Cluster:
         cluster = build_cluster(n=3)
-        plan = FaultPlan([NetemFault(1.0, 5.0, ((0, 1),), loss=1.0)])
-        plan.schedule(cluster)
+        for src, dst in ((0, 1), (0, 2)):
+            cluster.network.set_link(src, dst, TimelyLink(delta=0.05))
+        FaultPlan([netem]).schedule(cluster)
         cluster.start_all()
         cluster.run_until(2.0)
-        cluster.process(0).send(1, Probe(0, 1))  # shaped: dropped
-        cluster.process(0).send(2, Probe(0, 2))  # untouched: delivered
+        return cluster
+
+    def test_sim_holds_every_message_the_fixed_delay(self) -> None:
+        # The whole shape, as on live: a fixed 0.2 s, then up to 0.05 s
+        # of jitter, on top of the timely link's own delay.
+        cluster = self._shaped(NetemFault(1.0, 5.0, ((0, 1),), delay=0.2,
+                                          jitter=0.05))
+        for payload in range(40):
+            cluster.process(0).send(1, Probe(0, payload))
+        cluster.process(0).send(2, Probe(0, -1))  # untouched
         cluster.run_until(4.0)
-        assert cluster.process(1).received == []
-        assert [m.payload for _, m in cluster.process(2).received] == [2]
+        delays = [when - 2.0 for when, _ in cluster.process(1).received]
+        assert len(delays) == 40
+        assert all(0.2 <= delay <= 0.2 + 0.05 + 0.05 for delay in delays)
+        (untouched, _), = cluster.process(2).received
+        assert untouched - 2.0 <= 0.05
+
+    def test_sim_caps_the_rate_and_lets_reorders_overtake(self) -> None:
+        cluster = self._shaped(NetemFault(1.0, 5.0, ((0, 1),), delay=0.5,
+                                          reorder=1.0, rate=10.0))
+        for payload in range(6):
+            cluster.process(0).send(1, Probe(0, payload))
+        cluster.run_until(4.0)
+        # A 10 msgs/s bucket bursts 2; every admitted copy skips the
+        # 0.5 s queue.
+        delays = [when - 2.0 for when, _ in cluster.process(1).received]
+        assert len(delays) == 2 and all(delay <= 0.05 for delay in delays)
+        assert cluster.network.metrics.dropped_by_reason["rate_cap"] == 4
 
     def test_model_envelope_applies_heal_by_rule(self) -> None:
         envelope = ModelEnvelope(n=3, source=0, f=1, horizon=400.0)

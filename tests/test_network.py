@@ -6,19 +6,19 @@ import copy
 
 import pytest
 
-from conftest import Ping, Probe, Recorder, make_pair
+from conftest import Ping, Probe, Recorder, inject, make_pair
 from reference_metrics import ReferenceMetricsCollector, collector_answers
 
 from repro.obs import Observer
 from repro.sim.engine import Simulation
-from repro.sim.links import (
-    DeadLink,
-    DegradedWindow,
-    FairLossyLink,
-    PerturbedLink,
-    TimelyLink,
-)
+from repro.sim.links import DeadLink, FairLossyLink, TimelyLink
 from repro.sim.metrics import MetricsCollector
+from repro.sim.nemesis import (
+    DegradeFault,
+    DuplicateFault,
+    PartitionFault,
+    PerturbedLink,
+)
 from repro.sim.network import Network, NetworkError
 from repro.sim.topology import (
     LinkMap,
@@ -102,8 +102,7 @@ class TestUnicastCopies:
     def test_duplicating_link_posts_both_copies(self, sim: Simulation,
                                                 network: Network) -> None:
         _, b = make_pair(sim, network)
-        network.perturb_link(0, 1, DegradedWindow(0.0, 10.0, duplicate=1.0,
-                                                  duplicate_lag=0.5))
+        inject(network, DuplicateFault(0.0, 10.0, ((0, 1),), p=1.0, lag=0.5))
         network.send(0, 1, Probe(0, 7))
         network.send(1, 0, Probe(1, 8))  # the reverse link keeps one copy
         sim.run_until(5.0)
@@ -175,7 +174,7 @@ class TestApplyLinkMap:
         def label(policy):  # noqa: ANN001, ANN202
             if isinstance(policy, PerturbedLink):
                 return ("perturbed", label(policy.inner),
-                        len(policy.windows))
+                        len(policy.faults))
             if policy is network._default_policy:
                 return "default"
             return policy
@@ -187,14 +186,14 @@ class TestApplyLinkMap:
         network = cls._network(cls.N + 1)   # pid N: outside the first map
         install = apply_links if whole else (
             lambda net, links: apply_links(net, dict(links)))
-        window = DegradedWindow(0.0, 9.0, loss=0.5)
+        def storm(*pairs: tuple[int, int]) -> DegradeFault:
+            return DegradeFault(0.0, 9.0, pairs, loss=0.5)
+
         network.set_link(2, 3, DEAD)
-        network.perturb_link(0, 1, window)
-        network.perturb_link(0, cls.N, window)
+        inject(network, storm((0, 1), (0, cls.N)))
         install(network, first)
         network.set_link(4, 3, DEAD)
-        network.perturb_link(1, 2, window)
-        network.perturb_link(1, 2, window)
+        inject(network, storm((1, 2)), storm((1, 2)))
         install(network, second)
         network.set_link(3, 4, DEAD)
         return network
@@ -280,7 +279,7 @@ def _send_loop(network: Network, src: int, message: Probe) -> None:
 class TestBroadcastEqualsSendLoop:
     """``broadcast`` promises to be the ascending-pid ``send`` loop in
     one pass; the batched pieces (``post_batch``, ``on_send_batch``, the
-    once-per-fan-out partition picture) must not show."""
+    once-per-fan-out span of the sender's link faults) must not show."""
 
     @staticmethod
     def _run(fan_out, link_rng: str, packets: bool) -> dict:
@@ -299,9 +298,9 @@ class TestBroadcastEqualsSendLoop:
                 proc.start()
         procs[4].crash()                # 4: a crashed receiver
         network.set_link(0, 1, FairLossyLink(loss=0.5))
-        network.perturb_link(0, 2, DegradedWindow(0.0, 50.0, duplicate=1.0,
-                                                  duplicate_lag=0.02))
-        network.add_partition(1.0, 3.0, [{0, 1, 2, 4, 5}, {3}])  # 6: nowhere
+        inject(network,
+               DuplicateFault(0.0, 50.0, ((0, 2),), p=1.0, lag=0.02),
+               PartitionFault(1.0, 3.0, ((0, 1, 2, 4, 5), (3,))))  # 6: nowhere
 
         for round_ in range(4):
             fan_out(network, 0, Probe(0, round_))
@@ -402,14 +401,13 @@ class TestSharedMapEqualsPerPairMap:
                     network.broadcast(proc.pid, Ping(proc.pid))
             network.send(3, 4, Probe(3, payload))   # unicast shares the streaks
 
-        network.add_partition(3.0, 4.0, [{0, 2, 4}, {1, 3}])     # 5: nowhere
+        inject(network, PartitionFault(3.0, 4.0, ((0, 2, 4), (1, 3))))  # 5: nowhere
         for round_ in range(10):                # across GST, into the partition
             everyone_broadcasts(round_)
             sim.run_for(0.35)
         sim.run_until(5.0)
         # Sender 2 has broadcast: its fan-out record exists and must go.
-        network.perturb_link(2, 3, DegradedWindow(5.0, 50.0, duplicate=1.0,
-                                                  duplicate_lag=0.02))
+        inject(network, DuplicateFault(5.0, 50.0, ((2, 3),), p=1.0, lag=0.02))
         network.set_link(4, 5, DeadLink())
         for round_ in range(10, 16):
             everyone_broadcasts(round_)
@@ -499,10 +497,9 @@ class TestInFlightRecordEqualsCopyLoop:
             proc.start()
         # Sender 0 duplicates towards 2 at the very same instant and
         # towards 4 a little later: its copies fire out of copy order.
-        network.perturb_link(0, 2, DegradedWindow(0.0, 50.0, duplicate=1.0,
-                                                  duplicate_lag=0.0))
-        network.perturb_link(0, 4, DegradedWindow(0.0, 50.0, duplicate=1.0,
-                                                  duplicate_lag=0.004))
+        inject(network,
+               DuplicateFault(0.0, 50.0, ((0, 2),), p=1.0, lag=0.0),
+               DuplicateFault(0.0, 50.0, ((0, 4),), p=1.0, lag=0.004))
 
         def mark(label: str) -> None:
             sim.post_at(sim.now + cls.D,

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import Probe, Recorder, drip, make_pair
+from conftest import Probe, Recorder, drip, inject, make_pair, severed
 
 from repro.consensus import ConsensusSystem, check_log
 from repro.core import OmegaConfig, analyze_omega_run, make_factory
 from repro.sim import Cluster, LinkTimings, PartitionFault
 from repro.sim.engine import Simulation
-from repro.sim.network import Network, NetworkError
+from repro.sim.nemesis import FaultPlanError
+from repro.sim.network import Network
 from repro.sim.topology import all_eventually_timely_links, multi_source_links
 
 
@@ -18,7 +19,7 @@ class TestPartitionMechanics:
     def test_messages_across_partition_dropped(self, sim: Simulation,
                                                network: Network) -> None:
         a, b = make_pair(sim, network)
-        network.add_partition(0.0, 10.0, [{0}, {1}])
+        inject(network, PartitionFault(0.0, 10.0, ((0,), (1,))))
         a.send(1, Probe(0))
         sim.run_until(1.0)
         assert b.received == []
@@ -29,7 +30,7 @@ class TestPartitionMechanics:
         a, b = make_pair(sim, network)
         c = Recorder(2, sim, network)
         c.start()
-        network.add_partition(0.0, 10.0, [{0, 1}, {2}])
+        inject(network, PartitionFault(0.0, 10.0, ((0, 1), (2,))))
         a.send(1, Probe(0))
         a.send(2, Probe(0))
         sim.run_until(1.0)
@@ -39,7 +40,7 @@ class TestPartitionMechanics:
     def test_partition_heals_at_end(self, sim: Simulation,
                                     network: Network) -> None:
         a, b = make_pair(sim, network)
-        network.add_partition(0.0, 5.0, [{0}, {1}])
+        inject(network, PartitionFault(0.0, 5.0, ((0,), (1,))))
         sim.run_until(5.0)
         a.send(1, Probe(0))
         sim.run_until(6.0)
@@ -48,25 +49,29 @@ class TestPartitionMechanics:
     def test_process_outside_every_group_is_cut_off(self, sim: Simulation,
                                                     network: Network) -> None:
         a, b = make_pair(sim, network)
-        network.add_partition(0.0, 10.0, [{0}])
+        inject(network, PartitionFault(0.0, 10.0, ((0,),)))
         a.send(1, Probe(0))
         b.send(0, Probe(1))
         sim.run_until(1.0)
         assert a.received == [] and b.received == []
 
     def test_zero_duration_rejected(self, network: Network) -> None:
-        with pytest.raises(NetworkError):
-            network.add_partition(5.0, 5.0, [{0}, {1}])
+        with pytest.raises(FaultPlanError):
+            inject(network, PartitionFault(5.0, 5.0, ((0,), (1,))))
 
     def test_partitioned_predicate(self, sim: Simulation,
                                    network: Network) -> None:
         make_pair(sim, network)
         Recorder(2, sim, network).start()
-        network.add_partition(2.0, 4.0, [{0, 1}, {2}])
-        assert not network.partitioned(0, 2, 1.0)
-        assert network.partitioned(0, 2, 2.0)
-        assert not network.partitioned(0, 1, 3.0)
-        assert not network.partitioned(0, 2, 4.0)
+        inject(network, PartitionFault(2.0, 4.0, ((0, 1), (2,))))
+        sim.run_until(1.0)
+        assert not severed(network, 0, 2)
+        sim.run_until(2.0)
+        assert severed(network, 0, 2)
+        sim.run_until(3.0)
+        assert not severed(network, 0, 1)
+        sim.run_until(4.0)
+        assert not severed(network, 0, 2)
 
     def test_overlapping_groups_rejected(self, sim: Simulation,
                                          network: Network) -> None:
@@ -74,16 +79,16 @@ class TestPartitionMechanics:
         # making the "same side" predicate ambiguous.
         make_pair(sim, network)
         Recorder(2, sim, network).start()
-        with pytest.raises(NetworkError, match="disjoint"):
-            network.add_partition(0.0, 10.0, [{0, 1}, {1, 2}])
+        with pytest.raises(FaultPlanError, match="disjoint"):
+            inject(network, PartitionFault(0.0, 10.0, ((0, 1), (1, 2))))
 
     def test_unknown_pid_rejected(self, sim: Simulation,
                                   network: Network) -> None:
         # Regression: partitions naming unregistered pids used to be
         # installed silently and never matched anything.
         make_pair(sim, network)
-        with pytest.raises(NetworkError, match="unknown pid 7"):
-            network.add_partition(0.0, 10.0, [{0}, {7}])
+        with pytest.raises(FaultPlanError, match="references pid 7"):
+            inject(network, PartitionFault(0.0, 10.0, ((0,), (7,))))
 
 
 class TestOmegaAcrossPartitions:
