@@ -104,7 +104,9 @@ class Accepted(Message):
     """Phase-2b: acceptor accepted ``instance`` at ``ballot``.
 
     ``commit_through`` is the sender's watermark (see :class:`DecideAck`),
-    counting what the accepted ``Propose``'s own piggyback taught it.
+    counting what the accepted ``Propose``'s own piggyback taught it and,
+    where this vote completes a quorum (crash-stop, ``n <= 3``), the
+    accepted instance itself.
     """
 
     ballot: Ballot

@@ -115,7 +115,7 @@ class Acceptor:
                    commit_through: int = -1) -> tuple[Message, Writes]:
         """Phase 1b: a ``Promise`` carrying :meth:`report` and the
         learner's ``commit_through`` watermark, or a ``Nack``."""
-        if message.ballot < self.promised:
+        if not self.admits(message.ballot):
             return Nack(self.pid, message.ballot, -1, self.promised), ()
         report, writes = self.promise(message.ballot, message.from_instance)
         return Promise(self.pid, message.ballot, message.from_instance,
@@ -131,6 +131,11 @@ class Acceptor:
                         self.promised), ()
         return Accepted(self.pid, message.ballot, message.instance,
                         commit_through), writes
+
+    def admits(self, ballot: Ballot) -> bool:
+        """Whether ``ballot`` is at or above the promise: a prepare of it
+        is promised and a vote at it lands."""
+        return ballot >= self.promised
 
     def promise(self, ballot: Ballot,
                 from_instance: int) -> tuple[Report, Writes]:
@@ -148,7 +153,7 @@ class Acceptor:
         accepted and no writes come back, so an owner whose acceptor
         promised a higher ballot after the start cannot count itself.
         """
-        if ballot < self.promised:
+        if not self.admits(ballot):
             return ()
         self.promised = ballot
         slot = self.accepted[instance] = (ballot, value)
@@ -424,14 +429,16 @@ class PaxosProcess(Process):
 
     def _on_propose(self, message: Propose) -> None:
         self.owner.observe(message.ballot)
-        # The hint first, so the reply's watermark counts what it taught.
+        # The learner first, so the reply's watermark counts what it
+        # learned.
         self._take_hint(message)
         self._reply_durably(message.sender, *self.acceptor.on_propose(
             message, self.commit_index))
 
     def _take_hint(self, message: Propose) -> None:
-        """Hook: learn from ``message.commit_through`` (the log's commit
-        piggyback) before the acceptor answers it."""
+        """Hook: learn what ``message`` teaches (the log's commit
+        piggyback, and a value its vote makes chosen) before the acceptor
+        answers it."""
 
     def _reply_durably(self, peer: int, reply: Message,
                        writes: Writes) -> None:

@@ -10,12 +10,29 @@ thereafter commits each client command with one round trip:
 
 so in steady state only the ``2(n-1)`` leader-adjacent links carry
 traffic: the consensus analogue of the paper's communication efficiency
-(experiment E9).  Followers learn decisions from a safe piggyback: a
+(experiment E9).  Followers learn decisions on their own accept where
+that completes a quorum (below), and otherwise from a safe piggyback: a
 ``Propose`` carries the leader's ``commit_through`` index, and a follower
 may mark an instance ``i <= commit_through`` decided if *its accepted
 ballot for i equals the message's ballot* — then its accepted value is
 exactly the value the leader proposed (ballots propose a unique value
 per instance) and hence the decided one.
+
+**Learning on the quorum-completing vote.**  A value is chosen once a
+majority of acceptors accepted it at one ballot.  Where two votes are a
+majority (``n <= 3``) and the log runs crash-stop, a follower whose
+acceptor accepts ``Propose(b, i, v)`` therefore learns ``(i, v)`` at
+once: the leader's own vote at ``b`` and this one are that majority.
+No message tells it, and the learn comes before the ``Accepted`` is
+built, so the reply's watermark already counts ``i`` and the leader's
+decision spread skips the peer.  The rule rests on one invariant: every
+``Propose`` a leader sends carries a value its own acceptor accepted at
+that ballot.  So a leader whose self-vote is refused (its acceptor
+promised a higher ballot since the start) steps down on the spot and
+sends no ``Propose``.  With ``persist=True`` a ``Propose`` leaves before
+the leader's vote is durable, so a crash could take that vote back:
+persisted logs wait for the piggyback (docs/RECOVERY.md).  So does
+``n >= 4``, where a quorum needs a vote the follower cannot see.
 
 **Decide by watermark.**  Every report a follower sends (``Accepted``,
 ``Promise``, the cumulative ``DecideAck``) carries its *watermark*, its
@@ -389,7 +406,8 @@ class LogReplica(PaxosProcess):
         for instance in range(prepare_from, top + 1):
             reported = merged.get(instance)
             value = reported[1] if reported is not None else NOOP
-            self._open_slot(instance, value)
+            if not self._open_slot(instance, value):
+                return
         self._next_instance = top + 1
         self._pump_proposals()
 
@@ -416,10 +434,12 @@ class LogReplica(PaxosProcess):
                     break
                 batch.append(item)
                 if len(batch) >= self.config.batch_size:
-                    self._open_batch(batch)
+                    if not self._open_batch(batch):
+                        return
                     batch = []
-            if batch and len(self._open) < self.config.max_batch:
-                self._open_batch(batch)
+            if batch and len(self._open) < self.config.max_batch \
+                    and not self._open_batch(batch):
+                return
         # Transmit every open slot to the peers that have not accepted
         # it: a first copy at once, a resend once the peer's RTO has
         # passed since its last copy (then, with persistence, the gate).
@@ -444,19 +464,22 @@ class LogReplica(PaxosProcess):
                         slot.resent.add(peer)
                     self._proposed = True
 
-    def _open_batch(self, batch: list[tuple[Hashable, Any]]) -> None:
+    def _open_batch(self, batch: list[tuple[Hashable, Any]]) -> bool:
         value: Any = batch[0] if len(batch) == 1 else Batch(tuple(batch))
         self.batch_histogram[len(batch)] = \
             self.batch_histogram.get(len(batch), 0) + 1
-        self._open_slot(self._next_instance, value)
+        opened = self._open_slot(self._next_instance, value)
         self._next_instance += 1
+        return opened
 
     def _abandon_open(self) -> None:
         self._open.clear()
         self._closed.clear()
         self._in_flight.clear()
 
-    def _open_slot(self, instance: int, value: Any) -> None:
+    def _open_slot(self, instance: int, value: Any) -> bool:
+        """Open ``instance`` with ``value`` and cast the leader's own vote
+        for it; False, having stepped down, when that vote is refused."""
         # An instance known decided is re-proposed as decided: another
         # value at our ballot would reach our acceptors by piggyback.
         value = self.log.get(instance, value)
@@ -470,12 +493,17 @@ class LogReplica(PaxosProcess):
                 self._maybe_close(instance)
 
         # Self-accept; with persistence the leader's own vote counts
-        # toward the quorum only once the accepted pair is durable, and a
+        # toward the quorum only once the accepted pair is durable.  A
         # vote its acceptor refused (a higher promise since the start)
-        # not at all.
+        # ends the ballot here: every Propose carries a value its own
+        # acceptor accepted at that ballot, which is what a follower
+        # learning on its accept rests on (module docstring).
         writes = self.acceptor.vote(self.owner.ballot, instance, value)
-        if writes:
-            self._when_durable(writes, count_self_accept)
+        if not writes:
+            self._step_down("outvoted")
+            return False
+        self._when_durable(writes, count_self_accept)
+        return True
 
     def _maybe_close(self, instance: int) -> None:
         slot = self._open.get(instance)
@@ -586,6 +614,12 @@ class LogReplica(PaxosProcess):
             if slot is not None and slot[0] == message.ballot \
                     and instance not in self.log:
                 self._learn(instance, slot[1])
+        if self.majority == 2 and not self.persist \
+                and self.acceptor.admits(message.ballot):
+            # Learning on the quorum-completing vote (module docstring):
+            # the acceptor votes for this value next, and with the
+            # leader's own vote at this ballot that is two.
+            self._learn(message.instance, message.value)
 
     def _report(self, peer: int, mark: int) -> None:
         """Note ``peer``'s reported watermark (its ``commit_index``)."""

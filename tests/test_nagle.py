@@ -68,10 +68,10 @@ class TestIdleCommit:
         sim.run_until(1.5 - 1e-9)  # the next tick is at 1.5
         assert "c" in leader.committed_ids
         assert 1.2 < leader.decision_times[0] < 1.5
-        # The follower learns it from the next Propose or, as here, the
-        # decision spread at the tick after the next.
-        sim.run_until(2.1)
+        # At n = 3 the follower learned it on its own accept, before the
+        # leader heard that accept (tests/test_learn_at_accept.py).
         assert follower.log.get(0) == ("c", "x")
+        assert follower.decision_times[0] < leader.decision_times[0]
 
     def test_an_idle_follower_forwards_at_once_and_the_tick_the_rest(
             self) -> None:

@@ -16,9 +16,12 @@ from conftest import drip
 
 from repro.consensus import (
     ConsensusSystem,
+    LogReplica,
+    LogReport,
     SingleDecreeConsensus,
     check_log,
     check_single_decree,
+    entry_commands,
 )
 from repro.sim import FaultPlan, LinkTimings
 from repro.sim.cluster import Cluster
@@ -95,3 +98,42 @@ class TestReplicatedLogSafety:
         report = check_log(system, fleet.group_payloads[0])
         assert report.agreement
         assert report.validity
+
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           rotation=st.floats(min_value=0.5, max_value=3.0),
+           skew=st.floats(min_value=0.2, max_value=0.8))
+    @settings(max_examples=40, deadline=None)
+    def test_prefix_agreement_under_chaotic_leader_oracle(
+            self, seed: int, rotation: float, skew: float) -> None:
+        # n = 3 crash-stop: two votes are a majority, so a follower
+        # learns on its own accept, which rests on the leader having
+        # voted for what it proposes.  The oracle rotates, and each
+        # process sees the rotation ``skew`` of a turn later than the
+        # one before it, so ballots duel all run long and a leader whose
+        # acceptor promised a higher ballot is common.  A Propose it sent
+        # anyway would split the prefixes.
+        n = 3
+
+        def factory(pid, sim, network):  # noqa: ANN001, ANN202
+            return LogReplica(
+                pid, sim, network, n,
+                leader_of=lambda: int(sim.now / rotation + skew * pid) % n)
+
+        cluster = Cluster.build(n, factory,
+                                links=source_links(n, 0, FAST), seed=seed)
+        submitted = [f"c{k}" for k in range(100)]
+        for k, command in enumerate(submitted):
+            cluster.sim.call_at(
+                0.1 + k * 0.25, lambda replica=cluster.process(k % n), k=k,
+                command=command: replica.submit(k, command))
+        cluster.start_all()
+        cluster.run_until(30.0)
+        report = LogReport.from_facts(
+            cluster.pids,
+            {pid: cluster.process(pid).committed_prefix()
+             for pid in cluster.pids},
+            lambda entry: [command for _, command in entry_commands(entry)],
+            submitted)
+        assert report.agreement, report.divergences
+        assert report.validity
+        assert report.max_committed > 0

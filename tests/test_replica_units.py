@@ -49,8 +49,12 @@ class TestAcceptor:
 
 
 class TestCommitPiggyback:
+    # n = 5: at n <= 3 a crash-stop follower learns on its accept
+    # already (tests/test_learn_at_accept.py), so only a larger
+    # ensemble waits for the piggyback.
+
     def test_same_ballot_instances_commit_via_hint(self) -> None:
-        _, replicas = build_ensemble()
+        _, replicas = build_ensemble(n=5)
         follower = replicas[0]
         ballot = Ballot(1, 1)
         follower.deliver(Propose(1, ballot, 0, (1, "a"), -1))
@@ -64,7 +68,7 @@ class TestCommitPiggyback:
     def test_hint_ignored_for_other_ballots(self) -> None:
         # An instance accepted under an OLDER ballot must not be treated
         # as decided by a newer leader's commit hint.
-        _, replicas = build_ensemble()
+        _, replicas = build_ensemble(n=5)
         follower = replicas[0]
         follower.deliver(Propose(1, Ballot(1, 1), 0, (1, "old"), -1))
         follower.deliver(Propose(2, Ballot(2, 2), 1, (2, "new"), 0))
