@@ -214,6 +214,7 @@ class CompactingReplica(LogReplica):
         self.committed_ids |= set(message.applied_ids)
         for command_id in message.applied_ids:
             self.pending.pop(command_id, None)
+            self._acked.pop(command_id, None)
         for instance in list(self.log):
             if instance <= message.through:
                 del self.log[instance]

@@ -437,8 +437,8 @@ class PaxosProcess(Process):
 
     def _take_hint(self, message: Propose) -> None:
         """Hook: learn what ``message`` teaches (the log's commit
-        piggyback, and a value its vote makes chosen) before the acceptor
-        answers it."""
+        piggyback, a value its vote makes chosen, and which pending
+        commands the leader holds) before the acceptor answers it."""
 
     def _reply_durably(self, peer: int, reply: Message,
                        writes: Writes) -> None:

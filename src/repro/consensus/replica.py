@@ -54,20 +54,31 @@ a fair-lossy link's first ``Accepted`` is often still on its way at the
 next tick.
 
 Client commands enter through :meth:`LogReplica.submit` on any node;
-non-leaders forward their pending queue to their Omega leader
-(at-least-once, deduplicated by command id at propose and apply time).
+non-leaders forward to their Omega leader the pending commands it has
+not acknowledged (deduplicated by command id at propose and apply time).
+
+**Forward once.**  A ``Propose`` from the trusted leader, at a ballot
+the follower's acceptor admits, *acknowledges* every pending command it
+carries: the leader holds it, so the follower stops forwarding it.  An
+acknowledgement belongs to the ballot (and so the leader) that made it:
+a new Omega leader, or a ``Prepare`` or ``Propose`` at another ballot,
+voids them all, and one still unlearned after ``BACKOFF_CAP`` lapses —
+a leader that crashed and recovered lost its volatile queue, perhaps
+without this follower hearing of its new ballot.  The bookkeeping costs
+O(commands in the message), never a scan of the queue.
 
 **Nagle's rule.**  Batching pays only under load, so an idle pipeline
-does not wait for the tick.  A follower whose pending queue was empty
-forwards a new command to its leader at once; a leader with no open
-slot proposes at once on a local submit or a ``Forward`` receipt (every
-waiting command, up to ``max_batch`` slots of ``batch_size``).  With
-any slot open, new commands wait for the tick, which opens the slots,
-resends what is due and re-forwards every pending command the follower
-has not forwarded to that leader since the previous tick — so a loaded
-log batches exactly as a tick-paced one.  A ``Propose`` sent between
-ticks is not resent by the tick right after it: its one-tick RTO floor
-has passed only once the copy predates the previous tick
+does not wait for the tick.  A follower whose other pending commands
+are all acknowledged forwards a new command to its leader at once; a
+leader with no open slot proposes at once on a local submit or a
+``Forward`` receipt (every waiting command, up to ``max_batch`` slots of
+``batch_size``).  With any slot open, new commands wait for the tick,
+which opens the slots, resends what is due and re-forwards every
+unacknowledged pending command the follower has not forwarded to that
+leader since the previous tick — so a loaded log batches exactly as a
+tick-paced one.  A ``Propose`` sent between ticks is not resent by the
+tick right after it: its one-tick RTO floor has passed only once the
+copy predates the previous tick
 (:class:`~repro.consensus.retransmit.RoundTripTimer`).
 
 Each pass sends **at most one message of a kind to a peer**: the
@@ -100,7 +111,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable
 
-from repro.consensus.config import ConsensusConfig
+from repro.consensus.config import BACKOFF_CAP, ConsensusConfig
 from repro.consensus.messages import (
     Accepted,
     Ballot,
@@ -109,6 +120,7 @@ from repro.consensus.messages import (
     Decides,
     Forward,
     Forwards,
+    Prepare,
     Promise,
     Propose,
 )
@@ -258,6 +270,11 @@ class LogReplica(PaxosProcess):
         # id, to whom and when.
         self.pending: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._forwarded: tuple[Hashable, int, float] | None = None
+        # Follower side: the pending commands a Propose of the trusted
+        # leader carried, each with when it first did (so oldest first),
+        # and the ballot (so the leader) those acknowledgements belong to.
+        self._acked: dict[Hashable, float] = {}
+        self._acked_at: Ballot | None = None
 
     def _restore(self, storage: StableStorage) -> None:
         for key in storage.durable_keys():
@@ -299,9 +316,12 @@ class LogReplica(PaxosProcess):
                 if self.persist:
                     self._gate.begin_pass()  # a pass of its own
                 self._pump_proposals()
-        elif len(pending) == 1:
+        elif len(pending) == 1 + len(self._acked):
+            # Every other pending command is acknowledged — by this
+            # leader, since a new one voids them (Nagle's rule).
             leader = self.leader_of()
-            if leader != self.pid:
+            if leader != self.pid \
+                    and len(pending) == 1 + len(self._acks_of(leader)):
                 self._forwarded = (command_id, leader, self.now)
                 self.send(leader, Forward(self.pid, command_id, command))
         return True
@@ -370,11 +390,32 @@ class LogReplica(PaxosProcess):
         self.phase = PHASE_FOLLOWER
         self._abandon_open()
 
+    def _acks_of(self, leader: int) -> dict[Hashable, float]:
+        """The acknowledgements ``leader`` made: none once Omega trusts
+        another."""
+        if self._acked_at is not None and self._acked_at.proposer != leader:
+            self._void_acks()
+        return self._acked
+
+    def _void_acks(self) -> None:
+        self._acked.clear()
+        self._acked_at = None
+
     def _forward_pending(
             self, forwarded: tuple[Hashable, int, float] | None) -> None:
         leader = self.leader_of()
         if leader == self.pid or not self.pending:
             return
+        # An acknowledgement still unlearned after BACKOFF_CAP lapses:
+        # the leader may have lost its queue in a crash and recovery
+        # that this follower never saw.
+        acked = self._acks_of(leader)
+        lapsed = self.now - BACKOFF_CAP
+        while acked:
+            command_id, at = next(iter(acked.items()))
+            if at > lapsed:
+                break
+            del acked[command_id]
         skip = None
         if forwarded is not None:
             command_id, to, at = forwarded
@@ -385,10 +426,10 @@ class LogReplica(PaxosProcess):
             if to == leader:
                 skip = command_id
         # Everything pending but what went to this leader at once since
-        # the previous tick: typed fairness then covers every command.
-        # Split only to bound the frame size.
+        # the previous tick and what it acknowledged: typed fairness then
+        # covers every command.  Split only to bound the frame size.
         commands = tuple(item for item in self.pending.items()
-                         if item[0] != skip)
+                         if item[0] != skip and item[0] not in acked)
         for start in range(0, len(commands), FORWARD_SPLIT):
             chunk = commands[start:start + FORWARD_SPLIT]
             self.send(leader, Forwards(self.pid, chunk) if len(chunk) > 1
@@ -577,10 +618,13 @@ class LogReplica(PaxosProcess):
         decided = (instance, value)
         for callback in self.network.hub.decide_cbs:
             callback(now, self.pid, decided)
-        committed, pending = self.committed_ids, self.pending
+        committed, pending, acked = \
+            self.committed_ids, self.pending, self._acked
         for command_id, _ in entry_commands(value):
             committed.add(command_id)
-            pending.pop(command_id, None)
+            if command_id in pending:
+                del pending[command_id]
+                acked.pop(command_id, None)
         index = self.commit_index
         while index + 1 in log:
             index += 1
@@ -591,9 +635,10 @@ class LogReplica(PaxosProcess):
     # ------------------------------------------------------------------
 
     def _on_forward(self, message: Forward | Forwards) -> None:
-        # A follower re-forwards its queue every tick, so most ids are
-        # already known here.  An idle leader proposes the new ones at
-        # once (Nagle's rule), all of the message's together.
+        # A follower re-forwards what no Propose of ours acknowledged
+        # yet, so an id may already be known here.  An idle leader
+        # proposes the new ones at once (Nagle's rule), all of the
+        # message's together.
         pending, committed = self.pending, self.committed_ids
         for command_id, command in message.commands:
             if command_id not in pending and command_id not in committed:
@@ -614,12 +659,36 @@ class LogReplica(PaxosProcess):
             if slot is not None and slot[0] == message.ballot \
                     and instance not in self.log:
                 self._learn(instance, slot[1])
-        if self.majority == 2 and not self.persist \
-                and self.acceptor.admits(message.ballot):
+        admitted = self.acceptor.admits(message.ballot)
+        if admitted and self.majority == 2 and not self.persist:
             # Learning on the quorum-completing vote (module docstring):
             # the acceptor votes for this value next, and with the
             # leader's own vote at this ballot that is two.
             self._learn(message.instance, message.value)
+        # Forward once (module docstring): a Propose of the trusted
+        # leader acknowledges the pending commands it carries, and one at
+        # another ballot voids what the earlier ballot acknowledged
+        # (with nothing pending there is nothing acknowledged to void).
+        pending = self.pending
+        if not pending:
+            return
+        ballot = message.ballot
+        if ballot != self._acked_at:
+            self._void_acks()
+            if not (admitted and message.sender == self.leader_of()):
+                return
+            self._acked_at = ballot
+        elif not admitted:
+            return
+        acked, now = self._acked, self.now
+        for command_id, _ in entry_commands(message.value):
+            if command_id in pending:
+                acked.setdefault(command_id, now)
+
+    def _on_prepare(self, message: Prepare) -> None:
+        if self._acked_at is not None and message.ballot != self._acked_at:
+            self._void_acks()
+        super()._on_prepare(message)
 
     def _report(self, peer: int, mark: int) -> None:
         """Note ``peer``'s reported watermark (its ``commit_index``)."""

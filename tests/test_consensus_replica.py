@@ -173,7 +173,15 @@ class TestWatermarks:
 
             replica.on_message, replica.send = on_message, send
         system.start_all()
-        system.run_until(27.0)
+        # Until the leader's log is past 100, bounded well before the
+        # drip's last submit (32.8 s), so the crash still lands under
+        # load.
+        deadline = 27.0
+        system.run_until(deadline)
+        while system.node(system.node(0).omega.leader()) \
+                .agreement.commit_index < 100 and deadline < 31.0:
+            deadline += 0.1
+            system.run_until(deadline)
         leader = system.node(0).omega.leader()
         assert system.node(leader).agreement.commit_index >= 100
         before = len(decided)
